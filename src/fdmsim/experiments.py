@@ -22,6 +22,8 @@ from .device import Chip, QubitStateLabel, dressed_resonance, s21_feedline
 from .dynamics import GROUND, BlochState, DriveSpec, evolve_for, rabi_frequency
 from .errors import ConfigError, UnknownDeviceError
 from .rxchain import (
+    NOISE_GUARD_BINS,
+    WINDOWS,
     AdcSpec,
     ToneMeasurement,
     add_awgn,
@@ -34,6 +36,10 @@ from .seeding import child_seed
 from .txchain import IQTrace, ToneSpec, synthesize_multitone, upconvert_ssb
 
 CSV_FORMAT_TAG = "fdmsim-sweep-v1"
+
+# Largest offset, in bins per bin index, at which a ReadoutSetup channel
+# still counts as on the DFT grid.
+GRID_TOLERANCE = 1e-14
 
 
 @dataclass
@@ -80,8 +86,13 @@ class SweepResult:
 class ReadoutSetup:
     """Frozen front-end configuration for multiplexed acquisition.
 
-    Channel baseband frequencies sit on the acquisition DFT grid
-    (sample_rate / n_samples), so bin-centered channelization is exact.
+    Construction rejects, with ConfigError, duplicate device ids, a
+    channel off the acquisition DFT grid (sample_rate / n_samples),
+    a channel outside the grid's baseband range [-sample_rate/2,
+    sample_rate/2), two channels fewer than NOISE_GUARD_BINS bins apart,
+    and an unknown window.  Every setup it accepts therefore channelizes
+    exactly, and a noiseless, ADC-free acquisition of it is computed in
+    closed form as amplitude * S21(channel frequency) (see acquire).
     """
 
     device_ids: tuple[int, ...]
@@ -91,6 +102,49 @@ class ReadoutSetup:
     n_samples: int = 4000
     amplitude: float = 0.1
     window: str = "rectangular"
+
+    def __post_init__(self):
+        if not self.device_ids:
+            raise ConfigError("need at least one device to read out")
+        if len(set(self.device_ids)) != len(self.device_ids):
+            raise ConfigError(f"duplicate device ids in {tuple(self.device_ids)}")
+        if len(self.baseband_frequencies) != len(self.device_ids):
+            raise ConfigError(
+                f"got {len(self.baseband_frequencies)} channel frequencies for "
+                f"{len(self.device_ids)} devices"
+            )
+        if not self.sample_rate > 0 or self.n_samples < 1:
+            raise ConfigError(
+                f"need sample_rate > 0 and n_samples >= 1, got "
+                f"{self.sample_rate} and {self.n_samples}"
+            )
+        if self.window not in WINDOWS:
+            raise ConfigError(f"unknown window {self.window!r} (use one of {WINDOWS})")
+        grid = self.sample_rate / self.n_samples
+        nyquist = self.sample_rate / 2
+        bins = []
+        for f in self.baseband_frequencies:
+            if not -nyquist <= f < nyquist:
+                raise ConfigError(
+                    f"channel {f:+.6g} Hz from the LO is beyond Nyquist "
+                    f"{nyquist:.6g} Hz; raise sample_rate or move the LO"
+                )
+            k = round(f / grid)
+            if abs(f / grid - k) > GRID_TOLERANCE * max(1, abs(k)):
+                raise ConfigError(
+                    f"channel {f:+.9g} Hz is off the {grid:.6g} Hz DFT grid"
+                )
+            bins.append(k)
+        for a in range(len(bins)):
+            for b in range(a):
+                apart = abs(bins[a] - bins[b])
+                apart = min(apart, self.n_samples - apart)
+                if apart < NOISE_GUARD_BINS:
+                    raise ConfigError(
+                        f"channels {self.baseband_frequencies[b]:+.9g} and "
+                        f"{self.baseband_frequencies[a]:+.9g} Hz are {apart} bins "
+                        f"apart, fewer than NOISE_GUARD_BINS = {NOISE_GUARD_BINS}"
+                    )
 
     @property
     def channel_frequencies(self) -> tuple[float, ...]:
@@ -112,7 +166,8 @@ def make_readout_setup(
     Each qubit is taken at its own symmetry flux.  The default LO is the
     mean channel frequency snapped to the DFT grid; channels are then
     snapped to LO + k * grid (a shift of at most half a bin, well inside
-    any practical linewidth).
+    any practical linewidth).  Raises ConfigError where ReadoutSetup
+    does, e.g. when two devices snap to the same bin.
     """
     if device_ids is None:
         device_ids = chip.device_ids
@@ -129,12 +184,6 @@ def make_readout_setup(
     baseband = tuple(
         grid * round((targets[d] - lo_frequency) / grid) for d in device_ids
     )
-    span = max(abs(f) for f in baseband)
-    if span > sample_rate / 2:
-        raise ConfigError(
-            f"channels span {span:.6g} Hz from the LO, beyond Nyquist "
-            f"{sample_rate / 2:.6g} Hz; raise sample_rate or move the LO"
-        )
     return ReadoutSetup(
         device_ids=device_ids,
         lo_frequency=float(lo_frequency),
@@ -155,6 +204,58 @@ def _probe_trace(setup: ReadoutSetup) -> IQTrace:
     return upconvert_ssb(baseband, setup.lo_frequency)
 
 
+def _acquire_points(
+    chip: Chip,
+    setup: ReadoutSetup,
+    states: Sequence[Sequence[float]],
+    fluxes: Sequence,
+    *,
+    adc: AdcSpec | None,
+    noise_std: float,
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The acquisition core: one multiplexed shot per point.
+
+    states[i] holds every chip device's sigma_z at point i (chip order)
+    and fluxes[i] is a scalar or one flux per device.  Returns channel
+    amplitude and phase, each (n_points, n_channels), and each shot's
+    noise estimate, (n_points,).
+
+    With noise_std == 0 and no ADC the chain is linear and every probe
+    sits on the DFT grid (ReadoutSetup enforces it), so a shot is exactly
+    setup.amplitude * S21(channel frequency): no trace is synthesized, no
+    seed is drawn, and the noise estimate is 0.0.  Otherwise each shot
+    runs the full chain, with noise from child_seed(seed, i).
+    """
+    if noise_std < 0:
+        raise ConfigError(f"noise_std must be >= 0, got {noise_std}")
+    n_points = len(states)
+    amp = np.empty((n_points, len(setup.device_ids)))
+    phase = np.empty_like(amp)
+    noise = np.zeros(n_points)
+    if noise_std == 0 and adc is None:
+        omega = 2 * np.pi * np.array(setup.channel_frequencies)
+        for i in range(n_points):
+            s = setup.amplitude * s21_feedline(chip, omega, states[i], fluxes[i])
+            amp[i] = np.abs(s)
+            phase[i] = np.angle(s)
+        return amp, phase, noise
+    probe = _probe_trace(setup)
+    for i in range(n_points):
+        rf = apply_feedline(probe, chip, states[i], fluxes[i])
+        rx = downconvert(rf, setup.lo_frequency)
+        point_seed = child_seed(seed, i)
+        if adc is None:
+            rx = add_awgn(rx, noise_std, point_seed)
+        else:
+            rx = adc_quantize(rx, adc, noise_std=noise_std, seed=point_seed)
+        meas = channelize(rx, setup.baseband_frequencies, window=setup.window)
+        amp[i] = [m.amplitude for m in meas]
+        phase[i] = [m.phase for m in meas]
+        noise[i] = meas[0].noise_std
+    return amp, phase, noise
+
+
 def acquire(
     chip: Chip,
     setup: ReadoutSetup,
@@ -164,23 +265,29 @@ def acquire(
     adc: AdcSpec | None = None,
     noise_std: float = 0.0,
     seed: int = 0,
-    probe: IQTrace | None = None,
 ) -> list[ToneMeasurement]:
-    """One multiplexed shot: synthesize, feedline, receive, channelize.
+    """One multiplexed shot, one ToneMeasurement per channel.
 
     states and fluxes describe every device on the chip (chip order);
-    fluxes may be a scalar.  probe allows reusing the synthesized trace
-    across repeated shots with identical setup.
+    fluxes may be a scalar.  Without noise and ADC the shot is computed
+    in closed form, amplitude * S21(channel frequency), and noise_std is
+    reported as exactly 0.0.  Otherwise the shot is synthesized, passed
+    through the feedline, received and channelized, with noise from the
+    stream child_seed(seed, 0): the same draw as point 0 of a sweep run
+    with this seed.
     """
-    if probe is None:
-        probe = _probe_trace(setup)
-    rf = apply_feedline(probe, chip, states, fluxes)
-    rx = downconvert(rf, setup.lo_frequency)
-    if noise_std > 0 and adc is None:
-        rx = add_awgn(rx, noise_std, seed)
-    if adc is not None:
-        rx = adc_quantize(rx, adc, noise_std=noise_std, seed=seed)
-    return channelize(rx, setup.baseband_frequencies, window=setup.window)
+    amp, phase, noise = _acquire_points(
+        chip, setup, [states], [fluxes], adc=adc, noise_std=noise_std, seed=seed
+    )
+    return [
+        ToneMeasurement(
+            channel_frequency=f,
+            amplitude=float(a),
+            phase=float(p),
+            noise_std=float(noise[0]),
+        )
+        for f, a, p in zip(setup.baseband_frequencies, amp[0], phase[0])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +311,10 @@ def run_flux_sweep(
     The probe comb stays fixed at the symmetry-point channels while the
     sweep moves each qubit through its resonator crossing, where the
     level repulsion throws the notch off the probe and the channel
-    amplitude rises toward unity.  Each sweep point draws its noise from
-    an independent child stream of `seed`.
+    amplitude rises toward unity.  Without noise and ADC every point is
+    computed in closed form, amplitude * S21(channel frequency), and no
+    seed is drawn.  Otherwise each point runs the full chain and draws
+    its noise from the independent child stream child_seed(seed, i).
     """
     flux_values = np.asarray(flux_values, dtype=float)
     if flux_values.ndim != 1 or flux_values.size == 0:
@@ -214,17 +323,10 @@ def run_flux_sweep(
         setup = make_readout_setup(chip, device_ids)
     if states is None:
         states = [float(QubitStateLabel.GROUND)] * len(chip.devices)
-    probe = _probe_trace(setup)
-    n_ch = len(setup.device_ids)
-    amp = np.empty((flux_values.size, n_ch))
-    phase = np.empty_like(amp)
-    for i, flux in enumerate(flux_values):
-        meas = acquire(
-            chip, setup, states, float(flux),
-            adc=adc, noise_std=noise_std, seed=child_seed(seed, i), probe=probe,
-        )
-        amp[i] = [m.amplitude for m in meas]
-        phase[i] = [m.phase for m in meas]
+    amp, phase, _ = _acquire_points(
+        chip, setup, [states] * flux_values.size, flux_values,
+        adc=adc, noise_std=noise_std, seed=seed,
+    )
     metadata = {
         "kind": "flux_sweep",
         "seed": seed,
@@ -366,11 +468,14 @@ def run_rabi(
     gamma overrides every device's relaxation rate (rad/s) when given;
     gamma=0 yields the ideal P_e = sin^2(pi * f_rabi * t).
 
-    With readout=True each duration is pushed through the full
-    multiplexed chain, with the feedline evaluated at the instantaneous
+    With readout=True each duration is read out through the multiplexed
+    acquisition core, with the feedline evaluated at the instantaneous
     Bloch z of each qubit (the resonator adiabatically tracks the mean
     qubit polarization, valid for shifts well inside the linewidth).
-    Unselected chip devices stay in the ground state.
+    Unselected chip devices stay in the ground state.  Without noise and
+    ADC each readout is computed in closed form, amplitude * S21(channel
+    frequency), and no seed is drawn; otherwise each duration runs the
+    full chain with noise from child_seed(seed, i).
     """
     durations = np.asarray(durations, dtype=float)
     if durations.ndim != 1 or durations.size == 0:
@@ -409,22 +514,14 @@ def run_rabi(
 
     tables = {"excited_population": (z + 1.0) / 2.0}
     if readout:
-        ground = {d.device_id: float(QubitStateLabel.GROUND) for d in chip.devices}
+        states = np.full((durations.size, len(chip.devices)), float(QubitStateLabel.GROUND))
+        for j, dev_id in enumerate(ids):
+            states[:, chip.device_ids.index(dev_id)] = z[:, j]
         fluxes = [d.qubit.symmetry_flux for d in chip.devices]
-        probe = _probe_trace(setup)
-        amp = np.empty_like(z)
-        phase = np.empty_like(z)
-        for i in range(durations.size):
-            states = dict(ground)
-            for j, dev_id in enumerate(ids):
-                states[dev_id] = z[i, j]
-            state_list = [states[d.device_id] for d in chip.devices]
-            meas = acquire(
-                chip, setup, state_list, fluxes,
-                adc=adc, noise_std=noise_std, seed=child_seed(seed, i), probe=probe,
-            )
-            amp[i] = [m.amplitude for m in meas]
-            phase[i] = [m.phase for m in meas]
+        amp, phase, _ = _acquire_points(
+            chip, setup, states, [fluxes] * durations.size,
+            adc=adc, noise_std=noise_std, seed=seed,
+        )
         tables["iq_amplitude"] = amp
         tables["iq_phase"] = phase
 
@@ -571,12 +668,16 @@ def _csv_columns(result: SweepResult) -> list[tuple[str, str]]:
     ]
 
 
+def _csv_column_row(result: SweepResult) -> str:
+    names = [result.axis_name] + [f"{t}_{c}" for t, c in _csv_columns(result)]
+    return ",".join(names)
+
+
 def _csv_header_lines(result: SweepResult) -> list[str]:
     lines = [f"# {CSV_FORMAT_TAG}"]
     for key in sorted(result.metadata):
         lines.append(f"# {key}={_format_value(result.metadata[key])}")
-    names = [result.axis_name] + [f"{t}_{c}" for t, c in _csv_columns(result)]
-    lines.append(",".join(names))
+    lines.append(_csv_column_row(result))
     return lines
 
 
@@ -597,19 +698,24 @@ def write_sweep_csv(path: str | Path, result: SweepResult, append: bool = False)
 
     Floats are serialized with repr() so re-runs are byte-identical.
     With append=True and an existing file, the new rows must come from
-    the same configuration: the file's config_hash header is compared
-    against result.metadata['config_hash'] and a mismatch is refused.
+    the same configuration and layout: the file's config_hash and kind
+    headers and its column row must match the result's, and any mismatch
+    is refused before a byte is written.
     """
     path = Path(path)
     if append and path.exists():
-        existing = _read_header_metadata(path)
-        ours = result.metadata.get("config_hash")
-        theirs = existing.get("config_hash")
-        if ours is None or theirs is None or str(ours) != str(theirs):
-            raise ConfigError(
-                f"refusing to append to {path}: config_hash "
-                f"{theirs!r} does not match {ours!r}"
-            )
+        existing, column_row = _read_csv_header(path)
+        checks = (
+            ("config_hash", existing.get("config_hash"), result.metadata.get("config_hash")),
+            ("kind", existing.get("kind"), result.kind),
+            ("column row", column_row, _csv_column_row(result)),
+        )
+        for what, theirs, ours in checks:
+            if ours is None or theirs is None or str(ours) != str(theirs):
+                raise ConfigError(
+                    f"refusing to append to {path}: {what} "
+                    f"{theirs!r} does not match {ours!r}"
+                )
         body = "\n".join(_csv_data_lines(result)) + "\n"
         with open(path, "a", newline="\n") as fh:
             fh.write(body)
@@ -619,17 +725,18 @@ def write_sweep_csv(path: str | Path, result: SweepResult, append: bool = False)
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_header_metadata(path: Path) -> dict[str, str]:
+def _read_csv_header(path: Path) -> tuple[dict[str, str], str | None]:
+    """The '#' metadata of a sweep CSV and its column row (None if absent)."""
     metadata = {}
     with open(path) as fh:
         for line in fh:
             if not line.startswith("#"):
-                break
+                return metadata, line.strip() or None
             text = line[1:].strip()
             if "=" in text:
                 key, _, value = text.partition("=")
                 metadata[key.strip()] = value.strip()
-    return metadata
+    return metadata, None
 
 
 def read_sweep_csv(path: str | Path) -> SweepResult:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -150,13 +151,45 @@ def rail_fraction(trace: IQTrace, adc: AdcSpec) -> float:
     return float(np.mean(np.abs(quad) >= adc.full_scale - adc.step / 2))
 
 
+WINDOWS = ("rectangular", "rect", "hann")
+
+
 def _window(name: str, n: int) -> np.ndarray:
-    if name in ("rectangular", "rect"):
-        return np.ones(n)
+    if name not in WINDOWS:
+        raise ConfigError(f"unknown window {name!r} (use 'rectangular' or 'hann')")
     if name == "hann":
         # Periodic (DFT-even) hann: exact unity gain for bin-centered tones.
         return 0.5 * (1 - np.cos(2 * np.pi * np.arange(n) / n))
-    raise ConfigError(f"unknown window {name!r} (use 'rectangular' or 'hann')")
+    return np.ones(n)
+
+
+@dataclass(frozen=True)
+class _ChannelPlan:
+    """What channelize derives from its key alone; arrays are read-only."""
+
+    window: np.ndarray
+    window_sum: float
+    kernel: np.ndarray
+    noise_mask: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def _channel_plan(
+    freqs: tuple[float, ...], n: int, sample_rate: float, window: str
+) -> _ChannelPlan:
+    w = _window(window, n)
+    t_rel = np.arange(n) / sample_rate
+    kernel = np.exp(-2j * np.pi * np.outer(np.array(freqs), t_rel))
+    grid = np.fft.fftfreq(n, d=1.0 / sample_rate)
+    nyquist = sample_rate / 2
+    bin_width = sample_rate / n
+    mask = np.ones(n, dtype=bool)
+    for f in freqs:
+        mask &= np.abs((grid - f + nyquist) % sample_rate - nyquist) > \
+            NOISE_GUARD_BINS * bin_width - bin_width / 2
+    for a in (w, kernel, mask):
+        a.flags.writeable = False
+    return _ChannelPlan(window=w, window_sum=float(w.sum()), kernel=kernel, noise_mask=mask)
 
 
 def channelize(
@@ -175,49 +208,40 @@ def channelize(
     away from every channel: rms of their amplitudes divided by sqrt(2),
     i.e. the one-sigma uncertainty per quadrature of each channel
     amplitude under white noise.
+
+    The window, projection kernel and noise mask depend only on
+    (channel frequencies, n_samples, sample_rate, window); they are built
+    once per such key and reused from a small cache.
     """
     if trace.carrier_frequency is not None:
         raise ConfigError("channelize expects a baseband trace; downconvert first")
-    freqs = np.asarray(channel_frequencies, dtype=float)
-    if freqs.size == 0:
+    freqs = tuple(float(f) for f in channel_frequencies)
+    if not freqs:
         raise ConfigError("need at least one channel frequency")
     nyquist = trace.sample_rate / 2
     for f in freqs:
         if abs(f) > nyquist:
             raise NyquistError(f"channel at {f:+.6g} Hz exceeds Nyquist {nyquist:.6g} Hz")
-    n = trace.n_samples
-    w = _window(window, n)
-    wsum = w.sum()
-    t_rel = np.arange(n) / trace.sample_rate
-    wx = w * trace.samples
-
-    kernel = np.exp(-2j * np.pi * np.outer(freqs, t_rel))
-    amplitudes = kernel @ wx / wsum
+    plan = _channel_plan(freqs, trace.n_samples, float(trace.sample_rate), window)
+    wx = plan.window * trace.samples
+    amplitudes = plan.kernel @ wx / plan.window_sum
 
     # Noise from the off-channel part of the DFT grid, same normalization.
-    spectrum = np.fft.fft(wx) / wsum
-    grid = np.fft.fftfreq(n, d=1.0 / trace.sample_rate)
-    bin_width = trace.sample_rate / n
-    mask = np.ones(n, dtype=bool)
-    for f in freqs:
-        mask &= np.abs((grid - f + nyquist) % trace.sample_rate - nyquist) > \
-            NOISE_GUARD_BINS * bin_width - bin_width / 2
-    if mask.any():
-        noise_std = float(np.sqrt(np.mean(np.abs(spectrum[mask]) ** 2) / 2))
+    if plan.noise_mask.any():
+        spectrum = np.fft.fft(wx) / plan.window_sum
+        noise_std = float(np.sqrt(np.mean(np.abs(spectrum[plan.noise_mask]) ** 2) / 2))
     else:
         noise_std = float("nan")
 
-    out = []
-    for f, a in zip(freqs, amplitudes):
-        out.append(
-            ToneMeasurement(
-                channel_frequency=float(f),
-                amplitude=float(np.abs(a)),
-                phase=float(np.angle(a)),
-                noise_std=noise_std,
-            )
+    return [
+        ToneMeasurement(
+            channel_frequency=f,
+            amplitude=float(np.abs(a)),
+            phase=float(np.angle(a)),
+            noise_std=noise_std,
         )
-    return out
+        for f, a in zip(freqs, amplitudes)
+    ]
 
 
 def apply_feedline(rf: IQTrace, chip: Chip, states: Sequence[float], fluxes) -> IQTrace:
@@ -227,7 +251,10 @@ def apply_feedline(rf: IQTrace, chip: Chip, states: Sequence[float], fluxes) -> 
     are multiplied by S21 evaluated at carrier + bin frequency.  Exact
     for tones on the DFT grid; for pulsed envelopes this is the standard
     quasi-static frequency-domain filter (qubit states frozen during the
-    window).
+    window).  Because of that exactness a noiseless, ADC-free acquisition
+    of a ReadoutSetup needs no trace at all: experiments.acquire and the
+    sweep drivers then return amplitude * S21(channel frequency) in
+    closed form, and this full filter serves as their oracle.
     """
     from .device import s21_feedline
 

@@ -1,5 +1,6 @@
 """Sweep drivers, feature detection, Rabi fits, and result serialization."""
 
+import dataclasses
 import json
 import math
 
@@ -11,8 +12,14 @@ import scipy.optimize
 from fdmsim import (
     ConfigError,
     QubitStateLabel,
+    ReadoutSetup,
     SweepResult,
+    ToneSpec,
+    acquire,
+    apply_feedline,
     builtin_chip_path,
+    channelize,
+    downconvert,
     detect_flux_features,
     dressed_resonance,
     fit_damped_sinusoid,
@@ -24,6 +31,8 @@ from fdmsim import (
     run_rabi,
     run_spectroscopy,
     s21_feedline,
+    synthesize_multitone,
+    upconvert_ssb,
     write_sweep_csv,
     write_sweep_json,
 )
@@ -113,6 +122,112 @@ def test_setup_rejects_band_beyond_nyquist(chip):
     # chip spans ~0.9 GHz; +-0.45 GHz from the LO needs fs > 0.9 GHz
     with pytest.raises(ConfigError, match="Nyquist"):
         make_readout_setup(chip, sample_rate=0.5e9)
+
+
+def test_setup_rejects_duplicate_device_ids(chip):
+    with pytest.raises(ConfigError, match="duplicate"):
+        make_readout_setup(chip, (1, 1))
+
+
+def test_setup_rejects_channels_snapping_to_one_bin(chip):
+    # a 500 MHz grid puts devices 1 and 2 (150 MHz apart) in the same bin
+    with pytest.raises(ConfigError, match="bins apart"):
+        make_readout_setup(chip, (1, 2), sample_rate=1e9, n_samples=2)
+
+
+GRID = 1e9 / 4000
+
+
+@pytest.mark.parametrize(
+    "baseband, match",
+    [
+        ((10.3 * GRID,), "off the"),
+        ((0.0, 1e-6 * GRID), "off the"),
+        ((0.5e9,), "Nyquist"),
+        ((-0.5e9 - GRID,), "Nyquist"),
+        ((0.0, 2 * GRID), "bins apart"),
+        ((-0.5e9, 0.5e9 - GRID), "bins apart"),
+    ],
+)
+def test_hand_built_setup_is_validated(baseband, match):
+    with pytest.raises(ConfigError, match=match):
+        ReadoutSetup(
+            device_ids=tuple(range(1, len(baseband) + 1)),
+            lo_frequency=9.6e9,
+            baseband_frequencies=baseband,
+        )
+
+
+def test_hand_built_setup_accepts_grid_channels_at_the_guard():
+    setup = ReadoutSetup(
+        device_ids=(1, 2, 3),
+        lo_frequency=9.6e9,
+        baseband_frequencies=(-0.5e9, 0.0, 3 * GRID),
+        window="hann",
+    )
+    assert setup.channel_frequencies[1] == 9.6e9
+    with pytest.raises(ConfigError, match="window"):
+        ReadoutSetup(device_ids=(1,), lo_frequency=9.6e9,
+                     baseband_frequencies=(0.0,), window="kaiser")
+
+
+# --------------------------------------------------------------------------
+# acquisition core: closed form against the full chain
+
+
+def full_chain_shot(chip, setup, states, flux):
+    """One noiseless shot composed explicitly from the public stages."""
+    tones = [ToneSpec(baseband_frequency=f, amplitude=setup.amplitude)
+             for f in setup.baseband_frequencies]
+    probe = upconvert_ssb(
+        synthesize_multitone(tones, setup.n_samples, setup.sample_rate),
+        setup.lo_frequency,
+    )
+    rx = downconvert(apply_feedline(probe, chip, states, flux), setup.lo_frequency)
+    meas = channelize(rx, setup.baseband_frequencies, window=setup.window)
+    return np.array([m.amplitude for m in meas]), np.array([m.phase for m in meas])
+
+
+@pytest.mark.parametrize("window", ["rectangular", "hann"])
+def test_closed_form_acquisition_matches_full_chain(chip, window):
+    ids = (1, 2, 3, 4, 5, 6)
+    setup = make_readout_setup(chip, ids, window=window)
+    crossings = [f for d in ids for f in crossing_fluxes(chip.device(d))]
+    fluxes = np.concatenate([np.linspace(-0.025, 0.025, 9), crossings])
+    rng = np.random.default_rng(21)
+    worst_amp = worst_phase = 0.0
+    for flux in fluxes:
+        states = rng.uniform(-1.0, 1.0, len(chip.devices))
+        meas = acquire(chip, setup, states, flux)
+        amp = np.array([m.amplitude for m in meas])
+        phase = np.array([m.phase for m in meas])
+        ref_amp, ref_phase = full_chain_shot(chip, setup, states, flux)
+        worst_amp = max(worst_amp, np.max(np.abs(amp - ref_amp) / ref_amp))
+        d_phase = np.abs((phase - ref_phase + np.pi) % (2 * np.pi) - np.pi)
+        worst_phase = max(worst_phase, np.max(d_phase))
+        assert all(m.noise_std == 0.0 for m in meas)
+    assert worst_amp <= 1e-12
+    assert worst_phase <= 1e-11
+
+
+def test_sweep_points_equal_single_shots(chip):
+    setup = make_readout_setup(chip, (2, 5))
+    fluxes = np.linspace(-0.02, 0.02, 5)
+    for noise_std in (0.0, 1e-3):
+        sweep = run_flux_sweep(chip, fluxes, setup=setup, noise_std=noise_std, seed=9)
+        ground = [float(QubitStateLabel.GROUND)] * len(chip.devices)
+        first = acquire(chip, setup, ground, fluxes[0], noise_std=noise_std, seed=9)
+        np.testing.assert_array_equal(
+            sweep.tables["amplitude"][0], [m.amplitude for m in first])
+        np.testing.assert_array_equal(
+            sweep.tables["phase"][0], [m.phase for m in first])
+        assert (first[0].noise_std > 0) == (noise_std > 0)
+
+
+def test_acquisition_rejects_negative_noise(chip):
+    setup = make_readout_setup(chip, (1,))
+    with pytest.raises(ConfigError, match="noise_std"):
+        run_flux_sweep(chip, [0.0], setup=setup, noise_std=-1e-3)
 
 
 # --------------------------------------------------------------------------
@@ -366,6 +481,25 @@ def test_csv_append_requires_matching_hash(tmp_path, chip):
     other = run_flux_sweep(chip, fluxes, device_ids=(1,), config_hash="h2")
     with pytest.raises(ConfigError, match="config_hash"):
         write_sweep_csv(path, other, append=True)
+
+
+def test_csv_append_refuses_other_kind_or_columns(tmp_path, chip):
+    fluxes = np.linspace(-0.002, 0.002, 3)
+    first = run_flux_sweep(chip, fluxes, device_ids=(1,), config_hash="h1")
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(path, first)
+    before = path.read_bytes()
+    rabi = run_rabi(chip, np.linspace(0.0, 1e-7, 3), device_ids=(1,),
+                    readout=False, config_hash="h1")
+    with pytest.raises(ConfigError, match="kind"):
+        write_sweep_csv(path, rabi, append=True)
+    relabelled = dataclasses.replace(first, kind="spectroscopy")
+    with pytest.raises(ConfigError, match="kind"):
+        write_sweep_csv(path, relabelled, append=True)
+    wider = run_flux_sweep(chip, fluxes, device_ids=(1, 2), config_hash="h1")
+    with pytest.raises(ConfigError, match="column"):
+        write_sweep_csv(path, wider, append=True)
+    assert path.read_bytes() == before
 
 
 def test_csv_append_without_hash_is_refused(tmp_path, chip):

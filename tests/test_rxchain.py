@@ -231,6 +231,55 @@ def test_channelize_rejects_carried_trace_and_off_nyquist():
         channelize(base, [600e6])
 
 
+def reference_projection(trace, freqs, window):
+    """Channel projections built from scratch on every call, no plan cache."""
+    n = trace.n_samples
+    if window == "hann":
+        w = 0.5 * (1 - np.cos(2 * np.pi * np.arange(n) / n))
+    else:
+        w = np.ones(n)
+    t_rel = np.arange(n) / trace.sample_rate
+    kernel = np.exp(-2j * np.pi * np.outer(np.asarray(freqs, dtype=float), t_rel))
+    return kernel @ (w * trace.samples) / w.sum()
+
+
+def test_channelize_is_bit_identical_across_alternating_plans():
+    rng = np.random.default_rng(4)
+    keys = [
+        ([2e6, 7.5e6, -40e6], 2000, "rectangular"),
+        ([2e6, 7.5e6, -40e6], 2000, "hann"),
+        ([3e6, -11e6], 1000, "rectangular"),
+        ([2e6, 7.5e6, -40e6], 4000, "hann"),
+    ]
+    traces = {}
+    for freqs, n, _ in keys:
+        samples = rng.normal(size=n) + 1j * rng.normal(size=n)
+        traces[n] = IQTrace(samples=samples, sample_rate=1e9)
+    first = {}
+    for _ in range(3):
+        for freqs, n, window in keys:
+            meas = channelize(traces[n], freqs, window=window)
+            got = np.array([(m.amplitude, m.phase, m.noise_std) for m in meas])
+            key = (tuple(freqs), n, window)
+            if key in first:
+                np.testing.assert_array_equal(got, first[key])
+            else:
+                first[key] = got
+                ref = reference_projection(traces[n], freqs, window)
+                np.testing.assert_array_equal(got[:, 0], np.abs(ref))
+                np.testing.assert_array_equal(got[:, 1], np.angle(ref))
+
+
+def test_channelize_plan_arrays_are_read_only():
+    from fdmsim.rxchain import _channel_plan
+
+    plan = _channel_plan((2e6, -40e6), 2000, 1e9, "hann")
+    for array in (plan.window, plan.kernel, plan.noise_mask):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
 # --------------------------------------------------------------------------
 # feedline filtering and crosstalk
 
