@@ -15,6 +15,7 @@ P_e(t) = sin^2(pi * f_rabi * t).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,16 +213,31 @@ def relaxation_telegraph_spectrum(
     trajectory contributes |FFT(exp(i*phi(t)))|^2 with
     phi(t) = integral of sigma_z(t') * shift dt'.
 
+    On the sample grid phi_k = S_k * (shift*dt), where S_k, the running
+    sum of sigma_z, is an integer in [-n, n].  The walk is therefore kept
+    in integers and the carrier read from one table of the 2n+1 values
+    exp(1j * (j * (shift*dt))).  The table is exact, not an
+    approximation: float(S_k) * (shift*dt) is the same IEEE product as
+    the float running sum times (shift*dt), so each sample, and the
+    spectrum, equals the per-sample exponential bit for bit.
+
     Returns the folded one-sided spectrum and the fraction of power
     outside the Carson band of full width 2*(shift + 2*gamma) centered on
-    the carrier.
+    the carrier.  Non-finite rates or times, a duration <= 0 and a
+    non-integer trajectory count raise ConfigError.
     """
+    for name, value in (("gamma", gamma), ("shift", shift), ("duration", duration),
+                        ("sample_rate", sample_rate)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     if gamma <= 0:
         raise ConfigError(f"gamma must be > 0, got {gamma}")
     if shift < 0:
         raise ConfigError(f"shift must be >= 0, got {shift}")
-    if n_trajectories < 1:
-        raise ConfigError("need at least one trajectory")
+    if duration <= 0:
+        raise ConfigError(f"duration must be > 0, got {duration}")
+    if not isinstance(n_trajectories, numbers.Integral) or n_trajectories < 1:
+        raise ConfigError(f"n_trajectories must be an integer >= 1, got {n_trajectories!r}")
     half_width_hz = (shift + 2 * gamma) / (2 * math.pi)
     if sample_rate is None:
         sample_rate = 16.0 * max(half_width_hz, 1.0 / duration)
@@ -232,18 +248,30 @@ def relaxation_telegraph_spectrum(
 
     rng = derive_rng(seed)
     flip_rate = gamma / 2.0
+    carrier = np.exp(1j * (np.arange(-n, n + 1, dtype=float) * (shift * dt)))
     psd = np.zeros(n)
     chunk = max(1, min(n_trajectories, 2_000_000 // n))
     remaining = n_trajectories
     while remaining > 0:
         m = min(chunk, remaining)
-        # Parity of Poisson flip counts gives the exact state on the grid.
-        counts = rng.poisson(flip_rate * dt, size=(m, n))
-        start = rng.choice((-1.0, 1.0), size=(m, 1))
-        sigma = start * (1.0 - 2.0 * (np.cumsum(counts, axis=1) % 2))
-        phase = np.cumsum(sigma, axis=1) * (shift * dt)
-        signal = np.exp(1j * phase)
-        psd += np.sum(np.abs(np.fft.fft(signal, axis=1)) ** 2, axis=0)
+        # Parity of Poisson flip counts gives the exact state on the grid;
+        # the walk turns, in place, into sigma and then into S_k + n.
+        walk = rng.poisson(flip_rate * dt, size=(m, n))
+        start = rng.choice((-1, 1), size=(m, 1))
+        np.cumsum(walk, axis=1, out=walk)
+        walk &= 1
+        walk *= -2
+        walk += 1
+        walk *= start
+        np.cumsum(walk, axis=1, out=walk)
+        walk += n
+        signal = carrier[walk]
+        del walk
+        power = np.abs(np.fft.fft(signal, axis=1, out=signal))
+        del signal
+        power **= 2
+        psd += np.sum(power, axis=0)
+        del power
         remaining -= m
     psd /= psd.sum()
 

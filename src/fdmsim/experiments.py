@@ -15,8 +15,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import scipy.optimize
-import scipy.signal
 
 from .device import Chip, QubitStateLabel, dressed_resonance, s21_feedline
 from .dynamics import GROUND, BlochState, DriveSpec, evolve_for, rabi_frequency
@@ -369,6 +367,9 @@ def detect_flux_features(
     so detection is independent of probe drive units.  Flat-topped peaks
     report their midpoints.  Returns {device_id: sorted flux values}.
     """
+    # Imported on first use: scipy adds about a second to `import fdmsim`.
+    import scipy.signal
+
     if table not in result.tables:
         raise ConfigError(f"result has no table {table!r}")
     if not result.device_ids:
@@ -588,6 +589,8 @@ def fit_damped_sinusoid(times, values) -> DampedSinusoidFit:
     to the seed parameters with valid=False, so batch callers can fit
     many traces and inspect the flags afterwards.
     """
+    import scipy.optimize  # on first use, as in detect_flux_features
+
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
     if t.ndim != 1 or t.shape != y.shape or t.size < 8:

@@ -26,6 +26,15 @@ def test_console_script_is_installed():
     assert proc.returncode == 0
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fdmsim.cli; sys.exit('scipy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 # --------------------------------------------------------------------------
 # plan
 

@@ -17,6 +17,7 @@ from fdmsim import (
     relaxation_telegraph_spectrum,
     steady_state_excited,
 )
+from fdmsim.seeding import derive_rng
 
 TWO_PI = 2 * math.pi
 
@@ -175,3 +176,79 @@ def test_telegraph_spectrum_peaks_near_the_shift():
     spectrum = relaxation_telegraph_spectrum(gamma, shift, 200e-6, 400, seed=8)
     peak = spectrum.frequencies[np.argmax(spectrum.power[1:]) + 1]
     assert peak == pytest.approx(shift / TWO_PI, rel=0.05)
+
+
+def reference_telegraph(gamma, shift, duration, n_trajectories, seed=0, sample_rate=None):
+    """The per-sample kernel: float walk, one complex exp per sample.
+
+    Returns (folded power, out-of-band fraction) for the same draws as
+    relaxation_telegraph_spectrum.
+    """
+    half_width_hz = (shift + 2 * gamma) / (2 * math.pi)
+    if sample_rate is None:
+        sample_rate = 16.0 * max(half_width_hz, 1.0 / duration)
+    n = int(round(duration * sample_rate))
+    dt = 1.0 / sample_rate
+    rng = derive_rng(seed)
+    psd = np.zeros(n)
+    chunk = max(1, min(n_trajectories, 2_000_000 // n))
+    remaining = n_trajectories
+    while remaining > 0:
+        m = min(chunk, remaining)
+        counts = rng.poisson(gamma / 2.0 * dt, size=(m, n))
+        start = rng.choice((-1.0, 1.0), size=(m, 1))
+        sigma = start * (1.0 - 2.0 * (np.cumsum(counts, axis=1) % 2))
+        phase = np.cumsum(sigma, axis=1) * (shift * dt)
+        signal = np.exp(1j * phase)
+        psd += np.sum(np.abs(np.fft.fft(signal, axis=1)) ** 2, axis=0)
+        remaining -= m
+    psd /= psd.sum()
+    freqs = np.fft.fftfreq(n, d=dt)
+    out_fraction = float(1.0 - psd[np.abs(freqs) <= half_width_hz].sum())
+    half = n // 2
+    p_one = np.zeros(half + 1)
+    p_one[0] = psd[0]
+    for j in range(1, half + 1):
+        p_one[j] = psd[j] + (psd[n - j] if n - j != j else 0.0)
+    return p_one, out_fraction
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        # n = 41 (odd, from the sample_rate override): 100000 trajectories
+        # exceed the 2_000_000 // 41 = 48780 per chunk, so three chunks run.
+        dict(gamma=TWO_PI * 1e6, shift=TWO_PI * 0.5e6, duration=1e-6,
+             n_trajectories=100_000, seed=3, sample_rate=41e6),
+        dict(gamma=TWO_PI * 0.3e6, shift=0.0, duration=20e-6, n_trajectories=300, seed=4),
+        dict(gamma=TWO_PI * 0.1e6, shift=TWO_PI * 2.5e6, duration=20e-6,
+             n_trajectories=500, seed=5),
+    ],
+)
+def test_telegraph_matches_per_sample_reference(kwargs):
+    power, out_fraction = reference_telegraph(**kwargs)
+    spectrum = relaxation_telegraph_spectrum(**kwargs)
+    assert np.array_equal(spectrum.power, power)
+    assert spectrum.out_of_band_fraction == out_fraction
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(duration=0.0),
+        dict(gamma=math.nan),
+        dict(shift=math.nan),
+        dict(duration=math.nan),
+        dict(gamma=math.inf),
+        dict(shift=math.inf),
+        dict(duration=math.inf),
+        dict(sample_rate=math.inf),
+        dict(sample_rate=math.nan),
+        dict(n_trajectories=2.5),
+    ],
+)
+def test_telegraph_rejects_bad_input(bad):
+    kwargs = dict(gamma=TWO_PI * 0.1e6, shift=TWO_PI * 1e6, duration=20e-6,
+                  n_trajectories=10, seed=1)
+    with pytest.raises(ConfigError):
+        relaxation_telegraph_spectrum(**{**kwargs, **bad})
