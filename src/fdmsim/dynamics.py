@@ -10,6 +10,11 @@ where W = 2*pi * rabi_rate_per_unit_amplitude * amplitude,
 G2 = gamma/2 + gamma_phi, and relaxation drives z toward -1 (ground).
 From the ground state on resonance this gives the excited population
 P_e(t) = sin^2(pi * f_rabi * t).
+
+Under a constant drive the equations are linear and affine in (x, y, z),
+so on the homogeneous vector (x, y, z, 1) they read dr/dt = A r and the
+exact solution is r(t) = exp(A t) r(0) (Torrey, Phys. Rev. 76, 1059,
+1949).
 """
 
 from __future__ import annotations
@@ -20,16 +25,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, StepSizeError
+from .errors import ConfigError
 from .seeding import derive_rng
 
-# Largest allowed (rate * step) product for a single integrator step.
-MAX_STEP_PRODUCT = 0.1
+# Samples held by one chunk of telegraph trajectories; also the ceiling on
+# the length of a single trajectory.
+TELEGRAPH_CHUNK_SAMPLES = 2_000_000
 
 
 @dataclass(frozen=True)
 class BlochState:
-    """Bloch vector; |r| may not exceed 1 (beyond numerical slack)."""
+    """Bloch vector; |r| must be finite and may not exceed 1 (beyond
+    numerical slack)."""
 
     x: float
     y: float
@@ -37,8 +44,8 @@ class BlochState:
 
     def __post_init__(self):
         norm = math.sqrt(self.x**2 + self.y**2 + self.z**2)
-        if norm > 1 + 1e-9:
-            raise ConfigError(f"Bloch vector norm {norm} exceeds 1")
+        if not norm <= 1 + 1e-9:
+            raise ConfigError(f"Bloch vector norm {norm} must be finite and <= 1")
 
     @property
     def norm(self) -> float:
@@ -56,22 +63,22 @@ GROUND = BlochState(0.0, 0.0, -1.0)
 class DriveSpec:
     """Resonant-frame drive: rabi_rate_per_unit_amplitude (Hz per unit
     drive amplitude), amplitude (dimensionless), detuning (Hz, drive
-    minus qubit), duration (s)."""
+    minus qubit)."""
 
     rabi_rate_per_unit_amplitude: float
     amplitude: float
     detuning: float = 0.0
-    duration: float = 0.0
 
     def __post_init__(self):
+        for name in ("rabi_rate_per_unit_amplitude", "amplitude", "detuning"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.rabi_rate_per_unit_amplitude < 0:
             raise ConfigError(
                 f"rabi_rate_per_unit_amplitude must be >= 0, got {self.rabi_rate_per_unit_amplitude}"
             )
         if self.amplitude < 0:
             raise ConfigError(f"amplitude must be >= 0, got {self.amplitude}")
-        if self.duration < 0:
-            raise ConfigError(f"duration must be >= 0, got {self.duration}")
 
 
 def rabi_frequency(drive: DriveSpec) -> float:
@@ -82,13 +89,57 @@ def rabi_frequency(drive: DriveSpec) -> float:
     return math.hypot(drive.rabi_rate_per_unit_amplitude * drive.amplitude, drive.detuning)
 
 
-def _derivative(state, omega, delta, gamma, g2):
-    x, y, z = state
-    return (
-        -delta * y - g2 * x,
-        delta * x - omega * z - g2 * y,
-        omega * y - gamma * (z + 1.0),
-    )
+def _check_rates(gamma: float, gamma_phi: float) -> None:
+    for name, value in (("gamma", gamma), ("gamma_phi", gamma_phi)):
+        if not 0 <= value < math.inf:
+            raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+
+
+def _expm(m: np.ndarray) -> np.ndarray:
+    """exp(m) by scaling and squaring.
+
+    m is scaled by 2**-s to a 1-norm <= 0.25, where the degree-12 Taylor
+    series is truncated after terms below 0.25**13 / 13! ~ 2e-18, and
+    the result is squared s times.
+    """
+    s = max(0, math.frexp(float(np.abs(m).sum(axis=0).max()) / 0.25)[1])
+    m = m * 2.0**-s
+    eye = np.eye(len(m))
+    out = eye
+    for k in range(12, 0, -1):
+        out = eye + (m @ out) / k
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def evolve_for(
+    state: BlochState,
+    drive: DriveSpec,
+    gamma: float,
+    gamma_phi: float,
+    duration: float,
+) -> BlochState:
+    """Exact evolution for duration seconds under a constant drive.
+
+    gamma: energy relaxation rate (rad/s); gamma_phi: pure dephasing
+    (rad/s).  Applies exp(A * duration) once to (x, y, z, 1), where A is
+    the Bloch generator, so no step size is involved.
+    """
+    _check_rates(gamma, gamma_phi)
+    if not 0 <= duration < math.inf:
+        raise ConfigError(f"duration must be finite and >= 0, got {duration}")
+    w = 2 * math.pi * drive.rabi_rate_per_unit_amplitude * drive.amplitude
+    delta = 2 * math.pi * drive.detuning
+    g2 = gamma / 2.0 + gamma_phi
+    generator = np.array([
+        [-g2, -delta, 0.0, 0.0],
+        [delta, -g2, -w, 0.0],
+        [0.0, w, -gamma, -gamma],
+        [0.0, 0.0, 0.0, 0.0],
+    ])
+    x, y, z, _ = (_expm(generator * duration) @ (state.x, state.y, state.z, 1.0)).tolist()
+    return BlochState(x, y, z)
 
 
 def evolve(
@@ -98,66 +149,11 @@ def evolve(
     gamma_phi: float,
     dt: float,
 ) -> BlochState:
-    """One classical Runge-Kutta (4th order) step of length dt seconds.
-
-    gamma: energy relaxation rate (rad/s); gamma_phi: pure dephasing
-    (rad/s).  Rejects steps with dt * (2*pi*f_rabi + gamma) >
-    MAX_STEP_PRODUCT, where the local error is no longer negligible.
-    """
+    """One step of length dt > 0 seconds; the same exact propagator as
+    evolve_for."""
     if dt <= 0:
         raise ConfigError(f"dt must be > 0, got {dt}")
-    if gamma < 0 or gamma_phi < 0:
-        raise ConfigError("decoherence rates must be >= 0")
-    omega_total = 2 * math.pi * rabi_frequency(drive)
-    if dt * (omega_total + gamma) > MAX_STEP_PRODUCT:
-        raise StepSizeError(
-            f"dt * (Omega + gamma) = {dt * (omega_total + gamma):.3g} exceeds "
-            f"{MAX_STEP_PRODUCT}; reduce the step"
-        )
-    omega = 2 * math.pi * drive.rabi_rate_per_unit_amplitude * drive.amplitude
-    delta = 2 * math.pi * drive.detuning
-    g2 = gamma / 2.0 + gamma_phi
-
-    s0 = (state.x, state.y, state.z)
-    k1 = _derivative(s0, omega, delta, gamma, g2)
-    s1 = tuple(s + 0.5 * dt * k for s, k in zip(s0, k1))
-    k2 = _derivative(s1, omega, delta, gamma, g2)
-    s2 = tuple(s + 0.5 * dt * k for s, k in zip(s0, k2))
-    k3 = _derivative(s2, omega, delta, gamma, g2)
-    s3 = tuple(s + dt * k for s, k in zip(s0, k3))
-    k4 = _derivative(s3, omega, delta, gamma, g2)
-    out = tuple(
-        s + dt / 6.0 * (a + 2 * b + 2 * c + d)
-        for s, a, b, c, d in zip(s0, k1, k2, k3, k4)
-    )
-    return BlochState(*out)
-
-
-def evolve_for(
-    state: BlochState,
-    drive: DriveSpec,
-    gamma: float,
-    gamma_phi: float,
-    duration: float,
-    rel_step: float = 0.02,
-) -> BlochState:
-    """Integrate for a total duration, subdividing into compliant steps.
-
-    rel_step sets the per-step (rate * dt) product; 0.02 keeps the
-    accumulated error below ~1e-8 per Rabi period.
-    """
-    if duration < 0:
-        raise ConfigError(f"duration must be >= 0, got {duration}")
-    if duration == 0:
-        return state
-    if not 0 < rel_step <= MAX_STEP_PRODUCT:
-        raise ConfigError(f"rel_step must lie in (0, {MAX_STEP_PRODUCT}]")
-    rate = 2 * math.pi * rabi_frequency(drive) + gamma + gamma_phi
-    n_steps = max(1, math.ceil(duration * rate / rel_step))
-    dt = duration / n_steps
-    for _ in range(n_steps):
-        state = evolve(state, drive, gamma, gamma_phi, dt)
-    return state
+    return evolve_for(state, drive, gamma, gamma_phi, dt)
 
 
 def steady_state_excited(drive: DriveSpec, gamma: float, gamma_phi: float) -> float:
@@ -170,7 +166,8 @@ def steady_state_excited(drive: DriveSpec, gamma: float, gamma_phi: float) -> fl
     with W the resonant Rabi rate and G2 = gamma/2 + gamma_phi.  Requires
     gamma > 0 (without relaxation there is no steady state).
     """
-    if gamma <= 0:
+    _check_rates(gamma, gamma_phi)
+    if gamma == 0:
         raise ConfigError("steady state requires gamma > 0")
     g2 = gamma / 2.0 + gamma_phi
     omega = 2 * math.pi * drive.rabi_rate_per_unit_amplitude * drive.amplitude
@@ -223,8 +220,9 @@ def relaxation_telegraph_spectrum(
 
     Returns the folded one-sided spectrum and the fraction of power
     outside the Carson band of full width 2*(shift + 2*gamma) centered on
-    the carrier.  Non-finite rates or times, a duration <= 0 and a
-    non-integer trajectory count raise ConfigError.
+    the carrier.  Non-finite rates or times, a duration <= 0, a
+    non-integer trajectory count and a trajectory longer than
+    TELEGRAPH_CHUNK_SAMPLES samples raise ConfigError.
     """
     for name, value in (("gamma", gamma), ("shift", shift), ("duration", duration),
                         ("sample_rate", sample_rate)):
@@ -241,7 +239,13 @@ def relaxation_telegraph_spectrum(
     half_width_hz = (shift + 2 * gamma) / (2 * math.pi)
     if sample_rate is None:
         sample_rate = 16.0 * max(half_width_hz, 1.0 / duration)
-    n = int(round(duration * sample_rate))
+    samples = duration * sample_rate
+    if samples > TELEGRAPH_CHUNK_SAMPLES:
+        raise ConfigError(
+            f"one trajectory needs {samples:.3g} samples, more than the "
+            f"{TELEGRAPH_CHUNK_SAMPLES} of one chunk"
+        )
+    n = int(round(samples))
     if n < 16:
         raise ConfigError("duration too short for the requested resolution")
     dt = 1.0 / sample_rate
@@ -250,7 +254,7 @@ def relaxation_telegraph_spectrum(
     flip_rate = gamma / 2.0
     carrier = np.exp(1j * (np.arange(-n, n + 1, dtype=float) * (shift * dt)))
     psd = np.zeros(n)
-    chunk = max(1, min(n_trajectories, 2_000_000 // n))
+    chunk = max(1, min(n_trajectories, TELEGRAPH_CHUNK_SAMPLES // n))
     remaining = n_trajectories
     while remaining > 0:
         m = min(chunk, remaining)

@@ -33,10 +33,6 @@ class DegenerateDetuningError(FdmSimError):
     """Qubit-resonator detuning too small for the perturbative shift formula."""
 
 
-class StepSizeError(FdmSimError):
-    """Integrator step too large for the requested rates."""
-
-
 class UnknownDeviceError(FdmSimError):
     """Device id not present on the chip or in the plan."""
 

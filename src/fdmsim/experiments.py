@@ -448,7 +448,6 @@ def run_rabi(
     detuning: float = 0.0,
     gamma: float | None = None,
     gamma_phi: float = 0.0,
-    rel_step: float = 0.02,
     readout: bool = True,
     setup: ReadoutSetup | None = None,
     adc: AdcSpec | None = None,
@@ -462,9 +461,9 @@ def run_rabi(
     resonantly (or at the given detuning, Hz) with its own drive
     amplitude amplitude_scales[j]; the Rabi rate is
     rabi_rate_per_unit_amplitude * scale, in Hz per unit amplitude.
-    Populations come from Bloch integration carried incrementally from
-    one duration to the next, so durations must be non-negative and
-    strictly increasing.
+    Populations come from the exact Bloch propagator applied
+    incrementally from one duration to the next, so durations must be
+    non-negative and strictly increasing.
 
     gamma overrides every device's relaxation rate (rad/s) when given;
     gamma=0 yields the ideal P_e = sin^2(pi * f_rabi * t).
@@ -509,7 +508,7 @@ def run_rabi(
         state = GROUND
         prev = 0.0
         for i, t in enumerate(durations):
-            state = evolve_for(state, drive, g, gamma_phi, t - prev, rel_step=rel_step)
+            state = evolve_for(state, drive, g, gamma_phi, t - prev)
             prev = t
             z[i, j] = state.z
 

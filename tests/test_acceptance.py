@@ -240,7 +240,7 @@ def test_criterion_6_simultaneous_rabi(chip):
     for dev_id in ids:
         pop = ideal.column("excited_population", dev_id)
         worst_pop = max(worst_pop, np.max(np.abs(pop - expected)))
-        np.testing.assert_allclose(pop, expected, atol=1e-6)
+        np.testing.assert_allclose(pop, expected, atol=1e-12)
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0

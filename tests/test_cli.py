@@ -27,9 +27,13 @@ def test_console_script_is_installed():
 
 
 def test_cli_import_leaves_scipy_unloaded():
+    # The Bloch propagator of run_rabi must not pull scipy in either.
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, fdmsim.cli; sys.exit('scipy' in sys.modules)"],
+         "import sys, numpy, fdmsim, fdmsim.cli\n"
+         "chip = fdmsim.load_chip(fdmsim.builtin_chip_path())\n"
+         "fdmsim.run_rabi(chip, numpy.linspace(5e-9, 1e-6, 20), readout=False)\n"
+         "sys.exit('scipy' in sys.modules)"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr

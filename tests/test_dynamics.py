@@ -10,7 +10,6 @@ from fdmsim import (
     BlochState,
     ConfigError,
     DriveSpec,
-    StepSizeError,
     evolve,
     evolve_for,
     rabi_frequency,
@@ -41,15 +40,27 @@ def test_resonant_lossless_evolution_is_sin_squared():
     for k in range(1, 401):
         state = evolve(state, d, gamma=0.0, gamma_phi=0.0, dt=dt)
         expected = math.sin(math.pi * 5e6 * k * dt) ** 2
-        assert state.excited_population == pytest.approx(expected, abs=1e-7)
-    # norm preserved without damping (RK4 drift ~ (w dt)^6 per step)
-    assert state.norm == pytest.approx(1.0, abs=1e-8)
+        assert state.excited_population == pytest.approx(expected, abs=1e-12)
+    # norm preserved without damping
+    assert state.norm == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pi_pulse_inverts_population():
     d = drive(5e6)
     state = evolve_for(GROUND, d, gamma=0.0, gamma_phi=0.0, duration=1e-7)
     assert state.excited_population == pytest.approx(1.0, abs=1e-8)
+
+
+def test_detuned_lossless_evolution_matches_closed_form():
+    # P_e = (W / Omega)^2 sin^2(Omega t / 2), Omega = hypot(W, delta)
+    d = drive(3e6, detuning=4e6)
+    w = TWO_PI * 3e6
+    omega = TWO_PI * 5e6
+    state = GROUND
+    for k in range(1, 301):
+        state = evolve_for(state, d, 0.0, 0.0, 1e-9)
+        expected = (w / omega) ** 2 * math.sin(omega * k * 1e-9 / 2) ** 2
+        assert state.excited_population == pytest.approx(expected, abs=1e-12)
 
 
 def test_detuned_drive_reduced_contrast():
@@ -70,7 +81,7 @@ def test_free_decay_is_exponential():
     t = 2e-6
     state = evolve_for(state, silent, gamma, 0.0, t)
     expected = 2.0 * math.exp(-gamma * t) - 1.0  # z decays to -1 at rate gamma
-    assert state.z == pytest.approx(expected, abs=1e-9)
+    assert state.z == pytest.approx(expected, abs=1e-12)
 
 
 def test_transverse_decoherence_rate():
@@ -81,7 +92,7 @@ def test_transverse_decoherence_rate():
     state = BlochState(1.0, 0.0, 0.0)  # equator: pure transverse coherence
     t = 1e-6
     out = evolve_for(state, silent, gamma, gamma_phi, t)
-    assert out.x == pytest.approx(math.exp(-g2 * t), rel=1e-6)
+    assert out.x == pytest.approx(math.exp(-g2 * t), rel=1e-12)
 
 
 def test_steady_state_matches_long_evolution():
@@ -91,7 +102,7 @@ def test_steady_state_matches_long_evolution():
     predicted = steady_state_excited(d, gamma, gamma_phi)
     state = GROUND
     state = evolve_for(state, d, gamma, gamma_phi, 40e-6)
-    assert state.excited_population == pytest.approx(predicted, abs=1e-4)
+    assert state.excited_population == pytest.approx(predicted, abs=1e-9)
 
 
 def test_steady_state_saturates_to_half():
@@ -102,9 +113,50 @@ def test_steady_state_saturates_to_half():
         steady_state_excited(strong, 0.0, 0.0)
 
 
-def test_evolve_rejects_oversized_step():
-    with pytest.raises(StepSizeError):
-        evolve(GROUND, drive(50e6), 0.0, 0.0, dt=1e-6)
+def test_single_long_step_is_exact():
+    # 50 Rabi periods in one step: no step-size limit applies.
+    state = evolve(GROUND, drive(50e6), 0.0, 0.0, dt=1e-6)
+    expected = math.sin(math.pi * 50e6 * 1e-6) ** 2
+    assert state.excited_population == pytest.approx(expected, abs=1e-12)
+
+
+def test_evolution_composes_as_a_semigroup():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        d = drive(rng.uniform(0.0, 20e6), rng.uniform(0.0, 1.5), rng.uniform(-10e6, 10e6))
+        gamma, gamma_phi = TWO_PI * rng.uniform(0.0, 1e6, size=2)
+        t1, t2 = rng.uniform(0.0, 2e-6, size=2)
+        direction = rng.normal(size=3)
+        start = BlochState(*(rng.uniform(0.0, 1.0) * direction / np.linalg.norm(direction)))
+        whole = evolve_for(start, d, gamma, gamma_phi, t1 + t2)
+        split = evolve_for(evolve_for(start, d, gamma, gamma_phi, t1), d, gamma, gamma_phi, t2)
+        for a, b in zip((whole.x, whole.y, whole.z), (split.x, split.y, split.z)):
+            assert a == pytest.approx(b, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: DriveSpec(math.nan, 1.0),
+        lambda: DriveSpec(5e6, math.inf),
+        lambda: DriveSpec(5e6, 1.0, detuning=math.nan),
+        lambda: BlochState(math.nan, 0.0, 0.0),
+        lambda: evolve_for(GROUND, drive(), math.nan, 0.0, 1e-6),
+        lambda: evolve_for(GROUND, drive(), -1.0, 0.0, 1e-6),
+        lambda: evolve_for(GROUND, drive(), 1e5, math.inf, 1e-6),
+        lambda: evolve_for(GROUND, drive(), 1e5, -1.0, 1e-6),
+        lambda: evolve_for(GROUND, drive(), 1e5, 0.0, math.inf),
+        lambda: evolve_for(GROUND, drive(), 1e5, 0.0, math.nan),
+        lambda: evolve_for(GROUND, drive(), 1e5, 0.0, -1e-9),
+        lambda: evolve(GROUND, drive(), 1e5, 0.0, 0.0),
+        lambda: steady_state_excited(drive(), 1e5, math.nan),
+        lambda: steady_state_excited(drive(), 1e5, -1.0),
+        lambda: steady_state_excited(drive(), math.inf, 0.0),
+    ],
+)
+def test_bloch_rejects_bad_input(call):
+    with pytest.raises(ConfigError):
+        call()
 
 
 def test_bloch_state_validation():
@@ -245,6 +297,8 @@ def test_telegraph_matches_per_sample_reference(kwargs):
         dict(sample_rate=math.inf),
         dict(sample_rate=math.nan),
         dict(n_trajectories=2.5),
+        # n = 16 000 320 samples, beyond TELEGRAPH_CHUNK_SAMPLES
+        dict(shift=TWO_PI * 1e10, duration=100e-6),
     ],
 )
 def test_telegraph_rejects_bad_input(bad):
@@ -252,3 +306,4 @@ def test_telegraph_rejects_bad_input(bad):
                   n_trajectories=10, seed=1)
     with pytest.raises(ConfigError):
         relaxation_telegraph_spectrum(**{**kwargs, **bad})
+
