@@ -26,7 +26,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -152,7 +151,8 @@ def dispersive_shift(resonator: ResonatorParams, omega_q: float, state: float) -
 
     omega_q is the angular qubit frequency; state is the sigma_z value
     (+1 excited, -1 ground; intermediate values represent ensemble
-    averages and scale the shift linearly).
+    averages and scale the shift linearly).  Arrays of the same shape
+    are taken elementwise.
 
     Raises DegenerateDetuningError when the qubit-resonator detuning is
     below 1e-6 of the resonator frequency, where the perturbative
@@ -160,9 +160,9 @@ def dispersive_shift(resonator: ResonatorParams, omega_q: float, state: float) -
     """
     omega_r = 2 * math.pi * resonator.bare_frequency
     detuning = omega_q - omega_r
-    if abs(detuning) < DEGENERATE_DETUNING_FRACTION * omega_r:
+    if np.any(np.abs(detuning) < DEGENERATE_DETUNING_FRACTION * omega_r):
         raise DegenerateDetuningError(
-            f"|omega_q - omega_r| = {abs(detuning):.3e} rad/s is below "
+            f"|omega_q - omega_r| = {np.min(np.abs(detuning)):.3e} rad/s is below "
             f"{DEGENERATE_DETUNING_FRACTION:g} of the resonator frequency"
         )
     g = resonator.coupling_g
@@ -187,21 +187,34 @@ def exact_state_shift(resonator: ResonatorParams, omega_q: float, state: float) 
     return state * sign * magnitude
 
 
-def state_dependent_shift(resonator: ResonatorParams, omega_q: float, state: float) -> float:
+def state_dependent_shift(resonator: ResonatorParams, omega_q, state):
     """Resonator pull used by the feedline model, rad/s.
 
     Dispersive formula outside EXACT_WINDOW_G angular couplings of the
     crossing, exact normal-mode substitution inside it.  Zero coupling
     gives zero shift regardless of detuning.
+
+    omega_q and state may be arrays (broadcast together); each element
+    gets the arithmetic of a scalar call, so the result equals the
+    scalar calls bit for bit.
     """
     g = resonator.coupling_g
-    if g == 0.0:
-        return 0.0
-    omega_r = 2 * math.pi * resonator.bare_frequency
-    detuning = omega_q - omega_r
-    if abs(detuning) < EXACT_WINDOW_G * g:
-        return exact_state_shift(resonator, omega_q, state)
-    return dispersive_shift(resonator, omega_q, state)
+    omega_q, state = np.broadcast_arrays(
+        np.asarray(omega_q, dtype=float), np.asarray(state, dtype=float)
+    )
+    shift = np.zeros(omega_q.shape)
+    if g != 0.0:
+        detuning = omega_q - 2 * math.pi * resonator.bare_frequency
+        exact = np.abs(detuning) < EXACT_WINDOW_G * g
+        far = ~exact
+        shift[far] = dispersive_shift(resonator, omega_q[far], state[far])
+        # math.hypot, as in a scalar call: np.hypot differs from it in the
+        # last bit for about one argument pair in a thousand.
+        shift[exact] = [
+            exact_state_shift(resonator, w, s)
+            for w, s in zip(omega_q[exact].tolist(), state[exact].tolist())
+        ]
+    return float(shift) if shift.ndim == 0 else shift
 
 
 def s21_single(resonator: ResonatorParams, probe_omega, shift: float = 0.0):
@@ -218,24 +231,43 @@ def s21_single(resonator: ResonatorParams, probe_omega, shift: float = 0.0):
     return complex(s) if np.isscalar(probe_omega) else s
 
 
-def s21_feedline(chip: Chip, probe_omega, states: Sequence[float], fluxes) -> np.ndarray | complex:
+def s21_feedline(chip: Chip, probe_omega, states, fluxes) -> np.ndarray | complex:
     """Composite feedline transmission: product of all device notches.
 
     states: one sigma_z value per device, in chip order.
     fluxes: one applied flux per device, or a single scalar applied to all.
     Each device's resonance is pulled by its own state-dependent shift.
     With all couplings zero the result is flux-independent.
+
+    A batch of points is accepted too: states of shape (n_points,
+    n_devices) with fluxes of shape (n_points,) (one flux for every
+    device) or (n_points, n_devices).  The result then has shape
+    (n_points,) + shape(probe_omega), and row i equals the call for
+    states[i] and fluxes[i] bit for bit: the arithmetic per element and
+    the product order over devices are the same.
     """
     n = len(chip.devices)
-    if len(states) != n:
-        raise ConfigError(f"expected {n} states, got {len(states)}")
-    flux_arr = np.broadcast_to(np.asarray(fluxes, dtype=float), (n,))
-    s = np.ones_like(np.asarray(probe_omega, dtype=float), dtype=complex)
-    for dev, state, flux in zip(chip.devices, states, flux_arr):
-        omega_q = 2 * math.pi * qubit_frequency(dev.qubit, float(flux))
-        shift = state_dependent_shift(dev.resonator, omega_q, float(state))
-        s = s * s21_single(dev.resonator, probe_omega, shift)
-    return complex(s) if np.isscalar(probe_omega) else s
+    states = np.asarray(states, dtype=float)
+    if states.ndim not in (1, 2) or states.shape[-1] != n:
+        raise ConfigError(f"expected {n} states per point, got shape {states.shape}")
+    flux_arr = np.asarray(fluxes, dtype=float)
+    if flux_arr.ndim == states.ndim - 1:
+        flux_arr = flux_arr[..., None]
+    try:
+        flux_arr = np.broadcast_to(flux_arr, states.shape)
+    except ValueError:
+        raise ConfigError(
+            f"fluxes of shape {np.shape(fluxes)} do not fit states of shape {states.shape}"
+        ) from None
+    probe = np.asarray(probe_omega, dtype=float)
+    # Per-point shifts line up with the batch axis, ahead of the probe axes.
+    lead = states.shape[:-1] + (1,) * probe.ndim
+    s = np.ones(states.shape[:-1] + probe.shape, dtype=complex)
+    for j, dev in enumerate(chip.devices):
+        omega_q = 2 * math.pi * qubit_frequency(dev.qubit, flux_arr[..., j])
+        shift = state_dependent_shift(dev.resonator, omega_q, states[..., j])
+        s = s * s21_single(dev.resonator, probe, np.reshape(shift, lead))
+    return complex(s) if s.ndim == 0 else s
 
 
 def dressed_resonance(dev: DeviceRecord, flux: float, state: float = QubitStateLabel.GROUND) -> float:

@@ -17,13 +17,14 @@ from typing import Sequence
 import numpy as np
 
 from .device import Chip, QubitStateLabel, dressed_resonance, s21_feedline
-from .dynamics import GROUND, BlochState, DriveSpec, evolve_for, rabi_frequency
+from .dynamics import GROUND, BlochState, DriveSpec, evolve_for, propagator, rabi_frequency
 from .errors import ConfigError, UnknownDeviceError
 from .rxchain import (
     NOISE_GUARD_BINS,
     WINDOWS,
     AdcSpec,
     ToneMeasurement,
+    _channel_plan,
     add_awgn,
     adc_quantize,
     apply_feedline,
@@ -31,7 +32,12 @@ from .rxchain import (
     downconvert,
 )
 from .seeding import child_seed
-from .txchain import IQTrace, ToneSpec, synthesize_multitone, upconvert_ssb
+from .txchain import IQTrace, synthesize_multitone, upconvert_ssb
+
+# evolve_for, apply_feedline, downconvert, synthesize_multitone and
+# upconvert_ssb are not called in this module.  They stay bound here
+# because perfbench/tracer.py wraps each stage by its attribute in this
+# namespace.
 
 CSV_FORMAT_TAG = "fdmsim-sweep-v1"
 
@@ -193,20 +199,11 @@ def make_readout_setup(
     )
 
 
-def _probe_trace(setup: ReadoutSetup) -> IQTrace:
-    tones = [
-        ToneSpec(baseband_frequency=f, amplitude=setup.amplitude)
-        for f in setup.baseband_frequencies
-    ]
-    baseband = synthesize_multitone(tones, setup.n_samples, setup.sample_rate)
-    return upconvert_ssb(baseband, setup.lo_frequency)
-
-
 def _acquire_points(
     chip: Chip,
     setup: ReadoutSetup,
-    states: Sequence[Sequence[float]],
-    fluxes: Sequence,
+    states,
+    fluxes,
     *,
     adc: AdcSpec | None,
     noise_std: float,
@@ -219,35 +216,49 @@ def _acquire_points(
     amplitude and phase, each (n_points, n_channels), and each shot's
     noise estimate, (n_points,).
 
-    With noise_std == 0 and no ADC the chain is linear and every probe
-    sits on the DFT grid (ReadoutSetup enforces it), so a shot is exactly
-    setup.amplitude * S21(channel frequency): no trace is synthesized, no
-    seed is drawn, and the noise estimate is 0.0.  Otherwise each shot
-    runs the full chain, with noise from child_seed(seed, i).
+    Every probe sits on the DFT grid (ReadoutSetup enforces it) and the
+    chain before the noise is linear, so channel k of shot i arrives as
+    exactly c[i, k] = setup.amplitude * S21(channel frequency k); one
+    s21_feedline call gives the whole table.  Without noise and ADC the
+    table is the result: no trace is built, no seed is drawn, and the
+    noise estimate is 0.0.  Otherwise shot i is the received baseband
+    trace sum_k c[i, k] * exp(2 pi i f_k t), built from the channelizer's
+    own tones.  An ADC's analog brick wall passes such a trace except for
+    the channels whose DFT bin lies beyond it, so those are zeroed in c
+    and the converter runs without its FFT band limit.  The trace gets
+    white noise (add_awgn) or the ADC (adc_quantize), with noise from
+    child_seed(seed, i), and is channelized.  The tests check this
+    against the composed chain synthesize_multitone, upconvert_ssb,
+    apply_feedline, downconvert, add_awgn or adc_quantize, channelize.
     """
     if noise_std < 0:
         raise ConfigError(f"noise_std must be >= 0, got {noise_std}")
-    n_points = len(states)
-    amp = np.empty((n_points, len(setup.device_ids)))
-    phase = np.empty_like(amp)
-    noise = np.zeros(n_points)
+    omega = 2 * np.pi * np.array(setup.channel_frequencies)
+    c = setup.amplitude * s21_feedline(chip, omega, states, fluxes)
+    n_points = c.shape[0]
     if noise_std == 0 and adc is None:
-        omega = 2 * np.pi * np.array(setup.channel_frequencies)
-        for i in range(n_points):
-            s = setup.amplitude * s21_feedline(chip, omega, states[i], fluxes[i])
-            amp[i] = np.abs(s)
-            phase[i] = np.angle(s)
-        return amp, phase, noise
-    probe = _probe_trace(setup)
+        return np.abs(c), np.angle(c), np.zeros(n_points)
+
+    n, fs = setup.n_samples, float(setup.sample_rate)
+    freqs = tuple(float(f) for f in setup.baseband_frequencies)
+    tones = _channel_plan(freqs, n, fs, setup.window).kernel.conj()
+    if adc is not None and adc.analog_bandwidth is not None:
+        if adc.analog_bandwidth < fs / 2:
+            grid = np.fft.fftfreq(n, d=1.0 / fs)
+            bins = [round(f / (fs / n)) % n for f in freqs]
+            c[:, np.abs(grid[bins]) > adc.analog_bandwidth] = 0.0
+        adc = replace(adc, analog_bandwidth=None)
+    amp = np.empty(c.shape)
+    phase = np.empty_like(amp)
+    noise = np.empty(n_points)
     for i in range(n_points):
-        rf = apply_feedline(probe, chip, states[i], fluxes[i])
-        rx = downconvert(rf, setup.lo_frequency)
+        rx = IQTrace(samples=c[i] @ tones, sample_rate=fs)
         point_seed = child_seed(seed, i)
         if adc is None:
             rx = add_awgn(rx, noise_std, point_seed)
         else:
             rx = adc_quantize(rx, adc, noise_std=noise_std, seed=point_seed)
-        meas = channelize(rx, setup.baseband_frequencies, window=setup.window)
+        meas = channelize(rx, freqs, window=setup.window)
         amp[i] = [m.amplitude for m in meas]
         phase[i] = [m.phase for m in meas]
         noise[i] = meas[0].noise_std
@@ -269,10 +280,10 @@ def acquire(
     states and fluxes describe every device on the chip (chip order);
     fluxes may be a scalar.  Without noise and ADC the shot is computed
     in closed form, amplitude * S21(channel frequency), and noise_std is
-    reported as exactly 0.0.  Otherwise the shot is synthesized, passed
-    through the feedline, received and channelized, with noise from the
-    stream child_seed(seed, 0): the same draw as point 0 of a sweep run
-    with this seed.
+    reported as exactly 0.0.  Otherwise the received trace is built from
+    that closed form, gets its noise or ADC and is channelized, with
+    noise from the stream child_seed(seed, 0): the same draw as point 0
+    of a sweep run with this seed.
     """
     amp, phase, noise = _acquire_points(
         chip, setup, [states], [fluxes], adc=adc, noise_std=noise_std, seed=seed
@@ -309,10 +320,12 @@ def run_flux_sweep(
     The probe comb stays fixed at the symmetry-point channels while the
     sweep moves each qubit through its resonator crossing, where the
     level repulsion throws the notch off the probe and the channel
-    amplitude rises toward unity.  Without noise and ADC every point is
-    computed in closed form, amplitude * S21(channel frequency), and no
-    seed is drawn.  Otherwise each point runs the full chain and draws
-    its noise from the independent child stream child_seed(seed, i).
+    amplitude rises toward unity.  S21 is evaluated once for the whole
+    sweep.  Without noise and ADC every point is computed in closed
+    form, amplitude * S21(channel frequency), and no seed is drawn.
+    Otherwise each point's received trace is built from that closed form
+    and draws its noise from the independent child stream
+    child_seed(seed, i).
     """
     flux_values = np.asarray(flux_values, dtype=float)
     if flux_values.ndim != 1 or flux_values.size == 0:
@@ -463,7 +476,9 @@ def run_rabi(
     rabi_rate_per_unit_amplitude * scale, in Hz per unit amplitude.
     Populations come from the exact Bloch propagator applied
     incrementally from one duration to the next, so durations must be
-    non-negative and strictly increasing.
+    non-negative and strictly increasing.  One propagator is built per
+    device and distinct step length (a uniform grid has one or a few
+    such lengths) and reused for every step of that length.
 
     gamma overrides every device's relaxation rate (rad/s) when given;
     gamma=0 yields the ideal P_e = sin^2(pi * f_rabi * t).
@@ -474,8 +489,9 @@ def run_rabi(
     qubit polarization, valid for shifts well inside the linewidth).
     Unselected chip devices stay in the ground state.  Without noise and
     ADC each readout is computed in closed form, amplitude * S21(channel
-    frequency), and no seed is drawn; otherwise each duration runs the
-    full chain with noise from child_seed(seed, i).
+    frequency), and no seed is drawn; otherwise each duration's received
+    trace is built from that closed form and gets its noise from
+    child_seed(seed, i).
     """
     durations = np.asarray(durations, dtype=float)
     if durations.ndim != 1 or durations.size == 0:
@@ -505,10 +521,14 @@ def run_rabi(
             detuning=detuning,
         )
         rabi_hz.append(rabi_frequency(drive))
+        steps = {}
         state = GROUND
         prev = 0.0
         for i, t in enumerate(durations):
-            state = evolve_for(state, drive, g, gamma_phi, t - prev)
+            step = t - prev
+            if step not in steps:
+                steps[step] = propagator(drive, g, gamma_phi, step)
+            state = steps[step].apply(state)
             prev = t
             z[i, j] = state.z
 

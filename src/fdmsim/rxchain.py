@@ -251,10 +251,13 @@ def apply_feedline(rf: IQTrace, chip: Chip, states: Sequence[float], fluxes) -> 
     are multiplied by S21 evaluated at carrier + bin frequency.  Exact
     for tones on the DFT grid; for pulsed envelopes this is the standard
     quasi-static frequency-domain filter (qubit states frozen during the
-    window).  Because of that exactness a noiseless, ADC-free acquisition
-    of a ReadoutSetup needs no trace at all: experiments.acquire and the
-    sweep drivers then return amplitude * S21(channel frequency) in
-    closed form, and this full filter serves as their oracle.
+    window).  Because of that exactness the acquisition core in
+    experiments (behind acquire and the sweep drivers) never calls this
+    filter: it takes amplitude * S21(channel frequency) in closed form,
+    as the result of a noiseless, ADC-free shot and as the tone
+    amplitudes of the received trace that noise or the ADC act on.  This
+    full filter, with downconvert and the ADC's FFT band limit, serves
+    the tests as the oracle of both.
     """
     from .device import s21_feedline
 
@@ -295,8 +298,11 @@ def measure_crosstalk(
 
     Channel frequencies must sit on the DFT grid relative to the LO for
     an exact measurement; the default LO is the channel mean snapped to
-    that grid.
+    that grid.  A negative noise_std raises ConfigError, with or without
+    an ADC.
     """
+    if noise_std < 0:
+        raise ConfigError(f"noise_std must be >= 0, got {noise_std}")
     channels = dict(plan.channels)
     if toggled_device not in channels:
         raise UnknownDeviceError(f"device {toggled_device} not in the plan")

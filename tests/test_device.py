@@ -210,6 +210,53 @@ def test_s21_feedline_wrong_state_count_raises():
         s21_feedline(chip, TWO_PI * 9.4e9, [-1.0], 0.0)
 
 
+def test_state_dependent_shift_takes_arrays_elementwise():
+    r = make_resonator(bare=9.6e9, g=TWO_PI * 40e6)
+    # both branches: from far off the crossing into the exact window
+    omega_q = TWO_PI * (9.6e9 + np.linspace(-2e9, 2e9, 401))
+    states = np.linspace(-1.0, 1.0, 401)
+    got = state_dependent_shift(r, omega_q, states)
+    expected = [state_dependent_shift(r, w, s) for w, s in zip(omega_q, states)]
+    np.testing.assert_array_equal(got, expected)
+    assert np.count_nonzero(np.abs(omega_q - TWO_PI * 9.6e9) < 5 * r.coupling_g) > 10
+    np.testing.assert_array_equal(
+        state_dependent_shift(make_resonator(g=0.0), omega_q, states), 0.0)
+    with pytest.raises(DegenerateDetuningError):
+        dispersive_shift(r, np.array([TWO_PI * 4e9, TWO_PI * 9.6e9 * (1 + 1e-9)]), -1.0)
+
+
+def test_s21_feedline_batch_rows_equal_single_calls():
+    chip = make_chip(3)
+    probe = TWO_PI * np.linspace(9.2e9, 9.8e9, 7)
+    rng = np.random.default_rng(5)
+    states = rng.uniform(-1.0, 1.0, (300, 3))
+    per_point = rng.uniform(-0.03, 0.03, 300)
+    per_device = rng.uniform(-0.03, 0.03, (300, 3))
+    # some points sit inside a device's exact-shift window
+    dev = chip.devices[0]
+    detuning = TWO_PI * (qubit_frequency(dev.qubit, per_device[:, 0])
+                         - dev.resonator.bare_frequency)
+    assert np.any(np.abs(detuning) < 5 * dev.resonator.coupling_g)
+    for fluxes in (per_point, per_device):
+        batch = s21_feedline(chip, probe, states, fluxes)
+        assert batch.shape == (300, 7)
+        rows = [s21_feedline(chip, probe, list(st), fl) for st, fl in zip(states, fluxes)]
+        np.testing.assert_array_equal(batch, rows)
+        scalar_probe = s21_feedline(chip, probe[3], states, fluxes)
+        np.testing.assert_array_equal(scalar_probe, batch[:, 3])
+
+
+def test_s21_feedline_batch_rejects_mismatched_shapes():
+    chip = make_chip(3)
+    probe = TWO_PI * 9.4e9
+    with pytest.raises(ConfigError):
+        s21_feedline(chip, probe, np.full((4, 2), -1.0), 0.0)
+    with pytest.raises(ConfigError):
+        s21_feedline(chip, probe, np.full((4, 3), -1.0), np.zeros(5))
+    with pytest.raises(ConfigError):
+        s21_feedline(chip, probe, np.full((2, 4, 3), -1.0), 0.0)
+
+
 def test_dressed_resonance_matches_shift():
     chip = make_chip(1)
     dev = chip.device(1)

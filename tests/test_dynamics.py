@@ -12,6 +12,7 @@ from fdmsim import (
     DriveSpec,
     evolve,
     evolve_for,
+    propagator,
     rabi_frequency,
     relaxation_telegraph_spectrum,
     steady_state_excited,
@@ -132,6 +133,35 @@ def test_evolution_composes_as_a_semigroup():
         split = evolve_for(evolve_for(start, d, gamma, gamma_phi, t1), d, gamma, gamma_phi, t2)
         for a, b in zip((whole.x, whole.y, whole.z), (split.x, split.y, split.z)):
             assert a == pytest.approx(b, abs=1e-12)
+
+
+# 50 detuned lossless segments of 1 ms to 10 s: at these lengths the
+# squarings in the matrix exponential used to push 16 of them past the
+# Bloch norm's 1e-9 slack, so that evolve_for raised ConfigError.
+@pytest.mark.parametrize("duration", np.geomspace(1e-3, 10.0, 50).tolist())
+def test_long_lossless_segment_keeps_the_norm(duration):
+    state = evolve_for(GROUND, drive(50e6, 1.0, 3e6), 0.0, 0.0, duration)
+    assert state.norm == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("duration", [0.1, 1.0, 10.0])
+def test_long_nearly_lossless_segment_stays_in_the_bloch_ball(duration):
+    state = evolve_for(GROUND, drive(50e6, 1.0, 3e6), 1e-12, 0.0, duration)
+    assert state.norm <= 1.0
+
+
+def test_propagator_is_reusable_and_equals_evolve_for():
+    d = drive(7e6, 0.9, 2e6)
+    step = propagator(d, TWO_PI * 1e5, TWO_PI * 2e4, 3e-8)
+    a = b = GROUND
+    for _ in range(20):
+        a = step.apply(a)
+        b = evolve_for(b, d, TWO_PI * 1e5, TWO_PI * 2e4, 3e-8)
+        assert a == b
+    assert not step.lossless
+    assert propagator(d, 0.0, 0.0, 3e-8).lossless
+    with pytest.raises(ValueError):
+        step.matrix[0, 0] = 1.0
 
 
 @pytest.mark.parametrize(

@@ -3,25 +3,38 @@
 import dataclasses
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-
+import fdmsim.device
+import fdmsim.dynamics
+import fdmsim.experiments
+import fdmsim.rxchain
 from fdmsim import (
+    GROUND,
+    AdcSpec,
     ConfigError,
+    DriveSpec,
     QubitStateLabel,
     ReadoutSetup,
     SweepResult,
     ToneSpec,
     acquire,
+    adc_quantize,
+    add_awgn,
     apply_feedline,
     builtin_chip_path,
     channelize,
+    child_seed,
     downconvert,
     detect_flux_features,
     dressed_resonance,
+    evolve_for,
     fit_damped_sinusoid,
     load_chip,
     make_readout_setup,
@@ -175,8 +188,11 @@ def test_hand_built_setup_accepts_grid_channels_at_the_guard():
 # acquisition core: closed form against the full chain
 
 
-def full_chain_shot(chip, setup, states, flux):
-    """One noiseless shot composed explicitly from the public stages."""
+def full_chain_shot(chip, setup, states, flux, *, adc=None, noise_std=0.0, seed=0):
+    """One shot composed explicitly from the public stages: channel
+    amplitudes, phases and the noise estimate.  Noise, if any, comes from
+    child_seed(seed, 0), the stream of point 0; an ADC applies its own
+    FFT band limit."""
     tones = [ToneSpec(baseband_frequency=f, amplitude=setup.amplitude)
              for f in setup.baseband_frequencies]
     probe = upconvert_ssb(
@@ -184,8 +200,13 @@ def full_chain_shot(chip, setup, states, flux):
         setup.lo_frequency,
     )
     rx = downconvert(apply_feedline(probe, chip, states, flux), setup.lo_frequency)
+    if adc is not None:
+        rx = adc_quantize(rx, adc, noise_std=noise_std, seed=child_seed(seed, 0))
+    elif noise_std > 0:
+        rx = add_awgn(rx, noise_std, child_seed(seed, 0))
     meas = channelize(rx, setup.baseband_frequencies, window=setup.window)
-    return np.array([m.amplitude for m in meas]), np.array([m.phase for m in meas])
+    return (np.array([m.amplitude for m in meas]), np.array([m.phase for m in meas]),
+            meas[0].noise_std)
 
 
 @pytest.mark.parametrize("window", ["rectangular", "hann"])
@@ -201,13 +222,141 @@ def test_closed_form_acquisition_matches_full_chain(chip, window):
         meas = acquire(chip, setup, states, flux)
         amp = np.array([m.amplitude for m in meas])
         phase = np.array([m.phase for m in meas])
-        ref_amp, ref_phase = full_chain_shot(chip, setup, states, flux)
+        ref_amp, ref_phase, _ = full_chain_shot(chip, setup, states, flux)
         worst_amp = max(worst_amp, np.max(np.abs(amp - ref_amp) / ref_amp))
         d_phase = np.abs((phase - ref_phase + np.pi) % (2 * np.pi) - np.pi)
         worst_phase = max(worst_phase, np.max(d_phase))
         assert all(m.noise_std == 0.0 for m in meas)
     assert worst_amp <= 1e-12
     assert worst_phase <= 1e-11
+
+
+# The noisy core builds each received trace from the closed form; the
+# composed chain (with apply_feedline, downconvert and the ADC's FFT band
+# limit) is its oracle.  The LO sits 50 MHz above the default, so the
+# channels lie at -425 ... +325 MHz and only the -425 MHz one is beyond
+# the 400 MHz analog band.
+NOISY_LO_SHIFT = 50e6
+BAND_LIMITED_ADC = AdcSpec(sample_rate=1e9, bits=12, full_scale=1.0, analog_bandwidth=400e6)
+
+
+def noisy_setup(chip, window):
+    ids = (1, 2, 3, 4, 5, 6)
+    lo = make_readout_setup(chip, ids).lo_frequency + NOISY_LO_SHIFT
+    return make_readout_setup(chip, ids, lo_frequency=lo, window=window)
+
+
+def check_noisy_shot(chip, setup, states, flux, adc, noise_std, seed):
+    meas = acquire(chip, setup, states, flux, adc=adc, noise_std=noise_std, seed=seed)
+    amp = np.array([m.amplitude for m in meas])
+    phase = np.array([m.phase for m in meas])
+    ref_amp, ref_phase, ref_noise = full_chain_shot(
+        chip, setup, states, flux, adc=adc, noise_std=noise_std, seed=seed)
+    if adc is not None:
+        np.testing.assert_array_equal(amp, ref_amp)
+        np.testing.assert_array_equal(phase, ref_phase)
+        assert meas[0].noise_std == ref_noise
+    else:
+        assert np.max(np.abs(amp - ref_amp) / ref_amp) <= 1e-12
+        assert np.max(np.abs((phase - ref_phase + np.pi) % (2 * np.pi) - np.pi)) <= 1e-11
+        assert meas[0].noise_std == pytest.approx(ref_noise, rel=1e-9)
+    return amp, meas[0].noise_std
+
+
+@pytest.mark.parametrize("window", ["rectangular", "hann"])
+@pytest.mark.parametrize("adc", [None, BAND_LIMITED_ADC], ids=["awgn", "adc"])
+def test_noisy_acquisition_matches_full_chain(chip, window, adc):
+    setup = noisy_setup(chip, window)
+    assert sum(abs(f) > 400e6 for f in setup.baseband_frequencies) == 1
+    out = [abs(f) > 400e6 for f in setup.baseband_frequencies].index(True)
+    fluxes = [-0.02, 0.0, crossing_fluxes(chip.device(3))[1]]
+    rng = np.random.default_rng(33)
+    for seed in (0, 7, 2**40 + 3):
+        for flux in fluxes:
+            for states in (np.full(len(chip.devices), -1.0),
+                           rng.uniform(-1.0, 1.0, len(chip.devices))):
+                amp, noise = check_noisy_shot(chip, setup, states, flux, adc, 2e-3, seed)
+                if adc is not None:
+                    # the band limit removed the tone: only noise is left
+                    assert amp[out] < 6 * noise < 0.05 * np.min(np.delete(amp, out))
+
+
+# derandomize: the same 30 examples on every run, so the suite stays
+# deterministic.
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    states=st.lists(st.floats(-1.0, 1.0), min_size=7, max_size=7),
+    flux=st.floats(-0.025, 0.025),
+    seed=st.integers(0, 2**63 - 1),
+    window=st.sampled_from(["rectangular", "hann"]),
+    adc=st.sampled_from([None, BAND_LIMITED_ADC]),
+    noise_std=st.sampled_from([1e-4, 2e-3]),
+)
+def test_noisy_acquisition_matches_full_chain_property(states, flux, seed, window, adc, noise_std):
+    chip = load_chip(builtin_chip_path())
+    check_noisy_shot(chip, noisy_setup(chip, window), states, flux, adc, noise_std, seed)
+
+
+def counting(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_noisy_sweep_evaluates_s21_once_and_builds_no_feedline_trace(chip, monkeypatch):
+    calls = Counter()
+    for module, name in ((fdmsim.experiments, "apply_feedline"),
+                         (fdmsim.rxchain, "apply_feedline"),
+                         (fdmsim.experiments, "downconvert"),
+                         (fdmsim.experiments, "s21_feedline"),
+                         (fdmsim.device, "s21_feedline")):
+        monkeypatch.setattr(module, name, counting(calls, name, getattr(module, name)))
+    fluxes = np.linspace(-0.02, 0.02, 50)
+    for adc in (None, BAND_LIMITED_ADC):
+        calls.clear()
+        run_flux_sweep(chip, fluxes, setup=noisy_setup(chip, "hann"), adc=adc,
+                       noise_std=2e-3, seed=5)
+        assert calls == {"s21_feedline": 1}
+
+
+def test_rabi_builds_one_propagator_per_distinct_step(chip, monkeypatch):
+    calls = Counter()
+    monkeypatch.setattr(fdmsim.dynamics, "_expm",
+                        counting(calls, "expm", fdmsim.dynamics._expm))
+    durations = np.linspace(5e-9, 1.2e-6, 200)
+    steps = np.diff(durations, prepend=0.0)
+    ids = (2, 4, 6)
+    result = run_rabi(chip, durations, device_ids=ids, readout=False)
+    assert calls["expm"] <= len(set(steps.tolist())) * len(ids)
+    assert calls["expm"] < durations.size
+    # the reused propagators give the step-by-step evolution bit for bit
+    dev = chip.device(4)
+    d = DriveSpec(5e6, 1.0)
+    state, z = GROUND, []
+    for step in steps:
+        state = evolve_for(state, d, dev.qubit.relaxation_rate_gamma, 0.0, step)
+        z.append(state.z)
+    np.testing.assert_array_equal(result.column("excited_population", 4),
+                                  (np.array(z) + 1.0) / 2.0)
+
+
+def test_noisy_reruns_are_byte_identical(chip, tmp_path):
+    durations = np.linspace(5e-9, 6e-7, 40)
+    fluxes = np.linspace(-0.02, 0.02, 30)
+    files = []
+    for run in range(2):
+        for adc in (None, BAND_LIMITED_ADC):
+            rabi = run_rabi(chip, durations, device_ids=(2, 4, 6), adc=adc,
+                            noise_std=2e-3, seed=17)
+            sweep = run_flux_sweep(chip, fluxes, setup=noisy_setup(chip, "rectangular"),
+                                   adc=adc, noise_std=2e-3, seed=17)
+            for name, result in (("rabi", rabi), ("sweep", sweep)):
+                path = tmp_path / f"{name}_{adc is None}_{run}.csv"
+                write_sweep_csv(path, result)
+                files.append(path.read_bytes())
+    assert files[:4] == files[4:]
 
 
 def test_sweep_points_equal_single_shots(chip):

@@ -355,3 +355,10 @@ def test_measure_crosstalk_deterministic_under_noise():
     a = measure_crosstalk(chip, plan, 1, noise_std=1e-4, seed=9)
     b = measure_crosstalk(chip, plan, 1, noise_std=1e-4, seed=9)
     assert a == b
+
+
+@pytest.mark.parametrize("adc", [None, AdcSpec(sample_rate=4e9, bits=12, full_scale=4.0)])
+def test_measure_crosstalk_rejects_negative_noise(adc):
+    chip, plan = two_device_chip(50e6)
+    with pytest.raises(ConfigError, match="noise_std"):
+        measure_crosstalk(chip, plan, 1, adc=adc, noise_std=-1.0)
