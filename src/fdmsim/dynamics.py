@@ -31,6 +31,9 @@ from .seeding import derive_rng
 # Samples held by one chunk of telegraph trajectories; also the ceiling on
 # the length of a single trajectory.
 TELEGRAPH_CHUNK_SAMPLES = 2_000_000
+# Samples per block of the walk, carrier gather, FFT and power sum: 30 rows
+# at n = 4320, with about 4 MB of buffers.
+_BLOCK_SAMPLES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -230,6 +233,38 @@ class TelegraphSpectrum:
     n_trajectories: int
 
 
+def _telegraph_flips(
+    rng: np.random.Generator, p: float, m: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flips of m telegraph trajectories of n samples each.
+
+    Every sample flips the state with probability p, independently, so
+    along the m*n samples read row after row the gaps between flips are
+    geometric(p).  Returns the flat indices of the flips, increasing, and
+    the +-1 state of each row before its first sample.
+    """
+    total = m * n
+    parts = [np.empty(0, dtype=np.int64)]
+    last = -1
+    while p > 0 and last < total:
+        # Enough gaps to pass the end at once but for a 4-sigma shortfall,
+        # which another round makes up.
+        expected = p * (total - last)
+        gaps = rng.geometric(p, size=int(expected + 4 * math.sqrt(expected)) + 8)
+        # A gap is near 2**63 for p ~ 1e-300.  One of total + 1 already
+        # ends past the last sample, so clip there: the running sum cannot
+        # wrap.
+        np.minimum(gaps, total + 1, out=gaps)
+        positions = np.cumsum(gaps)
+        positions += last
+        parts.append(positions)
+        last = int(positions[-1])
+    flips = np.concatenate(parts)
+    flips = flips[: np.searchsorted(flips, total)]
+    start = rng.choice((-1, 1), size=m)
+    return flips, start
+
+
 def relaxation_telegraph_spectrum(
     gamma: float,
     shift: float,
@@ -247,13 +282,24 @@ def relaxation_telegraph_spectrum(
     trajectory contributes |FFT(exp(i*phi(t)))|^2 with
     phi(t) = integral of sigma_z(t') * shift dt'.
 
-    On the sample grid phi_k = S_k * (shift*dt), where S_k, the running
-    sum of sigma_z, is an integer in [-n, n].  The walk is therefore kept
-    in integers and the carrier read from one table of the 2n+1 values
-    exp(1j * (j * (shift*dt))).  The table is exact, not an
+    On the sample grid of step dt the state changes between two samples
+    when an odd number of Poisson flips falls between them, so each
+    sample flips it independently with probability
+
+        p = (1 - exp(-gamma * dt)) / 2.
+
+    The flips of a chunk of trajectories, read row after row, are drawn
+    as geometric(p) gaps, about p draws per sample in place of one, and
+    sigma_z is laid out run by run between them.  The phase is
+    phi_k = S_k * (shift*dt), where S_k, the running sum of sigma_z, is
+    an integer in [-n, n], and the carrier is read from one table of the
+    2n+1 values exp(1j * (j * (shift*dt))).  The table is exact, not an
     approximation: float(S_k) * (shift*dt) is the same IEEE product as
-    the float running sum times (shift*dt), so each sample, and the
-    spectrum, equals the per-sample exponential bit for bit.
+    the float running sum times (shift*dt), so each sample equals the
+    per-sample exponential bit for bit.  The walk, gather, FFT and power
+    run on blocks of a few rows, and the power of each trajectory is
+    added to the spectrum in turn, so the result does not depend on the
+    block size.
 
     Returns the folded one-sided spectrum and the fraction of power
     outside the Carson band of full width 2*(shift + 2*gamma) centered on
@@ -288,31 +334,50 @@ def relaxation_telegraph_spectrum(
     dt = 1.0 / sample_rate
 
     rng = derive_rng(seed)
-    flip_rate = gamma / 2.0
+    flip_p = -math.expm1(-gamma * dt) / 2.0
     carrier = np.exp(1j * (np.arange(-n, n + 1, dtype=float) * (shift * dt)))
-    psd = np.zeros(n)
     chunk = max(1, min(n_trajectories, TELEGRAPH_CHUNK_SAMPLES // n))
+    block = max(1, min(chunk, _BLOCK_SAMPLES // n))
+    signal = np.empty((block, n), dtype=complex)
+    # Row 0 carries the running psd, so that one sum over axis 0 adds the
+    # trajectories to it one at a time, in order, whatever the block size.
+    power = np.zeros((block + 1, n))
+    psd = np.zeros(n)
     remaining = n_trajectories
     while remaining > 0:
         m = min(chunk, remaining)
-        # Parity of Poisson flip counts gives the exact state on the grid;
-        # the walk turns, in place, into sigma and then into S_k + n.
-        walk = rng.poisson(flip_rate * dt, size=(m, n))
-        start = rng.choice((-1, 1), size=(m, 1))
-        np.cumsum(walk, axis=1, out=walk)
-        walk &= 1
-        walk *= -2
-        walk += 1
-        walk *= start
-        np.cumsum(walk, axis=1, out=walk)
-        walk += n
-        signal = carrier[walk]
-        del walk
-        power = np.abs(np.fft.fft(signal, axis=1, out=signal))
-        del signal
-        power **= 2
-        psd += np.sum(power, axis=0)
-        del power
+        flips, start = _telegraph_flips(rng, flip_p, m, n)
+        # After the j-th flip of a row (j from 0) sigma is -start * (-1)**j;
+        # for flip i of the chunk, (-1)**j = (-1)**i * (-1)**(flips in the
+        # rows before).
+        rows = flips // n
+        counts = np.bincount(rows, minlength=m)
+        row_sign = start * (1 - 2 * ((np.cumsum(counts) - counts) & 1))
+        after = -row_sign[rows]
+        after[1::2] *= -1
+        for b in range(0, m, block):
+            k = min(block, m - b)
+            lo, hi = np.searchsorted(flips, (b * n, (b + k) * n))
+            # Runs of constant sigma begin at each row start and each flip;
+            # a row start goes before a flip on its first sample, leaving a
+            # run of length 0.
+            row_starts = np.arange(k) * n
+            local = flips[lo:hi] - b * n
+            at = np.searchsorted(local, row_starts)
+            begins = np.insert(local, at, row_starts)
+            levels = np.insert(after[lo:hi], at, start[b:b + k])
+            walk = np.repeat(levels, np.diff(begins, append=k * n)).reshape(k, n)
+            walk[:, 0] += n
+            np.cumsum(walk, axis=1, out=walk)  # S_k + n
+            sig = signal[:k]
+            # mode="clip" gathers straight into sig; "raise" buffers it.
+            np.take(carrier, walk, out=sig, mode="clip")
+            np.fft.fft(sig, axis=1, out=sig)
+            rows_power = power[1:k + 1]
+            np.abs(sig, out=rows_power)
+            np.square(rows_power, out=rows_power)
+            power[0] = psd
+            np.sum(power[:k + 1], axis=0, out=psd)
         remaining -= m
     psd /= psd.sum()
 

@@ -12,14 +12,27 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 def derive_rng(root_seed: int, *path: int) -> np.random.Generator:
     """Child generator for the given root seed and integer path.
 
     Identical (root_seed, path) pairs always produce identical streams;
-    distinct paths give statistically independent streams.
+    distinct pairs give statistically independent streams.  The root seed
+    must lie in [0, 2**128) and each path element in [0, 2**32), else
+    ConfigError: SeedSequence reads integers as 32-bit words and pads the
+    root to four words before the path, so outside these ranges distinct
+    pairs can give the same words (derive_rng(3, 2**32) would be
+    derive_rng(3, 0, 1)).
     """
-    seq = np.random.SeedSequence(entropy=int(root_seed), spawn_key=tuple(int(p) for p in path))
+    root_seed = int(root_seed)
+    path = tuple(int(p) for p in path)
+    if not 0 <= root_seed < 2**128:
+        raise ConfigError(f"root seed must lie in [0, 2**128), got {root_seed}")
+    if not all(0 <= p < 2**32 for p in path):
+        raise ConfigError(f"seed path elements must lie in [0, 2**32), got {path}")
+    seq = np.random.SeedSequence(entropy=root_seed, spawn_key=path)
     return np.random.default_rng(seq)
 
 

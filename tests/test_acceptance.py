@@ -46,6 +46,8 @@ from fdmsim import (
     CapacityQuery,
 )
 
+from test_dynamics import expected_inband_fraction
+
 TWO_PI = 2 * math.pi
 KAPPA = TWO_PI * 10e6
 
@@ -135,10 +137,15 @@ def test_criterion_3_carson_and_telegraph():
     )
     in_band = 1.0 - spectrum.out_of_band_fraction
     assert in_band >= 0.90
+    # the exact expected fraction, from the motional-narrowing lineshape
+    exact = expected_inband_fraction(
+        gamma=TWO_PI * 0.1e6, shift=TWO_PI * 2.5e6, duration=100e-6
+    )
+    assert exact >= 0.90
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     print(f"criterion 3: PASS - Carson exact on grid, {100 * in_band:.1f}% "
-          f"in-band over 1e4 trajectories, {elapsed:.1f} s")
+          f"in-band over 1e4 trajectories ({100 * exact:.2f}% exact), {elapsed:.1f} s")
 
 
 def test_criterion_4_seven_resonator_spectrum(chip):

@@ -157,6 +157,12 @@ def test_missing_config_exits_2(capsys):
     assert code == 2
 
 
+def test_negative_seed_exits_2(capsys):
+    code = main(["sweep", "--points", "3", "--noise-std", "1e-3", "--seed", "-1"])
+    assert code == 2
+    assert "root seed" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------------
 # spectroscopy
 

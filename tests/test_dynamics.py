@@ -1,5 +1,6 @@
 """Bloch dynamics and the relaxation-telegraph carrier spectrum."""
 
+import cmath
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from fdmsim import (
     relaxation_telegraph_spectrum,
     steady_state_excited,
 )
+from fdmsim.dynamics import _telegraph_flips
 from fdmsim.seeding import derive_rng
 
 TWO_PI = 2 * math.pi
@@ -260,39 +262,187 @@ def test_telegraph_spectrum_peaks_near_the_shift():
     assert peak == pytest.approx(shift / TWO_PI, rel=0.05)
 
 
+def telegraph_grid(gamma, shift, duration, sample_rate=None):
+    """(n, dt, half-width in Hz) as relaxation_telegraph_spectrum sets them."""
+    half_width_hz = (shift + 2 * gamma) / (2 * math.pi)
+    if sample_rate is None:
+        sample_rate = 16.0 * max(half_width_hz, 1.0 / duration)
+    return int(round(duration * sample_rate)), 1.0 / sample_rate, half_width_hz
+
+
+def fold(psd):
+    """Bin -j onto bin +j of an n-point spectrum in FFT order."""
+    n = psd.size
+    p_one = np.zeros(n // 2 + 1)
+    p_one[0] = psd[0]
+    for j in range(1, n // 2 + 1):
+        p_one[j] = psd[j] + (psd[n - j] if n - j != j else 0.0)
+    return p_one
+
+
 def reference_telegraph(gamma, shift, duration, n_trajectories, seed=0, sample_rate=None):
-    """The per-sample kernel: float walk, one complex exp per sample.
+    """The per-sample kernel: dense flips, parity and float walks, one
+    complex exp per sample and one FFT over each chunk.
 
     Returns (folded power, out-of-band fraction) for the same draws as
     relaxation_telegraph_spectrum.
     """
-    half_width_hz = (shift + 2 * gamma) / (2 * math.pi)
-    if sample_rate is None:
-        sample_rate = 16.0 * max(half_width_hz, 1.0 / duration)
-    n = int(round(duration * sample_rate))
-    dt = 1.0 / sample_rate
+    n, dt, half_width_hz = telegraph_grid(gamma, shift, duration, sample_rate)
     rng = derive_rng(seed)
-    psd = np.zeros(n)
+    p = -math.expm1(-gamma * dt) / 2.0
+    powers = []
     chunk = max(1, min(n_trajectories, 2_000_000 // n))
     remaining = n_trajectories
     while remaining > 0:
         m = min(chunk, remaining)
-        counts = rng.poisson(gamma / 2.0 * dt, size=(m, n))
-        start = rng.choice((-1.0, 1.0), size=(m, 1))
-        sigma = start * (1.0 - 2.0 * (np.cumsum(counts, axis=1) % 2))
+        flips, start = _telegraph_flips(rng, p, m, n)
+        flipped = np.zeros(m * n, dtype=np.int64)
+        flipped[flips] = 1
+        parity = np.cumsum(flipped.reshape(m, n), axis=1) % 2
+        sigma = start[:, None] * (1.0 - 2.0 * parity)
         phase = np.cumsum(sigma, axis=1) * (shift * dt)
         signal = np.exp(1j * phase)
-        psd += np.sum(np.abs(np.fft.fft(signal, axis=1)) ** 2, axis=0)
+        powers.append(np.abs(np.fft.fft(signal, axis=1)) ** 2)
         remaining -= m
+    # one sum over every trajectory, in order
+    psd = np.sum(np.concatenate(powers), axis=0)
     psd /= psd.sum()
     freqs = np.fft.fftfreq(n, d=dt)
     out_fraction = float(1.0 - psd[np.abs(freqs) <= half_width_hz].sum())
-    half = n // 2
-    p_one = np.zeros(half + 1)
-    p_one[0] = psd[0]
-    for j in range(1, half + 1):
-        p_one[j] = psd[j] + (psd[n - j] if n - j != j else 0.0)
-    return p_one, out_fraction
+    return fold(psd), out_fraction
+
+
+def expected_telegraph_psd(gamma, shift, n, dt):
+    """Exact expected spectrum of one trajectory, unit total, FFT order.
+
+    sigma is a symmetric two-state Markov chain that flips with
+    p = (1 - exp(-gamma*dt))/2 per sample and is +-1 with equal
+    probability at every sample.  With x_k = exp(i*theta*S_k) and
+    theta = shift*dt, the lag-k correlation E[x_{j+k} conj(x_j)] is
+    R(k) = 1^T (D P)^k v0, D = diag(e^{i theta}, e^{-i theta}), P the
+    flip matrix, v0 = (1/2, 1/2): the discrete motional-narrowing
+    lineshape of Anderson (J. Phys. Soc. Jpn. 9, 316, 1954) and Kubo
+    (ibid. 935).  Then E|X_q|^2 = sum_k (n - |k|) R(k) e^{-2 pi i q k/n}
+    over |k| < n, with R(-k) = conj(R(k)), and the total is n^2.
+    """
+    p = -math.expm1(-gamma * dt) / 2.0
+    up, down = cmath.exp(1j * shift * dt), cmath.exp(-1j * shift * dt)
+    plus = minus = 0.5
+    r = [1.0 + 0j]
+    for _ in range(1, n):
+        plus, minus = (up * ((1 - p) * plus + p * minus),
+                       down * (p * plus + (1 - p) * minus))
+        r.append(plus + minus)
+    r = np.array(r)
+    lags = np.arange(n)
+    folded = (n - lags) * r
+    folded[1:] += lags[1:] * np.conj(r[:0:-1])
+    return np.fft.fft(folded).real / n**2
+
+
+def expected_inband_fraction(gamma, shift, duration, sample_rate=None):
+    n, dt, half_width_hz = telegraph_grid(gamma, shift, duration, sample_rate)
+    in_band = np.abs(np.fft.fftfreq(n, d=dt)) <= half_width_hz
+    return float(expected_telegraph_psd(gamma, shift, n, dt)[in_band].sum())
+
+
+def test_expected_telegraph_psd_limits():
+    # no flips: a pure tone at shift, on a grid bin
+    n, dt = 320, 1 / 16e6
+    shift = TWO_PI * 1e6
+    psd = expected_telegraph_psd(1e-20, shift, n, dt)
+    assert psd.sum() == pytest.approx(1.0, abs=1e-12)
+    assert fold(psd)[20] == pytest.approx(1.0, abs=1e-9)
+    # p = 1/2: sigma is white, so x_k is a random walk in phase with
+    # R(k) = cos(theta)**k, against the brute-force sum over lags
+    theta = 0.3
+    psd = expected_telegraph_psd(1e9, theta / 1e-3, 40, 1e-3)
+    lags = np.arange(-39, 40)
+    r = np.cos(theta) ** np.abs(lags)
+    q = np.arange(40)[:, None]
+    brute = ((40 - np.abs(lags)) * r * np.exp(-2j * np.pi * q * lags / 40)).sum(axis=1)
+    np.testing.assert_allclose(psd, brute.real / 40**2, rtol=0, atol=1e-14)
+    assert np.all(psd > 0)
+
+
+def test_telegraph_agrees_with_exact_expected_spectrum():
+    """The Monte Carlo against the exact lineshape, at a bound taken from
+    batch means over independent seeds.
+
+    Every trajectory has total power n**2, so each returned spectrum is
+    the plain mean of its trajectories' normalised spectra, and the
+    in-band fraction the mean of their in-band fractions: batch means
+    over seeds are independent estimates of the exact values.
+    """
+    from scipy.stats import t as student_t
+
+    gamma, shift, duration = TWO_PI * 0.1e6, TWO_PI * 2.5e6, 100e-6
+    n, dt, _ = telegraph_grid(gamma, shift, duration)
+    seeds = range(100, 120)
+    runs = [relaxation_telegraph_spectrum(gamma, shift, duration, 200, seed=s)
+            for s in seeds]
+    k = len(runs)
+    alpha = 1e-4
+
+    in_band = np.array([1.0 - s.out_of_band_fraction for s in runs])
+    exact = expected_inband_fraction(gamma, shift, duration)
+    bound = student_t.ppf(1 - alpha / 2, k - 1) * in_band.std(ddof=1) / math.sqrt(k)
+    assert abs(in_band.mean() - exact) <= bound
+
+    # every folded bin, Bonferroni over the bins
+    power = np.array([s.power for s in runs])
+    exact_power = fold(expected_telegraph_psd(gamma, shift, n, dt))
+    quantile = student_t.ppf(1 - alpha / (2 * exact_power.size), k - 1)
+    bounds = quantile * power.std(axis=0, ddof=1) / math.sqrt(k)
+    assert np.all(np.abs(power.mean(axis=0) - exact_power) <= bounds)
+
+
+def test_telegraph_flip_draws():
+    rng = np.random.default_rng(0)
+    # p ~ 1e-300 draws gaps near 2**63: no wrap, no flips
+    for p in (0.0, 1e-300, 1e-20):
+        flips, start = _telegraph_flips(rng, p, 7, 100)
+        assert flips.size == 0
+        assert start.shape == (7,) and set(start.tolist()) <= {-1, 1}
+    for p in (1e-4, 0.01, 0.3, 0.5):
+        m, n = 50, 4000
+        flips, _ = _telegraph_flips(rng, p, m, n)
+        assert np.all(np.diff(flips) > 0)
+        assert flips.size == 0 or (flips[0] >= 0 and flips[-1] < m * n)
+        # one Bernoulli(p) per sample: the count within 5 sigma
+        assert abs(flips.size - p * m * n) <= 5 * math.sqrt(m * n * p * (1 - p))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        # tiny gamma: p underflows to about 1e-27, so no flips
+        dict(gamma=1e-20, shift=TWO_PI * 1e6, duration=20e-6, n_trajectories=5),
+        # p = 1/2 through a sample_rate override: gamma*dt = 1e6
+        dict(gamma=1e9, shift=TWO_PI * 100.0, duration=0.1, n_trajectories=50,
+             sample_rate=1e3),
+        dict(gamma=TWO_PI * 0.1e6, shift=TWO_PI * 2.5e6, duration=100e-6,
+             n_trajectories=1),
+        # odd n = 41
+        dict(gamma=TWO_PI * 1e6, shift=TWO_PI * 0.5e6, duration=1e-6,
+             n_trajectories=30, sample_rate=41e6),
+        # n = 41: one full chunk of 48780 trajectories and a remainder of 7
+        dict(gamma=TWO_PI * 1e6, shift=TWO_PI * 0.5e6, duration=1e-6,
+             n_trajectories=48_787, sample_rate=41e6),
+    ],
+)
+def test_telegraph_extremes_are_finite_and_normalised(kwargs):
+    spectrum = relaxation_telegraph_spectrum(**kwargs, seed=6)
+    assert np.all(np.isfinite(spectrum.power)) and np.all(spectrum.power >= 0)
+    assert np.sum(spectrum.power) == pytest.approx(1.0, rel=1e-12)
+    assert -1e-12 <= spectrum.out_of_band_fraction <= 1.0
+
+
+def test_telegraph_without_flips_is_a_line_at_the_shift():
+    spectrum = relaxation_telegraph_spectrum(1e-20, TWO_PI * 1e6, 20e-6, 5, seed=2)
+    # 16 MS/s over 20 us: shift is bin 20 of n = 320
+    assert spectrum.frequencies[20] == 1e6
+    assert spectrum.power[20] == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -305,6 +455,10 @@ def reference_telegraph(gamma, shift, duration, n_trajectories, seed=0, sample_r
         dict(gamma=TWO_PI * 0.3e6, shift=0.0, duration=20e-6, n_trajectories=300, seed=4),
         dict(gamma=TWO_PI * 0.1e6, shift=TWO_PI * 2.5e6, duration=20e-6,
              n_trajectories=500, seed=5),
+        # p = 1/2 and p ~ 1e-27
+        dict(gamma=1e9, shift=TWO_PI * 100.0, duration=0.1, n_trajectories=50,
+             seed=6, sample_rate=1e3),
+        dict(gamma=1e-20, shift=TWO_PI * 1e6, duration=20e-6, n_trajectories=3, seed=7),
     ],
 )
 def test_telegraph_matches_per_sample_reference(kwargs):

@@ -604,6 +604,75 @@ def test_csv_round_trip(tmp_path, chip):
     assert back.metadata["config_hash"] == "abc"
 
 
+names = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True)
+cells = st.floats(allow_nan=True, allow_infinity=True)
+meta_values = st.one_of(
+    st.floats(allow_nan=False),
+    st.integers(-(2**70), 2**70),
+    # one line, no outer blanks: the header keeps text as written
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=20)
+    .filter(lambda s: s == s.strip()),
+)
+
+
+@st.composite
+def sweep_results(draw):
+    """SweepResults as run_flux_sweep and run_rabi build them: kind and
+    device ids ride in the metadata, columns are dev<id> or one composite
+    name."""
+    n_rows = draw(st.integers(1, 6))
+    device_ids = tuple(draw(st.lists(st.integers(0, 999), unique=True, max_size=4)))
+    if device_ids:
+        columns = tuple(f"dev{d}" for d in device_ids)
+    else:
+        columns = (draw(st.from_regex(r"[a-z][a-z0-9]{0,8}", fullmatch=True)),)
+    table_names = draw(st.lists(names, min_size=1, max_size=3, unique=True))
+    tables = {
+        name: np.array(draw(st.lists(st.lists(cells, min_size=len(columns),
+                                              max_size=len(columns)),
+                                     min_size=n_rows, max_size=n_rows)))
+        for name in table_names
+    }
+    kind = draw(names)
+    metadata = draw(st.dictionaries(
+        names.filter(lambda k: k not in ("kind", "device_ids")), meta_values, max_size=5
+    ))
+    metadata["kind"] = kind
+    if device_ids:
+        metadata["device_ids"] = " ".join(str(d) for d in device_ids)
+    return SweepResult(
+        kind=kind,
+        axis_name=draw(names),
+        axis_values=draw(st.lists(cells, min_size=n_rows, max_size=n_rows)),
+        columns=columns,
+        tables=tables,
+        device_ids=device_ids,
+        metadata=metadata,
+    )
+
+
+# derandomize: the same examples on every run, so the suite stays
+# deterministic.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(result=sweep_results())
+def test_csv_round_trip_property(tmp_path_factory, result):
+    path = tmp_path_factory.mktemp("csv") / "sweep.csv"
+    write_sweep_csv(path, result)
+    back = read_sweep_csv(path)
+    assert back.kind == result.kind
+    assert back.axis_name == result.axis_name
+    assert back.columns == result.columns
+    assert back.device_ids == result.device_ids
+    np.testing.assert_array_equal(back.axis_values, result.axis_values)
+    assert back.tables.keys() == result.tables.keys()
+    for name in result.tables:
+        np.testing.assert_array_equal(back.tables[name], result.tables[name])
+    # metadata comes back as text: repr for floats, str otherwise
+    assert back.metadata == {
+        k: repr(v) if isinstance(v, float) else str(v) for k, v in result.metadata.items()
+    }
+
+
 def test_csv_repeat_runs_are_byte_identical(tmp_path, chip):
     fluxes = np.linspace(-0.005, 0.005, 7)
     paths = []
