@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -24,7 +24,14 @@ from .rxchain import (
     WINDOWS,
     AdcSpec,
     ToneMeasurement,
+    _add_noise,
     _channel_plan,
+    _check_adc_rate,
+    _header_items,
+    _noise_std,
+    _project,
+    _quadratures,
+    _quantize,
     add_awgn,
     adc_quantize,
     apply_feedline,
@@ -32,12 +39,12 @@ from .rxchain import (
     downconvert,
 )
 from .seeding import child_seed
-from .txchain import IQTrace, synthesize_multitone, upconvert_ssb
+from .txchain import synthesize_multitone, upconvert_ssb
 
-# evolve_for, apply_feedline, downconvert, synthesize_multitone and
-# upconvert_ssb are not called in this module.  They stay bound here
-# because perfbench/tracer.py wraps each stage by its attribute in this
-# namespace.
+# evolve_for, add_awgn, adc_quantize, apply_feedline, channelize,
+# downconvert, synthesize_multitone and upconvert_ssb are not called in
+# this module.  They stay bound here because perfbench/tracer.py wraps
+# each stage by its attribute in this namespace.
 
 CSV_FORMAT_TAG = "fdmsim-sweep-v1"
 
@@ -208,13 +215,16 @@ def _acquire_points(
     adc: AdcSpec | None,
     noise_std: float,
     seed: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    estimate_noise: bool = False,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """The acquisition core: one multiplexed shot per point.
 
     states[i] holds every chip device's sigma_z at point i (chip order)
-    and fluxes[i] is a scalar or one flux per device.  Returns channel
-    amplitude and phase, each (n_points, n_channels), and each shot's
-    noise estimate, (n_points,).
+    and fluxes[i] is a scalar or one flux per device.  Returns the
+    complex channel amplitudes, (n_points, n_channels), and, only with
+    estimate_noise=True, each shot's noise estimate, (n_points,); else
+    None.  acquire alone asks for it: the sweep drivers record no noise
+    estimate, so they skip its FFT.
 
     Every probe sits on the DFT grid (ReadoutSetup enforces it) and the
     chain before the noise is linear, so channel k of shot i arrives as
@@ -225,44 +235,47 @@ def _acquire_points(
     trace sum_k c[i, k] * exp(2 pi i f_k t), built from the channelizer's
     own tones.  An ADC's analog brick wall passes such a trace except for
     the channels whose DFT bin lies beyond it, so those are zeroed in c
-    and the converter runs without its FFT band limit.  The trace gets
-    white noise (add_awgn) or the ADC (adc_quantize), with noise from
-    child_seed(seed, i), and is channelized.  The tests check this
-    against the composed chain synthesize_multitone, upconvert_ssb,
-    apply_feedline, downconvert, add_awgn or adc_quantize, channelize.
+    and the converter runs without its FFT band limit.  Noise from
+    child_seed(seed, i) and the ADC's clip and rounding then work in
+    place on that trace, the same private steps as add_awgn and
+    adc_quantize, and the channelizer's private projector turns it into
+    complex amplitudes; no ToneMeasurement is built per shot.  The tests
+    check this against the composed chain synthesize_multitone,
+    upconvert_ssb, apply_feedline, downconvert, add_awgn or adc_quantize,
+    channelize.
     """
     if noise_std < 0:
         raise ConfigError(f"noise_std must be >= 0, got {noise_std}")
     omega = 2 * np.pi * np.array(setup.channel_frequencies)
     c = setup.amplitude * s21_feedline(chip, omega, states, fluxes)
     n_points = c.shape[0]
+    noise = np.zeros(n_points) if estimate_noise else None
     if noise_std == 0 and adc is None:
-        return np.abs(c), np.angle(c), np.zeros(n_points)
+        return c, noise
 
     n, fs = setup.n_samples, float(setup.sample_rate)
     freqs = tuple(float(f) for f in setup.baseband_frequencies)
-    tones = _channel_plan(freqs, n, fs, setup.window).kernel.conj()
+    if adc is not None:
+        _check_adc_rate(fs, adc)
+    plan = _channel_plan(freqs, n, fs, setup.window)
+    tones = plan.kernel.conj()
     if adc is not None and adc.analog_bandwidth is not None:
         if adc.analog_bandwidth < fs / 2:
             grid = np.fft.fftfreq(n, d=1.0 / fs)
             bins = [round(f / (fs / n)) % n for f in freqs]
             c[:, np.abs(grid[bins]) > adc.analog_bandwidth] = 0.0
-        adc = replace(adc, analog_bandwidth=None)
-    amp = np.empty(c.shape)
-    phase = np.empty_like(amp)
-    noise = np.empty(n_points)
+    iq = np.empty_like(c)
     for i in range(n_points):
-        rx = IQTrace(samples=c[i] @ tones, sample_rate=fs)
-        point_seed = child_seed(seed, i)
-        if adc is None:
-            rx = add_awgn(rx, noise_std, point_seed)
-        else:
-            rx = adc_quantize(rx, adc, noise_std=noise_std, seed=point_seed)
-        meas = channelize(rx, freqs, window=setup.window)
-        amp[i] = [m.amplitude for m in meas]
-        phase[i] = [m.phase for m in meas]
-        noise[i] = meas[0].noise_std
-    return amp, phase, noise
+        rx = c[i] @ tones
+        quad = _quadratures(rx)
+        if noise_std > 0:
+            _add_noise(quad, noise_std, child_seed(seed, i))
+        if adc is not None:
+            _quantize(quad, adc)
+        iq[i], wx = _project(plan, rx)
+        if estimate_noise:
+            noise[i] = _noise_std(plan, wx)
+    return iq, noise
 
 
 def acquire(
@@ -283,10 +296,12 @@ def acquire(
     reported as exactly 0.0.  Otherwise the received trace is built from
     that closed form, gets its noise or ADC and is channelized, with
     noise from the stream child_seed(seed, 0): the same draw as point 0
-    of a sweep run with this seed.
+    of a sweep run with this seed.  noise_std is channelize's off-channel
+    estimate of that trace.
     """
-    amp, phase, noise = _acquire_points(
-        chip, setup, [states], [fluxes], adc=adc, noise_std=noise_std, seed=seed
+    iq, noise = _acquire_points(
+        chip, setup, [states], [fluxes], adc=adc, noise_std=noise_std, seed=seed,
+        estimate_noise=True,
     )
     return [
         ToneMeasurement(
@@ -295,7 +310,7 @@ def acquire(
             phase=float(p),
             noise_std=float(noise[0]),
         )
-        for f, a, p in zip(setup.baseband_frequencies, amp[0], phase[0])
+        for f, a, p in zip(setup.baseband_frequencies, np.abs(iq[0]), np.angle(iq[0]))
     ]
 
 
@@ -334,7 +349,7 @@ def run_flux_sweep(
         setup = make_readout_setup(chip, device_ids)
     if states is None:
         states = [float(QubitStateLabel.GROUND)] * len(chip.devices)
-    amp, phase, _ = _acquire_points(
+    iq, _ = _acquire_points(
         chip, setup, [states] * flux_values.size, flux_values,
         adc=adc, noise_std=noise_std, seed=seed,
     )
@@ -360,7 +375,7 @@ def run_flux_sweep(
         axis_name="flux_phi0",
         axis_values=flux_values,
         columns=tuple(f"dev{d}" for d in setup.device_ids),
-        tables={"amplitude": amp, "phase": phase},
+        tables={"amplitude": np.abs(iq), "phase": np.angle(iq)},
         device_ids=setup.device_ids,
         metadata=metadata,
     )
@@ -538,12 +553,12 @@ def run_rabi(
         for j, dev_id in enumerate(ids):
             states[:, chip.device_ids.index(dev_id)] = z[:, j]
         fluxes = [d.qubit.symmetry_flux for d in chip.devices]
-        amp, phase, _ = _acquire_points(
+        iq, _ = _acquire_points(
             chip, setup, states, [fluxes] * durations.size,
             adc=adc, noise_std=noise_std, seed=seed,
         )
-        tables["iq_amplitude"] = amp
-        tables["iq_phase"] = phase
+        tables["iq_amplitude"] = np.abs(iq)
+        tables["iq_phase"] = np.angle(iq)
 
     metadata = {
         "kind": "rabi",
@@ -697,8 +712,7 @@ def _csv_column_row(result: SweepResult) -> str:
 
 def _csv_header_lines(result: SweepResult) -> list[str]:
     lines = [f"# {CSV_FORMAT_TAG}"]
-    for key in sorted(result.metadata):
-        lines.append(f"# {key}={_format_value(result.metadata[key])}")
+    lines += [f"# {key}={text}" for key, text in _header_items(result.metadata, _format_value)]
     lines.append(_csv_column_row(result))
     return lines
 
@@ -722,9 +736,11 @@ def write_sweep_csv(path: str | Path, result: SweepResult, append: bool = False)
     With append=True and an existing file, the new rows must come from
     the same configuration and layout: the file's config_hash and kind
     headers and its column row must match the result's, and any mismatch
-    is refused before a byte is written.
+    is refused before a byte is written.  So is a metadata key or value
+    holding a line break, which would split its header line.
     """
     path = Path(path)
+    header = _csv_header_lines(result)
     if append and path.exists():
         existing, column_row = _read_csv_header(path)
         checks = (
@@ -742,7 +758,7 @@ def write_sweep_csv(path: str | Path, result: SweepResult, append: bool = False)
         with open(path, "a", newline="\n") as fh:
             fh.write(body)
         return
-    lines = _csv_header_lines(result) + _csv_data_lines(result)
+    lines = header + _csv_data_lines(result)
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -101,9 +101,49 @@ def add_awgn(trace: IQTrace, noise_std: float, seed: int) -> IQTrace:
         raise ConfigError(f"noise_std must be >= 0, got {noise_std}")
     if noise_std == 0:
         return trace
-    rng = derive_rng(seed)
-    noise = rng.normal(0.0, noise_std, size=(trace.n_samples, 2))
-    return replace(trace, samples=trace.samples + noise[:, 0] + 1j * noise[:, 1])
+    samples = trace.samples.copy()
+    _add_noise(_quadratures(samples), noise_std, seed)
+    return replace(trace, samples=samples)
+
+
+def _quadratures(samples: np.ndarray) -> np.ndarray:
+    """(n, 2) float64 view of a contiguous complex128 trace: re, im per row."""
+    return samples.view(np.float64).reshape(-1, 2)
+
+
+def _add_noise(quad: np.ndarray, noise_std: float, seed: int) -> None:
+    """Add seeded white Gaussian noise to interleaved quadratures in place."""
+    quad += derive_rng(seed).normal(0.0, noise_std, size=quad.shape)
+
+
+def _check_adc_rate(sample_rate: float, adc: AdcSpec) -> None:
+    """Raise ConfigError unless a trace's rate matches the ADC's."""
+    if abs(sample_rate - adc.sample_rate) > 1e-6 * adc.sample_rate:
+        raise ConfigError(
+            f"trace rate {sample_rate:.6g} != ADC rate {adc.sample_rate:.6g}"
+        )
+
+
+def _quantize(quad: np.ndarray, adc: AdcSpec) -> None:
+    """Clip and round interleaved quadratures in place (see adc_quantize).
+
+    The one clip acts on the codes, at the rail code rint(full_scale /
+    step) capped at 2^(bits-1).  Division and rounding are monotone, so
+    this gives the same codes as clipping to +-full_scale first.
+    """
+    fs = adc.full_scale
+    n_clipped = int(np.count_nonzero(quad > fs)) + int(np.count_nonzero(quad < -fs))
+    rail = min(float(np.rint(fs / adc.step)), float(2 ** (int(adc.bits) - 1)))
+    with np.errstate(over="ignore"):  # an overflow to inf clips to the rail
+        np.divide(quad, adc.step, out=quad)
+    np.rint(quad, out=quad)
+    np.minimum(quad, rail, out=quad)
+    np.maximum(quad, -rail, out=quad)
+    np.multiply(quad, adc.step, out=quad)
+    if n_clipped:
+        logger.warning(
+            "ADC clipped %d of %d quadrature samples", n_clipped, quad.size
+        )
 
 
 def adc_quantize(trace: IQTrace, adc: AdcSpec, noise_std: float = 0.0, seed: int = 0) -> IQTrace:
@@ -115,34 +155,27 @@ def adc_quantize(trace: IQTrace, adc: AdcSpec, noise_std: float = 0.0, seed: int
     rounding with step 2*full_scale/2^bits (integer codes
     -2^(bits-1)..+2^(bits-1), so both rails and zero are exact codes).
     Clipped samples are counted and logged; rail_fraction() recovers the
-    count from the output.
+    count from the output.  The input trace is left as it is: its samples
+    are copied once (or band-limited into a fresh array) and the noise,
+    clip and rounding then work in place on that copy, the same private
+    steps the acquisition core in experiments runs on each shot's trace.
     """
-    if abs(trace.sample_rate - adc.sample_rate) > 1e-6 * adc.sample_rate:
-        raise ConfigError(
-            f"trace rate {trace.sample_rate:.6g} != ADC rate {adc.sample_rate:.6g}"
-        )
+    _check_adc_rate(trace.sample_rate, adc)
+    if noise_std < 0:
+        raise ConfigError(f"noise_std must be >= 0, got {noise_std}")
     samples = trace.samples
     if adc.analog_bandwidth is not None and adc.analog_bandwidth < trace.sample_rate / 2:
         spectrum = np.fft.fft(samples)
         freqs = np.fft.fftfreq(samples.size, d=1.0 / trace.sample_rate)
         spectrum[np.abs(freqs) > adc.analog_bandwidth] = 0.0
         samples = np.fft.ifft(spectrum)
-    quad = np.column_stack([samples.real, samples.imag])
+    else:
+        samples = samples.copy()
+    quad = _quadratures(samples)
     if noise_std > 0:
-        rng = derive_rng(seed)
-        quad = quad + rng.normal(0.0, noise_std, size=quad.shape)
-    elif noise_std < 0:
-        raise ConfigError(f"noise_std must be >= 0, got {noise_std}")
-    n_clipped = int(np.count_nonzero(np.abs(quad) > adc.full_scale))
-    clipped = np.clip(quad, -adc.full_scale, adc.full_scale)
-    half_codes = 2 ** (int(adc.bits) - 1)
-    codes = np.clip(np.round(clipped / adc.step), -half_codes, half_codes)
-    quantized = codes * adc.step
-    if n_clipped:
-        logger.warning(
-            "ADC clipped %d of %d quadrature samples", n_clipped, quad.size
-        )
-    return replace(trace, samples=quantized[:, 0] + 1j * quantized[:, 1])
+        _add_noise(quad, noise_std, seed)
+    _quantize(quad, adc)
+    return replace(trace, samples=samples)
 
 
 def rail_fraction(trace: IQTrace, adc: AdcSpec) -> float:
@@ -171,6 +204,7 @@ class _ChannelPlan:
     window_sum: float
     kernel: np.ndarray
     noise_mask: np.ndarray
+    unit_window: bool
 
 
 @lru_cache(maxsize=16)
@@ -189,7 +223,24 @@ def _channel_plan(
             NOISE_GUARD_BINS * bin_width - bin_width / 2
     for a in (w, kernel, mask):
         a.flags.writeable = False
-    return _ChannelPlan(window=w, window_sum=float(w.sum()), kernel=kernel, noise_mask=mask)
+    return _ChannelPlan(window=w, window_sum=float(w.sum()), kernel=kernel,
+                        noise_mask=mask, unit_window=bool(np.all(w == 1)))
+
+
+def _project(plan: _ChannelPlan, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex channel amplitudes kernel @ (window * x) / window_sum, and
+    the windowed trace.  An all-ones window's product is skipped; it
+    could change only the sign of a zero sample."""
+    wx = samples if plan.unit_window else plan.window * samples
+    return plan.kernel @ wx / plan.window_sum, wx
+
+
+def _noise_std(plan: _ChannelPlan, wx: np.ndarray) -> float:
+    """Per-quadrature noise from the off-channel bins of a windowed trace."""
+    if not plan.noise_mask.any():
+        return float("nan")
+    spectrum = np.fft.fft(wx) / plan.window_sum
+    return float(np.sqrt(np.mean(np.abs(spectrum[plan.noise_mask]) ** 2) / 2))
 
 
 def channelize(
@@ -211,7 +262,10 @@ def channelize(
 
     The window, projection kernel and noise mask depend only on
     (channel frequencies, n_samples, sample_rate, window); they are built
-    once per such key and reused from a small cache.
+    once per such key and reused from a small cache.  The projection is
+    the private projector that the acquisition core in experiments also
+    runs on each shot; the core computes the FFT noise estimate only for
+    acquire, whose ToneMeasurements report it.
     """
     if trace.carrier_frequency is not None:
         raise ConfigError("channelize expects a baseband trace; downconvert first")
@@ -223,15 +277,8 @@ def channelize(
         if abs(f) > nyquist:
             raise NyquistError(f"channel at {f:+.6g} Hz exceeds Nyquist {nyquist:.6g} Hz")
     plan = _channel_plan(freqs, trace.n_samples, float(trace.sample_rate), window)
-    wx = plan.window * trace.samples
-    amplitudes = plan.kernel @ wx / plan.window_sum
-
-    # Noise from the off-channel part of the DFT grid, same normalization.
-    if plan.noise_mask.any():
-        spectrum = np.fft.fft(wx) / plan.window_sum
-        noise_std = float(np.sqrt(np.mean(np.abs(spectrum[plan.noise_mask]) ** 2) / 2))
-    else:
-        noise_std = float("nan")
+    amplitudes, wx = _project(plan, trace.samples)
+    noise_std = _noise_std(plan, wx)
 
     return [
         ToneMeasurement(
@@ -353,13 +400,32 @@ def write_measurements_csv(
     measurements: Sequence[ToneMeasurement],
     metadata: dict[str, object] | None = None,
 ) -> None:
-    """Write tone measurements as CSV with a '#' metadata header block."""
+    """Write tone measurements as CSV with a '#' metadata header block.
+
+    A metadata key or value holding a line break raises ConfigError
+    before anything is written.
+    """
     lines = ["# fdmsim tone measurements v1"]
-    for key in sorted(metadata or {}):
-        lines.append(f"# {key}: {metadata[key]}")
+    lines += [f"# {key}: {text}" for key, text in _header_items(metadata or {})]
     lines.append("channel_hz,amplitude,phase_rad,noise_std")
     for m in measurements:
         lines.append(
             f"{m.channel_frequency!r},{m.amplitude!r},{m.phase!r},{m.noise_std!r}"
         )
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _header_items(metadata: dict, fmt=str) -> list[tuple[str, str]]:
+    """(key, fmt(value)) pairs of a '#' header block, sorted by key.
+
+    A line break in a key or value would split its header line, and the
+    reader would take the rest for data, so it raises ConfigError.
+    """
+    items = [(str(key), fmt(metadata[key])) for key in sorted(metadata)]
+    for key, text in items:
+        if any(brk in key or brk in text for brk in "\r\n"):
+            raise ConfigError(
+                f"metadata {key!r} = {text!r} holds a line break; "
+                "header lines must be single lines"
+            )
+    return items

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import logging
 import math
 from collections import Counter
 
@@ -46,6 +47,7 @@ from fdmsim import (
     s21_feedline,
     synthesize_multitone,
     upconvert_ssb,
+    write_measurements_csv,
     write_sweep_csv,
     write_sweep_json,
 )
@@ -319,6 +321,58 @@ def test_noisy_sweep_evaluates_s21_once_and_builds_no_feedline_trace(chip, monke
         run_flux_sweep(chip, fluxes, setup=noisy_setup(chip, "hann"), adc=adc,
                        noise_std=2e-3, seed=5)
         assert calls == {"s21_feedline": 1}
+
+
+def test_only_acquire_pays_for_the_noise_estimate(chip, monkeypatch):
+    # the sweep drivers record no noise estimate, so no shot runs an FFT
+    calls = Counter()
+    monkeypatch.setattr(np.fft, "fft", counting(calls, "fft", np.fft.fft))
+    setup = noisy_setup(chip, "hann")
+    for adc in (None, BAND_LIMITED_ADC):
+        run_flux_sweep(chip, np.linspace(-0.02, 0.02, 20), setup=setup, adc=adc,
+                       noise_std=2e-3, seed=5)
+    run_rabi(chip, np.linspace(5e-9, 6e-7, 20), device_ids=(2, 4, 6),
+             adc=AdcSpec(sample_rate=1e9, bits=12, full_scale=1.0), noise_std=2e-3, seed=5)
+    assert calls["fft"] == 0
+    ground = [-1.0] * len(chip.devices)
+    meas = acquire(chip, setup, ground, 0.0, adc=BAND_LIMITED_ADC, noise_std=2e-3, seed=5)
+    assert calls["fft"] == 1
+    assert meas[0].noise_std > 0
+
+
+def test_core_rejects_an_adc_at_another_rate(chip):
+    # the shot loop quantizes without adc_quantize, so it checks the rate itself
+    adc = AdcSpec(sample_rate=2e9, bits=12, full_scale=1.0)
+    setup = make_readout_setup(chip, (1, 2))
+    with pytest.raises(ConfigError, match="ADC rate"):
+        acquire(chip, setup, [-1.0] * len(chip.devices), 0.0, adc=adc)
+    with pytest.raises(ConfigError, match="ADC rate"):
+        run_flux_sweep(chip, np.linspace(-0.01, 0.01, 3), setup=setup, adc=adc,
+                       noise_std=1e-3)
+    with pytest.raises(ConfigError, match="ADC rate"):
+        run_rabi(chip, np.linspace(5e-9, 5e-8, 3), device_ids=(2,), adc=adc)
+
+
+def clip_counts(caplog):
+    return [r.args[0] for r in caplog.records
+            if r.name == "fdmsim.rxchain" and r.getMessage().startswith("ADC clipped")]
+
+
+def test_clipping_shot_logs_the_count_of_adc_quantize(chip, caplog):
+    # six tones of about 5e-3 in their dips sum to peaks near 0.03, so a
+    # 0.02 full scale clips some samples and not others
+    setup = make_readout_setup(chip, (1, 2, 3, 4, 5, 6))
+    adc = AdcSpec(sample_rate=1e9, bits=12, full_scale=0.02)
+    states = [-1.0] * len(chip.devices)
+    with caplog.at_level(logging.WARNING, logger="fdmsim.rxchain"):
+        acquire(chip, setup, states, 0.0, adc=adc, noise_std=2e-3, seed=8)
+        core = clip_counts(caplog)
+        caplog.clear()
+        full_chain_shot(chip, setup, states, 0.0, adc=adc, noise_std=2e-3, seed=8)
+        chain = clip_counts(caplog)
+    assert len(core) == 1
+    assert 0 < core[0] < 2 * setup.n_samples
+    assert core == chain
 
 
 def test_rabi_builds_one_propagator_per_distinct_step(chip, monkeypatch):
@@ -727,6 +781,30 @@ def test_csv_append_without_hash_is_refused(tmp_path, chip):
     write_sweep_csv(path, result)
     with pytest.raises(ConfigError, match="config_hash"):
         write_sweep_csv(path, result, append=True)
+
+
+@pytest.mark.parametrize("metadata", [{"note": "a\nb"}, {"note": "a\rb"}, {"a\nb": 1}],
+                         ids=["lf-value", "cr-value", "lf-key"])
+def test_csv_writers_refuse_line_breaks_in_metadata(tmp_path, chip, metadata):
+    fluxes = np.linspace(-0.002, 0.002, 3)
+    good = run_flux_sweep(chip, fluxes, device_ids=(1,), config_hash="h1")
+    bad = dataclasses.replace(good, metadata={**good.metadata, **metadata})
+    path = tmp_path / "sweep.csv"
+    with pytest.raises(ConfigError, match="line break"):
+        write_sweep_csv(path, bad)
+    assert not path.exists()
+    write_sweep_csv(path, good)
+    before = path.read_bytes()
+    with pytest.raises(ConfigError, match="line break"):
+        write_sweep_csv(path, bad, append=True)
+    assert path.read_bytes() == before
+
+    setup = make_readout_setup(chip, (1, 2))
+    meas = acquire(chip, setup, [-1.0] * len(chip.devices), 0.0)
+    tones = tmp_path / "tones.csv"
+    with pytest.raises(ConfigError, match="line break"):
+        write_measurements_csv(tones, meas, metadata)
+    assert not tones.exists()
 
 
 def test_read_rejects_empty_file(tmp_path):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdmsim import (
     AdcSpec,
@@ -28,6 +30,7 @@ from fdmsim import (
     synthesize_multitone,
     upconvert_ssb,
 )
+from fdmsim.rxchain import NOISE_GUARD_BINS
 
 TWO_PI = 2 * math.pi
 
@@ -51,6 +54,24 @@ def test_downconvert_undoes_upconvert():
     rx = downconvert(upconvert_ssb(base, 9.6e9), 9.6e9)
     np.testing.assert_allclose(rx.samples, base.samples, rtol=1e-13)
     assert rx.carrier_frequency is None
+
+
+# derandomize: the same examples on every run, so the suite stays
+# deterministic.
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    samples=st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                                        allow_infinity=False), min_size=1, max_size=64),
+    fs=st.floats(1e6, 1e10),
+    lo_over_nyquist=st.floats(1.0, 1e3, exclude_min=True),
+)
+def test_ssb_round_trip_is_identity_property(samples, fs, lo_over_nyquist):
+    base = IQTrace(samples=np.array(samples, dtype=complex), sample_rate=fs)
+    lo = lo_over_nyquist * fs / 2
+    rx = downconvert(upconvert_ssb(base, lo), lo)
+    np.testing.assert_array_equal(rx.samples, base.samples)
+    assert rx.carrier_frequency is None
+    assert rx.sample_rate == base.sample_rate
 
 
 def test_downconvert_phase_offset_rotates():
@@ -96,6 +117,38 @@ def test_adc_quantize_is_mid_tread_with_exact_rails():
     x = np.linspace(-0.999, 0.999, 1001)
     out = adc_quantize(IQTrace(samples=x + 0j, sample_rate=1e9), adc)
     assert np.max(np.abs(out.samples.real - x)) <= adc.step / 2 + 1e-15
+
+
+@pytest.mark.parametrize("bandwidth", [None, 100e6])
+@pytest.mark.parametrize("noise_std", [0.0, 0.05])
+def test_adc_quantize_leaves_input_samples_unchanged(bandwidth, noise_std):
+    adc = AdcSpec(sample_rate=1e9, bits=6, full_scale=0.5, analog_bandwidth=bandwidth)
+    trace = tone_trace([50e6, 400e6], amps=[0.4, 0.3], n=1000)
+    before = trace.samples.copy()
+    out = adc_quantize(trace, adc, noise_std=noise_std, seed=4)
+    np.testing.assert_array_equal(trace.samples, before)
+    assert not np.shares_memory(out.samples, trace.samples)
+    assert np.any(out.samples != before)
+
+
+@pytest.mark.parametrize("bits, full_scale", [
+    (8, 0.5), (12, 1.0), (1, 3.0),
+    # subnormal steps: rounded down, so full_scale / step exceeds
+    # 2^(bits-1), and rounded up, so it falls short of it
+    (32, 1e-305), (12, 1.6 * 2048 * 5e-324),
+])
+def test_adc_codes_equal_clip_then_round(bits, full_scale):
+    # the one clip on the codes gives the codes of a clip to +-full_scale
+    # before rounding, capped at +-2^(bits-1)
+    adc = AdcSpec(sample_rate=1e9, bits=bits, full_scale=full_scale)
+    rng = np.random.default_rng(bits)
+    x = np.concatenate([full_scale * rng.uniform(-3, 3, 200),
+                        [0.0, full_scale, -full_scale, 1e300, -1e300]])
+    out = adc_quantize(IQTrace(samples=x + 1j * x[::-1], sample_rate=1e9), adc)
+    half = 2 ** (bits - 1)
+    expected = np.clip(np.round(np.clip(x, -full_scale, full_scale) / adc.step), -half, half)
+    np.testing.assert_array_equal(out.samples.real, expected * adc.step)
+    np.testing.assert_array_equal(out.samples.imag, expected[::-1] * adc.step)
 
 
 def test_adc_rail_fraction_counts_clipping():
@@ -218,6 +271,61 @@ def test_channelize_noise_estimate_tracks_injected_noise():
     # s / sqrt(n) per quadrature of the projected amplitude
     assert m.noise_std == pytest.approx(0.02 / math.sqrt(n), rel=0.15)
     assert m.amplitude == pytest.approx(0.5, rel=0.01)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(16, 512),
+    bins=st.lists(st.floats(-0.5, 0.5, exclude_max=True), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    a=st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    b=st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    window=st.sampled_from(["rectangular", "hann"]),
+)
+def test_channelize_is_linear_property(n, bins, seed, a, b, window):
+    # any channel frequencies, on the grid or not: the projection is linear
+    fs = 1e9
+    freqs = [x * fs for x in bins]
+    rng = np.random.default_rng(seed)
+    re, im = rng.normal(size=(2, 2, n))
+    x, y = re + 1j * im
+
+    def project(samples):
+        meas = channelize(IQTrace(samples=samples, sample_rate=fs), freqs, window=window)
+        return np.array([m.complex_amplitude for m in meas])
+
+    got = project(a * x + b * y)
+    expected = a * project(x) + b * project(y)
+    # a window-normalized projection is at most the largest sample
+    scale = abs(a) * np.max(np.abs(x)) + abs(b) * np.max(np.abs(y))
+    assert np.max(np.abs(got - expected)) <= 1e-12 * scale
+
+
+@st.composite
+def grid_tones(draw):
+    """n samples and up to 5 tones on distinct DFT bins, NOISE_GUARD_BINS
+    or more apart (circularly), so the hann main lobes do not overlap."""
+    n = draw(st.integers(32, 2048))
+    picked: list[int] = []
+    for k in draw(st.lists(st.integers(-(n // 2), (n - 1) // 2), min_size=1, max_size=5)):
+        if all(min(abs(k - j), n - abs(k - j)) >= NOISE_GUARD_BINS for j in picked):
+            picked.append(k)
+    amps = draw(st.lists(st.floats(1e-3, 10.0), min_size=len(picked), max_size=len(picked)))
+    phases = draw(st.lists(st.floats(-3.0, 3.0), min_size=len(picked), max_size=len(picked)))
+    return n, picked, amps, phases
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(tones=grid_tones(), window=st.sampled_from(["rectangular", "hann"]))
+def test_channelize_is_exact_on_grid_property(tones, window):
+    n, picked, amps, phases = tones
+    fs = 1e9
+    freqs = [k * fs / n for k in picked]
+    trace = tone_trace(freqs, amps, phases, n=n, fs=fs)
+    meas = channelize(trace, freqs, window=window)
+    got = np.array([m.complex_amplitude for m in meas])
+    expected = np.array(amps) * np.exp(1j * np.array(phases))
+    assert np.max(np.abs(got - expected)) <= 1e-12 * max(amps)
 
 
 def test_channelize_rejects_carried_trace_and_off_nyquist():
