@@ -14,11 +14,11 @@ and each resonator by a notch-type transmission dip
 
     S21(w) = 1 - (kappa_ext/2) / (i*(w - w_r - shift) + kappa/2)
 
-whose center is pulled by the qubit state.  Far from the qubit-resonator
-crossing the pull is the second-order dispersive shift g~^2/Delta * sigma_z;
-within a window of the crossing the exact normal-mode frequencies of the
-two-level Jaynes-Cummings doublet are substituted instead, so flux sweeps
-across the anticrossing stay finite.
+whose center is pulled by the qubit state.  The pull is the exact
+normal-mode shift of the two-level Jaynes-Cummings doublet at every
+detuning: finite across the anticrossing, where it is the vacuum-Rabi
+splitting, and equal to the second-order dispersive shift
+g~^2/Delta * sigma_z to O((g~/Delta)^3) far from it.
 """
 
 from __future__ import annotations
@@ -29,15 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateDetuningError
-
-# Detuning window (in units of the angular coupling) inside which the
-# exact two-level normal modes replace the dispersive formula.
-EXACT_WINDOW_G = 5.0
-
-# dispersive_shift refuses detunings below this fraction of the resonator
-# frequency; the perturbative formula has diverged long before that.
-DEGENERATE_DETUNING_FRACTION = 1e-6
+from .errors import ConfigError
 
 
 class QubitStateLabel(enum.IntEnum):
@@ -146,74 +138,36 @@ def qubit_frequency(qubit: QubitParams, flux):
     return float(f) if np.isscalar(flux) else f
 
 
-def dispersive_shift(resonator: ResonatorParams, omega_q: float, state: float) -> float:
-    """Second-order dispersive pull of the resonator, rad/s.
+def state_dependent_shift(resonator: ResonatorParams, omega_q, state):
+    """Resonator pull from the exact two-level normal modes, rad/s.
 
     omega_q is the angular qubit frequency; state is the sigma_z value
     (+1 excited, -1 ground; intermediate values represent ensemble
-    averages and scale the shift linearly).  Arrays of the same shape
-    are taken elementwise.
-
-    Raises DegenerateDetuningError when the qubit-resonator detuning is
-    below 1e-6 of the resonator frequency, where the perturbative
-    formula is meaningless.
-    """
-    omega_r = 2 * math.pi * resonator.bare_frequency
-    detuning = omega_q - omega_r
-    if np.any(np.abs(detuning) < DEGENERATE_DETUNING_FRACTION * omega_r):
-        raise DegenerateDetuningError(
-            f"|omega_q - omega_r| = {np.min(np.abs(detuning)):.3e} rad/s is below "
-            f"{DEGENERATE_DETUNING_FRACTION:g} of the resonator frequency"
-        )
-    g = resonator.coupling_g
-    return g * g / detuning * state
-
-
-def exact_state_shift(resonator: ResonatorParams, omega_q: float, state: float) -> float:
-    """Resonator pull from the exact two-level normal modes, rad/s.
-
-    Diagonalizing the one-excitation doublet gives modes at
-    (w_r + w_q)/2 +- sqrt(detuning^2 + 4 g~^2)/2.  The branch with
-    predominant resonator character sits sqrt(..)/2 - |detuning|/2 away
-    from the bare frequency, on the side away from the qubit.  The pull
-    is odd in sigma_z and reduces to g~^2/detuning far from the crossing.
-    At zero detuning the two states map onto the vacuum-Rabi doublet
-    w_r -+ g~ (ground state on the lower branch by convention).
-    """
-    omega_r = 2 * math.pi * resonator.bare_frequency
-    detuning = omega_q - omega_r
-    magnitude = 0.5 * (math.hypot(detuning, 2 * resonator.coupling_g) - abs(detuning))
-    sign = 1.0 if detuning >= 0 else -1.0
-    return state * sign * magnitude
-
-
-def state_dependent_shift(resonator: ResonatorParams, omega_q, state):
-    """Resonator pull used by the feedline model, rad/s.
-
-    Dispersive formula outside EXACT_WINDOW_G angular couplings of the
-    crossing, exact normal-mode substitution inside it.  Zero coupling
+    averages and scale the shift linearly).  Diagonalizing the
+    one-excitation doublet gives modes at (w_r + w_q)/2 +-
+    sqrt(detuning^2 + 4 g~^2)/2.  The branch with predominant resonator
+    character sits (sqrt(..) - |detuning|)/2 away from the bare
+    frequency, on the side away from the qubit; that distance is written
+    without cancellation as 2 g~^2 / (sqrt(..) + |detuning|).  The pull
+    is odd in sigma_z, at most g~ in magnitude, and within
+    g~ (g~/detuning)^3 of the dispersive g~^2/detuning * sigma_z.  At zero
+    detuning the two states map onto the vacuum-Rabi doublet w_r -+ g~
+    (ground state on the lower branch by convention).  Zero coupling
     gives zero shift regardless of detuning.
 
-    omega_q and state may be arrays (broadcast together); each element
-    gets the arithmetic of a scalar call, so the result equals the
-    scalar calls bit for bit.
+    omega_q and state may be arrays (broadcast together) and are taken
+    elementwise.
     """
     g = resonator.coupling_g
     omega_q, state = np.broadcast_arrays(
         np.asarray(omega_q, dtype=float), np.asarray(state, dtype=float)
     )
-    shift = np.zeros(omega_q.shape)
-    if g != 0.0:
+    if g == 0.0:
+        shift = np.zeros(omega_q.shape)
+    else:
         detuning = omega_q - 2 * math.pi * resonator.bare_frequency
-        exact = np.abs(detuning) < EXACT_WINDOW_G * g
-        far = ~exact
-        shift[far] = dispersive_shift(resonator, omega_q[far], state[far])
-        # math.hypot, as in a scalar call: np.hypot differs from it in the
-        # last bit for about one argument pair in a thousand.
-        shift[exact] = [
-            exact_state_shift(resonator, w, s)
-            for w, s in zip(omega_q[exact].tolist(), state[exact].tolist())
-        ]
+        sign = np.where(detuning >= 0, 1.0, -1.0)
+        shift = state * sign * (2 * g * g) / (np.hypot(detuning, 2 * g) + np.abs(detuning))
     return float(shift) if shift.ndim == 0 else shift
 
 

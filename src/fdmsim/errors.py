@@ -29,10 +29,6 @@ class LoMismatchError(FdmSimError):
     """Receive local oscillator differs from the transmit carrier (homodyne only)."""
 
 
-class DegenerateDetuningError(FdmSimError):
-    """Qubit-resonator detuning too small for the perturbative shift formula."""
-
-
 class UnknownDeviceError(FdmSimError):
     """Device id not present on the chip or in the plan."""
 

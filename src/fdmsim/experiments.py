@@ -20,18 +20,12 @@ from .device import Chip, QubitStateLabel, dressed_resonance, s21_feedline
 from .dynamics import GROUND, BlochState, DriveSpec, evolve_for, propagator, rabi_frequency
 from .errors import ConfigError, UnknownDeviceError
 from .rxchain import (
-    NOISE_GUARD_BINS,
-    WINDOWS,
     AdcSpec,
+    ReadoutSetup,
     ToneMeasurement,
-    _add_noise,
-    _channel_plan,
-    _check_adc_rate,
+    _default_lo,
     _header_items,
-    _noise_std,
-    _project,
-    _quadratures,
-    _quantize,
+    _receive,
     add_awgn,
     adc_quantize,
     apply_feedline,
@@ -47,10 +41,6 @@ from .txchain import synthesize_multitone, upconvert_ssb
 # each stage by its attribute in this namespace.
 
 CSV_FORMAT_TAG = "fdmsim-sweep-v1"
-
-# Largest offset, in bins per bin index, at which a ReadoutSetup channel
-# still counts as on the DFT grid.
-GRID_TOLERANCE = 1e-14
 
 
 @dataclass
@@ -93,75 +83,6 @@ class SweepResult:
 # multiplexed acquisition
 
 
-@dataclass(frozen=True)
-class ReadoutSetup:
-    """Frozen front-end configuration for multiplexed acquisition.
-
-    Construction rejects, with ConfigError, duplicate device ids, a
-    channel off the acquisition DFT grid (sample_rate / n_samples),
-    a channel outside the grid's baseband range [-sample_rate/2,
-    sample_rate/2), two channels fewer than NOISE_GUARD_BINS bins apart,
-    and an unknown window.  Every setup it accepts therefore channelizes
-    exactly, and a noiseless, ADC-free acquisition of it is computed in
-    closed form as amplitude * S21(channel frequency) (see acquire).
-    """
-
-    device_ids: tuple[int, ...]
-    lo_frequency: float
-    baseband_frequencies: tuple[float, ...]
-    sample_rate: float = 1e9
-    n_samples: int = 4000
-    amplitude: float = 0.1
-    window: str = "rectangular"
-
-    def __post_init__(self):
-        if not self.device_ids:
-            raise ConfigError("need at least one device to read out")
-        if len(set(self.device_ids)) != len(self.device_ids):
-            raise ConfigError(f"duplicate device ids in {tuple(self.device_ids)}")
-        if len(self.baseband_frequencies) != len(self.device_ids):
-            raise ConfigError(
-                f"got {len(self.baseband_frequencies)} channel frequencies for "
-                f"{len(self.device_ids)} devices"
-            )
-        if not self.sample_rate > 0 or self.n_samples < 1:
-            raise ConfigError(
-                f"need sample_rate > 0 and n_samples >= 1, got "
-                f"{self.sample_rate} and {self.n_samples}"
-            )
-        if self.window not in WINDOWS:
-            raise ConfigError(f"unknown window {self.window!r} (use one of {WINDOWS})")
-        grid = self.sample_rate / self.n_samples
-        nyquist = self.sample_rate / 2
-        bins = []
-        for f in self.baseband_frequencies:
-            if not -nyquist <= f < nyquist:
-                raise ConfigError(
-                    f"channel {f:+.6g} Hz from the LO is beyond Nyquist "
-                    f"{nyquist:.6g} Hz; raise sample_rate or move the LO"
-                )
-            k = round(f / grid)
-            if abs(f / grid - k) > GRID_TOLERANCE * max(1, abs(k)):
-                raise ConfigError(
-                    f"channel {f:+.9g} Hz is off the {grid:.6g} Hz DFT grid"
-                )
-            bins.append(k)
-        for a in range(len(bins)):
-            for b in range(a):
-                apart = abs(bins[a] - bins[b])
-                apart = min(apart, self.n_samples - apart)
-                if apart < NOISE_GUARD_BINS:
-                    raise ConfigError(
-                        f"channels {self.baseband_frequencies[b]:+.9g} and "
-                        f"{self.baseband_frequencies[a]:+.9g} Hz are {apart} bins "
-                        f"apart, fewer than NOISE_GUARD_BINS = {NOISE_GUARD_BINS}"
-                    )
-
-    @property
-    def channel_frequencies(self) -> tuple[float, ...]:
-        return tuple(self.lo_frequency + f for f in self.baseband_frequencies)
-
-
 def make_readout_setup(
     chip: Chip,
     device_ids: Sequence[int] | None = None,
@@ -191,7 +112,7 @@ def make_readout_setup(
         targets[dev_id] = dressed_resonance(dev, dev.qubit.symmetry_flux)
     grid = sample_rate / n_samples
     if lo_frequency is None:
-        lo_frequency = grid * round(float(np.mean(list(targets.values()))) / grid)
+        lo_frequency = _default_lo(list(targets.values()), sample_rate, n_samples)
     baseband = tuple(
         grid * round((targets[d] - lo_frequency) / grid) for d in device_ids
     )
@@ -220,62 +141,21 @@ def _acquire_points(
     """The acquisition core: one multiplexed shot per point.
 
     states[i] holds every chip device's sigma_z at point i (chip order)
-    and fluxes[i] is a scalar or one flux per device.  Returns the
-    complex channel amplitudes, (n_points, n_channels), and, only with
-    estimate_noise=True, each shot's noise estimate, (n_points,); else
-    None.  acquire alone asks for it: the sweep drivers record no noise
-    estimate, so they skip its FFT.
-
-    Every probe sits on the DFT grid (ReadoutSetup enforces it) and the
-    chain before the noise is linear, so channel k of shot i arrives as
-    exactly c[i, k] = setup.amplitude * S21(channel frequency k); one
-    s21_feedline call gives the whole table.  Without noise and ADC the
-    table is the result: no trace is built, no seed is drawn, and the
-    noise estimate is 0.0.  Otherwise shot i is the received baseband
-    trace sum_k c[i, k] * exp(2 pi i f_k t), built from the channelizer's
-    own tones.  An ADC's analog brick wall passes such a trace except for
-    the channels whose DFT bin lies beyond it, so those are zeroed in c
-    and the converter runs without its FFT band limit.  Noise from
-    child_seed(seed, i) and the ADC's clip and rounding then work in
-    place on that trace, the same private steps as add_awgn and
-    adc_quantize, and the channelizer's private projector turns it into
-    complex amplitudes; no ToneMeasurement is built per shot.  The tests
-    check this against the composed chain synthesize_multitone,
-    upconvert_ssb, apply_feedline, downconvert, add_awgn or adc_quantize,
-    channelize.
+    and fluxes[i] is a scalar or one flux per device.  One s21_feedline
+    call gives every point's channel amplitudes, c = setup.amplitude *
+    S21(channel frequencies), and rxchain._receive turns them into
+    measured ones, with point i's noise from child_seed(seed, i).
+    Returns the complex channel amplitudes, (n_points, n_channels), and,
+    only with estimate_noise=True, each shot's noise estimate,
+    (n_points,); else None.  acquire alone asks for it: the sweep
+    drivers record no noise estimate, so they skip its FFT.
     """
-    if noise_std < 0:
-        raise ConfigError(f"noise_std must be >= 0, got {noise_std}")
     omega = 2 * np.pi * np.array(setup.channel_frequencies)
     c = setup.amplitude * s21_feedline(chip, omega, states, fluxes)
-    n_points = c.shape[0]
-    noise = np.zeros(n_points) if estimate_noise else None
-    if noise_std == 0 and adc is None:
-        return c, noise
-
-    n, fs = setup.n_samples, float(setup.sample_rate)
-    freqs = tuple(float(f) for f in setup.baseband_frequencies)
-    if adc is not None:
-        _check_adc_rate(fs, adc)
-    plan = _channel_plan(freqs, n, fs, setup.window)
-    tones = plan.kernel.conj()
-    if adc is not None and adc.analog_bandwidth is not None:
-        if adc.analog_bandwidth < fs / 2:
-            grid = np.fft.fftfreq(n, d=1.0 / fs)
-            bins = [round(f / (fs / n)) % n for f in freqs]
-            c[:, np.abs(grid[bins]) > adc.analog_bandwidth] = 0.0
-    iq = np.empty_like(c)
-    for i in range(n_points):
-        rx = c[i] @ tones
-        quad = _quadratures(rx)
-        if noise_std > 0:
-            _add_noise(quad, noise_std, child_seed(seed, i))
-        if adc is not None:
-            _quantize(quad, adc)
-        iq[i], wx = _project(plan, rx)
-        if estimate_noise:
-            noise[i] = _noise_std(plan, wx)
-    return iq, noise
+    return _receive(
+        setup, c, adc=adc, noise_std=noise_std, estimate_noise=estimate_noise,
+        seed_of=lambda i: child_seed(seed, i),
+    )
 
 
 def acquire(
@@ -736,8 +616,9 @@ def write_sweep_csv(path: str | Path, result: SweepResult, append: bool = False)
     With append=True and an existing file, the new rows must come from
     the same configuration and layout: the file's config_hash and kind
     headers and its column row must match the result's, and any mismatch
-    is refused before a byte is written.  So is a metadata key or value
-    holding a line break, which would split its header line.
+    is refused before a byte is written.  So is metadata that would not
+    read back as written: a line break in a key or value, an '=' in a
+    key, or outer whitespace around either.
     """
     path = Path(path)
     header = _csv_header_lines(result)

@@ -5,6 +5,13 @@ is a carrier-tag removal plus one fixed phase rotation.  All noise in
 the chain is lumped into a single additive white Gaussian stage at the
 ADC input; the amplifier chain is a pure scalar gain applied by the
 caller.
+
+This module also owns the one receive path of every acquisition: a
+ReadoutSetup and its shot loop, _receive, which turns a table of
+closed-form channel amplitudes into measured ones.  The sweep drivers
+in experiments and measure_crosstalk both run through it; the public
+stages (synthesize_multitone through channelize) serve the tests as its
+oracle.
 """
 
 from __future__ import annotations
@@ -14,20 +21,28 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .device import Chip
 from .errors import ConfigError, LoMismatchError, NyquistError, UnknownDeviceError
 from .seeding import derive_rng
-from .txchain import IQTrace, ToneSpec, synthesize_multitone, upconvert_ssb
+from .txchain import IQTrace, synthesize_multitone, upconvert_ssb
+
+# synthesize_multitone and upconvert_ssb are not called in this module.
+# They stay bound here because perfbench/tracer.py wraps each stage by
+# its attribute in this namespace.
 
 logger = logging.getLogger(__name__)
 
 # Off-channel bins within this many bins of a channel are excluded from
 # the noise estimate (covers the hann main lobe).
 NOISE_GUARD_BINS = 3
+
+# Largest offset, in bins per bin index, at which a ReadoutSetup channel
+# still counts as on the DFT grid.
+GRID_TOLERANCE = 1e-14
 
 
 @dataclass(frozen=True)
@@ -158,7 +173,7 @@ def adc_quantize(trace: IQTrace, adc: AdcSpec, noise_std: float = 0.0, seed: int
     count from the output.  The input trace is left as it is: its samples
     are copied once (or band-limited into a fresh array) and the noise,
     clip and rounding then work in place on that copy, the same private
-    steps the acquisition core in experiments runs on each shot's trace.
+    steps _receive runs on each shot's trace.
     """
     _check_adc_rate(trace.sample_rate, adc)
     if noise_std < 0:
@@ -263,9 +278,9 @@ def channelize(
     The window, projection kernel and noise mask depend only on
     (channel frequencies, n_samples, sample_rate, window); they are built
     once per such key and reused from a small cache.  The projection is
-    the private projector that the acquisition core in experiments also
-    runs on each shot; the core computes the FFT noise estimate only for
-    acquire, whose ToneMeasurements report it.
+    the private projector that _receive also runs on each shot; it
+    computes the FFT noise estimate only for acquire, whose
+    ToneMeasurements report it.
     """
     if trace.carrier_frequency is not None:
         raise ConfigError("channelize expects a baseband trace; downconvert first")
@@ -291,6 +306,145 @@ def channelize(
     ]
 
 
+@dataclass(frozen=True)
+class ReadoutSetup:
+    """Frozen front-end configuration for multiplexed acquisition.
+
+    Construction rejects, with ConfigError, duplicate device ids, a
+    channel off the acquisition DFT grid (sample_rate / n_samples),
+    a channel outside the grid's baseband range [-sample_rate/2,
+    sample_rate/2), two channels fewer than NOISE_GUARD_BINS bins apart,
+    and an unknown window.  Every setup it accepts therefore channelizes
+    exactly, and a noiseless, ADC-free acquisition of it is computed in
+    closed form as amplitude * S21(channel frequency) (see _receive).
+    """
+
+    device_ids: tuple[int, ...]
+    lo_frequency: float
+    baseband_frequencies: tuple[float, ...]
+    sample_rate: float = 1e9
+    n_samples: int = 4000
+    amplitude: float = 0.1
+    window: str = "rectangular"
+
+    def __post_init__(self):
+        if not self.device_ids:
+            raise ConfigError("need at least one device to read out")
+        if len(set(self.device_ids)) != len(self.device_ids):
+            raise ConfigError(f"duplicate device ids in {tuple(self.device_ids)}")
+        if len(self.baseband_frequencies) != len(self.device_ids):
+            raise ConfigError(
+                f"got {len(self.baseband_frequencies)} channel frequencies for "
+                f"{len(self.device_ids)} devices"
+            )
+        if not self.sample_rate > 0 or self.n_samples < 1:
+            raise ConfigError(
+                f"need sample_rate > 0 and n_samples >= 1, got "
+                f"{self.sample_rate} and {self.n_samples}"
+            )
+        if self.window not in WINDOWS:
+            raise ConfigError(f"unknown window {self.window!r} (use one of {WINDOWS})")
+        grid = self.sample_rate / self.n_samples
+        nyquist = self.sample_rate / 2
+        bins = []
+        for f in self.baseband_frequencies:
+            if not -nyquist <= f < nyquist:
+                raise ConfigError(
+                    f"channel {f:+.6g} Hz from the LO is beyond Nyquist "
+                    f"{nyquist:.6g} Hz; raise sample_rate or move the LO"
+                )
+            k = round(f / grid)
+            if abs(f / grid - k) > GRID_TOLERANCE * max(1, abs(k)):
+                raise ConfigError(
+                    f"channel {f:+.9g} Hz is off the {grid:.6g} Hz DFT grid"
+                )
+            bins.append(k)
+        for a in range(len(bins)):
+            for b in range(a):
+                apart = abs(bins[a] - bins[b])
+                apart = min(apart, self.n_samples - apart)
+                if apart < NOISE_GUARD_BINS:
+                    raise ConfigError(
+                        f"channels {self.baseband_frequencies[b]:+.9g} and "
+                        f"{self.baseband_frequencies[a]:+.9g} Hz are {apart} bins "
+                        f"apart, fewer than NOISE_GUARD_BINS = {NOISE_GUARD_BINS}"
+                    )
+
+    @property
+    def channel_frequencies(self) -> tuple[float, ...]:
+        return tuple(self.lo_frequency + f for f in self.baseband_frequencies)
+
+
+def _default_lo(frequencies, sample_rate: float, n_samples: int) -> float:
+    """The default LO: the mean channel frequency snapped to the DFT grid."""
+    grid = sample_rate / n_samples
+    return float(grid * round(float(np.mean(frequencies)) / grid))
+
+
+def _receive(
+    setup: ReadoutSetup,
+    c: np.ndarray,
+    *,
+    adc: AdcSpec | None,
+    noise_std: float,
+    seed_of: Callable[[int], int],
+    estimate_noise: bool = False,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The receive path of every acquisition: one multiplexed shot per row.
+
+    c[i, k] is the complex amplitude at which channel k of shot i
+    arrives, setup.amplitude * S21(channel frequency k).  Every probe
+    sits on the DFT grid (ReadoutSetup enforces it) and the chain before
+    the noise is linear, so that closed form is exact.  Returns the
+    measured complex channel amplitudes, shaped like c, and, only with
+    estimate_noise=True, each shot's noise estimate, (n_points,); else
+    None.
+
+    Without noise and ADC, c is the result: no trace is built, no seed
+    is drawn, and the noise estimate is 0.0.  Otherwise shot i is the
+    received baseband trace sum_k c[i, k] * exp(2 pi i f_k t), built from
+    the channelizer's own tones.  An ADC's analog brick wall passes such
+    a trace except for the channels whose DFT bin lies beyond it, so
+    those are zeroed in c (in place) and the converter runs without its
+    FFT band limit.  Noise from the seed seed_of(i) and the ADC's clip
+    and rounding then work in place on that trace, the same private
+    steps as add_awgn and adc_quantize, and the channelizer's private
+    projector turns it into complex amplitudes.  The tests check this
+    against the composed chain synthesize_multitone, upconvert_ssb,
+    apply_feedline, downconvert, add_awgn or adc_quantize, channelize.
+    """
+    if noise_std < 0:
+        raise ConfigError(f"noise_std must be >= 0, got {noise_std}")
+    n_points = c.shape[0]
+    noise = np.zeros(n_points) if estimate_noise else None
+    if noise_std == 0 and adc is None:
+        return c, noise
+
+    n, fs = setup.n_samples, float(setup.sample_rate)
+    freqs = tuple(float(f) for f in setup.baseband_frequencies)
+    if adc is not None:
+        _check_adc_rate(fs, adc)
+    plan = _channel_plan(freqs, n, fs, setup.window)
+    tones = plan.kernel.conj()
+    if adc is not None and adc.analog_bandwidth is not None:
+        if adc.analog_bandwidth < fs / 2:
+            grid = np.fft.fftfreq(n, d=1.0 / fs)
+            bins = [round(f / (fs / n)) % n for f in freqs]
+            c[:, np.abs(grid[bins]) > adc.analog_bandwidth] = 0.0
+    iq = np.empty_like(c)
+    for i in range(n_points):
+        rx = c[i] @ tones
+        quad = _quadratures(rx)
+        if noise_std > 0:
+            _add_noise(quad, noise_std, seed_of(i))
+        if adc is not None:
+            _quantize(quad, adc)
+        iq[i], wx = _project(plan, rx)
+        if estimate_noise:
+            noise[i] = _noise_std(plan, wx)
+    return iq, noise
+
+
 def apply_feedline(rf: IQTrace, chip: Chip, states: Sequence[float], fluxes) -> IQTrace:
     """Pass an up-converted trace through the chip's composite feedline.
 
@@ -298,11 +452,11 @@ def apply_feedline(rf: IQTrace, chip: Chip, states: Sequence[float], fluxes) -> 
     are multiplied by S21 evaluated at carrier + bin frequency.  Exact
     for tones on the DFT grid; for pulsed envelopes this is the standard
     quasi-static frequency-domain filter (qubit states frozen during the
-    window).  Because of that exactness the acquisition core in
-    experiments (behind acquire and the sweep drivers) never calls this
-    filter: it takes amplitude * S21(channel frequency) in closed form,
-    as the result of a noiseless, ADC-free shot and as the tone
-    amplitudes of the received trace that noise or the ADC act on.  This
+    window).  Because of that exactness no acquisition calls this
+    filter: acquire, the sweep drivers and measure_crosstalk take
+    amplitude * S21(channel frequency) in closed form, as the result of
+    a noiseless, ADC-free shot and as the tone amplitudes of the
+    received trace that noise or the ADC act on (see _receive).  This
     full filter, with downconvert and the ADC's FFT band limit, serves
     the tests as the oracle of both.
     """
@@ -333,54 +487,55 @@ def measure_crosstalk(
     noise_std: float = 0.0,
     seed: int = 0,
 ) -> dict[int, float]:
-    """Readout crosstalk of a chip, measured through the full chain.
+    """Readout crosstalk of a chip, measured through the receive path.
 
-    Runs tx -> feedline -> rx twice, once with every qubit in the ground
-    state and once with the toggled device's sigma_z flipped, and records
-    each channel's complex amplitude change between the runs (the
-    IQ-plane displacement that carries the state information).  Returns
-    {device_id: 20*log10(|delta_ch| / |delta_toggled|)} for every
-    non-toggled channel, floored at CROSSTALK_FLOOR_DB when a change
-    underflows (e.g. all couplings zero).
+    Reads the plan's channels out twice, once with every qubit in the
+    ground state and once with the toggled device's sigma_z flipped, and
+    records each channel's complex amplitude change between the runs
+    (the IQ-plane displacement that carries the state information).
+    Returns {device_id: 20*log10(|delta_ch| / |delta_toggled|)} for
+    every non-toggled channel, floored at CROSSTALK_FLOOR_DB when a
+    change underflows (e.g. all couplings zero).
 
-    Channel frequencies must sit on the DFT grid relative to the LO for
-    an exact measurement; the default LO is the channel mean snapped to
-    that grid.  A negative noise_std raises ConfigError, with or without
-    an ADC.
+    Both runs come from one batched s21_feedline call at the channel
+    frequencies and go through _receive, the receive path of acquire and
+    the sweep drivers; both draw their noise from the same seed, so
+    noise common to the runs cancels in the change.  The default LO is
+    the channel mean snapped to the DFT grid (sample_rate / n_samples).
+    The channels and LO must form a valid ReadoutSetup: a channel off
+    the grid, beyond Nyquist, or fewer than NOISE_GUARD_BINS bins from
+    another raises ConfigError, as does a negative noise_std, with or
+    without an ADC.
     """
-    if noise_std < 0:
-        raise ConfigError(f"noise_std must be >= 0, got {noise_std}")
+    # Looked up at call time, as in apply_feedline, so that a wrapper put
+    # on device.s21_feedline (perfbench/tracer.py) sees the call.
+    from .device import s21_feedline
+
     channels = dict(plan.channels)
     if toggled_device not in channels:
         raise UnknownDeviceError(f"device {toggled_device} not in the plan")
     chip.device(toggled_device)  # raises UnknownDeviceError if absent
-    device_ids = list(channels)
-    freqs_rf = np.array([channels[d] for d in device_ids])
+    device_ids = tuple(channels)
+    freqs_rf = [channels[d] for d in device_ids]
     if lo_frequency is None:
-        grid = sample_rate / n_samples
-        lo_frequency = grid * round(float(freqs_rf.mean()) / grid)
-    baseband = freqs_rf - lo_frequency
-
-    tones = [ToneSpec(baseband_frequency=f, amplitude=amplitude) for f in baseband]
-    probe = upconvert_ssb(
-        synthesize_multitone(tones, n_samples, sample_rate), lo_frequency
+        lo_frequency = _default_lo(freqs_rf, sample_rate, n_samples)
+    setup = ReadoutSetup(
+        device_ids=device_ids,
+        lo_frequency=float(lo_frequency),
+        baseband_frequencies=tuple(f - lo_frequency for f in freqs_rf),
+        sample_rate=sample_rate,
+        n_samples=n_samples,
+        amplitude=amplitude,
+        window=window,
     )
+    # Row 0 has the toggled device excited, row 1 is all ground.
+    states = np.full((2, len(chip.devices)), -1.0)
+    states[0, chip.device_ids.index(toggled_device)] = 1.0
     fluxes = [d.qubit.symmetry_flux for d in chip.devices]
-
-    def run(toggled_state: float) -> np.ndarray:
-        states = [
-            toggled_state if d.device_id == toggled_device else -1.0
-            for d in chip.devices
-        ]
-        rx = downconvert(apply_feedline(probe, chip, states, fluxes), lo_frequency)
-        if noise_std > 0 and adc is None:
-            rx = add_awgn(rx, noise_std, seed)
-        if adc is not None:
-            rx = adc_quantize(rx, adc, noise_std=noise_std, seed=seed)
-        meas = channelize(rx, baseband, window=window)
-        return np.array([m.complex_amplitude for m in meas])
-
-    delta = run(+1.0) - run(-1.0)
+    omega = 2 * np.pi * np.array(setup.channel_frequencies)
+    c = amplitude * s21_feedline(chip, omega, states, [fluxes] * 2)
+    iq, _ = _receive(setup, c, adc=adc, noise_std=noise_std, seed_of=lambda i: seed)
+    delta = iq[0] - iq[1]
     own = np.abs(delta[device_ids.index(toggled_device)])
     scale = max(float(np.max(np.abs(delta))), amplitude)
     out: dict[int, float] = {}
@@ -402,7 +557,8 @@ def write_measurements_csv(
 ) -> None:
     """Write tone measurements as CSV with a '#' metadata header block.
 
-    A metadata key or value holding a line break raises ConfigError
+    Metadata that would not read back as written (a line break, an '='
+    in a key, outer whitespace; see _header_items) raises ConfigError
     before anything is written.
     """
     lines = ["# fdmsim tone measurements v1"]
@@ -418,8 +574,11 @@ def write_measurements_csv(
 def _header_items(metadata: dict, fmt=str) -> list[tuple[str, str]]:
     """(key, fmt(value)) pairs of a '#' header block, sorted by key.
 
-    A line break in a key or value would split its header line, and the
-    reader would take the rest for data, so it raises ConfigError.
+    Every pair must read back as written, so ConfigError is raised for a
+    line break in a key or value (it would split its header line and
+    the reader would take the rest for data), an '=' in a key (the sweep
+    reader splits a header line at its first '='), and leading or
+    trailing whitespace in a key or value (the readers strip it).
     """
     items = [(str(key), fmt(metadata[key])) for key in sorted(metadata)]
     for key, text in items:
@@ -427,5 +586,12 @@ def _header_items(metadata: dict, fmt=str) -> list[tuple[str, str]]:
             raise ConfigError(
                 f"metadata {key!r} = {text!r} holds a line break; "
                 "header lines must be single lines"
+            )
+        if "=" in key:
+            raise ConfigError(f"metadata key {key!r} holds '=', which ends a header key")
+        if key != key.strip() or text != text.strip():
+            raise ConfigError(
+                f"metadata {key!r} = {text!r} has outer whitespace, "
+                "which the reader strips"
             )
     return items

@@ -660,13 +660,20 @@ def test_csv_round_trip(tmp_path, chip):
 
 names = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True)
 cells = st.floats(allow_nan=True, allow_infinity=True)
+# any text: the writer must refuse what its header cannot keep as written
+meta_keys = st.one_of(names, st.text(max_size=8))
 meta_values = st.one_of(
     st.floats(allow_nan=False),
     st.integers(-(2**70), 2**70),
-    # one line, no outer blanks: the header keeps text as written
-    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=20)
-    .filter(lambda s: s == s.strip()),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=20),
+    st.text(max_size=20),
 )
+
+
+def header_keeps(key, text):
+    """Whether a '# key=text' header line reads back as (key, text)."""
+    return ("=" not in key and "\n" not in key + text and "\r" not in key + text
+            and key == key.strip() and text == text.strip())
 
 
 @st.composite
@@ -689,7 +696,7 @@ def sweep_results(draw):
     }
     kind = draw(names)
     metadata = draw(st.dictionaries(
-        names.filter(lambda k: k not in ("kind", "device_ids")), meta_values, max_size=5
+        meta_keys.filter(lambda k: k not in ("kind", "device_ids")), meta_values, max_size=5
     ))
     metadata["kind"] = kind
     if device_ids:
@@ -711,7 +718,16 @@ def sweep_results(draw):
 @given(result=sweep_results())
 def test_csv_round_trip_property(tmp_path_factory, result):
     path = tmp_path_factory.mktemp("csv") / "sweep.csv"
-    write_sweep_csv(path, result)
+    text = {k: repr(v) if isinstance(v, float) else str(v) for k, v in result.metadata.items()}
+    try:
+        write_sweep_csv(path, result)
+    except ConfigError:
+        # refused before a byte is written, and only for a reason
+        assert not path.exists()
+        assert not all(header_keeps(k, v) for k, v in text.items())
+        text = {k: v for k, v in text.items() if header_keeps(k, v)}
+        result.metadata = {k: v for k, v in result.metadata.items() if k in text}
+        write_sweep_csv(path, result)
     back = read_sweep_csv(path)
     assert back.kind == result.kind
     assert back.axis_name == result.axis_name
@@ -721,10 +737,9 @@ def test_csv_round_trip_property(tmp_path_factory, result):
     assert back.tables.keys() == result.tables.keys()
     for name in result.tables:
         np.testing.assert_array_equal(back.tables[name], result.tables[name])
-    # metadata comes back as text: repr for floats, str otherwise
-    assert back.metadata == {
-        k: repr(v) if isinstance(v, float) else str(v) for k, v in result.metadata.items()
-    }
+    # metadata the writer accepts comes back as text, unchanged: repr for
+    # floats, str otherwise
+    assert back.metadata == text
 
 
 def test_csv_repeat_runs_are_byte_identical(tmp_path, chip):
@@ -783,26 +798,33 @@ def test_csv_append_without_hash_is_refused(tmp_path, chip):
         write_sweep_csv(path, result, append=True)
 
 
-@pytest.mark.parametrize("metadata", [{"note": "a\nb"}, {"note": "a\rb"}, {"a\nb": 1}],
-                         ids=["lf-value", "cr-value", "lf-key"])
-def test_csv_writers_refuse_line_breaks_in_metadata(tmp_path, chip, metadata):
+# Each of these would read back changed: {"a=b": 1} as {"a": "b=1"}, and
+# outer whitespace stripped.
+@pytest.mark.parametrize("metadata, match", [
+    ({"note": "a\nb"}, "line break"), ({"note": "a\rb"}, "line break"),
+    ({"a\nb": 1}, "line break"), ({"a=b": 1}, "holds '='"),
+    ({"pad": " v "}, "whitespace"), ({"pad": "v\t"}, "whitespace"),
+    ({" pad": "v"}, "whitespace"), ({"pad\x0c": "v"}, "whitespace"),
+], ids=["lf-value", "cr-value", "lf-key", "eq-key", "blank-value", "tab-value",
+        "blank-key", "formfeed-key"])
+def test_csv_writers_refuse_line_breaks_in_metadata(tmp_path, chip, metadata, match):
     fluxes = np.linspace(-0.002, 0.002, 3)
     good = run_flux_sweep(chip, fluxes, device_ids=(1,), config_hash="h1")
     bad = dataclasses.replace(good, metadata={**good.metadata, **metadata})
     path = tmp_path / "sweep.csv"
-    with pytest.raises(ConfigError, match="line break"):
+    with pytest.raises(ConfigError, match=match):
         write_sweep_csv(path, bad)
     assert not path.exists()
     write_sweep_csv(path, good)
     before = path.read_bytes()
-    with pytest.raises(ConfigError, match="line break"):
+    with pytest.raises(ConfigError, match=match):
         write_sweep_csv(path, bad, append=True)
     assert path.read_bytes() == before
 
     setup = make_readout_setup(chip, (1, 2))
     meas = acquire(chip, setup, [-1.0] * len(chip.devices), 0.0)
     tones = tmp_path / "tones.csv"
-    with pytest.raises(ConfigError, match="line break"):
+    with pytest.raises(ConfigError, match=match):
         write_measurements_csv(tones, meas, metadata)
     assert not tones.exists()
 

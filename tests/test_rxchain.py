@@ -1,12 +1,15 @@
 """Receive chain: mixing, noise, quantization, channelization, crosstalk."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fdmsim.device
+import fdmsim.rxchain
 from fdmsim import (
     AdcSpec,
     Chip,
@@ -18,19 +21,23 @@ from fdmsim import (
     QubitParams,
     ResonatorParams,
     ToneSpec,
+    UnknownDeviceError,
     adc_quantize,
     add_awgn,
     adjacent_crosstalk,
     apply_feedline,
+    builtin_chip_path,
     channelize,
     downconvert,
+    load_chip,
     measure_crosstalk,
+    plan_for_chip,
     rail_fraction,
     s21_feedline,
     synthesize_multitone,
     upconvert_ssb,
 )
-from fdmsim.rxchain import NOISE_GUARD_BINS
+from fdmsim.rxchain import CROSSTALK_FLOOR_DB, NOISE_GUARD_BINS
 
 TWO_PI = 2 * math.pi
 
@@ -452,8 +459,6 @@ def test_measured_crosstalk_tracks_analytic_tail(mult, tol_db):
 
 def test_measure_crosstalk_unknown_device_raises():
     chip, plan = two_device_chip(15e6)
-    from fdmsim import UnknownDeviceError
-
     with pytest.raises(UnknownDeviceError):
         measure_crosstalk(chip, plan, 3)
 
@@ -470,3 +475,119 @@ def test_measure_crosstalk_rejects_negative_noise(adc):
     chip, plan = two_device_chip(50e6)
     with pytest.raises(ConfigError, match="noise_std"):
         measure_crosstalk(chip, plan, 1, adc=adc, noise_std=-1.0)
+
+
+def full_chain_crosstalk(chip, plan, toggled_device, *, lo_frequency=None, sample_rate=4e9,
+                         n_samples=4000, amplitude=1.0, window="rectangular", adc=None,
+                         noise_std=0.0, seed=0):
+    """Crosstalk composed from the public stages: tx -> FFT feedline ->
+    downconvert -> noise or ADC -> channelize, twice, with the same noise
+    seed for both runs."""
+    channels = dict(plan.channels)
+    device_ids = list(channels)
+    freqs_rf = np.array([channels[d] for d in device_ids])
+    if lo_frequency is None:
+        grid = sample_rate / n_samples
+        lo_frequency = grid * round(float(freqs_rf.mean()) / grid)
+    baseband = freqs_rf - lo_frequency
+    tones = [ToneSpec(baseband_frequency=f, amplitude=amplitude) for f in baseband]
+    probe = upconvert_ssb(synthesize_multitone(tones, n_samples, sample_rate), lo_frequency)
+    fluxes = [d.qubit.symmetry_flux for d in chip.devices]
+
+    def run(toggled_state):
+        states = [toggled_state if d.device_id == toggled_device else -1.0
+                  for d in chip.devices]
+        rx = downconvert(apply_feedline(probe, chip, states, fluxes), lo_frequency)
+        if noise_std > 0 and adc is None:
+            rx = add_awgn(rx, noise_std, seed)
+        if adc is not None:
+            rx = adc_quantize(rx, adc, noise_std=noise_std, seed=seed)
+        meas = channelize(rx, baseband, window=window)
+        return np.array([m.complex_amplitude for m in meas])
+
+    delta = run(+1.0) - run(-1.0)
+    own = np.abs(delta[device_ids.index(toggled_device)])
+    scale = max(float(np.max(np.abs(delta))), amplitude)
+    out = {}
+    for idx, dev in enumerate(device_ids):
+        if dev == toggled_device:
+            continue
+        other = np.abs(delta[idx])
+        if own <= 1e-14 * scale or other <= 1e-14 * own:
+            out[dev] = CROSSTALK_FLOOR_DB
+        else:
+            out[dev] = max(20.0 * math.log10(other / own), CROSSTALK_FLOOR_DB)
+    return out
+
+
+# The 400 MHz analog band passes five of chip7's seven channels, which
+# lie within +-450 MHz of the default LO; 8.0 full scale holds the
+# seven-tone peak without clipping.
+CROSSTALK_MODES = {
+    "noiseless": {},
+    "awgn": dict(noise_std=1e-3, seed=3),
+    "adc": dict(adc=AdcSpec(sample_rate=4e9, bits=12, full_scale=8.0),
+                noise_std=1e-3, seed=4),
+    "adc-band-limited": dict(adc=AdcSpec(sample_rate=4e9, bits=12, full_scale=8.0,
+                                         analog_bandwidth=400e6)),
+    "hann": dict(window="hann", noise_std=1e-3, seed=6),
+}
+
+
+@pytest.fixture(scope="module")
+def chip7():
+    chip = load_chip(builtin_chip_path())
+    return chip, plan_for_chip(chip, grid=4e9 / 4000)
+
+
+@pytest.mark.parametrize("mode", list(CROSSTALK_MODES))
+def test_crosstalk_matches_full_chain_on_every_toggle(chip7, mode):
+    chip, plan = chip7
+    kwargs = CROSSTALK_MODES[mode]
+    floored = 0
+    for dev in chip.device_ids:
+        got = measure_crosstalk(chip, plan, dev, **kwargs)
+        ref = full_chain_crosstalk(chip, plan, dev, **kwargs)
+        assert got.keys() == ref.keys() == set(chip.device_ids) - {dev}
+        for other in got:
+            assert abs(got[other] - ref[other]) <= 1e-8
+            floored += ref[other] == CROSSTALK_FLOOR_DB
+    # Without noise, toggling a device whose channel the band limit
+    # removed leaves the other channels' codes as they were: the two
+    # outer toggles floor all six levels.  Nothing else floors.
+    assert floored == (12 if mode == "adc-band-limited" else 0)
+
+
+def counting(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_crosstalk_evaluates_s21_once_and_builds_no_chain(chip7, monkeypatch):
+    chip, plan = chip7
+    calls = Counter()
+    for module, name in ((fdmsim.device, "s21_feedline"),
+                         (fdmsim.rxchain, "apply_feedline"),
+                         (fdmsim.rxchain, "downconvert"),
+                         (fdmsim.rxchain, "channelize"),
+                         (np.fft, "fft")):
+        monkeypatch.setattr(module, name, counting(calls, name, getattr(module, name)))
+    for mode in ("noiseless", "awgn", "adc", "adc-band-limited"):
+        calls.clear()
+        measure_crosstalk(chip, plan, 4, **CROSSTALK_MODES[mode])
+        assert calls == {"s21_feedline": 1}, mode
+
+
+@pytest.mark.parametrize("spacing, kwargs, match", [
+    (15.5e6, {}, "off the"),
+    ((NOISE_GUARD_BINS - 1) * 1e6, {}, "bins apart"),
+    (15e6, dict(sample_rate=10e6, n_samples=10), "Nyquist"),
+], ids=["off-grid", "too-close", "beyond-nyquist"])
+def test_crosstalk_rejects_plans_it_cannot_measure_exactly(spacing, kwargs, match):
+    # a 1 MHz grid (4 GS/s, 4000 samples) unless kwargs say otherwise
+    chip, plan = two_device_chip(spacing)
+    with pytest.raises(ConfigError, match=match):
+        measure_crosstalk(chip, plan, 1, **kwargs)
