@@ -26,6 +26,7 @@ from .rxchain import (
     _default_lo,
     _header_items,
     _receive,
+    _text_keys,
     add_awgn,
     adc_quantize,
     apply_feedline,
@@ -274,26 +275,85 @@ def detect_flux_features(
     transmission).  prominence is a fraction of each column's full range,
     so detection is independent of probe drive units.  Flat-topped peaks
     report their midpoints.  Returns {device_id: sorted flux values}.
+    A NaN or infinite entry in the table raises ConfigError.
     """
-    # Imported on first use: scipy adds about a second to `import fdmsim`.
-    import scipy.signal
-
     if table not in result.tables:
         raise ConfigError(f"result has no table {table!r}")
     if not result.device_ids:
         raise ConfigError("result carries no device ids")
     if not 0 < prominence < 1:
         raise ConfigError(f"prominence must lie in (0, 1), got {prominence}")
-    features = {}
-    for j, dev_id in enumerate(result.device_ids):
-        y = result.tables[table][:, j]
-        span = float(y.max() - y.min())
-        if span == 0.0:
-            features[dev_id] = result.axis_values[:0]
-            continue
-        peaks, _ = scipy.signal.find_peaks(y, prominence=prominence * span)
-        features[dev_id] = result.axis_values[peaks]
-    return features
+    rows = np.ascontiguousarray(result.tables[table].T)  # one row per column
+    lo, hi = rows.min(axis=1), rows.max(axis=1)  # NaN or inf if any entry is
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ConfigError(f"table {table!r} holds NaN or infinite values")
+    peaks = _find_peaks(rows, prominence * (hi - lo))
+    return {dev_id: result.axis_values[p] for dev_id, p in zip(result.device_ids, peaks)}
+
+
+def _find_peaks(rows: np.ndarray, prominence: np.ndarray) -> list[np.ndarray]:
+    """Indices of the peaks of each row of a finite (m, n) array whose
+    prominence is at least prominence[j] (sorted, one array per row).
+
+    A peak is a local maximum of the row with runs of equal samples
+    merged; a flat peak reports its midpoint (left + right) // 2, and a
+    run touching either end of the row is not a peak.  Its prominence
+    is its height minus the higher of its two bases, each base the
+    lowest sample between the peak and the nearest strictly higher
+    sample on that side (or that end of the row).  These are the
+    definitions of scipy.signal.find_peaks(row, prominence=p), which
+    the tests hold this function to index for index.
+
+    The rows are laid end to end with a +inf sample before, between
+    and after them, so that no search crosses a row edge.  After
+    merging runs, the samples turn alternately at tops (the +inf
+    separators among them) and bottoms.  The nearest strictly higher top
+    on each side of every peak is found for all peaks at once by binary
+    lifting over block maxima of the tops, and each base is the lowest
+    bottom in between.
+    """
+    m, n = rows.shape
+    stride = n + 1
+    z = np.full(m * stride + 1, np.inf)
+    z[:-1].reshape(m, stride)[:, 1:] = rows
+    starts = (z[1:] != z[:-1]).nonzero()[0] + 1  # run r is z[starts[r-1]:starts[r]]
+    v = z[np.concatenate(([0], starts))]
+    rising = v[1:] > v[:-1]
+    turn = (rising[:-1] != rising[1:]).nonzero()[0] + 1
+    tops = np.concatenate(([0], turn[1::2], [v.size - 1]))
+    h = v[tops]
+    low = np.append(v[turn[::2]], np.inf)  # low[i] lies between tops i and i + 1
+    q = (h[1:-1] < np.inf).nonzero()[0] + 1  # the finite tops: the peaks
+    nq = q.size
+    # table[k][i] = max(g[i : i + 2**k]).  A search to the left is a
+    # search to the right in the reversed copy; the +inf tail keeps every
+    # block inside the tables.
+    levels = max(int(h.size - 1).bit_length(), 1)
+    g = np.concatenate((h, h[::-1], np.full(1 << (levels - 1), np.inf)))
+    table = [g]
+    for k in range(levels - 1):
+        table.append(np.maximum(table[-1][:-(1 << k)], table[-1][1 << k:]))
+    last = 2 * h.size - 1
+    b = np.concatenate((q + 1, last + 1 - q))
+    hq = h[q]
+    hh = np.concatenate((hq, hq))
+    for k in range(levels - 1, -1, -1):
+        np.add(b, 1 << k, out=b, where=table[k][b] <= hh)
+    # b[:nq] and last - b[nq:] are the nearest higher tops, right and left
+    edges = np.empty(4 * nq, dtype=np.intp)
+    edges[0::4] = last - b[nq:]
+    edges[1::4] = edges[2::4] = q
+    edges[3::4] = b[:nq]
+    base = np.minimum.reduceat(low, edges)
+    with np.errstate(over="ignore"):  # e.g. 1e308 over -1e308: inf, as it should
+        prom = hq - np.maximum(base[0::4], base[2::4])
+    run = tops[q]
+    mid = (starts[run - 1] + starts[run] - 1) // 2
+    col = mid // stride
+    keep = prom >= np.asarray(prominence, dtype=float)[col]
+    index, col = mid[keep] - col[keep] * stride - 1, col[keep]
+    bounds = np.searchsorted(col, np.arange(m + 1)).tolist()
+    return [index[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -494,27 +554,75 @@ def _sinusoid_model(t, amplitude, decay_rate, frequency, phase, offset):
     )
 
 
-def fit_damped_sinusoid(times, values) -> DampedSinusoidFit:
-    """Least-squares damped-cosine fit with a DFT-seeded start.
+def _sinusoid_jacobian(t, amplitude, decay_rate, frequency, phase, offset):
+    """(n, 5) derivatives of _sinusoid_model by its five parameters."""
+    envelope = np.exp(-decay_rate * t)
+    angle = 2 * np.pi * frequency * t + phase
+    c = envelope * np.cos(angle)
+    s = amplitude * envelope * np.sin(angle)
+    return np.stack(
+        [c, -amplitude * t * c, -2 * np.pi * t * s, -s, np.ones_like(t)], axis=1
+    )
 
-    The start frequency is the largest non-DC DFT magnitude (first such
-    bin on ties, i.e. the lowest frequency).  Requires a uniform time
-    grid of at least 8 points.  Never raises on fit failure: falls back
-    to the seed parameters with valid=False, so batch callers can fit
-    many traces and inspect the flags afterwards.
+
+# The bounded Levenberg-Marquardt fit stops when its step moves the model
+# by at most FIT_XTOL of the data's spread about its mean; a fit that has
+# not stopped after FIT_MAX_ITER iterations is not valid.
+FIT_XTOL = 1e-10
+FIT_MAX_ITER = 200
+
+
+def _levenberg_marquardt(t, y, p0, lower, upper) -> tuple[np.ndarray, bool]:
+    """Bounded Levenberg-Marquardt fit of _sinusoid_model from p0.
+
+    Each step solves (A + lam I) d = -g in column-normalized coordinates
+    (A and g from the analytic Jacobian) and is clipped to the bounds
+    box.  A step that lowers the cost is taken and lam falls tenfold;
+    otherwise lam rises tenfold and the step is solved again.  The fit
+    has converged when the step, taken or not, moves the model by at most
+    FIT_XTOL of the data's spread: at a minimum, only steps below
+    rounding are left.  Returns (p0, False) when the cost is not finite,
+    when no step lowers the cost before lam overflows, or after
+    FIT_MAX_ITER iterations without convergence.
     """
-    import scipy.optimize  # on first use, as in detect_flux_features
+    spread = float(np.linalg.norm(y - y.mean()))
+    tol = FIT_XTOL * max(spread, np.finfo(float).eps * float(np.linalg.norm(y)),
+                         np.finfo(float).tiny)
+    p = p0
+    r = _sinusoid_model(t, *p) - y
+    cost = float(r @ r)
+    if not np.isfinite(cost):
+        return p0, False
+    lam = 1e-3
+    for _ in range(FIT_MAX_ITER):
+        jac = _sinusoid_jacobian(t, *p)
+        norms = np.sqrt(np.einsum("ij,ij->j", jac, jac))
+        norms[norms == 0] = 1.0
+        jac /= norms
+        a = jac.T @ jac
+        grad = jac.T @ r
+        while True:
+            if lam > 1e30:
+                return p0, False
+            step = np.linalg.solve(a + lam * np.eye(5), -grad) / norms
+            trial = np.clip(p + step, lower, upper)
+            if np.linalg.norm((trial - p) * norms) <= tol:
+                return p, True
+            r_trial = _sinusoid_model(t, *trial) - y
+            cost_trial = float(r_trial @ r_trial)
+            if cost_trial < cost:
+                break
+            lam *= 10.0
+        p, r, cost = trial, r_trial, cost_trial
+        lam = max(lam / 10.0, 1e-12)
+    return p0, False
 
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(values, dtype=float)
-    if t.ndim != 1 or t.shape != y.shape or t.size < 8:
-        raise ConfigError("need matching 1-d arrays of at least 8 samples")
-    dt = np.diff(t)
-    if dt.min() <= 0 or (dt.max() - dt.min()) > 1e-6 * dt.mean():
-        raise ConfigError("time grid must be uniform and increasing")
-    step = float(dt.mean())
+
+def _seed_parameters(t: np.ndarray, y: np.ndarray, step: float) -> np.ndarray:
+    """The fit's start (amplitude, decay_rate, frequency, phase, offset):
+    the largest non-DC DFT bin of the trace, a decay from the rms of its
+    two halves, and its mean."""
     n = t.size
-
     offset0 = float(y.mean())
     resid = y - offset0
     spectrum = np.fft.rfft(resid)
@@ -529,20 +637,35 @@ def fit_damped_sinusoid(times, values) -> DampedSinusoidFit:
     span = t[-1] - t[0]
     decay0 = 2.0 / span * math.log(rms1 / rms2) if rms1 > 0 and rms2 > 0 else 0.0
     decay0 = min(max(decay0, 0.0), 10.0 / span)
+    return np.array([max(amp0, 1e-12), decay0, freq0, phase0, offset0])
 
-    p0 = [max(amp0, 1e-12), decay0, freq0, phase0, offset0]
-    bounds = (
-        [0.0, 0.0, 0.0, -2 * np.pi, -np.inf],
-        [np.inf, np.inf, 0.5 / step, 2 * np.pi, np.inf],
-    )
-    valid = True
-    try:
-        popt, _ = scipy.optimize.curve_fit(
-            _sinusoid_model, t, y, p0=p0, bounds=bounds, maxfev=20000
-        )
-    except (RuntimeError, ValueError):
-        popt = p0
-        valid = False
+
+def fit_damped_sinusoid(times, values) -> DampedSinusoidFit:
+    """Least-squares damped-cosine fit with a DFT-seeded start.
+
+    The start frequency is the largest non-DC DFT magnitude (first such
+    bin on ties, i.e. the lowest frequency).  Requires a uniform time
+    grid of at least 8 points and finite values; anything else raises
+    ConfigError.  The fit is a bounded Levenberg-Marquardt iteration
+    with the model's analytic Jacobian (see _levenberg_marquardt).  Never
+    raises on fit failure: falls back to the seed parameters with
+    valid=False, so batch callers can fit many traces and inspect the
+    flags afterwards.
+    """
+    t = np.asarray(times, dtype=float)
+    y = np.asarray(values, dtype=float)
+    if t.ndim != 1 or t.shape != y.shape or t.size < 8:
+        raise ConfigError("need matching 1-d arrays of at least 8 samples")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+        raise ConfigError("times and values must be finite (no NaN or inf)")
+    dt = np.diff(t)
+    if dt.min() <= 0 or (dt.max() - dt.min()) > 1e-6 * dt.mean():
+        raise ConfigError("time grid must be uniform and increasing")
+    step = float(dt.mean())
+    p0 = _seed_parameters(t, y, step)
+    lower = np.array([0.0, 0.0, 0.0, -2 * np.pi, -np.inf])
+    upper = np.array([np.inf, np.inf, 0.5 / step, 2 * np.pi, np.inf])
+    popt, valid = _levenberg_marquardt(t, y, p0, lower, upper)
     model = _sinusoid_model(t, *popt)
     ss_res = float(np.sum((y - model) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
@@ -598,15 +721,10 @@ def _csv_header_lines(result: SweepResult) -> list[str]:
 
 
 def _csv_data_lines(result: SweepResult) -> list[str]:
-    cols = _csv_columns(result)
-    lines = []
-    for i, x in enumerate(result.axis_values):
-        cells = [repr(float(x))]
-        for table, col in cols:
-            j = result.columns.index(col)
-            cells.append(repr(float(result.tables[table][i, j])))
-        lines.append(",".join(cells))
-    return lines
+    rows = np.column_stack(
+        [result.axis_values] + [result.tables[table] for table in sorted(result.tables)]
+    )
+    return [",".join(map(repr, row)) for row in rows.tolist()]
 
 
 def write_sweep_csv(path: str | Path, result: SweepResult, append: bool = False) -> None:
@@ -722,7 +840,10 @@ def write_sweep_json(path: str | Path, result: SweepResult) -> None:
             name: [[float(v) for v in row] for row in table]
             for name, table in sorted(result.tables.items())
         },
-        "metadata": {k: _format_value(v) for k, v in sorted(result.metadata.items())},
+        "metadata": {
+            text: _format_value(result.metadata[key])
+            for text, key in _text_keys(result.metadata)
+        },
     }
     with open(path, "w", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

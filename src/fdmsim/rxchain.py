@@ -381,6 +381,17 @@ def _default_lo(frequencies, sample_rate: float, n_samples: int) -> float:
     return float(grid * round(float(np.mean(frequencies)) / grid))
 
 
+def _beyond_band(setup: ReadoutSetup, adc: AdcSpec | None) -> np.ndarray:
+    """Mask of the setup's channels whose DFT bin lies beyond the ADC's
+    analog band (none without an ADC or an analog band below Nyquist)."""
+    n, fs = setup.n_samples, float(setup.sample_rate)
+    if adc is None or adc.analog_bandwidth is None or adc.analog_bandwidth >= fs / 2:
+        return np.zeros(len(setup.baseband_frequencies), dtype=bool)
+    grid = np.fft.fftfreq(n, d=1.0 / fs)
+    bins = [round(f / (fs / n)) % n for f in setup.baseband_frequencies]
+    return np.abs(grid[bins]) > adc.analog_bandwidth
+
+
 def _receive(
     setup: ReadoutSetup,
     c: np.ndarray,
@@ -426,11 +437,7 @@ def _receive(
         _check_adc_rate(fs, adc)
     plan = _channel_plan(freqs, n, fs, setup.window)
     tones = plan.kernel.conj()
-    if adc is not None and adc.analog_bandwidth is not None:
-        if adc.analog_bandwidth < fs / 2:
-            grid = np.fft.fftfreq(n, d=1.0 / fs)
-            bins = [round(f / (fs / n)) % n for f in freqs]
-            c[:, np.abs(grid[bins]) > adc.analog_bandwidth] = 0.0
+    c[:, _beyond_band(setup, adc)] = 0.0
     iq = np.empty_like(c)
     for i in range(n_points):
         rx = c[i] @ tones
@@ -505,7 +512,9 @@ def measure_crosstalk(
     The channels and LO must form a valid ReadoutSetup: a channel off
     the grid, beyond Nyquist, or fewer than NOISE_GUARD_BINS bins from
     another raises ConfigError, as does a negative noise_std, with or
-    without an ADC.
+    without an ADC, and a channel beyond the ADC's analog band (the
+    receiver never sees it, so its level would be noise over noise, or
+    the floor without noise).
     """
     # Looked up at call time, as in apply_feedline, so that a wrapper put
     # on device.s21_feedline (perfbench/tracer.py) sees the call.
@@ -528,6 +537,16 @@ def measure_crosstalk(
         amplitude=amplitude,
         window=window,
     )
+    cut = _beyond_band(setup, adc)
+    if cut.any():
+        names = ", ".join(
+            f"device {d} at {f:+.6g} Hz"
+            for d, f, out in zip(device_ids, setup.baseband_frequencies, cut) if out
+        )
+        raise ConfigError(
+            f"the ADC's {adc.analog_bandwidth:.6g} Hz analog band removes the channel "
+            f"of {names} from the LO; crosstalk cannot be measured there"
+        )
     # Row 0 has the toggled device excited, row 1 is all ground.
     states = np.full((2, len(chip.devices)), -1.0)
     states[0, chip.device_ids.index(toggled_device)] = 1.0
@@ -571,16 +590,28 @@ def write_measurements_csv(
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _header_items(metadata: dict, fmt=str) -> list[tuple[str, str]]:
-    """(key, fmt(value)) pairs of a '#' header block, sorted by key.
+def _text_keys(metadata: dict) -> list[tuple[str, object]]:
+    """(str(key), key) for every metadata key, sorted by str(key), so that
+    keys of mixed types sort.  Two keys with one text, such as 1 and "1",
+    would be written as one: ConfigError."""
+    keys = sorted(((str(key), key) for key in metadata), key=lambda pair: pair[0])
+    for (text, a), (other, b) in zip(keys, keys[1:]):
+        if text == other:
+            raise ConfigError(f"metadata keys {a!r} and {b!r} are both written as {text!r}")
+    return keys
 
-    Every pair must read back as written, so ConfigError is raised for a
-    line break in a key or value (it would split its header line and
-    the reader would take the rest for data), an '=' in a key (the sweep
-    reader splits a header line at its first '='), and leading or
-    trailing whitespace in a key or value (the readers strip it).
+
+def _header_items(metadata: dict, fmt=str) -> list[tuple[str, str]]:
+    """(str(key), fmt(value)) pairs of a '#' header block, sorted by key text.
+
+    Every pair must read back as written, so ConfigError is raised for
+    two keys with the same text (see _text_keys), a line break in a key
+    or value (it would split its header line and the reader would take
+    the rest for data), an '=' in a key (the sweep reader splits a header
+    line at its first '='), and leading or trailing whitespace in a key
+    or value (the readers strip it).
     """
-    items = [(str(key), fmt(metadata[key])) for key in sorted(metadata)]
+    items = [(text, fmt(metadata[key])) for text, key in _text_keys(metadata)]
     for key, text in items:
         if any(brk in key or brk in text for brk in "\r\n"):
             raise ConfigError(

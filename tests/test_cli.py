@@ -27,12 +27,18 @@ def test_console_script_is_installed():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # The Bloch propagator of run_rabi must not pull scipy in either.
+    # numpy is the only runtime dependency: neither the Bloch propagator
+    # of run_rabi, nor feature detection, nor the fit may pull scipy in.
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, numpy, fdmsim, fdmsim.cli\n"
          "chip = fdmsim.load_chip(fdmsim.builtin_chip_path())\n"
-         "fdmsim.run_rabi(chip, numpy.linspace(5e-9, 1e-6, 20), readout=False)\n"
+         "t = numpy.linspace(5e-9, 1e-6, 20)\n"
+         "rabi = fdmsim.run_rabi(chip, t, readout=False)\n"
+         "fit = fdmsim.fit_damped_sinusoid(t, rabi.column('excited_population', 1))\n"
+         "sweep = fdmsim.run_flux_sweep(chip, numpy.linspace(-0.025, 0.025, 101))\n"
+         "features = fdmsim.detect_flux_features(sweep)\n"
+         "assert fit.valid and all(len(f) == 2 for f in features.values())\n"
          "sys.exit('scipy' in sys.modules)"],
         capture_output=True, text=True,
     )

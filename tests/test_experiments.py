@@ -9,7 +9,8 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+import scipy.signal
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fdmsim.device
@@ -497,6 +498,48 @@ def test_detect_features_validates_arguments(chip):
     assert len(detect_flux_features(result)[1]) == 0
 
 
+@st.composite
+def peak_problems(draw):
+    """An (m, n) array and one prominence per row.  Small-integer rows
+    make plateaus, ties and edge plateaus common."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 3))
+    rows = []
+    for _ in range(m):
+        if draw(st.booleans()):
+            sample = st.integers(0, 3).map(float)
+        else:
+            sample = st.floats(allow_nan=False, allow_infinity=False)
+        rows.append(draw(st.lists(sample, min_size=n, max_size=n)))
+    prominence = draw(st.lists(
+        st.one_of(st.integers(0, 4).map(float), st.floats(0, 4),
+                  st.floats(min_value=0, allow_infinity=False)),
+        min_size=m, max_size=m,
+    ))
+    return np.array(rows, dtype=float), np.array(prominence)
+
+
+def one_row(row, prominence):
+    return np.array([row], dtype=float), np.array([prominence])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(problem=peak_problems())
+@example(problem=one_row([0, 1, 1, 1, 0], 0.0))  # flat peak: its midpoint
+@example(problem=one_row([0, 1, 1, 0], 0.0))  # even plateau: (left + right) // 2
+@example(problem=one_row([1, 1, 0, 2, 2], 0.0))  # edge plateaus are no peaks
+@example(problem=one_row([0, 3, 1, 2, 0, 3, 0], 1.0))  # the 2 has prominence 1
+@example(problem=one_row([0, 3, 1, 2, 0, 3, 0], 1.5))
+@example(problem=one_row([5.0], 0.0))
+def test_find_peaks_matches_scipy_property(problem):
+    rows, prominence = problem
+    got = fdmsim.experiments._find_peaks(rows, prominence)
+    assert len(got) == rows.shape[0]
+    for row, p, peaks in zip(rows, prominence, got):
+        expected, _ = scipy.signal.find_peaks(row, prominence=p)
+        np.testing.assert_array_equal(peaks, expected)
+
+
 # --------------------------------------------------------------------------
 # spectroscopy
 
@@ -636,6 +679,101 @@ def test_fit_constant_trace_reports_zero_r_squared():
     # rounding noise in the mean must not blow up the variance ratio
     assert fit.r_squared in (0.0, 1.0)
     assert fit.offset == pytest.approx(0.3, abs=1e-6)
+
+
+def curve_fit_reference(t, y):
+    """The fit by scipy.optimize.curve_fit from the same seed and bounds:
+    (amplitude, decay_rate, frequency, phase, offset), valid."""
+    step = float(np.mean(np.diff(t)))
+    p0 = fdmsim.experiments._seed_parameters(t, y, step)
+    bounds = ([0.0, 0.0, 0.0, -2 * np.pi, -np.inf],
+              [np.inf, np.inf, 0.5 / step, 2 * np.pi, np.inf])
+    try:
+        popt, _ = scipy.optimize.curve_fit(
+            fdmsim.experiments._sinusoid_model, t, y, p0=p0, bounds=bounds, maxfev=20000
+        )
+    except (RuntimeError, ValueError):
+        return p0, False
+    return popt, True
+
+
+def r_squared(t, y, params):
+    model = fdmsim.experiments._sinusoid_model(t, *params)
+    return 1.0 - np.sum((y - model) ** 2) / np.sum((y - y.mean()) ** 2)
+
+
+@pytest.fixture(scope="module")
+def fit_traces(chip):
+    """Traces set up as in the rabi_noisy benchmark (12-bit ADC with a
+    480 MHz band, noise 2e-3, devices 2, 4, 6 at five drive scales) for
+    two noise seeds, and the synthetic traces of the tests above but the
+    constant one, whose frequency no fit determines."""
+    t = np.linspace(5e-9, 1.2e-6, 200)
+    setup = make_readout_setup(chip, (2, 4, 6))
+    adc = AdcSpec(sample_rate=1e9, bits=12, full_scale=1.0, analog_bandwidth=480e6)
+    traces = []
+    for seed in (0, 1):
+        for j, scale in enumerate((0.6, 0.8, 1.0, 1.2, 1.4)):
+            result = run_rabi(chip, t, setup=setup, rabi_rate_per_unit_amplitude=5e6,
+                              amplitude_scales=[scale] * 3, adc=adc, noise_std=2e-3,
+                              seed=child_seed(seed, j))
+            traces += [(t, result.column("iq_amplitude", d)) for d in (2, 4, 6)]
+    rng = np.random.default_rng(5)
+    t1, t2, t3 = (np.linspace(0.0, 2e-6, 200), np.linspace(0.0, 2e-6, 400),
+                  np.linspace(0.0, 1e-6, 100))
+    traces += [
+        (t1, synth(t1, 0.5, 8e5, 4.8e6, 0.9, 0.5)),
+        (t2, synth(t2, 0.5, 4e5, 3.1e6, -0.4, 0.5) + rng.normal(0, 0.01, t2.size)),
+        (t3, synth(t3, 1.0, 0.0, 7e6, 0.0, 0.0)),
+    ]
+    durations = np.linspace(1e-8, 4e-7, 40)
+    pops = run_rabi(chip, durations, device_ids=(1, 2), amplitude_scales=[1.0, 2.0],
+                    gamma=0.0, readout=False)
+    traces += [(durations, pops.column("excited_population", d)) for d in (1, 2)]
+    return traces
+
+
+def test_fit_matches_curve_fit(fit_traces):
+    for t, y in fit_traces:
+        fit = fit_damped_sinusoid(t, y)
+        ref, ref_valid = curve_fit_reference(t, y)
+        assert fit.valid == ref_valid
+        assert fit.frequency == pytest.approx(ref[2], rel=1e-6)
+        assert fit.r_squared >= r_squared(t, y, ref) - 1e-9
+
+
+def test_fit_failure_returns_finite_seed(monkeypatch):
+    # One iteration cannot converge from a DFT-bin seed: the fit reports
+    # failure and hands back that seed, not a partial step.
+    rng = np.random.default_rng(5)
+    t = np.linspace(0.0, 2e-6, 400)
+    y = synth(t, 0.5, 4e5, 3.1e6, -0.4, 0.5) + rng.normal(0, 0.01, t.size)
+    seed = fdmsim.experiments._seed_parameters(t, y, float(np.mean(np.diff(t))))
+    monkeypatch.setattr(fdmsim.experiments, "FIT_MAX_ITER", 1)
+    fit = fit_damped_sinusoid(t, y)
+    assert not fit.valid
+    got = [fit.amplitude, fit.decay_rate, fit.frequency, fit.phase, fit.offset]
+    assert np.all(np.isfinite(got)) and math.isfinite(fit.r_squared)
+    np.testing.assert_array_equal(got, seed)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("target", ["features-table", "fit-values", "fit-times"])
+def test_non_finite_input_raises(chip, target, bad):
+    if target == "features-table":
+        result = run_flux_sweep(chip, np.linspace(-0.025, 0.025, 41), device_ids=(1, 2))
+        result.tables["amplitude"][7, 1] = bad
+        with pytest.raises(ConfigError, match="NaN or inf"):
+            detect_flux_features(result)
+        return
+    t = np.linspace(0.0, 1e-6, 50)
+    y = synth(t, 0.5, 1e5, 5e6, 0.0, 0.5)
+    if target == "fit-values":
+        y[10] = bad
+    else:
+        t[10] = bad
+    with pytest.raises(ConfigError, match="NaN or inf"):
+        fit_damped_sinusoid(t, y)
 
 
 # --------------------------------------------------------------------------
@@ -805,8 +943,10 @@ def test_csv_append_without_hash_is_refused(tmp_path, chip):
     ({"a\nb": 1}, "line break"), ({"a=b": 1}, "holds '='"),
     ({"pad": " v "}, "whitespace"), ({"pad": "v\t"}, "whitespace"),
     ({" pad": "v"}, "whitespace"), ({"pad\x0c": "v"}, "whitespace"),
+    ({1: "x", "1": "y"}, "both written as '1'"),
+    ({0.5: "x", "0.5": "y"}, "both written as '0.5'"),
 ], ids=["lf-value", "cr-value", "lf-key", "eq-key", "blank-value", "tab-value",
-        "blank-key", "formfeed-key"])
+        "blank-key", "formfeed-key", "int-str-key", "float-str-key"])
 def test_csv_writers_refuse_line_breaks_in_metadata(tmp_path, chip, metadata, match):
     fluxes = np.linspace(-0.002, 0.002, 3)
     good = run_flux_sweep(chip, fluxes, device_ids=(1,), config_hash="h1")
@@ -827,6 +967,24 @@ def test_csv_writers_refuse_line_breaks_in_metadata(tmp_path, chip, metadata, ma
     with pytest.raises(ConfigError, match=match):
         write_measurements_csv(tones, meas, metadata)
     assert not tones.exists()
+
+
+def test_writers_sort_mixed_type_metadata_keys_by_text(tmp_path, chip):
+    result = run_flux_sweep(chip, np.linspace(-0.002, 0.002, 3), device_ids=(1,))
+    result.metadata.update({1: "x", 2.5: "y"})
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(path, result)
+    back = read_sweep_csv(path)
+    assert back.metadata["1"] == "x" and back.metadata["2.5"] == "y"
+    keys = [line[2:].partition("=")[0] for line in path.read_text().splitlines()[1:]
+            if line.startswith("# ")]
+    assert keys == sorted(str(k) for k in result.metadata)
+    write_sweep_json(tmp_path / "sweep.json", result)
+    assert json.loads((tmp_path / "sweep.json").read_text())["metadata"]["1"] == "x"
+    setup = make_readout_setup(chip, (1,))
+    meas = acquire(chip, setup, [-1.0] * len(chip.devices), 0.0)
+    write_measurements_csv(tmp_path / "tones.csv", meas, {1: "x", "kind": "tones"})
+    assert "# 1: x" in (tmp_path / "tones.csv").read_text()
 
 
 def test_read_rejects_empty_file(tmp_path):

@@ -520,16 +520,16 @@ def full_chain_crosstalk(chip, plan, toggled_device, *, lo_frequency=None, sampl
     return out
 
 
-# The 400 MHz analog band passes five of chip7's seven channels, which
-# lie within +-450 MHz of the default LO; 8.0 full scale holds the
-# seven-tone peak without clipping.
+# chip7's seven channels lie within +-450 MHz of the default LO: the
+# 460 MHz analog band passes them all (a narrower one is refused, see
+# below); 8.0 full scale holds the seven-tone peak without clipping.
 CROSSTALK_MODES = {
     "noiseless": {},
     "awgn": dict(noise_std=1e-3, seed=3),
     "adc": dict(adc=AdcSpec(sample_rate=4e9, bits=12, full_scale=8.0),
                 noise_std=1e-3, seed=4),
     "adc-band-limited": dict(adc=AdcSpec(sample_rate=4e9, bits=12, full_scale=8.0,
-                                         analog_bandwidth=400e6)),
+                                         analog_bandwidth=460e6)),
     "hann": dict(window="hann", noise_std=1e-3, seed=6),
 }
 
@@ -552,10 +552,19 @@ def test_crosstalk_matches_full_chain_on_every_toggle(chip7, mode):
         for other in got:
             assert abs(got[other] - ref[other]) <= 1e-8
             floored += ref[other] == CROSSTALK_FLOOR_DB
-    # Without noise, toggling a device whose channel the band limit
-    # removed leaves the other channels' codes as they were: the two
-    # outer toggles floor all six levels.  Nothing else floors.
-    assert floored == (12 if mode == "adc-band-limited" else 0)
+    assert floored == 0
+
+
+@pytest.mark.parametrize("noise_std", [0.0, 1e-3])
+@pytest.mark.parametrize("toggled", [1, 4])
+def test_crosstalk_refuses_channels_beyond_the_analog_band(chip7, noise_std, toggled):
+    # The 400 MHz band removes the channels of devices 1 (-450 MHz) and 7
+    # (+450 MHz).  Measured anyway, device 1's toggle read about +7 dB
+    # with noise (noise over noise) and the -200 dB floor without.
+    chip, plan = chip7
+    adc = AdcSpec(sample_rate=4e9, bits=12, full_scale=8.0, analog_bandwidth=400e6)
+    with pytest.raises(ConfigError, match=r"device 1 at -4\.5e\+08 Hz, device 7 at \+4"):
+        measure_crosstalk(chip, plan, toggled, adc=adc, noise_std=noise_std, seed=4)
 
 
 def counting(calls, name, fn):
