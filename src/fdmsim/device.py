@@ -198,7 +198,8 @@ def s21_feedline(chip: Chip, probe_omega, states, fluxes) -> np.ndarray | comple
     device) or (n_points, n_devices).  The result then has shape
     (n_points,) + shape(probe_omega), and row i equals the call for
     states[i] and fluxes[i] bit for bit: the arithmetic per element and
-    the product order over devices are the same.
+    the product order over devices are the same.  NaN or inf in states,
+    fluxes or probe_omega raises ConfigError.
     """
     n = len(chip.devices)
     states = np.asarray(states, dtype=float)
@@ -214,6 +215,9 @@ def s21_feedline(chip: Chip, probe_omega, states, fluxes) -> np.ndarray | comple
             f"fluxes of shape {np.shape(fluxes)} do not fit states of shape {states.shape}"
         ) from None
     probe = np.asarray(probe_omega, dtype=float)
+    for name, values in (("states", states), ("fluxes", flux_arr), ("probe frequencies", probe)):
+        if not np.isfinite(values).all():
+            raise ConfigError(f"{name} must be finite")
     # Per-point shifts line up with the batch axis, ahead of the probe axes.
     lead = states.shape[:-1] + (1,) * probe.ndim
     s = np.ones(states.shape[:-1] + probe.shape, dtype=complex)

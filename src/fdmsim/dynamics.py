@@ -19,8 +19,10 @@ exact solution is r(t) = exp(A t) r(0) (Torrey, Phys. Rev. 76, 1059,
 
 from __future__ import annotations
 
+import collections
 import math
 import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +34,10 @@ from .seeding import derive_rng
 # the length of a single trajectory.
 TELEGRAPH_CHUNK_SAMPLES = 2_000_000
 # Samples per block of the walk, carrier gather, FFT and power sum: 30 rows
-# at n = 4320, with about 4 MB of buffers.
+# at n = 4320, with about 4 MB of buffers, split among the lanes.
 _BLOCK_SAMPLES = 1 << 17
+# Most threads the telegraph kernel runs its blocks on.
+_MAX_LANES = 4
 
 
 @dataclass(frozen=True)
@@ -265,6 +269,53 @@ def _telegraph_flips(
     return flips, start
 
 
+def _lane_count() -> int:
+    """Threads for the telegraph blocks: the cores this process may run
+    on, at most _MAX_LANES."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, _MAX_LANES))
+
+
+def _telegraph_block(
+    carrier: np.ndarray,
+    levels: np.ndarray,
+    lengths: np.ndarray,
+    totals: np.ndarray,
+    signal: np.ndarray,
+    power: np.ndarray,
+) -> int:
+    """Power spectra of k whole rows given as runs of constant sigma.
+
+    levels and lengths are the rows' runs in order, and totals[r] the sum
+    of sigma over row r.  Writes |FFT|^2 of each row's carrier into
+    power[1:k+1], using signal[:k] as scratch, and returns k.  Every
+    pass over the samples but the repeat releases the GIL, so blocks on
+    their own buffers can run on separate threads.
+    """
+    k = totals.size
+    n = signal.shape[1]
+    sigma = np.repeat(levels, lengths)
+    # One flat running sum over the block gives each row's S + n once the
+    # first sample of row r also takes off the total of row r-1.  It is
+    # written to the power rows, free until the power lands there; an
+    # in-place or 2-D running sum would hold the GIL.
+    sigma[0] += n
+    sigma[n::n] -= totals[:-1]
+    walk = power[1:k + 1].view(np.int64)
+    np.cumsum(sigma, out=walk.reshape(-1))
+    sig = signal[:k]
+    # mode="clip" gathers straight into sig; "raise" buffers it.
+    np.take(carrier, walk, out=sig, mode="clip")
+    np.fft.fft(sig, axis=1, out=sig)
+    rows_power = power[1:k + 1]
+    np.abs(sig, out=rows_power)
+    np.square(rows_power, out=rows_power)
+    return k
+
+
 def relaxation_telegraph_spectrum(
     gamma: float,
     shift: float,
@@ -296,15 +347,24 @@ def relaxation_telegraph_spectrum(
     2n+1 values exp(1j * (j * (shift*dt))).  The table is exact, not an
     approximation: float(S_k) * (shift*dt) is the same IEEE product as
     the float running sum times (shift*dt), so each sample equals the
-    per-sample exponential bit for bit.  The walk, gather, FFT and power
-    run on blocks of a few rows, and the power of each trajectory is
-    added to the spectrum in turn, so the result does not depend on the
-    block size.
+    per-sample exponential bit for bit.
+
+    The walk, gather, FFT and power run on blocks of a few rows, on up to
+    L threads ("lanes"): L is the number of cores this process may run
+    on (os.sched_getaffinity), at most 4 (_MAX_LANES) and at most the
+    rows of one block, and each lane gets 1/L of a block's rows, so the
+    buffers together hold one block whatever L is.  The calling thread
+    draws the flips chunk by chunk, in one stream, lays out the runs of
+    a chunk, and adds each block's power to the spectrum in trajectory
+    order, handing a lane its next block only once its last one is
+    added.  Each trajectory's power is thus added in turn, and the result
+    is the same bit for bit for every block size and lane count.  With
+    one lane the blocks run on the calling thread.
 
     Returns the folded one-sided spectrum and the fraction of power
     outside the Carson band of full width 2*(shift + 2*gamma) centered on
-    the carrier.  Non-finite rates or times, a duration <= 0, a
-    non-integer trajectory count and a trajectory longer than
+    the carrier.  Non-finite rates or times, a duration or sample_rate
+    <= 0, a non-integer trajectory count and a trajectory longer than
     TELEGRAPH_CHUNK_SAMPLES samples raise ConfigError.
     """
     for name, value in (("gamma", gamma), ("shift", shift), ("duration", duration),
@@ -317,6 +377,8 @@ def relaxation_telegraph_spectrum(
         raise ConfigError(f"shift must be >= 0, got {shift}")
     if duration <= 0:
         raise ConfigError(f"duration must be > 0, got {duration}")
+    if sample_rate is not None and sample_rate <= 0:
+        raise ConfigError(f"sample_rate must be > 0, got {sample_rate}")
     if not isinstance(n_trajectories, numbers.Integral) or n_trajectories < 1:
         raise ConfigError(f"n_trajectories must be an integer >= 1, got {n_trajectories!r}")
     half_width_hz = (shift + 2 * gamma) / (2 * math.pi)
@@ -338,47 +400,68 @@ def relaxation_telegraph_spectrum(
     carrier = np.exp(1j * (np.arange(-n, n + 1, dtype=float) * (shift * dt)))
     chunk = max(1, min(n_trajectories, TELEGRAPH_CHUNK_SAMPLES // n))
     block = max(1, min(chunk, _BLOCK_SAMPLES // n))
-    signal = np.empty((block, n), dtype=complex)
+    lanes = min(_lane_count(), block)
+    rows = block // lanes
+    signals = [np.empty((rows, n), dtype=complex) for _ in range(lanes)]
     # Row 0 carries the running psd, so that one sum over axis 0 adds the
     # trajectories to it one at a time, in order, whatever the block size.
-    power = np.zeros((block + 1, n))
+    powers = [np.zeros((rows + 1, n)) for _ in range(lanes)]
     psd = np.zeros(n)
-    remaining = n_trajectories
-    while remaining > 0:
-        m = min(chunk, remaining)
-        flips, start = _telegraph_flips(rng, flip_p, m, n)
-        # After the j-th flip of a row (j from 0) sigma is -start * (-1)**j;
-        # for flip i of the chunk, (-1)**j = (-1)**i * (-1)**(flips in the
-        # rows before).
-        rows = flips // n
-        counts = np.bincount(rows, minlength=m)
-        row_sign = start * (1 - 2 * ((np.cumsum(counts) - counts) & 1))
-        after = -row_sign[rows]
-        after[1::2] *= -1
-        for b in range(0, m, block):
-            k = min(block, m - b)
-            lo, hi = np.searchsorted(flips, (b * n, (b + k) * n))
-            # Runs of constant sigma begin at each row start and each flip;
-            # a row start goes before a flip on its first sample, leaving a
-            # run of length 0.
-            row_starts = np.arange(k) * n
-            local = flips[lo:hi] - b * n
-            at = np.searchsorted(local, row_starts)
-            begins = np.insert(local, at, row_starts)
-            levels = np.insert(after[lo:hi], at, start[b:b + k])
-            walk = np.repeat(levels, np.diff(begins, append=k * n)).reshape(k, n)
-            walk[:, 0] += n
-            np.cumsum(walk, axis=1, out=walk)  # S_k + n
-            sig = signal[:k]
-            # mode="clip" gathers straight into sig; "raise" buffers it.
-            np.take(carrier, walk, out=sig, mode="clip")
-            np.fft.fft(sig, axis=1, out=sig)
-            rows_power = power[1:k + 1]
-            np.abs(sig, out=rows_power)
-            np.square(rows_power, out=rows_power)
-            power[0] = psd
-            np.sum(power[:k + 1], axis=0, out=psd)
-        remaining -= m
+    # Block i runs on lane i % lanes.  Its power is added to psd, and its
+    # lane handed block i + lanes, only after blocks 0..i-1 are added.
+    in_flight: collections.deque = collections.deque()
+    pool = None
+    if lanes > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(max_workers=lanes, thread_name_prefix="telegraph")
+
+    def add_oldest() -> None:
+        pending, power = in_flight.popleft()
+        k = pending if pool is None else pending.result()
+        power[0] = psd
+        np.sum(power[:k + 1], axis=0, out=psd)
+
+    try:
+        lane = 0
+        remaining = n_trajectories
+        while remaining > 0:
+            m = min(chunk, remaining)
+            flips, start = _telegraph_flips(rng, flip_p, m, n)
+            # After the j-th flip of a row (j from 0) sigma is -start * (-1)**j;
+            # for flip i of the chunk, (-1)**j = (-1)**i * (-1)**(flips in the
+            # rows before).
+            counts = np.bincount(flips // n, minlength=m)
+            before = np.cumsum(counts) - counts
+            after = -np.repeat(start * (1 - 2 * (before & 1)), counts)
+            after[1::2] *= -1
+            # Runs of constant sigma begin at each row start and each flip; a
+            # row start goes before a flip on its first sample, leaving a run
+            # of length 0.  Row r's runs begin at index edges[r].
+            begins = np.insert(flips, before, np.arange(m) * n)
+            levels = np.insert(after, before, start)
+            lengths = np.diff(begins, append=m * n)
+            edges = np.append(before, flips.size) + np.arange(m + 1)
+            totals = np.add.reduceat(levels * lengths, edges[:-1])
+            for b in range(0, m, rows):
+                if len(in_flight) == lanes:
+                    add_oldest()
+                k = min(rows, m - b)
+                runs = slice(edges[b], edges[b + k])
+                job = (carrier, levels[runs], lengths[runs], totals[b:b + k],
+                       signals[lane], powers[lane])
+                if pool is None:
+                    pending = _telegraph_block(*job)
+                else:
+                    pending = pool.submit(_telegraph_block, *job)
+                in_flight.append((pending, powers[lane]))
+                lane = (lane + 1) % lanes
+            remaining -= m
+        while in_flight:
+            add_oldest()
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     psd /= psd.sum()
 
     freqs = np.fft.fftfreq(n, d=dt)

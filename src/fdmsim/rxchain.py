@@ -112,13 +112,18 @@ def downconvert(rf: IQTrace, lo_frequency: float, phase_offset: float = 0.0,
 
 def add_awgn(trace: IQTrace, noise_std: float, seed: int) -> IQTrace:
     """Add seeded white Gaussian noise of the given std to each quadrature."""
-    if noise_std < 0:
-        raise ConfigError(f"noise_std must be >= 0, got {noise_std}")
+    _check_noise_std(noise_std)
     if noise_std == 0:
         return trace
     samples = trace.samples.copy()
     _add_noise(_quadratures(samples), noise_std, seed)
     return replace(trace, samples=samples)
+
+
+def _check_noise_std(noise_std: float) -> None:
+    """Raise ConfigError unless noise_std is finite and >= 0."""
+    if not (math.isfinite(noise_std) and noise_std >= 0):
+        raise ConfigError(f"noise_std must be finite and >= 0, got {noise_std}")
 
 
 def _quadratures(samples: np.ndarray) -> np.ndarray:
@@ -176,8 +181,7 @@ def adc_quantize(trace: IQTrace, adc: AdcSpec, noise_std: float = 0.0, seed: int
     steps _receive runs on each shot's trace.
     """
     _check_adc_rate(trace.sample_rate, adc)
-    if noise_std < 0:
-        raise ConfigError(f"noise_std must be >= 0, got {noise_std}")
+    _check_noise_std(noise_std)
     samples = trace.samples
     if adc.analog_bandwidth is not None and adc.analog_bandwidth < trace.sample_rate / 2:
         spectrum = np.fft.fft(samples)
@@ -424,8 +428,7 @@ def _receive(
     against the composed chain synthesize_multitone, upconvert_ssb,
     apply_feedline, downconvert, add_awgn or adc_quantize, channelize.
     """
-    if noise_std < 0:
-        raise ConfigError(f"noise_std must be >= 0, got {noise_std}")
+    _check_noise_std(noise_std)
     n_points = c.shape[0]
     noise = np.zeros(n_points) if estimate_noise else None
     if noise_std == 0 and adc is None:
@@ -511,10 +514,10 @@ def measure_crosstalk(
     the channel mean snapped to the DFT grid (sample_rate / n_samples).
     The channels and LO must form a valid ReadoutSetup: a channel off
     the grid, beyond Nyquist, or fewer than NOISE_GUARD_BINS bins from
-    another raises ConfigError, as does a negative noise_std, with or
-    without an ADC, and a channel beyond the ADC's analog band (the
-    receiver never sees it, so its level would be noise over noise, or
-    the floor without noise).
+    another raises ConfigError, as does a negative or non-finite
+    noise_std, with or without an ADC, and a channel beyond the ADC's
+    analog band (the receiver never sees it, so its level would be noise
+    over noise, or the floor without noise).
     """
     # Looked up at call time, as in apply_feedline, so that a wrapper put
     # on device.s21_feedline (perfbench/tracer.py) sees the call.

@@ -15,6 +15,18 @@ import numpy as np
 from .errors import ConfigError
 
 
+def _seed_sequence(root_seed: int, path: tuple) -> np.random.SeedSequence:
+    """SeedSequence(entropy=root_seed, spawn_key=path) after the range
+    checks of derive_rng."""
+    root_seed = int(root_seed)
+    path = tuple(int(p) for p in path)
+    if not 0 <= root_seed < 2**128:
+        raise ConfigError(f"root seed must lie in [0, 2**128), got {root_seed}")
+    if not all(0 <= p < 2**32 for p in path):
+        raise ConfigError(f"seed path elements must lie in [0, 2**32), got {path}")
+    return np.random.SeedSequence(entropy=root_seed, spawn_key=path)
+
+
 def derive_rng(root_seed: int, *path: int) -> np.random.Generator:
     """Child generator for the given root seed and integer path.
 
@@ -26,14 +38,7 @@ def derive_rng(root_seed: int, *path: int) -> np.random.Generator:
     pairs can give the same words (derive_rng(3, 2**32) would be
     derive_rng(3, 0, 1)).
     """
-    root_seed = int(root_seed)
-    path = tuple(int(p) for p in path)
-    if not 0 <= root_seed < 2**128:
-        raise ConfigError(f"root seed must lie in [0, 2**128), got {root_seed}")
-    if not all(0 <= p < 2**32 for p in path):
-        raise ConfigError(f"seed path elements must lie in [0, 2**32), got {path}")
-    seq = np.random.SeedSequence(entropy=root_seed, spawn_key=path)
-    return np.random.default_rng(seq)
+    return np.random.default_rng(_seed_sequence(root_seed, path))
 
 
 def child_seed(root_seed: int, *path: int) -> int:
@@ -41,5 +46,9 @@ def child_seed(root_seed: int, *path: int) -> int:
 
     For stages that take a root seed rather than a generator (e.g. one
     noise draw per sweep point), pass ``child_seed(seed, point_index)``.
+    The value is derive_rng(root_seed, *path).integers(2**63): for the
+    range 2**63, Lemire's bounded draw that integers() makes reduces to
+    the first raw 64-bit output shifted right by one, so the bit
+    generator alone gives it, without a Generator around it.
     """
-    return int(derive_rng(root_seed, *path).integers(2**63))
+    return int(np.random.PCG64(_seed_sequence(root_seed, path)).random_raw()) >> 1

@@ -327,6 +327,18 @@ def test_s21_feedline_batch_rows_equal_single_calls():
         np.testing.assert_array_equal(scalar_probe, batch[:, 3])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["states", "fluxes", "probe"])
+def test_s21_feedline_rejects_non_finite_input(where, bad):
+    chip = make_chip(3)
+    args = {"probe": TWO_PI * np.array([9.3e9, 9.4e9]),
+            "states": np.full((2, 3), -1.0), "fluxes": np.zeros(2)}
+    args[where] = args[where].copy()
+    args[where][-1] = bad
+    with pytest.raises(ConfigError, match="finite"):
+        s21_feedline(chip, args["probe"], args["states"], args["fluxes"])
+
+
 def test_s21_feedline_batch_rejects_mismatched_shapes():
     chip = make_chip(3)
     probe = TWO_PI * 9.4e9

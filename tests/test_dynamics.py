@@ -2,10 +2,13 @@
 
 import cmath
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import fdmsim.dynamics
 from fdmsim import (
     GROUND,
     BlochState,
@@ -483,11 +486,62 @@ def test_telegraph_matches_per_sample_reference(kwargs):
         dict(n_trajectories=2.5),
         # n = 16 000 320 samples, beyond TELEGRAPH_CHUNK_SAMPLES
         dict(shift=TWO_PI * 1e10, duration=100e-6),
+        dict(sample_rate=0.0),
+        dict(sample_rate=-1e9),
     ],
 )
 def test_telegraph_rejects_bad_input(bad):
     kwargs = dict(gamma=TWO_PI * 0.1e6, shift=TWO_PI * 1e6, duration=20e-6,
                   n_trajectories=10, seed=1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as info:
         relaxation_telegraph_spectrum(**{**kwargs, **bad})
+    if set(bad) == {"sample_rate"}:
+        assert "sample_rate" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        # n = 41: three chunks (48780, 48780, 2440 trajectories)
+        dict(gamma=TWO_PI * 1e6, shift=TWO_PI * 0.5e6, duration=1e-6,
+             n_trajectories=100_000, seed=3, sample_rate=41e6),
+        # fewer rows than lanes
+        dict(gamma=TWO_PI * 0.1e6, shift=TWO_PI * 2.5e6, duration=20e-6,
+             n_trajectories=1, seed=4),
+        dict(gamma=TWO_PI * 0.1e6, shift=TWO_PI * 2.5e6, duration=20e-6,
+             n_trajectories=2, seed=4),
+        # n = 864, 151 rows a block: the last block is partly full for
+        # 1, 2 and 3 lanes (151*3 + 34, 75*6 + 37, 50*9 + 37 rows)
+        dict(gamma=TWO_PI * 0.1e6, shift=TWO_PI * 2.5e6, duration=20e-6,
+             n_trajectories=487, seed=5),
+    ],
+)
+def test_telegraph_is_the_same_for_every_lane_count(kwargs, monkeypatch):
+    block = fdmsim.dynamics._telegraph_block
+    threads = set()
+
+    def recording_block(*args):
+        threads.add(threading.current_thread())
+        return block(*args)
+
+    monkeypatch.setattr(fdmsim.dynamics, "_telegraph_block", recording_block)
+    results = {}
+    # Switch threads often, so that a lane writing a buffer still in use
+    # would show.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for lanes in (1, 2, 3):
+            monkeypatch.setattr(fdmsim.dynamics, "_lane_count", lambda lanes=lanes: lanes)
+            threads.clear()
+            results[lanes] = relaxation_telegraph_spectrum(**kwargs)
+            # more than one lane runs every block off the calling thread
+            used = min(lanes, kwargs["n_trajectories"])
+            assert (threads == {threading.current_thread()}) == (used == 1)
+            assert len(threads) <= used
+    finally:
+        sys.setswitchinterval(interval)
+    for lanes in (2, 3):
+        assert np.array_equal(results[lanes].power, results[1].power)
+        assert results[lanes].out_of_band_fraction == results[1].out_of_band_fraction
 

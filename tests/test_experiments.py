@@ -434,6 +434,22 @@ def test_acquisition_rejects_negative_noise(chip):
         run_flux_sweep(chip, [0.0], setup=setup, noise_std=-1e-3)
 
 
+@pytest.mark.parametrize("noise_std", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("adc", [None, AdcSpec(4e9, 12, full_scale=8.0)])
+def test_acquisition_rejects_non_finite_noise(chip, noise_std, adc):
+    setup = make_readout_setup(chip, (1, 2))
+    with pytest.raises(ConfigError, match="noise_std"):
+        run_flux_sweep(chip, [0.0], setup=setup, adc=adc, noise_std=noise_std)
+    with pytest.raises(ConfigError, match="noise_std"):
+        run_rabi(chip, [0.0, 1e-8], setup=setup, adc=adc, noise_std=noise_std)
+
+
+@pytest.mark.parametrize("flux", [math.nan, math.inf])
+def test_flux_sweep_rejects_non_finite_flux(chip, flux):
+    with pytest.raises(ConfigError, match="finite"):
+        run_flux_sweep(chip, [0.0, flux])
+
+
 # --------------------------------------------------------------------------
 # flux sweep and feature detection
 

@@ -477,6 +477,23 @@ def test_measure_crosstalk_rejects_negative_noise(adc):
         measure_crosstalk(chip, plan, 1, adc=adc, noise_std=-1.0)
 
 
+@pytest.mark.parametrize("noise_std", [math.nan, math.inf])
+@pytest.mark.parametrize("adc", [None, AdcSpec(sample_rate=4e9, bits=12, full_scale=4.0)])
+def test_measure_crosstalk_rejects_non_finite_noise(adc, noise_std):
+    chip, plan = two_device_chip(50e6)
+    with pytest.raises(ConfigError, match="noise_std"):
+        measure_crosstalk(chip, plan, 1, adc=adc, noise_std=noise_std)
+
+
+@pytest.mark.parametrize("noise_std", [-1e-3, math.nan, math.inf])
+def test_noise_stages_reject_bad_noise_std(noise_std):
+    trace = tone_trace([10e6], n=64)
+    with pytest.raises(ConfigError, match="noise_std"):
+        add_awgn(trace, noise_std, seed=1)
+    with pytest.raises(ConfigError, match="noise_std"):
+        adc_quantize(trace, AdcSpec(trace.sample_rate, 12, 1.0), noise_std=noise_std)
+
+
 def full_chain_crosstalk(chip, plan, toggled_device, *, lo_frequency=None, sample_rate=4e9,
                          n_samples=4000, amplitude=1.0, window="rectangular", adc=None,
                          noise_std=0.0, seed=0):

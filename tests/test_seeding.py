@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fdmsim import ConfigError, child_seed
@@ -43,3 +43,16 @@ def test_out_of_range_keys_are_rejected(key):
     # (3, 2**32) would read the same words as (3, 0, 1)
     with pytest.raises(ConfigError):
         derive_rng(*key)
+    with pytest.raises(ConfigError):
+        child_seed(*key)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(root=roots, path=paths)
+@example(root=0, path=())
+@example(root=2**128 - 1, path=(2**32 - 1, 0, 2**32 - 1))
+def test_child_seed_is_the_first_integer_of_the_derived_stream(root, path):
+    # The construction child_seed replaces: a whole Generator for one draw.
+    expected = int(derive_rng(root, *path).integers(2**63))
+    assert child_seed(root, *path) == expected
+    assert 0 <= expected < 2**63
