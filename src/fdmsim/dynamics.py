@@ -22,12 +22,12 @@ from __future__ import annotations
 import collections
 import math
 import numbers
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
+from .lanes import lane_count as _lane_count
 from .seeding import derive_rng
 
 # Samples held by one chunk of telegraph trajectories; also the ceiling on
@@ -36,8 +36,6 @@ TELEGRAPH_CHUNK_SAMPLES = 2_000_000
 # Samples per block of the walk, carrier gather, FFT and power sum: 30 rows
 # at n = 4320, with about 4 MB of buffers, split among the lanes.
 _BLOCK_SAMPLES = 1 << 17
-# Most threads the telegraph kernel runs its blocks on.
-_MAX_LANES = 4
 
 
 @dataclass(frozen=True)
@@ -269,16 +267,6 @@ def _telegraph_flips(
     return flips, start
 
 
-def _lane_count() -> int:
-    """Threads for the telegraph blocks: the cores this process may run
-    on, at most _MAX_LANES."""
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    return max(1, min(cores, _MAX_LANES))
-
-
 def _telegraph_block(
     carrier: np.ndarray,
     levels: np.ndarray,
@@ -351,7 +339,7 @@ def relaxation_telegraph_spectrum(
 
     The walk, gather, FFT and power run on blocks of a few rows, on up to
     L threads ("lanes"): L is the number of cores this process may run
-    on (os.sched_getaffinity), at most 4 (_MAX_LANES) and at most the
+    on (os.sched_getaffinity), at most 4 (lanes.MAX_LANES) and at most the
     rows of one block, and each lane gets 1/L of a block's rows, so the
     buffers together hold one block whatever L is.  The calling thread
     draws the flips chunk by chunk, in one stream, lays out the runs of

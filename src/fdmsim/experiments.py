@@ -23,6 +23,7 @@ from .rxchain import (
     AdcSpec,
     ReadoutSetup,
     ToneMeasurement,
+    _check_noise,
     _default_lo,
     _header_items,
     _receive,
@@ -33,13 +34,13 @@ from .rxchain import (
     channelize,
     downconvert,
 )
-from .seeding import child_seed
+from .seeding import _child_seeds, child_seed
 from .txchain import synthesize_multitone, upconvert_ssb
 
 # evolve_for, add_awgn, adc_quantize, apply_feedline, channelize,
-# downconvert, synthesize_multitone and upconvert_ssb are not called in
-# this module.  They stay bound here because perfbench/tracer.py wraps
-# each stage by its attribute in this namespace.
+# downconvert, child_seed, synthesize_multitone and upconvert_ssb are not
+# called in this module.  They stay bound here because perfbench/tracer.py
+# wraps each stage by its attribute in this namespace.
 
 CSV_FORMAT_TAG = "fdmsim-sweep-v1"
 
@@ -145,7 +146,9 @@ def _acquire_points(
     and fluxes[i] is a scalar or one flux per device.  One s21_feedline
     call gives every point's channel amplitudes, c = setup.amplitude *
     S21(channel frequencies), and rxchain._receive turns them into
-    measured ones, with point i's noise from child_seed(seed, i).
+    measured ones, with point i's noise from child_seed(seed, i); all
+    the child seeds come from one vectorized pass, and only when noise
+    is drawn.
     Returns the complex channel amplitudes, (n_points, n_channels), and,
     only with estimate_noise=True, each shot's noise estimate,
     (n_points,); else None.  acquire alone asks for it: the sweep
@@ -153,9 +156,10 @@ def _acquire_points(
     """
     omega = 2 * np.pi * np.array(setup.channel_frequencies)
     c = setup.amplitude * s21_feedline(chip, omega, states, fluxes)
+    seeds = _child_seeds(seed, len(c)) if noise_std > 0 else ()
     return _receive(
-        setup, c, adc=adc, noise_std=noise_std, estimate_noise=estimate_noise,
-        seed_of=lambda i: child_seed(seed, i),
+        setup, c, adc=adc, noise_std=noise_std, seeds=seeds,
+        estimate_noise=estimate_noise,
     )
 
 
@@ -178,8 +182,11 @@ def acquire(
     that closed form, gets its noise or ADC and is channelized, with
     noise from the stream child_seed(seed, 0): the same draw as point 0
     of a sweep run with this seed.  noise_std is channelize's off-channel
-    estimate of that trace.
+    estimate of that trace.  A negative or non-finite noise_std, or a
+    seed that is not an integer in [0, 2**128), raises ConfigError,
+    noise or not.
     """
+    _check_noise(noise_std, seed)
     iq, noise = _acquire_points(
         chip, setup, [states], [fluxes], adc=adc, noise_std=noise_std, seed=seed,
         estimate_noise=True,
@@ -221,8 +228,11 @@ def run_flux_sweep(
     form, amplitude * S21(channel frequency), and no seed is drawn.
     Otherwise each point's received trace is built from that closed form
     and draws its noise from the independent child stream
-    child_seed(seed, i).
+    child_seed(seed, i).  A negative or non-finite noise_std, or a seed
+    that is not an integer in [0, 2**128), raises ConfigError, noise or
+    not.
     """
+    _check_noise(noise_std, seed)
     flux_values = np.asarray(flux_values, dtype=float)
     if flux_values.ndim != 1 or flux_values.size == 0:
         raise ConfigError("flux_values must be a non-empty 1-d array")
@@ -446,8 +456,11 @@ def run_rabi(
     ADC each readout is computed in closed form, amplitude * S21(channel
     frequency), and no seed is drawn; otherwise each duration's received
     trace is built from that closed form and gets its noise from
-    child_seed(seed, i).
+    child_seed(seed, i).  A negative or non-finite noise_std, or a seed
+    that is not an integer in [0, 2**128), raises ConfigError before any
+    work, with or without readout.
     """
+    _check_noise(noise_std, seed)
     durations = np.asarray(durations, dtype=float)
     if durations.ndim != 1 or durations.size == 0:
         raise ConfigError("durations must be a non-empty 1-d array")

@@ -73,10 +73,19 @@ class FrequencyPlan:
         return tuple(b - a for a, b in zip(f, f[1:]))
 
 
+def _check_finite(**values: float) -> None:
+    """ConfigError naming the first of the given values that is NaN or
+    infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class CapacityQuery:
     """bandwidth: Hz.  kappa, gamma, dispersive_shift: rad/s.
-    crosstalk_limit_db: maximum tolerated adjacent-channel crosstalk, < 0."""
+    crosstalk_limit_db: maximum tolerated adjacent-channel crosstalk, < 0.
+    Every field must be finite."""
 
     bandwidth: float
     kappa: float
@@ -85,6 +94,11 @@ class CapacityQuery:
     crosstalk_limit_db: float
 
     def __post_init__(self):
+        _check_finite(
+            bandwidth=self.bandwidth, kappa=self.kappa, gamma=self.gamma,
+            dispersive_shift=self.dispersive_shift,
+            crosstalk_limit_db=self.crosstalk_limit_db,
+        )
         if self.bandwidth <= 0:
             raise ConfigError(f"bandwidth must be > 0, got {self.bandwidth}")
         if self.kappa <= 0:
@@ -108,7 +122,8 @@ class CapacityResult:
 
 def carson_bandwidth(dispersive_shift: float, gamma: float) -> float:
     """Full spectral width 2*(shift + 2*gamma) of a relaxing qubit's
-    carrier, rad/s in and out."""
+    carrier, rad/s in and out; both rates must be finite and >= 0."""
+    _check_finite(dispersive_shift=dispersive_shift, gamma=gamma)
     if dispersive_shift < 0 or gamma < 0:
         raise ConfigError("dispersive_shift and gamma must be >= 0")
     return 2.0 * (dispersive_shift + 2.0 * gamma)
@@ -119,7 +134,9 @@ def adjacent_crosstalk(spacing: float, kappa: float) -> float:
 
     Lorentzian amplitude tail of a notch of total linewidth kappa:
     zero spacing gives 0 dB, large spacing falls off as 1/spacing.
+    Both arguments must be finite.
     """
+    _check_finite(spacing=spacing, kappa=kappa)
     if kappa <= 0:
         raise ConfigError(f"kappa must be > 0, got {kappa}")
     if spacing < 0:
@@ -133,8 +150,11 @@ def crosstalk_limited_spacing(kappa: float, crosstalk_limit_db: float) -> float:
 
     The exact solution is (kappa/2)*sqrt(10^(-limit/10) - 1); it is
     rounded up to the half-kappa grid (1.5*kappa for -10 dB, 5*kappa for
-    -20 dB).
+    -20 dB).  Both arguments must be finite and kappa > 0.
     """
+    _check_finite(kappa=kappa, crosstalk_limit_db=crosstalk_limit_db)
+    if kappa <= 0:
+        raise ConfigError(f"kappa must be > 0, got {kappa}")
     if crosstalk_limit_db >= 0:
         raise ConfigError(f"crosstalk_limit_db must be < 0, got {crosstalk_limit_db}")
     exact = math.sqrt(10.0 ** (-crosstalk_limit_db / 10.0) - 1.0)  # in units of kappa/2

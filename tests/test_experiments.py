@@ -191,11 +191,11 @@ def test_hand_built_setup_accepts_grid_channels_at_the_guard():
 # acquisition core: closed form against the full chain
 
 
-def full_chain_shot(chip, setup, states, flux, *, adc=None, noise_std=0.0, seed=0):
+def full_chain_shot(chip, setup, states, flux, *, adc=None, noise_std=0.0, seed=0, point=0):
     """One shot composed explicitly from the public stages: channel
     amplitudes, phases and the noise estimate.  Noise, if any, comes from
-    child_seed(seed, 0), the stream of point 0; an ADC applies its own
-    FFT band limit."""
+    child_seed(seed, point), the stream of that sweep point; an ADC
+    applies its own FFT band limit."""
     tones = [ToneSpec(baseband_frequency=f, amplitude=setup.amplitude)
              for f in setup.baseband_frequencies]
     probe = upconvert_ssb(
@@ -204,9 +204,9 @@ def full_chain_shot(chip, setup, states, flux, *, adc=None, noise_std=0.0, seed=
     )
     rx = downconvert(apply_feedline(probe, chip, states, flux), setup.lo_frequency)
     if adc is not None:
-        rx = adc_quantize(rx, adc, noise_std=noise_std, seed=child_seed(seed, 0))
+        rx = adc_quantize(rx, adc, noise_std=noise_std, seed=child_seed(seed, point))
     elif noise_std > 0:
-        rx = add_awgn(rx, noise_std, child_seed(seed, 0))
+        rx = add_awgn(rx, noise_std, child_seed(seed, point))
     meas = channelize(rx, setup.baseband_frequencies, window=setup.window)
     return (np.array([m.amplitude for m in meas]), np.array([m.phase for m in meas]),
             meas[0].noise_std)
@@ -282,6 +282,26 @@ def test_noisy_acquisition_matches_full_chain(chip, window, adc):
                 if adc is not None:
                     # the band limit removed the tone: only noise is left
                     assert amp[out] < 6 * noise < 0.05 * np.min(np.delete(amp, out))
+
+
+def test_noisy_sweep_point_i_is_the_chain_with_child_seed_i(chip, monkeypatch):
+    # Five points in blocks of two rows: three blocks, the last partly
+    # full, on one and on two lanes.
+    setup = noisy_setup(chip, "rectangular")
+    monkeypatch.setattr(fdmsim.rxchain, "_SHOT_BLOCK_SAMPLES", 2 * setup.n_samples)
+    fluxes = np.linspace(-0.02, 0.02, 5)
+    states = [-1.0] * len(chip.devices)
+    seed = 2**70 + 9
+    ref = [full_chain_shot(chip, setup, states, flux, adc=BAND_LIMITED_ADC,
+                           noise_std=2e-3, seed=seed, point=i)
+           for i, flux in enumerate(fluxes)]
+    for lanes in (1, 2):
+        monkeypatch.setattr(fdmsim.rxchain, "_lane_count", lambda lanes=lanes: lanes)
+        sweep = run_flux_sweep(chip, fluxes, setup=setup, adc=BAND_LIMITED_ADC,
+                               noise_std=2e-3, seed=seed)
+        for i, (amp, phase, _) in enumerate(ref):
+            np.testing.assert_array_equal(sweep.tables["amplitude"][i], amp)
+            np.testing.assert_array_equal(sweep.tables["phase"][i], phase)
 
 
 # derandomize: the same 30 examples on every run, so the suite stays
@@ -442,6 +462,30 @@ def test_acquisition_rejects_non_finite_noise(chip, noise_std, adc):
         run_flux_sweep(chip, [0.0], setup=setup, adc=adc, noise_std=noise_std)
     with pytest.raises(ConfigError, match="noise_std"):
         run_rabi(chip, [0.0, 1e-8], setup=setup, adc=adc, noise_std=noise_std)
+
+
+@pytest.mark.parametrize("noise_std", [math.nan, math.inf, -1.0])
+def test_rabi_without_readout_rejects_bad_noise_std(chip, noise_std):
+    # No noise is drawn, but the metadata would record the value.
+    with pytest.raises(ConfigError, match="noise_std"):
+        run_rabi(chip, [0.0, 1e-8], device_ids=(2,), readout=False, noise_std=noise_std)
+
+
+@pytest.mark.parametrize("seed", [-5, 2**128, 1.5])
+def test_noiseless_runs_reject_out_of_range_seeds(chip, seed):
+    setup = make_readout_setup(chip, (1, 2))
+    states = [-1.0] * len(chip.devices)
+    adc = AdcSpec(1e9, 12, full_scale=1.0)
+    calls = [
+        lambda: run_rabi(chip, [0.0, 1e-8], setup=setup, readout=False, seed=seed),
+        lambda: run_rabi(chip, [0.0, 1e-8], setup=setup, seed=seed),
+        lambda: run_rabi(chip, [0.0, 1e-8], setup=setup, adc=adc, seed=seed),
+        lambda: run_flux_sweep(chip, [0.0], setup=setup, seed=seed),
+        lambda: acquire(chip, setup, states, 0.0, seed=seed),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigError, match="root seed"):
+            call()
 
 
 @pytest.mark.parametrize("flux", [math.nan, math.inf])

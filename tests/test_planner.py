@@ -43,6 +43,13 @@ def test_adjacent_crosstalk_anchor_points():
     assert all(b <= a for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("kappa", [0.0, -KAPPA])
+def test_crosstalk_limited_spacing_rejects_non_positive_kappa(kappa):
+    # it used to return a spacing of 0 or -5 kappa
+    with pytest.raises(ConfigError, match="kappa"):
+        crosstalk_limited_spacing(kappa, -20.0)
+
+
 def test_crosstalk_limited_spacing_half_kappa_grid():
     assert crosstalk_limited_spacing(KAPPA, -10.0) == pytest.approx(1.5 * KAPPA)
     assert crosstalk_limited_spacing(KAPPA, -20.0) == pytest.approx(5.0 * KAPPA)
@@ -92,6 +99,35 @@ def test_max_channels_carson_limited():
     assert result.spacing == pytest.approx(result.carson_bandwidth)
     assert result.count == int(100e6 // result.spacing)
     assert "Carson" in result.notes[0] or "carson" in result.notes[0].lower()
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_rate_functions_reject_non_finite_input(bad):
+    for call in (
+        lambda: carson_bandwidth(bad, 0.0),
+        lambda: carson_bandwidth(0.0, bad),
+        lambda: adjacent_crosstalk(bad, 1.0),
+        lambda: adjacent_crosstalk(1.0, bad),
+        lambda: crosstalk_limited_spacing(bad, -20.0),
+        lambda: crosstalk_limited_spacing(KAPPA, bad),
+    ):
+        with pytest.raises(ConfigError, match="finite"):
+            call()
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize(
+    "field", ["bandwidth", "kappa", "gamma", "dispersive_shift", "crosstalk_limit_db"]
+)
+def test_capacity_query_rejects_non_finite_fields(field, bad):
+    fields = dict(bandwidth=1e9, kappa=KAPPA, gamma=TWO_PI * 0.1e6,
+                  dispersive_shift=TWO_PI * 0.3e6, crosstalk_limit_db=-20.0)
+    fields[field] = bad
+    with pytest.raises(ConfigError, match=field):
+        CapacityQuery(**fields)
 
 
 def test_max_channels_infeasible_band():

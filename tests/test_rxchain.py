@@ -1,7 +1,11 @@
 """Receive chain: mixing, noise, quantization, channelization, crosstalk."""
 
+import logging
 import math
+import sys
+import threading
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,7 +41,8 @@ from fdmsim import (
     synthesize_multitone,
     upconvert_ssb,
 )
-from fdmsim.rxchain import CROSSTALK_FLOOR_DB, NOISE_GUARD_BINS
+from fdmsim.rxchain import CROSSTALK_FLOOR_DB, NOISE_GUARD_BINS, ReadoutSetup
+from fdmsim.seeding import _child_seeds, derive_rng
 
 TWO_PI = 2 * math.pi
 
@@ -463,6 +468,13 @@ def test_measure_crosstalk_unknown_device_raises():
         measure_crosstalk(chip, plan, 3)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_measure_crosstalk_rejects_out_of_range_seeds_without_noise(seed):
+    chip, plan = two_device_chip(15e6)
+    with pytest.raises(ConfigError, match="root seed"):
+        measure_crosstalk(chip, plan, plan.device_ids[0], seed=seed)
+
+
 def test_measure_crosstalk_deterministic_under_noise():
     chip, plan = two_device_chip(50e6)
     a = measure_crosstalk(chip, plan, 1, noise_std=1e-4, seed=9)
@@ -617,3 +629,125 @@ def test_crosstalk_rejects_plans_it_cannot_measure_exactly(spacing, kwargs, matc
     chip, plan = two_device_chip(spacing)
     with pytest.raises(ConfigError, match=match):
         measure_crosstalk(chip, plan, 1, **kwargs)
+
+
+# --------------------------------------------------------------------------
+# the shot loop: blocks of rows on lanes against one shot at a time
+
+
+def receive_reference(setup, c, *, adc, noise_std, seeds):
+    """The shot loop one shot at a time, on the calling thread: a fresh
+    trace c[i] @ tones, noise from a Generator built per shot by
+    derive_rng(seeds[i]), adc_quantize without its FFT band limit (the
+    channels beyond the band are zeroed instead), then the projector."""
+    c = c.copy()
+    rx = fdmsim.rxchain
+    plan = rx._channel_plan(tuple(setup.baseband_frequencies), setup.n_samples,
+                            float(setup.sample_rate), setup.window)
+    tones = plan.kernel.conj()
+    c[:, rx._beyond_band(setup, adc)] = 0.0
+    iq = np.empty_like(c)
+    for i in range(c.shape[0]):
+        trace = c[i] @ tones
+        if noise_std > 0:
+            quad = trace.view(np.float64).reshape(-1, 2)
+            quad += derive_rng(int(seeds[i])).normal(0.0, noise_std, size=quad.shape)
+        if adc is not None:
+            trace = adc_quantize(IQTrace(trace, setup.sample_rate),
+                                 replace(adc, analog_bandwidth=None)).samples
+        iq[i], _ = rx._project(plan, trace)
+    return iq
+
+
+SHOT_SETUP = ReadoutSetup(device_ids=(1, 2, 3), lo_frequency=5e9,
+                          baseband_frequencies=(-20e6, 3e6, 15e6),
+                          sample_rate=64e6, n_samples=64)
+# 12 MHz of analog band removes the channels at -20 and +15 MHz.
+SHOT_CASES = {
+    "noise": dict(adc=None, noise_std=0.05),
+    "noise-hann": dict(adc=None, noise_std=0.05, window="hann"),
+    "adc": dict(adc=AdcSpec(64e6, 8, full_scale=1.0), noise_std=0.0),
+    "noise-adc": dict(adc=AdcSpec(64e6, 8, full_scale=1.0), noise_std=0.05),
+    "noise-band-limited-adc": dict(adc=AdcSpec(64e6, 8, full_scale=0.4,
+                                               analog_bandwidth=12e6), noise_std=0.05),
+}
+
+
+def shot_table(n_points):
+    """Channel amplitudes whose peaks grow from 0.06 to 1.8 over the
+    shots, so that a unit full scale clips some shots and not others."""
+    rng = np.random.default_rng(n_points)
+    scale = np.linspace(0.02, 0.6, n_points)[:, None]
+    return scale * np.exp(2j * np.pi * rng.uniform(size=(n_points, 3)))
+
+
+@pytest.mark.parametrize("case", list(SHOT_CASES))
+@pytest.mark.parametrize(
+    "n_points, rows",
+    [
+        (10, 3),  # blocks of 3, 3, 3 and 1 rows: the last one partly full
+        (2, 1),  # fewer shots than 3 lanes
+        (7, 16),  # one block
+    ],
+)
+def test_receive_equals_the_per_shot_loop_for_every_lane_count(case, n_points, rows,
+                                                                monkeypatch, caplog):
+    rx = fdmsim.rxchain
+    kwargs = dict(SHOT_CASES[case])
+    setup = replace(SHOT_SETUP, window=kwargs.pop("window", "rectangular"))
+    monkeypatch.setattr(rx, "_SHOT_BLOCK_SAMPLES", rows * setup.n_samples)
+    c = shot_table(n_points)
+    seeds = _child_seeds(11, n_points) if kwargs["noise_std"] > 0 else ()
+    with caplog.at_level(logging.WARNING, logger="fdmsim.rxchain"):
+        expected = receive_reference(setup, c, seeds=seeds, **kwargs)
+        expected_clips = [r.getMessage() for r in caplog.records]
+    if kwargs["adc"] is not None and n_points == 10:
+        assert 0 < len(expected_clips) < n_points
+
+    project = rx._project
+    threads = set()
+
+    def recording_project(*args):
+        threads.add(threading.current_thread())
+        return project(*args)
+
+    monkeypatch.setattr(rx, "_project", recording_project)
+    # Switch threads often, so that lanes sharing a buffer would show.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for lanes in (1, 2, 3):
+            monkeypatch.setattr(rx, "_lane_count", lambda lanes=lanes: lanes)
+            threads.clear()
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="fdmsim.rxchain"):
+                iq, noise = rx._receive(setup, c.copy(), seeds=seeds, **kwargs)
+            assert noise is None
+            assert np.array_equal(iq, expected)
+            # one warning per clipping shot, in shot order
+            assert [r.getMessage() for r in caplog.records] == expected_clips
+            # every lane runs at least one block, lane 0 on this thread
+            assert len(threads) == min(lanes, -(-n_points // rows))
+            assert threading.current_thread() in threads
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_receive_raises_a_lane_failure_after_every_lane_ends(monkeypatch):
+    rx = fdmsim.rxchain
+    project = rx._project
+    caller = threading.current_thread()
+
+    def failing_project(*args):
+        if threading.current_thread() is not caller:
+            raise RuntimeError("lane failed")
+        return project(*args)
+
+    monkeypatch.setattr(rx, "_project", failing_project)
+    monkeypatch.setattr(rx, "_lane_count", lambda: 3)
+    monkeypatch.setattr(rx, "_SHOT_BLOCK_SAMPLES", SHOT_SETUP.n_samples)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="lane failed"):
+        rx._receive(SHOT_SETUP, shot_table(9), adc=None, noise_std=0.05,
+                    seeds=_child_seeds(1, 9))
+    assert threading.active_count() == before

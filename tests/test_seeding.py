@@ -8,10 +8,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fdmsim import ConfigError, child_seed
-from fdmsim.seeding import derive_rng
+from fdmsim.seeding import _child_seeds, _derived_states, derive_rng
 
 roots = st.one_of(st.integers(0, 2**63 - 1), st.integers(0, 2**128 - 1))
 paths = st.lists(st.integers(0, 2**32 - 1), max_size=3).map(tuple)
+
+
+def test_integral_float_roots_are_their_integer():
+    assert child_seed(3.0, 1) == child_seed(3, 1)
+    assert child_seed(np.uint64(2**63), 1) == child_seed(2**63, 1)
 
 
 def test_same_path_same_stream():
@@ -37,7 +42,10 @@ def test_distinct_paths_give_distinct_uncorrelated_streams(root_a, path_a, root_
 
 
 @pytest.mark.parametrize(
-    "key", [(-1,), (2**128,), (1, -2), (3, 2**32), (5, 0, 2**40)]
+    "key",
+    [(-1,), (2**128,), (1, -2), (3, 2**32), (5, 0, 2**40),
+     # a fractional, NaN or infinite root would run as some other seed
+     (1.5,), (math.nan,), (math.inf,), (2.5, 1)],
 )
 def test_out_of_range_keys_are_rejected(key):
     # (3, 2**32) would read the same words as (3, 0, 1)
@@ -56,3 +64,55 @@ def test_child_seed_is_the_first_integer_of_the_derived_stream(root, path):
     expected = int(derive_rng(root, *path).integers(2**63))
     assert child_seed(root, *path) == expected
     assert 0 <= expected < 2**63
+
+
+def stream_state(rng: np.random.Generator) -> tuple[int, int]:
+    state = rng.bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(root=roots, count=st.integers(1, 40))
+@example(root=0, count=1)
+@example(root=2**128 - 1, count=3)
+def test_vectorized_streams_equal_child_seed_and_derive_rng(root, count):
+    seeds = _child_seeds(root, count)
+    assert seeds.dtype == np.uint64
+    assert [int(s) for s in seeds] == [child_seed(root, i) for i in range(count)]
+    # The derived states of those seeds, given as an array and as ints.
+    expected = [stream_state(derive_rng(int(s))) for s in seeds]
+    assert _derived_states(seeds) == expected
+    assert _derived_states([int(s) for s in seeds]) == expected
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seeds=st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**63 - 1),
+                                st.integers(0, 2**128 - 1)), min_size=1, max_size=8))
+@example(seeds=[0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1])
+def test_derived_states_equal_derive_rng_for_every_root(seeds):
+    # Roots of one to four 32-bit words: without a path SeedSequence mixes
+    # a short root as if padded with zero words.
+    expected = [stream_state(derive_rng(s)) for s in seeds]
+    assert _derived_states(seeds) == expected
+    if max(seeds) < 2**64:
+        assert _derived_states(np.array(seeds, dtype=np.uint64)) == expected
+
+
+@pytest.mark.parametrize("seeds", [[-1], [3, 2**128], np.array([4, -2]), [0.5]])
+def test_derived_states_reject_out_of_range_roots(seeds):
+    with pytest.raises(ConfigError, match="root seed"):
+        _derived_states(seeds)
+
+
+def test_child_seeds_reject_out_of_range_keys():
+    with pytest.raises(ConfigError, match="root seed"):
+        _child_seeds(-1, 3)
+    with pytest.raises(ConfigError, match="root seed"):
+        _child_seeds(7.25, 3)
+    with pytest.raises(ConfigError, match="root seed"):
+        _child_seeds(2**128, 3)
+    # Checked before anything is allocated: path elements end at 2**32 - 1.
+    with pytest.raises(ConfigError, match="path"):
+        _child_seeds(0, 2**32 + 1)
+    assert _child_seeds(0, 0).size == 0
+    assert _derived_states([]) == []
