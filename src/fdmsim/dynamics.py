@@ -19,15 +19,15 @@ exact solution is r(t) = exp(A t) r(0) (Torrey, Phys. Rev. 76, 1059,
 
 from __future__ import annotations
 
-import collections
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .lanes import lane_count as _lane_count
+from .errors import ConfigError, _check_finite
+from .lanes import lane_count as _lane_count, run as _run_lanes
 from .seeding import derive_rng
 
 # Samples held by one chunk of telegraph trajectories; also the ceiling on
@@ -75,9 +75,8 @@ class DriveSpec:
     detuning: float = 0.0
 
     def __post_init__(self):
-        for name in ("rabi_rate_per_unit_amplitude", "amplitude", "detuning"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        _check_finite(rabi_rate_per_unit_amplitude=self.rabi_rate_per_unit_amplitude,
+                      amplitude=self.amplitude, detuning=self.detuning)
         if self.rabi_rate_per_unit_amplitude < 0:
             raise ConfigError(
                 f"rabi_rate_per_unit_amplitude must be >= 0, got {self.rabi_rate_per_unit_amplitude}"
@@ -274,12 +273,12 @@ def _telegraph_block(
     totals: np.ndarray,
     signal: np.ndarray,
     power: np.ndarray,
-) -> int:
+) -> None:
     """Power spectra of k whole rows given as runs of constant sigma.
 
     levels and lengths are the rows' runs in order, and totals[r] the sum
     of sigma over row r.  Writes |FFT|^2 of each row's carrier into
-    power[1:k+1], using signal[:k] as scratch, and returns k.  Every
+    power[1:k+1], using signal[:k] as scratch.  Every
     pass over the samples but the repeat releases the GIL, so blocks on
     their own buffers can run on separate threads.
     """
@@ -301,7 +300,6 @@ def _telegraph_block(
     rows_power = power[1:k + 1]
     np.abs(sig, out=rows_power)
     np.square(rows_power, out=rows_power)
-    return k
 
 
 def relaxation_telegraph_spectrum(
@@ -338,16 +336,14 @@ def relaxation_telegraph_spectrum(
     per-sample exponential bit for bit.
 
     The walk, gather, FFT and power run on blocks of a few rows, on up to
-    L threads ("lanes"): L is the number of cores this process may run
-    on (os.sched_getaffinity), at most 4 (lanes.MAX_LANES) and at most the
+    L lanes scheduled by lanes.run: L is lanes.lane_count(), at most the
     rows of one block, and each lane gets 1/L of a block's rows, so the
     buffers together hold one block whatever L is.  The calling thread
-    draws the flips chunk by chunk, in one stream, lays out the runs of
-    a chunk, and adds each block's power to the spectrum in trajectory
-    order, handing a lane its next block only once its last one is
-    added.  Each trajectory's power is thus added in turn, and the result
-    is the same bit for bit for every block size and lane count.  With
-    one lane the blocks run on the calling thread.
+    draws the flips chunk by chunk, in one stream, and lays out the runs
+    of a chunk before its blocks run.  Each lane adds its block's power
+    to the spectrum in trajectory order, through a turnstile, so each
+    trajectory's power is added in turn and the result is the same bit
+    for bit for every block size and lane count.
 
     Returns the folded one-sided spectrum and the fraction of power
     outside the Carson band of full width 2*(shift + 2*gamma) centered on
@@ -355,10 +351,9 @@ def relaxation_telegraph_spectrum(
     <= 0, a non-integer trajectory count and a trajectory longer than
     TELEGRAPH_CHUNK_SAMPLES samples raise ConfigError.
     """
-    for name, value in (("gamma", gamma), ("shift", shift), ("duration", duration),
-                        ("sample_rate", sample_rate)):
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
+    _check_finite(gamma=gamma, shift=shift, duration=duration)
+    if sample_rate is not None:
+        _check_finite(sample_rate=sample_rate)
     if gamma <= 0:
         raise ConfigError(f"gamma must be > 0, got {gamma}")
     if shift < 0:
@@ -395,61 +390,57 @@ def relaxation_telegraph_spectrum(
     # trajectories to it one at a time, in order, whatever the block size.
     powers = [np.zeros((rows + 1, n)) for _ in range(lanes)]
     psd = np.zeros(n)
-    # Block i runs on lane i % lanes.  Its power is added to psd, and its
-    # lane handed block i + lanes, only after blocks 0..i-1 are added.
-    in_flight: collections.deque = collections.deque()
-    pool = None
-    if lanes > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    turn = threading.Condition()
 
-        pool = ThreadPoolExecutor(max_workers=lanes, thread_name_prefix="telegraph")
+    remaining = n_trajectories
+    while remaining > 0:
+        m = min(chunk, remaining)
+        flips, start = _telegraph_flips(rng, flip_p, m, n)
+        # After the j-th flip of a row (j from 0) sigma is -start * (-1)**j;
+        # for flip i of the chunk, (-1)**j = (-1)**i * (-1)**(flips in the
+        # rows before).
+        counts = np.bincount(flips // n, minlength=m)
+        before = np.cumsum(counts) - counts
+        after = -np.repeat(start * (1 - 2 * (before & 1)), counts)
+        after[1::2] *= -1
+        # Runs of constant sigma begin at each row start and each flip; a
+        # row start goes before a flip on its first sample, leaving a run
+        # of length 0.  Row r's runs begin at index edges[r].
+        begins = np.insert(flips, before, np.arange(m) * n)
+        levels = np.insert(after, before, start)
+        lengths = np.diff(begins, append=m * n)
+        edges = np.append(before, flips.size) + np.arange(m + 1)
+        totals = np.add.reduceat(levels * lengths, edges[:-1])
 
-    def add_oldest() -> None:
-        pending, power = in_flight.popleft()
-        k = pending if pool is None else pending.result()
-        power[0] = psd
-        np.sum(power[:k + 1], axis=0, out=psd)
-
-    try:
-        lane = 0
-        remaining = n_trajectories
-        while remaining > 0:
-            m = min(chunk, remaining)
-            flips, start = _telegraph_flips(rng, flip_p, m, n)
-            # After the j-th flip of a row (j from 0) sigma is -start * (-1)**j;
-            # for flip i of the chunk, (-1)**j = (-1)**i * (-1)**(flips in the
-            # rows before).
-            counts = np.bincount(flips // n, minlength=m)
-            before = np.cumsum(counts) - counts
-            after = -np.repeat(start * (1 - 2 * (before & 1)), counts)
-            after[1::2] *= -1
-            # Runs of constant sigma begin at each row start and each flip; a
-            # row start goes before a flip on its first sample, leaving a run
-            # of length 0.  Row r's runs begin at index edges[r].
-            begins = np.insert(flips, before, np.arange(m) * n)
-            levels = np.insert(after, before, start)
-            lengths = np.diff(begins, append=m * n)
-            edges = np.append(before, flips.size) + np.arange(m + 1)
-            totals = np.add.reduceat(levels * lengths, edges[:-1])
-            for b in range(0, m, rows):
-                if len(in_flight) == lanes:
-                    add_oldest()
+        def add_block(lane: int, i: int) -> None:
+            nonlocal added
+            power = powers[lane]
+            try:
+                b = i * rows
                 k = min(rows, m - b)
                 runs = slice(edges[b], edges[b + k])
-                job = (carrier, levels[runs], lengths[runs], totals[b:b + k],
-                       signals[lane], powers[lane])
-                if pool is None:
-                    pending = _telegraph_block(*job)
-                else:
-                    pending = pool.submit(_telegraph_block, *job)
-                in_flight.append((pending, powers[lane]))
-                lane = (lane + 1) % lanes
-            remaining -= m
-        while in_flight:
-            add_oldest()
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+                _telegraph_block(carrier, levels[runs], lengths[runs], totals[b:b + k],
+                                 signals[lane], power)
+                with turn:
+                    turn.wait_for(lambda: added is None or added == i)
+                    if added is None:
+                        return
+                    power[0] = psd
+                    np.sum(power[:k + 1], axis=0, out=psd)
+                    added += 1
+                    turn.notify_all()
+            except BaseException:
+                with turn:
+                    added = None
+                    turn.notify_all()
+                raise
+
+        # The turnstile: block i of the chunk is added to psd only after
+        # blocks 0..i-1 are.  A lane that fails sets added to None, which
+        # opens it, so that the call raises rather than waits.
+        added = 0
+        _run_lanes(add_block, -(-m // rows), lanes)
+        remaining -= m
     psd /= psd.sum()
 
     freqs = np.fft.fftfreq(n, d=dt)

@@ -1,8 +1,10 @@
-"""Exception types shared across the simulator.
+"""Exception types shared across the simulator, and its finiteness check.
 
 The CLI maps ConfigError to exit code 2 and InfeasiblePlanError to exit
 code 3; everything else is a plain failure.
 """
+
+import math
 
 
 class FdmSimError(Exception):
@@ -35,3 +37,11 @@ class UnknownDeviceError(FdmSimError):
 
 class TraceFormatError(FdmSimError):
     """Binary trace file is corrupt or has an unsupported version."""
+
+
+def _check_finite(**values: float) -> None:
+    """ConfigError naming the first of the given values that is NaN or
+    infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")

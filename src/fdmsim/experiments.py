@@ -19,6 +19,7 @@ import numpy as np
 from .device import Chip, QubitStateLabel, dressed_resonance, s21_feedline
 from .dynamics import GROUND, BlochState, DriveSpec, evolve_for, propagator, rabi_frequency
 from .errors import ConfigError, UnknownDeviceError
+from .planner import _grid_offset
 from .rxchain import (
     AdcSpec,
     ReadoutSetup,
@@ -115,9 +116,7 @@ def make_readout_setup(
     grid = sample_rate / n_samples
     if lo_frequency is None:
         lo_frequency = _default_lo(list(targets.values()), sample_rate, n_samples)
-    baseband = tuple(
-        grid * round((targets[d] - lo_frequency) / grid) for d in device_ids
-    )
+    baseband = tuple(_grid_offset(targets[d], lo_frequency, grid) for d in device_ids)
     return ReadoutSetup(
         device_ids=device_ids,
         lo_frequency=float(lo_frequency),

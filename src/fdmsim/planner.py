@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .device import Chip, QubitStateLabel, dressed_resonance
-from .errors import ConfigError, InfeasiblePlanError
+from .errors import ConfigError, InfeasiblePlanError, _check_finite
 
 
 class SpacingRule(enum.Enum):
@@ -71,14 +71,6 @@ class FrequencyPlan:
     def spacings(self) -> tuple[float, ...]:
         f = self.frequencies
         return tuple(b - a for a, b in zip(f, f[1:]))
-
-
-def _check_finite(**values: float) -> None:
-    """ConfigError naming the first of the given values that is NaN or
-    infinite."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -284,6 +276,18 @@ def generate_plan(
     return plan
 
 
+def _grid_offset(frequency: float, reference: float, grid: float) -> float:
+    """The offset from reference of the grid point nearest frequency, the
+    snapping rule of plan_for_chip, make_readout_setup and the default LO.
+    ConfigError for a NaN or infinite input, a grid <= 0, or an offset of
+    more grid steps than a float holds."""
+    if not 0 < grid < math.inf:
+        raise ConfigError(f"grid must be finite and > 0, got {grid}")
+    steps = (frequency - reference) / grid
+    _check_finite(frequency=frequency, reference=reference, grid_steps=steps)
+    return grid * round(steps)
+
+
 def plan_for_chip(
     chip: Chip,
     *,
@@ -308,7 +312,7 @@ def plan_for_chip(
         f = dressed_resonance(dev, dev.qubit.symmetry_flux, state)
         if grid is not None:
             ref = lo_frequency if lo_frequency is not None else 0.0
-            f = ref + grid * round((f - ref) / grid)
+            f = ref + _grid_offset(f, ref, grid)
         pairs.append((dev_id, f))
     pairs.sort(key=lambda p: p[1])
     freqs = [f for _, f in pairs]

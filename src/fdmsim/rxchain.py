@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import logging
 import math
-import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -27,8 +26,9 @@ from typing import Sequence
 import numpy as np
 
 from .device import Chip
-from .errors import ConfigError, LoMismatchError, NyquistError, UnknownDeviceError
-from .lanes import lane_count as _lane_count
+from .errors import ConfigError, LoMismatchError, NyquistError, UnknownDeviceError, _check_finite
+from .lanes import lane_count as _lane_count, run as _run_lanes
+from .planner import _grid_offset
 from .seeding import _check_root_seed, _derived_states, derive_rng
 from .txchain import IQTrace, synthesize_multitone, upconvert_ssb
 
@@ -63,6 +63,9 @@ class AdcSpec:
     analog_bandwidth: float | None = None
 
     def __post_init__(self):
+        _check_finite(sample_rate=self.sample_rate, full_scale=self.full_scale)
+        if self.analog_bandwidth is not None:
+            _check_finite(analog_bandwidth=self.analog_bandwidth)
         if self.sample_rate <= 0:
             raise ConfigError(f"ADC sample_rate must be > 0, got {self.sample_rate}")
         if not 1 <= int(self.bits) <= 32:
@@ -339,11 +342,12 @@ def channelize(
 class ReadoutSetup:
     """Frozen front-end configuration for multiplexed acquisition.
 
-    Construction rejects, with ConfigError, duplicate device ids, a
-    channel off the acquisition DFT grid (sample_rate / n_samples),
-    a channel outside the grid's baseband range [-sample_rate/2,
-    sample_rate/2), two channels fewer than NOISE_GUARD_BINS bins apart,
-    and an unknown window.  Every setup it accepts therefore channelizes
+    Construction rejects, with ConfigError, duplicate device ids, a NaN
+    or infinite frequency, rate or amplitude, a channel off the
+    acquisition DFT grid (sample_rate / n_samples), a channel outside
+    the grid's baseband range [-sample_rate/2, sample_rate/2), two
+    channels fewer than NOISE_GUARD_BINS bins apart, and an unknown
+    window.  Every setup it accepts therefore channelizes
     exactly, and a noiseless, ADC-free acquisition of it is computed in
     closed form as amplitude * S21(channel frequency) (see _receive).
     """
@@ -366,6 +370,8 @@ class ReadoutSetup:
                 f"got {len(self.baseband_frequencies)} channel frequencies for "
                 f"{len(self.device_ids)} devices"
             )
+        _check_finite(lo_frequency=self.lo_frequency, sample_rate=self.sample_rate,
+                      amplitude=self.amplitude)
         if not self.sample_rate > 0 or self.n_samples < 1:
             raise ConfigError(
                 f"need sample_rate > 0 and n_samples >= 1, got "
@@ -377,6 +383,7 @@ class ReadoutSetup:
         nyquist = self.sample_rate / 2
         bins = []
         for f in self.baseband_frequencies:
+            _check_finite(baseband_frequency=f)
             if not -nyquist <= f < nyquist:
                 raise ConfigError(
                     f"channel {f:+.6g} Hz from the LO is beyond Nyquist "
@@ -388,16 +395,19 @@ class ReadoutSetup:
                     f"channel {f:+.9g} Hz is off the {grid:.6g} Hz DFT grid"
                 )
             bins.append(k)
-        for a in range(len(bins)):
-            for b in range(a):
-                apart = abs(bins[a] - bins[b])
-                apart = min(apart, self.n_samples - apart)
-                if apart < NOISE_GUARD_BINS:
-                    raise ConfigError(
-                        f"channels {self.baseband_frequencies[b]:+.9g} and "
-                        f"{self.baseband_frequencies[a]:+.9g} Hz are {apart} bins "
-                        f"apart, fewer than NOISE_GUARD_BINS = {NOISE_GUARD_BINS}"
-                    )
+        # The closest two channels on the circle of n_samples bins are
+        # neighbours in bin order, the last bin's neighbour being the first.
+        order = sorted(range(len(bins)), key=bins.__getitem__)
+        wrap = order[:1] if len(order) > 1 else []
+        for a, b in zip(order, order[1:] + wrap):
+            apart = (bins[b] - bins[a]) % self.n_samples
+            if apart < NOISE_GUARD_BINS:
+                a, b = sorted((a, b))
+                raise ConfigError(
+                    f"channels {self.baseband_frequencies[a]:+.9g} and "
+                    f"{self.baseband_frequencies[b]:+.9g} Hz are {apart} bins "
+                    f"apart, fewer than NOISE_GUARD_BINS = {NOISE_GUARD_BINS}"
+                )
 
     @property
     def channel_frequencies(self) -> tuple[float, ...]:
@@ -406,8 +416,7 @@ class ReadoutSetup:
 
 def _default_lo(frequencies, sample_rate: float, n_samples: int) -> float:
     """The default LO: the mean channel frequency snapped to the DFT grid."""
-    grid = sample_rate / n_samples
-    return float(grid * round(float(np.mean(frequencies)) / grid))
+    return float(_grid_offset(float(np.mean(frequencies)), 0.0, sample_rate / n_samples))
 
 
 def _beyond_band(setup: ReadoutSetup, adc: AdcSpec | None) -> np.ndarray:
@@ -455,8 +464,7 @@ def _receive(
     downconvert, add_awgn or adc_quantize, channelize.
 
     The shots run in blocks of a few rows (_SHOT_BLOCK_SAMPLES samples)
-    on L threads ("lanes"), L = min(lanes.lane_count(), blocks): lane j
-    runs blocks j, j + L, j + 2L, ..., lane 0 on the calling thread.  The
+    on up to lanes.lane_count() lanes, scheduled by lanes.run.  The
     calling thread derives every shot's PCG64 state in one vectorized
     pass and allocates every buffer before a lane starts: each lane owns
     one block, one draw scratch and one Generator, set to a shot's state
@@ -483,63 +491,43 @@ def _receive(
     if states is not None and len(states) != n_points:
         raise ValueError(f"{len(states)} seeds for {n_points} shots")
     rows = max(1, min(n_points, _SHOT_BLOCK_SAMPLES // n))
-    lanes = max(1, min(_lane_count(), -(-n_points // rows)))
+    n_blocks = -(-n_points // rows)
+    lanes = max(1, min(_lane_count(), n_blocks))
     iq = np.empty_like(c)
     clipped = np.zeros(n_points, dtype=np.int64)
     blocks = [np.empty((rows, n), dtype=complex) for _ in range(lanes)]
     draws = [np.empty((n, 2)) for _ in range(lanes)]
     generators = [np.random.Generator(np.random.PCG64(0)) for _ in range(lanes)]
 
-    def run_lane(lane: int) -> None:
-        # Lane j runs blocks j, j + lanes, j + 2 * lanes, ...
+    def run_block(lane: int, i: int) -> None:
         block, draw, generator = blocks[lane], draws[lane], generators[lane]
-        for start in range(lane * rows, n_points, lanes * rows):
-            k = min(rows, n_points - start)
-            for r in range(k):
-                row = block[r]
-                np.matmul(c[start + r], tones, out=row)
-                if states is not None:
-                    state, inc = states[start + r]
-                    generator.bit_generator.state = {
-                        "bit_generator": "PCG64",
-                        "state": {"state": state, "inc": inc},
-                        "has_uint32": 0,
-                        "uinteger": 0,
-                    }
-                    generator.standard_normal(out=draw)
-                    # Generator.normal(0.0, std) draws 0.0 + std * z.
-                    np.multiply(draw, noise_std, out=draw)
-                    np.add(draw, 0.0, out=draw)
-                    quad = _quadratures(row)
-                    np.add(quad, draw, out=quad)
-            if adc is not None:
-                clipped[start:start + k] = _quantize(block[:k].view(np.float64), adc)
-            for r in range(k):
-                iq[start + r], wx = _project(plan, block[r])
-                if estimate_noise:
-                    noise[start + r] = _noise_std(plan, wx)
+        start = i * rows
+        k = min(rows, n_points - start)
+        for r in range(k):
+            row = block[r]
+            np.matmul(c[start + r], tones, out=row)
+            if states is not None:
+                state, inc = states[start + r]
+                generator.bit_generator.state = {
+                    "bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
+                generator.standard_normal(out=draw)
+                # Generator.normal(0.0, std) draws 0.0 + std * z.
+                np.multiply(draw, noise_std, out=draw)
+                np.add(draw, 0.0, out=draw)
+                quad = _quadratures(row)
+                np.add(quad, draw, out=quad)
+        if adc is not None:
+            clipped[start:start + k] = _quantize(block[:k].view(np.float64), adc)
+        for r in range(k):
+            iq[start + r], wx = _project(plan, block[r])
+            if estimate_noise:
+                noise[start + r] = _noise_std(plan, wx)
 
-    # Lane 0 runs on the calling thread.  Plain threads, not an executor:
-    # threading is loaded with numpy, concurrent.futures would add 0.6 MB.
-    failures: list[Exception] = []
-
-    def guarded(lane: int) -> None:
-        try:
-            run_lane(lane)
-        except Exception as exc:  # raised again on the calling thread
-            failures.append(exc)
-
-    others = [threading.Thread(target=guarded, args=(lane,), name=f"shots-{lane}")
-              for lane in range(1, lanes)]
-    for thread in others:
-        thread.start()
-    try:
-        run_lane(0)
-    finally:
-        for thread in others:
-            thread.join()
-    if failures:
-        raise failures[0]
+    _run_lanes(run_block, n_blocks, lanes)
     for i in np.flatnonzero(clipped):
         _warn_clipped(int(clipped[i]), 2 * n)
     return iq, noise

@@ -174,6 +174,36 @@ def test_hand_built_setup_is_validated(baseband, match):
         )
 
 
+@pytest.mark.parametrize(
+    "baseband, pair",
+    [
+        # the closest channels are first and last in input order: apart in
+        # bins, and across the wrap from the top bin to the bottom one
+        ((0.0, 10 * GRID, GRID), r"\+0 and \+250000 Hz are 1 bins"),
+        ((-0.5e9, 0.0, 0.5e9 - GRID), r"-500000000 and \+499750000 Hz are 1 bins"),
+    ],
+)
+def test_hand_built_setup_names_the_closest_channels(baseband, pair):
+    with pytest.raises(ConfigError, match=pair):
+        ReadoutSetup(device_ids=(1, 2, 3), lo_frequency=9.6e9, baseband_frequencies=baseband)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        (dict(sample_rate=math.nan), "grid must be finite"),
+        (dict(sample_rate=math.inf), "grid must be finite"),
+        (dict(sample_rate=-1e9), "grid must be finite and > 0"),
+        (dict(sample_rate=1e-300), "grid_steps must be finite"),
+        (dict(lo_frequency=math.nan), "reference must be finite"),
+        (dict(lo_frequency=-math.inf), "reference must be finite"),
+    ],
+)
+def test_setup_rejects_a_grid_or_lo_it_cannot_snap_to(chip, kwargs, match):
+    with pytest.raises(ConfigError, match=match):
+        make_readout_setup(chip, **kwargs)
+
+
 def test_hand_built_setup_accepts_grid_channels_at_the_guard():
     setup = ReadoutSetup(
         device_ids=(1, 2, 3),

@@ -209,6 +209,24 @@ def test_plan_for_chip_tracks_dressed_resonances():
         assert (freq - 9.75e9) / 250e3 == pytest.approx(round((freq - 9.75e9) / 250e3), abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        (dict(grid=0.0), "grid must be finite and > 0"),
+        (dict(grid=-250e3), "grid must be finite and > 0"),
+        (dict(grid=math.nan), "grid must be finite"),
+        (dict(grid=math.inf), "grid must be finite"),
+        (dict(grid=250e3, lo_frequency=math.nan), "reference must be finite"),
+        (dict(grid=250e3, lo_frequency=math.inf), "reference must be finite"),
+    ],
+)
+def test_plan_for_chip_rejects_a_grid_or_lo_it_cannot_snap_to(kwargs, match):
+    from fdmsim import builtin_chip_path, load_chip
+
+    with pytest.raises(ConfigError, match=match):
+        plan_for_chip(load_chip(builtin_chip_path()), **kwargs)
+
+
 def test_snr_proxy_scalings():
     base = snr_proxy(0.95 * KAPPA, KAPPA, 1e-6)
     assert snr_proxy(0.95 * KAPPA, KAPPA, 4e-6) == pytest.approx(2 * base)

@@ -177,6 +177,32 @@ def test_adc_rejects_rate_mismatch():
         adc_quantize(IQTrace(samples=np.zeros(4) + 0j, sample_rate=2e9), adc)
 
 
+VALID_FIELDS = {
+    AdcSpec: dict(sample_rate=1e9, bits=12, full_scale=1.0, analog_bandwidth=100e6),
+    ReadoutSetup: dict(device_ids=(1, 2), lo_frequency=5e9, baseband_frequencies=(0.0, 10e6)),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls, field", [
+    (AdcSpec, "sample_rate"),
+    (AdcSpec, "full_scale"),
+    (AdcSpec, "analog_bandwidth"),
+    (ReadoutSetup, "lo_frequency"),
+    (ReadoutSetup, "amplitude"),
+    (ReadoutSetup, "sample_rate"),
+    (ReadoutSetup, "baseband_frequencies"),
+], ids=lambda value: getattr(value, "__name__", value))
+def test_adc_and_setup_reject_non_finite_fields(cls, field, bad):
+    fields = dict(VALID_FIELDS[cls])
+    if field == "baseband_frequencies":
+        fields[field], field = (0.0, bad), "baseband_frequency"
+    else:
+        fields[field] = bad
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        cls(**fields)
+
+
 def test_adc_analog_bandwidth_removes_fast_tone():
     adc = AdcSpec(sample_rate=1e9, bits=16, full_scale=1.0, analog_bandwidth=100e6)
     trace = tone_trace([50e6, 400e6], amps=[0.3, 0.3], n=1000)
