@@ -39,9 +39,9 @@ from .planner import (
     max_channels,
     plan_for_chip,
 )
-from .rxchain import measure_crosstalk, write_measurements_csv
+from .rxchain import _acquisition_grid, measure_crosstalk, write_measurements_csv
 from .rxchain import channelize as channelize_trace
-from .traceio import read_trace
+from .traceio import _write_file, read_trace
 
 TWO_PI = 2.0 * np.pi
 
@@ -151,7 +151,7 @@ def _write_text(out: str | None, text: str) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        _write_file(out, text)
 
 
 def _gnuplot_script(csv_path: Path, result: SweepResult) -> str:
@@ -182,7 +182,7 @@ def _emit_outputs(args, result: SweepResult) -> None:
     else:
         write_sweep_csv(out, result, append=getattr(args, "append", False))
         if args.emit_gnuplot:
-            out.with_suffix(out.suffix + ".gp").write_text(_gnuplot_script(out, result))
+            _write_file(out.with_suffix(out.suffix + ".gp"), _gnuplot_script(out, result))
 
 
 def _cmd_plan(args) -> int:
@@ -308,8 +308,7 @@ def _cmd_rabi(args) -> int:
 
 def _cmd_crosstalk(args) -> int:
     chip, _ = _load(args)
-    grid = args.sample_rate / args.n_samples
-    plan = plan_for_chip(chip, grid=grid)
+    plan = plan_for_chip(chip, grid=_acquisition_grid(args.sample_rate, args.n_samples))
     isolation = measure_crosstalk(
         chip,
         plan,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _check_finite
 
 
 class QubitStateLabel(enum.IntEnum):
@@ -55,6 +55,9 @@ class QubitParams:
     relaxation_rate_gamma: float
 
     def __post_init__(self):
+        _check_finite(gap_delta=self.gap_delta, flux_sensitivity=self.flux_sensitivity,
+                      symmetry_flux=self.symmetry_flux,
+                      relaxation_rate_gamma=self.relaxation_rate_gamma)
         if self.gap_delta < 0:
             raise ConfigError(f"gap_delta must be >= 0, got {self.gap_delta}")
         if self.relaxation_rate_gamma < 0:
@@ -78,6 +81,9 @@ class ResonatorParams:
     coupling_g: float
 
     def __post_init__(self):
+        _check_finite(bare_frequency=self.bare_frequency,
+                      total_linewidth_kappa=self.total_linewidth_kappa,
+                      external_linewidth=self.external_linewidth, coupling_g=self.coupling_g)
         if self.bare_frequency <= 0:
             raise ConfigError(f"bare_frequency must be > 0, got {self.bare_frequency}")
         if self.total_linewidth_kappa <= 0:

@@ -24,6 +24,7 @@ from .rxchain import (
     AdcSpec,
     ReadoutSetup,
     ToneMeasurement,
+    _acquisition_grid,
     _check_noise,
     _default_lo,
     _header_items,
@@ -36,6 +37,7 @@ from .rxchain import (
     downconvert,
 )
 from .seeding import _child_seeds, child_seed
+from .traceio import _write_file
 from .txchain import synthesize_multitone, upconvert_ssb
 
 # evolve_for, add_awgn, adc_quantize, apply_feedline, channelize,
@@ -113,9 +115,9 @@ def make_readout_setup(
     for dev_id in device_ids:
         dev = chip.device(dev_id)
         targets[dev_id] = dressed_resonance(dev, dev.qubit.symmetry_flux)
-    grid = sample_rate / n_samples
+    grid = _acquisition_grid(sample_rate, n_samples)
     if lo_frequency is None:
-        lo_frequency = _default_lo(list(targets.values()), sample_rate, n_samples)
+        lo_frequency = _default_lo(list(targets.values()), grid)
     baseband = tuple(_grid_offset(targets[d], lo_frequency, grid) for d in device_ids)
     return ReadoutSetup(
         device_ids=device_ids,
@@ -748,7 +750,8 @@ def write_sweep_csv(path: str | Path, result: SweepResult, append: bool = False)
     headers and its column row must match the result's, and any mismatch
     is refused before a byte is written.  So is metadata that would not
     read back as written: a line break in a key or value, an '=' in a
-    key, or outer whitespace around either.
+    key, or outer whitespace around either.  Without append, an existing
+    file is rewritten in place, not truncated first (traceio._write_file).
     """
     path = Path(path)
     header = _csv_header_lines(result)
@@ -769,9 +772,7 @@ def write_sweep_csv(path: str | Path, result: SweepResult, append: bool = False)
         with open(path, "a", newline="\n") as fh:
             fh.write(body)
         return
-    lines = header + _csv_data_lines(result)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_file(path, "\n".join(header + _csv_data_lines(result)) + "\n")
 
 
 def _read_csv_header(path: Path) -> tuple[dict[str, str], str | None]:
@@ -857,6 +858,4 @@ def write_sweep_json(path: str | Path, result: SweepResult) -> None:
             for text, key in _text_keys(result.metadata)
         },
     }
-    with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_file(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

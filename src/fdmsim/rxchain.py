@@ -30,6 +30,7 @@ from .errors import ConfigError, LoMismatchError, NyquistError, UnknownDeviceErr
 from .lanes import lane_count as _lane_count, run as _run_lanes
 from .planner import _grid_offset
 from .seeding import _check_root_seed, _derived_states, derive_rng
+from .traceio import _write_file
 from .txchain import IQTrace, synthesize_multitone, upconvert_ssb
 
 # synthesize_multitone and upconvert_ssb are not called in this module.
@@ -55,7 +56,11 @@ GRID_TOLERANCE = 1e-14
 @dataclass(frozen=True)
 class AdcSpec:
     """Digitizer model: sample_rate (S/s), bits, full_scale (per quadrature),
-    optional analog_bandwidth (Hz, one-sided brick wall before sampling)."""
+    optional analog_bandwidth (Hz, one-sided brick wall before sampling).
+
+    Raises ConfigError for a field that is NaN or infinite, bits that are
+    not an integer in [1, 32], and a sample_rate, full_scale or
+    analog_bandwidth that is not > 0."""
 
     sample_rate: float
     bits: int
@@ -63,13 +68,18 @@ class AdcSpec:
     analog_bandwidth: float | None = None
 
     def __post_init__(self):
-        _check_finite(sample_rate=self.sample_rate, full_scale=self.full_scale)
+        _check_finite(sample_rate=self.sample_rate, bits=self.bits,
+                      full_scale=self.full_scale)
         if self.analog_bandwidth is not None:
             _check_finite(analog_bandwidth=self.analog_bandwidth)
+            if self.analog_bandwidth <= 0:
+                raise ConfigError(
+                    f"ADC analog_bandwidth must be > 0, got {self.analog_bandwidth}"
+                )
         if self.sample_rate <= 0:
             raise ConfigError(f"ADC sample_rate must be > 0, got {self.sample_rate}")
-        if not 1 <= int(self.bits) <= 32:
-            raise ConfigError(f"ADC bits must be in [1, 32], got {self.bits}")
+        if self.bits != int(self.bits) or not 1 <= self.bits <= 32:
+            raise ConfigError(f"ADC bits must be an integer in [1, 32], got {self.bits}")
         if self.full_scale <= 0:
             raise ConfigError(f"ADC full_scale must be > 0, got {self.full_scale}")
 
@@ -372,14 +382,11 @@ class ReadoutSetup:
             )
         _check_finite(lo_frequency=self.lo_frequency, sample_rate=self.sample_rate,
                       amplitude=self.amplitude)
-        if not self.sample_rate > 0 or self.n_samples < 1:
-            raise ConfigError(
-                f"need sample_rate > 0 and n_samples >= 1, got "
-                f"{self.sample_rate} and {self.n_samples}"
-            )
+        if not self.sample_rate > 0:
+            raise ConfigError(f"need sample_rate > 0, got {self.sample_rate}")
+        grid = _acquisition_grid(self.sample_rate, self.n_samples)
         if self.window not in WINDOWS:
             raise ConfigError(f"unknown window {self.window!r} (use one of {WINDOWS})")
-        grid = self.sample_rate / self.n_samples
         nyquist = self.sample_rate / 2
         bins = []
         for f in self.baseband_frequencies:
@@ -414,9 +421,19 @@ class ReadoutSetup:
         return tuple(self.lo_frequency + f for f in self.baseband_frequencies)
 
 
-def _default_lo(frequencies, sample_rate: float, n_samples: int) -> float:
+def _acquisition_grid(sample_rate: float, n_samples: int) -> float:
+    """The DFT grid sample_rate / n_samples, after checking the count:
+    fewer than one sample (or a NaN count) raises ConfigError.  A bad
+    sample_rate gives a bad grid, which _grid_offset and ReadoutSetup
+    reject."""
+    if not n_samples >= 1:
+        raise ConfigError(f"need n_samples >= 1, got {n_samples}")
+    return sample_rate / n_samples
+
+
+def _default_lo(frequencies, grid: float) -> float:
     """The default LO: the mean channel frequency snapped to the DFT grid."""
-    return float(_grid_offset(float(np.mean(frequencies)), 0.0, sample_rate / n_samples))
+    return float(_grid_offset(float(np.mean(frequencies)), 0.0, grid))
 
 
 def _beyond_band(setup: ReadoutSetup, adc: AdcSpec | None) -> np.ndarray:
@@ -610,7 +627,7 @@ def measure_crosstalk(
     device_ids = tuple(channels)
     freqs_rf = [channels[d] for d in device_ids]
     if lo_frequency is None:
-        lo_frequency = _default_lo(freqs_rf, sample_rate, n_samples)
+        lo_frequency = _default_lo(freqs_rf, _acquisition_grid(sample_rate, n_samples))
     setup = ReadoutSetup(
         device_ids=device_ids,
         lo_frequency=float(lo_frequency),
@@ -670,7 +687,7 @@ def write_measurements_csv(
         lines.append(
             f"{m.channel_frequency!r},{m.amplitude!r},{m.phase!r},{m.noise_std!r}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_file(path, "\n".join(lines) + "\n")
 
 
 def _text_keys(metadata: dict) -> list[tuple[str, object]]:

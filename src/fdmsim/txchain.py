@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NyquistError, TraceMismatchError
+from .errors import ConfigError, NyquistError, TraceMismatchError, _check_finite
 
 
 class EnvelopeShape(enum.Enum):
@@ -37,6 +37,8 @@ class ToneSpec:
     phase: float = 0.0
 
     def __post_init__(self):
+        _check_finite(baseband_frequency=self.baseband_frequency, amplitude=self.amplitude,
+                      phase=self.phase)
         if self.amplitude < 0:
             raise ConfigError(f"tone amplitude must be >= 0, got {self.amplitude}")
 
@@ -56,6 +58,8 @@ class PulseEnvelope:
     repetition_period: float = DEFAULT_REPETITION_PERIOD
 
     def __post_init__(self):
+        _check_finite(duration=self.duration, edge_time=self.edge_time,
+                      repetition_period=self.repetition_period)
         if self.duration <= 0:
             raise ConfigError(f"envelope duration must be > 0, got {self.duration}")
         if not 0 <= self.edge_time <= self.duration / 2:

@@ -226,6 +226,11 @@ def test_crosstalk_unknown_toggle_exits_2(capsys):
     assert main(["crosstalk", "--toggle", "42"]) == 2
 
 
+def test_crosstalk_zero_samples_exits_2(capsys):
+    assert main(["crosstalk", "--toggle", "1", "--n-samples", "0"]) == 2
+    assert "n_samples >= 1" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------------
 # channelize
 

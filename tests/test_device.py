@@ -56,6 +56,27 @@ def make_chip(n=2):
     return Chip(name="test", devices=devices)
 
 
+QUBIT_FIELDS = ("gap_delta", "flux_sensitivity", "symmetry_flux", "relaxation_rate_gamma")
+RESONATOR_FIELDS = ("bare_frequency", "total_linewidth_kappa", "external_linewidth",
+                    "coupling_g")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", QUBIT_FIELDS)
+def test_qubit_params_reject_non_finite_fields(field, bad):
+    fields = {**dict(zip(QUBIT_FIELDS, (4.2e9, 500e9, 0.0, 1e5))), field: bad}
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        QubitParams(**fields)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", RESONATOR_FIELDS)
+def test_resonator_params_reject_non_finite_fields(field, bad):
+    fields = {**dict(zip(RESONATOR_FIELDS, (9.6e9, 6e7, 5.9e7, 2.5e8))), field: bad}
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        ResonatorParams(**fields)
+
+
 def test_qubit_frequency_at_symmetry_equals_gap():
     q = make_qubit(gap=4.2e9, sym=1.5e-3)
     assert qubit_frequency(q, 1.5e-3) == pytest.approx(4.2e9, rel=1e-15)

@@ -128,6 +128,12 @@ def test_setup_default_lo_is_mean_snapped(chip):
     )
 
 
+@pytest.mark.parametrize("n_samples", [0, -1])
+def test_setup_checks_the_count_before_the_grid(chip, n_samples):
+    with pytest.raises(ConfigError, match="n_samples >= 1"):
+        make_readout_setup(chip, n_samples=n_samples)
+
+
 def test_setup_device_subset(chip):
     setup = make_readout_setup(chip, (3, 5))
     assert setup.device_ids == (3, 5)

@@ -203,6 +203,25 @@ def test_adc_and_setup_reject_non_finite_fields(cls, field, bad):
         cls(**fields)
 
 
+@pytest.mark.parametrize("field, bad, match", [
+    ("bits", math.nan, "bits must be finite"),
+    ("bits", math.inf, "bits must be finite"),
+    ("bits", 12.5, "bits must be an integer"),
+    ("bits", 0, "bits must be an integer in"),
+    ("bits", 33, "bits must be an integer in"),
+    ("analog_bandwidth", -1.0, "analog_bandwidth must be > 0"),
+    ("analog_bandwidth", 0.0, "analog_bandwidth must be > 0"),
+])
+def test_adc_rejects_bad_bits_and_band(field, bad, match):
+    fields = {**VALID_FIELDS[AdcSpec], field: bad}
+    with pytest.raises(ConfigError, match=match):
+        AdcSpec(**fields)
+
+
+def test_adc_accepts_integral_float_bits():
+    assert AdcSpec(1e9, 12.0, 1.0).step == AdcSpec(1e9, 12, 1.0).step
+
+
 def test_adc_analog_bandwidth_removes_fast_tone():
     adc = AdcSpec(sample_rate=1e9, bits=16, full_scale=1.0, analog_bandwidth=100e6)
     trace = tone_trace([50e6, 400e6], amps=[0.3, 0.3], n=1000)
@@ -643,6 +662,13 @@ def test_crosstalk_evaluates_s21_once_and_builds_no_chain(chip7, monkeypatch):
         calls.clear()
         measure_crosstalk(chip, plan, 4, **CROSSTALK_MODES[mode])
         assert calls == {"s21_feedline": 1}, mode
+
+
+@pytest.mark.parametrize("n_samples", [0, -4000])
+def test_measure_crosstalk_checks_the_count_before_the_grid(chip7, n_samples):
+    chip, plan = chip7
+    with pytest.raises(ConfigError, match="n_samples >= 1"):
+        measure_crosstalk(chip, plan, 1, n_samples=n_samples)
 
 
 @pytest.mark.parametrize("spacing, kwargs, match", [

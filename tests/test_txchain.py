@@ -112,6 +112,22 @@ def test_envelope_validation():
         )
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["baseband_frequency", "amplitude", "phase"])
+def test_tone_spec_rejects_non_finite_fields(field, bad):
+    fields = {**dict(baseband_frequency=12.5e6, amplitude=0.5, phase=0.1), field: bad}
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        ToneSpec(**fields)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["duration", "edge_time", "repetition_period"])
+def test_pulse_envelope_rejects_non_finite_fields(field, bad):
+    fields = {**dict(duration=1e-6, edge_time=0.1e-6, repetition_period=4e-6), field: bad}
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        PulseEnvelope(shape=EnvelopeShape.RAISED_COSINE, **fields)
+
+
 def test_upconvert_tags_carrier_without_touching_samples():
     base = synthesize_multitone([ToneSpec(baseband_frequency=10e6)], 64, 1e9)
     rf = upconvert_ssb(base, 9.6e9)
