@@ -442,9 +442,10 @@ def run_rabi(
     rabi_rate_per_unit_amplitude * scale, in Hz per unit amplitude.
     Populations come from the exact Bloch propagator applied
     incrementally from one duration to the next, so durations must be
-    non-negative and strictly increasing.  One propagator is built per
-    device and distinct step length (a uniform grid has one or a few
-    such lengths) and reused for every step of that length.
+    non-negative and strictly increasing.  Devices with the same drive
+    and gamma share one trajectory, computed once.  One propagator is
+    built per trajectory and distinct step length (a uniform grid has
+    one or a few such lengths) and reused for every step of that length.
 
     gamma overrides every device's relaxation rate (rad/s) when given;
     gamma=0 yields the ideal P_e = sin^2(pi * f_rabi * t).
@@ -481,6 +482,8 @@ def run_rabi(
 
     z = np.empty((durations.size, len(ids)))
     rabi_hz = []
+    # The column of the first device with each (drive, gamma).
+    trajectories: dict[tuple[DriveSpec, float], int] = {}
     for j, dev_id in enumerate(ids):
         dev = chip.device(dev_id)
         g = dev.qubit.relaxation_rate_gamma if gamma is None else float(gamma)
@@ -490,10 +493,14 @@ def run_rabi(
             detuning=detuning,
         )
         rabi_hz.append(rabi_frequency(drive))
+        if (drive, g) in trajectories:
+            z[:, j] = z[:, trajectories[drive, g]]
+            continue
+        trajectories[drive, g] = j
         steps = {}
         state = GROUND
         prev = 0.0
-        for i, t in enumerate(durations):
+        for i, t in enumerate(durations.tolist()):
             step = t - prev
             if step not in steps:
                 steps[step] = propagator(drive, g, gamma_phi, step)

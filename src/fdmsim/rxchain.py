@@ -192,8 +192,7 @@ def _quantize(quad: np.ndarray, adc: AdcSpec) -> np.ndarray:
     with np.errstate(over="ignore"):  # an overflow to inf clips to the rail
         np.divide(quad, adc.step, out=quad)
     np.rint(quad, out=quad)
-    np.minimum(quad, rail, out=quad)
-    np.maximum(quad, -rail, out=quad)
+    np.clip(quad, -rail, rail, out=quad)  # keeps NaN and -0.0
     np.multiply(quad, adc.step, out=quad)
     return n_clipped
 
@@ -287,9 +286,13 @@ def _channel_plan(
 def _project(plan: _ChannelPlan, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Complex channel amplitudes kernel @ (window * x) / window_sum, and
     the windowed trace.  An all-ones window's product is skipped; it
-    could change only the sign of a zero sample."""
+    could change only the sign of a zero sample.
+
+    samples is one trace or a 2-D block of traces, one per row; each
+    trace is taken as a column of one (stacked) product with the kernel,
+    so a block row's amplitudes equal those of that row alone bit for bit."""
     wx = samples if plan.unit_window else plan.window * samples
-    return plan.kernel @ wx / plan.window_sum, wx
+    return np.matmul(plan.kernel, wx[..., None])[..., 0] / plan.window_sum, wx
 
 
 def _noise_std(plan: _ChannelPlan, wx: np.ndarray) -> float:
@@ -353,7 +356,8 @@ class ReadoutSetup:
     """Frozen front-end configuration for multiplexed acquisition.
 
     Construction rejects, with ConfigError, duplicate device ids, a NaN
-    or infinite frequency, rate or amplitude, a channel off the
+    or infinite frequency, rate or amplitude, an n_samples that is not
+    an integral count >= 1 (4000.0 is kept as 4000), a channel off the
     acquisition DFT grid (sample_rate / n_samples), a channel outside
     the grid's baseband range [-sample_rate/2, sample_rate/2), two
     channels fewer than NOISE_GUARD_BINS bins apart, and an unknown
@@ -385,6 +389,8 @@ class ReadoutSetup:
         if not self.sample_rate > 0:
             raise ConfigError(f"need sample_rate > 0, got {self.sample_rate}")
         grid = _acquisition_grid(self.sample_rate, self.n_samples)
+        # An integral float count such as 4000.0 is kept as the int it names.
+        object.__setattr__(self, "n_samples", int(self.n_samples))
         if self.window not in WINDOWS:
             raise ConfigError(f"unknown window {self.window!r} (use one of {WINDOWS})")
         nyquist = self.sample_rate / 2
@@ -423,11 +429,12 @@ class ReadoutSetup:
 
 def _acquisition_grid(sample_rate: float, n_samples: int) -> float:
     """The DFT grid sample_rate / n_samples, after checking the count:
-    fewer than one sample (or a NaN count) raises ConfigError.  A bad
-    sample_rate gives a bad grid, which _grid_offset and ReadoutSetup
-    reject."""
-    if not n_samples >= 1:
-        raise ConfigError(f"need n_samples >= 1, got {n_samples}")
+    fewer than one sample, or a count that is not integral (4000.5, NaN,
+    inf), raises ConfigError; an integral float such as 4000.0 passes.
+    A bad sample_rate gives a bad grid, which _grid_offset and
+    ReadoutSetup reject."""
+    if not (n_samples >= 1 and float(n_samples).is_integer()):
+        raise ConfigError(f"need an integral n_samples >= 1, got {n_samples}")
     return sample_rate / n_samples
 
 
@@ -476,9 +483,12 @@ def _receive(
     is read only when noise_std > 0) and the ADC's clip and rounding then
     work in place on that trace, the same private steps as add_awgn and
     adc_quantize, and the channelizer's private projector turns it into
-    complex amplitudes.  The tests check this against the composed
-    chain synthesize_multitone, upconvert_ssb, apply_feedline,
-    downconvert, add_awgn or adc_quantize, channelize.
+    complex amplitudes.  A block's traces are built by one stacked
+    product, c[i] @ tones for each of its rows, and projected by one
+    stacked product; both equal the per-row products bit for bit.  The
+    tests check this against the composed chain synthesize_multitone,
+    upconvert_ssb, apply_feedline, downconvert, add_awgn or
+    adc_quantize, channelize.
 
     The shots run in blocks of a few rows (_SHOT_BLOCK_SAMPLES samples)
     on up to lanes.lane_count() lanes, scheduled by lanes.run.  The
@@ -520,10 +530,9 @@ def _receive(
         block, draw, generator = blocks[lane], draws[lane], generators[lane]
         start = i * rows
         k = min(rows, n_points - start)
-        for r in range(k):
-            row = block[r]
-            np.matmul(c[start + r], tones, out=row)
-            if states is not None:
+        np.matmul(c[start:start + k, None, :], tones, out=block[:k, None, :])
+        if states is not None:
+            for r in range(k):
                 state, inc = states[start + r]
                 generator.bit_generator.state = {
                     "bit_generator": "PCG64",
@@ -535,14 +544,14 @@ def _receive(
                 # Generator.normal(0.0, std) draws 0.0 + std * z.
                 np.multiply(draw, noise_std, out=draw)
                 np.add(draw, 0.0, out=draw)
-                quad = _quadratures(row)
+                quad = _quadratures(block[r])
                 np.add(quad, draw, out=quad)
         if adc is not None:
             clipped[start:start + k] = _quantize(block[:k].view(np.float64), adc)
-        for r in range(k):
-            iq[start + r], wx = _project(plan, block[r])
-            if estimate_noise:
-                noise[start + r] = _noise_std(plan, wx)
+        iq[start:start + k], wx = _project(plan, block[:k])
+        if estimate_noise:
+            for r in range(k):
+                noise[start + r] = _noise_std(plan, wx[r])
 
     _run_lanes(run_block, n_blocks, lanes)
     for i in np.flatnonzero(clipped):

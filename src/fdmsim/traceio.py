@@ -32,8 +32,9 @@ _HEADER = struct.Struct("<8sIIdQ")
 assert _HEADER.size == 32
 
 
-def _write_file(path: str | Path, data: str | bytes) -> None:
-    """Write data to path, creating the file or rewriting it in place.
+def _write_file(path: str | Path, data) -> None:
+    """Write data, a str or any bytes-like object, to path, creating the
+    file or rewriting it in place.
 
     The bytes are those of open(path, "w", newline="\n") for text (in the
     default encoding) and open(path, "wb") for bytes, but the file is not
@@ -52,12 +53,17 @@ def _write_file(path: str | Path, data: str | bytes) -> None:
 
 
 def write_trace(path: str | Path, trace: IQTrace) -> None:
-    """Write a trace in the documented binary layout."""
-    payload = np.empty(2 * trace.n_samples, dtype="<f8")
-    payload[0::2] = trace.samples.real
-    payload[1::2] = trace.samples.imag
-    header = _HEADER.pack(MAGIC, VERSION, 0, float(trace.sample_rate), trace.n_samples)
-    _write_file(path, header + payload.tobytes())
+    """Write a trace in the documented binary layout.
+
+    The header and the interleaved samples are filled into one buffer of
+    the file's size, which is written as it is: the trace's payload is
+    held once, not copied again on its way to the file."""
+    data = np.empty(_HEADER.size + 16 * trace.n_samples, dtype=np.uint8)
+    _HEADER.pack_into(data, 0, MAGIC, VERSION, 0, float(trace.sample_rate), trace.n_samples)
+    payload = data[_HEADER.size:].view("<f8").reshape(-1, 2)
+    payload[:, 0] = trace.samples.real
+    payload[:, 1] = trace.samples.imag
+    _write_file(path, data)
 
 
 def read_trace(path: str | Path) -> IQTrace:

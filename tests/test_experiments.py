@@ -134,6 +134,22 @@ def test_setup_checks_the_count_before_the_grid(chip, n_samples):
         make_readout_setup(chip, n_samples=n_samples)
 
 
+@pytest.mark.parametrize("n_samples", [4000.5, math.nan, math.inf])
+def test_setup_rejects_a_non_integral_count(chip, n_samples):
+    with pytest.raises(ConfigError, match="integral n_samples >= 1"):
+        make_readout_setup(chip, n_samples=n_samples)
+
+
+def test_setup_with_an_integral_float_count_reads_out_as_with_the_int(chip):
+    setups = [make_readout_setup(chip, n_samples=n) for n in (4000.0, 4000)]
+    assert setups[0] == setups[1] and type(setups[0].n_samples) is int
+    fluxes = np.linspace(-0.02, 0.02, 5)
+    sweeps = [run_flux_sweep(chip, fluxes, setup=setup, adc=BAND_LIMITED_ADC,
+                             noise_std=1e-3, seed=5) for setup in setups]
+    for name in ("amplitude", "phase"):
+        np.testing.assert_array_equal(sweeps[0].tables[name], sweeps[1].tables[name])
+
+
 def test_setup_device_subset(chip):
     setup = make_readout_setup(chip, (3, 5))
     assert setup.device_ids == (3, 5)
@@ -451,6 +467,35 @@ def test_rabi_builds_one_propagator_per_distinct_step(chip, monkeypatch):
         z.append(state.z)
     np.testing.assert_array_equal(result.column("excited_population", 4),
                                   (np.array(z) + 1.0) / 2.0)
+
+
+@pytest.mark.parametrize("scales, n_trajectories", [
+    ([1.0, 1.0, 1.0], 1),
+    ([0.6, 0.6, 1.2], 2),
+])
+def test_rabi_computes_one_trajectory_per_distinct_drive(chip, monkeypatch, scales,
+                                                         n_trajectories):
+    calls = Counter()
+    monkeypatch.setattr(fdmsim.dynamics, "_expm",
+                        counting(calls, "expm", fdmsim.dynamics._expm))
+    durations = np.linspace(5e-9, 1.2e-6, 200)
+    steps = np.diff(durations, prepend=0.0).tolist()
+    ids = (2, 4, 6)
+    # chip7's devices share one relaxation rate, so equal scales mean equal drives
+    assert len({chip.device(d).qubit.relaxation_rate_gamma for d in ids}) == 1
+    result = run_rabi(chip, durations, device_ids=ids, amplitude_scales=scales,
+                      readout=False)
+    assert calls["expm"] == len(set(steps)) * n_trajectories
+    # every column, shared or not, is the step-by-step evolution bit for bit
+    for dev_id, scale in zip(ids, scales):
+        drive = DriveSpec(5e6, scale)
+        gamma = chip.device(dev_id).qubit.relaxation_rate_gamma
+        state, z = GROUND, []
+        for step in steps:
+            state = evolve_for(state, drive, gamma, 0.0, step)
+            z.append(state.z)
+        np.testing.assert_array_equal(result.column("excited_population", dev_id),
+                                      (np.array(z) + 1.0) / 2.0)
 
 
 def test_noisy_reruns_are_byte_identical(chip, tmp_path):

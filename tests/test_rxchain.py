@@ -163,6 +163,40 @@ def test_adc_codes_equal_clip_then_round(bits, full_scale):
     np.testing.assert_array_equal(out.samples.imag, expected[::-1] * adc.step)
 
 
+def two_pass_quantize(quad, adc):
+    """The quantizer with the clip as np.minimum, then np.maximum."""
+    fs = adc.full_scale
+    n_clipped = np.count_nonzero(quad > fs, axis=1) + np.count_nonzero(quad < -fs, axis=1)
+    rail = min(float(np.rint(fs / adc.step)), float(2 ** (adc.bits - 1)))
+    with np.errstate(over="ignore"):
+        codes = np.rint(quad / adc.step)
+    np.minimum(codes, rail, out=codes)
+    np.maximum(codes, -rail, out=codes)
+    return codes * adc.step, n_clipped
+
+
+@pytest.mark.parametrize("bits, full_scale", [(4, 1.0), (12, 0.4), (32, 1e-305)])
+def test_quantize_one_pass_clip_equals_minimum_then_maximum(bits, full_scale):
+    adc = AdcSpec(sample_rate=1e9, bits=bits, full_scale=full_scale)
+    fs, step = full_scale, adc.step
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, fs, -fs,
+               np.nextafter(fs, math.inf), np.nextafter(-fs, -math.inf),
+               fs + step / 2, -fs - step / 2, 1e308, -1e308, -step / 4]
+    rng = np.random.default_rng(bits)
+    quad = np.stack([
+        np.resize(special, 64),
+        fs * rng.uniform(-0.9, 0.9, 64),
+        fs * rng.uniform(-3, 3, 64),
+        np.resize([-0.0, math.nan, -fs, fs], 64),
+    ])
+    expected, expected_clipped = two_pass_quantize(quad, adc)
+    clipped = fdmsim.rxchain._quantize(quad, adc)
+    # the same bits: NaN stays NaN, -0.0 keeps its sign
+    assert np.array_equal(quad.view(np.uint64), expected.view(np.uint64))
+    np.testing.assert_array_equal(clipped, expected_clipped)
+    assert clipped[0] > 0 and clipped[1] == 0
+
+
 def test_adc_rail_fraction_counts_clipping():
     adc = AdcSpec(sample_rate=1e9, bits=8, full_scale=0.5)
     x = np.array([0.0, 0.2, 0.9, -0.8])
@@ -445,6 +479,25 @@ def test_channelize_plan_arrays_are_read_only():
             array[0] = 0
 
 
+@pytest.mark.parametrize("n", [64, 1000, 4000])
+@pytest.mark.parametrize("n_channels", [1, 3, 7])
+@pytest.mark.parametrize("window", ["rectangular", "hann"])
+def test_block_projection_equals_the_per_row_projections(window, n_channels, n):
+    rx = fdmsim.rxchain
+    fs = 1e9
+    freqs = tuple(float(b * fs / n) for b in range(-10, 5 * n_channels - 10, 5))
+    plan = rx._channel_plan(freqs, n, fs, window)
+    rng = np.random.default_rng(n_channels)
+    buffer = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
+    for block in (buffer, buffer[:3], buffer[:1]):
+        iq, wx = rx._project(plan, block)
+        assert iq.shape == (len(block), n_channels)
+        for r, row in enumerate(block):
+            row_iq, row_wx = rx._project(plan, row)
+            assert np.array_equal(iq[r].view(np.uint64), row_iq.view(np.uint64))
+            assert np.array_equal(wx[r], row_wx)
+
+
 # --------------------------------------------------------------------------
 # feedline filtering and crosstalk
 
@@ -669,6 +722,26 @@ def test_measure_crosstalk_checks_the_count_before_the_grid(chip7, n_samples):
     chip, plan = chip7
     with pytest.raises(ConfigError, match="n_samples >= 1"):
         measure_crosstalk(chip, plan, 1, n_samples=n_samples)
+
+
+@pytest.mark.parametrize("n_samples", [4000.5, math.nan, math.inf])
+def test_setup_and_crosstalk_reject_a_non_integral_count(chip7, n_samples):
+    chip, plan = chip7
+    with pytest.raises(ConfigError, match="integral n_samples >= 1"):
+        ReadoutSetup(**VALID_FIELDS[ReadoutSetup], n_samples=n_samples)
+    with pytest.raises(ConfigError, match="integral n_samples >= 1"):
+        measure_crosstalk(chip, plan, 1, n_samples=n_samples)
+    with pytest.raises(ConfigError, match="integral n_samples >= 1"):
+        measure_crosstalk(chip, plan, 1, n_samples=n_samples, lo_frequency=8e9)
+
+
+def test_setup_keeps_an_integral_float_count_as_an_int(chip7):
+    chip, plan = chip7
+    setup = ReadoutSetup(**VALID_FIELDS[ReadoutSetup], n_samples=4000.0)
+    assert setup.n_samples == 4000 and type(setup.n_samples) is int
+    noisy = dict(adc=CROSSTALK_MODES["adc"]["adc"], noise_std=1e-3, seed=3)
+    assert measure_crosstalk(chip, plan, 2, n_samples=4000.0, **noisy) == \
+        measure_crosstalk(chip, plan, 2, n_samples=4000, **noisy)
 
 
 @pytest.mark.parametrize("spacing, kwargs, match", [

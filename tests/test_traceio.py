@@ -7,6 +7,7 @@ import io
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,26 @@ def test_file_size_is_header_plus_payload(tmp_path):
     path = tmp_path / "t.trc"
     write_trace(path, trace)
     assert path.stat().st_size == 32 + 100 * 2 * 8
+
+
+def test_write_trace_holds_the_payload_once(tmp_path):
+    n = 200_000
+    rng = np.random.default_rng(8)
+    samples = rng.normal(size=n) + 1j * rng.normal(size=n)
+    samples[:3] = [complex(-0.0, np.nan), complex(np.inf, -np.inf), 0j]
+    trace = IQTrace(samples=samples, sample_rate=1e9 / 3)
+    path = tmp_path / "big.trc"
+    tracemalloc.start()
+    try:
+        write_trace(path, trace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 16 * n
+    # the documented layout: header, then (I, Q) pairs as little-endian float64
+    interleaved = np.column_stack([samples.real, samples.imag]).astype("<f8")
+    header = struct.pack("<8sIIdQ", b"FDMTRACE", 1, 0, 1e9 / 3, n)
+    assert path.read_bytes() == header + interleaved.tobytes()
 
 
 def test_bad_magic_rejected(tmp_path):
