@@ -26,10 +26,17 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, _check_finite
+
+_TWO_PI = 2 * math.pi
+
+# numpy's NPY_MIN_ELIDE_BYTES: the smallest temporary array that numpy
+# reuses in place for the result of an arithmetic operator.
+_ELIDED_BYTES = 256 * 1024
 
 
 class QubitStateLabel(enum.IntEnum):
@@ -119,6 +126,9 @@ class Chip:
         ids = [d.device_id for d in self.devices]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate device ids in chip {self.name!r}: {ids}")
+        # The devices' parameters along a device axis, in chip order, for
+        # s21_feedline.  Not a field: equality, hash and repr are unchanged.
+        object.__setattr__(self, "_axis", _DeviceAxis.of(self.devices))
 
     def device(self, device_id: int) -> DeviceRecord:
         for d in self.devices:
@@ -133,14 +143,72 @@ class Chip:
         return tuple(d.device_id for d in self.devices)
 
 
+class _DeviceAxis(NamedTuple):
+    """Read-only per-device parameter arrays, one entry per device."""
+
+    gap: np.ndarray  # Hz
+    slope: np.ndarray  # Hz per flux quantum
+    symmetry_flux: np.ndarray
+    coupling: np.ndarray  # rad/s
+    omega_r: np.ndarray  # bare resonator frequency, rad/s
+    half_kappa: np.ndarray  # rad/s
+    half_ext: np.ndarray  # rad/s
+
+    @classmethod
+    def of(cls, devices) -> "_DeviceAxis":
+        rows = [(d.qubit.gap_delta, d.qubit.flux_sensitivity, d.qubit.symmetry_flux,
+                 d.resonator.coupling_g, _TWO_PI * d.resonator.bare_frequency,
+                 d.resonator.total_linewidth_kappa / 2.0, d.resonator.external_linewidth / 2.0)
+                for d in devices]
+        table = np.array(rows, dtype=float).reshape(len(rows), len(cls._fields)).T.copy()
+        table.flags.writeable = False
+        return cls(*table)
+
+
+def _require_finite(**values) -> None:
+    """ConfigError naming the first of the given scalars or arrays that
+    holds NaN or inf."""
+    for name, value in values.items():
+        if not np.isfinite(value).all():
+            raise ConfigError(f"{name} must be finite")
+
+
+def _qubit_frequency(gap, slope, symmetry_flux, flux):
+    """Qubit transition frequency in Hz, elementwise."""
+    return np.hypot(gap, slope * (flux - symmetry_flux))
+
+
+def _pull(omega_r, coupling, omega_q, state):
+    """Exact normal-mode pull in rad/s, elementwise (see
+    state_dependent_shift); exactly zero where the coupling is zero."""
+    detuning = omega_q - omega_r
+    sign = np.where(detuning >= 0, 1.0, -1.0)
+    numerator = state * sign * (2 * coupling * coupling)
+    denominator = np.hypot(detuning, 2 * coupling) + np.abs(detuning)
+    out = np.zeros(np.broadcast_shapes(numerator.shape, denominator.shape))
+    return np.divide(numerator, denominator, out=out, where=coupling != 0.0)
+
+
+def _notch(probe, omega_r, half_kappa, half_ext, shift, out, detuning):
+    """One notch's S21 at angular probe frequencies, written into the
+    complex array out; detuning is float scratch of out's shape."""
+    np.subtract(probe, omega_r, out=detuning)
+    np.subtract(detuning, shift, out=detuning)
+    out.real = half_kappa
+    out.imag = detuning
+    np.divide(half_ext, out, out=out)
+    return np.subtract(1.0, out, out=out)
+
+
 def qubit_frequency(qubit: QubitParams, flux):
     """Transition frequency in Hz at the given applied flux (flux quanta).
 
     Even in flux about the symmetry point and never below gap_delta.
-    Accepts scalars or arrays.
+    Accepts scalars or arrays; NaN or inf flux raises ConfigError.
     """
-    eps = qubit.flux_sensitivity * (np.asarray(flux, dtype=float) - qubit.symmetry_flux)
-    f = np.hypot(qubit.gap_delta, eps)
+    flux_arr = np.asarray(flux, dtype=float)
+    _require_finite(flux=flux_arr)
+    f = _qubit_frequency(qubit.gap_delta, qubit.flux_sensitivity, qubit.symmetry_flux, flux_arr)
     return float(f) if np.isscalar(flux) else f
 
 
@@ -162,18 +230,13 @@ def state_dependent_shift(resonator: ResonatorParams, omega_q, state):
     gives zero shift regardless of detuning.
 
     omega_q and state may be arrays (broadcast together) and are taken
-    elementwise.
+    elementwise.  NaN or inf in either raises ConfigError.
     """
-    g = resonator.coupling_g
     omega_q, state = np.broadcast_arrays(
         np.asarray(omega_q, dtype=float), np.asarray(state, dtype=float)
     )
-    if g == 0.0:
-        shift = np.zeros(omega_q.shape)
-    else:
-        detuning = omega_q - 2 * math.pi * resonator.bare_frequency
-        sign = np.where(detuning >= 0, 1.0, -1.0)
-        shift = state * sign * (2 * g * g) / (np.hypot(detuning, 2 * g) + np.abs(detuning))
+    _require_finite(omega_q=omega_q, state=state)
+    shift = _pull(_TWO_PI * resonator.bare_frequency, resonator.coupling_g, omega_q, state)
     return float(shift) if shift.ndim == 0 else shift
 
 
@@ -181,13 +244,16 @@ def s21_single(resonator: ResonatorParams, probe_omega, shift: float = 0.0):
     """Complex notch transmission at angular probe frequency probe_omega.
 
     shift (rad/s) displaces the resonance from its bare position.
-    Accepts scalar or array probe_omega; |S21| <= 1 everywhere.
+    Accepts scalar or array probe_omega; |S21| <= 1 everywhere.  NaN or
+    inf in probe_omega or shift raises ConfigError.
     """
-    omega_r = 2 * math.pi * resonator.bare_frequency
-    kappa = resonator.total_linewidth_kappa
-    ext = resonator.external_linewidth
-    delta = np.asarray(probe_omega, dtype=float) - omega_r - shift
-    s = 1.0 - (ext / 2.0) / (1j * delta + kappa / 2.0)
+    probe = np.asarray(probe_omega, dtype=float)
+    shift = np.asarray(shift, dtype=float)
+    _require_finite(probe_omega=probe, shift=shift)
+    shape = np.broadcast_shapes(probe.shape, shift.shape)
+    s = _notch(probe, _TWO_PI * resonator.bare_frequency, resonator.total_linewidth_kappa / 2.0,
+               resonator.external_linewidth / 2.0, shift, np.empty(shape, dtype=complex),
+               np.empty(shape))
     return complex(s) if np.isscalar(probe_omega) else s
 
 
@@ -203,9 +269,18 @@ def s21_feedline(chip: Chip, probe_omega, states, fluxes) -> np.ndarray | comple
     n_devices) with fluxes of shape (n_points,) (one flux for every
     device) or (n_points, n_devices).  The result then has shape
     (n_points,) + shape(probe_omega), and row i equals the call for
-    states[i] and fluxes[i] bit for bit: the arithmetic per element and
-    the product order over devices are the same.  NaN or inf in states,
-    fluxes or probe_omega raises ConfigError.
+    states[i] and fluxes[i] bit for bit.  NaN or inf in states, fluxes
+    or probe_omega raises ConfigError.
+
+    The work runs along a device axis: every point's qubit frequency and
+    pull are computed for all devices in one array pass, from parameter
+    arrays the Chip builds once.  Then each notch, in chip order, is
+    computed in one complex and one float scratch array and multiplied
+    into the product, in place once the product reaches 256 KiB.  The
+    arithmetic per element and the product order are those of the
+    per-device product s = s * s21_single(resonator_j, probe_omega,
+    state_dependent_shift(resonator_j, 2 pi qubit_frequency(qubit_j,
+    flux_j), state_j)) over j, which the result equals bit for bit.
     """
     n = len(chip.devices)
     states = np.asarray(states, dtype=float)
@@ -221,21 +296,38 @@ def s21_feedline(chip: Chip, probe_omega, states, fluxes) -> np.ndarray | comple
             f"fluxes of shape {np.shape(fluxes)} do not fit states of shape {states.shape}"
         ) from None
     probe = np.asarray(probe_omega, dtype=float)
-    for name, values in (("states", states), ("fluxes", flux_arr), ("probe frequencies", probe)):
-        if not np.isfinite(values).all():
-            raise ConfigError(f"{name} must be finite")
-    # Per-point shifts line up with the batch axis, ahead of the probe axes.
+    _require_finite(**{"states": states, "fluxes": flux_arr, "probe frequencies": probe})
+    axis = chip._axis
+    omega_q = _TWO_PI * _qubit_frequency(axis.gap, axis.slope, axis.symmetry_flux, flux_arr)
+    pulls = _pull(axis.omega_r, axis.coupling, omega_q, states)
+    # Per-point pulls line up with the batch axis, ahead of the probe axes.
     lead = states.shape[:-1] + (1,) * probe.ndim
-    s = np.ones(states.shape[:-1] + probe.shape, dtype=complex)
-    for j, dev in enumerate(chip.devices):
-        omega_q = 2 * math.pi * qubit_frequency(dev.qubit, flux_arr[..., j])
-        shift = state_dependent_shift(dev.resonator, omega_q, states[..., j])
-        s = s * s21_single(dev.resonator, probe, np.reshape(shift, lead))
+    shape = states.shape[:-1] + probe.shape
+    s = np.ones(shape, dtype=complex)
+    notch = np.empty(shape, dtype=complex)
+    detuning = np.empty(shape)
+    # The product follows s = s * s21_single(...) of the per-device
+    # product, whose last bit depends on how numpy runs it: the complex
+    # product rounds one cross term and fuses the other into a
+    # multiply-add, so operand order counts, and so does aliasing for a
+    # single element.  From _ELIDED_BYTES up numpy reuses the temporary
+    # notch and computes notch * s in place; below it, s * notch into a
+    # new array.
+    in_place = s.nbytes >= _ELIDED_BYTES
+    shifts = np.moveaxis(pulls, -1, 0).reshape((n,) + lead)
+    for omega_r, half_kappa, half_ext, shift in zip(
+        axis.omega_r.tolist(), axis.half_kappa.tolist(), axis.half_ext.tolist(), shifts
+    ):
+        _notch(probe, omega_r, half_kappa, half_ext, shift, notch, detuning)
+        s = np.multiply(notch, s, out=s) if in_place else s * notch
     return complex(s) if s.ndim == 0 else s
 
 
 def dressed_resonance(dev: DeviceRecord, flux: float, state: float = QubitStateLabel.GROUND) -> float:
-    """State-pulled resonator center in Hz at the given applied flux."""
-    omega_q = 2 * math.pi * qubit_frequency(dev.qubit, flux)
+    """State-pulled resonator center in Hz at the given applied flux.
+
+    NaN or inf flux or state raises ConfigError.
+    """
+    omega_q = _TWO_PI * qubit_frequency(dev.qubit, flux)
     shift = state_dependent_shift(dev.resonator, omega_q, float(state))
-    return dev.resonator.bare_frequency + shift / (2 * math.pi)
+    return dev.resonator.bare_frequency + shift / _TWO_PI

@@ -56,6 +56,42 @@ def make_chip(n=2):
     return Chip(name="test", devices=devices)
 
 
+def make_comb(n, zero_coupling=()):
+    """An n-device comb: resonators every 5 MHz (5 kappa) from 6 GHz with
+    kappa/2pi = 1 MHz and kappa_ext = 0.95 kappa, g/2pi = 4 MHz, and each
+    qubit 1.2 GHz below its resonator at 480 GHz/Phi0 with
+    gamma/2pi = 10 kHz.  Devices whose index is in zero_coupling get g = 0."""
+    kappa = TWO_PI * 1e6
+    devices = []
+    for i in range(n):
+        bare = 6e9 + i * 5e6
+        devices.append(DeviceRecord(
+            device_id=i + 1,
+            qubit=make_qubit(gap=bare - 1.2e9, sens=480e9, gamma=TWO_PI * 10e3),
+            resonator=make_resonator(bare=bare, kappa=kappa, ext=0.95 * kappa,
+                                     g=0.0 if i in zero_coupling else TWO_PI * 4e6),
+        ))
+    return Chip(name=f"comb{n}", devices=tuple(devices))
+
+
+def per_device_product(chip, probe_omega, states, fluxes):
+    """The feedline device by device: each qubit's frequency and pull from
+    the public helpers, and s = s * s21_single(...) in chip order."""
+    states = np.asarray(states, dtype=float)
+    fluxes = np.asarray(fluxes, dtype=float)
+    if fluxes.ndim == states.ndim - 1:
+        fluxes = fluxes[..., None]
+    fluxes = np.broadcast_to(fluxes, states.shape)
+    probe = np.asarray(probe_omega, dtype=float)
+    lead = states.shape[:-1] + (1,) * probe.ndim
+    s = np.ones(states.shape[:-1] + probe.shape, dtype=complex)
+    for j, dev in enumerate(chip.devices):
+        omega_q = TWO_PI * qubit_frequency(dev.qubit, fluxes[..., j])
+        shift = state_dependent_shift(dev.resonator, omega_q, states[..., j])
+        s = s * s21_single(dev.resonator, probe, np.reshape(shift, lead))
+    return s
+
+
 QUBIT_FIELDS = ("gap_delta", "flux_sensitivity", "symmetry_flux", "relaxation_rate_gamma")
 RESONATOR_FIELDS = ("bare_frequency", "total_linewidth_kappa", "external_linewidth",
                     "coupling_g")
@@ -346,6 +382,140 @@ def test_s21_feedline_batch_rows_equal_single_calls():
         np.testing.assert_array_equal(batch, rows)
         scalar_probe = s21_feedline(chip, probe[3], states, fluxes)
         np.testing.assert_array_equal(scalar_probe, batch[:, 3])
+
+
+COMB_N = 100
+
+
+@pytest.fixture(scope="module")
+def comb():
+    return make_comb(COMB_N)
+
+
+def comb_probe(chip, n_points):
+    """Angular probe frequencies across the whole comb and 10 MHz beyond."""
+    bare = [d.resonator.bare_frequency for d in chip.devices]
+    return TWO_PI * np.linspace(min(bare) - 10e6, max(bare) + 10e6, n_points)
+
+
+def assert_bitwise_equal(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape
+    assert got.dtype == expected.dtype == complex
+    assert got.tobytes() == expected.tobytes()
+
+
+# 2001 points make a 32 KB product; 20001 make 320 KB, above the 256 KB
+# from which numpy reuses the temporary notch of s = s * s21_single(...)
+# and multiplies it as notch * s.
+@pytest.mark.parametrize("n_points", [2001, 20001])
+def test_s21_feedline_comb_equals_per_device_product_1d(comb, n_points):
+    probe = comb_probe(comb, n_points)
+    rng = np.random.default_rng(21)
+    states = rng.choice([-1.0, 1.0], COMB_N)
+    fluxes = rng.uniform(-0.03, 0.03, COMB_N)
+    got = s21_feedline(comb, probe, states, fluxes)
+    assert_bitwise_equal(got, per_device_product(comb, probe, states, fluxes))
+    # every notch is in the product: each one's dip reaches below 0.5
+    assert np.min(np.abs(got)) < 0.5
+
+
+def test_s21_feedline_comb_equals_per_device_product_batch(comb):
+    probe = TWO_PI * np.array([d.resonator.bare_frequency for d in comb.devices[::9]])
+    rng = np.random.default_rng(22)
+    states = rng.uniform(-1.0, 1.0, (40, COMB_N))
+    per_point = rng.uniform(-0.03, 0.03, 40)
+    per_device = rng.uniform(-0.03, 0.03, (40, COMB_N))
+    for fluxes in (per_point, per_device):
+        got = s21_feedline(comb, probe, states, fluxes)
+        assert got.shape == (40, probe.size)
+        assert_bitwise_equal(got, per_device_product(comb, probe, states, fluxes))
+
+
+def test_s21_feedline_comb_scalar_probe_and_flux(comb):
+    probe = TWO_PI * comb.devices[50].resonator.bare_frequency
+    states = np.full(COMB_N, -1.0)
+    states[50] = 1.0
+    got = s21_feedline(comb, probe, states, 0.004)
+    assert isinstance(got, complex)
+    assert_bitwise_equal(got, per_device_product(comb, probe, states, 0.004))
+    # a scalar call is the one-point array call, bit for bit
+    assert_bitwise_equal(got, s21_feedline(comb, np.array([probe]), states, [0.004] * COMB_N)[0])
+    # one-element products too, where numpy's complex product depends on
+    # whether its output aliases an input
+    for rows in (1, 3):
+        batch = np.tile(states, (rows, 1))
+        got = s21_feedline(comb, probe, batch, 0.004)
+        assert got.shape == (rows,)
+        assert_bitwise_equal(got, per_device_product(comb, probe, batch, 0.004))
+
+
+def test_s21_feedline_comb_with_a_zero_coupling_device():
+    chip = make_comb(COMB_N, zero_coupling=(37,))
+    dev = chip.devices[37]
+    probe = comb_probe(chip, 2001)
+    states = np.full(COMB_N, 1.0)
+    # device 37's qubit sits on its resonator, where a coupled device
+    # would be pulled by a full vacuum-Rabi g
+    crossing = dev.qubit.symmetry_flux + math.sqrt(
+        dev.resonator.bare_frequency**2 - dev.qubit.gap_delta**2) / dev.qubit.flux_sensitivity
+    fluxes = np.zeros(COMB_N)
+    fluxes[37] = crossing
+    got = s21_feedline(chip, probe, states, fluxes)
+    assert_bitwise_equal(got, per_device_product(chip, probe, states, fluxes))
+    assert dressed_resonance(dev, crossing, 1.0) == dev.resonator.bare_frequency
+    alone = s21_feedline(Chip(name="one", devices=(dev,)), probe, [1.0], [crossing])
+    assert_bitwise_equal(alone, s21_single(dev.resonator, probe))
+
+
+def test_chip_device_axis_is_private_and_read_only():
+    chip = make_chip(3)
+    twin = Chip(name="test", devices=chip.devices)
+    assert chip == twin and hash(chip) == hash(twin)
+    assert repr(chip) == f"Chip(name='test', devices={chip.devices!r})"
+    axis = chip._axis
+    np.testing.assert_array_equal(axis.omega_r,
+                                  [TWO_PI * d.resonator.bare_frequency for d in chip.devices])
+    with pytest.raises(ValueError):
+        axis.gap[0] = 0.0
+    empty = Chip(name="empty", devices=())
+    assert s21_feedline(empty, TWO_PI * 9e9, [], 0.0) == 1.0
+
+
+def test_qubit_frequency_rejects_non_finite_flux():
+    q = make_qubit()
+    for bad in (math.nan, math.inf, -math.inf, np.array([0.0, math.nan])):
+        with pytest.raises(ConfigError, match="flux must be finite"):
+            qubit_frequency(q, bad)
+
+
+@pytest.mark.parametrize("where", ["omega_q", "state"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_state_dependent_shift_rejects_non_finite_input(where, bad):
+    r = make_resonator()
+    args = {"omega_q": TWO_PI * 4.2e9, "state": -1.0, where: bad}
+    with pytest.raises(ConfigError, match=f"{where} must be finite"):
+        state_dependent_shift(r, args["omega_q"], args["state"])
+    with pytest.raises(ConfigError, match="must be finite"):
+        state_dependent_shift(make_resonator(g=0.0), args["omega_q"], args["state"])
+
+
+@pytest.mark.parametrize("where", ["probe_omega", "shift"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_s21_single_rejects_non_finite_input(where, bad):
+    r = make_resonator()
+    args = {"probe_omega": TWO_PI * 9.6e9, "shift": 0.0, where: bad}
+    with pytest.raises(ConfigError, match=f"{where} must be finite"):
+        s21_single(r, args["probe_omega"], args["shift"])
+
+
+@pytest.mark.parametrize("where", ["flux", "state"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dressed_resonance_rejects_non_finite_input(where, bad):
+    dev = make_chip(1).devices[0]
+    args = {"flux": 0.0, "state": -1.0, where: bad}
+    with pytest.raises(ConfigError, match=f"{where} must be finite"):
+        dressed_resonance(dev, args["flux"], args["state"])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -53,6 +53,8 @@ from fdmsim import (
     write_sweep_json,
 )
 
+from test_device import make_comb
+
 TWO_PI = 2 * math.pi
 
 
@@ -697,6 +699,18 @@ def test_spectroscopy_matches_closed_form(chip):
     np.testing.assert_allclose(
         result.column("s21_phase", "feedline"), np.angle(expected), rtol=1e-12
     )
+
+
+def test_spectroscopy_finds_every_dip_of_a_100_device_comb():
+    comb = make_comb(100)
+    centers = np.array([dressed_resonance(d, d.qubit.symmetry_flux) for d in comb.devices])
+    step = 50e3
+    freqs = np.arange(centers[0] - 5e6, centers[-1] + 5e6, step)
+    amp = run_spectroscopy(comb, freqs).column("s21_amplitude", "feedline")
+    interior = (amp[1:-1] < amp[:-2]) & (amp[1:-1] <= amp[2:]) & (amp[1:-1] < 0.5)
+    dips = freqs[1:-1][interior]
+    assert dips.size == len(comb.devices)
+    assert np.all(np.abs(dips - centers) <= step)
 
 
 def test_spectroscopy_state_moves_the_notch(chip):
