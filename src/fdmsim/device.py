@@ -244,8 +244,10 @@ def s21_single(resonator: ResonatorParams, probe_omega, shift: float = 0.0):
     """Complex notch transmission at angular probe frequency probe_omega.
 
     shift (rad/s) displaces the resonance from its bare position.
-    Accepts scalar or array probe_omega; |S21| <= 1 everywhere.  NaN or
-    inf in probe_omega or shift raises ConfigError.
+    Accepts scalar or array probe_omega and shift, broadcast together;
+    |S21| <= 1 everywhere.  The result is a complex when probe_omega is
+    a scalar and shift has no dimensions, and an array otherwise.  NaN
+    or inf in probe_omega or shift raises ConfigError.
     """
     probe = np.asarray(probe_omega, dtype=float)
     shift = np.asarray(shift, dtype=float)
@@ -254,7 +256,7 @@ def s21_single(resonator: ResonatorParams, probe_omega, shift: float = 0.0):
     s = _notch(probe, _TWO_PI * resonator.bare_frequency, resonator.total_linewidth_kappa / 2.0,
                resonator.external_linewidth / 2.0, shift, np.empty(shape, dtype=complex),
                np.empty(shape))
-    return complex(s) if np.isscalar(probe_omega) else s
+    return complex(s) if np.isscalar(probe_omega) and s.ndim == 0 else s
 
 
 def s21_feedline(chip: Chip, probe_omega, states, fluxes) -> np.ndarray | complex:

@@ -30,7 +30,9 @@ from .errors import ConfigError, _check_finite
 from .lanes import lane_count as _lane_count, run as _run_lanes
 from .seeding import derive_rng
 
-# Samples held by one chunk of telegraph trajectories; also the ceiling on
+# Samples covered by one draw of telegraph flips: a chunk of
+# TELEGRAPH_CHUNK_SAMPLES // n trajectories of n samples draws its flips
+# in one call, so this fixes how the stream is used.  Also the ceiling on
 # the length of a single trajectory.
 TELEGRAPH_CHUNK_SAMPLES = 2_000_000
 # Samples per block of the walk, carrier gather, FFT and power sum: 30 rows
@@ -183,6 +185,46 @@ def evolve_for(
     return propagator(drive, gamma, gamma_phi, duration).apply(state)
 
 
+def _ground_trajectory(
+    drive: DriveSpec, gamma: float, gamma_phi: float, times: list[float]
+) -> list[float]:
+    """Bloch z at each of the increasing times >= 0, from the ground state
+    at t = 0.
+
+    Equal to chaining Propagator.apply from GROUND over the steps between
+    the times, bit for bit, but run on three floats: the matrix product
+    reads a preallocated (x, y, z, 1) vector and the result is put back
+    on the norm as apply does.  One propagator is built per distinct step
+    length and reused for every step of that length.
+    """
+    steps: dict[float, Propagator] = {}
+    vector = np.array([GROUND.x, GROUND.y, GROUND.z, 1.0])
+    state_norm = GROUND.norm
+    z_at = []
+    prev = 0.0
+    for t in times:
+        step = t - prev
+        prop = steps.get(step)
+        if prop is None:
+            prop = steps[step] = propagator(drive, gamma, gamma_phi, step)
+        x, y, z, _ = np.matmul(prop.matrix, vector).tolist()
+        norm = math.sqrt(x**2 + y**2 + z**2)
+        target = state_norm if prop.lossless else min(norm, 1.0)
+        if norm > 0 and norm != target:
+            scale = target / norm
+            x, y, z = x * scale, y * scale, z * scale
+        # BlochState's check on the new state
+        state_norm = math.sqrt(x**2 + y**2 + z**2)
+        if not state_norm <= 1 + 1e-9:
+            raise ConfigError(f"Bloch vector norm {state_norm} must be finite and <= 1")
+        vector[0] = x
+        vector[1] = y
+        vector[2] = z
+        z_at.append(z)
+        prev = t
+    return z_at
+
+
 def evolve(
     state: BlochState,
     drive: DriveSpec,
@@ -266,6 +308,47 @@ def _telegraph_flips(
     return flips, start
 
 
+class _TelegraphChunk:
+    """One chunk of telegraph trajectories as runs of constant sigma.
+
+    levels and lengths are the runs of all rows in order, row r's runs
+    are levels[edges[r]:edges[r + 1]], and totals[r] is the sum of sigma
+    over row r.  A plain class: a dataclass would cost every import of
+    the package about 10 KB more.
+    """
+
+    __slots__ = ("rows", "edges", "levels", "lengths", "totals", "__weakref__")
+
+    def __init__(self, rows: int, edges: np.ndarray, levels: np.ndarray,
+                 lengths: np.ndarray, totals: np.ndarray):
+        self.rows = rows
+        self.edges = edges
+        self.levels = levels
+        self.lengths = lengths
+        self.totals = totals
+
+
+def _lay_out_chunk(rng: np.random.Generator, p: float, m: int, n: int) -> _TelegraphChunk:
+    """Draws the flips of m trajectories of n samples and lays them out."""
+    flips, start = _telegraph_flips(rng, p, m, n)
+    # After the j-th flip of a row (j from 0) sigma is -start * (-1)**j;
+    # for flip i of the chunk, (-1)**j = (-1)**i * (-1)**(flips in the
+    # rows before).
+    counts = np.bincount(flips // n, minlength=m)
+    before = np.cumsum(counts) - counts
+    after = -np.repeat(start * (1 - 2 * (before & 1)), counts)
+    after[1::2] *= -1
+    # Runs of constant sigma begin at each row start and each flip; a
+    # row start goes before a flip on its first sample, leaving a run
+    # of length 0.  Row r's runs begin at index edges[r].
+    begins = np.insert(flips, before, np.arange(m) * n)
+    levels = np.insert(after, before, start)
+    lengths = np.diff(begins, append=m * n)
+    edges = np.append(before, flips.size) + np.arange(m + 1)
+    totals = np.add.reduceat(levels * lengths, edges[:-1])
+    return _TelegraphChunk(m, edges, levels, lengths, totals)
+
+
 def _telegraph_block(
     carrier: np.ndarray,
     levels: np.ndarray,
@@ -336,14 +419,19 @@ def relaxation_telegraph_spectrum(
     per-sample exponential bit for bit.
 
     The walk, gather, FFT and power run on blocks of a few rows, on up to
-    L lanes scheduled by lanes.run: L is lanes.lane_count(), at most the
-    rows of one block, and each lane gets 1/L of a block's rows, so the
-    buffers together hold one block whatever L is.  The calling thread
-    draws the flips chunk by chunk, in one stream, and lays out the runs
-    of a chunk before its blocks run.  Each lane adds its block's power
-    to the spectrum in trajectory order, through a turnstile, so each
-    trajectory's power is added in turn and the result is the same bit
-    for bit for every block size and lane count.
+    L lanes scheduled by one lanes.run call for the whole spectrum: L is
+    lanes.lane_count(), at most the rows of one block, and each lane gets
+    1/L of a block's rows, so the buffers together hold one block
+    whatever L is.  The blocks of every chunk are numbered in one
+    sequence.  The lanes draw the flips and lay out the runs chunk by
+    chunk, in chunk order, from one stream, under a lock: the lane that
+    adds a chunk's first block then lays out the next chunk while the
+    other lanes run this one's blocks, and a chunk's layout is dropped
+    once its last block is added, so at most two are held at once.  Each
+    lane adds its block's power to the spectrum in trajectory order,
+    through a turnstile, so each trajectory's power is added in turn and
+    the result is the same bit for bit for every block size and lane
+    count.
 
     Returns the folded one-sided spectrum and the fraction of power
     outside the Carson band of full width 2*(shift + 2*gamma) centered on
@@ -390,57 +478,83 @@ def relaxation_telegraph_spectrum(
     # trajectories to it one at a time, in order, whatever the block size.
     powers = [np.zeros((rows + 1, n)) for _ in range(lanes)]
     psd = np.zeros(n)
+
+    # Every chunk but the last has chunk rows in chunk_blocks blocks, at
+    # least one per lane; the blocks of all chunks are numbered in one
+    # sequence.
+    chunks = -(-n_trajectories // chunk)
+    chunk_blocks = -(-chunk // rows)
+    last_rows = n_trajectories - (chunks - 1) * chunk
+    n_blocks = (chunks - 1) * chunk_blocks + -(-last_rows // rows)
+    # Chunks laid out and not yet added, by number; chunks below drawn are
+    # laid out.
+    layouts: dict[int, _TelegraphChunk] = {}
+    drawn = 0
+    drawing = threading.Lock()
     turn = threading.Condition()
 
-    remaining = n_trajectories
-    while remaining > 0:
-        m = min(chunk, remaining)
-        flips, start = _telegraph_flips(rng, flip_p, m, n)
-        # After the j-th flip of a row (j from 0) sigma is -start * (-1)**j;
-        # for flip i of the chunk, (-1)**j = (-1)**i * (-1)**(flips in the
-        # rows before).
-        counts = np.bincount(flips // n, minlength=m)
-        before = np.cumsum(counts) - counts
-        after = -np.repeat(start * (1 - 2 * (before & 1)), counts)
-        after[1::2] *= -1
-        # Runs of constant sigma begin at each row start and each flip; a
-        # row start goes before a flip on its first sample, leaving a run
-        # of length 0.  Row r's runs begin at index edges[r].
-        begins = np.insert(flips, before, np.arange(m) * n)
-        levels = np.insert(after, before, start)
-        lengths = np.diff(begins, append=m * n)
-        edges = np.append(before, flips.size) + np.arange(m + 1)
-        totals = np.add.reduceat(levels * lengths, edges[:-1])
+    def stop() -> None:
+        nonlocal added
+        with turn:
+            added = None
+            turn.notify_all()
 
-        def add_block(lane: int, i: int) -> None:
-            nonlocal added
-            power = powers[lane]
+    def chunk_layout(c: int) -> _TelegraphChunk | None:
+        """Chunk c's layout, laying out the chunks up to it first, in
+        order from the one stream; None once the call has failed or
+        chunk c is added."""
+        nonlocal drawn
+        with drawing:
             try:
-                b = i * rows
-                k = min(rows, m - b)
-                runs = slice(edges[b], edges[b + k])
-                _telegraph_block(carrier, levels[runs], lengths[runs], totals[b:b + k],
-                                 signals[lane], power)
-                with turn:
-                    turn.wait_for(lambda: added is None or added == i)
-                    if added is None:
-                        return
-                    power[0] = psd
-                    np.sum(power[:k + 1], axis=0, out=psd)
-                    added += 1
-                    turn.notify_all()
+                while drawn <= c and added is not None:
+                    m = min(chunk, n_trajectories - drawn * chunk)
+                    layouts[drawn] = _lay_out_chunk(rng, flip_p, m, n)
+                    drawn += 1
             except BaseException:
-                with turn:
-                    added = None
-                    turn.notify_all()
+                # Open the turnstile before another lane may draw.
+                stop()
                 raise
+            return None if added is None else layouts.get(c)
 
-        # The turnstile: block i of the chunk is added to psd only after
-        # blocks 0..i-1 are.  A lane that fails sets added to None, which
-        # opens it, so that the call raises rather than waits.
-        added = 0
-        _run_lanes(add_block, -(-m // rows), lanes)
-        remaining -= m
+    def add_block(lane: int, g: int) -> None:
+        nonlocal added
+        power = powers[lane]
+        c, i = divmod(g, chunk_blocks)
+        try:
+            layout = chunk_layout(c)
+            if layout is None:
+                return
+            b = i * rows
+            k = min(rows, layout.rows - b)
+            last = b + k == layout.rows
+            runs = slice(layout.edges[b], layout.edges[b + k])
+            _telegraph_block(carrier, layout.levels[runs], layout.lengths[runs],
+                             layout.totals[b:b + k], signals[lane], power)
+            # Held by no lane once its last block is added.
+            del layout
+            with turn:
+                turn.wait_for(lambda: added is None or added == g)
+                if added is None:
+                    return
+                power[0] = psd
+                np.sum(power[:k + 1], axis=0, out=psd)
+                if last:
+                    del layouts[c]
+                added += 1
+                turn.notify_all()
+            # The lane that adds a chunk's first block lays out the next
+            # chunk while the other lanes run this one's blocks.
+            if i == 0 and c + 1 < chunks:
+                chunk_layout(c + 1)
+        except BaseException:
+            stop()
+            raise
+
+    # The turnstile: block g is added to psd only after blocks 0..g-1 are.
+    # A lane that fails sets added to None, which opens it, so that the
+    # call raises rather than waits.
+    added = 0
+    _run_lanes(add_block, n_blocks, lanes)
     psd /= psd.sum()
 
     freqs = np.fft.fftfreq(n, d=dt)

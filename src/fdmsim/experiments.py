@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .device import Chip, QubitStateLabel, dressed_resonance, s21_feedline
-from .dynamics import GROUND, BlochState, DriveSpec, evolve_for, propagator, rabi_frequency
+from .dynamics import DriveSpec, _ground_trajectory, evolve_for, rabi_frequency
 from .errors import ConfigError, UnknownDeviceError
 from .planner import _grid_offset
 from .rxchain import (
@@ -497,16 +497,7 @@ def run_rabi(
             z[:, j] = z[:, trajectories[drive, g]]
             continue
         trajectories[drive, g] = j
-        steps = {}
-        state = GROUND
-        prev = 0.0
-        for i, t in enumerate(durations.tolist()):
-            step = t - prev
-            if step not in steps:
-                steps[step] = propagator(drive, g, gamma_phi, step)
-            state = steps[step].apply(state)
-            prev = t
-            z[i, j] = state.z
+        z[:, j] = _ground_trajectory(drive, g, gamma_phi, durations.tolist())
 
     tables = {"excited_population": (z + 1.0) / 2.0}
     if readout:

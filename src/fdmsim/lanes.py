@@ -2,8 +2,11 @@
 
 The telegraph spectrum (dynamics) and the noisy shots of the acquisition
 core (rxchain._receive) run their blocks of rows with run(job, blocks,
-lanes), on at most lane_count() lanes.  Block i runs on lane i % lanes,
-and each lane has buffers of its own.  Lane 0 is the calling thread and
+lanes), on at most lane_count() lanes, in one call each: the telegraph
+spectrum numbers the blocks of all its chunks in one sequence, and its
+job lays out each chunk's flips as the lanes reach it, so the threads
+start once per spectrum.  Block i runs on lane i % lanes, and each lane
+has buffers of its own.  Lane 0 is the calling thread and
 the others are plain threads: threading is loaded with numpy, where
 concurrent.futures would add 0.6 MB.  Each module binds lane_count as
 _lane_count and looks it up at call time, so one module's lane count can

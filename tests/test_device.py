@@ -322,6 +322,32 @@ def test_s21_single_shift_moves_the_dip():
     assert abs(moved) == pytest.approx(abs(s21_single(r, TWO_PI * r.bare_frequency)), rel=1e-12)
 
 
+@pytest.mark.parametrize("shift", [np.array([1.0, 2.0]), np.array([[0.0], [3e6], [-3e6]])])
+def test_s21_single_broadcasts_a_scalar_probe_over_an_array_shift(shift):
+    r = make_resonator()
+    probe = TWO_PI * r.bare_frequency
+    got = s21_single(r, probe, shift=shift)
+    assert isinstance(got, np.ndarray) and got.shape == shift.shape
+    for index, value in np.ndenumerate(shift):
+        single = s21_single(r, probe, shift=float(value))
+        assert isinstance(single, complex)
+        assert got[index] == single
+
+
+def test_s21_single_returns_a_complex_only_for_scalar_probe_and_shift():
+    r = make_resonator()
+    probe = TWO_PI * r.bare_frequency
+    assert isinstance(s21_single(r, probe), complex)
+    assert isinstance(s21_single(r, probe, shift=np.float64(2e6)), complex)
+    # array probes are arrays, also with one element
+    for probes in (np.array([probe]), np.array([probe, probe + 1e6])):
+        got = s21_single(r, probes, shift=2e6)
+        assert isinstance(got, np.ndarray) and got.shape == probes.shape
+    both = s21_single(r, np.array([probe, probe + 1e6]), shift=np.array([2e6, -2e6]))
+    assert both.shape == (2,)
+    assert both[1] == s21_single(r, probe + 1e6, shift=-2e6)
+
+
 def test_s21_feedline_is_product_of_singles():
     chip = make_chip(3)
     probe = TWO_PI * np.linspace(9.2e9, 9.8e9, 401)

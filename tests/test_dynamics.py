@@ -521,7 +521,7 @@ def test_telegraph_is_the_same_for_every_lane_count(kwargs, monkeypatch):
     threads = set()
 
     def recording_block(*args):
-        # By name: each chunk starts its lanes afresh.
+        # By name, as lanes.run names its threads.
         threads.add(threading.current_thread().name)
         return block(*args)
 

@@ -500,6 +500,40 @@ def test_rabi_computes_one_trajectory_per_distinct_drive(chip, monkeypatch, scal
                                       (np.array(z) + 1.0) / 2.0)
 
 
+@pytest.mark.parametrize("gamma, gamma_phi, detuning", [
+    (None, 0.0, 0.0),                 # lossy: chip7's own relaxation
+    (0.0, 0.0, 0.0),                  # lossless: the norm is kept
+    (TWO_PI * 0.2e6, 1e5, 3e6),       # detuned, with dephasing
+])
+def test_rabi_populations_equal_the_propagator_apply_chain(chip, gamma, gamma_phi, detuning):
+    # uneven steps: several propagators, each reused
+    durations = np.cumsum(np.tile([4e-9, 7e-9, 4e-9, 1e-8], 50))
+    scales = [0.6, 1.0, 1.4]
+    ids = (2, 4, 6)
+    result = run_rabi(chip, durations, device_ids=ids, amplitude_scales=scales,
+                      detuning=detuning, gamma=gamma, gamma_phi=gamma_phi, readout=False)
+    for dev_id, scale in zip(ids, scales):
+        drive = DriveSpec(5e6, scale, detuning)
+        g = chip.device(dev_id).qubit.relaxation_rate_gamma if gamma is None else gamma
+        state, populations, prev = GROUND, [], 0.0
+        for t in durations.tolist():
+            state = fdmsim.dynamics.propagator(drive, g, gamma_phi, t - prev).apply(state)
+            populations.append(state.excited_population)
+            prev = t
+        assert np.array_equal(result.column("excited_population", dev_id), populations)
+
+
+def test_rabi_rejects_a_trajectory_that_leaves_the_bloch_ball(chip, monkeypatch):
+    def nan_propagator(*args):
+        return fdmsim.dynamics.Propagator(np.full((4, 4), np.nan), lossless=False)
+
+    monkeypatch.setattr(fdmsim.dynamics, "propagator", nan_propagator)
+    with pytest.raises(ConfigError, match="Bloch vector norm nan"):
+        nan_propagator().apply(GROUND)
+    with pytest.raises(ConfigError, match="Bloch vector norm nan"):
+        run_rabi(chip, [1e-8, 2e-8], device_ids=(2,), readout=False)
+
+
 def test_noisy_reruns_are_byte_identical(chip, tmp_path):
     durations = np.linspace(5e-9, 6e-7, 40)
     fluxes = np.linspace(-0.02, 0.02, 30)
