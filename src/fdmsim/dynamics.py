@@ -50,9 +50,7 @@ class BlochState:
     z: float
 
     def __post_init__(self):
-        norm = math.sqrt(self.x**2 + self.y**2 + self.z**2)
-        if not norm <= 1 + 1e-9:
-            raise ConfigError(f"Bloch vector norm {norm} must be finite and <= 1")
+        _checked_norm(self.x, self.y, self.z)
 
     @property
     def norm(self) -> float:
@@ -61,6 +59,15 @@ class BlochState:
     @property
     def excited_population(self) -> float:
         return 0.5 * (1.0 + self.z)
+
+
+def _checked_norm(x: float, y: float, z: float) -> float:
+    """The norm of (x, y, z); ConfigError unless it is finite and <= 1
+    (beyond numerical slack)."""
+    norm = math.sqrt(x**2 + y**2 + z**2)
+    if not norm <= 1 + 1e-9:
+        raise ConfigError(f"Bloch vector norm {norm} must be finite and <= 1")
+    return norm
 
 
 GROUND = BlochState(0.0, 0.0, -1.0)
@@ -129,16 +136,21 @@ class Propagator:
     lossless: bool
 
     def apply(self, state: BlochState) -> BlochState:
-        x, y, z, _ = (self.matrix @ (state.x, state.y, state.z, 1.0)).tolist()
+        return BlochState(*self._step((state.x, state.y, state.z, 1.0), state.norm))
+
+    def _step(self, vector, norm: float) -> tuple[float, float, float]:
+        """(x, y, z) after the segment, from vector = (x, y, z, 1) of the
+        given norm; unchecked against the Bloch ball."""
+        x, y, z, _ = np.matmul(self.matrix, vector).tolist()
         # The exact map is a rotation when lossless and never leaves the
         # Bloch ball otherwise, but the squarings in _expm let the norm
         # drift by about eps * 2**s (4e-9 after 0.1 s at 50 MHz): put it back.
-        norm = math.sqrt(x**2 + y**2 + z**2)
-        target = state.norm if self.lossless else min(norm, 1.0)
-        if norm > 0 and norm != target:
-            scale = target / norm
+        new_norm = math.sqrt(x**2 + y**2 + z**2)
+        target = norm if self.lossless else min(new_norm, 1.0)
+        if new_norm > 0 and new_norm != target:
+            scale = target / new_norm
             x, y, z = x * scale, y * scale, z * scale
-        return BlochState(x, y, z)
+        return x, y, z
 
 
 def propagator(
@@ -192,14 +204,13 @@ def _ground_trajectory(
     at t = 0.
 
     Equal to chaining Propagator.apply from GROUND over the steps between
-    the times, bit for bit, but run on three floats: the matrix product
-    reads a preallocated (x, y, z, 1) vector and the result is put back
-    on the norm as apply does.  One propagator is built per distinct step
-    length and reused for every step of that length.
+    the times, bit for bit, but with no BlochState per step: each step
+    reads a preallocated (x, y, z, 1) vector.  One propagator is built
+    per distinct step length and reused for every step of that length.
     """
     steps: dict[float, Propagator] = {}
     vector = np.array([GROUND.x, GROUND.y, GROUND.z, 1.0])
-    state_norm = GROUND.norm
+    norm = GROUND.norm
     z_at = []
     prev = 0.0
     for t in times:
@@ -207,16 +218,8 @@ def _ground_trajectory(
         prop = steps.get(step)
         if prop is None:
             prop = steps[step] = propagator(drive, gamma, gamma_phi, step)
-        x, y, z, _ = np.matmul(prop.matrix, vector).tolist()
-        norm = math.sqrt(x**2 + y**2 + z**2)
-        target = state_norm if prop.lossless else min(norm, 1.0)
-        if norm > 0 and norm != target:
-            scale = target / norm
-            x, y, z = x * scale, y * scale, z * scale
-        # BlochState's check on the new state
-        state_norm = math.sqrt(x**2 + y**2 + z**2)
-        if not state_norm <= 1 + 1e-9:
-            raise ConfigError(f"Bloch vector norm {state_norm} must be finite and <= 1")
+        x, y, z = prop._step(vector, norm)
+        norm = _checked_norm(x, y, z)
         vector[0] = x
         vector[1] = y
         vector[2] = z
@@ -308,28 +311,16 @@ def _telegraph_flips(
     return flips, start
 
 
-class _TelegraphChunk:
-    """One chunk of telegraph trajectories as runs of constant sigma.
+def _lay_out_chunk(
+    rng: np.random.Generator, p: float, m: int, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Draws the flips of m trajectories of n samples and lays them out
+    as runs of constant sigma.
 
-    levels and lengths are the runs of all rows in order, row r's runs
-    are levels[edges[r]:edges[r + 1]], and totals[r] is the sum of sigma
-    over row r.  A plain class: a dataclass would cost every import of
-    the package about 10 KB more.
+    Returns (edges, levels, lengths, totals): levels and lengths are the
+    runs of all rows in order, row r's runs are levels[edges[r]:edges[r + 1]],
+    and totals[r] is the sum of sigma over row r.
     """
-
-    __slots__ = ("rows", "edges", "levels", "lengths", "totals", "__weakref__")
-
-    def __init__(self, rows: int, edges: np.ndarray, levels: np.ndarray,
-                 lengths: np.ndarray, totals: np.ndarray):
-        self.rows = rows
-        self.edges = edges
-        self.levels = levels
-        self.lengths = lengths
-        self.totals = totals
-
-
-def _lay_out_chunk(rng: np.random.Generator, p: float, m: int, n: int) -> _TelegraphChunk:
-    """Draws the flips of m trajectories of n samples and lays them out."""
     flips, start = _telegraph_flips(rng, p, m, n)
     # After the j-th flip of a row (j from 0) sigma is -start * (-1)**j;
     # for flip i of the chunk, (-1)**j = (-1)**i * (-1)**(flips in the
@@ -346,7 +337,7 @@ def _lay_out_chunk(rng: np.random.Generator, p: float, m: int, n: int) -> _Teleg
     lengths = np.diff(begins, append=m * n)
     edges = np.append(before, flips.size) + np.arange(m + 1)
     totals = np.add.reduceat(levels * lengths, edges[:-1])
-    return _TelegraphChunk(m, edges, levels, lengths, totals)
+    return edges, levels, lengths, totals
 
 
 def _telegraph_block(
@@ -488,7 +479,7 @@ def relaxation_telegraph_spectrum(
     n_blocks = (chunks - 1) * chunk_blocks + -(-last_rows // rows)
     # Chunks laid out and not yet added, by number; chunks below drawn are
     # laid out.
-    layouts: dict[int, _TelegraphChunk] = {}
+    layouts: dict[int, tuple[np.ndarray, ...]] = {}
     drawn = 0
     drawing = threading.Lock()
     turn = threading.Condition()
@@ -499,7 +490,7 @@ def relaxation_telegraph_spectrum(
             added = None
             turn.notify_all()
 
-    def chunk_layout(c: int) -> _TelegraphChunk | None:
+    def chunk_layout(c: int) -> tuple[np.ndarray, ...] | None:
         """Chunk c's layout, laying out the chunks up to it first, in
         order from the one stream; None once the call has failed or
         chunk c is added."""
@@ -524,14 +515,15 @@ def relaxation_telegraph_spectrum(
             layout = chunk_layout(c)
             if layout is None:
                 return
+            edges, levels, lengths, totals = layout
             b = i * rows
-            k = min(rows, layout.rows - b)
-            last = b + k == layout.rows
-            runs = slice(layout.edges[b], layout.edges[b + k])
-            _telegraph_block(carrier, layout.levels[runs], layout.lengths[runs],
-                             layout.totals[b:b + k], signals[lane], power)
+            k = min(rows, totals.size - b)
+            last = b + k == totals.size
+            runs = slice(edges[b], edges[b + k])
+            _telegraph_block(carrier, levels[runs], lengths[runs], totals[b:b + k],
+                             signals[lane], power)
             # Held by no lane once its last block is added.
-            del layout
+            del layout, edges, levels, lengths, totals
             with turn:
                 turn.wait_for(lambda: added is None or added == g)
                 if added is None:

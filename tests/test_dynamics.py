@@ -149,6 +149,14 @@ def test_long_lossless_segment_keeps_the_norm(duration):
     assert state.norm == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("duration", [3e-8, 1e-3, 10.0])
+@pytest.mark.parametrize("start", [BlochState(0.0, 0.0, -0.25), BlochState(0.3, -0.2, 0.6)])
+def test_lossless_segment_keeps_the_norm_of_a_state_inside_the_ball(start, duration):
+    state = evolve_for(start, drive(50e6, 1.0, 3e6), 0.0, 0.0, duration)
+    assert state.norm == pytest.approx(start.norm, abs=1e-15)
+    assert state != start
+
+
 @pytest.mark.parametrize("duration", [0.1, 1.0, 10.0])
 def test_long_nearly_lossless_segment_stays_in_the_bloch_ball(duration):
     state = evolve_for(GROUND, drive(50e6, 1.0, 3e6), 1e-12, 0.0, duration)

@@ -173,13 +173,14 @@ class ScheduleProbe:
                 self.done_at_draw.append([c for c, _ in self.blocks])
             layout = lay_out(rng, p, m, n)
             with self.guard:
-                self.layouts.append(weakref.ref(layout))
+                # the totals array lives exactly as long as its layout
+                self.layouts.append(weakref.ref(layout[3]))
             return layout
 
         def probe_block(carrier, levels, lengths, totals, signal, power):
             with self.guard:
                 chunk = next(c for c, ref in enumerate(self.layouts)
-                             if ref() is not None and totals.base is ref().totals)
+                             if ref() is not None and totals.base is ref())
                 self.most_alive = max(self.most_alive, len(self.alive()))
             if failing_block is not None:
                 failing_chunk, caller, on_caller = failing_block
