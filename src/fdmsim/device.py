@@ -204,11 +204,15 @@ def qubit_frequency(qubit: QubitParams, flux):
     """Transition frequency in Hz at the given applied flux (flux quanta).
 
     Even in flux about the symmetry point and never below gap_delta.
-    Accepts scalars or arrays; NaN or inf flux raises ConfigError.
+    Accepts scalars or arrays; NaN or inf flux, and a flux so large that
+    the frequency overflows, raise ConfigError.
     """
     flux_arr = np.asarray(flux, dtype=float)
     _require_finite(flux=flux_arr)
-    f = _qubit_frequency(qubit.gap_delta, qubit.flux_sensitivity, qubit.symmetry_flux, flux_arr)
+    with np.errstate(over="ignore"):
+        f = _qubit_frequency(qubit.gap_delta, qubit.flux_sensitivity, qubit.symmetry_flux,
+                             flux_arr)
+    _require_finite(**{"qubit frequency": f})
     return float(f) if np.isscalar(flux) else f
 
 
@@ -230,13 +234,16 @@ def state_dependent_shift(resonator: ResonatorParams, omega_q, state):
     gives zero shift regardless of detuning.
 
     omega_q and state may be arrays (broadcast together) and are taken
-    elementwise.  NaN or inf in either raises ConfigError.
+    elementwise.  NaN or inf in either, and values so large that the
+    pull overflows, raise ConfigError.
     """
     omega_q, state = np.broadcast_arrays(
         np.asarray(omega_q, dtype=float), np.asarray(state, dtype=float)
     )
     _require_finite(omega_q=omega_q, state=state)
-    shift = _pull(_TWO_PI * resonator.bare_frequency, resonator.coupling_g, omega_q, state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = _pull(_TWO_PI * resonator.bare_frequency, resonator.coupling_g, omega_q, state)
+    _require_finite(shift=shift)
     return float(shift) if shift.ndim == 0 else shift
 
 
@@ -328,8 +335,10 @@ def s21_feedline(chip: Chip, probe_omega, states, fluxes) -> np.ndarray | comple
 def dressed_resonance(dev: DeviceRecord, flux: float, state: float = QubitStateLabel.GROUND) -> float:
     """State-pulled resonator center in Hz at the given applied flux.
 
-    NaN or inf flux or state raises ConfigError.
+    NaN or inf flux or state, and a flux so large that the qubit's
+    angular frequency overflows, raise ConfigError.
     """
-    omega_q = _TWO_PI * qubit_frequency(dev.qubit, flux)
+    with np.errstate(over="ignore"):
+        omega_q = _TWO_PI * qubit_frequency(dev.qubit, flux)
     shift = state_dependent_shift(dev.resonator, omega_q, float(state))
     return dev.resonator.bare_frequency + shift / _TWO_PI

@@ -27,13 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, _check_finite
-from .lanes import lane_count as _lane_count, run as _run_lanes
-from .seeding import derive_rng
+from .lanes import MAX_LANES, lane_count as _lane_count, run as _run_lanes
+from .seeding import _child_seeds, _derived_states, _set_state
 
-# Samples covered by one draw of telegraph flips: a chunk of
-# TELEGRAPH_CHUNK_SAMPLES // n trajectories of n samples draws its flips
-# in one call, so this fixes how the stream is used.  Also the ceiling on
-# the length of a single trajectory.
+# Most samples in one chunk of telegraph trajectories: chunk c of a
+# spectrum draws its flips in one call from its own stream,
+# derive_rng(child_seed(seed, c)), so this and the trajectory count fix
+# which stream each trajectory comes from.  Also the ceiling on the
+# length of a single trajectory.
 TELEGRAPH_CHUNK_SAMPLES = 2_000_000
 # Samples per block of the walk, carrier gather, FFT and power sum: 30 rows
 # at n = 4320, with about 4 MB of buffers, split among the lanes.
@@ -409,20 +410,19 @@ def relaxation_telegraph_spectrum(
     the float running sum times (shift*dt), so each sample equals the
     per-sample exponential bit for bit.
 
-    The walk, gather, FFT and power run on blocks of a few rows, on up to
-    L lanes scheduled by one lanes.run call for the whole spectrum: L is
-    lanes.lane_count(), at most the rows of one block, and each lane gets
-    1/L of a block's rows, so the buffers together hold one block
-    whatever L is.  The blocks of every chunk are numbered in one
-    sequence.  The lanes draw the flips and lay out the runs chunk by
-    chunk, in chunk order, from one stream, under a lock: the lane that
-    adds a chunk's first block then lays out the next chunk while the
-    other lanes run this one's blocks, and a chunk's layout is dropped
-    once its last block is added, so at most two are held at once.  Each
-    lane adds its block's power to the spectrum in trajectory order,
-    through a turnstile, so each trajectory's power is added in turn and
-    the result is the same bit for bit for every block size and lane
-    count.
+    The trajectories are split into chunks of at most
+    TELEGRAPH_CHUNK_SAMPLES samples, and into at least lanes.MAX_LANES
+    chunks when there are that many trajectories, whatever the lane
+    count.  Chunk c draws its flips from its own stream,
+    derive_rng(child_seed(seed, c)), the per-unit contract of the noisy
+    shots.  The chunks run on up to L lanes in one lanes.run call, chunk
+    c on lane c % L: L is lanes.lane_count(), at most the chunk count.  A
+    lane sets its one Generator to the chunk's stream, lays out the runs,
+    and takes the walk, gather, FFT and power through blocks of 1/L of a
+    block's rows (at least one), so the buffers together hold one block
+    whatever L is.  It sums the chunk's power rows in order, then adds
+    that sum to the spectrum in chunk order, through a turnstile, so the
+    result is the same bit for bit for every lane count.
 
     Returns the folded one-sided spectrum and the fraction of power
     outside the Carson band of full width 2*(shift + 2*gamma) centered on
@@ -457,96 +457,56 @@ def relaxation_telegraph_spectrum(
         raise ConfigError("duration too short for the requested resolution")
     dt = 1.0 / sample_rate
 
-    rng = derive_rng(seed)
     flip_p = -math.expm1(-gamma * dt) / 2.0
     carrier = np.exp(1j * (np.arange(-n, n + 1, dtype=float) * (shift * dt)))
-    chunk = max(1, min(n_trajectories, TELEGRAPH_CHUNK_SAMPLES // n))
-    block = max(1, min(chunk, _BLOCK_SAMPLES // n))
-    lanes = min(_lane_count(), block)
-    rows = block // lanes
-    signals = [np.empty((rows, n), dtype=complex) for _ in range(lanes)]
-    # Row 0 carries the running psd, so that one sum over axis 0 adds the
-    # trajectories to it one at a time, in order, whatever the block size.
-    powers = [np.zeros((rows + 1, n)) for _ in range(lanes)]
-    psd = np.zeros(n)
-
-    # Every chunk but the last has chunk rows in chunk_blocks blocks, at
-    # least one per lane; the blocks of all chunks are numbered in one
-    # sequence.
+    chunk = max(1, min(TELEGRAPH_CHUNK_SAMPLES // n, -(-n_trajectories // MAX_LANES)))
     chunks = -(-n_trajectories // chunk)
-    chunk_blocks = -(-chunk // rows)
-    last_rows = n_trajectories - (chunks - 1) * chunk
-    n_blocks = (chunks - 1) * chunk_blocks + -(-last_rows // rows)
-    # Chunks laid out and not yet added, by number; chunks below drawn are
-    # laid out.
-    layouts: dict[int, tuple[np.ndarray, ...]] = {}
-    drawn = 0
-    drawing = threading.Lock()
+    states = _derived_states(_child_seeds(seed, chunks).tolist())
+    block = max(1, min(chunk, _BLOCK_SAMPLES // n))
+    lanes = min(_lane_count(), chunks)
+    rows = max(1, block // lanes)
+    signals = [np.empty((rows, n), dtype=complex) for _ in range(lanes)]
+    # Row 0 carries the chunk's running sum, so that one sum over axis 0
+    # adds the trajectories to it one at a time, in order, whatever the
+    # block size.
+    powers = [np.empty((rows + 1, n)) for _ in range(lanes)]
+    generators = [np.random.Generator(np.random.PCG64(0)) for _ in range(lanes)]
+    psd = np.zeros(n)
     turn = threading.Condition()
 
-    def stop() -> None:
+    def add_chunk(lane: int, c: int) -> None:
         nonlocal added
-        with turn:
-            added = None
-            turn.notify_all()
-
-    def chunk_layout(c: int) -> tuple[np.ndarray, ...] | None:
-        """Chunk c's layout, laying out the chunks up to it first, in
-        order from the one stream; None once the call has failed or
-        chunk c is added."""
-        nonlocal drawn
-        with drawing:
-            try:
-                while drawn <= c and added is not None:
-                    m = min(chunk, n_trajectories - drawn * chunk)
-                    layouts[drawn] = _lay_out_chunk(rng, flip_p, m, n)
-                    drawn += 1
-            except BaseException:
-                # Open the turnstile before another lane may draw.
-                stop()
-                raise
-            return None if added is None else layouts.get(c)
-
-    def add_block(lane: int, g: int) -> None:
-        nonlocal added
-        power = powers[lane]
-        c, i = divmod(g, chunk_blocks)
+        if added is None:
+            return
+        power, generator = powers[lane], generators[lane]
         try:
-            layout = chunk_layout(c)
-            if layout is None:
-                return
-            edges, levels, lengths, totals = layout
-            b = i * rows
-            k = min(rows, totals.size - b)
-            last = b + k == totals.size
-            runs = slice(edges[b], edges[b + k])
-            _telegraph_block(carrier, levels[runs], lengths[runs], totals[b:b + k],
-                             signals[lane], power)
-            # Held by no lane once its last block is added.
-            del layout, edges, levels, lengths, totals
+            _set_state(generator, states[c])
+            m = min(chunk, n_trajectories - c * chunk)
+            edges, levels, lengths, totals = _lay_out_chunk(generator, flip_p, m, n)
+            power[0] = 0.0
+            for b in range(0, m, rows):
+                k = min(rows, m - b)
+                runs = slice(edges[b], edges[b + k])
+                _telegraph_block(carrier, levels[runs], lengths[runs], totals[b:b + k],
+                                 signals[lane], power)
+                np.sum(power[:k + 1], axis=0, out=power[0])
             with turn:
-                turn.wait_for(lambda: added is None or added == g)
-                if added is None:
-                    return
-                power[0] = psd
-                np.sum(power[:k + 1], axis=0, out=psd)
-                if last:
-                    del layouts[c]
-                added += 1
-                turn.notify_all()
-            # The lane that adds a chunk's first block lays out the next
-            # chunk while the other lanes run this one's blocks.
-            if i == 0 and c + 1 < chunks:
-                chunk_layout(c + 1)
+                turn.wait_for(lambda: added is None or added == c)
+                if added is not None:
+                    np.add(psd, power[0], out=psd)
+                    added += 1
+                    turn.notify_all()
         except BaseException:
-            stop()
+            with turn:
+                added = None
+                turn.notify_all()
             raise
 
-    # The turnstile: block g is added to psd only after blocks 0..g-1 are.
+    # The turnstile: chunk c is added to psd only after chunks 0..c-1 are.
     # A lane that fails sets added to None, which opens it, so that the
-    # call raises rather than waits.
+    # call raises rather than waits, and no lane runs a further chunk.
     added = 0
-    _run_lanes(add_block, n_blocks, lanes)
+    _run_lanes(add_chunk, chunks, lanes)
     psd /= psd.sum()
 
     freqs = np.fft.fftfreq(n, d=dt)

@@ -29,7 +29,7 @@ from .device import Chip
 from .errors import ConfigError, LoMismatchError, NyquistError, UnknownDeviceError, _check_finite
 from .lanes import lane_count as _lane_count, run as _run_lanes
 from .planner import _grid_offset
-from .seeding import _check_root_seed, _derived_states, derive_rng
+from .seeding import _check_root_seed, _derived_states, _set_state, derive_rng
 from .traceio import _write_file
 from .txchain import IQTrace, synthesize_multitone, upconvert_ssb
 
@@ -533,13 +533,7 @@ def _receive(
         np.matmul(c[start:start + k, None, :], tones, out=block[:k, None, :])
         if states is not None:
             for r in range(k):
-                state, inc = states[start + r]
-                generator.bit_generator.state = {
-                    "bit_generator": "PCG64",
-                    "state": {"state": state, "inc": inc},
-                    "has_uint32": 0,
-                    "uinteger": 0,
-                }
+                _set_state(generator, states[start + r])
                 generator.standard_normal(out=draw)
                 # Generator.normal(0.0, std) draws 0.0 + std * z.
                 np.multiply(draw, noise_std, out=draw)

@@ -170,6 +170,17 @@ def _derived_states(seeds) -> list[tuple[int, int]]:
     return _pcg64_seeded(_mixed_pool(_words(ints), len(ints)))
 
 
+def _set_state(generator: np.random.Generator, state: tuple[int, int]) -> None:
+    """Puts generator, a PCG64 Generator, at the (state, inc) pair of
+    _derived_states, so that it draws what derive_rng(s) would."""
+    generator.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state[0], "inc": state[1]},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
 def _child_seeds(root_seed: int, count: int) -> np.ndarray:
     """child_seed(root_seed, i) for i in range(count), as uint64, with
     child_seed's range checks.

@@ -1,6 +1,7 @@
 """Device physics: qubit dispersion, resonator pulls, notch transmission."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -542,6 +543,39 @@ def test_dressed_resonance_rejects_non_finite_input(where, bad):
     args = {"flux": 0.0, "state": -1.0, where: bad}
     with pytest.raises(ConfigError, match=f"{where} must be finite"):
         dressed_resonance(dev, args["flux"], args["state"])
+
+
+@pytest.mark.parametrize("flux", [1e300, -1e300, np.array([0.0, 1e300]), np.array(1e300)])
+def test_qubit_frequency_rejects_an_overflowing_flux(flux):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="qubit frequency must be finite"):
+            qubit_frequency(make_qubit(), flux)
+
+
+@pytest.mark.parametrize("omega_q, state", [
+    (1e308, 1e308),
+    (-1e308, 1e308),
+    (np.array([TWO_PI * 4.2e9, 1e308]), 1e308),
+    (TWO_PI * 4.2e9, 1e308),
+])
+def test_state_dependent_shift_rejects_an_overflowing_pull(omega_q, state):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="shift must be finite"):
+            state_dependent_shift(make_resonator(), omega_q, state)
+
+
+def test_dressed_resonance_rejects_an_overflowing_flux():
+    dev = make_chip(1).devices[0]
+    # qubit_frequency is finite here, 2 pi times it is not
+    huge = 1.7e308 / dev.qubit.flux_sensitivity
+    assert math.isfinite(qubit_frequency(dev.qubit, huge))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for flux in (1e300, huge, np.array(huge)):
+            with pytest.raises(ConfigError, match="finite"):
+                dressed_resonance(dev, flux)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

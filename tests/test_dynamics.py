@@ -22,7 +22,7 @@ from fdmsim import (
     steady_state_excited,
 )
 from fdmsim.dynamics import _telegraph_flips
-from fdmsim.seeding import derive_rng
+from fdmsim.seeding import child_seed, derive_rng
 
 TWO_PI = 2 * math.pi
 
@@ -295,28 +295,27 @@ def reference_telegraph(gamma, shift, duration, n_trajectories, seed=0, sample_r
     """The per-sample kernel: dense flips, parity and float walks, one
     complex exp per sample and one FFT over each chunk.
 
-    Returns (folded power, out-of-band fraction) for the same draws as
+    Chunk c of at most 2_000_000 samples, and one of at least four when
+    there are four trajectories, draws its flips from
+    derive_rng(child_seed(seed, c)).  Each chunk's rows are summed in
+    order, then the chunks are added in order.  Returns (folded power,
+    out-of-band fraction) for the same draws as
     relaxation_telegraph_spectrum.
     """
     n, dt, half_width_hz = telegraph_grid(gamma, shift, duration, sample_rate)
-    rng = derive_rng(seed)
     p = -math.expm1(-gamma * dt) / 2.0
-    powers = []
-    chunk = max(1, min(n_trajectories, 2_000_000 // n))
-    remaining = n_trajectories
-    while remaining > 0:
-        m = min(chunk, remaining)
-        flips, start = _telegraph_flips(rng, p, m, n)
+    chunk = max(1, min(2_000_000 // n, -(-n_trajectories // 4)))
+    psd = np.zeros(n)
+    for c, first in enumerate(range(0, n_trajectories, chunk)):
+        m = min(chunk, n_trajectories - first)
+        flips, start = _telegraph_flips(derive_rng(child_seed(seed, c)), p, m, n)
         flipped = np.zeros(m * n, dtype=np.int64)
         flipped[flips] = 1
         parity = np.cumsum(flipped.reshape(m, n), axis=1) % 2
         sigma = start[:, None] * (1.0 - 2.0 * parity)
         phase = np.cumsum(sigma, axis=1) * (shift * dt)
         signal = np.exp(1j * phase)
-        powers.append(np.abs(np.fft.fft(signal, axis=1)) ** 2)
-        remaining -= m
-    # one sum over every trajectory, in order
-    psd = np.sum(np.concatenate(powers), axis=0)
+        psd += np.sum(np.abs(np.fft.fft(signal, axis=1)) ** 2, axis=0)
     psd /= psd.sum()
     freqs = np.fft.fftfreq(n, d=dt)
     out_fraction = float(1.0 - psd[np.abs(freqs) <= half_width_hz].sum())
@@ -437,9 +436,13 @@ def test_telegraph_flip_draws():
         # odd n = 41
         dict(gamma=TWO_PI * 1e6, shift=TWO_PI * 0.5e6, duration=1e-6,
              n_trajectories=30, sample_rate=41e6),
-        # n = 41: one full chunk of 48780 trajectories and a remainder of 7
+        # n = 41: four chunks of 12197, 12197, 12197 and 12196 trajectories
         dict(gamma=TWO_PI * 1e6, shift=TWO_PI * 0.5e6, duration=1e-6,
              n_trajectories=48_787, sample_rate=41e6),
+        # n = 41: four full chunks of 2_000_000 // 41 = 48780 trajectories
+        # and a remainder of 7
+        dict(gamma=TWO_PI * 1e6, shift=TWO_PI * 0.5e6, duration=1e-6,
+             n_trajectories=195_127, sample_rate=41e6),
     ],
 )
 def test_telegraph_extremes_are_finite_and_normalised(kwargs):
@@ -459,8 +462,8 @@ def test_telegraph_without_flips_is_a_line_at_the_shift():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        # n = 41 (odd, from the sample_rate override): 100000 trajectories
-        # exceed the 2_000_000 // 41 = 48780 per chunk, so three chunks run.
+        # n = 41 (odd, from the sample_rate override): four chunks of 25000
+        # trajectories, each from its own stream.
         dict(gamma=TWO_PI * 1e6, shift=TWO_PI * 0.5e6, duration=1e-6,
              n_trajectories=100_000, seed=3, sample_rate=41e6),
         dict(gamma=TWO_PI * 0.3e6, shift=0.0, duration=20e-6, n_trajectories=300, seed=4),
@@ -510,16 +513,16 @@ def test_telegraph_rejects_bad_input(bad):
 @pytest.mark.parametrize(
     "kwargs",
     [
-        # n = 41: three chunks (48780, 48780, 2440 trajectories)
+        # n = 41: four chunks of 25000 trajectories
         dict(gamma=TWO_PI * 1e6, shift=TWO_PI * 0.5e6, duration=1e-6,
              n_trajectories=100_000, seed=3, sample_rate=41e6),
-        # fewer rows than lanes
+        # fewer trajectories than lanes: chunks of one row
         dict(gamma=TWO_PI * 0.1e6, shift=TWO_PI * 2.5e6, duration=20e-6,
              n_trajectories=1, seed=4),
         dict(gamma=TWO_PI * 0.1e6, shift=TWO_PI * 2.5e6, duration=20e-6,
              n_trajectories=2, seed=4),
-        # n = 864, 151 rows a block: the last block is partly full for
-        # 1, 2 and 3 lanes (151*3 + 34, 75*6 + 37, 50*9 + 37 rows)
+        # n = 864: chunks of 122, 122, 122 and 121 rows, run in blocks of
+        # 122, 61 or 40 rows on 1, 2 or 3 lanes, some of them partly full
         dict(gamma=TWO_PI * 0.1e6, shift=TWO_PI * 2.5e6, duration=20e-6,
              n_trajectories=487, seed=5),
     ],

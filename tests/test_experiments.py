@@ -565,6 +565,22 @@ def test_sweep_points_equal_single_shots(chip):
         assert (first[0].noise_std > 0) == (noise_std > 0)
 
 
+@pytest.mark.parametrize("noise_std", [0.0, 2e-3])
+@pytest.mark.parametrize("adc", [None, BAND_LIMITED_ADC], ids=["no-adc", "adc"])
+def test_acquire_is_point_0_of_a_sweep_with_its_seed(chip, adc, noise_std):
+    # acquire draws from child_seed(seed, 0), the stream of a sweep's point 0
+    setup = noisy_setup(chip, "hann")
+    states = np.random.default_rng(4).uniform(-1.0, 1.0, len(chip.devices))
+    fluxes = np.linspace(0.01, -0.02, 4)
+    for seed in (0, 11, 2**90 + 5):
+        sweep = run_flux_sweep(chip, fluxes, setup=setup, states=states, adc=adc,
+                               noise_std=noise_std, seed=seed)
+        shot = acquire(chip, setup, states, fluxes[0], adc=adc, noise_std=noise_std,
+                       seed=seed)
+        assert np.array_equal(sweep.tables["amplitude"][0], [m.amplitude for m in shot])
+        assert np.array_equal(sweep.tables["phase"][0], [m.phase for m in shot])
+
+
 def test_acquisition_rejects_negative_noise(chip):
     setup = make_readout_setup(chip, (1,))
     with pytest.raises(ConfigError, match="noise_std"):

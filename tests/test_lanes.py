@@ -6,7 +6,6 @@ import sys
 import threading
 import time
 import weakref
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ import pytest
 import fdmsim.dynamics
 import fdmsim.lanes
 from fdmsim.lanes import run
+from fdmsim.seeding import child_seed, derive_rng
 
 TWO_PI = 2 * math.pi
 
@@ -110,7 +110,8 @@ def test_telegraph_raises_a_failed_block_rather_than_hang(lanes, on_caller, monk
             return block(*args)
 
         monkeypatch.setattr(fdmsim.dynamics, "_telegraph_block", failing_block)
-        # n = 864, 151 rows a block: 3 or more blocks to each lane
+        # n = 864: four chunks of at most 122 rows, in blocks of 61 or
+        # 40 rows
         fdmsim.dynamics.relaxation_telegraph_spectrum(
             gamma=TWO_PI * 0.1e6, shift=TWO_PI * 2.5e6, duration=20e-6,
             n_trajectories=487, seed=5)
@@ -122,73 +123,72 @@ def test_telegraph_raises_a_failed_block_rather_than_hang(lanes, on_caller, monk
     assert threading.active_count() == before
 
 
-# n = 41 samples a trajectory: 100 000 trajectories make three chunks of
-# 48780, 48780 and 2440 rows, run in 31 + 31 + 2 blocks of 1598 rows on
-# two lanes and 46 + 46 + 3 blocks of 1065 rows on three.
+# n = 41 samples a trajectory: 250 000 trajectories make six chunks of
+# 48780, 48780, 48780, 48780, 48780 and 6100 rows.
 MULTI_CHUNK = dict(gamma=TWO_PI * 1e6, shift=TWO_PI * 0.5e6, duration=1e-6,
-                   n_trajectories=100_000, seed=3, sample_rate=41e6)
-CHUNK_ROWS = [48780, 48780, 2440]
+                   n_trajectories=250_000, seed=3, sample_rate=41e6)
+CHUNK_ROWS = [48780] * 5 + [6100]
 
 
-class ScheduleProbe:
-    """Wraps the telegraph helpers to watch one spectrum's schedule.
+def lane_of(chunk, lanes, caller):
+    """The thread name lanes.run gives the lane that runs chunk."""
+    lane = chunk % lanes
+    return caller.name if lane == 0 else f"lane-{lane}"
 
-    Records the rows of each flip draw, in order; for each draw, the
-    chunks whose layout was alive and the blocks computed before it
-    began; the chunk and thread of every block; the most layouts alive
-    while a block ran; and the _run_lanes calls.  Layouts are held only
-    through weak references, so one that is alive is held by the
-    spectrum.  failing_draw is the number of a draw (from 1) that
-    raises; failing_block = (chunk, caller, on_caller) makes that
-    chunk's blocks raise on the caller's thread, or on the others'."""
 
-    def __init__(self, monkeypatch, failing_draw=None, failing_block=None):
-        self.draw_rows = []
-        self.alive_at_draw = []
-        self.done_at_draw = []
-        self.blocks = []
-        self.most_alive = 0
-        self.runs = 0
+class ChunkProbe:
+    """Wraps the telegraph helpers to watch one spectrum's chunks.
+
+    Tells each chunk by the state of the generator its flips are drawn
+    from, which must be derive_rng(child_seed(seed, c)) for some chunk c.
+    Records each draw as (chunk, rows, thread name); the most layouts
+    alive at once and whether two of them ever belonged to one thread
+    (each is watched through a weak reference to its totals array); and
+    the _run_lanes calls.  failing = (stage, chunk) makes that chunk's
+    "draw" or "block" raise."""
+
+    def __init__(self, monkeypatch, seed, chunks, failing=(None, None)):
+        self.chunk_of = {
+            derive_rng(child_seed(seed, c)).bit_generator.state["state"]["state"]: c
+            for c in range(chunks)}
+        self.draws = []
         self.layouts = []
+        self.most_alive = 0
+        self.shared_lane = False
+        self.runs = 0
         self.guard = threading.Lock()
-        drawing = threading.Lock()
+        self.current = {}
+        stage, failing_chunk = failing
         flips = fdmsim.dynamics._telegraph_flips
         lay_out = fdmsim.dynamics._lay_out_chunk
         block = fdmsim.dynamics._telegraph_block
         run_lanes = fdmsim.dynamics._run_lanes
 
         def probe_flips(rng, p, m, n):
-            assert drawing.acquire(blocking=False), "two draws at once"
-            try:
-                self.draw_rows.append(m)
-                if len(self.draw_rows) == failing_draw:
-                    raise RuntimeError("draw failed")
-                return flips(rng, p, m, n)
-            finally:
-                drawing.release()
+            chunk = self.chunk_of[rng.bit_generator.state["state"]["state"]]
+            name = threading.current_thread().name
+            with self.guard:
+                self.draws.append((chunk, m, name))
+                self.current[name] = chunk
+            if (stage, failing_chunk) == ("draw", chunk):
+                raise RuntimeError("draw failed")
+            return flips(rng, p, m, n)
 
         def probe_lay_out(rng, p, m, n):
-            with self.guard:
-                self.alive_at_draw.append(self.alive())
-                self.done_at_draw.append([c for c, _ in self.blocks])
             layout = lay_out(rng, p, m, n)
             with self.guard:
-                # the totals array lives exactly as long as its layout
-                self.layouts.append(weakref.ref(layout[3]))
+                self.layouts.append((weakref.ref(layout[3]), threading.current_thread().name))
+                self.check_alive()
             return layout
 
-        def probe_block(carrier, levels, lengths, totals, signal, power):
+        def probe_block(*args):
+            name = threading.current_thread().name
             with self.guard:
-                chunk = next(c for c, ref in enumerate(self.layouts)
-                             if ref() is not None and totals.base is ref())
-                self.most_alive = max(self.most_alive, len(self.alive()))
-            if failing_block is not None:
-                failing_chunk, caller, on_caller = failing_block
-                if chunk == failing_chunk and (threading.current_thread() is caller) == on_caller:
-                    raise RuntimeError("block failed")
-            block(carrier, levels, lengths, totals, signal, power)
-            with self.guard:
-                self.blocks.append((chunk, threading.current_thread()))
+                self.check_alive()
+                failed = (stage, failing_chunk) == ("block", self.current[name])
+            if failed:
+                raise RuntimeError("block failed")
+            return block(*args)
 
         def probe_run_lanes(job, blocks, lanes):
             self.runs += 1
@@ -200,7 +200,12 @@ class ScheduleProbe:
         monkeypatch.setattr(fdmsim.dynamics, "_run_lanes", probe_run_lanes)
 
     def alive(self):
-        return [c for c, ref in enumerate(self.layouts) if ref() is not None]
+        return [name for ref, name in self.layouts if ref() is not None]
+
+    def check_alive(self):
+        owners = self.alive()
+        self.most_alive = max(self.most_alive, len(owners))
+        self.shared_lane |= len(set(owners)) < len(owners)
 
 
 @pytest.mark.parametrize("lanes", [1, 2, 3])
@@ -217,7 +222,7 @@ def test_telegraph_runs_every_chunk_in_one_lane_session(lanes, monkeypatch):
     alone = fdmsim.dynamics.relaxation_telegraph_spectrum(**MULTI_CHUNK)
     assert started == []
     monkeypatch.setattr(fdmsim.dynamics, "_lane_count", lambda: lanes)
-    probe = ScheduleProbe(monkeypatch)
+    probe = ChunkProbe(monkeypatch, MULTI_CHUNK["seed"], len(CHUNK_ROWS))
     results = []
 
     def spectrum(caller):
@@ -234,65 +239,60 @@ def test_telegraph_runs_every_chunk_in_one_lane_session(lanes, monkeypatch):
     spectrum, caller = results
     assert np.array_equal(spectrum.power, alone.power)
     assert spectrum.out_of_band_fraction == alone.out_of_band_fraction
-    # threads start once per spectrum, not once per chunk
+    # chunk c is drawn once, from its own stream, with its rows, on lane
+    # c % lanes
+    assert sorted(probe.draws) == [
+        (c, m, lane_of(c, lanes, caller)) for c, m in enumerate(CHUNK_ROWS)]
+    # threads start once per spectrum
     assert probe.runs == 1
-    lanes_started = [thread for thread in started if thread.name.startswith("lane-")]
-    assert len(lanes_started) == lanes - 1
-    assert {thread for _, thread in probe.blocks} == {caller, *lanes_started}
-    # the chunks are drawn one at a time, in chunk order, each once
-    assert probe.draw_rows == CHUNK_ROWS
-    rows = 3196 // lanes
-    per_chunk = [-(-m // rows) for m in CHUNK_ROWS]
-    assert Counter(c for c, _ in probe.blocks) == dict(enumerate(per_chunk))
-    # a draw starts only once every block two chunks back is added (its
-    # layout is dropped only then), so at most two layouts are alive
-    for d, (alive, done) in enumerate(zip(probe.alive_at_draw, probe.done_at_draw)):
-        assert all(c >= d - 1 for c in alive)
-        assert Counter(c for c in done if c <= d - 2) == {
-            c: per_chunk[c] for c in range(max(0, d - 1))}
-    assert 1 <= probe.most_alive <= 2
-    # each lane runs its blocks in order
-    for thread in {thread for _, thread in probe.blocks}:
-        mine = [c for c, on in probe.blocks if on is thread]
-        assert mine == sorted(mine)
+    assert len([t for t in started if t.name.startswith("lane-")]) == lanes - 1
+    # each lane holds at most its own chunk's layout, and none outlives the call
+    assert 1 <= probe.most_alive <= lanes
+    assert not probe.shared_lane
     assert probe.alive() == []
+
+
+def check_failed_chunk(monkeypatch, lanes, stage, failing_chunk):
+    """The spectrum on lanes lanes, with the draw or a block of
+    failing_chunk raising: the call raises that error rather than hang,
+    leaves no thread running, draws no chunk twice, and the failed lane
+    runs no further chunk.  No chunk after the failed one can be added,
+    so another lane draws at most one more: it then waits at the
+    turnstile until the failure opens it."""
+    callers = []
+
+    def spectrum(caller):
+        callers.append(caller)
+        fdmsim.dynamics.relaxation_telegraph_spectrum(**MULTI_CHUNK)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fdmsim.dynamics, "_lane_count", lambda: lanes)
+        probe = ChunkProbe(patch, MULTI_CHUNK["seed"], len(CHUNK_ROWS),
+                           failing=(stage, failing_chunk))
+        before = threading.active_count()
+        error = call_under_watchdog(spectrum)
+    assert isinstance(error, RuntimeError) and str(error) == f"{stage} failed"
+    assert threading.active_count() == before
+    draws = probe.draws
+    assert len({c for c, _, _ in draws}) == len(draws)
+    failed_lane = lane_of(failing_chunk, lanes, callers[0])
+    assert max(c for c, _, name in draws if name == failed_lane) == failing_chunk
+    for lane in range(lanes):
+        name = lane_of(lane, lanes, callers[0])
+        assert len([c for c, _, on in draws if on == name and c > failing_chunk]) <= 1
 
 
 @pytest.mark.parametrize("on_caller", [False, True], ids=["worker-lane", "caller-lane"])
 @pytest.mark.parametrize("lanes", [2, 3])
 def test_telegraph_raises_a_block_failed_in_the_second_chunk(lanes, on_caller, monkeypatch):
-    probes = []
-
-    def spectrum(caller):
-        probes.append(ScheduleProbe(monkeypatch, failing_block=(1, caller, on_caller)))
-        fdmsim.dynamics.relaxation_telegraph_spectrum(**MULTI_CHUNK)
-
-    monkeypatch.setattr(fdmsim.dynamics, "_lane_count", lambda: lanes)
-    before = threading.active_count()
-    error = call_under_watchdog(spectrum)
-    assert isinstance(error, RuntimeError) and str(error) == "block failed"
-    assert threading.active_count() == before
-    # chunk 1's first block may be added before the failure, and the
-    # last chunk drawn after it; no block of the last chunk runs
-    assert probes[0].draw_rows in (CHUNK_ROWS[:2], CHUNK_ROWS)
-    assert {c for c, _ in probes[0].blocks} <= {0, 1}
+    # The second chunk of a lane, after it has added its first: chunk
+    # lanes on the caller's lane, chunk lanes + 1 on lane 1.
+    check_failed_chunk(monkeypatch, lanes, "block", lanes + (0 if on_caller else 1))
 
 
 @pytest.mark.parametrize("lanes", [2, 3])
-def test_telegraph_raises_a_failed_look_ahead_draw(lanes, monkeypatch):
-    probes = []
-
-    def spectrum(caller):
-        # the second draw is the next chunk's, made by the lane that adds
-        # the first chunk's first block
-        probes.append(ScheduleProbe(monkeypatch, failing_draw=2))
-        fdmsim.dynamics.relaxation_telegraph_spectrum(**MULTI_CHUNK)
-
-    monkeypatch.setattr(fdmsim.dynamics, "_lane_count", lambda: lanes)
-    before = threading.active_count()
-    error = call_under_watchdog(spectrum)
-    assert isinstance(error, RuntimeError) and str(error) == "draw failed"
-    assert threading.active_count() == before
-    # no lane draws again after the failure
-    assert probes[0].draw_rows == CHUNK_ROWS[:2]
-    assert {c for c, _ in probes[0].blocks} == {0}
+def test_telegraph_raises_a_failed_draw(lanes, monkeypatch):
+    # The first chunk (the caller's lane), the second (lane 1) and the
+    # last one
+    for failing_chunk in (0, 1, len(CHUNK_ROWS) - 1):
+        check_failed_chunk(monkeypatch, lanes, "draw", failing_chunk)

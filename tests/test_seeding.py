@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fdmsim import ConfigError, child_seed
-from fdmsim.seeding import _child_seeds, _derived_states, derive_rng
+from fdmsim.seeding import _child_seeds, _derived_states, _set_state, derive_rng
 
 roots = st.one_of(st.integers(0, 2**63 - 1), st.integers(0, 2**128 - 1))
 paths = st.lists(st.integers(0, 2**32 - 1), max_size=3).map(tuple)
@@ -96,6 +96,19 @@ def test_derived_states_equal_derive_rng_for_every_root(seeds):
     assert _derived_states(seeds) == expected
     if max(seeds) < 2**64:
         assert _derived_states(np.array(seeds, dtype=np.uint64)) == expected
+
+
+def test_set_state_moves_one_generator_from_stream_to_stream():
+    seeds = [0, 7, 2**64 + 5, 2**128 - 1]
+    generator = np.random.Generator(np.random.PCG64(0))
+    for seed, state in zip(seeds, _derived_states(seeds)):
+        _set_state(generator, state)
+        expected = derive_rng(seed)
+        # An odd count of 32-bit draws leaves half a 64-bit output
+        # buffered, which the next stream must not see.
+        for draw in (lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32),
+                     lambda g: g.standard_normal(5)):
+            np.testing.assert_array_equal(draw(generator), draw(expected))
 
 
 @pytest.mark.parametrize("seeds", [[-1], [3, 2**128], np.array([4, -2]), [0.5]])
