@@ -150,6 +150,7 @@ class _DeviceAxis(NamedTuple):
     slope: np.ndarray  # Hz per flux quantum
     symmetry_flux: np.ndarray
     coupling: np.ndarray  # rad/s
+    bare_frequency: np.ndarray  # Hz
     omega_r: np.ndarray  # bare resonator frequency, rad/s
     half_kappa: np.ndarray  # rad/s
     half_ext: np.ndarray  # rad/s
@@ -157,7 +158,8 @@ class _DeviceAxis(NamedTuple):
     @classmethod
     def of(cls, devices) -> "_DeviceAxis":
         rows = [(d.qubit.gap_delta, d.qubit.flux_sensitivity, d.qubit.symmetry_flux,
-                 d.resonator.coupling_g, _TWO_PI * d.resonator.bare_frequency,
+                 d.resonator.coupling_g, d.resonator.bare_frequency,
+                 _TWO_PI * d.resonator.bare_frequency,
                  d.resonator.total_linewidth_kappa / 2.0, d.resonator.external_linewidth / 2.0)
                 for d in devices]
         table = np.array(rows, dtype=float).reshape(len(rows), len(cls._fields)).T.copy()
@@ -254,15 +256,20 @@ def s21_single(resonator: ResonatorParams, probe_omega, shift: float = 0.0):
     Accepts scalar or array probe_omega and shift, broadcast together;
     |S21| <= 1 everywhere.  The result is a complex when probe_omega is
     a scalar and shift has no dimensions, and an array otherwise.  NaN
-    or inf in probe_omega or shift raises ConfigError.
+    or inf in probe_omega or shift, and values so large that the notch
+    overflows, raise ConfigError.
     """
     probe = np.asarray(probe_omega, dtype=float)
     shift = np.asarray(shift, dtype=float)
     _require_finite(probe_omega=probe, shift=shift)
     shape = np.broadcast_shapes(probe.shape, shift.shape)
-    s = _notch(probe, _TWO_PI * resonator.bare_frequency, resonator.total_linewidth_kappa / 2.0,
-               resonator.external_linewidth / 2.0, shift, np.empty(shape, dtype=complex),
-               np.empty(shape))
+    try:
+        with np.errstate(over="raise"):
+            s = _notch(probe, _TWO_PI * resonator.bare_frequency,
+                       resonator.total_linewidth_kappa / 2.0, resonator.external_linewidth / 2.0,
+                       shift, np.empty(shape, dtype=complex), np.empty(shape))
+    except FloatingPointError as exc:
+        raise ConfigError(f"S21 must be finite ({exc})") from None
     return complex(s) if np.isscalar(probe_omega) and s.ndim == 0 else s
 
 
@@ -279,17 +286,20 @@ def s21_feedline(chip: Chip, probe_omega, states, fluxes) -> np.ndarray | comple
     device) or (n_points, n_devices).  The result then has shape
     (n_points,) + shape(probe_omega), and row i equals the call for
     states[i] and fluxes[i] bit for bit.  NaN or inf in states, fluxes
-    or probe_omega raises ConfigError.
+    or probe_omega, and values so large that a qubit frequency, a pull
+    or a notch overflows, raise ConfigError.
 
     The work runs along a device axis: every point's qubit frequency and
     pull are computed for all devices in one array pass, from parameter
-    arrays the Chip builds once.  Then each notch, in chip order, is
-    computed in one complex and one float scratch array and multiplied
-    into the product, in place once the product reaches 256 KiB.  The
-    arithmetic per element and the product order are those of the
-    per-device product s = s * s21_single(resonator_j, probe_omega,
-    state_dependent_shift(resonator_j, 2 pi qubit_frequency(qubit_j,
-    flux_j), state_j)) over j, which the result equals bit for bit.
+    arrays the Chip builds once.  Then the notches are computed a block
+    of devices per pass, as many as keep the pass's complex and float
+    scratch under 256 KiB and at least one, and multiplied into the
+    product in chip order, in place once the product reaches 256 KiB
+    (where a block is always one device).  The arithmetic per element
+    and the product order are those of the per-device product s = s *
+    s21_single(resonator_j, probe_omega, state_dependent_shift(
+    resonator_j, 2 pi qubit_frequency(qubit_j, flux_j), state_j)) over
+    j, which the result equals bit for bit.
     """
     n = len(chip.devices)
     states = np.asarray(states, dtype=float)
@@ -307,29 +317,70 @@ def s21_feedline(chip: Chip, probe_omega, states, fluxes) -> np.ndarray | comple
     probe = np.asarray(probe_omega, dtype=float)
     _require_finite(**{"states": states, "fluxes": flux_arr, "probe frequencies": probe})
     axis = chip._axis
-    omega_q = _TWO_PI * _qubit_frequency(axis.gap, axis.slope, axis.symmetry_flux, flux_arr)
-    pulls = _pull(axis.omega_r, axis.coupling, omega_q, states)
-    # Per-point pulls line up with the batch axis, ahead of the probe axes.
+    with np.errstate(over="ignore", invalid="ignore"):
+        omega_q = _TWO_PI * _qubit_frequency(axis.gap, axis.slope, axis.symmetry_flux, flux_arr)
+        pulls = _pull(axis.omega_r, axis.coupling, omega_q, states)
+    _require_finite(**{"qubit frequency": omega_q, "shift": pulls})
+    # Per-point pulls line up with the batch axis, ahead of the probe
+    # axes, and the device parameters with the block axis.
     lead = states.shape[:-1] + (1,) * probe.ndim
     shape = states.shape[:-1] + probe.shape
+    shifts = pulls.T.reshape((n,) + lead)
+    column = (n,) + (1,) * len(shape)
+    omega_r, half_kappa, half_ext = (
+        a.reshape(column) for a in (axis.omega_r, axis.half_kappa, axis.half_ext)
+    )
     s = np.ones(shape, dtype=complex)
-    notch = np.empty(shape, dtype=complex)
-    detuning = np.empty(shape)
+    # Devices per pass: as many as keep the complex notch and float
+    # detuning scratch, 16 + 8 bytes per element each, under _ELIDED_BYTES.
+    block = max(1, min(n, _ELIDED_BYTES // (max(s.size, 1) * (16 + 8))))
+    notch = np.empty((block,) + shape, dtype=complex)
+    detuning = np.empty((block,) + shape)
     # The product follows s = s * s21_single(...) of the per-device
     # product, whose last bit depends on how numpy runs it: the complex
     # product rounds one cross term and fuses the other into a
     # multiply-add, so operand order counts, and so does aliasing for a
     # single element.  From _ELIDED_BYTES up numpy reuses the temporary
     # notch and computes notch * s in place; below it, s * notch into a
-    # new array.
+    # new array.  notch[j, ...] stays an array when s has no dimensions,
+    # where notch[j] would be a numpy scalar with a product of its own.
     in_place = s.nbytes >= _ELIDED_BYTES
-    shifts = np.moveaxis(pulls, -1, 0).reshape((n,) + lead)
-    for omega_r, half_kappa, half_ext, shift in zip(
-        axis.omega_r.tolist(), axis.half_kappa.tolist(), axis.half_ext.tolist(), shifts
-    ):
-        _notch(probe, omega_r, half_kappa, half_ext, shift, notch, detuning)
-        s = np.multiply(notch, s, out=s) if in_place else s * notch
+    try:
+        with np.errstate(over="raise"):
+            for first in range(0, n, block):
+                m = min(block, n - first)
+                rows = slice(first, first + m)
+                _notch(probe, omega_r[rows], half_kappa[rows], half_ext[rows], shifts[rows],
+                       notch[:m], detuning[:m])
+                for j in range(m):
+                    s = np.multiply(notch[j, ...], s, out=s) if in_place else s * notch[j, ...]
+    except FloatingPointError as exc:
+        raise ConfigError(f"S21 must be finite ({exc})") from None
     return complex(s) if s.ndim == 0 else s
+
+
+def _dressed_resonances(chip: Chip, device_ids, state) -> list[float]:
+    """dressed_resonance(chip.device(d), its symmetry flux, state) for
+    each id d of device_ids, bit for bit, from one array pass over the
+    chip's device axis.  An unknown id raises UnknownDeviceError; NaN or
+    inf state, and a resonance whose qubit frequency or pull overflows,
+    raise ConfigError."""
+    position = {d.device_id: i for i, d in enumerate(chip.devices)}
+    index = []
+    for dev_id in device_ids:
+        if dev_id not in position:
+            chip.device(dev_id)  # raises UnknownDeviceError
+        index.append(position[dev_id])
+    state = float(state)
+    _require_finite(state=state)
+    axis = chip._axis
+    with np.errstate(over="ignore", invalid="ignore"):
+        omega_q = _TWO_PI * _qubit_frequency(axis.gap, axis.slope, axis.symmetry_flux,
+                                             axis.symmetry_flux)
+        shift = _pull(axis.omega_r, axis.coupling, omega_q, state)
+    omega_q, shift = omega_q[index], shift[index]
+    _require_finite(omega_q=omega_q, shift=shift)
+    return (axis.bare_frequency[index] + shift / _TWO_PI).tolist()
 
 
 def dressed_resonance(dev: DeviceRecord, flux: float, state: float = QubitStateLabel.GROUND) -> float:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .device import Chip, QubitStateLabel, dressed_resonance, s21_feedline
+from .device import Chip, QubitStateLabel, _dressed_resonances, s21_feedline
 from .dynamics import DriveSpec, _ground_trajectory, evolve_for, rabi_frequency
 from .errors import ConfigError, UnknownDeviceError
 from .planner import _grid_offset
@@ -111,14 +111,11 @@ def make_readout_setup(
     device_ids = tuple(int(d) for d in device_ids)
     if not device_ids:
         raise ConfigError("need at least one device to read out")
-    targets = {}
-    for dev_id in device_ids:
-        dev = chip.device(dev_id)
-        targets[dev_id] = dressed_resonance(dev, dev.qubit.symmetry_flux)
+    targets = _dressed_resonances(chip, device_ids, QubitStateLabel.GROUND)
     grid = _acquisition_grid(sample_rate, n_samples)
     if lo_frequency is None:
-        lo_frequency = _default_lo(list(targets.values()), grid)
-    baseband = tuple(_grid_offset(targets[d], lo_frequency, grid) for d in device_ids)
+        lo_frequency = _default_lo(targets, grid)
+    baseband = tuple(_grid_offset(f, lo_frequency, grid) for f in targets)
     return ReadoutSetup(
         device_ids=device_ids,
         lo_frequency=float(lo_frequency),
@@ -241,8 +238,9 @@ def run_flux_sweep(
         setup = make_readout_setup(chip, device_ids)
     if states is None:
         states = [float(QubitStateLabel.GROUND)] * len(chip.devices)
+    states = np.asarray(states, dtype=float)
     iq, _ = _acquire_points(
-        chip, setup, [states] * flux_values.size, flux_values,
+        chip, setup, np.broadcast_to(states, flux_values.shape + states.shape), flux_values,
         adc=adc, noise_std=noise_std, seed=seed,
     )
     metadata = {

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .device import Chip, QubitStateLabel, dressed_resonance
+from .device import Chip, QubitStateLabel, _dressed_resonances
 from .errors import ConfigError, InfeasiblePlanError, _check_finite
 
 
@@ -304,12 +304,9 @@ def plan_for_chip(
     land on DFT bins of the acquisition window.  margin widens the band
     beyond the outermost channels (defaults to one mean spacing).
     """
-    if device_ids is None:
-        device_ids = chip.device_ids
+    device_ids = chip.device_ids if device_ids is None else tuple(device_ids)
     pairs = []
-    for dev_id in device_ids:
-        dev = chip.device(dev_id)
-        f = dressed_resonance(dev, dev.qubit.symmetry_flux, state)
+    for dev_id, f in zip(device_ids, _dressed_resonances(chip, device_ids, state)):
         if grid is not None:
             ref = lo_frequency if lo_frequency is not None else 0.0
             f = ref + _grid_offset(f, ref, grid)

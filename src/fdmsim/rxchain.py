@@ -657,14 +657,13 @@ def measure_crosstalk(
     omega = 2 * np.pi * np.array(setup.channel_frequencies)
     c = amplitude * s21_feedline(chip, omega, states, [fluxes] * 2)
     iq, _ = _receive(setup, c, adc=adc, noise_std=noise_std, seeds=[seed, seed])
-    delta = iq[0] - iq[1]
-    own = np.abs(delta[device_ids.index(toggled_device)])
-    scale = max(float(np.max(np.abs(delta))), amplitude)
+    changes = np.abs(iq[0] - iq[1]).tolist()
+    own = changes[device_ids.index(toggled_device)]
+    scale = max(max(changes), amplitude)
     out: dict[int, float] = {}
-    for idx, dev in enumerate(device_ids):
+    for dev, other in zip(device_ids, changes):
         if dev == toggled_device:
             continue
-        other = np.abs(delta[idx])
         if own <= 1e-14 * scale or other <= 1e-14 * own:
             out[dev] = CROSSTALK_FLOOR_DB
         else:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fdmsim.device
 from fdmsim import (
     Chip,
     ConfigError,
@@ -16,13 +17,16 @@ from fdmsim import (
     QubitStateLabel,
     ResonatorParams,
     UnknownDeviceError,
+    builtin_chip_path,
     dressed_resonance,
+    load_chip,
     qubit_frequency,
     run_flux_sweep,
     s21_feedline,
     s21_single,
     state_dependent_shift,
 )
+from fdmsim.device import _ELIDED_BYTES, _dressed_resonances
 
 TWO_PI = 2 * math.pi
 
@@ -493,6 +497,186 @@ def test_s21_feedline_comb_with_a_zero_coupling_device():
     assert dressed_resonance(dev, crossing, 1.0) == dev.resonator.bare_frequency
     alone = s21_feedline(Chip(name="one", devices=(dev,)), probe, [1.0], [crossing])
     assert_bitwise_equal(alone, s21_single(dev.resonator, probe))
+
+
+@pytest.fixture(scope="module")
+def chip7():
+    return load_chip(builtin_chip_path())
+
+
+def recorded_passes(monkeypatch):
+    """Record (devices, scratch bytes) of every notch pass s21_feedline makes."""
+    passes = []
+    notch = fdmsim.device._notch
+
+    def recording(probe, omega_r, half_kappa, half_ext, shift, out, detuning):
+        passes.append((len(out), out.nbytes + detuning.nbytes))
+        return notch(probe, omega_r, half_kappa, half_ext, shift, out, detuning)
+
+    monkeypatch.setattr(fdmsim.device, "_notch", recording)
+    return passes
+
+
+def channel_probe(chip, devices=None):
+    """Angular probe frequencies at the bare resonances of the given devices."""
+    return TWO_PI * np.array([d.resonator.bare_frequency for d in chip.devices[:devices]])
+
+
+# Each notch pass takes as many devices as keep its complex notch and
+# float detuning scratch (24 bytes per element and device) under
+# _ELIDED_BYTES, and at least one.
+@pytest.mark.parametrize("case, passes", [
+    # a crosstalk toggle: 2 x 7 elements, every device in one pass
+    ("toggle", [7]),
+    # the bringup flux sweep: 500 x 6 elements, 72 kB per device
+    ("sweep", [3, 3, 1]),
+    # a toggle on a 300-device comb: 2 x 300 elements, 14.4 kB per device
+    ("comb toggle", [18] * 16 + [12]),
+    # the bringup spectrum: 22 001 elements, one device per pass
+    ("spectrum", [1] * 7),
+    # 1-d states with a short probe, and the fully scalar call
+    ("one point", [7]),
+    ("scalar", [7]),
+    # a scalar probe over a batch
+    ("scalar probe", [7]),
+])
+def test_s21_feedline_block_passes_equal_the_per_device_product(chip7, monkeypatch, case,
+                                                                passes):
+    rng = np.random.default_rng(31)
+    chip = make_comb(300) if case == "comb toggle" else chip7
+    n = len(chip.devices)
+    states = np.full((2, n), -1.0)
+    states[0, n // 2] = 1.0
+    fluxes = np.tile([d.qubit.symmetry_flux for d in chip.devices], (2, 1))
+    probe = channel_probe(chip)
+    if case == "sweep":
+        states = rng.choice([-1.0, 1.0], (500, n))
+        fluxes = np.linspace(-0.025, 0.025, 500)
+        probe = channel_probe(chip, 6)
+    elif case == "spectrum":
+        states, fluxes = states[1], fluxes[1]
+        probe = TWO_PI * np.linspace(9.25e9, 10.35e9, 22001)
+    elif case == "one point":
+        states, fluxes = states[0], 0.004
+    elif case == "scalar":
+        states, fluxes, probe = states[0], 0.004, probe[n // 2]
+    elif case == "scalar probe":
+        states = rng.choice([-1.0, 1.0], (500, n))
+        fluxes, probe = rng.uniform(-0.03, 0.03, (500, n)), probe[0]
+    expected = per_device_product(chip, probe, states, fluxes)
+    recorded = recorded_passes(monkeypatch)
+    got = s21_feedline(chip, probe, states, fluxes)
+    assert [m for m, _ in recorded] == passes
+    assert all(m == 1 or nbytes <= _ELIDED_BYTES for m, nbytes in recorded)
+    assert isinstance(got, complex) == (case == "scalar")
+    assert_bitwise_equal(got, expected)
+    if case == "scalar":
+        # a fully scalar call equals the one-point call, bit for bit
+        assert_bitwise_equal(got, s21_feedline(chip, np.array([probe]), states, [0.004] * n)[0])
+
+
+@pytest.mark.parametrize("state", [QubitStateLabel.GROUND, QubitStateLabel.EXCITED])
+@pytest.mark.parametrize("which", ["chip7", "comb"])
+def test_dressed_resonances_equal_the_public_helper(chip7, which, state):
+    chip = chip7 if which == "chip7" else make_comb(COMB_N, zero_coupling=(0, 37, 99))
+    expected = [dressed_resonance(d, d.qubit.symmetry_flux, state) for d in chip.devices]
+    got = _dressed_resonances(chip, chip.device_ids, state)
+    assert all(type(f) is float for f in got)
+    assert [f.hex() for f in got] == [f.hex() for f in expected]
+    # a subset in any order, with repeats, comes back in its own order
+    rng = np.random.default_rng(7)
+    ids = [int(i) for i in rng.permutation(chip.device_ids)[: len(chip.devices) // 2]]
+    ids.append(ids[0])
+    by_id = dict(zip(chip.device_ids, expected))
+    assert _dressed_resonances(chip, ids, float(state)) == [by_id[i] for i in ids]
+    if which == "comb":
+        # zero coupling: the bare frequency, in both states
+        assert got[37] == chip.devices[37].resonator.bare_frequency
+
+
+def test_dressed_resonances_reject_what_the_public_helper_rejects(chip7):
+    dev = chip7.devices[0]
+    with pytest.raises(UnknownDeviceError, match="no device 99"):
+        _dressed_resonances(chip7, [1, 99], -1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for state, match in ((math.nan, "state must be finite"),
+                             (math.inf, "state must be finite"),
+                             (1e308, "shift must be finite")):
+            with pytest.raises(ConfigError, match=match):
+                dressed_resonance(dev, dev.qubit.symmetry_flux, state)
+            with pytest.raises(ConfigError, match=match):
+                _dressed_resonances(chip7, chip7.device_ids, state)
+
+
+def test_dressed_resonances_check_only_the_devices_asked_for():
+    # 2 pi gap overflows for device 2 alone
+    base = make_chip(2)
+    huge = DeviceRecord(device_id=2, qubit=make_qubit(gap=1e308),
+                        resonator=base.devices[1].resonator)
+    chip = Chip(name="huge", devices=(base.devices[0], huge))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="omega_q must be finite"):
+            dressed_resonance(huge, huge.qubit.symmetry_flux)
+        with pytest.raises(ConfigError, match="omega_q must be finite"):
+            _dressed_resonances(chip, [1, 2], -1.0)
+        dev = base.devices[0]
+        assert _dressed_resonances(chip, [1], -1.0) == [
+            dressed_resonance(dev, dev.qubit.symmetry_flux)]
+
+
+@pytest.mark.parametrize("states, fluxes, match", [
+    # the qubit frequency overflows
+    ([-1.0] * 7, 1e300, "qubit frequency must be finite"),
+    # the pull overflows
+    ([1e308] * 7, 0.0, "shift must be finite"),
+    # probe - omega_r - pull overflows in the notch
+    ([1e290] * 7, 0.0, "S21 must be finite"),
+])
+@pytest.mark.parametrize("batch", [False, True])
+def test_s21_feedline_rejects_an_overflow(chip7, states, fluxes, match, batch):
+    probe = np.finfo(float).max if match == "S21 must be finite" else TWO_PI * 9.3e9
+    if batch:
+        states = np.array([[-1.0] * 7, states])
+        fluxes = [0.0, fluxes]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=match):
+            s21_feedline(chip7, probe, states, fluxes)
+
+
+def test_s21_feedline_keeps_a_finite_result_whose_pull_denominator_overflows(chip7):
+    # qubits near 2e307 Hz: 2 pi f is finite, but |detuning| + hypot(...)
+    # overflows, so every pull is zero and the per-device product finite
+    fluxes = np.array([2e307 / d.qubit.flux_sensitivity for d in chip7.devices])
+    probe = channel_probe(chip7)
+    states = np.full(7, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = s21_feedline(chip7, probe, states, fluxes)
+        assert_bitwise_equal(got, per_device_product(chip7, probe, states, fluxes))
+    assert np.all(np.isfinite(got))
+
+
+@pytest.mark.parametrize("probe, shift", [
+    (1.7e308, -1.7e308),
+    (np.array([TWO_PI * 9.6e9, 1.7e308]), -1.7e308),
+    (-np.finfo(float).max, 1e300),
+])
+def test_s21_single_rejects_an_overflowing_detuning(probe, shift):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="S21 must be finite"):
+            s21_single(make_resonator(), probe, shift)
+
+
+def test_s21_single_keeps_finite_results_at_huge_probes():
+    r = make_resonator()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for probe, shift in ((np.finfo(float).max, 0.0), (1e308, 1e308), (-1e308, -1e308)):
+            assert math.isfinite(abs(s21_single(r, probe, shift)))
 
 
 def test_chip_device_axis_is_private_and_read_only():

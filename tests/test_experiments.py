@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import fdmsim.device
 import fdmsim.dynamics
 import fdmsim.experiments
+import fdmsim.planner
 import fdmsim.rxchain
 from fdmsim import (
     GROUND,
@@ -117,6 +118,27 @@ def test_setup_snaps_channels_to_dft_grid(chip):
         dev = chip.device(dev_id)
         target = dressed_resonance(dev, dev.qubit.symmetry_flux)
         assert abs(f_ch - target) <= grid / 2 + 1e-6
+
+
+def setup_device_by_device(chip, sample_rate, n_samples):
+    """make_readout_setup built from one public dressed_resonance call per device."""
+    targets = [dressed_resonance(d, d.qubit.symmetry_flux) for d in chip.devices]
+    grid = fdmsim.rxchain._acquisition_grid(sample_rate, n_samples)
+    lo = fdmsim.rxchain._default_lo(targets, grid)
+    return ReadoutSetup(
+        device_ids=chip.device_ids,
+        lo_frequency=lo,
+        baseband_frequencies=tuple(fdmsim.planner._grid_offset(f, lo, grid) for f in targets),
+        sample_rate=sample_rate,
+        n_samples=n_samples,
+    )
+
+
+def test_setup_equals_the_device_by_device_setup(chip):
+    comb = make_comb(100, zero_coupling=(0, 37, 99))
+    for c, rate, n in ((chip, 1e9, 4000), (chip, 4e9, 4000), (comb, 2e9, 8000)):
+        setup = make_readout_setup(c, sample_rate=rate, n_samples=n)
+        assert setup == setup_device_by_device(c, rate, n)
 
 
 def test_setup_default_lo_is_mean_snapped(chip):

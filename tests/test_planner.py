@@ -11,15 +11,22 @@ from fdmsim import (
     FrequencyPlan,
     InfeasiblePlanError,
     SpacingRule,
+    UnknownDeviceError,
     adjacent_crosstalk,
+    builtin_chip_path,
     carson_bandwidth,
     crosstalk_limited_spacing,
+    dressed_resonance,
     format_plan_report,
     generate_plan,
+    load_chip,
     max_channels,
     plan_for_chip,
     snr_proxy,
 )
+from fdmsim.planner import _grid_offset
+
+from test_device import make_comb
 
 TWO_PI = 2 * math.pi
 KAPPA = TWO_PI * 10e6
@@ -207,6 +214,44 @@ def test_plan_for_chip_tracks_dressed_resonances():
     snapped = plan_for_chip(chip, lo_frequency=9.75e9, grid=250e3)
     for _, freq in snapped.channels:
         assert (freq - 9.75e9) / 250e3 == pytest.approx(round((freq - 9.75e9) / 250e3), abs=1e-9)
+
+
+def plan_device_by_device(chip, device_ids=None, lo_frequency=None, grid=None, state=-1.0):
+    """plan_for_chip built from one public dressed_resonance call per device."""
+    pairs = []
+    for dev_id in chip.device_ids if device_ids is None else device_ids:
+        dev = chip.device(dev_id)
+        f = dressed_resonance(dev, dev.qubit.symmetry_flux, state)
+        if grid is not None:
+            ref = lo_frequency if lo_frequency is not None else 0.0
+            f = ref + _grid_offset(f, ref, grid)
+        pairs.append((dev_id, f))
+    pairs.sort(key=lambda p: p[1])
+    freqs = [f for _, f in pairs]
+    margin = (freqs[-1] - freqs[0]) / max(len(freqs) - 1, 1) / 2.0 or 1e6
+    return FrequencyPlan(band_start=freqs[0] - margin, band_stop=freqs[-1] + margin,
+                         channels=tuple(pairs))
+
+
+@pytest.mark.parametrize("which", ["chip7", "comb"])
+@pytest.mark.parametrize("kwargs", [
+    {},
+    dict(state=1.0),
+    dict(grid=1e6),
+    dict(grid=250e3, lo_frequency=6.1e9),
+])
+def test_plan_for_chip_equals_the_device_by_device_plan(which, kwargs):
+    chip = (load_chip(builtin_chip_path()) if which == "chip7"
+            else make_comb(100, zero_coupling=(0, 37, 99)))
+    assert plan_for_chip(chip, **kwargs) == plan_device_by_device(chip, **kwargs)
+    # a subset in any order
+    ids = [int(i) for i in np.random.default_rng(3).permutation(chip.device_ids)[:5]]
+    got = plan_for_chip(chip, device_ids=ids, **kwargs)
+    assert got == plan_device_by_device(chip, device_ids=ids, **kwargs)
+    assert sorted(got.device_ids) == sorted(ids)
+    assert plan_for_chip(chip, device_ids=iter(ids), **kwargs) == got
+    with pytest.raises(UnknownDeviceError):
+        plan_for_chip(chip, device_ids=ids + [1000], **kwargs)
 
 
 @pytest.mark.parametrize(
