@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, _check_finite
+from .errors import ConfigError, UnknownDeviceError, _check_finite
 
 _TWO_PI = 2 * math.pi
 
@@ -127,20 +127,23 @@ class Chip:
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate device ids in chip {self.name!r}: {ids}")
         # The devices' parameters along a device axis, in chip order, for
-        # s21_feedline.  Not a field: equality, hash and repr are unchanged.
+        # s21_feedline; the ids in chip order (device_ids) and each id's
+        # position among them (_position), for lookups by id.  Not fields:
+        # equality, hash and repr are unchanged.
         object.__setattr__(self, "_axis", _DeviceAxis.of(self.devices))
+        object.__setattr__(self, "device_ids", tuple(ids))
+        object.__setattr__(self, "_position", {dev_id: i for i, dev_id in enumerate(ids)})
 
     def device(self, device_id: int) -> DeviceRecord:
-        for d in self.devices:
-            if d.device_id == device_id:
-                return d
-        from .errors import UnknownDeviceError
+        return self.devices[self._index(device_id)]
 
-        raise UnknownDeviceError(f"no device {device_id} on chip {self.name!r}")
-
-    @property
-    def device_ids(self) -> tuple[int, ...]:
-        return tuple(d.device_id for d in self.devices)
+    def _index(self, device_id: int) -> int:
+        """The position of device_id in chip order; UnknownDeviceError if
+        no device has that id."""
+        try:
+            return self._position[device_id]
+        except (KeyError, TypeError):
+            raise UnknownDeviceError(f"no device {device_id} on chip {self.name!r}") from None
 
 
 class _DeviceAxis(NamedTuple):
@@ -365,12 +368,7 @@ def _dressed_resonances(chip: Chip, device_ids, state) -> list[float]:
     chip's device axis.  An unknown id raises UnknownDeviceError; NaN or
     inf state, and a resonance whose qubit frequency or pull overflows,
     raise ConfigError."""
-    position = {d.device_id: i for i, d in enumerate(chip.devices)}
-    index = []
-    for dev_id in device_ids:
-        if dev_id not in position:
-            chip.device(dev_id)  # raises UnknownDeviceError
-        index.append(position[dev_id])
+    index = [chip._index(dev_id) for dev_id in device_ids]
     state = float(state)
     _require_finite(state=state)
     axis = chip._axis

@@ -110,21 +110,36 @@ def _check_rates(gamma: float, gamma_phi: float) -> None:
 
 
 def _expm(m: np.ndarray) -> np.ndarray:
-    """exp(m) by scaling and squaring.
+    """exp(m) by scaling and squaring, for one square matrix or a stack
+    of them, (..., n, n).
 
-    m is scaled by 2**-s to a 1-norm <= 0.25, where the degree-12 Taylor
-    series is truncated after terms below 0.25**13 / 13! ~ 2e-18, and
-    the result is squared s times.
+    Each matrix is scaled by 2**-s to a 1-norm <= 0.25, where the
+    degree-12 Taylor series is truncated after terms below 0.25**13 / 13!
+    ~ 2e-18, and the result is squared s times.  The matrices that share
+    a squaring count s run as one stack through the same products, which
+    equal the products of each matrix alone: every matrix of a stack gets
+    the bits it would get by itself (Moler and Van Loan, SIAM Rev. 45, 3,
+    2003, on scaling and squaring).
     """
-    s = max(0, math.frexp(float(np.abs(m).sum(axis=0).max()) / 0.25)[1])
-    m = m * 2.0**-s
-    eye = np.eye(len(m))
-    out = eye
-    for k in range(12, 0, -1):
-        out = eye + (m @ out) / k
-    for _ in range(s):
-        out = out @ out
-    return out
+    stack = m.reshape(-1, *m.shape[-2:])
+    # Squaring counts matrix by matrix and groups as index lists: np.frexp
+    # over the stack and boolean-mask groups raised a noisy Rabi run's
+    # peak RSS by about 0.1 MB, numpy's cost of their first use.
+    groups: dict[int, list[int]] = {}
+    for i, matrix in enumerate(stack):
+        s = max(0, math.frexp(float(np.abs(matrix).sum(axis=0).max()) / 0.25)[1])
+        groups.setdefault(s, []).append(i)
+    eye = np.eye(m.shape[-1])
+    result = np.empty_like(stack)
+    for s, members in groups.items():
+        scaled = stack[members] * 2.0**-s
+        out = eye
+        for k in range(12, 0, -1):
+            out = eye + (scaled @ out) / k
+        for _ in range(s):
+            out = out @ out
+        result[members] = out
+    return result.reshape(m.shape)
 
 
 @dataclass(frozen=True)
@@ -163,9 +178,18 @@ def propagator(
     (rad/s).  One propagator serves every segment of the same drive,
     rates and duration.
     """
+    return _propagators(drive, gamma, gamma_phi, [duration])[0]
+
+
+def _propagators(
+    drive: DriveSpec, gamma: float, gamma_phi: float, durations: list[float]
+) -> list[Propagator]:
+    """propagator(drive, gamma, gamma_phi, d) for each d of durations, bit
+    for bit, from one _expm call over the stack of generators A * d."""
     _check_rates(gamma, gamma_phi)
-    if not 0 <= duration < math.inf:
-        raise ConfigError(f"duration must be finite and >= 0, got {duration}")
+    for duration in durations:
+        if not 0 <= duration < math.inf:
+            raise ConfigError(f"duration must be finite and >= 0, got {duration}")
     w = 2 * math.pi * drive.rabi_rate_per_unit_amplitude * drive.amplitude
     delta = 2 * math.pi * drive.detuning
     g2 = gamma / 2.0 + gamma_phi
@@ -175,9 +199,10 @@ def propagator(
         [0.0, w, -gamma, -gamma],
         [0.0, 0.0, 0.0, 0.0],
     ])
-    matrix = _expm(generator * duration)
-    matrix.flags.writeable = False
-    return Propagator(matrix, lossless=gamma == 0 and gamma_phi == 0)
+    matrices = _expm(generator * np.array(durations, dtype=float)[:, None, None])
+    matrices.flags.writeable = False
+    lossless = gamma == 0 and gamma_phi == 0
+    return [Propagator(matrix, lossless) for matrix in matrices]
 
 
 def evolve_for(
@@ -207,25 +232,22 @@ def _ground_trajectory(
     Equal to chaining Propagator.apply from GROUND over the steps between
     the times, bit for bit, but with no BlochState per step: each step
     reads a preallocated (x, y, z, 1) vector.  One propagator is built
-    per distinct step length and reused for every step of that length.
+    per distinct step length, all of them in one _propagators call, and
+    reused for every step of that length.
     """
-    steps: dict[float, Propagator] = {}
+    steps = [t - prev for t, prev in zip(times, [0.0, *times])]
+    distinct = list(dict.fromkeys(steps))
+    props = dict(zip(distinct, _propagators(drive, gamma, gamma_phi, distinct)))
     vector = np.array([GROUND.x, GROUND.y, GROUND.z, 1.0])
     norm = GROUND.norm
     z_at = []
-    prev = 0.0
-    for t in times:
-        step = t - prev
-        prop = steps.get(step)
-        if prop is None:
-            prop = steps[step] = propagator(drive, gamma, gamma_phi, step)
-        x, y, z = prop._step(vector, norm)
+    for step in steps:
+        x, y, z = props[step]._step(vector, norm)
         norm = _checked_norm(x, y, z)
         vector[0] = x
         vector[1] = y
         vector[2] = z
         z_at.append(z)
-        prev = t
     return z_at
 
 
@@ -461,7 +483,7 @@ def relaxation_telegraph_spectrum(
     carrier = np.exp(1j * (np.arange(-n, n + 1, dtype=float) * (shift * dt)))
     chunk = max(1, min(TELEGRAPH_CHUNK_SAMPLES // n, -(-n_trajectories // MAX_LANES)))
     chunks = -(-n_trajectories // chunk)
-    states = _derived_states(_child_seeds(seed, chunks).tolist())
+    states = _derived_states(_child_seeds(seed, chunks))
     block = max(1, min(chunk, _BLOCK_SAMPLES // n))
     lanes = min(_lane_count(), chunks)
     rows = max(1, block // lanes)

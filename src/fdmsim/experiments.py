@@ -501,7 +501,7 @@ def run_rabi(
     if readout:
         states = np.full((durations.size, len(chip.devices)), float(QubitStateLabel.GROUND))
         for j, dev_id in enumerate(ids):
-            states[:, chip.device_ids.index(dev_id)] = z[:, j]
+            states[:, chip._index(dev_id)] = z[:, j]
         fluxes = [d.qubit.symmetry_flux for d in chip.devices]
         iq, _ = _acquire_points(
             chip, setup, states, [fluxes] * durations.size,
@@ -559,16 +559,22 @@ class DampedSinusoidFit:
 
 
 def _sinusoid_model(t, amplitude, decay_rate, frequency, phase, offset):
-    return offset + amplitude * np.exp(-decay_rate * t) * np.cos(
-        2 * np.pi * frequency * t + phase
-    )
+    return _sinusoid_terms(t, amplitude, decay_rate, frequency, phase, offset)[0]
 
 
-def _sinusoid_jacobian(t, amplitude, decay_rate, frequency, phase, offset):
-    """(n, 5) derivatives of _sinusoid_model by its five parameters."""
+def _sinusoid_terms(t, amplitude, decay_rate, frequency, phase, offset):
+    """_sinusoid_model at t, with the envelope exp(-decay_rate t), the
+    angle 2 pi frequency t + phase and its cosine it was built from."""
     envelope = np.exp(-decay_rate * t)
     angle = 2 * np.pi * frequency * t + phase
-    c = envelope * np.cos(angle)
+    cosine = np.cos(angle)
+    return offset + amplitude * envelope * cosine, envelope, angle, cosine
+
+
+def _sinusoid_jacobian(t, amplitude, envelope, angle, cosine):
+    """(n, 5) derivatives of _sinusoid_model by its five parameters, from
+    the terms _sinusoid_terms returned for them."""
+    c = envelope * cosine
     s = amplitude * envelope * np.sin(angle)
     return np.stack(
         [c, -amplitude * t * c, -2 * np.pi * t * s, -s, np.ones_like(t)], axis=1
@@ -599,13 +605,14 @@ def _levenberg_marquardt(t, y, p0, lower, upper) -> tuple[np.ndarray, bool]:
     tol = FIT_XTOL * max(spread, np.finfo(float).eps * float(np.linalg.norm(y)),
                          np.finfo(float).tiny)
     p = p0
-    r = _sinusoid_model(t, *p) - y
+    model, *terms = _sinusoid_terms(t, *p)
+    r = model - y
     cost = float(r @ r)
     if not np.isfinite(cost):
         return p0, False
     lam = 1e-3
     for _ in range(FIT_MAX_ITER):
-        jac = _sinusoid_jacobian(t, *p)
+        jac = _sinusoid_jacobian(t, p[0], *terms)
         norms = np.sqrt(np.einsum("ij,ij->j", jac, jac))
         norms[norms == 0] = 1.0
         jac /= norms
@@ -618,12 +625,13 @@ def _levenberg_marquardt(t, y, p0, lower, upper) -> tuple[np.ndarray, bool]:
             trial = np.clip(p + step, lower, upper)
             if np.linalg.norm((trial - p) * norms) <= tol:
                 return p, True
-            r_trial = _sinusoid_model(t, *trial) - y
+            model, *trial_terms = _sinusoid_terms(t, *trial)
+            r_trial = model - y
             cost_trial = float(r_trial @ r_trial)
             if cost_trial < cost:
                 break
             lam *= 10.0
-        p, r, cost = trial, r_trial, cost_trial
+        p, r, cost, terms = trial, r_trial, cost_trial, trial_terms
         lam = max(lam / 10.0, 1e-12)
     return p0, False
 

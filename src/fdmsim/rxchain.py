@@ -180,20 +180,32 @@ def _quantize(quad: np.ndarray, adc: AdcSpec) -> np.ndarray:
     The one clip acts on the codes, at the rail code rint(full_scale /
     step) capped at 2^(bits-1).  Division and rounding are monotone, so
     this gives the same codes as clipping to +-full_scale first.
+
+    When the step is a power of two whose reciprocal is finite (a 12-bit
+    converter at full_scale 1.0 has step 2^-11), the samples are
+    multiplied by that reciprocal instead of divided by the step.  The
+    reciprocal of a power of two is exact, so both operations round the
+    same real number x / step, and IEEE 754 rounds it correctly either
+    way: the codes are the same bits, overflow and subnormals included.
+    Any other step, or one whose reciprocal overflows, is divided by.
     """
-    fs = adc.full_scale
-    # A row's extremes rule out clipping in one pass; the few rows they
-    # do not (a NaN fails both tests) are counted sample by sample.
-    n_clipped = np.zeros(quad.shape[0], dtype=np.int64)
-    inside = (quad.max(axis=1) <= fs) & (quad.min(axis=1) >= -fs)
-    for r in np.flatnonzero(~inside):
-        n_clipped[r] = np.count_nonzero(quad[r] > fs) + np.count_nonzero(quad[r] < -fs)
-    rail = min(float(np.rint(fs / adc.step)), float(2 ** (int(adc.bits) - 1)))
+    fs, step = adc.full_scale, adc.step
+    # The block's extremes rule out clipping in one pass; only a block
+    # they do not (a NaN fails both tests) is counted row by row.
+    if quad.max() <= fs and quad.min() >= -fs:
+        n_clipped = np.zeros(quad.shape[0], dtype=np.int64)
+    else:
+        n_clipped = np.count_nonzero(quad > fs, axis=1) + np.count_nonzero(quad < -fs, axis=1)
+    rail = min(float(np.rint(fs / step)), float(2 ** (int(adc.bits) - 1)))
+    reciprocal = 1.0 / step
     with np.errstate(over="ignore"):  # an overflow to inf clips to the rail
-        np.divide(quad, adc.step, out=quad)
+        if math.frexp(step)[0] == 0.5 and math.isfinite(reciprocal):
+            np.multiply(quad, reciprocal, out=quad)
+        else:
+            np.divide(quad, step, out=quad)
     np.rint(quad, out=quad)
     np.clip(quad, -rail, rail, out=quad)  # keeps NaN and -0.0
-    np.multiply(quad, adc.step, out=quad)
+    np.multiply(quad, step, out=quad)
     return n_clipped
 
 
@@ -626,7 +638,7 @@ def measure_crosstalk(
     channels = dict(plan.channels)
     if toggled_device not in channels:
         raise UnknownDeviceError(f"device {toggled_device} not in the plan")
-    chip.device(toggled_device)  # raises UnknownDeviceError if absent
+    toggled = chip._index(toggled_device)  # raises UnknownDeviceError if absent
     device_ids = tuple(channels)
     freqs_rf = [channels[d] for d in device_ids]
     if lo_frequency is None:
@@ -652,7 +664,7 @@ def measure_crosstalk(
         )
     # Row 0 has the toggled device excited, row 1 is all ground.
     states = np.full((2, len(chip.devices)), -1.0)
-    states[0, chip.device_ids.index(toggled_device)] = 1.0
+    states[0, toggled] = 1.0
     fluxes = [d.qubit.symmetry_flux for d in chip.devices]
     omega = 2 * np.pi * np.array(setup.channel_frequencies)
     c = amplitude * s21_feedline(chip, omega, states, [fluxes] * 2)

@@ -163,7 +163,17 @@ def _derived_states(seeds) -> list[tuple[int, int]]:
 
     Without a path SeedSequence reads a root of fewer than four words as
     if it were padded with zero words, so every root is mixed as four.
+    A uint64 array, such as _child_seeds returns, is split into its two
+    low words by array operations, without a check per seed: every
+    uint64 lies in range, and its two high words are zero.
     """
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
+        if not seeds.size:
+            return []
+        zero = np.zeros(1, dtype=np.uint32)
+        words = [(seeds & np.uint64(_MASK32)).astype(np.uint32),
+                 (seeds >> np.uint64(32)).astype(np.uint32), zero, zero]
+        return _pcg64_seeded(_mixed_pool(words, seeds.size))
     ints = [_check_root_seed(s) for s in seeds]
     if not ints:
         return []

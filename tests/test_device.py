@@ -803,6 +803,28 @@ def test_chip_device_lookup_and_unknown_id():
         chip.device(9)
 
 
+def test_chip_lookup_by_id_on_a_300_device_comb():
+    comb = make_comb(300)
+    # the ids in chip order, and each id's record as a scan would find it
+    assert comb.device_ids == tuple(d.device_id for d in comb.devices)
+    for dev in comb.devices:
+        assert comb.device(dev.device_id) is dev
+        assert comb.device(np.int64(dev.device_id)) is dev
+    assert _dressed_resonances(comb, [300, 1, 150], -1.0) == [
+        dressed_resonance(comb.device(d), comb.device(d).qubit.symmetry_flux) for d in (300, 1, 150)
+    ]
+    for unknown in (0, 301, -1, 1.5, "1", None, [1]):
+        with pytest.raises(UnknownDeviceError):
+            comb.device(unknown)
+        with pytest.raises(UnknownDeviceError):
+            _dressed_resonances(comb, [1, unknown], -1.0)
+    # the lookup table is not a field: equality, hash and repr are the
+    # devices' alone
+    twin = Chip(name=comb.name, devices=comb.devices)
+    assert twin == comb and hash(twin) == hash(comb) and repr(twin) == repr(comb)
+    assert "_position" not in repr(comb)
+
+
 def test_chip_rejects_duplicate_ids():
     dev = make_chip(1).devices[0]
     with pytest.raises(ConfigError):

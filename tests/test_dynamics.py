@@ -177,6 +177,74 @@ def test_propagator_is_reusable_and_equals_evolve_for():
         step.matrix[0, 0] = 1.0
 
 
+def expm_alone(m):
+    """exp(m) of one matrix by the scaling and squaring of _expm, written
+    for a single 2-D matrix."""
+    s = max(0, math.frexp(float(np.abs(m).sum(axis=0).max()) / 0.25)[1])
+    m = m * 2.0**-s
+    eye = np.eye(len(m))
+    out = eye
+    for k in range(12, 0, -1):
+        out = eye + (m @ out) / k
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def bloch_generators(steps, gamma, detuning=2e6):
+    w, delta, g2 = TWO_PI * 5e6, TWO_PI * detuning, gamma / 2.0
+    a = np.array([
+        [-g2, -delta, 0.0, 0.0],
+        [delta, -g2, -w, 0.0],
+        [0.0, w, -gamma, -gamma],
+        [0.0, 0.0, 0.0, 0.0],
+    ])
+    return a * np.asarray(steps, dtype=float)[:, None, None]
+
+
+@pytest.mark.parametrize("gamma", [0.0, TWO_PI * 1e5])
+def test_stacked_expm_equals_each_matrix_alone(gamma):
+    # steps from 1 ps to 10 us need from 0 to about 9 squarings, shuffled
+    # so that the groups of one squaring count interleave
+    steps = np.random.default_rng(5).permutation(np.geomspace(1e-12, 1e-5, 29))
+    stack = bloch_generators(steps, gamma)
+    counts = {max(0, math.frexp(float(np.abs(m).sum(axis=0).max()) / 0.25)[1]) for m in stack}
+    assert len(counts) > 4
+    out = fdmsim.dynamics._expm(stack)
+    assert out.shape == stack.shape
+    for m, got in zip(stack, out):
+        alone = fdmsim.dynamics._expm(m)
+        assert alone.shape == (4, 4)
+        assert np.array_equal(got, alone)
+        assert np.array_equal(got, expm_alone(m))
+    # a stack of stacks keeps its leading axes
+    nested = fdmsim.dynamics._expm(stack[:28].reshape(7, 4, 4, 4))
+    assert np.array_equal(nested.reshape(28, 4, 4), out[:28])
+
+
+@pytest.mark.parametrize("gamma, gamma_phi", [(0.0, 0.0), (TWO_PI * 1e5, 0.0),
+                                              (TWO_PI * 1e5, TWO_PI * 3e4)])
+@pytest.mark.parametrize("times", [
+    np.linspace(5e-9, 1.2e-6, 200),       # rabi_noisy's grid: 11 distinct steps
+    np.geomspace(1e-10, 3e-6, 120),       # every step distinct, many squaring counts
+])
+def test_ground_trajectory_equals_the_apply_chain(times, gamma, gamma_phi):
+    d = drive(5e6, 1.2, 1e6)
+    z = fdmsim.dynamics._ground_trajectory(d, gamma, gamma_phi, times.tolist())
+    state, expected, prev = GROUND, [], 0.0
+    for t in times.tolist():
+        state = propagator(d, gamma, gamma_phi, t - prev).apply(state)
+        expected.append(state.z)
+        prev = t
+    assert z == expected
+
+
+def test_ground_trajectory_rejects_a_bad_step_before_any_work():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="duration must be finite"):
+            fdmsim.dynamics._ground_trajectory(drive(), 0.0, 0.0, [1e-9, 2e-9, bad])
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -472,10 +472,21 @@ def test_clipping_shot_logs_the_count_of_adc_quantize(chip, caplog):
     assert core == chain
 
 
+def counting_matrices(calls, fn):
+    """Counts the calls of _expm as "calls" and the matrices of their
+    stacks as "expm"."""
+    def counted(m):
+        calls["calls"] += 1
+        calls["expm"] += m.size // (m.shape[-1] * m.shape[-2])
+        return fn(m)
+
+    return counted
+
+
 def test_rabi_builds_one_propagator_per_distinct_step(chip, monkeypatch):
     calls = Counter()
     monkeypatch.setattr(fdmsim.dynamics, "_expm",
-                        counting(calls, "expm", fdmsim.dynamics._expm))
+                        counting_matrices(calls, fdmsim.dynamics._expm))
     durations = np.linspace(5e-9, 1.2e-6, 200)
     steps = np.diff(durations, prepend=0.0)
     ids = (2, 4, 6)
@@ -501,7 +512,7 @@ def test_rabi_computes_one_trajectory_per_distinct_drive(chip, monkeypatch, scal
                                                          n_trajectories):
     calls = Counter()
     monkeypatch.setattr(fdmsim.dynamics, "_expm",
-                        counting(calls, "expm", fdmsim.dynamics._expm))
+                        counting_matrices(calls, fdmsim.dynamics._expm))
     durations = np.linspace(5e-9, 1.2e-6, 200)
     steps = np.diff(durations, prepend=0.0).tolist()
     ids = (2, 4, 6)
@@ -510,6 +521,8 @@ def test_rabi_computes_one_trajectory_per_distinct_drive(chip, monkeypatch, scal
     result = run_rabi(chip, durations, device_ids=ids, amplitude_scales=scales,
                       readout=False)
     assert calls["expm"] == len(set(steps)) * n_trajectories
+    # each trajectory exponentiates all its distinct steps in one stack
+    assert calls["calls"] == n_trajectories
     # every column, shared or not, is the step-by-step evolution bit for bit
     for dev_id, scale in zip(ids, scales):
         drive = DriveSpec(5e6, scale)
@@ -549,7 +562,8 @@ def test_rabi_rejects_a_trajectory_that_leaves_the_bloch_ball(chip, monkeypatch)
     def nan_propagator(*args):
         return fdmsim.dynamics.Propagator(np.full((4, 4), np.nan), lossless=False)
 
-    monkeypatch.setattr(fdmsim.dynamics, "propagator", nan_propagator)
+    # the trajectory builds its propagators from one _expm stack
+    monkeypatch.setattr(fdmsim.dynamics, "_expm", lambda m: np.full(m.shape, np.nan))
     with pytest.raises(ConfigError, match="Bloch vector norm nan"):
         nan_propagator().apply(GROUND)
     with pytest.raises(ConfigError, match="Bloch vector norm nan"):

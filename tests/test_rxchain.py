@@ -197,6 +197,56 @@ def test_quantize_one_pass_clip_equals_minimum_then_maximum(bits, full_scale):
     assert clipped[0] > 0 and clipped[1] == 0
 
 
+@pytest.mark.parametrize("bits, full_scale", [
+    (12, 1.0),              # chip7's converter: step 2**-11, multiplied by 2**11
+    (4, 0.5),               # step 2**-4
+    (1, 2.0**1000),         # step 2**1000: the reciprocal is 2**-1000, subnormal codes
+    (12, 0.3),              # step not a power of two: divided
+    (12, 0.1),              # divided; a rounded reciprocal would move some codes
+    (12, 2.0**-1060),       # step 2**-1071: its reciprocal overflows, so divided
+])
+def test_quantize_equals_the_divide_path_bit_for_bit(bits, full_scale):
+    adc = AdcSpec(sample_rate=1e9, bits=bits, full_scale=full_scale)
+    fs, step = full_scale, adc.step
+    # samples at and next to the midpoints between codes, where the
+    # rounding of the scaled sample decides the code
+    half = (np.arange(-2 ** (bits - 1), 2 ** (bits - 1)) + 0.5) * step
+    midpoints = np.concatenate([half, np.nextafter(half, math.inf),
+                                np.nextafter(half, -math.inf)])
+    tiny = np.finfo(float).smallest_subnormal
+    special = [math.nan, math.inf, -math.inf, 0.0, -0.0, fs, -fs,
+               np.nextafter(fs, math.inf), np.nextafter(-fs, -math.inf),
+               1e308, -1e308, np.finfo(float).max, -np.finfo(float).max,
+               tiny, -tiny, 2.0**-1030, -3 * 2.0**-1070, step / 2, -step / 2,
+               fs - step / 2, np.nextafter(fs - step / 2, 0.0)]
+    rng = np.random.default_rng(bits)
+    rows = [
+        np.resize(special, 64),
+        fs * rng.uniform(-1, 1, 64),          # inside: no clip
+        fs * rng.uniform(-3, 3, 64),          # some clip
+        np.resize([-0.0, tiny, -tiny], 64),   # inside, all subnormal or zero
+        np.resize([math.nan, 0.0], 64),       # a NaN fails the block test, clips nothing
+    ]
+    below = [0.0, np.nextafter(-fs, -math.inf), -fs]  # clips only below -full_scale
+    width = max(64, midpoints.size)
+    blocks = [rows + [midpoints], [rows[1], rows[3], midpoints], [rows[1], below]]
+    counts = []
+    for block in blocks:
+        block = np.stack([np.resize(row, width) for row in block])
+        expected, expected_clipped = two_pass_quantize(block, adc)
+        quad = block.copy()
+        clipped = fdmsim.rxchain._quantize(quad, adc)
+        assert quad.tobytes() == expected.tobytes()
+        assert clipped.tobytes() == expected_clipped.astype(clipped.dtype).tobytes()
+        counts.append(clipped.tolist())
+    assert counts[1] == [0, 0, 0]
+    assert counts[2] == [0, (width + 1) // 3]
+    if full_scale == 0.1:
+        # the test can tell a divide from a multiply by the rounded reciprocal
+        with np.errstate(over="ignore"):
+            assert np.any(np.rint(midpoints * (1.0 / step)) != np.rint(midpoints / step))
+
+
 def test_adc_rail_fraction_counts_clipping():
     adc = AdcSpec(sample_rate=1e9, bits=8, full_scale=0.5)
     x = np.array([0.0, 0.2, 0.9, -0.8])

@@ -98,6 +98,18 @@ def test_derived_states_equal_derive_rng_for_every_root(seeds):
         assert _derived_states(np.array(seeds, dtype=np.uint64)) == expected
 
 
+def test_derived_states_of_a_uint64_array_equal_the_list_path():
+    # Each word boundary of a uint64: one word, two words, the top bit.
+    seeds = [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
+    expected = [stream_state(derive_rng(s)) for s in seeds]
+    array = np.array(seeds, dtype=np.uint64)
+    assert _derived_states(array) == expected
+    assert _derived_states(seeds) == expected
+    assert _derived_states([int(s) for s in array]) == expected
+    assert _derived_states(array[::-1]) == expected[::-1]
+    assert _derived_states(np.zeros(0, dtype=np.uint64)) == []
+
+
 def test_set_state_moves_one_generator_from_stream_to_stream():
     seeds = [0, 7, 2**64 + 5, 2**128 - 1]
     generator = np.random.Generator(np.random.PCG64(0))
