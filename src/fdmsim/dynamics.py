@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, _check_finite
 from .lanes import MAX_LANES, lane_count as _lane_count, run as _run_lanes
-from .seeding import _child_seeds, _derived_states, _set_state
+from .seeding import _child_states, _set_state
 
 # Most samples in one chunk of telegraph trajectories: chunk c of a
 # spectrum draws its flips in one call from its own stream,
@@ -483,7 +483,7 @@ def relaxation_telegraph_spectrum(
     carrier = np.exp(1j * (np.arange(-n, n + 1, dtype=float) * (shift * dt)))
     chunk = max(1, min(TELEGRAPH_CHUNK_SAMPLES // n, -(-n_trajectories // MAX_LANES)))
     chunks = -(-n_trajectories // chunk)
-    states = _derived_states(_child_seeds(seed, chunks))
+    states = _child_states(seed, chunks)
     block = max(1, min(chunk, _BLOCK_SAMPLES // n))
     lanes = min(_lane_count(), chunks)
     rows = max(1, block // lanes)

@@ -36,7 +36,7 @@ from .rxchain import (
     channelize,
     downconvert,
 )
-from .seeding import _child_seeds, child_seed
+from .seeding import _child_states, child_seed
 from .traceio import _write_file
 from .txchain import synthesize_multitone, upconvert_ssb
 
@@ -144,19 +144,22 @@ def _acquire_points(
     and fluxes[i] is a scalar or one flux per device.  One s21_feedline
     call gives every point's channel amplitudes, c = setup.amplitude *
     S21(channel frequencies), and rxchain._receive turns them into
-    measured ones, with point i's noise from child_seed(seed, i); all
-    the child seeds come from one vectorized pass, and only when noise
-    is drawn.
+    measured ones, with point i's noise from the stream
+    derive_rng(child_seed(seed, i)); seeding._child_states gives every
+    point's stream in one pass, and only when noise is drawn.  A setup
+    id that is not on the chip raises UnknownDeviceError.
     Returns the complex channel amplitudes, (n_points, n_channels), and,
     only with estimate_noise=True, each shot's noise estimate,
     (n_points,); else None.  acquire alone asks for it: the sweep
     drivers record no noise estimate, so they skip its FFT.
     """
+    for dev_id in setup.device_ids:
+        chip._index(dev_id)
     omega = 2 * np.pi * np.array(setup.channel_frequencies)
     c = setup.amplitude * s21_feedline(chip, omega, states, fluxes)
-    seeds = _child_seeds(seed, len(c)) if noise_std > 0 else ()
+    streams = _child_states(seed, len(c)) if noise_std > 0 else None
     return _receive(
-        setup, c, adc=adc, noise_std=noise_std, seeds=seeds,
+        setup, c, adc=adc, noise_std=noise_std, streams=streams,
         estimate_noise=estimate_noise,
     )
 
@@ -760,7 +763,8 @@ def write_sweep_csv(path: str | Path, result: SweepResult, append: bool = False)
     path = Path(path)
     header = _csv_header_lines(result)
     if append and path.exists():
-        existing, column_row = _read_csv_header(path)
+        with open(path) as fh:
+            existing, column_row, _ = _read_csv_header(fh)
         checks = (
             ("config_hash", existing.get("config_hash"), result.metadata.get("config_hash")),
             ("kind", existing.get("kind"), result.kind),
@@ -779,49 +783,58 @@ def write_sweep_csv(path: str | Path, result: SweepResult, append: bool = False)
     _write_file(path, "\n".join(header + _csv_data_lines(result)) + "\n")
 
 
-def _read_csv_header(path: Path) -> tuple[dict[str, str], str | None]:
-    """The '#' metadata of a sweep CSV and its column row (None if absent)."""
+def _read_csv_header(fh) -> tuple[dict[str, str], str | None, int]:
+    """The '#' metadata of a sweep CSV, its column row (None if absent)
+    and the number of the last line read, reading the open file fh up to
+    and including the column row.  Blank lines are skipped."""
     metadata = {}
-    with open(path) as fh:
-        for line in fh:
-            if not line.startswith("#"):
-                return metadata, line.strip() or None
-            text = line[1:].strip()
-            if "=" in text:
-                key, _, value = text.partition("=")
+    number = 0
+    for number, line in enumerate(fh, 1):
+        text = line.strip()
+        if text.startswith("#"):
+            key, eq, value = text[1:].partition("=")
+            if eq:
                 metadata[key.strip()] = value.strip()
-    return metadata, None
+        elif text:
+            return metadata, text, number
+    return metadata, None, number
 
 
 def read_sweep_csv(path: str | Path) -> SweepResult:
-    """Inverse of write_sweep_csv (metadata comes back as strings)."""
+    """Inverse of write_sweep_csv (metadata comes back as strings).  A
+    data row with the wrong cell count or a non-number, a device_ids
+    header that is not a list of integers, a column row without data
+    columns, or no data raises ConfigError naming the file (and the
+    line)."""
     path = Path(path)
-    metadata: dict[str, str] = {}
-    header: list[str] | None = None
     rows: list[list[float]] = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        metadata, column_row, number = _read_csv_header(fh)
+        header = (column_row or "").split(",")
+        for number, line in enumerate(fh, number + 1):
+            text = line.strip()
+            if not text or text.startswith("#"):
                 continue
-            if line.startswith("#"):
-                text = line[1:].strip()
-                if "=" in text:
-                    key, _, value = text.partition("=")
-                    metadata[key.strip()] = value.strip()
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            rows.append([float(c) for c in line.split(",")])
-    if header is None or not rows:
+            cells = text.split(",")
+            if len(cells) != len(header):
+                raise ConfigError(f"{path}, line {number}: {len(cells)} cells, but the "
+                                  f"column row has {len(header)}")
+            try:
+                rows.append([float(cell) for cell in cells])
+            except ValueError as exc:
+                raise ConfigError(f"{path}, line {number}: {exc}") from None
+    if not rows:
         raise ConfigError(f"{path} holds no sweep data")
+    if len(header) < 2:
+        raise ConfigError(f"{path}: column row {column_row!r} names no data column")
     data = np.array(rows)
     axis_name = header[0]
     kind = metadata.get("kind", "unknown")
-    device_ids = tuple(
-        int(tok) for tok in metadata.get("device_ids", "").split() if tok
-    )
+    try:
+        device_ids = tuple(int(tok) for tok in metadata.get("device_ids", "").split())
+    except ValueError:
+        raise ConfigError(f"{path}: header line '# device_ids={metadata['device_ids']}' "
+                          f"does not list integer device ids") from None
     # Column names are table_column; recover both by matching known columns.
     if device_ids:
         columns = tuple(f"dev{d}" for d in device_ids)

@@ -29,7 +29,7 @@ from .device import Chip
 from .errors import ConfigError, LoMismatchError, NyquistError, UnknownDeviceError, _check_finite
 from .lanes import lane_count as _lane_count, run as _run_lanes
 from .planner import _grid_offset
-from .seeding import _check_root_seed, _derived_states, _set_state, derive_rng
+from .seeding import _check_root_seed, _set_state, derive_rng
 from .traceio import _write_file
 from .txchain import IQTrace, synthesize_multitone, upconvert_ssb
 
@@ -472,7 +472,7 @@ def _receive(
     *,
     adc: AdcSpec | None,
     noise_std: float,
-    seeds: Sequence[int],
+    streams: Sequence[tuple[int, int]] | None,
     estimate_noise: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The receive path of every acquisition: one multiplexed shot per row.
@@ -485,33 +485,34 @@ def _receive(
     estimate_noise=True, each shot's noise estimate, (n_points,); else
     None.
 
-    Without noise and ADC, c is the result: no trace is built, no seed
-    is drawn, and the noise estimate is 0.0.  Otherwise shot i is the
-    received baseband trace sum_k c[i, k] * exp(2 pi i f_k t), built from
-    the channelizer's own tones.  An ADC's analog brick wall passes such
-    a trace except for the channels whose DFT bin lies beyond it, so
-    those are zeroed in c (in place) and the converter runs without its
-    FFT band limit.  Noise from the stream derive_rng(seeds[i]) (seeds
-    is read only when noise_std > 0) and the ADC's clip and rounding then
-    work in place on that trace, the same private steps as add_awgn and
-    adc_quantize, and the channelizer's private projector turns it into
-    complex amplitudes.  A block's traces are built by one stacked
-    product, c[i] @ tones for each of its rows, and projected by one
-    stacked product; both equal the per-row products bit for bit.  The
-    tests check this against the composed chain synthesize_multitone,
+    Without noise and ADC, c is the result: no trace is built, no
+    stream is read, and the noise estimate is 0.0.  Otherwise shot i is
+    the received baseband trace sum_k c[i, k] * exp(2 pi i f_k t), built
+    from the channelizer's own tones.  An ADC's analog brick wall passes
+    such a trace except for the channels whose DFT bin lies beyond it,
+    so those are zeroed in c (in place) and the converter runs without
+    its FFT band limit.  Noise from the PCG64 stream that starts at
+    streams[i], a (state, inc) pair such as seeding._child_states gives
+    (streams is read only when noise_std > 0, and may be None
+    otherwise), and the ADC's clip and rounding then work in place on
+    that trace, the same private steps as add_awgn and adc_quantize, and
+    the channelizer's private projector turns it into complex
+    amplitudes.  A block's traces are built by one stacked product,
+    c[i] @ tones for each of its rows, and projected by one stacked
+    product; both equal the per-row products bit for bit.  The tests
+    check this against the composed chain synthesize_multitone,
     upconvert_ssb, apply_feedline, downconvert, add_awgn or
     adc_quantize, channelize.
 
     The shots run in blocks of a few rows (_SHOT_BLOCK_SAMPLES samples)
     on up to lanes.lane_count() lanes, scheduled by lanes.run.  The
-    calling thread derives every shot's PCG64 state in one vectorized
-    pass and allocates every buffer before a lane starts: each lane owns
-    one block, one draw scratch and one Generator, set to a shot's state
-    before its draw.  The draws, products, quantizer and projector
-    release the GIL, so the lanes overlap.  A shot's result depends only
-    on its own row and stream, so it is the same bit for bit for every
-    lane count; the clip warnings are logged by the calling thread, one
-    per clipping shot, in shot order.
+    calling thread allocates every buffer before a lane starts: each
+    lane owns one block, one draw scratch and one Generator, set to a
+    shot's state before its draw.  The draws, products, quantizer and
+    projector release the GIL, so the lanes overlap.  A shot's result
+    depends only on its own row and stream, so it is the same bit for
+    bit for every lane count; the clip warnings are logged by the
+    calling thread, one per clipping shot, in shot order.
     """
     _check_noise_std(noise_std)
     n_points = c.shape[0]
@@ -526,9 +527,10 @@ def _receive(
     plan = _channel_plan(freqs, n, fs, setup.window)
     tones = plan.kernel.conj()
     c[:, _beyond_band(setup, adc)] = 0.0
-    states = _derived_states(seeds) if noise_std > 0 else None
-    if states is not None and len(states) != n_points:
-        raise ValueError(f"{len(states)} seeds for {n_points} shots")
+    if noise_std == 0:
+        streams = None
+    elif len(streams) != n_points:
+        raise ValueError(f"{len(streams)} streams for {n_points} shots")
     rows = max(1, min(n_points, _SHOT_BLOCK_SAMPLES // n))
     n_blocks = -(-n_points // rows)
     lanes = max(1, min(_lane_count(), n_blocks))
@@ -543,9 +545,9 @@ def _receive(
         start = i * rows
         k = min(rows, n_points - start)
         np.matmul(c[start:start + k, None, :], tones, out=block[:k, None, :])
-        if states is not None:
+        if streams is not None:
             for r in range(k):
-                _set_state(generator, states[start + r])
+                _set_state(generator, streams[start + r])
                 generator.standard_normal(out=draw)
                 # Generator.normal(0.0, std) draws 0.0 + std * z.
                 np.multiply(draw, noise_std, out=draw)
@@ -619,9 +621,10 @@ def measure_crosstalk(
 
     Both runs come from one batched s21_feedline call at the channel
     frequencies and go through _receive, the receive path of acquire and
-    the sweep drivers; both draw their noise from the same seed, so
-    noise common to the runs cancels in the change.  The default LO is
-    the channel mean snapped to the DFT grid (sample_rate / n_samples).
+    the sweep drivers; both draw their noise from the same stream,
+    derive_rng(seed), so noise common to the runs cancels in the change.
+    The default LO is the channel mean snapped to the DFT grid
+    (sample_rate / n_samples).
     The channels and LO must form a valid ReadoutSetup: a channel off
     the grid, beyond Nyquist, or fewer than NOISE_GUARD_BINS bins from
     another raises ConfigError, as does a negative or non-finite
@@ -668,7 +671,11 @@ def measure_crosstalk(
     fluxes = [d.qubit.symmetry_flux for d in chip.devices]
     omega = 2 * np.pi * np.array(setup.channel_frequencies)
     c = amplitude * s21_feedline(chip, omega, states, [fluxes] * 2)
-    iq, _ = _receive(setup, c, adc=adc, noise_std=noise_std, seeds=[seed, seed])
+    streams = None
+    if noise_std > 0:  # both rows draw from the root stream
+        root = derive_rng(seed).bit_generator.state["state"]
+        streams = [(root["state"], root["inc"])] * 2
+    iq, _ = _receive(setup, c, adc=adc, noise_std=noise_std, streams=streams)
     changes = np.abs(iq[0] - iq[1]).tolist()
     own = changes[device_ids.index(toggled_device)]
     scale = max(max(changes), amplitude)

@@ -2,21 +2,21 @@
 
 Every stochastic stage derives its generator from a root seed plus an
 integer path, so results do not depend on evaluation order: point k of a
-sweep always sees the stream ``derive_rng(root_seed, k)`` no matter how
-the points are scheduled.
+sweep always sees the stream ``derive_rng(child_seed(root_seed, k))`` no
+matter how the points are scheduled.
 
 Splitting rule: ``SeedSequence(entropy=root_seed, spawn_key=path)``.
 
 derive_rng and child_seed build that SeedSequence one key at a time.
-The acquisition core needs one stream per shot, so two private
-functions give the same streams for a whole array of keys at once:
-_child_seeds(root, count) is child_seed(root, i) for every i <
-count, and _derived_states(seeds) is the raw PCG64 (state, inc) that
-derive_rng(s) starts from, for every seed s.  Both run SeedSequence's
-pool mix and generate_state (numpy's bit_generator.pyx, after O'Neill's
-seed_seq_fe) as uint32 array arithmetic, then PCG64's 128-bit set-seed
-step (and, for a child seed, one XSL-RR output) on Python ints.  The
-tests hold both to derive_rng and child_seed, which stay the public API.
+The acquisition core and the telegraph spectrum need one stream per
+shot or chunk, so one private function gives all of them at once:
+_child_states(root, count) is the raw PCG64 (state, inc) that
+derive_rng(child_seed(root, i)) starts from, for every i < count, and
+_set_state puts a Generator there.  It runs SeedSequence's pool mix and
+generate_state (numpy's bit_generator.pyx, after O'Neill's seed_seq_fe)
+as uint32 array arithmetic, and PCG64's 128-bit set-seed step and each
+child seed's XSL-RR output on Python ints.  The tests hold it to
+derive_rng and child_seed, which stay the public API.
 """
 
 from __future__ import annotations
@@ -150,67 +150,44 @@ def _mixed_pool(entropy: list[np.ndarray], rows: int) -> list[np.ndarray]:
     return [np.broadcast_to(word, (rows,)) for word in pool]
 
 
-def _words(ints: list[int]) -> list[np.ndarray]:
-    """The four uint32 words of each root seed, least significant first:
-    word j of every seed as one array."""
-    return [np.array([(s >> (32 * j)) & _MASK32 for s in ints], dtype=np.uint32)
-            for j in range(_POOL_SIZE)]
+def _child_states(root_seed: int, count: int) -> list[tuple[int, int]]:
+    """(state, inc) of derive_rng(child_seed(root_seed, i)).bit_generator
+    before its first draw, for i in range(count), with child_seed's range
+    checks.
 
-
-def _derived_states(seeds) -> list[tuple[int, int]]:
-    """(state, inc) of derive_rng(s).bit_generator before its first draw,
-    for each root seed s, with derive_rng's range check.
-
-    Without a path SeedSequence reads a root of fewer than four words as
-    if it were padded with zero words, so every root is mixed as four.
-    A uint64 array, such as _child_seeds returns, is split into its two
-    low words by array operations, without a check per seed: every
-    uint64 lies in range, and its two high words are zero.
+    With a path the root is padded to four words and the path element is
+    the fifth; each child seed is the first XSL-RR output of its PCG64
+    (the xor of the state's halves rotated right by its top six bits)
+    shifted right by one.  Without a path SeedSequence reads a root of
+    fewer than four words as if padded with zero words, so each child
+    seed, below 2**63, is mixed as its two low words and two zero words.
     """
-    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
-        if not seeds.size:
-            return []
-        zero = np.zeros(1, dtype=np.uint32)
-        words = [(seeds & np.uint64(_MASK32)).astype(np.uint32),
-                 (seeds >> np.uint64(32)).astype(np.uint32), zero, zero]
-        return _pcg64_seeded(_mixed_pool(words, seeds.size))
-    ints = [_check_root_seed(s) for s in seeds]
-    if not ints:
+    root_seed = _check_root_seed(root_seed)
+    if count > 2**32:
+        raise ConfigError(f"seed path elements must lie in [0, 2**32), got {count - 1}")
+    if count <= 0:
         return []
-    return _pcg64_seeded(_mixed_pool(_words(ints), len(ints)))
+    words = [np.array([(root_seed >> (32 * j)) & _MASK32], dtype=np.uint32)
+             for j in range(_POOL_SIZE)] + [np.arange(count, dtype=np.uint32)]
+    seeds = []
+    for state, inc in _pcg64_seeded(_mixed_pool(words, count)):
+        state = (state * _PCG_MULT + inc) & _MASK128
+        x = (state >> 64) ^ (state & _MASK64)
+        r = state >> 122
+        seeds.append((((x >> r) | (x << (64 - r))) & _MASK64) >> 1)
+    seeds = np.array(seeds, dtype=np.uint64)
+    zero = np.zeros(1, dtype=np.uint32)
+    words = [(seeds & np.uint64(_MASK32)).astype(np.uint32),
+             (seeds >> np.uint64(32)).astype(np.uint32), zero, zero]
+    return _pcg64_seeded(_mixed_pool(words, count))
 
 
 def _set_state(generator: np.random.Generator, state: tuple[int, int]) -> None:
-    """Puts generator, a PCG64 Generator, at the (state, inc) pair of
-    _derived_states, so that it draws what derive_rng(s) would."""
+    """Puts generator, a PCG64 Generator, at a (state, inc) pair of
+    _child_states, so that it draws what that stream would."""
     generator.bit_generator.state = {
         "bit_generator": "PCG64",
         "state": {"state": state[0], "inc": state[1]},
         "has_uint32": 0,
         "uinteger": 0,
     }
-
-
-def _child_seeds(root_seed: int, count: int) -> np.ndarray:
-    """child_seed(root_seed, i) for i in range(count), as uint64, with
-    child_seed's range checks.
-
-    With a path the root is padded to four words and the path element is
-    the fifth; each seed is the first XSL-RR output of its PCG64 (the
-    xor of the state's halves rotated right by its top six bits) shifted
-    right by one.
-    """
-    root_seed = _check_root_seed(root_seed)
-    if count > 2**32:
-        raise ConfigError(f"seed path elements must lie in [0, 2**32), got {count - 1}")
-    if count <= 0:
-        return np.zeros(0, dtype=np.uint64)
-    path = np.arange(count, dtype=np.uint32)
-    seeded = _pcg64_seeded(_mixed_pool(_words([root_seed]) + [path], count))
-    out = []
-    for state, inc in seeded:
-        state = (state * _PCG_MULT + inc) & _MASK128
-        x = (state >> 64) ^ (state & _MASK64)
-        r = state >> 122
-        out.append((((x >> r) | (x << (64 - r))) & _MASK64) >> 1)
-    return np.array(out, dtype=np.uint64)

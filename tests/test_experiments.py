@@ -27,6 +27,7 @@ from fdmsim import (
     ReadoutSetup,
     SweepResult,
     ToneSpec,
+    UnknownDeviceError,
     acquire,
     adc_quantize,
     add_awgn,
@@ -189,6 +190,20 @@ def test_setup_rejects_band_beyond_nyquist(chip):
 def test_setup_rejects_duplicate_device_ids(chip):
     with pytest.raises(ConfigError, match="duplicate"):
         make_readout_setup(chip, (1, 1))
+
+
+@pytest.mark.parametrize("noise_std", [0.0, 1e-3])
+def test_setups_with_ids_off_the_chip_are_refused_by_every_entry_point(chip, noise_std):
+    # A valid channel comb whose label names no chip device: the output
+    # would be labelled dev99.
+    setup = dataclasses.replace(make_readout_setup(chip, (1,)), device_ids=(99,))
+    ground = [-1.0] * len(chip.devices)
+    with pytest.raises(UnknownDeviceError, match="99"):
+        run_flux_sweep(chip, [0.0, 0.001], setup=setup, noise_std=noise_std)
+    with pytest.raises(UnknownDeviceError, match="99"):
+        acquire(chip, setup, ground, 0.0, noise_std=noise_std)
+    with pytest.raises(UnknownDeviceError, match="99"):
+        run_rabi(chip, [0.0, 1e-8], setup=setup, noise_std=noise_std)
 
 
 def test_setup_rejects_channels_snapping_to_one_bin(chip):
@@ -1226,6 +1241,43 @@ def test_writers_sort_mixed_type_metadata_keys_by_text(tmp_path, chip):
     meas = acquire(chip, setup, [-1.0] * len(chip.devices), 0.0)
     write_measurements_csv(tmp_path / "tones.csv", meas, {1: "x", "kind": "tones"})
     assert "# 1: x" in (tmp_path / "tones.csv").read_text()
+
+
+CSV_HEAD = "# fdmsim-sweep-v1\n# kind=flux_sweep\n# device_ids=1 2\n"
+COLUMN_ROW = "flux_phi0,amplitude_dev1,amplitude_dev2\n"
+
+
+@pytest.mark.parametrize("text, match", [
+    (CSV_HEAD + COLUMN_ROW + "0.0,1.0,2.0\n0.1,1.5\n", r"line 6: 2 cells, but the column row has 3"),
+    (CSV_HEAD + COLUMN_ROW + "0.0,abc,2.0\n", r"line 5: could not convert string to float: 'abc'"),
+    (CSV_HEAD.replace("=1 2", "=1 x") + COLUMN_ROW + "0.0,1.0,2.0\n",
+     r"'# device_ids=1 x' does not list integer device ids"),
+    ("# kind=flux_sweep\nflux_phi0\n0.0\n", r"column row 'flux_phi0' names no data column"),
+], ids=["short-row", "text-cell", "device-ids", "axis-only"])
+def test_read_names_the_file_and_line_it_cannot_read(tmp_path, text, match):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=match) as info:
+        read_sweep_csv(path)
+    assert str(path) in str(info.value)
+
+
+def test_append_reads_the_header_as_read_sweep_csv_does(tmp_path, chip):
+    # A blank line before the column row, and blank lines among the rows.
+    fluxes = np.linspace(-0.002, 0.002, 3)
+    first = run_flux_sweep(chip, fluxes, device_ids=(1, 2), config_hash="h1")
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(path, first)
+    lines = path.read_text().splitlines(keepends=True)
+    column = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    path.write_text("".join(lines[:column] + ["\n"] + lines[column:] + ["\n"]))
+    assert read_sweep_csv(path).axis_values.size == 3
+    more = run_flux_sweep(chip, fluxes + 0.01, device_ids=(1, 2), config_hash="h1")
+    write_sweep_csv(path, more, append=True)
+    back = read_sweep_csv(path)
+    np.testing.assert_array_equal(back.axis_values, np.concatenate([fluxes, fluxes + 0.01]))
+    np.testing.assert_array_equal(back.tables["amplitude"],
+                                  np.vstack([first.tables["amplitude"], more.tables["amplitude"]]))
 
 
 def test_read_rejects_empty_file(tmp_path):

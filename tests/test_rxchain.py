@@ -42,7 +42,7 @@ from fdmsim import (
     upconvert_ssb,
 )
 from fdmsim.rxchain import CROSSTALK_FLOOR_DB, NOISE_GUARD_BINS, ReadoutSetup
-from fdmsim.seeding import _child_seeds, derive_rng
+from fdmsim.seeding import _child_states, child_seed, derive_rng
 
 TWO_PI = 2 * math.pi
 
@@ -826,7 +826,7 @@ def receive_reference(setup, c, *, adc, noise_std, seeds):
         trace = c[i] @ tones
         if noise_std > 0:
             quad = trace.view(np.float64).reshape(-1, 2)
-            quad += derive_rng(int(seeds[i])).normal(0.0, noise_std, size=quad.shape)
+            quad += derive_rng(seeds[i]).normal(0.0, noise_std, size=quad.shape)
         if adc is not None:
             trace = adc_quantize(IQTrace(trace, setup.sample_rate),
                                  replace(adc, analog_bandwidth=None)).samples
@@ -872,7 +872,9 @@ def test_receive_equals_the_per_shot_loop_for_every_lane_count(case, n_points, r
     setup = replace(SHOT_SETUP, window=kwargs.pop("window", "rectangular"))
     monkeypatch.setattr(rx, "_SHOT_BLOCK_SAMPLES", rows * setup.n_samples)
     c = shot_table(n_points)
-    seeds = _child_seeds(11, n_points) if kwargs["noise_std"] > 0 else ()
+    noisy = kwargs["noise_std"] > 0
+    seeds = [child_seed(11, i) for i in range(n_points)] if noisy else ()
+    streams = _child_states(11, n_points) if noisy else None
     with caplog.at_level(logging.WARNING, logger="fdmsim.rxchain"):
         expected = receive_reference(setup, c, seeds=seeds, **kwargs)
         expected_clips = [r.getMessage() for r in caplog.records]
@@ -896,7 +898,7 @@ def test_receive_equals_the_per_shot_loop_for_every_lane_count(case, n_points, r
             threads.clear()
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="fdmsim.rxchain"):
-                iq, noise = rx._receive(setup, c.copy(), seeds=seeds, **kwargs)
+                iq, noise = rx._receive(setup, c.copy(), streams=streams, **kwargs)
             assert noise is None
             assert np.array_equal(iq, expected)
             # one warning per clipping shot, in shot order
@@ -924,5 +926,5 @@ def test_receive_raises_a_lane_failure_after_every_lane_ends(monkeypatch):
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="lane failed"):
         rx._receive(SHOT_SETUP, shot_table(9), adc=None, noise_std=0.05,
-                    seeds=_child_seeds(1, 9))
+                    streams=_child_states(1, 9))
     assert threading.active_count() == before

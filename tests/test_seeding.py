@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fdmsim import ConfigError, child_seed
-from fdmsim.seeding import _child_seeds, _derived_states, _set_state, derive_rng
+from fdmsim.seeding import _child_states, _set_state, derive_rng
 
 roots = st.one_of(st.integers(0, 2**63 - 1), st.integers(0, 2**128 - 1))
 paths = st.lists(st.integers(0, 2**32 - 1), max_size=3).map(tuple)
@@ -71,51 +71,25 @@ def stream_state(rng: np.random.Generator) -> tuple[int, int]:
     return state["state"], state["inc"]
 
 
+# The root's word boundaries, up to the largest root.
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(root=roots, count=st.integers(1, 40))
 @example(root=0, count=1)
+@example(root=2**32 - 1, count=2)
+@example(root=2**32, count=2)
+@example(root=2**64 - 1, count=2)
+@example(root=2**64, count=2)
 @example(root=2**128 - 1, count=3)
 def test_vectorized_streams_equal_child_seed_and_derive_rng(root, count):
-    seeds = _child_seeds(root, count)
-    assert seeds.dtype == np.uint64
-    assert [int(s) for s in seeds] == [child_seed(root, i) for i in range(count)]
-    # The derived states of those seeds, given as an array and as ints.
-    expected = [stream_state(derive_rng(int(s))) for s in seeds]
-    assert _derived_states(seeds) == expected
-    assert _derived_states([int(s) for s in seeds]) == expected
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(seeds=st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**63 - 1),
-                                st.integers(0, 2**128 - 1)), min_size=1, max_size=8))
-@example(seeds=[0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1])
-def test_derived_states_equal_derive_rng_for_every_root(seeds):
-    # Roots of one to four 32-bit words: without a path SeedSequence mixes
-    # a short root as if padded with zero words.
-    expected = [stream_state(derive_rng(s)) for s in seeds]
-    assert _derived_states(seeds) == expected
-    if max(seeds) < 2**64:
-        assert _derived_states(np.array(seeds, dtype=np.uint64)) == expected
-
-
-def test_derived_states_of_a_uint64_array_equal_the_list_path():
-    # Each word boundary of a uint64: one word, two words, the top bit.
-    seeds = [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
-    expected = [stream_state(derive_rng(s)) for s in seeds]
-    array = np.array(seeds, dtype=np.uint64)
-    assert _derived_states(array) == expected
-    assert _derived_states(seeds) == expected
-    assert _derived_states([int(s) for s in array]) == expected
-    assert _derived_states(array[::-1]) == expected[::-1]
-    assert _derived_states(np.zeros(0, dtype=np.uint64)) == []
+    expected = [stream_state(derive_rng(child_seed(root, i))) for i in range(count)]
+    assert _child_states(root, count) == expected
 
 
 def test_set_state_moves_one_generator_from_stream_to_stream():
-    seeds = [0, 7, 2**64 + 5, 2**128 - 1]
     generator = np.random.Generator(np.random.PCG64(0))
-    for seed, state in zip(seeds, _derived_states(seeds)):
+    for i, state in enumerate(_child_states(2**64 + 5, 4)):
         _set_state(generator, state)
-        expected = derive_rng(seed)
+        expected = derive_rng(child_seed(2**64 + 5, i))
         # An odd count of 32-bit draws leaves half a 64-bit output
         # buffered, which the next stream must not see.
         for draw in (lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32),
@@ -123,21 +97,16 @@ def test_set_state_moves_one_generator_from_stream_to_stream():
             np.testing.assert_array_equal(draw(generator), draw(expected))
 
 
-@pytest.mark.parametrize("seeds", [[-1], [3, 2**128], np.array([4, -2]), [0.5]])
+@pytest.mark.parametrize("seeds", [[-1], [2**128, 2**129], [np.int64(-2), -2**64],
+                                   [0.5, 7.25, math.nan]])
 def test_derived_states_reject_out_of_range_roots(seeds):
-    with pytest.raises(ConfigError, match="root seed"):
-        _derived_states(seeds)
+    for root in seeds:
+        with pytest.raises(ConfigError, match="root seed"):
+            _child_states(root, 3)
 
 
-def test_child_seeds_reject_out_of_range_keys():
-    with pytest.raises(ConfigError, match="root seed"):
-        _child_seeds(-1, 3)
-    with pytest.raises(ConfigError, match="root seed"):
-        _child_seeds(7.25, 3)
-    with pytest.raises(ConfigError, match="root seed"):
-        _child_seeds(2**128, 3)
+def test_child_states_reject_out_of_range_counts():
     # Checked before anything is allocated: path elements end at 2**32 - 1.
     with pytest.raises(ConfigError, match="path"):
-        _child_seeds(0, 2**32 + 1)
-    assert _child_seeds(0, 0).size == 0
-    assert _derived_states([]) == []
+        _child_states(0, 2**32 + 1)
+    assert _child_states(0, 0) == []
