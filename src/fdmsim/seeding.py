@@ -183,8 +183,8 @@ def _child_states(root_seed: int, count: int) -> list[tuple[int, int]]:
 
 
 def _set_state(generator: np.random.Generator, state: tuple[int, int]) -> None:
-    """Puts generator, a PCG64 Generator, at a (state, inc) pair of
-    _child_states, so that it draws what that stream would."""
+    """Puts generator, a PCG64 Generator, at a (state, inc) pair such as
+    _child_states gives, so that it draws what the stream from there would."""
     generator.bit_generator.state = {
         "bit_generator": "PCG64",
         "state": {"state": state[0], "inc": state[1]},
