@@ -8,6 +8,7 @@ deterministic: same chip, same seed, byte-identical bytes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -721,17 +722,21 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def _csv_columns(result: SweepResult) -> list[tuple[str, str]]:
+def _csv_columns(tables, columns) -> list[tuple[str, int, str]]:
+    """The data columns of a sweep CSV in file order, the one layout rule
+    of the format: (table, j, "<table>_<columns[j]>") for each table in
+    sorted order and each of its columns j in turn.  Entry i is the
+    file's column i + 2, the axis being column 1."""
     return [
-        (table, col)
-        for table in sorted(result.tables)
-        for col in result.columns
+        (table, j, f"{table}_{col}")
+        for table in sorted(tables)
+        for j, col in enumerate(columns)
     ]
 
 
 def _csv_column_row(result: SweepResult) -> str:
-    names = [result.axis_name] + [f"{t}_{c}" for t, c in _csv_columns(result)]
-    return ",".join(names)
+    layout = _csv_columns(result.tables, result.columns)
+    return ",".join([result.axis_name] + [name for _, _, name in layout])
 
 
 def _csv_header_lines(result: SweepResult) -> list[str]:
@@ -742,8 +747,9 @@ def _csv_header_lines(result: SweepResult) -> list[str]:
 
 
 def _csv_data_lines(result: SweepResult) -> list[str]:
+    layout = _csv_columns(result.tables, result.columns)
     rows = np.column_stack(
-        [result.axis_values] + [result.tables[table] for table in sorted(result.tables)]
+        [result.axis_values] + [result.tables[table][:, j] for table, j, _ in layout]
     )
     return [",".join(map(repr, row)) for row in rows.tolist()]
 
@@ -800,58 +806,76 @@ def _read_csv_header(fh) -> tuple[dict[str, str], str | None, int]:
     return metadata, None, number
 
 
+def _csv_layout(where, metadata: dict[str, str], column_row: str | None):
+    """The axis name, device ids, columns and sorted table names that a
+    sweep CSV's header metadata and column row describe.
+
+    The columns are dev<id> for each id of the device_ids header, or
+    else the one column that ends the first data column's name.  Each
+    data column name is <table>_<column>, split at its last '_'.  The
+    column row must then be the one _csv_columns lays out for these
+    tables and columns.  Otherwise, and for a column row without data
+    columns or a device_ids header that is not a list of integers, raises
+    ConfigError beginning with where (the file, for the reader)."""
+    names = (column_row or "").split(",")
+    if len(names) < 2:
+        raise ConfigError(f"{where}: column row {column_row!r} names no data column")
+    try:
+        device_ids = tuple(int(tok) for tok in metadata.get("device_ids", "").split())
+    except ValueError:
+        raise ConfigError(f"{where}: header line '# device_ids={metadata['device_ids']}' "
+                          f"does not list integer device ids") from None
+    if device_ids:
+        columns = tuple(f"dev{d}" for d in device_ids)
+    else:
+        columns = (names[1].rpartition("_")[2],)
+    tables = sorted({name.rpartition("_")[0] for name in names[1:]})
+    expected = names[:1] + [name for _, _, name in _csv_columns(tables, columns)]
+    for i, (got, want) in enumerate(itertools.zip_longest(names, expected), 1):
+        if got != want:
+            raise ConfigError(
+                f"{where}: column {i} of the column row is "
+                f"{'missing' if got is None else repr(got)}, but tables {tables} "
+                f"over columns {list(columns)} put {'none' if want is None else repr(want)} "
+                "there"
+            )
+    return names[0], device_ids, columns, tables
+
+
 def read_sweep_csv(path: str | Path) -> SweepResult:
     """Inverse of write_sweep_csv (metadata comes back as strings).  A
-    data row with the wrong cell count or a non-number, a device_ids
-    header that is not a list of integers, a column row without data
-    columns, or no data raises ConfigError naming the file (and the
-    line)."""
+    data row with the wrong cell count or a non-number, no data, or a
+    header that _csv_layout refuses (a column row that is not the
+    layout of its tables and device ids) raises ConfigError naming the
+    file (and the line or column)."""
     path = Path(path)
     rows: list[list[float]] = []
     with open(path) as fh:
         metadata, column_row, number = _read_csv_header(fh)
-        header = (column_row or "").split(",")
+        n_cells = len((column_row or "").split(","))
         for number, line in enumerate(fh, number + 1):
             text = line.strip()
             if not text or text.startswith("#"):
                 continue
             cells = text.split(",")
-            if len(cells) != len(header):
+            if len(cells) != n_cells:
                 raise ConfigError(f"{path}, line {number}: {len(cells)} cells, but the "
-                                  f"column row has {len(header)}")
+                                  f"column row has {n_cells}")
             try:
                 rows.append([float(cell) for cell in cells])
             except ValueError as exc:
                 raise ConfigError(f"{path}, line {number}: {exc}") from None
     if not rows:
         raise ConfigError(f"{path} holds no sweep data")
-    if len(header) < 2:
-        raise ConfigError(f"{path}: column row {column_row!r} names no data column")
+    axis_name, device_ids, columns, tables = _csv_layout(path, metadata, column_row)
     data = np.array(rows)
-    axis_name = header[0]
-    kind = metadata.get("kind", "unknown")
-    try:
-        device_ids = tuple(int(tok) for tok in metadata.get("device_ids", "").split())
-    except ValueError:
-        raise ConfigError(f"{path}: header line '# device_ids={metadata['device_ids']}' "
-                          f"does not list integer device ids") from None
-    # Column names are table_column; recover both by matching known columns.
-    if device_ids:
-        columns = tuple(f"dev{d}" for d in device_ids)
-    else:
-        columns = (header[1].rpartition("_")[2],)
-    tables: dict[str, np.ndarray] = {}
-    n_cols = len(columns)
-    for block in range((len(header) - 1) // n_cols):
-        first = header[1 + block * n_cols]
-        table = first[: -(len(columns[0]) + 1)]
-        tables[table] = data[:, 1 + block * n_cols : 1 + (block + 1) * n_cols]
+    layout = list(enumerate(_csv_columns(tables, columns), 1))
     return SweepResult(
-        kind=kind,
+        kind=metadata.get("kind", "unknown"),
         axis_name=axis_name,
         axis_values=data[:, 0],
         columns=columns,
-        tables=tables,
+        tables={t: data[:, [i for i, (u, _, _) in layout if u == t]] for t in tables},
         device_ids=device_ids,
         metadata=metadata,
     )

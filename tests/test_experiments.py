@@ -1262,6 +1262,26 @@ def test_read_names_the_file_and_line_it_cannot_read(tmp_path, text, match):
     assert str(path) in str(info.value)
 
 
+# Column rows that are not the writer's layout for device_ids 1 2, each
+# with the first column that differs from it: these used to read back
+# with tables mislabelled, swapped or lost.
+@pytest.mark.parametrize("names, match", [
+    ("amplitude_dev1,amplitude_dev2,phase_dev1", r"column 5 .* is missing, .* 'phase_dev2'"),
+    ("amplitude_dev1,phase_dev2,phase_dev1,amplitude_dev2",
+     r"column 3 .* is 'phase_dev2', .* 'amplitude_dev2'"),
+    ("amplitude_dev2,amplitude_dev1", r"column 2 .* is 'amplitude_dev2', .* 'amplitude_dev1'"),
+    ("amplitude_dev1,amplitude_dev1", r"column 3 .* is 'amplitude_dev1', .* 'amplitude_dev2'"),
+], ids=["lost-column", "mislabelled-tables", "swapped-devices", "repeated-column"])
+def test_read_refuses_a_column_row_off_the_layout(tmp_path, names, match):
+    path = tmp_path / "bad.csv"
+    n = names.count(",") + 1
+    path.write_text(CSV_HEAD + f"flux_phi0,{names}\n"
+                    + ",".join(["0.0"] + [str(k) for k in range(1, n + 1)]) + "\n")
+    with pytest.raises(ConfigError, match=match) as info:
+        read_sweep_csv(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
 def test_append_reads_the_header_as_read_sweep_csv_does(tmp_path, chip):
     # A blank line before the column row, and blank lines among the rows.
     fluxes = np.linspace(-0.002, 0.002, 3)
