@@ -21,15 +21,12 @@ from . import __version__
 from .chipfile import builtin_chip_path, config_hash, load_chip
 from .errors import FdmSimError, InfeasiblePlanError
 from .experiments import (
-    SweepResult,
     detect_flux_features,
     fit_damped_sinusoid,
     make_readout_setup,
     run_flux_sweep,
     run_rabi,
     run_spectroscopy,
-    write_sweep_csv,
-    write_sweep_json,
 )
 from .planner import (
     CapacityQuery,
@@ -39,9 +36,17 @@ from .planner import (
     max_channels,
     plan_for_chip,
 )
-from .rxchain import _acquisition_grid, measure_crosstalk, write_measurements_csv
+from .rxchain import _acquisition_grid, measure_crosstalk
 from .rxchain import channelize as channelize_trace
-from .traceio import _write_file, read_trace
+from .traceio import (
+    SweepResult,
+    _csv_columns,
+    _write_file,
+    read_trace,
+    write_measurements_csv,
+    write_sweep_csv,
+    write_sweep_json,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -161,14 +166,10 @@ def _gnuplot_script(csv_path: Path, result: SweepResult) -> str:
         f"set xlabel '{result.axis_name}'",
         "set key outside",
     ]
-    plots = []
-    col = 2
-    for table in sorted(result.tables):
-        for name in result.columns:
-            plots.append(
-                f"'{csv_path.name}' using 1:{col} with lines title '{table} {name}'"
-            )
-            col += 1
+    plots = [
+        f"'{csv_path.name}' using 1:{col} with lines title '{table} {result.columns[j]}'"
+        for col, (table, j, _) in enumerate(_csv_columns(result.tables, result.columns), 2)
+    ]
     lines.append("plot \\\n  " + ", \\\n  ".join(plots))
     return "\n".join(lines) + "\n"
 

@@ -2,17 +2,14 @@
 
 Each experiment returns a SweepResult, a small table container with one
 independent axis, named per-device (or composite) columns, and metadata
-that rides along into the CSV/JSON writers.  Output files are
-deterministic: same chip, same seed, byte-identical bytes.
+that rides along into the CSV/JSON writers of traceio.  Output files
+are deterministic: same chip, same seed, byte-identical bytes.
 """
 
 from __future__ import annotations
 
-import itertools
-import json
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,9 +25,7 @@ from .rxchain import (
     _acquisition_grid,
     _check_noise,
     _default_lo,
-    _header_items,
     _receive,
-    _text_keys,
     add_awgn,
     adc_quantize,
     apply_feedline,
@@ -38,51 +33,16 @@ from .rxchain import (
     downconvert,
 )
 from .seeding import _child_states, child_seed
-from .traceio import _write_file
+from .traceio import SweepResult, write_sweep_csv
 from .txchain import synthesize_multitone, upconvert_ssb
 
 # evolve_for, add_awgn, adc_quantize, apply_feedline, channelize,
 # downconvert, child_seed, synthesize_multitone and upconvert_ssb are not
 # called in this module.  They stay bound here because perfbench/tracer.py
-# wraps each stage by its attribute in this namespace.
-
-CSV_FORMAT_TAG = "fdmsim-sweep-v1"
-
-
-@dataclass
-class SweepResult:
-    """One independent axis, several named tables of shape (n_axis, n_columns)."""
-
-    kind: str
-    axis_name: str
-    axis_values: np.ndarray
-    columns: tuple[str, ...]
-    tables: dict[str, np.ndarray]
-    device_ids: tuple[int, ...] = ()
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.axis_values = np.asarray(self.axis_values, dtype=float)
-        if self.axis_values.ndim != 1 or self.axis_values.size == 0:
-            raise ConfigError("axis_values must be a non-empty 1-d array")
-        shape = (self.axis_values.size, len(self.columns))
-        for name, table in self.tables.items():
-            table = np.asarray(table, dtype=float)
-            if table.shape != shape:
-                raise ConfigError(
-                    f"table {name!r} has shape {table.shape}, expected {shape}"
-                )
-            self.tables[name] = table
-
-    def column(self, table: str, label: str | int) -> np.ndarray:
-        """One column as a 1-d array; an int label means a device id."""
-        if isinstance(label, int):
-            label = f"dev{label}"
-        try:
-            j = self.columns.index(label)
-        except ValueError:
-            raise ConfigError(f"no column {label!r}; have {self.columns}") from None
-        return self.tables[table][:, j]
+# wraps each stage by its attribute in this namespace.  The same holds
+# for write_sweep_csv, which lives in traceio: the tracer wraps
+# experiments.write_sweep_csv, and the perfbench workloads call it there.
+# They also name experiments.ReadoutSetup, so it must stay bound here too.
 
 
 # ---------------------------------------------------------------------------
@@ -706,197 +666,3 @@ def fit_damped_sinusoid(times, values) -> DampedSinusoidFit:
         r_squared=r2,
         valid=valid,
     )
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def _format_value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (np.floating,)):
-        return repr(float(v))
-    if isinstance(v, (np.integer,)):
-        return repr(int(v))
-    return str(v)
-
-
-def _csv_columns(tables, columns) -> list[tuple[str, int, str]]:
-    """The data columns of a sweep CSV in file order, the one layout rule
-    of the format: (table, j, "<table>_<columns[j]>") for each table in
-    sorted order and each of its columns j in turn.  Entry i is the
-    file's column i + 2, the axis being column 1."""
-    return [
-        (table, j, f"{table}_{col}")
-        for table in sorted(tables)
-        for j, col in enumerate(columns)
-    ]
-
-
-def _csv_column_row(result: SweepResult) -> str:
-    layout = _csv_columns(result.tables, result.columns)
-    return ",".join([result.axis_name] + [name for _, _, name in layout])
-
-
-def _csv_header_lines(result: SweepResult) -> list[str]:
-    lines = [f"# {CSV_FORMAT_TAG}"]
-    lines += [f"# {key}={text}" for key, text in _header_items(result.metadata, _format_value)]
-    lines.append(_csv_column_row(result))
-    return lines
-
-
-def _csv_data_lines(result: SweepResult) -> list[str]:
-    layout = _csv_columns(result.tables, result.columns)
-    rows = np.column_stack(
-        [result.axis_values] + [result.tables[table][:, j] for table, j, _ in layout]
-    )
-    return [",".join(map(repr, row)) for row in rows.tolist()]
-
-
-def write_sweep_csv(path: str | Path, result: SweepResult, append: bool = False) -> None:
-    """Write a sweep as CSV with '#' metadata header lines.
-
-    Floats are serialized with repr() so re-runs are byte-identical.
-    With append=True and an existing file, the new rows must come from
-    the same configuration and layout: the file's config_hash and kind
-    headers and its column row must match the result's, and any mismatch
-    is refused before a byte is written.  So is metadata that would not
-    read back as written: a line break in a key or value, an '=' in a
-    key, or outer whitespace around either.  Without append, an existing
-    file is rewritten in place, not truncated first (traceio._write_file).
-    """
-    path = Path(path)
-    header = _csv_header_lines(result)
-    if append and path.exists():
-        with open(path) as fh:
-            existing, column_row, _ = _read_csv_header(fh)
-        checks = (
-            ("config_hash", existing.get("config_hash"), result.metadata.get("config_hash")),
-            ("kind", existing.get("kind"), result.kind),
-            ("column row", column_row, _csv_column_row(result)),
-        )
-        for what, theirs, ours in checks:
-            if ours is None or theirs is None or str(ours) != str(theirs):
-                raise ConfigError(
-                    f"refusing to append to {path}: {what} "
-                    f"{theirs!r} does not match {ours!r}"
-                )
-        body = "\n".join(_csv_data_lines(result)) + "\n"
-        with open(path, "a", newline="\n") as fh:
-            fh.write(body)
-        return
-    _write_file(path, "\n".join(header + _csv_data_lines(result)) + "\n")
-
-
-def _read_csv_header(fh) -> tuple[dict[str, str], str | None, int]:
-    """The '#' metadata of a sweep CSV, its column row (None if absent)
-    and the number of the last line read, reading the open file fh up to
-    and including the column row.  Blank lines are skipped."""
-    metadata = {}
-    number = 0
-    for number, line in enumerate(fh, 1):
-        text = line.strip()
-        if text.startswith("#"):
-            key, eq, value = text[1:].partition("=")
-            if eq:
-                metadata[key.strip()] = value.strip()
-        elif text:
-            return metadata, text, number
-    return metadata, None, number
-
-
-def _csv_layout(where, metadata: dict[str, str], column_row: str | None):
-    """The axis name, device ids, columns and sorted table names that a
-    sweep CSV's header metadata and column row describe.
-
-    The columns are dev<id> for each id of the device_ids header, or
-    else the one column that ends the first data column's name.  Each
-    data column name is <table>_<column>, split at its last '_'.  The
-    column row must then be the one _csv_columns lays out for these
-    tables and columns.  Otherwise, and for a column row without data
-    columns or a device_ids header that is not a list of integers, raises
-    ConfigError beginning with where (the file, for the reader)."""
-    names = (column_row or "").split(",")
-    if len(names) < 2:
-        raise ConfigError(f"{where}: column row {column_row!r} names no data column")
-    try:
-        device_ids = tuple(int(tok) for tok in metadata.get("device_ids", "").split())
-    except ValueError:
-        raise ConfigError(f"{where}: header line '# device_ids={metadata['device_ids']}' "
-                          f"does not list integer device ids") from None
-    if device_ids:
-        columns = tuple(f"dev{d}" for d in device_ids)
-    else:
-        columns = (names[1].rpartition("_")[2],)
-    tables = sorted({name.rpartition("_")[0] for name in names[1:]})
-    expected = names[:1] + [name for _, _, name in _csv_columns(tables, columns)]
-    for i, (got, want) in enumerate(itertools.zip_longest(names, expected), 1):
-        if got != want:
-            raise ConfigError(
-                f"{where}: column {i} of the column row is "
-                f"{'missing' if got is None else repr(got)}, but tables {tables} "
-                f"over columns {list(columns)} put {'none' if want is None else repr(want)} "
-                "there"
-            )
-    return names[0], device_ids, columns, tables
-
-
-def read_sweep_csv(path: str | Path) -> SweepResult:
-    """Inverse of write_sweep_csv (metadata comes back as strings).  A
-    data row with the wrong cell count or a non-number, no data, or a
-    header that _csv_layout refuses (a column row that is not the
-    layout of its tables and device ids) raises ConfigError naming the
-    file (and the line or column)."""
-    path = Path(path)
-    rows: list[list[float]] = []
-    with open(path) as fh:
-        metadata, column_row, number = _read_csv_header(fh)
-        n_cells = len((column_row or "").split(","))
-        for number, line in enumerate(fh, number + 1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            cells = text.split(",")
-            if len(cells) != n_cells:
-                raise ConfigError(f"{path}, line {number}: {len(cells)} cells, but the "
-                                  f"column row has {n_cells}")
-            try:
-                rows.append([float(cell) for cell in cells])
-            except ValueError as exc:
-                raise ConfigError(f"{path}, line {number}: {exc}") from None
-    if not rows:
-        raise ConfigError(f"{path} holds no sweep data")
-    axis_name, device_ids, columns, tables = _csv_layout(path, metadata, column_row)
-    data = np.array(rows)
-    layout = list(enumerate(_csv_columns(tables, columns), 1))
-    return SweepResult(
-        kind=metadata.get("kind", "unknown"),
-        axis_name=axis_name,
-        axis_values=data[:, 0],
-        columns=columns,
-        tables={t: data[:, [i for i, (u, _, _) in layout if u == t]] for t in tables},
-        device_ids=device_ids,
-        metadata=metadata,
-    )
-
-
-def write_sweep_json(path: str | Path, result: SweepResult) -> None:
-    """JSON twin of the CSV writer (sorted keys, lists for arrays)."""
-    payload = {
-        "format": CSV_FORMAT_TAG,
-        "kind": result.kind,
-        "axis_name": result.axis_name,
-        "axis_values": [float(x) for x in result.axis_values],
-        "columns": list(result.columns),
-        "device_ids": list(result.device_ids),
-        "tables": {
-            name: [[float(v) for v in row] for row in table]
-            for name, table in sorted(result.tables.items())
-        },
-        "metadata": {
-            text: _format_value(result.metadata[key])
-            for text, key in _text_keys(result.metadata)
-        },
-    }
-    _write_file(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

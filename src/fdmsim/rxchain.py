@@ -20,7 +20,6 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +29,6 @@ from .errors import ConfigError, LoMismatchError, NyquistError, UnknownDeviceErr
 from .lanes import lane_count as _lane_count, run as _run_lanes
 from .planner import _grid_offset
 from .seeding import _check_root_seed, _set_state, derive_rng
-from .traceio import _write_file
 from .txchain import IQTrace, synthesize_multitone, upconvert_ssb
 
 # synthesize_multitone and upconvert_ssb are not called in this module.
@@ -688,62 +686,3 @@ def measure_crosstalk(
         else:
             out[dev] = max(20.0 * math.log10(other / own), CROSSTALK_FLOOR_DB)
     return out
-
-
-def write_measurements_csv(
-    path: str | Path,
-    measurements: Sequence[ToneMeasurement],
-    metadata: dict[str, object] | None = None,
-) -> None:
-    """Write tone measurements as CSV with a '#' metadata header block.
-
-    Metadata that would not read back as written (a line break, an '='
-    in a key, outer whitespace; see _header_items) raises ConfigError
-    before anything is written.
-    """
-    lines = ["# fdmsim tone measurements v1"]
-    lines += [f"# {key}: {text}" for key, text in _header_items(metadata or {})]
-    lines.append("channel_hz,amplitude,phase_rad,noise_std")
-    for m in measurements:
-        lines.append(
-            f"{m.channel_frequency!r},{m.amplitude!r},{m.phase!r},{m.noise_std!r}"
-        )
-    _write_file(path, "\n".join(lines) + "\n")
-
-
-def _text_keys(metadata: dict) -> list[tuple[str, object]]:
-    """(str(key), key) for every metadata key, sorted by str(key), so that
-    keys of mixed types sort.  Two keys with one text, such as 1 and "1",
-    would be written as one: ConfigError."""
-    keys = sorted(((str(key), key) for key in metadata), key=lambda pair: pair[0])
-    for (text, a), (other, b) in zip(keys, keys[1:]):
-        if text == other:
-            raise ConfigError(f"metadata keys {a!r} and {b!r} are both written as {text!r}")
-    return keys
-
-
-def _header_items(metadata: dict, fmt=str) -> list[tuple[str, str]]:
-    """(str(key), fmt(value)) pairs of a '#' header block, sorted by key text.
-
-    Every pair must read back as written, so ConfigError is raised for
-    two keys with the same text (see _text_keys), a line break in a key
-    or value (it would split its header line and the reader would take
-    the rest for data), an '=' in a key (the sweep reader splits a header
-    line at its first '='), and leading or trailing whitespace in a key
-    or value (the readers strip it).
-    """
-    items = [(text, fmt(metadata[key])) for text, key in _text_keys(metadata)]
-    for key, text in items:
-        if any(brk in key or brk in text for brk in "\r\n"):
-            raise ConfigError(
-                f"metadata {key!r} = {text!r} holds a line break; "
-                "header lines must be single lines"
-            )
-        if "=" in key:
-            raise ConfigError(f"metadata key {key!r} holds '=', which ends a header key")
-        if key != key.strip() or text != text.strip():
-            raise ConfigError(
-                f"metadata {key!r} = {text!r} has outer whitespace, "
-                "which the reader strips"
-            )
-    return items

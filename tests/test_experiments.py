@@ -1243,6 +1243,25 @@ def test_writers_sort_mixed_type_metadata_keys_by_text(tmp_path, chip):
     assert "# 1: x" in (tmp_path / "tones.csv").read_text()
 
 
+def test_writers_format_numpy_metadata_as_python_numbers(tmp_path, chip):
+    # np.float64 is a float whose numpy 2 repr is 'np.float64(0.3)'.
+    numbers = {"x": np.float64(0.3), "y": np.float32(0.1), "z": np.int64(7)}
+    text = {"x": "0.3", "y": "0.10000000149011612", "z": "7"}
+    result = run_flux_sweep(chip, np.linspace(-0.002, 0.002, 3), device_ids=(1,))
+    result.metadata.update(numbers)
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(path, result)
+    assert {k: read_sweep_csv(path).metadata[k] for k in text} == text
+    write_sweep_json(tmp_path / "sweep.json", result)
+    assert {k: json.loads((tmp_path / "sweep.json").read_text())["metadata"][k]
+            for k in text} == text
+    setup = make_readout_setup(chip, (1,))
+    meas = acquire(chip, setup, [-1.0] * len(chip.devices), 0.0)
+    write_measurements_csv(tmp_path / "tones.csv", meas, numbers)
+    lines = (tmp_path / "tones.csv").read_text().splitlines()
+    assert [f"# {k}: {v}" for k, v in text.items()] == lines[1:4]
+
+
 CSV_HEAD = "# fdmsim-sweep-v1\n# kind=flux_sweep\n# device_ids=1 2\n"
 COLUMN_ROW = "flux_phi0,amplitude_dev1,amplitude_dev2\n"
 

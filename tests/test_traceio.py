@@ -13,8 +13,6 @@ import numpy as np
 import pytest
 
 import fdmsim.cli
-import fdmsim.experiments
-import fdmsim.rxchain
 import fdmsim.traceio
 from fdmsim import (
     ConfigError,
@@ -132,7 +130,7 @@ WRITERS = {
         "sweep", "--points", "3", "--devices", ",".join(map(str, range(1, n + 1))),
         "--out", str(path.with_suffix("")), "--emit-gnuplot"]),
 }
-WRITER_MODULES = (fdmsim.traceio, fdmsim.experiments, fdmsim.rxchain, fdmsim.cli)
+WRITER_MODULES = (fdmsim.traceio, fdmsim.cli)
 
 
 def truncating_write(path, data):
