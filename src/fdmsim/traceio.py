@@ -22,6 +22,7 @@ start time are not persisted.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import os
@@ -174,11 +175,11 @@ def _csv_column_row(result: SweepResult) -> str:
     return ",".join([result.axis_name] + [name for _, _, name in layout])
 
 
-def _csv_header_lines(result: SweepResult) -> list[str]:
+def _csv_header(result: SweepResult) -> str:
     lines = [f"# {CSV_FORMAT_TAG}"]
     lines += [f"# {key}={text}" for key, text in _header_items(result.metadata)]
     lines.append(_csv_column_row(result))
-    return lines
+    return "\n".join(lines) + "\n"
 
 
 def _csv_data_lines(result: SweepResult) -> list[str]:
@@ -193,19 +194,38 @@ def write_sweep_csv(path: str | Path, result: SweepResult, append: bool = False)
     """Write a sweep as CSV with '#' metadata header lines.
 
     Floats are serialized with repr() so re-runs are byte-identical.
+    The header must read back as written, so it is first read as
+    read_sweep_csv would read it.  A result whose axis name, device ids,
+    columns or table names would come back otherwise is refused before a
+    byte is written: a ',' or a line break in a name, several columns
+    without device ids, a column holding '_' without device ids, or
+    device ids that the device_ids metadata does not list.  So is
+    metadata that would not read back as written: a line break in a key
+    or value, an '=' in a key, or outer whitespace around either.
     With append=True and an existing file, the new rows must come from
-    the same configuration and layout: the file's config_hash and kind
-    headers and its column row must match the result's, and any mismatch
-    is refused before a byte is written.  So is metadata that would not
-    read back as written: a line break in a key or value, an '=' in a
-    key, or outer whitespace around either.  Without append, an existing
-    file is rewritten in place, not truncated first (_write_file).
+    the same configuration and layout: the file must begin with the
+    format tag line, its header must pass the reader's layout check, and
+    its config_hash and kind headers and its column row must match the
+    result's; any mismatch is refused before a byte is written.  Without
+    append, an existing file is rewritten in place, not truncated first
+    (_write_file).
     """
     path = Path(path)
-    header = _csv_header_lines(result)
+    header = _csv_header(result)
+    where = f"refusing to write {path}"
+    metadata, column_row, _ = _read_csv_header(io.StringIO(header, newline=None), where)
+    read_back = _csv_layout(where, metadata, column_row)
+    ours = (result.axis_name, tuple(result.device_ids), tuple(result.columns),
+            sorted(result.tables))
+    if read_back != ours:
+        raise ConfigError(f"{where}: axis name, device ids, columns and tables {ours} "
+                          f"would read back as {read_back}")
+    body = "\n".join(_csv_data_lines(result)) + "\n"
     if append and path.exists():
+        where = f"refusing to append to {path}"
         with open(path) as fh:
-            existing, column_row, _ = _read_csv_header(fh)
+            existing, column_row, _ = _read_csv_header(fh, where)
+        _csv_layout(where, existing, column_row)
         checks = (
             ("config_hash", existing.get("config_hash"), result.metadata.get("config_hash")),
             ("kind", existing.get("kind"), result.kind),
@@ -213,24 +233,30 @@ def write_sweep_csv(path: str | Path, result: SweepResult, append: bool = False)
         )
         for what, theirs, ours in checks:
             if ours is None or theirs is None or str(ours) != str(theirs):
-                raise ConfigError(
-                    f"refusing to append to {path}: {what} "
-                    f"{theirs!r} does not match {ours!r}"
-                )
-        body = "\n".join(_csv_data_lines(result)) + "\n"
+                raise ConfigError(f"{where}: {what} {theirs!r} does not match {ours!r}")
         with open(path, "a", newline="\n") as fh:
             fh.write(body)
         return
-    _write_file(path, "\n".join(header + _csv_data_lines(result)) + "\n")
+    _write_file(path, header + body)
 
 
-def _read_csv_header(fh) -> tuple[dict[str, str], str | None, int]:
+def _read_csv_header(fh, where) -> tuple[dict[str, str], str | None, int]:
     """The '#' metadata of a sweep CSV, its column row (None if absent)
     and the number of the last line read, reading the open file fh up to
-    and including the column row.  Blank lines are skipped."""
-    metadata = {}
-    number = 0
+    and including the column row.  Blank lines are skipped.  The first
+    line that is not blank must be the format tag line,
+    '# fdmsim-sweep-v1'; otherwise raises ConfigError beginning with
+    where (the file, for the reader)."""
+    number, text = 0, ""
     for number, line in enumerate(fh, 1):
+        text = line.strip()
+        if text:
+            break
+    if text != f"# {CSV_FORMAT_TAG}":
+        raise ConfigError(f"{where}: the file does not begin with the format tag line "
+                          f"'# {CSV_FORMAT_TAG}'")
+    metadata = {}
+    for number, line in enumerate(fh, number + 1):
         text = line.strip()
         if text.startswith("#"):
             key, eq, value = text[1:].partition("=")
@@ -286,7 +312,7 @@ def read_sweep_csv(path: str | Path) -> SweepResult:
     path = Path(path)
     rows: list[list[float]] = []
     with open(path) as fh:
-        metadata, column_row, number = _read_csv_header(fh)
+        metadata, column_row, number = _read_csv_header(fh, path)
         n_cells = len((column_row or "").split(","))
         for number, line in enumerate(fh, number + 1):
             text = line.strip()

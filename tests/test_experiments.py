@@ -4,6 +4,7 @@ import dataclasses
 import json
 import logging
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -1271,7 +1272,8 @@ COLUMN_ROW = "flux_phi0,amplitude_dev1,amplitude_dev2\n"
     (CSV_HEAD + COLUMN_ROW + "0.0,abc,2.0\n", r"line 5: could not convert string to float: 'abc'"),
     (CSV_HEAD.replace("=1 2", "=1 x") + COLUMN_ROW + "0.0,1.0,2.0\n",
      r"'# device_ids=1 x' does not list integer device ids"),
-    ("# kind=flux_sweep\nflux_phi0\n0.0\n", r"column row 'flux_phi0' names no data column"),
+    ("# fdmsim-sweep-v1\n# kind=flux_sweep\nflux_phi0\n0.0\n",
+     r"column row 'flux_phi0' names no data column"),
 ], ids=["short-row", "text-cell", "device-ids", "axis-only"])
 def test_read_names_the_file_and_line_it_cannot_read(tmp_path, text, match):
     path = tmp_path / "bad.csv"
@@ -1299,6 +1301,66 @@ def test_read_refuses_a_column_row_off_the_layout(tmp_path, names, match):
     with pytest.raises(ConfigError, match=match) as info:
         read_sweep_csv(path)
     assert str(info.value).startswith(f"{path}: ")
+
+
+def composite(**changes):
+    """A one-column sweep without device ids, as run_spectroscopy builds
+    them, with the given fields changed."""
+    fields = dict(kind="t", axis_name="probe_hz", axis_values=[1.0, 2.0],
+                  columns=("feedline",), tables={"s21": np.zeros((2, 1))},
+                  metadata={"kind": "t", "config_hash": "h1"})
+    fields.update(changes)
+    n_columns = len(fields["columns"])
+    fields["tables"] = {name: np.zeros((2, n_columns)) for name in fields["tables"]}
+    return SweepResult(**fields)
+
+
+# Each of these used to be written, and then read back changed or not at
+# all: a ',' or a line break splits a name, and without device ids the
+# reader takes one column, named by what follows the last '_'.
+@pytest.mark.parametrize("result", [
+    composite(axis_name="probe,hz"), composite(tables={"s21,amp": 0}),
+    composite(columns=("feed,line",)), composite(axis_name="probe\nhz"),
+    composite(tables={"s21\ramp": 0}), composite(columns=("feed\nline",)),
+    composite(columns=("a", "b")), composite(columns=("feed_line",)),
+    composite(columns=("dev1",), device_ids=(1,)),
+    composite(columns=("dev1", "dev2"), device_ids=(1, 2)),
+], ids=["comma-axis", "comma-table", "comma-column", "lf-axis", "cr-table", "lf-column",
+        "two-columns-no-ids", "underscore-column", "one-id-not-in-header",
+        "two-ids-not-in-header"])
+def test_csv_writer_refuses_a_layout_that_would_not_read_back(tmp_path, result):
+    path = tmp_path / "sweep.csv"
+    with pytest.raises(ConfigError, match=f"refusing to write {re.escape(str(path))}: "):
+        write_sweep_csv(path, result)
+    assert not path.exists()
+    write_sweep_csv(path, composite())
+    before = path.read_bytes()
+    with pytest.raises(ConfigError, match="refusing to write"):
+        write_sweep_csv(path, result, append=True)
+    assert path.read_bytes() == before
+
+
+def test_read_and_append_refuse_a_file_without_the_format_tag(tmp_path, chip):
+    # A tone measurements CSV used to read back as a sweep of kind
+    # 'unknown' with one table named ''.
+    setup = make_readout_setup(chip, (1, 2))
+    path = tmp_path / "tones.csv"
+    write_measurements_csv(path, acquire(chip, setup, [-1.0] * len(chip.devices), 0.0),
+                           {"config_hash": "h1", "kind": "flux_sweep"})
+    before = path.read_bytes()
+    tag = r": the file does not begin with the format tag line '# fdmsim-sweep-v1'"
+    with pytest.raises(ConfigError, match=re.escape(str(path)) + tag):
+        read_sweep_csv(path)
+    sweep = run_flux_sweep(chip, np.linspace(-0.002, 0.002, 3), device_ids=(1, 2),
+                           config_hash="h1")
+    with pytest.raises(ConfigError, match=f"refusing to append to {re.escape(str(path))}{tag}"):
+        write_sweep_csv(path, sweep, append=True)
+    assert path.read_bytes() == before
+    untagged = tmp_path / "untagged.csv"
+    write_sweep_csv(untagged, sweep)
+    untagged.write_text("\n" + untagged.read_text().partition("\n")[2])
+    with pytest.raises(ConfigError, match=tag):
+        read_sweep_csv(untagged)
 
 
 def test_append_reads_the_header_as_read_sweep_csv_does(tmp_path, chip):
