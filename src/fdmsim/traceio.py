@@ -175,11 +175,11 @@ def _csv_column_row(result: SweepResult) -> str:
     return ",".join([result.axis_name] + [name for _, _, name in layout])
 
 
-def _csv_header(result: SweepResult) -> str:
+def _csv_header_lines(result: SweepResult) -> list[str]:
     lines = [f"# {CSV_FORMAT_TAG}"]
     lines += [f"# {key}={text}" for key, text in _header_items(result.metadata)]
     lines.append(_csv_column_row(result))
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def _csv_data_lines(result: SweepResult) -> list[str]:
@@ -211,16 +211,17 @@ def write_sweep_csv(path: str | Path, result: SweepResult, append: bool = False)
     (_write_file).
     """
     path = Path(path)
-    header = _csv_header(result)
+    header = _csv_header_lines(result)
     where = f"refusing to write {path}"
-    metadata, column_row, _ = _read_csv_header(io.StringIO(header, newline=None), where)
+    # The lines as a file splits them: a name may hold a line break.
+    written = io.StringIO("\n".join(header), newline=None)
+    metadata, column_row, _ = _read_csv_header(written, where)
     read_back = _csv_layout(where, metadata, column_row)
     ours = (result.axis_name, tuple(result.device_ids), tuple(result.columns),
             sorted(result.tables))
     if read_back != ours:
         raise ConfigError(f"{where}: axis name, device ids, columns and tables {ours} "
                           f"would read back as {read_back}")
-    body = "\n".join(_csv_data_lines(result)) + "\n"
     if append and path.exists():
         where = f"refusing to append to {path}"
         with open(path) as fh:
@@ -234,10 +235,11 @@ def write_sweep_csv(path: str | Path, result: SweepResult, append: bool = False)
         for what, theirs, ours in checks:
             if ours is None or theirs is None or str(ours) != str(theirs):
                 raise ConfigError(f"{where}: {what} {theirs!r} does not match {ours!r}")
+        body = "\n".join(_csv_data_lines(result)) + "\n"
         with open(path, "a", newline="\n") as fh:
             fh.write(body)
         return
-    _write_file(path, header + body)
+    _write_file(path, "\n".join(header + _csv_data_lines(result)) + "\n")
 
 
 def _read_csv_header(fh, where) -> tuple[dict[str, str], str | None, int]:

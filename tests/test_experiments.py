@@ -1135,6 +1135,10 @@ def test_csv_round_trip_property(tmp_path_factory, result):
     # metadata the writer accepts comes back as text, unchanged: repr for
     # floats, str otherwise
     assert back.metadata == text
+    # the reader inverts the writer byte for byte
+    again = path.with_name("again.csv")
+    write_sweep_csv(again, back)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_csv_repeat_runs_are_byte_identical(tmp_path, chip):
