@@ -1311,7 +1311,7 @@ def composite(**changes):
     """A one-column sweep without device ids, as run_spectroscopy builds
     them, with the given fields changed."""
     fields = dict(kind="t", axis_name="probe_hz", axis_values=[1.0, 2.0],
-                  columns=("feedline",), tables={"s21": np.zeros((2, 1))},
+                  columns=("feedline",), tables={"s21": None},
                   metadata={"kind": "t", "config_hash": "h1"})
     fields.update(changes)
     n_columns = len(fields["columns"])
@@ -1323,9 +1323,9 @@ def composite(**changes):
 # all: a ',' or a line break splits a name, and without device ids the
 # reader takes one column, named by what follows the last '_'.
 @pytest.mark.parametrize("result", [
-    composite(axis_name="probe,hz"), composite(tables={"s21,amp": 0}),
+    composite(axis_name="probe,hz"), composite(tables={"s21,amp": None}),
     composite(columns=("feed,line",)), composite(axis_name="probe\nhz"),
-    composite(tables={"s21\ramp": 0}), composite(columns=("feed\nline",)),
+    composite(tables={"s21\ramp": None}), composite(columns=("feed\nline",)),
     composite(columns=("a", "b")), composite(columns=("feed_line",)),
     composite(columns=("dev1",), device_ids=(1,)),
     composite(columns=("dev1", "dev2"), device_ids=(1, 2)),
@@ -1365,6 +1365,22 @@ def test_read_and_append_refuse_a_file_without_the_format_tag(tmp_path, chip):
     untagged.write_text("\n" + untagged.read_text().partition("\n")[2])
     with pytest.raises(ConfigError, match=tag):
         read_sweep_csv(untagged)
+
+
+def test_append_refuses_a_file_the_reader_refuses(tmp_path, chip):
+    # The column row matches the new rows, but not the file's device_ids.
+    fluxes = np.linspace(-0.002, 0.002, 3)
+    sweep = run_flux_sweep(chip, fluxes, device_ids=(1, 2), config_hash="h1")
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(path, sweep)
+    path.write_text(path.read_text().replace("# device_ids=1 2", "# device_ids=2 1"))
+    before = path.read_bytes()
+    match = "column 2 of the column row is 'amplitude_dev1'"
+    with pytest.raises(ConfigError, match=match):
+        read_sweep_csv(path)
+    with pytest.raises(ConfigError, match=f"refusing to append to .*: {match}"):
+        write_sweep_csv(path, sweep, append=True)
+    assert path.read_bytes() == before
 
 
 def test_append_reads_the_header_as_read_sweep_csv_does(tmp_path, chip):
