@@ -16,17 +16,18 @@ oracle.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from typing import Sequence
+from functools import cached_property, lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .device import Chip
 from .errors import ConfigError, LoMismatchError, NyquistError, UnknownDeviceError, _check_finite
-from .lanes import lane_count as _lane_count, run as _run_lanes
+from .lanes import lane_count as _lane_count, one_blas_thread as _one_blas_thread, run as _run_lanes
 from .planner import _grid_offset
 from .seeding import _check_root_seed, _set_state, derive_rng
 from .txchain import IQTrace, synthesize_multitone, upconvert_ssb
@@ -171,39 +172,73 @@ def _check_adc_rate(sample_rate: float, adc: AdcSpec) -> None:
         )
 
 
+class _Quantizer(NamedTuple):
+    """What the quantizer derives from one AdcSpec (see _quantize)."""
+
+    step: float
+    rail: float
+    scale: np.ufunc
+    factor: float
+    bounded: bool
+
+
+@lru_cache(maxsize=16)
+def _quantizer(adc: AdcSpec) -> _Quantizer:
+    """The quantizer's constants for one converter, worked out once.
+
+    rail is the rail code rint(full_scale / step) capped at 2^(bits-1).
+    scale(quad, factor) gives the unrounded codes: when the step is a
+    power of two whose reciprocal is finite (a 12-bit converter at
+    full_scale 1.0 has step 2^-11), a multiplication by that reciprocal,
+    else a division by the step.  bounded says that full_scale itself
+    scales to at most the rail; scaling and rounding are monotone, so
+    then no sample within +-full_scale gives a code beyond the rail or
+    an overflow.  That holds for every power-of-two step with a finite
+    reciprocal, where full_scale scales to 2^(bits-1) exactly.
+    """
+    fs, step = adc.full_scale, adc.step
+    rail = min(float(np.rint(fs / step)), float(2 ** (int(adc.bits) - 1)))
+    reciprocal = 1.0 / step
+    if math.frexp(step)[0] == 0.5 and math.isfinite(reciprocal):
+        scale, factor = np.multiply, reciprocal
+    else:
+        scale, factor = np.divide, step
+    return _Quantizer(step, rail, scale, factor, bool(scale(fs, factor) <= rail))
+
+
 def _quantize(quad: np.ndarray, adc: AdcSpec) -> np.ndarray:
     """Clip and round quadratures in place (see adc_quantize); returns
     the count of clipped samples in each row of the 2-D quad.
 
-    The one clip acts on the codes, at the rail code rint(full_scale /
-    step) capped at 2^(bits-1).  Division and rounding are monotone, so
-    this gives the same codes as clipping to +-full_scale first.
-
-    When the step is a power of two whose reciprocal is finite (a 12-bit
-    converter at full_scale 1.0 has step 2^-11), the samples are
-    multiplied by that reciprocal instead of divided by the step.  The
-    reciprocal of a power of two is exact, so both operations round the
+    The one clip acts on the codes, at the rail code (see _quantizer).
+    Scaling and rounding are monotone, so this gives the same codes as
+    clipping to +-full_scale first.  A sample is scaled to its unrounded
+    code by a multiplication with the exact reciprocal of a power-of-two
+    step, else by a division by the step.  Both operations round the
     same real number x / step, and IEEE 754 rounds it correctly either
     way: the codes are the same bits, overflow and subnormals included.
-    Any other step, or one whose reciprocal overflows, is divided by.
+
+    The block's extremes rule out clipping in one pass; only a block
+    they do not (a NaN fails both tests) is counted row by row.  A block
+    within +-full_scale of a bounded converter skips the clip, which
+    could not bind, and the overflow guard, which could not trip.
     """
-    fs, step = adc.full_scale, adc.step
-    # The block's extremes rule out clipping in one pass; only a block
-    # they do not (a NaN fails both tests) is counted row by row.
-    if quad.max() <= fs and quad.min() >= -fs:
+    q = _quantizer(adc)
+    fs = adc.full_scale
+    inside = bool(quad.max() <= fs and quad.min() >= -fs)
+    if inside:
         n_clipped = np.zeros(quad.shape[0], dtype=np.int64)
     else:
         n_clipped = np.count_nonzero(quad > fs, axis=1) + np.count_nonzero(quad < -fs, axis=1)
-    rail = min(float(np.rint(fs / step)), float(2 ** (int(adc.bits) - 1)))
-    reciprocal = 1.0 / step
-    with np.errstate(over="ignore"):  # an overflow to inf clips to the rail
-        if math.frexp(step)[0] == 0.5 and math.isfinite(reciprocal):
-            np.multiply(quad, reciprocal, out=quad)
-        else:
-            np.divide(quad, step, out=quad)
-    np.rint(quad, out=quad)
-    np.clip(quad, -rail, rail, out=quad)  # keeps NaN and -0.0
-    np.multiply(quad, step, out=quad)
+    if inside and q.bounded:
+        q.scale(quad, q.factor, out=quad)
+        np.rint(quad, out=quad)
+    else:
+        with np.errstate(over="ignore"):  # an overflow to inf clips to the rail
+            q.scale(quad, q.factor, out=quad)
+        np.rint(quad, out=quad)
+        np.clip(quad, -q.rail, q.rail, out=quad)  # keeps NaN and -0.0
+    np.multiply(quad, q.step, out=quad)
     return n_clipped
 
 
@@ -272,6 +307,15 @@ class _ChannelPlan:
     noise_mask: np.ndarray
     unit_window: bool
 
+    @cached_property
+    def tones(self) -> np.ndarray:
+        """conj(kernel): each channel's unit tone, which _receive builds
+        its shots from.  Made on first use, so a plan that only
+        channelizes does not hold it."""
+        tones = self.kernel.conj()
+        tones.flags.writeable = False
+        return tones
+
 
 @lru_cache(maxsize=16)
 def _channel_plan(
@@ -293,16 +337,21 @@ def _channel_plan(
                         noise_mask=mask, unit_window=bool(np.all(w == 1)))
 
 
-def _project(plan: _ChannelPlan, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _project(plan: _ChannelPlan, samples: np.ndarray,
+             out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Complex channel amplitudes kernel @ (window * x) / window_sum, and
     the windowed trace.  An all-ones window's product is skipped; it
     could change only the sign of a zero sample.
 
     samples is one trace or a 2-D block of traces, one per row; each
     trace is taken as a column of one (stacked) product with the kernel,
-    so a block row's amplitudes equal those of that row alone bit for bit."""
+    so a block row's amplitudes equal those of that row alone bit for
+    bit.  The amplitudes are written into out when it is given."""
     wx = samples if plan.unit_window else plan.window * samples
-    return np.matmul(plan.kernel, wx[..., None])[..., 0] / plan.window_sum, wx
+    amplitudes = np.matmul(plan.kernel, wx[..., None],
+                           out=None if out is None else out[..., None])[..., 0]
+    np.divide(amplitudes, plan.window_sum, out=amplitudes)
+    return amplitudes, wx
 
 
 def _noise_std(plan: _ChannelPlan, wx: np.ndarray) -> float:
@@ -496,21 +545,25 @@ def _receive(
     that trace, the same private steps as add_awgn and adc_quantize, and
     the channelizer's private projector turns it into complex
     amplitudes.  A block's traces are built by one stacked product,
-    c[i] @ tones for each of its rows, and projected by one stacked
-    product; both equal the per-row products bit for bit.  The tests
+    c[i] @ tones for each of its rows (the plan keeps the tones), and
+    projected by one stacked product straight into the result; both
+    equal the per-row products bit for bit.  The tests
     check this against the composed chain synthesize_multitone,
     upconvert_ssb, apply_feedline, downconvert, add_awgn or
     adc_quantize, channelize.
 
     The shots run in blocks of a few rows (_SHOT_BLOCK_SAMPLES samples)
     on up to lanes.lane_count() lanes, scheduled by lanes.run.  The
-    calling thread allocates every buffer before a lane starts: each
-    lane owns one block, one draw scratch and one Generator, set to a
-    shot's state before its draw.  The draws, products, quantizer and
-    projector release the GIL, so the lanes overlap.  A shot's result
-    depends only on its own row and stream, so it is the same bit for
-    bit for every lane count; the clip warnings are logged by the
-    calling thread, one per clipping shot, in shot order.
+    calling thread allocates every buffer, and each row's quadrature
+    view, before a lane starts: each lane owns one block, one draw
+    scratch and one Generator, set to a shot's state before its draw.
+    The draws, products, quantizer and projector release the GIL, so the
+    lanes overlap.  While more than one lane runs, OpenBLAS runs one
+    thread (lanes.one_blas_thread), so that its own threads do not
+    compete with the lanes for the cores.  A shot's result depends only
+    on its own row and stream, so it is the same bit for bit for every
+    lane count and BLAS thread count; the clip warnings are logged by
+    the calling thread, one per clipping shot, in shot order.
     """
     _check_noise_std(noise_std)
     n_points = c.shape[0]
@@ -523,7 +576,7 @@ def _receive(
     if adc is not None:
         _check_adc_rate(fs, adc)
     plan = _channel_plan(freqs, n, fs, setup.window)
-    tones = plan.kernel.conj()
+    tones = plan.tones
     c[:, _beyond_band(setup, adc)] = 0.0
     if noise_std == 0:
         streams = None
@@ -535,6 +588,7 @@ def _receive(
     iq = np.empty_like(c)
     clipped = np.zeros(n_points, dtype=np.int64)
     blocks = [np.empty((rows, n), dtype=complex) for _ in range(lanes)]
+    quads = [list(block.view(np.float64).reshape(rows, n, 2)) for block in blocks]
     draws = [np.empty((n, 2)) for _ in range(lanes)]
     generators = [np.random.Generator(np.random.PCG64(0)) for _ in range(lanes)]
 
@@ -544,22 +598,23 @@ def _receive(
         k = min(rows, n_points - start)
         np.matmul(c[start:start + k, None, :], tones, out=block[:k, None, :])
         if streams is not None:
-            for r in range(k):
-                _set_state(generator, streams[start + r])
+            for state, quad in zip(streams[start:start + k], quads[lane]):
+                _set_state(generator, state)
                 generator.standard_normal(out=draw)
                 # Generator.normal(0.0, std) draws 0.0 + std * z.
                 np.multiply(draw, noise_std, out=draw)
                 np.add(draw, 0.0, out=draw)
-                quad = _quadratures(block[r])
                 np.add(quad, draw, out=quad)
         if adc is not None:
             clipped[start:start + k] = _quantize(block[:k].view(np.float64), adc)
-        iq[start:start + k], wx = _project(plan, block[:k])
+        _, wx = _project(plan, block[:k], iq[start:start + k])
         if estimate_noise:
             for r in range(k):
                 noise[start + r] = _noise_std(plan, wx[r])
 
-    _run_lanes(run_block, n_blocks, lanes)
+    # One lane is the calling thread alone, which keeps the caller's BLAS.
+    with _one_blas_thread() if lanes > 1 else contextlib.nullcontext():
+        _run_lanes(run_block, n_blocks, lanes)
     for i in np.flatnonzero(clipped):
         _warn_clipped(int(clipped[i]), 2 * n)
     return iq, noise

@@ -14,9 +14,11 @@ _child_states(root, count) is the raw PCG64 (state, inc) that
 derive_rng(child_seed(root, i)) starts from, for every i < count, and
 _set_state puts a Generator there.  It runs SeedSequence's pool mix and
 generate_state (numpy's bit_generator.pyx, after O'Neill's seed_seq_fe)
-as uint32 array arithmetic, and PCG64's 128-bit set-seed step and each
-child seed's XSL-RR output on Python ints.  The tests hold it to
-derive_rng and child_seed, which stay the public API.
+as uint32 array arithmetic, except for the root's part of the mix,
+which every child shares and which runs once on ints, and PCG64's
+128-bit set-seed step and each child seed's XSL-RR output as uint64
+arithmetic on the two 64-bit halves.  The tests hold it to derive_rng
+and child_seed, which stay the public API.
 """
 
 from __future__ import annotations
@@ -35,9 +37,30 @@ _MIX_MULT_R = 0x4973F715
 _POOL_SIZE = 4
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128).
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128), its
+# uint64 halves and the 32-bit limbs of its low half.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_HIGH, _PCG_MULT_LOW = _PCG_MULT >> 64, _PCG_MULT & _MASK64
+_MULT_LIMBS = (_PCG_MULT_LOW & _MASK32, _PCG_MULT_LOW >> 32)
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> list[int]:
+    """The constants of calls successive hashmix calls: call k xors
+    with constants[k] and multiplies by constants[k + 1]."""
+    constants = [init]
+    for _ in range(calls):
+        constants.append(constants[-1] * mult & _MASK32)
+    return constants
+
+
+# mix_entropy of five words makes 20 hashmix calls: four for the words
+# that fill the pool, twelve for the cross mix, whose (src, dst) pairs
+# are listed in call order, and the last four for the fifth word (a path
+# element); generate_state(4, uint64) makes eight.
+_MIX_CONSTANTS = _hash_constants(_INIT_A, _MULT_A, 20)
+_CROSS_MIX = [(src, dst) for src in range(_POOL_SIZE) for dst in range(_POOL_SIZE)
+              if src != dst]
+_STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 8)
 
 
 def _check_root_seed(root_seed: int) -> int:
@@ -90,64 +113,89 @@ def child_seed(root_seed: int, *path: int) -> int:
     return int(np.random.PCG64(_seed_sequence(root_seed, path)).random_raw()) >> 1
 
 
-def _pcg64_seeded(pool: list[np.ndarray]) -> list[tuple[int, int]]:
-    """(state, inc) of PCG64 seeded from each row of SeedSequence pools.
+def _hashmix(value: np.ndarray, k: int, constants: list[int]) -> np.ndarray:
+    """SeedSequence's hashmix of a uint32 array as hash call k."""
+    value = value ^ constants[k]
+    value *= constants[k + 1]
+    value ^= value >> 16
+    return value
 
-    pool holds the four uint32 pool words, each an array over the rows.
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of uint32 arrays."""
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    result ^= result >> 16
+    return result
+
+
+def _root_pool(root_seed: int) -> list[np.ndarray]:
+    """mix_entropy's pool after the root's four words, on ints: the part
+    of the pool mix that every child of the root shares.  Returns the
+    pool words as uint32 arrays of shape (1,)."""
+    constants = _MIX_CONSTANTS
+
+    def hashmix(value: int, k: int) -> int:
+        value = (value ^ constants[k]) * constants[k + 1] & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(root_seed >> 32 * j & _MASK32, j) for j in range(_POOL_SIZE)]
+    for k, (src, dst) in enumerate(_CROSS_MIX, _POOL_SIZE):
+        mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src], k)) & _MASK32
+        pool[dst] = mixed ^ mixed >> 16
+    return [np.array([word], dtype=np.uint32) for word in pool]
+
+
+def _mixed_pool(words: list[np.ndarray]) -> list[np.ndarray]:
+    """mix_entropy's pool of four uint32 entropy words given column by
+    column: word j of every row, an array of shape (rows,) or (1,)."""
+    pool = [_hashmix(word, j, _MIX_CONSTANTS) for j, word in enumerate(words)]
+    for k, (src, dst) in enumerate(_CROSS_MIX, _POOL_SIZE):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], k, _MIX_CONSTANTS))
+    return pool
+
+
+def _add128(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """a + b mod 2**128 on (high, low) uint64 halves; the carry is the
+    top bit of the halved low halves' sum."""
+    carry = ((a[1] >> 1) + (b[1] >> 1) + (a[1] & b[1] & 1)) >> 63
+    return a[0] + b[0] + carry, a[1] + b[1]
+
+
+def _lcg_step(state: tuple, inc: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """state * _PCG_MULT + inc mod 2**128 on (high, low) uint64 halves.
+    The high half of the low halves' product comes from 32-bit limbs,
+    whose products fit in 64 bits."""
+    high, low = state
+    a0, a1 = low & _MASK32, low >> 32
+    p00, p01, p10 = a0 * _MULT_LIMBS[0], a0 * _MULT_LIMBS[1], a1 * _MULT_LIMBS[0]
+    middle = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    carry = a1 * _MULT_LIMBS[1] + (p01 >> 32) + (p10 >> 32) + (middle >> 32)
+    product = (carry + low * _PCG_MULT_HIGH + high * _PCG_MULT_LOW, low * _PCG_MULT_LOW)
+    return _add128(product, inc)
+
+
+def _pcg64_seeded(pool: list[np.ndarray]) -> tuple[tuple, tuple]:
+    """(state, inc) of PCG64 seeded from each row of SeedSequence pools,
+    as (high, low) uint64 halves; pool holds the four uint32 pool words,
+    each an array over the rows.
+
     generate_state(4, uint64) hashes the words in turn into eight uint32
     words, read pairwise as little-endian uint64 values v0..v3; PCG64
     takes seed (v0 << 64 | v1) and stream (v2 << 64 | v3) and runs
     pcg_setseq_128_srandom_r: inc = stream << 1 | 1, then two LCG steps
     around adding the seed.
     """
-    const = _INIT_B
-    words = []
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
-        const = (const * _MULT_B) & _MASK32
-        value = value * np.uint32(const)
-        words.append(value ^ (value >> np.uint32(16)))
-    halves = [
-        ((words[2 * k + 1].astype(np.uint64) << np.uint64(32)) | words[2 * k]).tolist()
-        for k in range(4)
-    ]
-    seeded = []
-    for s_hi, s_lo, i_hi, i_lo in zip(*halves):
-        inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
-        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
-        seeded.append((state, inc))
-    return seeded
+    words = [_hashmix(pool[i % _POOL_SIZE], i, _STATE_CONSTANTS).astype(np.uint64)
+             for i in range(2 * _POOL_SIZE)]
+    seed_high, seed_low, stream_high, stream_low = (
+        words[2 * k] | words[2 * k + 1] << 32 for k in range(4))
+    inc = (stream_high << 1 | stream_low >> 63, stream_low << 1 | 1)
+    return _lcg_step(_add128(inc, (seed_high, seed_low)), inc), inc
 
 
-def _mixed_pool(entropy: list[np.ndarray], rows: int) -> list[np.ndarray]:
-    """SeedSequence.mix_entropy on entropy words given column by column.
-
-    entropy[j] is word j of every row's assembled entropy, a uint32 array
-    of shape (rows,) or (1,) when all rows share it; there are at least
-    _POOL_SIZE words.  Returns the four pool words, each of shape (rows,).
-    """
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = (const * _MULT_A) & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> np.uint32(16))
-
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    return [np.broadcast_to(word, (rows,)) for word in pool]
+def _ints(halves: tuple) -> list[int]:
+    """The 128-bit ints whose (high, low) uint64 halves are given."""
+    return [high << 64 | low for high, low in zip(halves[0].tolist(), halves[1].tolist())]
 
 
 def _child_states(root_seed: int, count: int) -> list[tuple[int, int]]:
@@ -156,30 +204,31 @@ def _child_states(root_seed: int, count: int) -> list[tuple[int, int]]:
     checks.
 
     With a path the root is padded to four words and the path element is
-    the fifth; each child seed is the first XSL-RR output of its PCG64
-    (the xor of the state's halves rotated right by its top six bits)
-    shifted right by one.  Without a path SeedSequence reads a root of
-    fewer than four words as if padded with zero words, so each child
-    seed, below 2**63, is mixed as its two low words and two zero words.
+    the fifth, so the root's part of the pool mix is the same for every
+    child and runs once.  Each child seed is the first XSL-RR output of
+    its PCG64 (the xor of the state's halves rotated right by its top
+    six bits) shifted right by one.  Without a path SeedSequence reads a
+    root of fewer than four words as if padded with zero words, so each
+    child seed, below 2**63, is mixed as its two low words and two zero
+    words.
     """
     root_seed = _check_root_seed(root_seed)
     if count > 2**32:
         raise ConfigError(f"seed path elements must lie in [0, 2**32), got {count - 1}")
     if count <= 0:
         return []
-    words = [np.array([(root_seed >> (32 * j)) & _MASK32], dtype=np.uint32)
-             for j in range(_POOL_SIZE)] + [np.arange(count, dtype=np.uint32)]
-    seeds = []
-    for state, inc in _pcg64_seeded(_mixed_pool(words, count)):
-        state = (state * _PCG_MULT + inc) & _MASK128
-        x = (state >> 64) ^ (state & _MASK64)
-        r = state >> 122
-        seeds.append((((x >> r) | (x << (64 - r))) & _MASK64) >> 1)
-    seeds = np.array(seeds, dtype=np.uint64)
+    path = np.arange(count, dtype=np.uint32)
+    pool = [_mix(word, _hashmix(path, _POOL_SIZE + len(_CROSS_MIX) + dst, _MIX_CONSTANTS))
+            for dst, word in enumerate(_root_pool(root_seed))]
+    state, inc = _pcg64_seeded(pool)
+    high, low = _lcg_step(state, inc)
+    x = high ^ low
+    rotation = high >> 58
+    seeds = (x >> rotation | x << (64 - rotation & 63)) >> 1
     zero = np.zeros(1, dtype=np.uint32)
-    words = [(seeds & np.uint64(_MASK32)).astype(np.uint32),
-             (seeds >> np.uint64(32)).astype(np.uint32), zero, zero]
-    return _pcg64_seeded(_mixed_pool(words, count))
+    state, inc = _pcg64_seeded(_mixed_pool([
+        (seeds & _MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32), zero, zero]))
+    return list(zip(_ints(state), _ints(inc)))
 
 
 def _set_state(generator: np.random.Generator, state: tuple[int, int]) -> None:

@@ -60,9 +60,21 @@ def _write_file(path: str | Path, data) -> None:
     regular file (a FIFO or device cannot be truncated).  Like "w", this
     follows symlinks, honours the umask, and is not atomic: a process
     killed mid-write can leave a damaged file.
+
+    Text is encoded before the file is opened: text that the default
+    encoding cannot hold, such as a lone surrogate in a name, raises
+    ConfigError and leaves the path as it was.
     """
+    if isinstance(data, str):
+        encoder = io.TextIOWrapper(io.BytesIO(), newline="\n")
+        try:
+            encoder.write(data)
+            encoder.flush()
+        except UnicodeEncodeError as exc:
+            raise ConfigError(f"refusing to write {path}: {exc}") from None
+        data = encoder.buffer.getvalue()
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    with open(fd, "w", newline="\n") if isinstance(data, str) else open(fd, "wb") as fh:
+    with open(fd, "wb") as fh:
         fh.write(data)
         if stat.S_ISREG(os.fstat(fd).st_mode):
             fh.truncate()
@@ -201,7 +213,9 @@ def write_sweep_csv(path: str | Path, result: SweepResult, append: bool = False)
     without device ids, a column holding '_' without device ids, or
     device ids that the device_ids metadata does not list.  So is
     metadata that would not read back as written: a line break in a key
-    or value, an '=' in a key, or outer whitespace around either.
+    or value, an '=' in a key, or outer whitespace around either, and a
+    kind metadata value other than result.kind (the reader takes the
+    kind from it, and "unknown" where it is missing).
     With append=True and an existing file, the new rows must come from
     the same configuration and layout: the file must begin with the
     format tag line, its header must pass the reader's layout check, and
@@ -222,6 +236,10 @@ def write_sweep_csv(path: str | Path, result: SweepResult, append: bool = False)
     if read_back != ours:
         raise ConfigError(f"{where}: axis name, device ids, columns and tables {ours} "
                           f"would read back as {read_back}")
+    kind = metadata.get("kind", "unknown")
+    if kind != result.kind:
+        raise ConfigError(f"{where}: kind {result.kind!r} would read back as {kind!r} "
+                          "from the kind metadata")
     if append and path.exists():
         where = f"refusing to append to {path}"
         with open(path) as fh:

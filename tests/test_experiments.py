@@ -1344,6 +1344,25 @@ def test_csv_writer_refuses_a_layout_that_would_not_read_back(tmp_path, result):
     assert path.read_bytes() == before
 
 
+# The reader takes the kind from the kind metadata, "unknown" where it
+# is missing: these used to be written and read back as another kind.
+@pytest.mark.parametrize("result, read_as", [
+    (composite(kind="flux_sweep", metadata={}), "unknown"),
+    (composite(metadata={"kind": "rabi", "config_hash": "h1"}), "rabi"),
+], ids=["no-kind-metadata", "other-kind-metadata"])
+def test_csv_writer_refuses_a_kind_that_would_not_read_back(tmp_path, result, read_as):
+    path = tmp_path / "sweep.csv"
+    with pytest.raises(ConfigError, match=f"kind {result.kind!r} would read back as "
+                                          f"{read_as!r}"):
+        write_sweep_csv(path, result)
+    assert not path.exists()
+    write_sweep_csv(path, composite())
+    before = path.read_bytes()
+    with pytest.raises(ConfigError, match="refusing to write"):
+        write_sweep_csv(path, result, append=True)
+    assert path.read_bytes() == before
+
+
 def test_read_and_append_refuse_a_file_without_the_format_tag(tmp_path, chip):
     # A tone measurements CSV used to read back as a sweep of kind
     # 'unknown' with one table named ''.

@@ -1,7 +1,9 @@
-"""The lane runner: block schedule, threads and failures, and the
-telegraph turnstile's behaviour when a lane fails."""
+"""The lane runner: block schedule, threads and failures, the
+telegraph turnstile's behaviour when a lane fails, and the one BLAS
+thread the noisy shot loop's lanes run with."""
 
 import math
+import subprocess
 import sys
 import threading
 import time
@@ -296,3 +298,96 @@ def test_telegraph_raises_a_failed_draw(lanes, monkeypatch):
     # last one
     for failing_chunk in (0, 1, len(CHUNK_ROWS) - 1):
         check_failed_chunk(monkeypatch, lanes, "draw", failing_chunk)
+
+
+# --------------------------------------------------------------------------
+# one BLAS thread while lanes run
+
+
+@pytest.fixture
+def fake_blas(monkeypatch):
+    """A stand-in for OpenBLAS's thread count, starting at 3; records
+    every count set."""
+    count, sets = [3], []
+
+    def set_count(n):
+        sets.append(n)
+        count[0] = n
+
+    monkeypatch.setattr(fdmsim.lanes, "_blas", (lambda: count[0], set_count))
+    return count, sets
+
+
+def test_one_blas_thread_pins_once_for_overlapping_uses(fake_blas):
+    # The first use to enter saves the count and the last to leave
+    # restores it, also when they do not nest.
+    count, sets = fake_blas
+    first, second = fdmsim.lanes.one_blas_thread(), fdmsim.lanes.one_blas_thread()
+    first.__enter__()
+    assert count == [1]
+    second.__enter__()
+    first.__exit__(None, None, None)
+    assert count == [1]
+    second.__exit__(None, None, None)
+    assert count == [3] and sets == [1, 3]
+
+
+def test_one_blas_thread_restores_the_count_when_the_body_raises(fake_blas):
+    count, sets = fake_blas
+    with pytest.raises(RuntimeError, match="lane failed"):
+        with fdmsim.lanes.one_blas_thread():
+            assert count == [1]
+            raise RuntimeError("lane failed")
+    assert count == [3] and sets == [1, 3]
+
+
+def test_one_blas_thread_restores_the_count_after_concurrent_callers(fake_blas):
+    # More callers than cores, switching often: every body runs on one
+    # thread, and the count is back once all have left.
+    count, sets = fake_blas
+    inside = threading.Barrier(8, timeout=10)
+    seen = []
+
+    def caller():
+        for _ in range(20):
+            with fdmsim.lanes.one_blas_thread():
+                seen.append(count[0])
+        with fdmsim.lanes.one_blas_thread():
+            inside.wait()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen == [1] * 160
+    assert count == [3] and sets[-1] == 3 and fdmsim.lanes._blas_users == 0
+
+
+def test_one_blas_thread_sets_nothing_on_one_thread_or_without_openblas(fake_blas, monkeypatch):
+    count, sets = fake_blas
+    count[0] = 1
+    with fdmsim.lanes.one_blas_thread():
+        pass
+    assert sets == []
+    monkeypatch.setattr(fdmsim.lanes, "_blas", ())
+    with fdmsim.lanes.one_blas_thread():
+        pass
+    assert sets == [] and fdmsim.lanes._blas_users == 0
+
+
+def test_import_does_not_look_up_openblas():
+    # The lookup waits for the first noisy shot loop on lanes.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fdmsim.cli, fdmsim.lanes\n"
+         "sys.exit(fdmsim.lanes._blas is not None)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fdmsim.device
+import fdmsim.lanes
 import fdmsim.rxchain
 from fdmsim import (
     AdcSpec,
@@ -245,6 +246,44 @@ def test_quantize_equals_the_divide_path_bit_for_bit(bits, full_scale):
         # the test can tell a divide from a multiply by the rounded reciprocal
         with np.errstate(over="ignore"):
             assert np.any(np.rint(midpoints * (1.0 / step)) != np.rint(midpoints / step))
+
+
+@pytest.mark.parametrize("bits, full_scale, bounded", [
+    (12, 1.0, True), (4, 0.5, True), (1, 2.0**1000, True), (12, 0.3, True),
+    (12, 0.1, True), (12, 2.0**-1060, True),
+    # subnormal steps rounded down: full_scale scales beyond the rail
+    (32, 1e-305, False), (12, 1.6 * 2048 * 5e-324, False),
+])
+def test_quantize_blocks_at_and_beyond_the_rails(bits, full_scale, bounded):
+    # Blocks whose extremes are exactly +-full_scale skip the clip when
+    # the converter is bounded; one ulp beyond, a NaN, or a converter
+    # that is not bounded takes the clipping path.  Each gives the
+    # two-pass codes.
+    adc = AdcSpec(sample_rate=1e9, bits=bits, full_scale=full_scale)
+    fs = full_scale
+    q = fdmsim.rxchain._quantizer(adc)
+    assert q.bounded is bounded
+    if q.scale is np.multiply:
+        # a power-of-two step: full_scale scales to 2^(bits-1), the rail
+        assert q.rail == 2.0 ** (bits - 1) and fs * q.factor == q.rail
+    rng = np.random.default_rng(bits)
+    inside = fs * rng.uniform(-1, 1, (3, 64))
+    blocks = {}
+    for name, extremes in [("at", (fs, -fs)),
+                           ("ulp-above", (np.nextafter(fs, math.inf), -fs)),
+                           ("ulp-below", (fs, np.nextafter(-fs, -math.inf))),
+                           ("nan", (math.nan, fs))]:
+        block = inside.copy()
+        block[0, :2] = extremes
+        block[2, -2:] = extremes[::-1]
+        blocks[name] = block
+    for name, block in blocks.items():
+        expected, expected_clipped = two_pass_quantize(block, adc)
+        quad = block.copy()
+        clipped = fdmsim.rxchain._quantize(quad, adc)
+        assert quad.tobytes() == expected.tobytes(), name
+        assert clipped.tolist() == expected_clipped.tolist(), name
+        assert clipped.tolist() == ([0, 0, 0] if name in ("at", "nan") else [1, 0, 1]), name
 
 
 def test_adc_rail_fraction_counts_clipping():
@@ -928,3 +967,56 @@ def test_receive_raises_a_lane_failure_after_every_lane_ends(monkeypatch):
         rx._receive(SHOT_SETUP, shot_table(9), adc=None, noise_std=0.05,
                     streams=_child_states(1, 9))
     assert threading.active_count() == before
+
+
+def test_receive_runs_its_lanes_on_one_blas_thread(monkeypatch):
+    # Through numpy's own OpenBLAS handle: with BLAS forced to 2 threads,
+    # the lanes run on one, the result is the one-thread result bit for
+    # bit, and the caller's 2 threads are back after a normal return and
+    # after a lane raises.
+    rx = fdmsim.rxchain
+    with fdmsim.lanes._blas_lock:
+        blas = fdmsim.lanes._blas_functions()
+    if not blas:
+        pytest.skip("numpy's core module reaches no OpenBLAS thread count")
+    get, set_count = blas
+    caller_count = get()
+    project = rx._project
+    caller = threading.current_thread()
+    counts = []
+
+    def recording_project(*args):
+        counts.append(get())
+        return project(*args)
+
+    def failing_project(*args):
+        if threading.current_thread() is not caller:
+            raise RuntimeError("lane failed")
+        return project(*args)
+
+    monkeypatch.setattr(rx, "_SHOT_BLOCK_SAMPLES", 2 * SHOT_SETUP.n_samples)
+    kwargs = dict(SHOT_CASES["noise-adc"])
+    c = shot_table(10)
+    streams = _child_states(11, 10)
+    try:
+        set_count(1)
+        monkeypatch.setattr(rx, "_lane_count", lambda: 1)
+        one_thread, _ = rx._receive(SHOT_SETUP, c.copy(), streams=streams, **kwargs)
+        set_count(2)
+        if get() != 2:
+            pytest.skip("OpenBLAS does not take a second thread here")
+        monkeypatch.setattr(rx, "_project", recording_project)
+        for lanes in (1, 2):
+            monkeypatch.setattr(rx, "_lane_count", lambda lanes=lanes: lanes)
+            counts.clear()
+            iq, _ = rx._receive(SHOT_SETUP, c.copy(), streams=streams, **kwargs)
+            assert iq.tobytes() == one_thread.tobytes()
+            # one lane runs on the calling thread and pins nothing
+            assert set(counts) == {1 if lanes > 1 else 2}
+            assert get() == 2
+        monkeypatch.setattr(rx, "_project", failing_project)
+        with pytest.raises(RuntimeError, match="lane failed"):
+            rx._receive(SHOT_SETUP, c.copy(), streams=streams, **kwargs)
+        assert get() == 2
+    finally:
+        set_count(caller_count)

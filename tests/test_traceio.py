@@ -238,6 +238,30 @@ def test_refused_writes_leave_the_file_unchanged(chip, tmp_path):
     assert path.read_bytes() == before
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new-path", "existing-file"])
+def test_text_the_encoding_cannot_hold_leaves_the_path_as_it_was(chip, tmp_path, existing):
+    # A lone surrogate has no encoding: the text is refused before the
+    # file is opened, so no empty file is left and no byte changes.  (The
+    # JSON writer escapes it, as json.dumps does.)
+    path = tmp_path / "sweep.csv"
+    good = sweep(chip, 3)
+    if existing:
+        write_sweep_csv(path, good)
+        before = path.read_bytes()
+    refused = [
+        lambda: write_sweep_csv(path, dataclasses.replace(good, axis_name="flux\udc80")),
+        lambda: write_measurements_csv(path, [], {"note": "a\udc80"}),
+        lambda: fdmsim.traceio._write_file(path, "\udc80\n"),
+    ]
+    for write in refused:
+        with pytest.raises(ConfigError, match=f"refusing to write {path}: .*surrogate"):
+            write()
+        if existing:
+            assert path.read_bytes() == before
+        else:
+            assert not path.exists()
+
+
 def test_no_writer_opens_a_path_truncating(chip, tmp_path, monkeypatch, capsys):
     """Every output goes through the in-place writer: os.open never gets
     O_TRUNC, and no path (as opposed to a file descriptor) is opened in
