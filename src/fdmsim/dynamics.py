@@ -336,13 +336,17 @@ def _telegraph_flips(
 
 def _lay_out_chunk(
     rng: np.random.Generator, p: float, m: int, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draws the flips of m trajectories of n samples and lays them out
     as runs of constant sigma.
 
-    Returns (edges, levels, lengths, totals): levels and lengths are the
-    runs of all rows in order, row r's runs are levels[edges[r]:edges[r + 1]],
-    and totals[r] is the sum of sigma over row r.
+    Returns (edges, lengths, starts): lengths and starts are the runs of
+    all rows in order, and row r's runs are lengths[edges[r]:edges[r + 1]].
+    Sample q of a row (q from 0), in a run with start s, is entry s + q
+    of the two-way table concatenate((carrier, carrier[::-1])), where
+    carrier[j] is the phase factor of the walk S = j - n.  The starts lie
+    in [3 - n, 3n + 2] and the entries in [0, 4n + 2), so for n up to
+    TELEGRAPH_CHUNK_SAMPLES the starts are int32.
     """
     flips, start = _telegraph_flips(rng, p, m, n)
     # After the j-th flip of a row (j from 0) sigma is -start * (-1)**j;
@@ -359,40 +363,49 @@ def _lay_out_chunk(
     levels = np.insert(after, before, start)
     lengths = np.diff(begins, append=m * n)
     edges = np.append(before, flips.size) + np.arange(m + 1)
-    totals = np.add.reduceat(levels * lengths, edges[:-1])
-    return edges, levels, lengths, totals
+    # Each run's start follows from the walk S over its row before the
+    # run and the run's first sample b in the row.  The walk steps by
+    # sigma, so sample b + t of a rising run is carrier[n + S + 1 + t],
+    # entry (n + S + 1 - b) + (b + t) of the table, and of a falling run
+    # carrier[n + S - 1 - t], entry (3n + 2 - S - b) + (b + t).
+    steps = levels * lengths
+    starts = np.cumsum(steps) - steps
+    starts -= np.repeat(starts[edges[:-1]], counts + 1)
+    starts *= levels
+    begins %= n
+    starts -= begins
+    starts += np.where(levels > 0, n + 1, 3 * n + 2)
+    return edges, lengths, starts.astype(np.int32)
 
 
 def _telegraph_block(
-    carrier: np.ndarray,
-    levels: np.ndarray,
+    table: np.ndarray,
+    starts: np.ndarray,
     lengths: np.ndarray,
-    totals: np.ndarray,
+    ramp: np.ndarray,
     signal: np.ndarray,
     power: np.ndarray,
 ) -> None:
     """Power spectra of k whole rows given as runs of constant sigma.
 
-    levels and lengths are the rows' runs in order, and totals[r] the sum
-    of sigma over row r.  Writes |FFT|^2 of each row's carrier into
-    power[1:k+1], using signal[:k] as scratch.  Every
+    starts and lengths are the rows' runs in order, as _lay_out_chunk
+    gives them: sample q of a row, in a run with start s, is table[s + q],
+    and ramp is the int32 arange(n) of the q.  Writes |FFT|^2 of each
+    row's carrier into power[1:k+1], using signal[:k] as scratch.  Every
     pass over the samples but the repeat releases the GIL, so blocks on
     their own buffers can run on separate threads.
     """
-    k = totals.size
-    n = signal.shape[1]
-    sigma = np.repeat(levels, lengths)
-    # One flat running sum over the block gives each row's S + n once the
-    # first sample of row r also takes off the total of row r-1.  It is
-    # written to the power rows, free until the power lands there; an
-    # in-place or 2-D running sum would hold the GIL.
-    sigma[0] += n
-    sigma[n::n] -= totals[:-1]
+    n = ramp.size
+    runs = np.repeat(starts, lengths)
+    k = runs.size // n
+    # The table indices are written to the power rows, free until the
+    # power lands there.  Adding in int32 and widening on the way out
+    # beats an int64 sum.
     walk = power[1:k + 1].view(np.int64)
-    np.cumsum(sigma, out=walk.reshape(-1))
+    np.add(runs.reshape(k, n), ramp, out=walk)
     sig = signal[:k]
     # mode="clip" gathers straight into sig; "raise" buffers it.
-    np.take(carrier, walk, out=sig, mode="clip")
+    np.take(table, walk, out=sig, mode="clip")
     np.fft.fft(sig, axis=1, out=sig)
     rows_power = power[1:k + 1]
     np.abs(sig, out=rows_power)
@@ -426,11 +439,18 @@ def relaxation_telegraph_spectrum(
     as geometric(p) gaps, about p draws per sample in place of one, and
     sigma_z is laid out run by run between them.  The phase is
     phi_k = S_k * (shift*dt), where S_k, the running sum of sigma_z, is
-    an integer in [-n, n], and the carrier is read from one table of the
-    2n+1 values exp(1j * (j * (shift*dt))).  The table is exact, not an
-    approximation: float(S_k) * (shift*dt) is the same IEEE product as
-    the float running sum times (shift*dt), so each sample equals the
-    per-sample exponential bit for bit.
+    an integer in [-n, n], so the carrier takes one of the 2n+1 values
+    exp(1j * (j * (shift*dt))), j = -n..n.  These are exact,
+    not an approximation: float(S_k) * (shift*dt) is the same IEEE
+    product as the float running sum times (shift*dt), so each sample
+    equals the per-sample exponential bit for bit.  No running sum is
+    taken over the samples: inside a run of constant sigma_z the walk
+    moves by one per sample, so the run reads a stretch of the carrier
+    values, forward when sigma_z = +1 and backward when it is -1.  The
+    carrier is kept twice, as the two-way table (carrier, carrier
+    reversed), where both directions read forward, and each run needs
+    only its start in that table, worked out once per chunk from the
+    runs alone.
 
     The trajectories are split into chunks of at most
     TELEGRAPH_CHUNK_SAMPLES samples, and into at least lanes.MAX_LANES
@@ -439,10 +459,10 @@ def relaxation_telegraph_spectrum(
     derive_rng(child_seed(seed, c)), the per-unit contract of the noisy
     shots.  The chunks run on up to L lanes in one lanes.run call, chunk
     c on lane c % L: L is lanes.lane_count(), at most the chunk count.  A
-    lane sets its one Generator to the chunk's stream, lays out the runs,
-    and takes the walk, gather, FFT and power through blocks of 1/L of a
-    block's rows (at least one), so the buffers together hold one block
-    whatever L is.  It sums the chunk's power rows in order, then adds
+    lane sets its one Generator to the chunk's stream, lays out the runs
+    and their starts, and takes the table indices, gather, FFT and power
+    through blocks of 1/L of a block's rows (at least one), so the
+    buffers together hold one block whatever L is.  It sums the chunk's power rows in order, then adds
     that sum to the spectrum in chunk order, through a turnstile, so the
     result is the same bit for bit for every lane count.
 
@@ -481,6 +501,8 @@ def relaxation_telegraph_spectrum(
 
     flip_p = -math.expm1(-gamma * dt) / 2.0
     carrier = np.exp(1j * (np.arange(-n, n + 1, dtype=float) * (shift * dt)))
+    table = np.concatenate((carrier, carrier[::-1]))
+    ramp = np.arange(n, dtype=np.int32)
     chunk = max(1, min(TELEGRAPH_CHUNK_SAMPLES // n, -(-n_trajectories // MAX_LANES)))
     chunks = -(-n_trajectories // chunk)
     states = _child_states(seed, chunks)
@@ -504,13 +526,13 @@ def relaxation_telegraph_spectrum(
         try:
             _set_state(generator, states[c])
             m = min(chunk, n_trajectories - c * chunk)
-            edges, levels, lengths, totals = _lay_out_chunk(generator, flip_p, m, n)
+            edges, lengths, starts = _lay_out_chunk(generator, flip_p, m, n)
             power[0] = 0.0
             for b in range(0, m, rows):
                 k = min(rows, m - b)
                 runs = slice(edges[b], edges[b + k])
-                _telegraph_block(carrier, levels[runs], lengths[runs], totals[b:b + k],
-                                 signals[lane], power)
+                _telegraph_block(table, starts[runs], lengths[runs], ramp, signals[lane],
+                                 power)
                 np.sum(power[:k + 1], axis=0, out=power[0])
             with turn:
                 turn.wait_for(lambda: added is None or added == c)

@@ -21,7 +21,7 @@ from fdmsim import (
     relaxation_telegraph_spectrum,
     steady_state_excited,
 )
-from fdmsim.dynamics import _telegraph_flips
+from fdmsim.dynamics import _lay_out_chunk, _telegraph_flips
 from fdmsim.seeding import child_seed, derive_rng
 
 TWO_PI = 2 * math.pi
@@ -489,6 +489,47 @@ def test_telegraph_flip_draws():
         assert flips.size == 0 or (flips[0] >= 0 and flips[-1] < m * n)
         # one Bernoulli(p) per sample: the count within 5 sigma
         assert abs(flips.size - p * m * n) <= 5 * math.sqrt(m * n * p * (1 - p))
+
+
+@pytest.mark.parametrize(
+    "p, m, n",
+    [
+        (0.0, 5, 320),
+        # p ~ 1e-27: no flips
+        (1e-27, 5, 320),
+        # p = 1/2: about half the rows flip on their first sample, which
+        # leaves a run of length 0 before the flip
+        (0.5, 60, 100),
+        # odd n
+        (0.05, 300, 41),
+        # criterion 3's grid: 43.2 MS/s over 100 us
+        (-math.expm1(-TWO_PI * 0.1e6 / 43.2e6) / 2, 30, 4320),
+    ],
+)
+def test_telegraph_layout_reads_the_running_sum(p, m, n):
+    """Each sample's entry of the two-way table, from the run starts, is
+    the carrier at the running sum of sigma over its row."""
+    layout_rng, flips_rng = (derive_rng(child_seed(11, 0)) for _ in range(2))
+    edges, lengths, starts = _lay_out_chunk(layout_rng, p, m, n)
+    flips, start = _telegraph_flips(flips_rng, p, m, n)
+    flipped = np.zeros(m * n, dtype=np.int64)
+    flipped[flips] = 1
+    parity = np.cumsum(flipped.reshape(m, n), axis=1) % 2
+    walk = np.cumsum(start[:, None] * (1 - 2 * parity), axis=1)
+
+    assert starts.dtype == np.int32
+    assert edges[0] == 0 and edges[-1] == lengths.size == starts.size
+    assert np.array_equal(np.add.reduceat(lengths, edges[:-1]), np.full(m, n))
+    index = np.repeat(starts, lengths).reshape(m, n) + np.arange(n)
+    # np.take(mode="clip") would clamp an index off the table silently
+    assert index.min() >= 0 and index.max() < 2 * (2 * n + 1)
+    carrier = np.exp(1j * (np.arange(-n, n + 1) * 0.37))
+    table = np.concatenate((carrier, carrier[::-1]))
+    assert np.array_equal(table[index], carrier[walk + n])
+    # the same entry, not only an equal value
+    assert np.array_equal(np.where(index <= 2 * n, index, 4 * n + 1 - index), walk + n)
+    if p == 0.5:
+        assert np.any(lengths == 0)
 
 
 @pytest.mark.parametrize(

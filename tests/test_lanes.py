@@ -145,7 +145,7 @@ class ChunkProbe:
     from, which must be derive_rng(child_seed(seed, c)) for some chunk c.
     Records each draw as (chunk, rows, thread name); the most layouts
     alive at once and whether two of them ever belonged to one thread
-    (each is watched through a weak reference to its totals array); and
+    (each is watched through a weak reference to its starts array); and
     the _run_lanes calls.  failing = (stage, chunk) makes that chunk's
     "draw" or "block" raise."""
 
@@ -179,7 +179,7 @@ class ChunkProbe:
         def probe_lay_out(rng, p, m, n):
             layout = lay_out(rng, p, m, n)
             with self.guard:
-                self.layouts.append((weakref.ref(layout[3]), threading.current_thread().name))
+                self.layouts.append((weakref.ref(layout[2]), threading.current_thread().name))
                 self.check_alive()
             return layout
 
