@@ -553,8 +553,12 @@ def relaxation_telegraph_spectrum(
     _run_lanes(add_chunk, chunks, lanes)
     psd /= psd.sum()
 
-    freqs = np.fft.fftfreq(n, d=dt)
-    in_band = np.abs(freqs) <= half_width_hz
+    # Bin j lies min(j, n - j) * sample_rate / n from the carrier.  The
+    # products compare without fftfreq's rounded quotient, which put a
+    # band edge on a bin (bin n/16 of the default grid) in or out by its
+    # last bit.
+    bins = np.arange(n)
+    in_band = np.minimum(bins, n - bins) * sample_rate <= half_width_hz * n
     out_fraction = float(1.0 - psd[in_band].sum())
 
     # Fold bin -j onto bin +j (bin n/2 of an even-length FFT is its own mirror).

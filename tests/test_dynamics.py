@@ -342,11 +342,17 @@ def test_telegraph_spectrum_peaks_near_the_shift():
 
 
 def telegraph_grid(gamma, shift, duration, sample_rate=None):
-    """(n, dt, half-width in Hz) as relaxation_telegraph_spectrum sets them."""
+    """(n, dt, in-band mask over the FFT bins) as
+    relaxation_telegraph_spectrum sets them: bin j is in the Carson band
+    when its distance from the carrier, min(j, n - j) * sample_rate / n,
+    is at most the half-width, compared as products."""
     half_width_hz = (shift + 2 * gamma) / (2 * math.pi)
     if sample_rate is None:
         sample_rate = 16.0 * max(half_width_hz, 1.0 / duration)
-    return int(round(duration * sample_rate)), 1.0 / sample_rate, half_width_hz
+    n = int(round(duration * sample_rate))
+    bins = np.arange(n)
+    in_band = np.minimum(bins, n - bins) * sample_rate <= half_width_hz * n
+    return n, 1.0 / sample_rate, in_band
 
 
 def fold(psd):
@@ -370,7 +376,7 @@ def reference_telegraph(gamma, shift, duration, n_trajectories, seed=0, sample_r
     out-of-band fraction) for the same draws as
     relaxation_telegraph_spectrum.
     """
-    n, dt, half_width_hz = telegraph_grid(gamma, shift, duration, sample_rate)
+    n, dt, in_band = telegraph_grid(gamma, shift, duration, sample_rate)
     p = -math.expm1(-gamma * dt) / 2.0
     chunk = max(1, min(2_000_000 // n, -(-n_trajectories // 4)))
     psd = np.zeros(n)
@@ -385,8 +391,7 @@ def reference_telegraph(gamma, shift, duration, n_trajectories, seed=0, sample_r
         signal = np.exp(1j * phase)
         psd += np.sum(np.abs(np.fft.fft(signal, axis=1)) ** 2, axis=0)
     psd /= psd.sum()
-    freqs = np.fft.fftfreq(n, d=dt)
-    out_fraction = float(1.0 - psd[np.abs(freqs) <= half_width_hz].sum())
+    out_fraction = float(1.0 - psd[in_band].sum())
     return fold(psd), out_fraction
 
 
@@ -419,8 +424,7 @@ def expected_telegraph_psd(gamma, shift, n, dt):
 
 
 def expected_inband_fraction(gamma, shift, duration, sample_rate=None):
-    n, dt, half_width_hz = telegraph_grid(gamma, shift, duration, sample_rate)
-    in_band = np.abs(np.fft.fftfreq(n, d=dt)) <= half_width_hz
+    n, dt, in_band = telegraph_grid(gamma, shift, duration, sample_rate)
     return float(expected_telegraph_psd(gamma, shift, n, dt)[in_band].sum())
 
 
@@ -566,6 +570,9 @@ def test_telegraph_without_flips_is_a_line_at_the_shift():
     # 16 MS/s over 20 us: shift is bin 20 of n = 320
     assert spectrum.frequencies[20] == 1e6
     assert spectrum.power[20] == pytest.approx(1.0, abs=1e-12)
+    # the Carson half-width is the shift, so the line is on the band edge,
+    # bin n/16, and in the band
+    assert spectrum.out_of_band_fraction == 0.0
 
 
 @pytest.mark.parametrize(
