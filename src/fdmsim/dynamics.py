@@ -469,8 +469,9 @@ def relaxation_telegraph_spectrum(
     Returns the folded one-sided spectrum and the fraction of power
     outside the Carson band of full width 2*(shift + 2*gamma) centered on
     the carrier.  Non-finite rates or times, a duration or sample_rate
-    <= 0, a non-integer trajectory count and a trajectory longer than
-    TELEGRAPH_CHUNK_SAMPLES samples raise ConfigError.
+    <= 0, a trajectory count that is not an integer >= 1 (a bool is not
+    one) and a trajectory longer than TELEGRAPH_CHUNK_SAMPLES samples
+    raise ConfigError.
     """
     _check_finite(gamma=gamma, shift=shift, duration=duration)
     if sample_rate is not None:
@@ -483,7 +484,9 @@ def relaxation_telegraph_spectrum(
         raise ConfigError(f"duration must be > 0, got {duration}")
     if sample_rate is not None and sample_rate <= 0:
         raise ConfigError(f"sample_rate must be > 0, got {sample_rate}")
-    if not isinstance(n_trajectories, numbers.Integral) or n_trajectories < 1:
+    # bool is an Integral; True would run one trajectory.
+    if (isinstance(n_trajectories, bool) or not isinstance(n_trajectories, numbers.Integral)
+            or n_trajectories < 1):
         raise ConfigError(f"n_trajectories must be an integer >= 1, got {n_trajectories!r}")
     half_width_hz = (shift + 2 * gamma) / (2 * math.pi)
     if sample_rate is None:

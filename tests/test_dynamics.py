@@ -611,6 +611,7 @@ def test_telegraph_matches_per_sample_reference(kwargs):
         dict(sample_rate=math.inf),
         dict(sample_rate=math.nan),
         dict(n_trajectories=2.5),
+        dict(n_trajectories=True),
         # n = 16 000 320 samples, beyond TELEGRAPH_CHUNK_SAMPLES
         dict(shift=TWO_PI * 1e10, duration=100e-6),
         dict(sample_rate=0.0),
