@@ -440,17 +440,16 @@ def relaxation_telegraph_spectrum(
     sigma_z is laid out run by run between them.  The phase is
     phi_k = S_k * (shift*dt), where S_k, the running sum of sigma_z, is
     an integer in [-n, n], so the carrier takes one of the 2n+1 values
-    exp(1j * (j * (shift*dt))), j = -n..n.  These are exact,
-    not an approximation: float(S_k) * (shift*dt) is the same IEEE
-    product as the float running sum times (shift*dt), so each sample
-    equals the per-sample exponential bit for bit.  No running sum is
-    taken over the samples: inside a run of constant sigma_z the walk
-    moves by one per sample, so the run reads a stretch of the carrier
-    values, forward when sigma_z = +1 and backward when it is -1.  The
-    carrier is kept twice, as the two-way table (carrier, carrier
-    reversed), where both directions read forward, and each run needs
-    only its start in that table, worked out once per chunk from the
-    runs alone.
+    exp(1j * (j * (shift*dt))), j = -n..n.  These are exact, not an
+    approximation: float(S_k) * (shift*dt) is the same IEEE product as
+    the float running sum times (shift*dt), so each sample equals the
+    per-sample exponential bit for bit.  No running sum is taken over
+    the samples: inside a run of constant sigma_z the walk moves by one
+    per sample, so the run reads a stretch of the carrier values, forward
+    when sigma_z = +1 and backward when it is -1.  The values are kept
+    twice, as the two-way table (carrier, carrier reversed), in which
+    both directions read forward, and each run needs only its start in
+    that table, worked out once per chunk from the runs alone.
 
     The trajectories are split into chunks of at most
     TELEGRAPH_CHUNK_SAMPLES samples, and into at least lanes.MAX_LANES
@@ -462,9 +461,10 @@ def relaxation_telegraph_spectrum(
     lane sets its one Generator to the chunk's stream, lays out the runs
     and their starts, and takes the table indices, gather, FFT and power
     through blocks of 1/L of a block's rows (at least one), so the
-    buffers together hold one block whatever L is.  It sums the chunk's power rows in order, then adds
-    that sum to the spectrum in chunk order, through a turnstile, so the
-    result is the same bit for bit for every lane count.
+    buffers together hold one block whatever L is.  It sums the chunk's
+    power rows in order, then adds that sum to the spectrum in chunk
+    order, through a turnstile, so the result is the same bit for bit for
+    every lane count.
 
     Returns the folded one-sided spectrum and the fraction of power
     outside the Carson band of full width 2*(shift + 2*gamma) centered on
