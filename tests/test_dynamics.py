@@ -611,11 +611,12 @@ def test_telegraph_matches_per_sample_reference(kwargs):
         dict(sample_rate=math.inf),
         dict(sample_rate=math.nan),
         dict(n_trajectories=2.5),
-        dict(n_trajectories=True),
         # n = 16 000 320 samples, beyond TELEGRAPH_CHUNK_SAMPLES
         dict(shift=TWO_PI * 1e10, duration=100e-6),
         dict(sample_rate=0.0),
         dict(sample_rate=-1e9),
+        # a bool is an Integral, but not a trajectory count
+        dict(n_trajectories=True),
     ],
 )
 def test_telegraph_rejects_bad_input(bad):
