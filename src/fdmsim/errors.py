@@ -23,10 +23,6 @@ class NyquistError(FdmSimError):
     """A requested tone lies outside the representable baseband."""
 
 
-class TraceMismatchError(FdmSimError):
-    """Traces combined with incompatible sample rate, length, start time or carrier."""
-
-
 class LoMismatchError(FdmSimError):
     """Receive local oscillator differs from the transmit carrier (homodyne only)."""
 

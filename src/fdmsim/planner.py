@@ -324,17 +324,6 @@ def plan_for_chip(
     )
 
 
-def snr_proxy(kappa_ext: float, kappa: float, integration_time: float) -> float:
-    """Dimensionless readout signal figure: dip depth (kappa_ext/kappa)
-    times sqrt(integration_time * kappa).  Useful only for comparing
-    design points; not an absolute SNR."""
-    if not 0 < kappa_ext <= kappa:
-        raise ConfigError("need 0 < kappa_ext <= kappa")
-    if integration_time <= 0:
-        raise ConfigError("integration_time must be > 0")
-    return (kappa_ext / kappa) * math.sqrt(integration_time * kappa)
-
-
 def format_plan_report(
     plan: FrequencyPlan,
     *,

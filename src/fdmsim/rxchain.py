@@ -255,8 +255,7 @@ def adc_quantize(trace: IQTrace, adc: AdcSpec, noise_std: float = 0.0, seed: int
     seed is then irrelevant), hard clip at +-full_scale, then mid-tread
     rounding with step 2*full_scale/2^bits (integer codes
     -2^(bits-1)..+2^(bits-1), so both rails and zero are exact codes).
-    Clipped samples are counted and logged; rail_fraction() recovers the
-    count from the output.  The input trace is left as it is: its samples
+    Clipped samples are counted and logged.  The input trace is left as it is: its samples
     are copied once (or band-limited into a fresh array) and the noise,
     clip and rounding then work in place on that copy, the same private
     steps _receive runs on each shot's trace.
@@ -279,13 +278,7 @@ def adc_quantize(trace: IQTrace, adc: AdcSpec, noise_std: float = 0.0, seed: int
     return replace(trace, samples=samples)
 
 
-def rail_fraction(trace: IQTrace, adc: AdcSpec) -> float:
-    """Fraction of quadrature samples sitting at the converter rails."""
-    quad = np.concatenate([trace.samples.real, trace.samples.imag])
-    return float(np.mean(np.abs(quad) >= adc.full_scale - adc.step / 2))
-
-
-WINDOWS = ("rectangular", "rect", "hann")
+WINDOWS = ("rectangular", "hann")
 
 
 def _window(name: str, n: int) -> np.ndarray:

@@ -22,7 +22,6 @@ from fdmsim import (
     load_chip,
     max_channels,
     plan_for_chip,
-    snr_proxy,
 )
 from fdmsim.planner import _grid_offset
 
@@ -270,14 +269,6 @@ def test_plan_for_chip_rejects_a_grid_or_lo_it_cannot_snap_to(kwargs, match):
 
     with pytest.raises(ConfigError, match=match):
         plan_for_chip(load_chip(builtin_chip_path()), **kwargs)
-
-
-def test_snr_proxy_scalings():
-    base = snr_proxy(0.95 * KAPPA, KAPPA, 1e-6)
-    assert snr_proxy(0.95 * KAPPA, KAPPA, 4e-6) == pytest.approx(2 * base)
-    assert snr_proxy(0.475 * KAPPA, KAPPA, 1e-6) == pytest.approx(base / 2)
-    with pytest.raises(ConfigError):
-        snr_proxy(1.1 * KAPPA, KAPPA, 1e-6)
 
 
 def test_format_plan_report_mentions_channels_and_margin():

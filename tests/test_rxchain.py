@@ -37,7 +37,6 @@ from fdmsim import (
     load_chip,
     measure_crosstalk,
     plan_for_chip,
-    rail_fraction,
     s21_feedline,
     synthesize_multitone,
     upconvert_ssb,
@@ -284,14 +283,6 @@ def test_quantize_blocks_at_and_beyond_the_rails(bits, full_scale, bounded):
         assert quad.tobytes() == expected.tobytes(), name
         assert clipped.tolist() == expected_clipped.tolist(), name
         assert clipped.tolist() == ([0, 0, 0] if name in ("at", "nan") else [1, 0, 1]), name
-
-
-def test_adc_rail_fraction_counts_clipping():
-    adc = AdcSpec(sample_rate=1e9, bits=8, full_scale=0.5)
-    x = np.array([0.0, 0.2, 0.9, -0.8])
-    out = adc_quantize(IQTrace(samples=x + 0j, sample_rate=1e9), adc)
-    # imaginary quadrature is all zeros: 2 of 8 quadrature samples railed
-    assert rail_fraction(out, adc) == pytest.approx(2 / 8)
 
 
 def test_adc_rejects_rate_mismatch():

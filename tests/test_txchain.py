@@ -1,4 +1,4 @@
-"""Transmit chain: multi-tone synthesis, envelopes, SSB tagging, combining."""
+"""Transmit chain: multi-tone synthesis and SSB tagging."""
 
 import math
 
@@ -7,13 +7,9 @@ import pytest
 
 from fdmsim import (
     ConfigError,
-    EnvelopeShape,
     IQTrace,
     NyquistError,
-    PulseEnvelope,
     ToneSpec,
-    TraceMismatchError,
-    combine,
     synthesize_multitone,
     trace_energy,
     upconvert_ssb,
@@ -67,65 +63,12 @@ def test_start_time_offsets_the_phase():
     np.testing.assert_allclose(shifted.samples, base.samples * rotation, rtol=1e-12)
 
 
-def test_rectangular_envelope_gates_the_pulse():
-    env = PulseEnvelope(
-        shape=EnvelopeShape.RECTANGULAR,
-        duration=1e-6,
-        edge_time=0.0,
-        repetition_period=4e-6,
-    )
-    t = np.array([0.0, 0.5e-6, 0.99e-6, 1.5e-6, 3.9e-6, 4.2e-6])
-    np.testing.assert_allclose(env.evaluate(t), [1, 1, 1, 0, 0, 1])
-
-
-def test_raised_cosine_edges_are_smooth_and_bounded():
-    env = PulseEnvelope(
-        shape=EnvelopeShape.RAISED_COSINE,
-        duration=1e-6,
-        edge_time=100e-9,
-        repetition_period=4e-6,
-    )
-    t = np.linspace(0, 4e-6, 4001)
-    v = env.evaluate(t)
-    assert np.all(v >= 0) and np.all(v <= 1 + 1e-12)
-    # half amplitude at the middle of each edge
-    assert env.evaluate(np.array([50e-9]))[0] == pytest.approx(0.5, abs=1e-9)
-    assert env.evaluate(np.array([1e-6 - 50e-9]))[0] == pytest.approx(0.5, abs=1e-9)
-    # flat top between the edges
-    assert env.evaluate(np.array([0.5e-6]))[0] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_envelope_validation():
-    with pytest.raises(ConfigError):
-        PulseEnvelope(
-            shape=EnvelopeShape.RAISED_COSINE,
-            duration=1e-6,
-            edge_time=0.6e-6,  # edges overlap
-            repetition_period=4e-6,
-        )
-    with pytest.raises(ConfigError):
-        PulseEnvelope(
-            shape=EnvelopeShape.RECTANGULAR,
-            duration=5e-6,
-            edge_time=0.0,
-            repetition_period=4e-6,  # shorter than the pulse
-        )
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", ["baseband_frequency", "amplitude", "phase"])
 def test_tone_spec_rejects_non_finite_fields(field, bad):
     fields = {**dict(baseband_frequency=12.5e6, amplitude=0.5, phase=0.1), field: bad}
     with pytest.raises(ConfigError, match=f"{field} must be finite"):
         ToneSpec(**fields)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("field", ["duration", "edge_time", "repetition_period"])
-def test_pulse_envelope_rejects_non_finite_fields(field, bad):
-    fields = {**dict(duration=1e-6, edge_time=0.1e-6, repetition_period=4e-6), field: bad}
-    with pytest.raises(ConfigError, match=f"{field} must be finite"):
-        PulseEnvelope(shape=EnvelopeShape.RAISED_COSINE, **fields)
 
 
 def test_upconvert_tags_carrier_without_touching_samples():
@@ -138,30 +81,10 @@ def test_upconvert_tags_carrier_without_touching_samples():
 def test_upconvert_rejects_double_conversion_and_low_lo():
     base = synthesize_multitone([ToneSpec(baseband_frequency=10e6)], 64, 1e9)
     rf = upconvert_ssb(base, 9.6e9)
-    with pytest.raises(TraceMismatchError):
+    with pytest.raises(ConfigError, match="already up-converted"):
         upconvert_ssb(rf, 9.7e9)
     with pytest.raises(ConfigError):
         upconvert_ssb(base, 400e6)  # below the baseband Nyquist span
-
-
-def test_combine_sums_with_gains():
-    a = synthesize_multitone([ToneSpec(baseband_frequency=10e6)], 64, 1e9)
-    b = synthesize_multitone([ToneSpec(baseband_frequency=20e6)], 64, 1e9)
-    out = combine([a, b], gains=[0.5, 2.0])
-    np.testing.assert_allclose(out.samples, 0.5 * a.samples + 2.0 * b.samples, rtol=1e-13)
-
-
-def test_combine_rejects_mismatched_traces():
-    a = synthesize_multitone([ToneSpec(baseband_frequency=10e6)], 64, 1e9)
-    b = synthesize_multitone([ToneSpec(baseband_frequency=10e6)], 128, 1e9)
-    with pytest.raises(TraceMismatchError):
-        combine([a, b])
-    c = synthesize_multitone([ToneSpec(baseband_frequency=10e6)], 64, 2e9)
-    with pytest.raises(TraceMismatchError):
-        combine([a, c])
-    d = upconvert_ssb(synthesize_multitone([ToneSpec(baseband_frequency=10e6)], 64, 1e9), 9e9)
-    with pytest.raises(TraceMismatchError):
-        combine([a, d])
 
 
 def test_trace_energy_is_sum_of_squared_magnitudes():
