@@ -58,7 +58,7 @@ class AdcSpec:
     optional analog_bandwidth (Hz, one-sided brick wall before sampling).
 
     Raises ConfigError for a field that is NaN or infinite, bits that are
-    not an integer in [1, 32], and a sample_rate, full_scale or
+    a bool or not an integer in [1, 32], and a sample_rate, full_scale or
     analog_bandwidth that is not > 0."""
 
     sample_rate: float
@@ -77,7 +77,9 @@ class AdcSpec:
                 )
         if self.sample_rate <= 0:
             raise ConfigError(f"ADC sample_rate must be > 0, got {self.sample_rate}")
-        if self.bits != int(self.bits) or not 1 <= self.bits <= 32:
+        # bool is an int; True would build a 1-bit converter.
+        if isinstance(self.bits, bool) or self.bits != int(self.bits) \
+                or not 1 <= self.bits <= 32:
             raise ConfigError(f"ADC bits must be an integer in [1, 32], got {self.bits}")
         if self.full_scale <= 0:
             raise ConfigError(f"ADC full_scale must be > 0, got {self.full_scale}")
@@ -281,9 +283,18 @@ def adc_quantize(trace: IQTrace, adc: AdcSpec, noise_std: float = 0.0, seed: int
 WINDOWS = ("rectangular", "hann")
 
 
-def _window(name: str, n: int) -> np.ndarray:
+def _check_window(name: str, n: int) -> None:
+    """Raise ConfigError for an unknown window, or for a hann window over
+    fewer than 2 samples: the periodic hann of length 1 is [0], whose
+    sum, the amplitude normalization, is 0."""
     if name not in WINDOWS:
-        raise ConfigError(f"unknown window {name!r} (use 'rectangular' or 'hann')")
+        raise ConfigError(f"unknown window {name!r} (use one of {WINDOWS})")
+    if name == "hann" and n < 2:
+        raise ConfigError(f"a hann window needs n_samples >= 2, got {n}")
+
+
+def _window(name: str, n: int) -> np.ndarray:
+    _check_window(name, n)
     if name == "hann":
         # Periodic (DFT-even) hann: exact unity gain for bin-centered tones.
         return 0.5 * (1 - np.cos(2 * np.pi * np.arange(n) / n))
@@ -372,6 +383,9 @@ def channelize(
     i.e. the one-sigma uncertainty per quadrature of each channel
     amplitude under white noise.
 
+    An unknown window, or a hann window over fewer than 2 samples, raises
+    ConfigError, as in ReadoutSetup.
+
     The window, projection kernel and noise mask depend only on
     (channel frequencies, n_samples, sample_rate, window); they are built
     once per such key and reused from a small cache.  The projection is
@@ -408,13 +422,14 @@ class ReadoutSetup:
     """Frozen front-end configuration for multiplexed acquisition.
 
     Construction rejects, with ConfigError, duplicate device ids, a NaN
-    or infinite frequency, rate or amplitude, an n_samples that is not
-    an integral count >= 1 (4000.0 is kept as 4000), a channel off the
-    acquisition DFT grid (sample_rate / n_samples), a channel outside
-    the grid's baseband range [-sample_rate/2, sample_rate/2), two
-    channels fewer than NOISE_GUARD_BINS bins apart, and an unknown
-    window.  Every setup it accepts therefore channelizes
-    exactly, and a noiseless, ADC-free acquisition of it is computed in
+    or infinite frequency, rate or amplitude, a negative amplitude, an
+    n_samples that is not an integral count >= 1 (4000.0 is kept as
+    4000), a channel off the acquisition DFT grid (sample_rate /
+    n_samples), a channel outside the grid's baseband range
+    [-sample_rate/2, sample_rate/2), two channels fewer than
+    NOISE_GUARD_BINS bins apart, an unknown window, and a hann window
+    over fewer than 2 samples.  Every setup it accepts therefore
+    channelizes exactly, and a noiseless, ADC-free acquisition of it is computed in
     closed form as amplitude * S21(channel frequency) (see _receive).
     """
 
@@ -440,11 +455,12 @@ class ReadoutSetup:
                       amplitude=self.amplitude)
         if not self.sample_rate > 0:
             raise ConfigError(f"need sample_rate > 0, got {self.sample_rate}")
+        if self.amplitude < 0:
+            raise ConfigError(f"amplitude must be >= 0, got {self.amplitude}")
         grid = _acquisition_grid(self.sample_rate, self.n_samples)
         # An integral float count such as 4000.0 is kept as the int it names.
         object.__setattr__(self, "n_samples", int(self.n_samples))
-        if self.window not in WINDOWS:
-            raise ConfigError(f"unknown window {self.window!r} (use one of {WINDOWS})")
+        _check_window(self.window, self.n_samples)
         nyquist = self.sample_rate / 2
         bins = []
         for f in self.baseband_frequencies:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import math
 import os
 import stat
 import struct
@@ -97,8 +98,9 @@ def write_trace(path: str | Path, trace: IQTrace) -> None:
 def read_trace(path: str | Path) -> IQTrace:
     """Read a trace written by write_trace.
 
-    Raises TraceFormatError on bad magic, unsupported version, or a
-    payload whose length disagrees with the header.
+    Raises TraceFormatError on bad magic, unsupported version, a header
+    sample rate that is not finite and > 0, or a payload whose length
+    disagrees with the header.
     """
     blob = Path(path).read_bytes()
     if len(blob) < _HEADER.size:
@@ -108,6 +110,8 @@ def read_trace(path: str | Path) -> IQTrace:
         raise TraceFormatError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise TraceFormatError(f"{path}: unsupported version {version}")
+    if not 0 < sample_rate < math.inf:
+        raise TraceFormatError(f"{path}: header sample_rate {sample_rate} is not finite and > 0")
     expected = _HEADER.size + 16 * n_samples
     if len(blob) != expected:
         raise TraceFormatError(

@@ -52,6 +52,7 @@ class IQTrace:
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 1 or samples.size == 0:
             raise ConfigError("IQTrace needs a non-empty 1-d sample array")
+        _check_finite(sample_rate=self.sample_rate)
         if self.sample_rate <= 0:
             raise ConfigError(f"sample_rate must be > 0, got {self.sample_rate}")
 

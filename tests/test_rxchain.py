@@ -35,6 +35,7 @@ from fdmsim import (
     channelize,
     downconvert,
     load_chip,
+    make_readout_setup,
     measure_crosstalk,
     plan_for_chip,
     s21_feedline,
@@ -325,6 +326,7 @@ def test_adc_and_setup_reject_non_finite_fields(cls, field, bad):
     ("bits", 33, "bits must be an integer in"),
     ("analog_bandwidth", -1.0, "analog_bandwidth must be > 0"),
     ("analog_bandwidth", 0.0, "analog_bandwidth must be > 0"),
+    ("bits", True, "bits must be an integer in"),  # bool is an int: a 1-bit converter
 ])
 def test_adc_rejects_bad_bits_and_band(field, bad, match):
     fields = {**VALID_FIELDS[AdcSpec], field: bad}
@@ -389,6 +391,21 @@ def test_channelize_recovers_bin_centered_tones_exactly():
         for m, a, p in zip(meas, amps, phases):
             assert m.amplitude == pytest.approx(a, rel=1e-12, abs=1e-12)
             assert m.phase == pytest.approx(p, abs=1e-9)
+
+
+def test_hann_window_needs_two_samples():
+    # The periodic hann of length 1 is [0]: its sum, the amplitude
+    # normalization, is 0.  Setup and channelize refuse it by one rule.
+    with pytest.raises(ConfigError, match="hann window needs n_samples >= 2"):
+        ReadoutSetup(device_ids=(1,), lo_frequency=9.3e9, baseband_frequencies=(0.0,),
+                     n_samples=1, window="hann")
+    with pytest.raises(ConfigError, match="hann window needs n_samples >= 2"):
+        channelize(IQTrace(np.ones(1), 1e9), [0.0], window="hann")
+    # Length 2 is [0, 1]; one sample stays fine under the rectangular window.
+    assert channelize(IQTrace(np.ones(2), 1e9), [0.0], window="hann")[0].amplitude == 1.0
+    assert channelize(IQTrace(np.ones(1), 1e9), [0.0])[0].amplitude == 1.0
+    ReadoutSetup(device_ids=(1,), lo_frequency=9.3e9, baseband_frequencies=(0.0,),
+                 n_samples=2, window="hann")
 
 
 def test_channelize_orthogonality_error_floor():
@@ -813,6 +830,18 @@ def test_setup_and_crosstalk_reject_a_non_integral_count(chip7, n_samples):
         measure_crosstalk(chip, plan, 1, n_samples=n_samples)
     with pytest.raises(ConfigError, match="integral n_samples >= 1"):
         measure_crosstalk(chip, plan, 1, n_samples=n_samples, lo_frequency=8e9)
+
+
+def test_setup_rejects_a_negative_amplitude(chip7):
+    # A negative amplitude would invert every tone, a phase error of pi.
+    chip, plan = chip7
+    with pytest.raises(ConfigError, match="amplitude must be >= 0"):
+        ReadoutSetup(**VALID_FIELDS[ReadoutSetup], amplitude=-0.1)
+    with pytest.raises(ConfigError, match="amplitude must be >= 0"):
+        make_readout_setup(chip, (1, 2), amplitude=-0.1)
+    with pytest.raises(ConfigError, match="amplitude must be >= 0"):
+        measure_crosstalk(chip, plan, 1, amplitude=-1.0)
+    assert ReadoutSetup(**VALID_FIELDS[ReadoutSetup], amplitude=0.0).amplitude == 0.0
 
 
 def test_setup_keeps_an_integral_float_count_as_an_int(chip7):

@@ -88,6 +88,18 @@ def test_bad_version_rejected(tmp_path):
         read_trace(path)
 
 
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -1e9])
+def test_header_rate_that_is_not_finite_and_positive_rejected(tmp_path, rate, capsys):
+    header = struct.pack("<8sIIdQ", b"FDMTRACE", 1, 0, rate, 2)
+    path = tmp_path / "rate.trc"
+    path.write_bytes(header + bytes(32))
+    with pytest.raises(TraceFormatError, match="header sample_rate"):
+        read_trace(path)
+    # The CLI names the file's fault and exits 2, with no traceback.
+    assert main(["channelize", "--trace", str(path), "--channels", "0"]) == 2
+    assert "header sample_rate" in capsys.readouterr().err
+
+
 def test_truncated_payload_rejected(tmp_path):
     trace = IQTrace(samples=np.ones(10, dtype=complex), sample_rate=1e9)
     path = tmp_path / "cut.trc"

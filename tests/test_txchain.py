@@ -99,5 +99,8 @@ def test_trace_validation():
         IQTrace(samples=np.array([], dtype=complex), sample_rate=1e9)
     with pytest.raises(ConfigError):
         IQTrace(samples=np.array([1j]), sample_rate=0.0)
+    for rate in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="sample_rate must be finite"):
+            IQTrace(samples=np.array([1j]), sample_rate=rate)
     with pytest.raises(ConfigError):
         ToneSpec(baseband_frequency=1e6, amplitude=-0.5)
