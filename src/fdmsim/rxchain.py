@@ -633,10 +633,10 @@ def apply_feedline(rf: IQTrace, chip: Chip, states: Sequence[float], fluxes) -> 
     """Pass an up-converted trace through the chip's composite feedline.
 
     The trace is treated as one period of a circular signal: its DFT bins
-    are multiplied by S21 evaluated at carrier + bin frequency.  Exact
-    for tones on the DFT grid; for pulsed envelopes this is the standard
-    quasi-static frequency-domain filter (qubit states frozen during the
-    window).  Because of that exactness no acquisition calls this
+    are multiplied by S21 evaluated at carrier + bin frequency, with the
+    qubit states frozen during the window.  Exact for tones on the DFT
+    grid; for any other trace it is the quasi-static frequency-domain
+    filter.  Because of that exactness no acquisition calls this
     filter: acquire, the sweep drivers and measure_crosstalk take
     amplitude * S21(channel frequency) in closed form, as the result of
     a noiseless, ADC-free shot and as the tone amplitudes of the

@@ -1,5 +1,11 @@
 """Multi-tone synthesis and single-sideband up-conversion.
 
+The transmit side of the readout: a comb of constant tones, one per
+channel, summed into one trace and read over one window.  Acquisitions
+compute what such a comb gives in closed form (see rxchain._receive);
+these stages build the trace that the tests pass through the full chain
+as the oracle of that closed form.
+
 Signals are complex baseband envelopes.  Up-conversion never resamples
 to the carrier rate: it only tags the trace with its carrier frequency,
 since the complex envelope already encodes the single sideband exactly
