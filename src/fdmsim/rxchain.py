@@ -257,10 +257,10 @@ def adc_quantize(trace: IQTrace, adc: AdcSpec, noise_std: float = 0.0, seed: int
     seed is then irrelevant), hard clip at +-full_scale, then mid-tread
     rounding with step 2*full_scale/2^bits (integer codes
     -2^(bits-1)..+2^(bits-1), so both rails and zero are exact codes).
-    Clipped samples are counted and logged.  The input trace is left as it is: its samples
-    are copied once (or band-limited into a fresh array) and the noise,
-    clip and rounding then work in place on that copy, the same private
-    steps _receive runs on each shot's trace.
+    Clipped samples are counted and logged.  The input trace is left as
+    it is: its samples are copied once (or band-limited into a fresh
+    array) and the noise, clip and rounding then work in place on that
+    copy, the same private steps _receive runs on each shot's trace.
     """
     _check_adc_rate(trace.sample_rate, adc)
     _check_noise_std(noise_std)
@@ -429,8 +429,9 @@ class ReadoutSetup:
     [-sample_rate/2, sample_rate/2), two channels fewer than
     NOISE_GUARD_BINS bins apart, an unknown window, and a hann window
     over fewer than 2 samples.  Every setup it accepts therefore
-    channelizes exactly, and a noiseless, ADC-free acquisition of it is computed in
-    closed form as amplitude * S21(channel frequency) (see _receive).
+    channelizes exactly, and a noiseless, ADC-free acquisition of it is
+    computed in closed form as amplitude * S21(channel frequency) (see
+    _receive).
     """
 
     device_ids: tuple[int, ...]
