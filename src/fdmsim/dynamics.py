@@ -384,32 +384,40 @@ def _telegraph_block(
     lengths: np.ndarray,
     ramp: np.ndarray,
     signal: np.ndarray,
-    power: np.ndarray,
+    index: np.ndarray,
 ) -> None:
-    """Power spectra of k whole rows given as runs of constant sigma.
+    """Adds the power spectra of k whole rows, given as runs of constant
+    sigma, to a running sum.
 
     starts and lengths are the rows' runs in order, as _lay_out_chunk
     gives them: sample q of a row, in a run with start s, is table[s + q],
-    and ramp is the int32 arange(n) of the q.  Writes |FFT|^2 of each
-    row's carrier into power[1:k+1], using signal[:k] as scratch.  Every
-    pass over the samples but the repeat releases the GIL, so blocks on
-    their own buffers can run on separate threads.
+    and ramp is the int32 arange(n) of the q.  signal is a complex
+    (rows + 1, n) buffer whose row 0, read as 2n floats, is the running
+    sum of re^2 and im^2 of each bin, interleaved.  The k rows' carriers
+    are gathered into signal[1:k+1] and transformed and squared there,
+    then added to row 0 one row at a time, in order, so the sum does not
+    depend on how the rows are split into blocks.  index is int64 scratch
+    of at least max(k, 2) * n entries.  Every pass over the samples but
+    the repeat releases the GIL, so blocks on their own buffers can run
+    on separate threads.
     """
     n = ramp.size
     runs = np.repeat(starts, lengths)
     k = runs.size // n
-    # The table indices are written to the power rows, free until the
-    # power lands there.  Adding in int32 and widening on the way out
-    # beats an int64 sum.
-    walk = power[1:k + 1].view(np.int64)
+    # Adding in int32 and widening on the way out beats an int64 sum.
+    walk = index[:k * n].reshape(k, n)
     np.add(runs.reshape(k, n), ramp, out=walk)
-    sig = signal[:k]
+    sig = signal[1:k + 1]
     # mode="clip" gathers straight into sig; "raise" buffers it.
     np.take(table, walk, out=sig, mode="clip")
     np.fft.fft(sig, axis=1, out=sig)
-    rows_power = power[1:k + 1]
-    np.abs(sig, out=rows_power)
-    np.square(rows_power, out=rows_power)
+    parts = signal[:k + 1].view(float)
+    np.square(parts[1:], out=parts[1:])
+    # A sum written onto its own input would copy the input first, so it
+    # goes to the index bytes, free once the gather is done.
+    total = index[:2 * n].view(float)
+    np.add.reduce(parts, axis=0, out=total)
+    parts[0] = total
 
 
 def relaxation_telegraph_spectrum(
@@ -461,10 +469,13 @@ def relaxation_telegraph_spectrum(
     lane sets its one Generator to the chunk's stream, lays out the runs
     and their starts, and takes the table indices, gather, FFT and power
     through blocks of 1/L of a block's rows (at least one), so the
-    buffers together hold one block whatever L is.  It sums the chunk's
-    power rows in order, then adds that sum to the spectrum in chunk
-    order, through a turnstile, so the result is the same bit for bit for
-    every lane count.
+    buffers together hold one block whatever L is.  The power of a bin is
+    |X|^2 = re^2 + im^2, with no hypot: each block squares its FFT output
+    in place, read as 2n floats, and adds the rows in order to the
+    chunk's running sums of re^2 and of im^2.  Through a turnstile, in
+    chunk order, the spectrum then gains the chunk's re^2 sums and then
+    its im^2 sums, so the result is the same bit for bit for every lane
+    count.
 
     Returns the folded one-sided spectrum and the fraction of power
     outside the Carson band of full width 2*(shift + 2*gamma) centered on
@@ -512,11 +523,11 @@ def relaxation_telegraph_spectrum(
     block = max(1, min(chunk, _BLOCK_SAMPLES // n))
     lanes = min(_lane_count(), chunks)
     rows = max(1, block // lanes)
-    signals = [np.empty((rows, n), dtype=complex) for _ in range(lanes)]
-    # Row 0 carries the chunk's running sum, so that one sum over axis 0
-    # adds the trajectories to it one at a time, in order, whatever the
-    # block size.
-    powers = [np.empty((rows + 1, n)) for _ in range(lanes)]
+    # Row 0 of a lane's signal carries the chunk's running sum, so that
+    # one sum over axis 0 adds the trajectories to it one at a time, in
+    # order, whatever the block size.
+    signals = [np.empty((rows + 1, n), dtype=complex) for _ in range(lanes)]
+    indices = [np.empty(max(rows, 2) * n, dtype=np.int64) for _ in range(lanes)]
     generators = [np.random.Generator(np.random.PCG64(0)) for _ in range(lanes)]
     psd = np.zeros(n)
     turn = threading.Condition()
@@ -525,22 +536,23 @@ def relaxation_telegraph_spectrum(
         nonlocal added
         if added is None:
             return
-        power, generator = powers[lane], generators[lane]
+        signal, generator = signals[lane], generators[lane]
+        sums = signal[0].view(float)
         try:
             _set_state(generator, states[c])
             m = min(chunk, n_trajectories - c * chunk)
             edges, lengths, starts = _lay_out_chunk(generator, flip_p, m, n)
-            power[0] = 0.0
+            sums[:] = 0.0
             for b in range(0, m, rows):
-                k = min(rows, m - b)
-                runs = slice(edges[b], edges[b + k])
-                _telegraph_block(table, starts[runs], lengths[runs], ramp, signals[lane],
-                                 power)
-                np.sum(power[:k + 1], axis=0, out=power[0])
+                runs = slice(edges[b], edges[min(b + rows, m)])
+                _telegraph_block(table, starts[runs], lengths[runs], ramp, signal,
+                                 indices[lane])
             with turn:
                 turn.wait_for(lambda: added is None or added == c)
                 if added is not None:
-                    np.add(psd, power[0], out=psd)
+                    # re^2 of every bin, then im^2.
+                    np.add(psd, sums[0::2], out=psd)
+                    np.add(psd, sums[1::2], out=psd)
                     added += 1
                     turn.notify_all()
         except BaseException:

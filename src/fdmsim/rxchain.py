@@ -384,7 +384,9 @@ def channelize(
     amplitude under white noise.
 
     An unknown window, or a hann window over fewer than 2 samples, raises
-    ConfigError, as in ReadoutSetup.
+    ConfigError, as in ReadoutSetup.  So does a trace with NaN or
+    infinite samples, or with samples so large that the channel sums or
+    the noise estimate overflow.
 
     The window, projection kernel and noise mask depend only on
     (channel frequencies, n_samples, sample_rate, window); they are built
@@ -403,8 +405,21 @@ def channelize(
         if abs(f) > nyquist:
             raise NyquistError(f"channel at {f:+.6g} Hz exceeds Nyquist {nyquist:.6g} Hz")
     plan = _channel_plan(freqs, trace.n_samples, float(trace.sample_rate), window)
-    amplitudes, wx = _project(plan, trace.samples)
-    noise_std = _noise_std(plan, wx)
+    # The results show a bad sample, so the samples get no pass of their
+    # own, here or in _receive's shot loop.
+    with np.errstate(over="ignore", invalid="ignore"):
+        amplitudes, wx = _project(plan, trace.samples)
+        noise_std = _noise_std(plan, wx)
+    if not (np.isfinite(amplitudes).all()
+            and (math.isfinite(noise_std) or not plan.noise_mask.any())):
+        samples = trace.samples
+        bad = np.flatnonzero(~np.isfinite(samples))
+        if bad.size:
+            raise ConfigError(f"trace has {bad.size} non-finite (NaN or inf) sample(s), "
+                              f"the first at index {bad[0]}")
+        peak = max(np.abs(samples.real).max(), np.abs(samples.imag).max())
+        raise ConfigError(f"trace samples reach {peak:.3g} in I or Q, "
+                          "and channelize's sums overflow")
 
     return [
         ToneMeasurement(

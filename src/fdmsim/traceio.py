@@ -86,7 +86,11 @@ def write_trace(path: str | Path, trace: IQTrace) -> None:
 
     The header and the interleaved samples are filled into one buffer of
     the file's size, which is written as it is: the trace's payload is
-    held once, not copied again on its way to the file."""
+    held once, not copied again on its way to the file.  A trace with a
+    NaN or infinite sample raises ConfigError before anything is written,
+    as read_trace would refuse the file."""
+    if not np.isfinite(trace.samples).all():
+        raise ConfigError("refusing to write a trace with non-finite (NaN or inf) samples")
     data = np.empty(_HEADER.size + 16 * trace.n_samples, dtype=np.uint8)
     _HEADER.pack_into(data, 0, MAGIC, VERSION, 0, float(trace.sample_rate), trace.n_samples)
     payload = data[_HEADER.size:].view("<f8").reshape(-1, 2)
@@ -99,8 +103,9 @@ def read_trace(path: str | Path) -> IQTrace:
     """Read a trace written by write_trace.
 
     Raises TraceFormatError on bad magic, unsupported version, a header
-    sample rate that is not finite and > 0, or a payload whose length
-    disagrees with the header.
+    sample rate that is not finite and > 0, a header sample count of 0,
+    a payload whose length disagrees with the header, or a NaN or
+    infinite sample.
     """
     blob = Path(path).read_bytes()
     if len(blob) < _HEADER.size:
@@ -112,6 +117,8 @@ def read_trace(path: str | Path) -> IQTrace:
         raise TraceFormatError(f"{path}: unsupported version {version}")
     if not 0 < sample_rate < math.inf:
         raise TraceFormatError(f"{path}: header sample_rate {sample_rate} is not finite and > 0")
+    if n_samples == 0:
+        raise TraceFormatError(f"{path}: header n_samples is 0; a trace needs a sample")
     expected = _HEADER.size + 16 * n_samples
     if len(blob) != expected:
         raise TraceFormatError(
@@ -119,6 +126,8 @@ def read_trace(path: str | Path) -> IQTrace:
             f"header n_samples {n_samples}"
         )
     flat = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
+    if not np.isfinite(flat).all():
+        raise TraceFormatError(f"{path}: payload holds a non-finite (NaN or inf) sample")
     samples = flat[0::2] + 1j * flat[1::2]
     return IQTrace(samples=samples, sample_rate=sample_rate)
 

@@ -21,7 +21,7 @@ from fdmsim import (
     relaxation_telegraph_spectrum,
     steady_state_excited,
 )
-from fdmsim.dynamics import _lay_out_chunk, _telegraph_flips
+from fdmsim.dynamics import _lay_out_chunk, _telegraph_block, _telegraph_flips
 from fdmsim.seeding import child_seed, derive_rng
 
 TWO_PI = 2 * math.pi
@@ -371,8 +371,10 @@ def reference_telegraph(gamma, shift, duration, n_trajectories, seed=0, sample_r
 
     Chunk c of at most 2_000_000 samples, and one of at least four when
     there are four trajectories, draws its flips from
-    derive_rng(child_seed(seed, c)).  Each chunk's rows are summed in
-    order, then the chunks are added in order.  Returns (folded power,
+    derive_rng(child_seed(seed, c)).  The power of a bin is re^2 + im^2:
+    each chunk's squared real parts and squared imaginary parts are
+    summed over its rows in order, then the chunks are added in order,
+    the re^2 sums and then the im^2 sums.  Returns (folded power,
     out-of-band fraction) for the same draws as
     relaxation_telegraph_spectrum.
     """
@@ -389,7 +391,9 @@ def reference_telegraph(gamma, shift, duration, n_trajectories, seed=0, sample_r
         sigma = start[:, None] * (1.0 - 2.0 * parity)
         phase = np.cumsum(sigma, axis=1) * (shift * dt)
         signal = np.exp(1j * phase)
-        psd += np.sum(np.abs(np.fft.fft(signal, axis=1)) ** 2, axis=0)
+        spectrum = np.fft.fft(signal, axis=1)
+        psd += np.sum(spectrum.real ** 2, axis=0)
+        psd += np.sum(spectrum.imag ** 2, axis=0)
     psd /= psd.sum()
     out_fraction = float(1.0 - psd[in_band].sum())
     return fold(psd), out_fraction
@@ -534,6 +538,36 @@ def test_telegraph_layout_reads_the_running_sum(p, m, n):
     assert np.array_equal(np.where(index <= 2 * n, index, 4 * n + 1 - index), walk + n)
     if p == 0.5:
         assert np.any(lengths == 0)
+
+
+def test_telegraph_block_power_is_the_squared_magnitude():
+    """A block adds re^2 and im^2 of each row's FFT, interleaved, to the
+    running sum in row 0 of its signal buffer.  Summed, they are |FFT|^2
+    as np.abs gives it within a few ulp; and one block of every row adds
+    them up as blocks of one row each do, bit for bit."""
+    # criterion 3's grid: 43.2 MS/s over 100 us
+    p, m, n = -math.expm1(-TWO_PI * 0.1e6 / 43.2e6) / 2, 6, 4320
+    edges, lengths, starts = _lay_out_chunk(derive_rng(child_seed(11, 0)), p, m, n)
+    carrier = np.exp(1j * (np.arange(-n, n + 1) * 0.37))
+    table = np.concatenate((carrier, carrier[::-1]))
+    ramp = np.arange(n, dtype=np.int32)
+    gathered = table[np.repeat(starts, lengths).reshape(m, n) + ramp]
+    spectra = np.fft.fft(gathered, axis=1)
+
+    signal = np.empty((m + 1, n), dtype=complex)
+    index = np.empty(m * n, dtype=np.int64)
+    sums = signal[0].view(float)
+    running = np.zeros(2 * n)
+    for r in range(m):
+        sums[:] = 0.0
+        _telegraph_block(table, starts[edges[r]:edges[r + 1]], lengths[edges[r]:edges[r + 1]],
+                         ramp, signal, index)
+        np.testing.assert_array_max_ulp(sums[0::2] + sums[1::2], np.abs(spectra[r]) ** 2,
+                                        maxulp=8)
+        running += sums
+    sums[:] = 0.0
+    _telegraph_block(table, starts, lengths, ramp, signal, index)
+    assert np.array_equal(sums, running)
 
 
 @pytest.mark.parametrize(

@@ -527,6 +527,24 @@ def test_channelize_rejects_carried_trace_and_off_nyquist():
         channelize(base, [600e6])
 
 
+@pytest.mark.parametrize("window", ["rectangular", "hann"])
+@pytest.mark.parametrize(
+    "samples, reason",
+    [
+        (np.full(8, complex(math.nan, 0.0)), "8 non-finite .* first at index 0"),
+        (np.array([0, 0, 0, complex(1.0, -math.inf)] * 2), "2 non-finite .* first at index 3"),
+        # the channel sums overflow
+        (np.full(8, 1e308 + 0j), "reach 1e\\+308 in I or Q"),
+        # the channel sum does not, the noise estimate's |X|^2 does
+        (np.resize([0.0, 1e200], 64).astype(complex), "reach 1e\\+200 in I or Q"),
+    ],
+)
+def test_channelize_names_non_finite_and_overflowing_samples(samples, reason, window):
+    trace = IQTrace(samples=samples, sample_rate=1e9)
+    with pytest.raises(ConfigError, match=reason):
+        channelize(trace, [0.0], window=window)
+
+
 def reference_projection(trace, freqs, window):
     """Channel projections built from scratch on every call, no plan cache."""
     n = trace.n_samples

@@ -57,7 +57,8 @@ def test_write_trace_holds_the_payload_once(tmp_path):
     n = 200_000
     rng = np.random.default_rng(8)
     samples = rng.normal(size=n) + 1j * rng.normal(size=n)
-    samples[:3] = [complex(-0.0, np.nan), complex(np.inf, -np.inf), 0j]
+    big, tiny = np.finfo(float).max, np.finfo(float).smallest_subnormal
+    samples[:3] = [complex(-0.0, tiny), complex(big, -big), 0j]
     trace = IQTrace(samples=samples, sample_rate=1e9 / 3)
     path = tmp_path / "big.trc"
     tracemalloc.start()
@@ -98,6 +99,40 @@ def test_header_rate_that_is_not_finite_and_positive_rejected(tmp_path, rate, ca
     # The CLI names the file's fault and exits 2, with no traceback.
     assert main(["channelize", "--trace", str(path), "--channels", "0"]) == 2
     assert "header sample_rate" in capsys.readouterr().err
+
+
+def test_header_without_samples_rejected(tmp_path, capsys):
+    path = tmp_path / "empty.trc"
+    path.write_bytes(struct.pack("<8sIIdQ", b"FDMTRACE", 1, 0, 1e9, 0))
+    with pytest.raises(TraceFormatError, match="n_samples is 0"):
+        read_trace(path)
+    assert main(["channelize", "--trace", str(path), "--channels", "0"]) == 2
+    assert "n_samples is 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("part", [0, 1], ids=["I", "Q"])
+def test_non_finite_payload_rejected(tmp_path, value, part, capsys):
+    payload = np.zeros((4, 2))
+    payload[2, part] = value
+    path = tmp_path / "bad.trc"
+    path.write_bytes(struct.pack("<8sIIdQ", b"FDMTRACE", 1, 0, 1e9, 4)
+                     + payload.astype("<f8").tobytes())
+    with pytest.raises(TraceFormatError, match="non-finite"):
+        read_trace(path)
+    assert main(["channelize", "--trace", str(path), "--channels", "0"]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sample", [complex(float("nan"), 0.0), complex(0.0, float("inf")),
+                                    complex(float("-inf"), 1.0)])
+def test_write_trace_refuses_non_finite_samples(tmp_path, sample):
+    samples = np.ones(6, dtype=complex)
+    samples[4] = sample
+    path = tmp_path / "t.trc"
+    with pytest.raises(ConfigError, match="non-finite"):
+        write_trace(path, IQTrace(samples=samples, sample_rate=1e9))
+    assert not path.exists()
 
 
 def test_truncated_payload_rejected(tmp_path):
