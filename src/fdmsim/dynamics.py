@@ -37,7 +37,7 @@ from .seeding import _child_states, _set_state
 # length of a single trajectory.
 TELEGRAPH_CHUNK_SAMPLES = 2_000_000
 # Samples per block of the walk, carrier gather, FFT and power sum: 30 rows
-# at n = 4320, with about 4 MB of buffers, split among the lanes.
+# at n = 4320, with about 3 MB of buffers, split among the lanes.
 _BLOCK_SAMPLES = 1 << 17
 
 
@@ -468,7 +468,8 @@ def relaxation_telegraph_spectrum(
     c on lane c % L: L is lanes.lane_count(), at most the chunk count.  A
     lane sets its one Generator to the chunk's stream, lays out the runs
     and their starts, and takes the table indices, gather, FFT and power
-    through blocks of 1/L of a block's rows (at least one), so the
+    through blocks of one row fewer than 1/L of a block's rows (at least
+    one): the lane's share also holds the chunk's running sum, and the
     buffers together hold one block whatever L is.  The power of a bin is
     |X|^2 = re^2 + im^2, with no hypot: each block squares its FFT output
     in place, read as 2n floats, and adds the rows in order to the
@@ -522,11 +523,12 @@ def relaxation_telegraph_spectrum(
     states = _child_states(seed, chunks)
     block = max(1, min(chunk, _BLOCK_SAMPLES // n))
     lanes = min(_lane_count(), chunks)
-    rows = max(1, block // lanes)
-    # Row 0 of a lane's signal carries the chunk's running sum, so that
-    # one sum over axis 0 adds the trajectories to it one at a time, in
-    # order, whatever the block size.
-    signals = [np.empty((rows + 1, n), dtype=complex) for _ in range(lanes)]
+    # A lane's signal holds its share of a block, whose row 0 carries the
+    # chunk's running sum, so that one sum over axis 0 adds the
+    # trajectories to it one at a time, in order, whatever the block size.
+    share = max(2, block // lanes)
+    rows = share - 1
+    signals = [np.empty((share, n), dtype=complex) for _ in range(lanes)]
     indices = [np.empty(max(rows, 2) * n, dtype=np.int64) for _ in range(lanes)]
     generators = [np.random.Generator(np.random.PCG64(0)) for _ in range(lanes)]
     psd = np.zeros(n)
@@ -550,7 +552,6 @@ def relaxation_telegraph_spectrum(
             with turn:
                 turn.wait_for(lambda: added is None or added == c)
                 if added is not None:
-                    # re^2 of every bin, then im^2.
                     np.add(psd, sums[0::2], out=psd)
                     np.add(psd, sums[1::2], out=psd)
                     added += 1

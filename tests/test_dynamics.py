@@ -674,7 +674,7 @@ def test_telegraph_rejects_bad_input(bad):
         dict(gamma=TWO_PI * 0.1e6, shift=TWO_PI * 2.5e6, duration=20e-6,
              n_trajectories=2, seed=4),
         # n = 864: chunks of 122, 122, 122 and 121 rows, run in blocks of
-        # 122, 61 or 40 rows on 1, 2 or 3 lanes, some of them partly full
+        # 121, 60 or 39 rows on 1, 2 or 3 lanes, some of them partly full
         dict(gamma=TWO_PI * 0.1e6, shift=TWO_PI * 2.5e6, duration=20e-6,
              n_trajectories=487, seed=5),
     ],

@@ -112,8 +112,8 @@ def test_telegraph_raises_a_failed_block_rather_than_hang(lanes, on_caller, monk
             return block(*args)
 
         monkeypatch.setattr(fdmsim.dynamics, "_telegraph_block", failing_block)
-        # n = 864: four chunks of at most 122 rows, in blocks of 61 or
-        # 40 rows
+        # n = 864: four chunks of at most 122 rows, in blocks of 60 or
+        # 39 rows
         fdmsim.dynamics.relaxation_telegraph_spectrum(
             gamma=TWO_PI * 0.1e6, shift=TWO_PI * 2.5e6, duration=20e-6,
             n_trajectories=487, seed=5)
