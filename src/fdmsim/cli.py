@@ -59,6 +59,14 @@ def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.replace(",", " ").split()]
 
 
+def _count(text: str) -> int:
+    """An integer >= 1; anything else is a usage error (exit 2)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fdmsim",
@@ -99,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_chip_arg(p)
     p.add_argument("--flux-start", type=float, default=-0.025, help="Phi0")
     p.add_argument("--flux-stop", type=float, default=0.025, help="Phi0")
-    p.add_argument("--points", type=int, default=500)
+    p.add_argument("--points", type=_count, default=500)
     p.add_argument("--devices", type=_int_list, default=None, help="e.g. 1,2,3")
     p.add_argument("--noise-std", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
@@ -111,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_chip_arg(p)
     p.add_argument("--start", type=float, default=9.25e9, help="Hz")
     p.add_argument("--stop", type=float, default=10.25e9, help="Hz")
-    p.add_argument("--points", type=int, default=2001)
+    p.add_argument("--points", type=_count, default=2001)
     p.add_argument("--excite", type=_int_list, default=[], help="devices in the excited state")
     p.add_argument("--flux", type=float, default=None, help="common flux, Phi0")
     add_output_args(p)
@@ -120,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_chip_arg(p)
     p.add_argument("--devices", type=_int_list, default=None)
     p.add_argument("--duration", type=float, default=2e-6, help="longest drive, s")
-    p.add_argument("--points", type=int, default=400)
+    p.add_argument("--points", type=_count, default=400)
     p.add_argument("--rate", type=float, default=5e6, help="Rabi rate per unit amplitude, Hz")
     p.add_argument("--amplitudes", type=_float_list, default=None, help="per-device drive scales")
     p.add_argument("--detuning", type=float, default=0.0, help="Hz")
@@ -210,7 +218,7 @@ def _cmd_plan(args) -> int:
         band_stop = args.band_stop
         if band_stop is None:
             band_stop = args.band_start + args.bandwidth
-        rule = SpacingRule.FIXED_SPACING if args.spacing else SpacingRule.KAPPA_MULTIPLE
+        rule = SpacingRule.KAPPA_MULTIPLE if args.spacing is None else SpacingRule.FIXED_SPACING
         plan = generate_plan(
             args.channels,
             args.band_start,

@@ -164,6 +164,51 @@ def acquire(
     ]
 
 
+def _axis(values, name: str) -> np.ndarray:
+    """values as a float array; ConfigError unless it is 1-d and non-empty."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or values.size == 0:
+        raise ConfigError(f"{name} must be a non-empty 1-d array")
+    return values
+
+
+def _readout_setup(chip: Chip, device_ids, setup: ReadoutSetup | None) -> ReadoutSetup:
+    """setup when one is given, else make_readout_setup(chip, device_ids).
+    ConfigError when both are given and device_ids are not setup's."""
+    if setup is None:
+        return make_readout_setup(chip, device_ids)
+    if device_ids is not None and tuple(device_ids) != setup.device_ids:
+        raise ConfigError("device_ids disagrees with the supplied setup")
+    return setup
+
+
+def _sweep_result(kind: str, chip: Chip, axis_name: str, axis_values, tables, keys: dict, *,
+                  device_ids=None, setup: ReadoutSetup | None = None,
+                  adc: AdcSpec | None = None, config_hash: str | None = None) -> SweepResult:
+    """A driver's SweepResult, with the metadata every driver writes: kind,
+    chip, the driver's own keys, device_ids (columns dev<id>; without ids
+    one composite feedline column) and config_hash when given.  setup is
+    given when a readout ran: its LO, rate, sample count, probe amplitude
+    and window are recorded, and the ADC's bits, full scale and analog band.
+    """
+    metadata = {"kind": kind, "chip": chip.name, **keys}
+    columns = ("feedline",)
+    if device_ids is not None:
+        metadata["device_ids"] = " ".join(str(d) for d in device_ids)
+        columns = tuple(f"dev{d}" for d in device_ids)
+    if setup is not None:
+        metadata.update(lo_frequency_hz=setup.lo_frequency, sample_rate_hz=setup.sample_rate,
+                        n_samples=setup.n_samples, probe_amplitude=setup.amplitude,
+                        window=setup.window)
+        if adc is not None:
+            metadata.update(adc_bits=adc.bits, adc_full_scale=adc.full_scale)
+            if adc.analog_bandwidth is not None:
+                metadata["adc_analog_bandwidth_hz"] = adc.analog_bandwidth
+    if config_hash is not None:
+        metadata["config_hash"] = config_hash
+    return SweepResult(kind, axis_name, axis_values, columns, tables, device_ids or (), metadata)
+
+
 # ---------------------------------------------------------------------------
 # flux sweep
 
@@ -192,14 +237,11 @@ def run_flux_sweep(
     and draws its noise from the independent child stream
     child_seed(seed, i).  A negative or non-finite noise_std, or a seed
     that is not an integer in [0, 2**128), raises ConfigError, noise or
-    not.
+    not; so does a device_ids that is not the given setup's.
     """
     _check_noise(noise_std, seed)
-    flux_values = np.asarray(flux_values, dtype=float)
-    if flux_values.ndim != 1 or flux_values.size == 0:
-        raise ConfigError("flux_values must be a non-empty 1-d array")
-    if setup is None:
-        setup = make_readout_setup(chip, device_ids)
+    flux_values = _axis(flux_values, "flux_values")
+    setup = _readout_setup(chip, device_ids, setup)
     if states is None:
         states = [float(QubitStateLabel.GROUND)] * len(chip.devices)
     states = np.asarray(states, dtype=float)
@@ -207,31 +249,11 @@ def run_flux_sweep(
         chip, setup, np.broadcast_to(states, flux_values.shape + states.shape), flux_values,
         adc=adc, noise_std=noise_std, seed=seed,
     )
-    metadata = {
-        "kind": "flux_sweep",
-        "seed": seed,
-        "noise_std": noise_std,
-        "lo_frequency_hz": setup.lo_frequency,
-        "sample_rate_hz": setup.sample_rate,
-        "n_samples": setup.n_samples,
-        "probe_amplitude": setup.amplitude,
-        "window": setup.window,
-        "chip": chip.name,
-        "device_ids": " ".join(str(d) for d in setup.device_ids),
-    }
-    if adc is not None:
-        metadata["adc_bits"] = adc.bits
-        metadata["adc_full_scale"] = adc.full_scale
-    if config_hash is not None:
-        metadata["config_hash"] = config_hash
-    return SweepResult(
-        kind="flux_sweep",
-        axis_name="flux_phi0",
-        axis_values=flux_values,
-        columns=tuple(f"dev{d}" for d in setup.device_ids),
-        tables={"amplitude": np.abs(iq), "phase": np.angle(iq)},
-        device_ids=setup.device_ids,
-        metadata=metadata,
+    return _sweep_result(
+        "flux_sweep", chip, "flux_phi0", flux_values,
+        {"amplitude": np.abs(iq), "phase": np.angle(iq)},
+        {"seed": seed, "noise_std": noise_std},
+        device_ids=setup.device_ids, setup=setup, adc=adc, config_hash=config_hash,
     )
 
 
@@ -347,31 +369,17 @@ def run_spectroscopy(
     the frozen states and fluxes (defaults: all ground, each qubit at its
     own symmetry flux).
     """
-    probe_frequencies = np.asarray(probe_frequencies, dtype=float)
-    if probe_frequencies.ndim != 1 or probe_frequencies.size == 0:
-        raise ConfigError("probe_frequencies must be a non-empty 1-d array")
+    probe_frequencies = _axis(probe_frequencies, "probe_frequencies")
     if states is None:
         states = [float(QubitStateLabel.GROUND)] * len(chip.devices)
     if fluxes is None:
-        fluxes = [d.qubit.symmetry_flux for d in chip.devices]
+        fluxes = chip._axis.symmetry_flux
     s21 = s21_feedline(chip, 2 * np.pi * probe_frequencies, states, fluxes)
-    metadata = {
-        "kind": "spectroscopy",
-        "chip": chip.name,
-        "states": " ".join(repr(float(s)) for s in states),
-    }
-    if config_hash is not None:
-        metadata["config_hash"] = config_hash
-    return SweepResult(
-        kind="spectroscopy",
-        axis_name="probe_hz",
-        axis_values=probe_frequencies,
-        columns=("feedline",),
-        tables={
-            "s21_amplitude": np.abs(s21)[:, None],
-            "s21_phase": np.angle(s21)[:, None],
-        },
-        metadata=metadata,
+    return _sweep_result(
+        "spectroscopy", chip, "probe_hz", probe_frequencies,
+        {"s21_amplitude": np.abs(s21)[:, None], "s21_phase": np.angle(s21)[:, None]},
+        {"states": " ".join(repr(float(s)) for s in states)},
+        config_hash=config_hash,
     )
 
 
@@ -425,15 +433,10 @@ def run_rabi(
     work, with or without readout.
     """
     _check_noise(noise_std, seed)
-    durations = np.asarray(durations, dtype=float)
-    if durations.ndim != 1 or durations.size == 0:
-        raise ConfigError("durations must be a non-empty 1-d array")
+    durations = _axis(durations, "durations")
     if durations[0] < 0 or np.any(np.diff(durations) <= 0):
         raise ConfigError("durations must be non-negative and strictly increasing")
-    if setup is None:
-        setup = make_readout_setup(chip, device_ids)
-    elif device_ids is not None and tuple(device_ids) != setup.device_ids:
-        raise ConfigError("device_ids disagrees with the supplied setup")
+    setup = _readout_setup(chip, device_ids, setup)
     ids = setup.device_ids
     if amplitude_scales is None:
         amplitude_scales = [1.0] * len(ids)
@@ -466,37 +469,24 @@ def run_rabi(
         states = np.full((durations.size, len(chip.devices)), float(QubitStateLabel.GROUND))
         for j, dev_id in enumerate(ids):
             states[:, chip._index(dev_id)] = z[:, j]
-        fluxes = [d.qubit.symmetry_flux for d in chip.devices]
         iq, _ = _acquire_points(
-            chip, setup, states, [fluxes] * durations.size,
+            chip, setup, states, np.broadcast_to(chip._axis.symmetry_flux, states.shape),
             adc=adc, noise_std=noise_std, seed=seed,
         )
         tables["iq_amplitude"] = np.abs(iq)
         tables["iq_phase"] = np.angle(iq)
 
-    metadata = {
-        "kind": "rabi",
+    keys = {
         "seed": seed,
         "noise_std": noise_std,
-        "chip": chip.name,
-        "device_ids": " ".join(str(d) for d in ids),
         "rabi_rate_per_unit_amplitude_hz": rabi_rate_per_unit_amplitude,
         "amplitude_scales": " ".join(repr(float(a)) for a in amplitude_scales),
         "detuning_hz": detuning,
         "rabi_frequencies_hz": " ".join(repr(float(f)) for f in rabi_hz),
         "readout": int(readout),
     }
-    if config_hash is not None:
-        metadata["config_hash"] = config_hash
-    return SweepResult(
-        kind="rabi",
-        axis_name="duration_s",
-        axis_values=durations,
-        columns=tuple(f"dev{d}" for d in ids),
-        tables=tables,
-        device_ids=ids,
-        metadata=metadata,
-    )
+    return _sweep_result("rabi", chip, "duration_s", durations, tables, keys, device_ids=ids,
+                         setup=setup if readout else None, adc=adc, config_hash=config_hash)
 
 
 # ---------------------------------------------------------------------------

@@ -228,10 +228,13 @@ def generate_plan(
 
     Raises InfeasiblePlanError when the comb does not fit the usable
     band (band minus guard on each edge).  When kappa is given the
-    finished plan is audited against the crosstalk limit.
+    finished plan is audited against the crosstalk limit.  A spacing
+    that is not finite and > 0 raises ConfigError.
     """
     if n_channels < 1:
         raise ConfigError(f"n_channels must be >= 1, got {n_channels}")
+    if spacing is not None and not 0 < spacing < math.inf:
+        raise ConfigError(f"spacing must be finite and > 0, got {spacing}")
     usable = band_stop - band_start - 2.0 * guard
     if usable <= 0:
         raise ConfigError("guard bands leave no usable bandwidth")

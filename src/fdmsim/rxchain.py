@@ -746,9 +746,8 @@ def measure_crosstalk(
     # Row 0 has the toggled device excited, row 1 is all ground.
     states = np.full((2, len(chip.devices)), -1.0)
     states[0, toggled] = 1.0
-    fluxes = [d.qubit.symmetry_flux for d in chip.devices]
     omega = 2 * np.pi * np.array(setup.channel_frequencies)
-    c = amplitude * s21_feedline(chip, omega, states, [fluxes] * 2)
+    c = amplitude * s21_feedline(chip, omega, states, [chip._axis.symmetry_flux] * 2)
     streams = None
     if noise_std > 0:  # both rows draw from the root stream
         root = derive_rng(seed).bit_generator.state["state"]

@@ -85,6 +85,22 @@ def test_plan_infeasible_exits_3(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spacing", ["0", "-1e6", "nan"])
+def test_plan_rejects_a_spacing_that_is_not_positive(capsys, spacing):
+    # --spacing=0 once fell through to the kappa-multiple rule and exited 0.
+    assert main(["plan", "--channels", "3", f"--spacing={spacing}"]) == 2
+    assert "spacing must be finite and > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "rabi", "spectroscopy"])
+@pytest.mark.parametrize("points", ["-1", "0"])
+def test_points_below_one_are_a_usage_error(capsys, command, points):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--points", points])
+    assert exc.value.code == 2
+    assert "argument --points" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------------
 # sweep
 

@@ -709,6 +709,43 @@ def test_flux_sweep_noise_is_seed_deterministic(chip):
     assert np.any(a.tables["amplitude"] != c.tables["amplitude"])
 
 
+@pytest.mark.parametrize("run", [run_flux_sweep, run_rabi], ids=["flux_sweep", "rabi"])
+def test_drivers_refuse_device_ids_that_disagree_with_the_setup(chip, run):
+    setup = make_readout_setup(chip, (3, 4))
+    with pytest.raises(ConfigError, match="device_ids disagrees with the supplied setup"):
+        run(chip, [0.0, 1e-8], device_ids=(1, 2), setup=setup)
+    assert run(chip, [0.0, 1e-8], device_ids=(3, 4), setup=setup).device_ids == (3, 4)
+
+
+READOUT_KEYS = {"lo_frequency_hz", "sample_rate_hz", "n_samples", "probe_amplitude", "window"}
+ADC_KEYS = {"adc_bits", "adc_full_scale", "adc_analog_bandwidth_hz"}
+
+
+@pytest.mark.parametrize("adc", [None, AdcSpec(1e9, 12, full_scale=1.0),
+                                 AdcSpec(1e9, 12, full_scale=1.0, analog_bandwidth=480e6)],
+                         ids=["no-adc", "adc", "band-limited-adc"])
+def test_rabi_and_flux_sweep_record_the_same_readout_block(tmp_path, chip, adc):
+    setup = make_readout_setup(chip, (2, 4, 6), window="hann")
+    results = {
+        "sweep": run_flux_sweep(chip, [0.0, 1e-3], setup=setup, adc=adc),
+        "rabi": run_rabi(chip, [0.0, 1e-8], setup=setup, adc=adc),
+        "ideal": run_rabi(chip, [0.0, 1e-8], setup=setup, adc=adc, readout=False),
+    }
+    blocks = {}
+    for name, result in results.items():
+        write_sweep_csv(tmp_path / f"{name}.csv", result)
+        metadata = read_sweep_csv(tmp_path / f"{name}.csv").metadata
+        blocks[name] = {k: v for k, v in metadata.items() if k in READOUT_KEYS | ADC_KEYS}
+    expected = {"lo_frequency_hz": repr(setup.lo_frequency), "sample_rate_hz": "1000000000.0",
+                "n_samples": "4000", "probe_amplitude": "0.1", "window": "hann"}
+    if adc is not None:
+        expected.update(adc_bits="12", adc_full_scale="1.0")
+    if adc is not None and adc.analog_bandwidth is not None:
+        expected["adc_analog_bandwidth_hz"] = "480000000.0"
+    assert blocks["sweep"] == blocks["rabi"] == expected
+    assert blocks["ideal"] == {}
+
+
 def crossing_fluxes(dev):
     """Fluxes where the qubit runs through its resonator (brentq on each side)."""
 

@@ -175,6 +175,13 @@ def test_generate_plan_audits_crosstalk_limit():
         generate_plan(10, 9.0e9, 9.1e9, kappa=KAPPA, crosstalk_limit_db=-20.0)
 
 
+@pytest.mark.parametrize("n_channels", [1, 3])
+@pytest.mark.parametrize("spacing", [0.0, -1e6, math.nan, math.inf])
+def test_generate_plan_rejects_a_spacing_that_is_not_positive(n_channels, spacing):
+    with pytest.raises(ConfigError, match="spacing must be finite and > 0"):
+        generate_plan(n_channels, 9.0e9, 10.0e9, spacing=spacing)
+
+
 def test_generate_plan_single_channel_at_center():
     plan = generate_plan(1, 9.0e9, 10.0e9)
     assert plan.frequencies == (9.5e9,)
