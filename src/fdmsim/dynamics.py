@@ -119,7 +119,8 @@ def _expm(m: np.ndarray) -> np.ndarray:
     a squaring count s run as one stack through the same products, which
     equal the products of each matrix alone: every matrix of a stack gets
     the bits it would get by itself (Moler and Van Loan, SIAM Rev. 45, 3,
-    2003, on scaling and squaring).
+    2003, on scaling and squaring).  A result that is not finite raises
+    ConfigError.
     """
     stack = m.reshape(-1, *m.shape[-2:])
     # Squaring counts matrix by matrix and groups as index lists: np.frexp
@@ -139,6 +140,9 @@ def _expm(m: np.ndarray) -> np.ndarray:
         for _ in range(s):
             out = out @ out
         result[members] = out
+    if not np.isfinite(result).all():
+        raise ConfigError("a propagator overflows the float range: "
+                          "the duration is too long for the drive and rates")
     return result.reshape(m.shape)
 
 
@@ -185,7 +189,11 @@ def _propagators(
     drive: DriveSpec, gamma: float, gamma_phi: float, durations: list[float]
 ) -> list[Propagator]:
     """propagator(drive, gamma, gamma_phi, d) for each d of durations, bit
-    for bit, from one _expm call over the stack of generators A * d."""
+    for bit, from one _expm call over the stack of generators A * d.
+
+    A duration so long that A * d or the squarings of _expm overflow
+    raises ConfigError there; numpy's overflow warnings on the way are
+    silenced, since that error names the cause."""
     _check_rates(gamma, gamma_phi)
     for duration in durations:
         if not 0 <= duration < math.inf:
@@ -199,7 +207,8 @@ def _propagators(
         [0.0, w, -gamma, -gamma],
         [0.0, 0.0, 0.0, 0.0],
     ])
-    matrices = _expm(generator * np.array(durations, dtype=float)[:, None, None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrices = _expm(generator * np.array(durations, dtype=float)[:, None, None])
     matrices.flags.writeable = False
     lossless = gamma == 0 and gamma_phi == 0
     return [Propagator(matrix, lossless) for matrix in matrices]
@@ -273,7 +282,9 @@ def steady_state_excited(drive: DriveSpec, gamma: float, gamma_phi: float) -> fl
         P_e = (s/2) / (1 + (delta/G2)^2 + s),   s = W^2 / (gamma * G2)
 
     with W the resonant Rabi rate and G2 = gamma/2 + gamma_phi.  Requires
-    gamma > 0 (without relaxation there is no steady state).
+    gamma > 0 (without relaxation there is no steady state).  Rates and a
+    drive so far apart that the formula overflows or divides by an
+    underflowed zero raise ConfigError.
     """
     _check_rates(gamma, gamma_phi)
     if gamma == 0:
@@ -281,8 +292,17 @@ def steady_state_excited(drive: DriveSpec, gamma: float, gamma_phi: float) -> fl
     g2 = gamma / 2.0 + gamma_phi
     omega = 2 * math.pi * drive.rabi_rate_per_unit_amplitude * drive.amplitude
     delta = 2 * math.pi * drive.detuning
-    s = omega * omega / (gamma * g2)
-    return 0.5 * s / (1.0 + (delta / g2) ** 2 + s)
+    try:
+        s = omega * omega / (gamma * g2)
+        excited = 0.5 * s / (1.0 + (delta / g2) ** 2 + s)
+    except (OverflowError, ZeroDivisionError):
+        excited = math.nan
+    if not math.isfinite(excited):
+        raise ConfigError(
+            f"the steady state of {drive} at gamma {gamma:g}, gamma_phi {gamma_phi:g} "
+            "is beyond the float range"
+        )
+    return excited
 
 
 @dataclass(frozen=True)

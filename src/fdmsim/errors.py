@@ -1,7 +1,7 @@
 """Exception types shared across the simulator, and its finiteness check.
 
-The CLI maps ConfigError to exit code 2 and InfeasiblePlanError to exit
-code 3; everything else is a plain failure.
+The CLI exits with code 3 for InfeasiblePlanError and with code 2 for
+every other FdmSimError and for an OSError.
 """
 
 import math
@@ -19,14 +19,6 @@ class InfeasiblePlanError(FdmSimError):
     """Requested channel plan cannot fit the available bandwidth."""
 
 
-class NyquistError(FdmSimError):
-    """A requested tone lies outside the representable baseband."""
-
-
-class LoMismatchError(FdmSimError):
-    """Receive local oscillator differs from the transmit carrier (homodyne only)."""
-
-
 class UnknownDeviceError(FdmSimError):
     """Device id not present on the chip or in the plan."""
 
@@ -41,3 +33,10 @@ def _check_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value}")
+
+
+def _check_count(name: str, value) -> int:
+    """int(value) of an integral count >= 1 (4.0 gives 4); ConfigError otherwise, and for a bool."""
+    if isinstance(value, bool) or not (value >= 1 and float(value).is_integer()):
+        raise ConfigError(f"need an integral {name} >= 1, got {value}")
+    return int(value)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .device import Chip, QubitStateLabel, _dressed_resonances
-from .errors import ConfigError, InfeasiblePlanError, _check_finite
+from .errors import ConfigError, InfeasiblePlanError, _check_count, _check_finite
 
 
 class SpacingRule(enum.Enum):
@@ -41,12 +41,7 @@ class FrequencyPlan:
     guard: float = 0.0
 
     def __post_init__(self):
-        if self.band_stop <= self.band_start:
-            raise ConfigError(
-                f"band_stop {self.band_stop} must exceed band_start {self.band_start}"
-            )
-        if self.guard < 0:
-            raise ConfigError(f"guard must be >= 0, got {self.guard}")
+        _check_band(self.band_start, self.band_stop, self.guard)
         if not self.channels:
             raise ConfigError("plan needs at least one channel")
         freqs = [f for _, f in self.channels]
@@ -71,6 +66,17 @@ class FrequencyPlan:
     def spacings(self) -> tuple[float, ...]:
         f = self.frequencies
         return tuple(b - a for a, b in zip(f, f[1:]))
+
+
+def _check_band(band_start: float, band_stop: float, guard: float) -> None:
+    """ConfigError unless the band edges, their difference and the guard
+    are finite, band_stop exceeds band_start and guard >= 0."""
+    _check_finite(band_start=band_start, band_stop=band_stop, guard=guard,
+                  band_width=band_stop - band_start)
+    if band_stop <= band_start:
+        raise ConfigError(f"band_stop {band_stop} must exceed band_start {band_start}")
+    if guard < 0:
+        raise ConfigError(f"guard must be >= 0, got {guard}")
 
 
 @dataclass(frozen=True)
@@ -142,16 +148,26 @@ def crosstalk_limited_spacing(kappa: float, crosstalk_limit_db: float) -> float:
 
     The exact solution is (kappa/2)*sqrt(10^(-limit/10) - 1); it is
     rounded up to the half-kappa grid (1.5*kappa for -10 dB, 5*kappa for
-    -20 dB).  Both arguments must be finite and kappa > 0.
+    -20 dB).  Both arguments must be finite and kappa > 0, and the
+    spacing must be a float > 0: a limit or kappa so large or small that
+    it is not raises ConfigError.
     """
     _check_finite(kappa=kappa, crosstalk_limit_db=crosstalk_limit_db)
     if kappa <= 0:
         raise ConfigError(f"kappa must be > 0, got {kappa}")
     if crosstalk_limit_db >= 0:
         raise ConfigError(f"crosstalk_limit_db must be < 0, got {crosstalk_limit_db}")
-    exact = math.sqrt(10.0 ** (-crosstalk_limit_db / 10.0) - 1.0)  # in units of kappa/2
-    multiple = math.ceil(exact - 1e-9)
-    return multiple * kappa / 2.0
+    try:
+        exact = math.sqrt(10.0 ** (-crosstalk_limit_db / 10.0) - 1.0)  # in units of kappa/2
+        spacing = math.ceil(exact - 1e-9) * kappa / 2.0
+    except OverflowError:
+        spacing = math.inf
+    if not 0 < spacing < math.inf:
+        raise ConfigError(
+            f"crosstalk_limit_db {crosstalk_limit_db:g} at kappa {kappa:g} rad/s gives a "
+            f"spacing of {spacing:g} rad/s, beyond the float range"
+        )
+    return spacing
 
 
 # De-rated capacity figure quoted in deployment guidance for aggressive
@@ -165,7 +181,8 @@ def max_channels(query: CapacityQuery) -> CapacityResult:
     bandwidth.
 
     Raises InfeasiblePlanError when even a single spacing exceeds the
-    band.  The result notes which limit binds; for aggressive plans
+    band, and ConfigError when the count is beyond the float range.  The
+    result notes which limit binds; for aggressive plans
     (spacing below 2*kappa) a note records that the exact bound exceeds
     the de-rated figure quoted in deployment guidance.
     """
@@ -177,7 +194,13 @@ def max_channels(query: CapacityQuery) -> CapacityResult:
         raise InfeasiblePlanError(
             f"required spacing {spacing:.6g} Hz exceeds bandwidth {query.bandwidth:.6g} Hz"
         )
-    count = int(math.floor(query.bandwidth / spacing + 1e-9))
+    ratio = query.bandwidth / spacing
+    if ratio == math.inf:
+        raise ConfigError(
+            f"bandwidth {query.bandwidth:g} Hz over a spacing of {spacing:g} Hz "
+            "gives a channel count beyond the float range"
+        )
+    count = int(math.floor(ratio + 1e-9))
     notes = []
     if crosstalk_hz >= carson_hz:
         notes.append(
@@ -228,11 +251,15 @@ def generate_plan(
 
     Raises InfeasiblePlanError when the comb does not fit the usable
     band (band minus guard on each edge).  When kappa is given the
-    finished plan is audited against the crosstalk limit.  A spacing
-    that is not finite and > 0 raises ConfigError.
+    finished plan is audited against the crosstalk limit.  Raises
+    ConfigError, checking the band first, for band edges or a guard that
+    are not finite and in order (band_start < band_stop, guard >= 0), an
+    n_channels that is a bool or not an integral count >= 1, a spacing
+    that is not finite and > 0, and a spacing given with KAPPA_MULTIPLE,
+    which derives its own.
     """
-    if n_channels < 1:
-        raise ConfigError(f"n_channels must be >= 1, got {n_channels}")
+    _check_band(band_start, band_stop, guard)
+    n_channels = _check_count("n_channels", n_channels)
     if spacing is not None and not 0 < spacing < math.inf:
         raise ConfigError(f"spacing must be finite and > 0, got {spacing}")
     usable = band_stop - band_start - 2.0 * guard
@@ -241,6 +268,8 @@ def generate_plan(
     if rule is SpacingRule.KAPPA_MULTIPLE:
         if kappa is None:
             raise ConfigError("kappa_multiple rule requires kappa")
+        if spacing is not None:
+            raise ConfigError("kappa_multiple rule derives the spacing from kappa; pass no spacing")
         spacing = crosstalk_limited_spacing(kappa, crosstalk_limit_db) / (2.0 * math.pi)
     if n_channels == 1:
         freqs = [band_start + (band_stop - band_start) / 2.0]

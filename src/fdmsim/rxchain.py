@@ -1,7 +1,7 @@
 """Receive chain: homodyne down-conversion, ADC, DFT channelizer.
 
 The receiver is homodyne: it reuses the transmit LO, so down-conversion
-is a carrier-tag removal plus one fixed phase rotation.  All noise in
+is a carrier-tag removal and leaves the samples as they are.  All noise in
 the chain is lumped into a single additive white Gaussian stage at the
 ADC input; the amplifier chain is a pure scalar gain applied by the
 caller.
@@ -26,11 +26,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .device import Chip
-from .errors import ConfigError, LoMismatchError, NyquistError, UnknownDeviceError, _check_finite
+from .errors import ConfigError, UnknownDeviceError, _check_count, _check_finite
 from .lanes import lane_count as _lane_count, one_blas_thread as _one_blas_thread, run as _run_lanes
 from .planner import _grid_offset
 from .seeding import _check_root_seed, _set_state, derive_rng
-from .txchain import IQTrace, synthesize_multitone, upconvert_ssb
+from .txchain import IQTrace, _finite, synthesize_multitone, upconvert_ssb
 
 # synthesize_multitone and upconvert_ssb are not called in this module.
 # They stay bound here because perfbench/tracer.py wraps each stage by
@@ -86,8 +86,8 @@ class AdcSpec:
 
     @property
     def step(self) -> float:
-        """Quantization step: full scale spans 2^bits steps per polarity pair."""
-        return 2.0 * self.full_scale / (2 ** int(self.bits))
+        """Quantization step 2 * full_scale / 2^bits, with no overflow at 2 * full_scale."""
+        return self.full_scale / (2 ** (int(self.bits) - 1))
 
 
 @dataclass(frozen=True)
@@ -111,34 +111,26 @@ class ToneMeasurement:
         return self.amplitude * complex(math.cos(self.phase), math.sin(self.phase))
 
 
-def downconvert(rf: IQTrace, lo_frequency: float, phase_offset: float = 0.0,
-                lo_tolerance: float = 1e-3) -> IQTrace:
-    """Mix an up-converted trace back to baseband (homodyne).
+def downconvert(rf: IQTrace) -> IQTrace:
+    """Mix an up-converted trace back to baseband.
 
-    The receive LO must match the transmit carrier within lo_tolerance Hz;
-    anything else raises LoMismatchError, since intermediate-frequency
-    operation is not supported.  The fixed receiver phase rotates every
-    sample by exp(-i * phase_offset).
+    The receiver is homodyne: it reuses the transmit LO, so this drops the
+    carrier tag and keeps the samples.  ConfigError for a trace that was
+    never up-converted or holds a NaN or inf.
     """
     if rf.carrier_frequency is None:
-        raise LoMismatchError("trace is not up-converted; nothing to mix down")
-    if abs(rf.carrier_frequency - lo_frequency) > lo_tolerance:
-        raise LoMismatchError(
-            f"receive LO {lo_frequency:.6g} Hz differs from carrier "
-            f"{rf.carrier_frequency:.6g} Hz (homodyne only)"
-        )
-    samples = rf.samples * np.exp(-1j * phase_offset)
-    return replace(rf, samples=samples, carrier_frequency=None)
+        raise ConfigError("downconvert expects an up-converted trace")
+    return replace(rf, samples=_finite(rf.samples, "downconvert"), carrier_frequency=None)
 
 
 def add_awgn(trace: IQTrace, noise_std: float, seed: int) -> IQTrace:
-    """Add seeded white Gaussian noise of the given std to each quadrature."""
+    """Add seeded white Gaussian noise of the given std to each quadrature;
+    a NaN or inf in the result (or the trace) raises ConfigError."""
     _check_noise_std(noise_std)
-    if noise_std == 0:
-        return trace
     samples = trace.samples.copy()
-    _add_noise(_quadratures(samples), noise_std, seed)
-    return replace(trace, samples=samples)
+    if noise_std > 0:
+        _add_noise(_quadratures(samples), noise_std, seed)
+    return replace(trace, samples=_finite(samples, "add_awgn"))
 
 
 def _check_noise_std(noise_std: float) -> None:
@@ -162,8 +154,9 @@ def _quadratures(samples: np.ndarray) -> np.ndarray:
 
 
 def _add_noise(quad: np.ndarray, noise_std: float, seed: int) -> None:
-    """Add seeded white Gaussian noise to interleaved quadratures in place."""
-    quad += derive_rng(seed).normal(0.0, noise_std, size=quad.shape)
+    """Add seeded white Gaussian noise to quadratures in place (an overflow gives inf)."""
+    with np.errstate(over="ignore"):
+        quad += derive_rng(seed).normal(0.0, noise_std, size=quad.shape)
 
 
 def _check_adc_rate(sample_rate: float, adc: AdcSpec) -> None:
@@ -244,6 +237,14 @@ def _quantize(quad: np.ndarray, adc: AdcSpec) -> np.ndarray:
     return n_clipped
 
 
+def _band_cut(n: int, sample_rate: float, adc: AdcSpec | None) -> np.ndarray | None:
+    """Mask of the n FFT bins at sample_rate that lie beyond the ADC's
+    analog band; None without an ADC, a band limit, or one below Nyquist."""
+    if adc is None or adc.analog_bandwidth is None or adc.analog_bandwidth >= sample_rate / 2:
+        return None
+    return np.abs(np.fft.fftfreq(n, d=1.0 / sample_rate)) > adc.analog_bandwidth
+
+
 def _warn_clipped(n_clipped: int, size: int) -> None:
     """Log the ADC clipping of one trace of size quadrature samples."""
     logger.warning("ADC clipped %d of %d quadrature samples", n_clipped, size)
@@ -257,21 +258,20 @@ def adc_quantize(trace: IQTrace, adc: AdcSpec, noise_std: float = 0.0, seed: int
     seed is then irrelevant), hard clip at +-full_scale, then mid-tread
     rounding with step 2*full_scale/2^bits (integer codes
     -2^(bits-1)..+2^(bits-1), so both rails and zero are exact codes).
-    Clipped samples are counted and logged.  The input trace is left as
-    it is: its samples are copied once (or band-limited into a fresh
-    array) and the noise, clip and rounding then work in place on that
-    copy, the same private steps _receive runs on each shot's trace.
+    Clipped samples are counted and logged.  The noise, clip and rounding
+    work in place on a copy of the trace (or on the band-limited trace),
+    the same private steps _receive runs on each shot's trace; a NaN or
+    inf in either raises ConfigError.
     """
     _check_adc_rate(trace.sample_rate, adc)
     _check_noise_std(noise_std)
-    samples = trace.samples
-    if adc.analog_bandwidth is not None and adc.analog_bandwidth < trace.sample_rate / 2:
-        spectrum = np.fft.fft(samples)
-        freqs = np.fft.fftfreq(samples.size, d=1.0 / trace.sample_rate)
-        spectrum[np.abs(freqs) > adc.analog_bandwidth] = 0.0
-        samples = np.fft.ifft(spectrum)
-    else:
-        samples = samples.copy()
+    samples = _finite(trace.samples, "adc_quantize").copy()
+    cut = _band_cut(samples.size, trace.sample_rate, adc)
+    if cut is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            spectrum = np.fft.fft(samples)
+            spectrum[cut] = 0.0
+            samples = _finite(np.fft.ifft(spectrum), "adc_quantize's analog band limit")
     if noise_std > 0:
         _add_noise(_quadratures(samples), noise_std, seed)
     n_clipped = int(_quantize(samples.view(np.float64).reshape(1, -1), adc)[0])
@@ -402,8 +402,9 @@ def channelize(
         raise ConfigError("need at least one channel frequency")
     nyquist = trace.sample_rate / 2
     for f in freqs:
+        _check_finite(channel_frequency=f)
         if abs(f) > nyquist:
-            raise NyquistError(f"channel at {f:+.6g} Hz exceeds Nyquist {nyquist:.6g} Hz")
+            raise ConfigError(f"channel at {f:+.6g} Hz exceeds Nyquist {nyquist:.6g} Hz")
     plan = _channel_plan(freqs, trace.n_samples, float(trace.sample_rate), window)
     # The results show a bad sample, so the samples get no pass of their
     # own, here or in _receive's shot loop.
@@ -412,11 +413,7 @@ def channelize(
         noise_std = _noise_std(plan, wx)
     if not (np.isfinite(amplitudes).all()
             and (math.isfinite(noise_std) or not plan.noise_mask.any())):
-        samples = trace.samples
-        bad = np.flatnonzero(~np.isfinite(samples))
-        if bad.size:
-            raise ConfigError(f"trace has {bad.size} non-finite (NaN or inf) sample(s), "
-                              f"the first at index {bad[0]}")
+        samples = _finite(trace.samples, "channelize")
         peak = max(np.abs(samples.real).max(), np.abs(samples.imag).max())
         raise ConfigError(f"trace samples reach {peak:.3g} in I or Q, "
                           "and channelize's sums overflow")
@@ -438,8 +435,8 @@ class ReadoutSetup:
 
     Construction rejects, with ConfigError, duplicate device ids, a NaN
     or infinite frequency, rate or amplitude, a negative amplitude, an
-    n_samples that is not an integral count >= 1 (4000.0 is kept as
-    4000), a channel off the acquisition DFT grid (sample_rate /
+    n_samples that is a bool or not an integral count >= 1 (4000.0 is
+    kept as 4000), a channel off the acquisition DFT grid (sample_rate /
     n_samples), a channel outside the grid's baseband range
     [-sample_rate/2, sample_rate/2), two channels fewer than
     NOISE_GUARD_BINS bins apart, an unknown window, and a hann window
@@ -492,6 +489,8 @@ class ReadoutSetup:
                     f"channel {f:+.9g} Hz is off the {grid:.6g} Hz DFT grid"
                 )
             bins.append(k)
+        # Kept beside the fields, as Chip keeps _axis, for _beyond_band.
+        object.__setattr__(self, "_bins", tuple(bins))
         # The closest two channels on the circle of n_samples bins are
         # neighbours in bin order, the last bin's neighbour being the first.
         order = sorted(range(len(bins)), key=bins.__getitem__)
@@ -512,14 +511,10 @@ class ReadoutSetup:
 
 
 def _acquisition_grid(sample_rate: float, n_samples: int) -> float:
-    """The DFT grid sample_rate / n_samples, after checking the count:
-    fewer than one sample, or a count that is not integral (4000.5, NaN,
-    inf), raises ConfigError; an integral float such as 4000.0 passes.
-    A bad sample_rate gives a bad grid, which _grid_offset and
-    ReadoutSetup reject."""
-    if not (n_samples >= 1 and float(n_samples).is_integer()):
-        raise ConfigError(f"need an integral n_samples >= 1, got {n_samples}")
-    return sample_rate / n_samples
+    """The DFT grid sample_rate / n_samples, after errors._check_count
+    checks the count.  A bad sample_rate gives a bad grid, which
+    _grid_offset and ReadoutSetup reject."""
+    return sample_rate / _check_count("n_samples", n_samples)
 
 
 def _default_lo(frequencies, grid: float) -> float:
@@ -530,12 +525,10 @@ def _default_lo(frequencies, grid: float) -> float:
 def _beyond_band(setup: ReadoutSetup, adc: AdcSpec | None) -> np.ndarray:
     """Mask of the setup's channels whose DFT bin lies beyond the ADC's
     analog band (none without an ADC or an analog band below Nyquist)."""
-    n, fs = setup.n_samples, float(setup.sample_rate)
-    if adc is None or adc.analog_bandwidth is None or adc.analog_bandwidth >= fs / 2:
+    cut = _band_cut(setup.n_samples, float(setup.sample_rate), adc)
+    if cut is None:
         return np.zeros(len(setup.baseband_frequencies), dtype=bool)
-    grid = np.fft.fftfreq(n, d=1.0 / fs)
-    bins = [round(f / (fs / n)) % n for f in setup.baseband_frequencies]
-    return np.abs(grid[bins]) > adc.analog_bandwidth
+    return cut[[k % setup.n_samples for k in setup._bins]]
 
 
 def _receive(
@@ -651,23 +644,22 @@ def apply_feedline(rf: IQTrace, chip: Chip, states: Sequence[float], fluxes) -> 
     The trace is treated as one period of a circular signal: its DFT bins
     are multiplied by S21 evaluated at carrier + bin frequency, with the
     qubit states frozen during the window.  Exact for tones on the DFT
-    grid; for any other trace it is the quasi-static frequency-domain
-    filter.  Because of that exactness no acquisition calls this
-    filter: acquire, the sweep drivers and measure_crosstalk take
-    amplitude * S21(channel frequency) in closed form, as the result of
-    a noiseless, ADC-free shot and as the tone amplitudes of the
-    received trace that noise or the ADC act on (see _receive).  This
-    full filter, with downconvert and the ADC's FFT band limit, serves
-    the tests as the oracle of both.
+    grid (for any other trace it is the quasi-static filter), so no
+    acquisition calls it: they take amplitude * S21(channel frequency)
+    in closed form (see _receive), and the tests use this filter, with
+    downconvert and the ADC's FFT band limit, as its oracle.
+    s21_feedline refuses an infinite probe frequency, and a NaN or inf
+    in the result (from the trace or an overflow) raises ConfigError.
     """
     from .device import s21_feedline
 
     if rf.carrier_frequency is None:
         raise ConfigError("apply_feedline expects an up-converted trace")
-    spectrum = np.fft.fft(rf.samples)
-    freqs = rf.carrier_frequency + np.fft.fftfreq(rf.n_samples, d=1.0 / rf.sample_rate)
-    s21 = s21_feedline(chip, 2 * np.pi * freqs, states, fluxes)
-    return replace(rf, samples=np.fft.ifft(spectrum * s21))
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectrum = np.fft.fft(rf.samples)
+        freqs = rf.carrier_frequency + np.fft.fftfreq(rf.n_samples, d=1.0 / rf.sample_rate)
+        s21 = s21_feedline(chip, 2 * np.pi * freqs, states, fluxes)
+        return replace(rf, samples=_finite(np.fft.ifft(spectrum * s21), "apply_feedline"))
 
 
 CROSSTALK_FLOOR_DB = -200.0

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NyquistError, _check_finite
+from .errors import ConfigError, _check_count, _check_finite
 
 
 DEFAULT_SAMPLE_RATE = 1e9  # complex samples per second
@@ -50,7 +50,6 @@ class IQTrace:
 
     samples: np.ndarray
     sample_rate: float
-    start_time: float = 0.0
     carrier_frequency: float | None = None
 
     def __post_init__(self):
@@ -58,49 +57,50 @@ class IQTrace:
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 1 or samples.size == 0:
             raise ConfigError("IQTrace needs a non-empty 1-d sample array")
-        _check_finite(sample_rate=self.sample_rate)
-        if self.sample_rate <= 0:
-            raise ConfigError(f"sample_rate must be > 0, got {self.sample_rate}")
+        if not 0 < self.sample_rate < np.inf:
+            raise ConfigError(f"sample_rate must be finite and > 0, got {self.sample_rate}")
 
     @property
     def n_samples(self) -> int:
         return int(self.samples.size)
 
-    @property
-    def duration(self) -> float:
-        return self.n_samples / self.sample_rate
 
-    def times(self) -> np.ndarray:
-        return self.start_time + np.arange(self.n_samples) / self.sample_rate
+def _finite(samples: np.ndarray, stage: str) -> np.ndarray:
+    """The samples, after a ConfigError naming the stage, the count of NaN
+    or infinite samples and the first of them, if there are any."""
+    bad = np.flatnonzero(~np.isfinite(samples))
+    if bad.size:
+        raise ConfigError(f"{stage}: {bad.size} non-finite sample(s), the first at index {bad[0]}")
+    return samples
 
 
-def synthesize_multitone(
-    tones: Sequence[ToneSpec],
-    n_samples: int,
-    sample_rate: float = DEFAULT_SAMPLE_RATE,
-    start_time: float = 0.0,
-) -> IQTrace:
+def synthesize_multitone(tones: Sequence[ToneSpec], n_samples: int,
+                         sample_rate: float = DEFAULT_SAMPLE_RATE) -> IQTrace:
     """Sum of constant complex tones.
 
-    sample[n] = sum_k a_k exp(i (2 pi f_k t_n + phi_k)),
-    t_n = start_time + n / sample_rate.
+    sample[n] = sum_k a_k exp(i (2 pi f_k n / sample_rate + phi_k)).
 
-    Raises NyquistError naming the first offending tone whose |frequency|
-    exceeds sample_rate / 2.
+    ConfigError for an n_samples that is a bool, not an integral count
+    >= 1 (64.0 is kept as 64) or too large to allocate, a sample_rate
+    that is not finite and > 0, tone amplitudes whose sum overflows, and
+    (naming the first) a tone whose |frequency| exceeds sample_rate / 2.
     """
-    if n_samples <= 0:
-        raise ConfigError(f"n_samples must be > 0, got {n_samples}")
+    n_samples = _check_count("n_samples", n_samples)
+    if not 0 < sample_rate < np.inf:
+        raise ConfigError(f"sample_rate must be finite and > 0, got {sample_rate}")
+    _check_finite(amplitude_sum=sum(tone.amplitude for tone in tones))
     for k, tone in enumerate(tones):
         if abs(tone.baseband_frequency) > sample_rate / 2:
-            raise NyquistError(
-                f"tone {k} at {tone.baseband_frequency:+.6g} Hz exceeds the "
-                f"Nyquist limit {sample_rate / 2:.6g} Hz"
-            )
-    t = start_time + np.arange(n_samples) / sample_rate
+            raise ConfigError(f"tone {k} at {tone.baseband_frequency:+.6g} Hz exceeds the "
+                              f"Nyquist limit {sample_rate / 2:.6g} Hz")
+    try:
+        t = np.arange(n_samples) / sample_rate
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"cannot allocate n_samples = {n_samples}: {exc}") from None
     acc = np.zeros(n_samples, dtype=complex)
     for tone in tones:
         acc += tone.amplitude * np.exp(1j * (2 * np.pi * tone.baseband_frequency * t + tone.phase))
-    return IQTrace(samples=acc, sample_rate=sample_rate, start_time=start_time)
+    return IQTrace(samples=acc, sample_rate=sample_rate)
 
 
 def upconvert_ssb(baseband: IQTrace, lo_frequency: float) -> IQTrace:
@@ -109,18 +109,25 @@ def upconvert_ssb(baseband: IQTrace, lo_frequency: float) -> IQTrace:
     The complex envelope is unchanged: a tone at +f becomes the single
     spectral line at lo+f, with no image at lo-f.  Requires a baseband
     input and an LO above the representable baseband span, so every tone
-    lands at a positive physical frequency.
+    lands at a positive physical frequency, and finite samples.
     """
     if baseband.carrier_frequency is not None:
         raise ConfigError("upconvert_ssb expects a baseband trace; it is already up-converted")
+    _check_finite(lo_frequency=lo_frequency)
     if lo_frequency <= baseband.sample_rate / 2:
         raise ConfigError(
             f"lo_frequency {lo_frequency:.6g} Hz must exceed the baseband "
             f"Nyquist span {baseband.sample_rate / 2:.6g} Hz"
         )
-    return replace(baseband, carrier_frequency=lo_frequency)
+    return replace(baseband, samples=_finite(baseband.samples, "upconvert_ssb"),
+                   carrier_frequency=lo_frequency)
 
 
 def trace_energy(trace: IQTrace) -> float:
-    """Sum of |sample|^2 (discrete energy, Parseval-comparable)."""
-    return float(np.sum(np.abs(trace.samples) ** 2))
+    """Sum of |sample|^2 (discrete energy, Parseval-comparable); a sum
+    that is not finite (a NaN or inf sample, or an overflow) raises
+    ConfigError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = float(np.sum(np.abs(trace.samples) ** 2))
+    _check_finite(trace_energy=energy)
+    return energy

@@ -274,7 +274,7 @@ def test_criterion_7_dsp_property_suite():
 
     # SSB round trip is the identity
     rf = upconvert_ssb(trace, 9.6e9)
-    back = downconvert(rf, 9.6e9)
+    back = downconvert(rf)
     assert np.max(np.abs(back.samples - trace.samples)) < 1e-12
 
     # Parseval: time-domain energy equals spectral energy

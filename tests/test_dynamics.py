@@ -119,6 +119,24 @@ def test_steady_state_saturates_to_half():
         steady_state_excited(strong, 0.0, 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("drive_spec, gamma", [
+    (DriveSpec(1e300, 1e10), 1e-300),  # gamma * G2 underflows to 0
+    (DriveSpec(1e6, 1.0, detuning=1e10), 1e-200),  # (delta / G2)^2 overflows
+])
+def test_steady_state_beyond_the_float_range_is_refused(drive_spec, gamma):
+    with pytest.raises(ConfigError, match="steady state .* beyond the float range"):
+        steady_state_excited(drive_spec, gamma, 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("duration", [1e300, 1e303])
+def test_an_overflowing_propagator_is_refused(duration):
+    # 1e300 s overflows in the squarings, 1e303 s already in A * duration.
+    with pytest.raises(ConfigError, match="duration is too long"):
+        evolve_for(GROUND, DriveSpec(1e6, 1.0), 0.0, 0.0, duration)
+
+
 def test_single_long_step_is_exact():
     # 50 Rabi periods in one step: no step-size limit applies.
     state = evolve(GROUND, drive(50e6), 0.0, 0.0, dt=1e-6)

@@ -294,7 +294,7 @@ def full_chain_shot(chip, setup, states, flux, *, adc=None, noise_std=0.0, seed=
         synthesize_multitone(tones, setup.n_samples, setup.sample_rate),
         setup.lo_frequency,
     )
-    rx = downconvert(apply_feedline(probe, chip, states, flux), setup.lo_frequency)
+    rx = downconvert(apply_feedline(probe, chip, states, flux))
     if adc is not None:
         rx = adc_quantize(rx, adc, noise_std=noise_std, seed=child_seed(seed, point))
     elif noise_std > 0:

@@ -182,6 +182,49 @@ def test_generate_plan_rejects_a_spacing_that_is_not_positive(n_channels, spacin
         generate_plan(n_channels, 9.0e9, 10.0e9, spacing=spacing)
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(band_start=9e9, band_stop=8e9, spacing=1e6), "band_stop 8000000000.0 must exceed band_start"),
+    (dict(band_start=9e9, band_stop=9e9), "band_stop .* must exceed band_start"),
+    (dict(band_start=math.nan, band_stop=10e9), "band_start must be finite"),
+    (dict(band_start=9e9, band_stop=math.inf), "band_stop must be finite"),
+    (dict(band_start=-1e308, band_stop=1e308), "band_width must be finite"),
+    (dict(band_start=9e9, band_stop=10e9, guard=math.nan), "guard must be finite"),
+    (dict(band_start=9e9, band_stop=10e9, guard=-1.0), "guard must be >= 0"),
+])
+def test_generate_plan_checks_the_band_first(kwargs, match):
+    with pytest.raises(ConfigError, match=match):
+        generate_plan(3, **kwargs)
+    with pytest.raises(ConfigError, match=match):  # before a bad count
+        generate_plan(0, **kwargs)
+
+
+@pytest.mark.parametrize("n_channels", [True, 3.5, math.nan, math.inf, 0, -1])
+def test_generate_plan_refuses_a_count_that_is_not_an_integer(n_channels):
+    with pytest.raises(ConfigError, match="integral n_channels >= 1"):
+        generate_plan(n_channels, 9e9, 10e9)
+
+
+def test_generate_plan_keeps_an_integral_float_count():
+    assert generate_plan(3.0, 9e9, 10e9) == generate_plan(3, 9e9, 10e9)
+
+
+def test_generate_plan_refuses_a_spacing_with_the_kappa_rule():
+    with pytest.raises(ConfigError, match="pass no spacing"):
+        generate_plan(3, 9e9, 10e9, SpacingRule.KAPPA_MULTIPLE, spacing=1e6, kappa=KAPPA)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, match", [
+    (lambda: crosstalk_limited_spacing(1.0, -1e5), "crosstalk_limit_db -100000"),
+    (lambda: crosstalk_limited_spacing(1e308, -20.0), "kappa 1e[+]308"),
+    (lambda: crosstalk_limited_spacing(5e-324, -1.0), "spacing of 0 rad/s"),
+    (lambda: max_channels(CapacityQuery(1e308, 1e-300, 0.0, 0.0, -20.0)), "bandwidth 1e[+]308"),
+])
+def test_capacity_beyond_the_float_range_is_refused(call, match):
+    with pytest.raises(ConfigError, match=match):
+        call()
+
+
 def test_generate_plan_single_channel_at_center():
     plan = generate_plan(1, 9.0e9, 10.0e9)
     assert plan.frequencies == (9.5e9,)

