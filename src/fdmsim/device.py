@@ -30,7 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, UnknownDeviceError, _check_finite
+from .errors import (ConfigError, UnknownDeviceError, _check_finite, _check_non_negative,
+                     _check_positive)
 
 _TWO_PI = 2 * math.pi
 
@@ -62,15 +63,9 @@ class QubitParams:
     relaxation_rate_gamma: float
 
     def __post_init__(self):
-        _check_finite(gap_delta=self.gap_delta, flux_sensitivity=self.flux_sensitivity,
-                      symmetry_flux=self.symmetry_flux,
-                      relaxation_rate_gamma=self.relaxation_rate_gamma)
-        if self.gap_delta < 0:
-            raise ConfigError(f"gap_delta must be >= 0, got {self.gap_delta}")
-        if self.relaxation_rate_gamma < 0:
-            raise ConfigError(
-                f"relaxation_rate_gamma must be >= 0, got {self.relaxation_rate_gamma}"
-            )
+        _check_finite(flux_sensitivity=self.flux_sensitivity, symmetry_flux=self.symmetry_flux)
+        _check_non_negative(gap_delta=self.gap_delta,
+                            relaxation_rate_gamma=self.relaxation_rate_gamma)
 
 
 @dataclass(frozen=True)
@@ -88,22 +83,15 @@ class ResonatorParams:
     coupling_g: float
 
     def __post_init__(self):
-        _check_finite(bare_frequency=self.bare_frequency,
-                      total_linewidth_kappa=self.total_linewidth_kappa,
-                      external_linewidth=self.external_linewidth, coupling_g=self.coupling_g)
-        if self.bare_frequency <= 0:
-            raise ConfigError(f"bare_frequency must be > 0, got {self.bare_frequency}")
-        if self.total_linewidth_kappa <= 0:
-            raise ConfigError(
-                f"total_linewidth_kappa must be > 0, got {self.total_linewidth_kappa}"
-            )
+        _check_positive(bare_frequency=self.bare_frequency,
+                        total_linewidth_kappa=self.total_linewidth_kappa)
+        _check_finite(external_linewidth=self.external_linewidth)
+        _check_non_negative(coupling_g=self.coupling_g)
         if not 0 < self.external_linewidth <= self.total_linewidth_kappa:
             raise ConfigError(
                 "external_linewidth must satisfy 0 < ext <= kappa, got "
                 f"ext={self.external_linewidth}, kappa={self.total_linewidth_kappa}"
             )
-        if self.coupling_g < 0:
-            raise ConfigError(f"coupling_g must be >= 0, got {self.coupling_g}")
 
 
 @dataclass(frozen=True)
@@ -170,14 +158,6 @@ class _DeviceAxis(NamedTuple):
         return cls(*table)
 
 
-def _require_finite(**values) -> None:
-    """ConfigError naming the first of the given scalars or arrays that
-    holds NaN or inf."""
-    for name, value in values.items():
-        if not np.isfinite(value).all():
-            raise ConfigError(f"{name} must be finite")
-
-
 def _qubit_frequency(gap, slope, symmetry_flux, flux):
     """Qubit transition frequency in Hz, elementwise."""
     return np.hypot(gap, slope * (flux - symmetry_flux))
@@ -213,11 +193,11 @@ def qubit_frequency(qubit: QubitParams, flux):
     the frequency overflows, raise ConfigError.
     """
     flux_arr = np.asarray(flux, dtype=float)
-    _require_finite(flux=flux_arr)
+    _check_finite(flux=flux_arr)
     with np.errstate(over="ignore"):
         f = _qubit_frequency(qubit.gap_delta, qubit.flux_sensitivity, qubit.symmetry_flux,
                              flux_arr)
-    _require_finite(**{"qubit frequency": f})
+    _check_finite(**{"qubit frequency": f})
     return float(f) if np.isscalar(flux) else f
 
 
@@ -245,10 +225,10 @@ def state_dependent_shift(resonator: ResonatorParams, omega_q, state):
     omega_q, state = np.broadcast_arrays(
         np.asarray(omega_q, dtype=float), np.asarray(state, dtype=float)
     )
-    _require_finite(omega_q=omega_q, state=state)
+    _check_finite(omega_q=omega_q, state=state)
     with np.errstate(over="ignore", invalid="ignore"):
         shift = _pull(_TWO_PI * resonator.bare_frequency, resonator.coupling_g, omega_q, state)
-    _require_finite(shift=shift)
+    _check_finite(shift=shift)
     return float(shift) if shift.ndim == 0 else shift
 
 
@@ -264,7 +244,7 @@ def s21_single(resonator: ResonatorParams, probe_omega, shift: float = 0.0):
     """
     probe = np.asarray(probe_omega, dtype=float)
     shift = np.asarray(shift, dtype=float)
-    _require_finite(probe_omega=probe, shift=shift)
+    _check_finite(probe_omega=probe, shift=shift)
     shape = np.broadcast_shapes(probe.shape, shift.shape)
     try:
         with np.errstate(over="raise"):
@@ -318,12 +298,12 @@ def s21_feedline(chip: Chip, probe_omega, states, fluxes) -> np.ndarray | comple
             f"fluxes of shape {np.shape(fluxes)} do not fit states of shape {states.shape}"
         ) from None
     probe = np.asarray(probe_omega, dtype=float)
-    _require_finite(**{"states": states, "fluxes": flux_arr, "probe frequencies": probe})
+    _check_finite(**{"states": states, "fluxes": flux_arr, "probe frequencies": probe})
     axis = chip._axis
     with np.errstate(over="ignore", invalid="ignore"):
         omega_q = _TWO_PI * _qubit_frequency(axis.gap, axis.slope, axis.symmetry_flux, flux_arr)
         pulls = _pull(axis.omega_r, axis.coupling, omega_q, states)
-    _require_finite(**{"qubit frequency": omega_q, "shift": pulls})
+    _check_finite(**{"qubit frequency": omega_q, "shift": pulls})
     # Per-point pulls line up with the batch axis, ahead of the probe
     # axes, and the device parameters with the block axis.
     lead = states.shape[:-1] + (1,) * probe.ndim
@@ -370,14 +350,14 @@ def _dressed_resonances(chip: Chip, device_ids, state) -> list[float]:
     raise ConfigError."""
     index = [chip._index(dev_id) for dev_id in device_ids]
     state = float(state)
-    _require_finite(state=state)
+    _check_finite(state=state)
     axis = chip._axis
     with np.errstate(over="ignore", invalid="ignore"):
         omega_q = _TWO_PI * _qubit_frequency(axis.gap, axis.slope, axis.symmetry_flux,
                                              axis.symmetry_flux)
         shift = _pull(axis.omega_r, axis.coupling, omega_q, state)
     omega_q, shift = omega_q[index], shift[index]
-    _require_finite(omega_q=omega_q, shift=shift)
+    _check_finite(omega_q=omega_q, shift=shift)
     return (axis.bare_frequency[index] + shift / _TWO_PI).tolist()
 
 

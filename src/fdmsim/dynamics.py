@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, _check_finite
+from .errors import ConfigError, _check_finite, _check_non_negative, _check_positive
 from .lanes import MAX_LANES, lane_count as _lane_count, run as _run_lanes
+from .planner import carson_bandwidth
 from .seeding import _child_states, _set_state
 
 # Most samples in one chunk of telegraph trajectories: chunk c of a
@@ -65,7 +66,10 @@ class BlochState:
 def _checked_norm(x: float, y: float, z: float) -> float:
     """The norm of (x, y, z); ConfigError unless it is finite and <= 1
     (beyond numerical slack)."""
-    norm = math.sqrt(x**2 + y**2 + z**2)
+    try:
+        norm = math.sqrt(x**2 + y**2 + z**2)
+    except OverflowError:  # a float's ** raises where * gives inf
+        norm = math.inf
     if not norm <= 1 + 1e-9:
         raise ConfigError(f"Bloch vector norm {norm} must be finite and <= 1")
     return norm
@@ -85,28 +89,20 @@ class DriveSpec:
     detuning: float = 0.0
 
     def __post_init__(self):
-        _check_finite(rabi_rate_per_unit_amplitude=self.rabi_rate_per_unit_amplitude,
-                      amplitude=self.amplitude, detuning=self.detuning)
-        if self.rabi_rate_per_unit_amplitude < 0:
-            raise ConfigError(
-                f"rabi_rate_per_unit_amplitude must be >= 0, got {self.rabi_rate_per_unit_amplitude}"
-            )
-        if self.amplitude < 0:
-            raise ConfigError(f"amplitude must be >= 0, got {self.amplitude}")
+        _check_non_negative(rabi_rate_per_unit_amplitude=self.rabi_rate_per_unit_amplitude,
+                            amplitude=self.amplitude)
+        _check_finite(detuning=self.detuning)
 
 
 def rabi_frequency(drive: DriveSpec) -> float:
     """Generalized Rabi frequency in Hz: hypot(rate * amplitude, detuning).
 
-    Linear in drive amplitude on resonance.
+    Linear in drive amplitude on resonance.  A frequency beyond the
+    float range raises ConfigError.
     """
-    return math.hypot(drive.rabi_rate_per_unit_amplitude * drive.amplitude, drive.detuning)
-
-
-def _check_rates(gamma: float, gamma_phi: float) -> None:
-    for name, value in (("gamma", gamma), ("gamma_phi", gamma_phi)):
-        if not 0 <= value < math.inf:
-            raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+    frequency = math.hypot(drive.rabi_rate_per_unit_amplitude * drive.amplitude, drive.detuning)
+    _check_finite(rabi_frequency=frequency)
+    return frequency
 
 
 def _expm(m: np.ndarray) -> np.ndarray:
@@ -194,10 +190,9 @@ def _propagators(
     A duration so long that A * d or the squarings of _expm overflow
     raises ConfigError there; numpy's overflow warnings on the way are
     silenced, since that error names the cause."""
-    _check_rates(gamma, gamma_phi)
+    _check_non_negative(gamma=gamma, gamma_phi=gamma_phi)
     for duration in durations:
-        if not 0 <= duration < math.inf:
-            raise ConfigError(f"duration must be finite and >= 0, got {duration}")
+        _check_non_negative(duration=duration)
     w = 2 * math.pi * drive.rabi_rate_per_unit_amplitude * drive.amplitude
     delta = 2 * math.pi * drive.detuning
     g2 = gamma / 2.0 + gamma_phi
@@ -269,8 +264,7 @@ def evolve(
 ) -> BlochState:
     """One step of length dt > 0 seconds; the same exact propagator as
     evolve_for."""
-    if dt <= 0:
-        raise ConfigError(f"dt must be > 0, got {dt}")
+    _check_positive(dt=dt)
     return evolve_for(state, drive, gamma, gamma_phi, dt)
 
 
@@ -286,9 +280,8 @@ def steady_state_excited(drive: DriveSpec, gamma: float, gamma_phi: float) -> fl
     drive so far apart that the formula overflows or divides by an
     underflowed zero raise ConfigError.
     """
-    _check_rates(gamma, gamma_phi)
-    if gamma == 0:
-        raise ConfigError("steady state requires gamma > 0")
+    _check_positive(gamma=gamma)
+    _check_non_negative(gamma_phi=gamma_phi)
     g2 = gamma / 2.0 + gamma_phi
     omega = 2 * math.pi * drive.rabi_rate_per_unit_amplitude * drive.amplitude
     delta = 2 * math.pi * drive.detuning
@@ -501,26 +494,20 @@ def relaxation_telegraph_spectrum(
     Returns the folded one-sided spectrum and the fraction of power
     outside the Carson band of full width 2*(shift + 2*gamma) centered on
     the carrier.  Non-finite rates or times, a duration or sample_rate
-    <= 0, a trajectory count that is not an integer >= 1 (a bool is not
-    one) and a trajectory longer than TELEGRAPH_CHUNK_SAMPLES samples
-    raise ConfigError.
+    <= 0, a Carson width beyond the float range, a trajectory count that
+    is not an integer >= 1 (a bool is not one) and a trajectory longer
+    than TELEGRAPH_CHUNK_SAMPLES samples raise ConfigError.
     """
-    _check_finite(gamma=gamma, shift=shift, duration=duration)
+    _check_positive(gamma=gamma, duration=duration)
+    _check_non_negative(shift=shift)
     if sample_rate is not None:
-        _check_finite(sample_rate=sample_rate)
-    if gamma <= 0:
-        raise ConfigError(f"gamma must be > 0, got {gamma}")
-    if shift < 0:
-        raise ConfigError(f"shift must be >= 0, got {shift}")
-    if duration <= 0:
-        raise ConfigError(f"duration must be > 0, got {duration}")
-    if sample_rate is not None and sample_rate <= 0:
-        raise ConfigError(f"sample_rate must be > 0, got {sample_rate}")
+        _check_positive(sample_rate=sample_rate)
     # bool is an Integral; True would run one trajectory.
     if (isinstance(n_trajectories, bool) or not isinstance(n_trajectories, numbers.Integral)
             or n_trajectories < 1):
         raise ConfigError(f"n_trajectories must be an integer >= 1, got {n_trajectories!r}")
-    half_width_hz = (shift + 2 * gamma) / (2 * math.pi)
+    carson = carson_bandwidth(shift, gamma)
+    half_width_hz = carson / 2.0 / (2 * math.pi)
     if sample_rate is None:
         sample_rate = 16.0 * max(half_width_hz, 1.0 / duration)
     samples = duration * sample_rate
@@ -608,7 +595,7 @@ def relaxation_telegraph_spectrum(
     return TelegraphSpectrum(
         frequencies=f_one,
         power=p_one,
-        carson_bandwidth=2.0 * (shift + 2.0 * gamma),
+        carson_bandwidth=carson,
         out_of_band_fraction=out_fraction,
         n_trajectories=n_trajectories,
     )

@@ -1,10 +1,16 @@
-"""Exception types shared across the simulator, and its finiteness check.
+"""Exception types shared across the simulator, and its number rules.
 
 The CLI exits with code 3 for InfeasiblePlanError and with code 2 for
 every other FdmSimError and for an OSError.
+
+Every module checks its numbers with the rules here: _check_finite, and
+_check_positive or _check_non_negative for a finite number > 0 or >= 0.
+Each raises ConfigError naming the first value that breaks its rule.
 """
 
 import math
+
+import numpy as np
 
 
 class FdmSimError(Exception):
@@ -27,12 +33,29 @@ class TraceFormatError(FdmSimError):
     """Binary trace file is corrupt or has an unsupported version."""
 
 
-def _check_finite(**values: float) -> None:
-    """ConfigError naming the first of the given values that is NaN or
-    infinite."""
+def _check_finite(**values) -> None:
+    """ConfigError naming the first of the given scalars or arrays that
+    holds NaN or inf; math.isfinite checks a scalar, at a scalar's cost."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        if isinstance(value, np.ndarray):
+            if not np.isfinite(value).all():
+                raise ConfigError(f"{name} must be finite")
+        elif not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value}")
+
+
+def _check_positive(**values: float) -> None:
+    """ConfigError naming the first of the given scalars not finite and > 0."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{name} must be finite and > 0, got {value}")
+
+
+def _check_non_negative(**values: float) -> None:
+    """ConfigError naming the first of the given scalars not finite and >= 0."""
+    for name, value in values.items():
+        if not 0 <= value < math.inf:
+            raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
 
 def _check_count(name: str, value) -> int:

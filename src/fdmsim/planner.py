@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .device import Chip, QubitStateLabel, _dressed_resonances
-from .errors import ConfigError, InfeasiblePlanError, _check_count, _check_finite
+from .errors import (ConfigError, InfeasiblePlanError, _check_count, _check_finite,
+                     _check_non_negative, _check_positive)
 
 
 class SpacingRule(enum.Enum):
@@ -71,12 +73,10 @@ class FrequencyPlan:
 def _check_band(band_start: float, band_stop: float, guard: float) -> None:
     """ConfigError unless the band edges, their difference and the guard
     are finite, band_stop exceeds band_start and guard >= 0."""
-    _check_finite(band_start=band_start, band_stop=band_stop, guard=guard,
-                  band_width=band_stop - band_start)
+    _check_finite(band_start=band_start, band_stop=band_stop, band_width=band_stop - band_start)
+    _check_non_negative(guard=guard)
     if band_stop <= band_start:
         raise ConfigError(f"band_stop {band_stop} must exceed band_start {band_start}")
-    if guard < 0:
-        raise ConfigError(f"guard must be >= 0, got {guard}")
 
 
 @dataclass(frozen=True)
@@ -92,17 +92,9 @@ class CapacityQuery:
     crosstalk_limit_db: float
 
     def __post_init__(self):
-        _check_finite(
-            bandwidth=self.bandwidth, kappa=self.kappa, gamma=self.gamma,
-            dispersive_shift=self.dispersive_shift,
-            crosstalk_limit_db=self.crosstalk_limit_db,
-        )
-        if self.bandwidth <= 0:
-            raise ConfigError(f"bandwidth must be > 0, got {self.bandwidth}")
-        if self.kappa <= 0:
-            raise ConfigError(f"kappa must be > 0, got {self.kappa}")
-        if self.gamma < 0 or self.dispersive_shift < 0:
-            raise ConfigError("gamma and dispersive_shift must be >= 0")
+        _check_positive(bandwidth=self.bandwidth, kappa=self.kappa)
+        _check_non_negative(gamma=self.gamma, dispersive_shift=self.dispersive_shift)
+        _check_finite(crosstalk_limit_db=self.crosstalk_limit_db)
         if self.crosstalk_limit_db >= 0:
             raise ConfigError(
                 f"crosstalk_limit_db must be < 0, got {self.crosstalk_limit_db}"
@@ -120,11 +112,14 @@ class CapacityResult:
 
 def carson_bandwidth(dispersive_shift: float, gamma: float) -> float:
     """Full spectral width 2*(shift + 2*gamma) of a relaxing qubit's
-    carrier, rad/s in and out; both rates must be finite and >= 0."""
-    _check_finite(dispersive_shift=dispersive_shift, gamma=gamma)
-    if dispersive_shift < 0 or gamma < 0:
-        raise ConfigError("dispersive_shift and gamma must be >= 0")
-    return 2.0 * (dispersive_shift + 2.0 * gamma)
+    carrier, rad/s in and out; both rates must be finite and >= 0, and a
+    width beyond the float range raises ConfigError."""
+    _check_non_negative(dispersive_shift=dispersive_shift, gamma=gamma)
+    width = 2.0 * (dispersive_shift + 2.0 * gamma)
+    if width == math.inf:
+        raise ConfigError(f"dispersive_shift {dispersive_shift:g} and gamma {gamma:g} rad/s "
+                          "give a Carson width beyond the float range")
+    return width
 
 
 def adjacent_crosstalk(spacing: float, kappa: float) -> float:
@@ -132,15 +127,20 @@ def adjacent_crosstalk(spacing: float, kappa: float) -> float:
 
     Lorentzian amplitude tail of a notch of total linewidth kappa:
     zero spacing gives 0 dB, large spacing falls off as 1/spacing.
-    Both arguments must be finite.
+    Both arguments must be finite, spacing >= 0 and kappa / 2 > 0.
     """
-    _check_finite(spacing=spacing, kappa=kappa)
-    if kappa <= 0:
-        raise ConfigError(f"kappa must be > 0, got {kappa}")
-    if spacing < 0:
-        raise ConfigError(f"spacing must be >= 0, got {spacing}")
+    _check_non_negative(spacing=spacing)
+    _check_positive(kappa=kappa)
     half = kappa / 2.0
-    return 20.0 * math.log10(half / math.hypot(spacing, half))
+    if half == 0:
+        raise ConfigError(f"kappa {kappa} is so small that kappa / 2 underflows to 0")
+    ratio = half / math.hypot(spacing, half)
+    if ratio >= sys.float_info.min:
+        return 20.0 * math.log10(ratio)
+    # The ratio underflows, or the hypot overflows: the halved hypot does
+    # not, and a difference of logs takes the place of the quotient.
+    return 20.0 * (math.log10(half) - math.log10(2.0)
+                   - math.log10(math.hypot(spacing / 2.0, half / 2.0)))
 
 
 def crosstalk_limited_spacing(kappa: float, crosstalk_limit_db: float) -> float:
@@ -152,9 +152,8 @@ def crosstalk_limited_spacing(kappa: float, crosstalk_limit_db: float) -> float:
     spacing must be a float > 0: a limit or kappa so large or small that
     it is not raises ConfigError.
     """
-    _check_finite(kappa=kappa, crosstalk_limit_db=crosstalk_limit_db)
-    if kappa <= 0:
-        raise ConfigError(f"kappa must be > 0, got {kappa}")
+    _check_positive(kappa=kappa)
+    _check_finite(crosstalk_limit_db=crosstalk_limit_db)
     if crosstalk_limit_db >= 0:
         raise ConfigError(f"crosstalk_limit_db must be < 0, got {crosstalk_limit_db}")
     try:
@@ -260,8 +259,8 @@ def generate_plan(
     """
     _check_band(band_start, band_stop, guard)
     n_channels = _check_count("n_channels", n_channels)
-    if spacing is not None and not 0 < spacing < math.inf:
-        raise ConfigError(f"spacing must be finite and > 0, got {spacing}")
+    if spacing is not None:
+        _check_positive(spacing=spacing)
     usable = band_stop - band_start - 2.0 * guard
     if usable <= 0:
         raise ConfigError("guard bands leave no usable bandwidth")
@@ -313,8 +312,7 @@ def _grid_offset(frequency: float, reference: float, grid: float) -> float:
     snapping rule of plan_for_chip, make_readout_setup and the default LO.
     ConfigError for a NaN or infinite input, a grid <= 0, or an offset of
     more grid steps than a float holds."""
-    if not 0 < grid < math.inf:
-        raise ConfigError(f"grid must be finite and > 0, got {grid}")
+    _check_positive(grid=grid)
     steps = (frequency - reference) / grid
     _check_finite(frequency=frequency, reference=reference, grid_steps=steps)
     return grid * round(steps)

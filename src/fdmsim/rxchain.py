@@ -26,7 +26,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .device import Chip
-from .errors import ConfigError, UnknownDeviceError, _check_count, _check_finite
+from .errors import (ConfigError, UnknownDeviceError, _check_count, _check_finite,
+                     _check_non_negative, _check_positive)
 from .lanes import lane_count as _lane_count, one_blas_thread as _one_blas_thread, run as _run_lanes
 from .planner import _grid_offset
 from .seeding import _check_root_seed, _set_state, derive_rng
@@ -67,22 +68,14 @@ class AdcSpec:
     analog_bandwidth: float | None = None
 
     def __post_init__(self):
-        _check_finite(sample_rate=self.sample_rate, bits=self.bits,
-                      full_scale=self.full_scale)
+        _check_positive(sample_rate=self.sample_rate, full_scale=self.full_scale)
+        _check_finite(bits=self.bits)
         if self.analog_bandwidth is not None:
-            _check_finite(analog_bandwidth=self.analog_bandwidth)
-            if self.analog_bandwidth <= 0:
-                raise ConfigError(
-                    f"ADC analog_bandwidth must be > 0, got {self.analog_bandwidth}"
-                )
-        if self.sample_rate <= 0:
-            raise ConfigError(f"ADC sample_rate must be > 0, got {self.sample_rate}")
+            _check_positive(analog_bandwidth=self.analog_bandwidth)
         # bool is an int; True would build a 1-bit converter.
         if isinstance(self.bits, bool) or self.bits != int(self.bits) \
                 or not 1 <= self.bits <= 32:
             raise ConfigError(f"ADC bits must be an integer in [1, 32], got {self.bits}")
-        if self.full_scale <= 0:
-            raise ConfigError(f"ADC full_scale must be > 0, got {self.full_scale}")
 
     @property
     def step(self) -> float:
@@ -101,8 +94,7 @@ class ToneMeasurement:
     noise_std: float
 
     def __post_init__(self):
-        if self.amplitude < 0:
-            raise ConfigError(f"amplitude must be >= 0, got {self.amplitude}")
+        _check_non_negative(amplitude=self.amplitude)
         if not -math.pi < self.phase <= math.pi + 1e-12:
             raise ConfigError(f"phase must lie in (-pi, pi], got {self.phase}")
 
@@ -126,17 +118,11 @@ def downconvert(rf: IQTrace) -> IQTrace:
 def add_awgn(trace: IQTrace, noise_std: float, seed: int) -> IQTrace:
     """Add seeded white Gaussian noise of the given std to each quadrature;
     a NaN or inf in the result (or the trace) raises ConfigError."""
-    _check_noise_std(noise_std)
+    _check_non_negative(noise_std=noise_std)
     samples = trace.samples.copy()
     if noise_std > 0:
         _add_noise(_quadratures(samples), noise_std, seed)
     return replace(trace, samples=_finite(samples, "add_awgn"))
-
-
-def _check_noise_std(noise_std: float) -> None:
-    """Raise ConfigError unless noise_std is finite and >= 0."""
-    if not (math.isfinite(noise_std) and noise_std >= 0):
-        raise ConfigError(f"noise_std must be finite and >= 0, got {noise_std}")
 
 
 def _check_noise(noise_std: float, seed: int) -> None:
@@ -144,7 +130,7 @@ def _check_noise(noise_std: float, seed: int) -> None:
     an integer root seed in [0, 2**128).  The acquisitions check both
     whether or not they draw noise, so that what they record names a run
     that could have been made."""
-    _check_noise_std(noise_std)
+    _check_non_negative(noise_std=noise_std)
     _check_root_seed(seed)
 
 
@@ -264,7 +250,7 @@ def adc_quantize(trace: IQTrace, adc: AdcSpec, noise_std: float = 0.0, seed: int
     inf in either raises ConfigError.
     """
     _check_adc_rate(trace.sample_rate, adc)
-    _check_noise_std(noise_std)
+    _check_non_negative(noise_std=noise_std)
     samples = _finite(trace.samples, "adc_quantize").copy()
     cut = _band_cut(samples.size, trace.sample_rate, adc)
     if cut is not None:
@@ -464,12 +450,9 @@ class ReadoutSetup:
                 f"got {len(self.baseband_frequencies)} channel frequencies for "
                 f"{len(self.device_ids)} devices"
             )
-        _check_finite(lo_frequency=self.lo_frequency, sample_rate=self.sample_rate,
-                      amplitude=self.amplitude)
-        if not self.sample_rate > 0:
-            raise ConfigError(f"need sample_rate > 0, got {self.sample_rate}")
-        if self.amplitude < 0:
-            raise ConfigError(f"amplitude must be >= 0, got {self.amplitude}")
+        _check_finite(lo_frequency=self.lo_frequency)
+        _check_positive(sample_rate=self.sample_rate)
+        _check_non_negative(amplitude=self.amplitude)
         grid = _acquisition_grid(self.sample_rate, self.n_samples)
         # An integral float count such as 4000.0 is kept as the int it names.
         object.__setattr__(self, "n_samples", int(self.n_samples))
@@ -582,8 +565,10 @@ def _receive(
     on its own row and stream, so it is the same bit for bit for every
     lane count and BLAS thread count; the clip warnings are logged by
     the calling thread, one per clipping shot, in shot order.
+
+    Shots whose noise or amplitude overflow the float range, and an
+    n_samples that numpy cannot allocate, raise ConfigError.
     """
-    _check_noise_std(noise_std)
     n_points = c.shape[0]
     noise = np.zeros(n_points) if estimate_noise else None
     if noise_std == 0 and adc is None:
@@ -593,9 +578,6 @@ def _receive(
     freqs = tuple(float(f) for f in setup.baseband_frequencies)
     if adc is not None:
         _check_adc_rate(fs, adc)
-    plan = _channel_plan(freqs, n, fs, setup.window)
-    tones = plan.tones
-    c[:, _beyond_band(setup, adc)] = 0.0
     if noise_std == 0:
         streams = None
     elif len(streams) != n_points:
@@ -605,34 +587,45 @@ def _receive(
     lanes = max(1, min(_lane_count(), n_blocks))
     iq = np.empty_like(c)
     clipped = np.zeros(n_points, dtype=np.int64)
-    blocks = [np.empty((rows, n), dtype=complex) for _ in range(lanes)]
+    try:
+        plan = _channel_plan(freqs, n, fs, setup.window)
+        tones = plan.tones
+        c[:, _beyond_band(setup, adc)] = 0.0
+        blocks = [np.empty((rows, n), dtype=complex) for _ in range(lanes)]
+        draws = [np.empty((n, 2)) for _ in range(lanes)]
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"cannot allocate n_samples = {n}: {exc}") from None
     quads = [list(block.view(np.float64).reshape(rows, n, 2)) for block in blocks]
-    draws = [np.empty((n, 2)) for _ in range(lanes)]
     generators = [np.random.Generator(np.random.PCG64(0)) for _ in range(lanes)]
 
     def run_block(lane: int, i: int) -> None:
         block, draw, generator = blocks[lane], draws[lane], generators[lane]
         start = i * rows
         k = min(rows, n_points - start)
-        np.matmul(c[start:start + k, None, :], tones, out=block[:k, None, :])
-        if streams is not None:
-            for state, quad in zip(streams[start:start + k], quads[lane]):
-                _set_state(generator, state)
-                generator.standard_normal(out=draw)
-                # Generator.normal(0.0, std) draws 0.0 + std * z.
-                np.multiply(draw, noise_std, out=draw)
-                np.add(draw, 0.0, out=draw)
-                np.add(quad, draw, out=quad)
-        if adc is not None:
-            clipped[start:start + k] = _quantize(block[:k].view(np.float64), adc)
-        _, wx = _project(plan, block[:k], iq[start:start + k])
-        if estimate_noise:
-            for r in range(k):
-                noise[start + r] = _noise_std(plan, wx[r])
+        # numpy's error state is per thread.  An overflow shows in the
+        # result, which the calling thread checks.
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(c[start:start + k, None, :], tones, out=block[:k, None, :])
+            if streams is not None:
+                for state, quad in zip(streams[start:start + k], quads[lane]):
+                    _set_state(generator, state)
+                    generator.standard_normal(out=draw)
+                    np.multiply(draw, noise_std, out=draw)
+                    np.add(quad, draw, out=quad)
+            if adc is not None:
+                clipped[start:start + k] = _quantize(block[:k].view(np.float64), adc)
+            _, wx = _project(plan, block[:k], iq[start:start + k])
+            if estimate_noise:
+                for r in range(k):
+                    noise[start + r] = _noise_std(plan, wx[r])
 
     # One lane is the calling thread alone, which keeps the caller's BLAS.
     with _one_blas_thread() if lanes > 1 else contextlib.nullcontext():
         _run_lanes(run_block, n_blocks, lanes)
+    if not np.isfinite(iq).all() or (estimate_noise and plan.noise_mask.any()
+                                      and not np.isfinite(noise).all()):
+        raise ConfigError(f"noise_std {noise_std:g} and amplitude {setup.amplitude:g} take "
+                          "the received shots beyond the float range")
     for i in np.flatnonzero(clipped):
         _warn_clipped(int(clipped[i]), 2 * n)
     return iq, noise

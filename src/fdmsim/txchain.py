@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, _check_count, _check_finite
+from .errors import ConfigError, _check_count, _check_finite, _check_non_negative, _check_positive
 
 
 DEFAULT_SAMPLE_RATE = 1e9  # complex samples per second
@@ -34,10 +34,8 @@ class ToneSpec:
     phase: float = 0.0
 
     def __post_init__(self):
-        _check_finite(baseband_frequency=self.baseband_frequency, amplitude=self.amplitude,
-                      phase=self.phase)
-        if self.amplitude < 0:
-            raise ConfigError(f"tone amplitude must be >= 0, got {self.amplitude}")
+        _check_finite(baseband_frequency=self.baseband_frequency, phase=self.phase)
+        _check_non_negative(amplitude=self.amplitude)
 
 
 @dataclass(frozen=True)
@@ -57,8 +55,7 @@ class IQTrace:
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 1 or samples.size == 0:
             raise ConfigError("IQTrace needs a non-empty 1-d sample array")
-        if not 0 < self.sample_rate < np.inf:
-            raise ConfigError(f"sample_rate must be finite and > 0, got {self.sample_rate}")
+        _check_positive(sample_rate=self.sample_rate)
 
     @property
     def n_samples(self) -> int:
@@ -86,8 +83,7 @@ def synthesize_multitone(tones: Sequence[ToneSpec], n_samples: int,
     (naming the first) a tone whose |frequency| exceeds sample_rate / 2.
     """
     n_samples = _check_count("n_samples", n_samples)
-    if not 0 < sample_rate < np.inf:
-        raise ConfigError(f"sample_rate must be finite and > 0, got {sample_rate}")
+    _check_positive(sample_rate=sample_rate)
     _check_finite(amplitude_sum=sum(tone.amplitude for tone in tones))
     for k, tone in enumerate(tones):
         if abs(tone.baseband_frequency) > sample_rate / 2:

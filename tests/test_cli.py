@@ -92,6 +92,22 @@ def test_plan_rejects_a_spacing_that_is_not_positive(capsys, spacing):
     assert "spacing must be finite and > 0" in capsys.readouterr().err
 
 
+def test_plan_names_rates_whose_carson_width_overflows(capsys):
+    # This exited 3 with "required spacing inf Hz exceeds bandwidth".
+    assert main(["plan", "--shift-over-2pi", "1e307", "--gamma-over-2pi", "1e307"]) == 2
+    err = capsys.readouterr().err
+    assert "dispersive_shift" in err and "gamma" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_sweep_with_overflowing_noise_is_a_usage_error(capsys, tmp_path):
+    # This exited 0 and wrote a table of NaN.
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--noise-std", "1e308", "--points", "5", "--out", str(out)]) == 2
+    assert "noise_std" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["sweep", "rabi", "spectroscopy"])
 @pytest.mark.parametrize("points", ["-1", "0"])
 def test_points_below_one_are_a_usage_error(capsys, command, points):

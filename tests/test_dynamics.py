@@ -39,6 +39,12 @@ def test_rabi_frequency_includes_detuning():
     assert rabi_frequency(drive(3e6, 1.0, detuning=4e6)) == pytest.approx(5e6)
 
 
+def test_rabi_frequency_beyond_the_float_range_is_refused():
+    # This returned inf.
+    with pytest.raises(ConfigError, match="rabi_frequency must be finite"):
+        rabi_frequency(drive(5e6, 1e308))
+
+
 def test_resonant_lossless_evolution_is_sin_squared():
     d = drive(5e6)
     state = GROUND

@@ -43,6 +43,8 @@ from fdmsim import (
     fit_damped_sinusoid,
     load_chip,
     make_readout_setup,
+    measure_crosstalk,
+    plan_for_chip,
     qubit_frequency,
     read_sweep_csv,
     run_flux_sweep,
@@ -647,6 +649,37 @@ def test_acquisition_rejects_non_finite_noise(chip, noise_std, adc):
         run_flux_sweep(chip, [0.0], setup=setup, adc=adc, noise_std=noise_std)
     with pytest.raises(ConfigError, match="noise_std"):
         run_rabi(chip, [0.0, 1e-8], setup=setup, adc=adc, noise_std=noise_std)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("noise_std, amplitude", [(1e308, 0.1), (1e-3, 1e308)],
+                         ids=["noise_std", "amplitude"])
+def test_shots_that_overflow_name_the_noise_and_the_amplitude(chip, noise_std, amplitude):
+    # These returned NaN tables, after a numpy overflow warning.
+    setup = ReadoutSetup((1, 2, 3), 9.45e9, (-1.5e8, 0.0, 1.5e8), n_samples=100,
+                         amplitude=amplitude)
+    match = "noise_std .* and amplitude .* beyond the float range"
+    with pytest.raises(ConfigError, match=match):
+        run_flux_sweep(chip, [0.0, 0.01], setup=setup, noise_std=noise_std)
+    with pytest.raises(ConfigError, match=match):
+        run_rabi(chip, [0.0, 1e-8], setup=setup, noise_std=noise_std)
+    with pytest.raises(ConfigError, match=match):
+        # This raised "phase must lie in (-pi, pi], got nan".
+        acquire(chip, setup, [-1.0] * 7, 0.0, noise_std=noise_std)
+    plan = plan_for_chip(chip, lo_frequency=9.75e9, grid=1e6)
+    with pytest.raises(ConfigError, match=match):
+        measure_crosstalk(chip, plan, 2, lo_frequency=9.75e9, amplitude=amplitude,
+                          noise_std=noise_std)
+
+
+@pytest.mark.filterwarnings("error")
+def test_noisy_acquire_names_an_n_samples_it_cannot_allocate(chip):
+    # The setup is valid, and its noiseless acquisition needs no trace;
+    # the noisy one raised a bare ValueError from numpy.
+    setup = ReadoutSetup((1, 2, 3), 9.45e9, (-1.5e8, 0.0, 1.5e8), n_samples=1e308)
+    assert len(acquire(chip, setup, [-1.0] * 7, 0.0)) == 3
+    with pytest.raises(ConfigError, match="cannot allocate n_samples"):
+        acquire(chip, setup, [-1.0] * 7, 0.0, noise_std=1e-3)
 
 
 @pytest.mark.parametrize("noise_std", [math.nan, math.inf, -1.0])

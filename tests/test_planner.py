@@ -49,6 +49,33 @@ def test_adjacent_crosstalk_anchor_points():
     assert all(b <= a for a, b in zip(vals, vals[1:]))
 
 
+def test_adjacent_crosstalk_takes_logs_only_where_the_ratio_is_not_normal():
+    # These raised a bare ValueError (log10 of an underflowed 0), and the
+    # second an overflowing hypot.
+    assert adjacent_crosstalk(1e308, 1e-308) == pytest.approx(20 * (math.log10(5e-309) - 308))
+    assert adjacent_crosstalk(1.7e308, 1.7e308) == pytest.approx(20 * math.log10(1 / math.sqrt(5)))
+    rng = np.random.default_rng(4)
+    for spacing, kappa in zip(rng.uniform(0, 1e9, 50), rng.uniform(1e5, 1e8, 50)):
+        half = kappa / 2.0
+        assert adjacent_crosstalk(spacing, kappa) == 20.0 * math.log10(half / math.hypot(spacing,
+                                                                                         half))
+
+
+def test_adjacent_crosstalk_refuses_a_kappa_whose_half_underflows():
+    # This divided 0 by 0.
+    with pytest.raises(ConfigError, match="kappa / 2 underflows"):
+        adjacent_crosstalk(0.0, 5e-324)
+    assert adjacent_crosstalk(0.0, 1e-323) == 0.0
+
+
+def test_carson_width_beyond_the_float_range_names_the_rates():
+    with pytest.raises(ConfigError, match="dispersive_shift .* and gamma .* float range"):
+        carson_bandwidth(1e308, 1e308)
+    # max_channels raised InfeasiblePlanError for a spacing of inf Hz.
+    with pytest.raises(ConfigError, match="dispersive_shift .* and gamma .* float range"):
+        max_channels(CapacityQuery(1e9, 1e6, 1e308, 1e308, -20.0))
+
+
 @pytest.mark.parametrize("kappa", [0.0, -KAPPA])
 def test_crosstalk_limited_spacing_rejects_non_positive_kappa(kappa):
     # it used to return a spacing of 0 or -5 kappa
@@ -189,7 +216,7 @@ def test_generate_plan_rejects_a_spacing_that_is_not_positive(n_channels, spacin
     (dict(band_start=9e9, band_stop=math.inf), "band_stop must be finite"),
     (dict(band_start=-1e308, band_stop=1e308), "band_width must be finite"),
     (dict(band_start=9e9, band_stop=10e9, guard=math.nan), "guard must be finite"),
-    (dict(band_start=9e9, band_stop=10e9, guard=-1.0), "guard must be >= 0"),
+    (dict(band_start=9e9, band_stop=10e9, guard=-1.0), "guard must be finite and >= 0"),
 ])
 def test_generate_plan_checks_the_band_first(kwargs, match):
     with pytest.raises(ConfigError, match=match):

@@ -314,8 +314,8 @@ def test_adc_and_setup_reject_non_finite_fields(cls, field, bad):
     ("bits", 12.5, "bits must be an integer"),
     ("bits", 0, "bits must be an integer in"),
     ("bits", 33, "bits must be an integer in"),
-    ("analog_bandwidth", -1.0, "analog_bandwidth must be > 0"),
-    ("analog_bandwidth", 0.0, "analog_bandwidth must be > 0"),
+    ("analog_bandwidth", -1.0, "analog_bandwidth must be finite and > 0"),
+    ("analog_bandwidth", 0.0, "analog_bandwidth must be finite and > 0"),
     ("bits", True, "bits must be an integer in"),  # bool is an int: a 1-bit converter
 ])
 def test_adc_rejects_bad_bits_and_band(field, bad, match):
@@ -841,11 +841,11 @@ def test_setup_and_crosstalk_reject_a_non_integral_count(chip7, n_samples):
 def test_setup_rejects_a_negative_amplitude(chip7):
     # A negative amplitude would invert every tone, a phase error of pi.
     chip, plan = chip7
-    with pytest.raises(ConfigError, match="amplitude must be >= 0"):
+    with pytest.raises(ConfigError, match="amplitude must be finite and >= 0"):
         ReadoutSetup(**VALID_FIELDS[ReadoutSetup], amplitude=-0.1)
-    with pytest.raises(ConfigError, match="amplitude must be >= 0"):
+    with pytest.raises(ConfigError, match="amplitude must be finite and >= 0"):
         make_readout_setup(chip, (1, 2), amplitude=-0.1)
-    with pytest.raises(ConfigError, match="amplitude must be >= 0"):
+    with pytest.raises(ConfigError, match="amplitude must be finite and >= 0"):
         measure_crosstalk(chip, plan, 1, amplitude=-1.0)
     assert ReadoutSetup(**VALID_FIELDS[ReadoutSetup], amplitude=0.0).amplitude == 0.0
 
