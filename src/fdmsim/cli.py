@@ -362,7 +362,11 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "format", None) == "json" and (getattr(args, "append", False)
+                                                    or args.emit_gnuplot):
+        parser.error("--append and --emit-gnuplot write CSV; they need --format csv")
     try:
         return _COMMANDS[args.command](args)
     except InfeasiblePlanError as exc:

@@ -35,9 +35,10 @@ from .errors import (ConfigError, UnknownDeviceError, _check_finite, _check_non_
 
 _TWO_PI = 2 * math.pi
 
-# numpy's NPY_MIN_ELIDE_BYTES: the smallest temporary array that numpy
-# reuses in place for the result of an arithmetic operator.
-_ELIDED_BYTES = 256 * 1024
+# Scratch budget of one notch pass in s21_feedline: a short call takes
+# every device in one pass, and from 5 462 points on a pass takes one
+# device, so a long spectrum's scratch does not grow with the chip.
+_SCRATCH_BYTES = 256 * 1024
 
 
 class QubitStateLabel(enum.IntEnum):
@@ -276,10 +277,9 @@ def s21_feedline(chip: Chip, probe_omega, states, fluxes) -> np.ndarray | comple
     pull are computed for all devices in one array pass, from parameter
     arrays the Chip builds once.  Then the notches are computed a block
     of devices per pass, as many as keep the pass's complex and float
-    scratch under 256 KiB and at least one, and multiplied into the
-    product in chip order, in place once the product reaches 256 KiB
-    (where a block is always one device).  The arithmetic per element
-    and the product order are those of the per-device product s = s *
+    scratch under 256 KiB and at least one, and multiplied in place
+    into the product in chip order.  The arithmetic per element and the
+    product order are those of the per-device product s *=
     s21_single(resonator_j, probe_omega, state_dependent_shift(
     resonator_j, 2 pi qubit_frequency(qubit_j, flux_j), state_j)) over
     j, which the result equals bit for bit.
@@ -315,19 +315,12 @@ def s21_feedline(chip: Chip, probe_omega, states, fluxes) -> np.ndarray | comple
     )
     s = np.ones(shape, dtype=complex)
     # Devices per pass: as many as keep the complex notch and float
-    # detuning scratch, 16 + 8 bytes per element each, under _ELIDED_BYTES.
-    block = max(1, min(n, _ELIDED_BYTES // (max(s.size, 1) * (16 + 8))))
+    # detuning scratch, 16 + 8 bytes per element each, under _SCRATCH_BYTES.
+    block = max(1, min(n, _SCRATCH_BYTES // (max(s.size, 1) * (16 + 8))))
     notch = np.empty((block,) + shape, dtype=complex)
     detuning = np.empty((block,) + shape)
-    # The product follows s = s * s21_single(...) of the per-device
-    # product, whose last bit depends on how numpy runs it: the complex
-    # product rounds one cross term and fuses the other into a
-    # multiply-add, so operand order counts, and so does aliasing for a
-    # single element.  From _ELIDED_BYTES up numpy reuses the temporary
-    # notch and computes notch * s in place; below it, s * notch into a
-    # new array.  notch[j, ...] stays an array when s has no dimensions,
-    # where notch[j] would be a numpy scalar with a product of its own.
-    in_place = s.nbytes >= _ELIDED_BYTES
+    # notch[j, ...] stays an array when s has no dimensions, where
+    # notch[j] would be a numpy scalar with a product of its own.
     try:
         with np.errstate(over="raise"):
             for first in range(0, n, block):
@@ -336,7 +329,7 @@ def s21_feedline(chip: Chip, probe_omega, states, fluxes) -> np.ndarray | comple
                 _notch(probe, omega_r[rows], half_kappa[rows], half_ext[rows], shifts[rows],
                        notch[:m], detuning[:m])
                 for j in range(m):
-                    s = np.multiply(notch[j, ...], s, out=s) if in_place else s * notch[j, ...]
+                    np.multiply(s, notch[j, ...], out=s)
     except FloatingPointError as exc:
         raise ConfigError(f"S21 must be finite ({exc})") from None
     return complex(s) if s.ndim == 0 else s

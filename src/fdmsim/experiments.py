@@ -16,16 +16,16 @@ import numpy as np
 
 from .device import Chip, QubitStateLabel, _dressed_resonances, s21_feedline
 from .dynamics import DriveSpec, _ground_trajectory, evolve_for, rabi_frequency
-from .errors import ConfigError, UnknownDeviceError
+from .errors import ConfigError
 from .planner import _grid_offset
 from .rxchain import (
     AdcSpec,
     ReadoutSetup,
     ToneMeasurement,
+    _acquire,
     _acquisition_grid,
     _check_noise,
     _default_lo,
-    _receive,
     add_awgn,
     adc_quantize,
     apply_feedline,
@@ -88,44 +88,6 @@ def make_readout_setup(
     )
 
 
-def _acquire_points(
-    chip: Chip,
-    setup: ReadoutSetup,
-    states,
-    fluxes,
-    *,
-    adc: AdcSpec | None,
-    noise_std: float,
-    seed: int,
-    estimate_noise: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The acquisition core: one multiplexed shot per point.
-
-    states[i] holds every chip device's sigma_z at point i (chip order)
-    and fluxes[i] is a scalar or one flux per device.  One s21_feedline
-    call gives every point's channel amplitudes, c = setup.amplitude *
-    S21(channel frequencies), and rxchain._receive turns them into
-    measured ones, with point i's noise from the stream
-    derive_rng(child_seed(seed, i)); seeding._child_states gives every
-    point's stream in one pass, and only when noise is drawn.  A setup
-    id that is not on the chip raises UnknownDeviceError.
-    Returns the complex channel amplitudes, (n_points, n_channels), and,
-    only with estimate_noise=True, each shot's noise estimate,
-    (n_points,); else None.  acquire alone asks for it: the sweep
-    drivers record no noise estimate, so they skip its FFT.
-    """
-    for dev_id in setup.device_ids:
-        chip._index(dev_id)
-    with np.errstate(over="ignore"):  # s21_feedline refuses an infinite probe
-        omega = 2 * np.pi * np.array(setup.channel_frequencies)
-    c = setup.amplitude * s21_feedline(chip, omega, states, fluxes)
-    streams = _child_states(seed, len(c)) if noise_std > 0 else None
-    return _receive(
-        setup, c, adc=adc, noise_std=noise_std, streams=streams,
-        estimate_noise=estimate_noise,
-    )
-
-
 def acquire(
     chip: Chip,
     setup: ReadoutSetup,
@@ -150,9 +112,9 @@ def acquire(
     noise or not.
     """
     _check_noise(noise_std, seed)
-    iq, noise = _acquire_points(
-        chip, setup, [states], [fluxes], adc=adc, noise_std=noise_std, seed=seed,
-        estimate_noise=True,
+    iq, noise = _acquire(
+        chip, setup, [states], [fluxes], adc=adc, noise_std=noise_std,
+        streams=_child_states(seed, 1) if noise_std > 0 else None, estimate_noise=True,
     )
     return [
         ToneMeasurement(
@@ -246,9 +208,10 @@ def run_flux_sweep(
     if states is None:
         states = [float(QubitStateLabel.GROUND)] * len(chip.devices)
     states = np.asarray(states, dtype=float)
-    iq, _ = _acquire_points(
+    iq, _ = _acquire(
         chip, setup, np.broadcast_to(states, flux_values.shape + states.shape), flux_values,
-        adc=adc, noise_std=noise_std, seed=seed,
+        adc=adc, noise_std=noise_std,
+        streams=_child_states(seed, flux_values.size) if noise_std > 0 else None,
     )
     return _sweep_result(
         "flux_sweep", chip, "flux_phi0", flux_values,
@@ -471,9 +434,10 @@ def run_rabi(
         states = np.full((durations.size, len(chip.devices)), float(QubitStateLabel.GROUND))
         for j, dev_id in enumerate(ids):
             states[:, chip._index(dev_id)] = z[:, j]
-        iq, _ = _acquire_points(
+        iq, _ = _acquire(
             chip, setup, states, np.broadcast_to(chip._axis.symmetry_flux, states.shape),
-            adc=adc, noise_std=noise_std, seed=seed,
+            adc=adc, noise_std=noise_std,
+            streams=_child_states(seed, durations.size) if noise_std > 0 else None,
         )
         tables["iq_amplitude"] = np.abs(iq)
         tables["iq_phase"] = np.angle(iq)
@@ -620,11 +584,12 @@ def fit_damped_sinusoid(times, values) -> DampedSinusoidFit:
     The start frequency is the largest non-DC DFT magnitude (first such
     bin on ties, i.e. the lowest frequency).  Requires a uniform time
     grid of at least 8 points and finite values; anything else raises
-    ConfigError.  The fit is a bounded Levenberg-Marquardt iteration
-    with the model's analytic Jacobian (see _levenberg_marquardt).  Never
-    raises on fit failure: falls back to the seed parameters with
-    valid=False, so batch callers can fit many traces and inspect the
-    flags afterwards.
+    ConfigError, as do values so large that n residuals of 8 times the
+    largest |value| would overflow the fit's sums of squares.  The fit
+    is a bounded Levenberg-Marquardt iteration with the model's analytic
+    Jacobian (see _levenberg_marquardt).  Never raises on fit failure:
+    falls back to the seed parameters with valid=False, so batch callers
+    can fit many traces and inspect the flags afterwards.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -632,6 +597,10 @@ def fit_damped_sinusoid(times, values) -> DampedSinusoidFit:
         raise ConfigError("need matching 1-d arrays of at least 8 samples")
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
         raise ConfigError("times and values must be finite (no NaN or inf)")
+    peak = float(np.abs(y).max())
+    if peak > math.sqrt(np.finfo(float).max / y.size) / 8:
+        raise ConfigError(f"values reach {peak:.6g} in magnitude, and the fit's sums of "
+                          f"squares over {y.size} samples would overflow")
     dt = np.diff(t)
     if dt.min() <= 0 or (dt.max() - dt.min()) > 1e-6 * dt.mean():
         raise ConfigError("time grid must be uniform and increasing")

@@ -6,12 +6,12 @@ the chain is lumped into a single additive white Gaussian stage at the
 ADC input; the amplifier chain is a pure scalar gain applied by the
 caller.
 
-This module also owns the one receive path of every acquisition: a
-ReadoutSetup and its shot loop, _receive, which turns a table of
-closed-form channel amplitudes into measured ones.  The sweep drivers
-in experiments and measure_crosstalk both run through it; the public
-stages (synthesize_multitone through channelize) serve the tests as its
-oracle.
+This module also owns the one acquisition core: a ReadoutSetup,
+_acquire, which computes every shot's closed-form channel amplitudes,
+and its shot loop, _receive, which turns them into measured ones.
+acquire, the sweep drivers in experiments and measure_crosstalk all run
+through it; the public stages (synthesize_multitone through channelize)
+serve the tests as its oracle.
 """
 
 from __future__ import annotations
@@ -25,12 +25,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import device
 from .device import Chip
 from .errors import (ConfigError, UnknownDeviceError, _check_count, _check_finite,
                      _check_non_negative, _check_positive)
 from .lanes import lane_count as _lane_count, one_blas_thread as _one_blas_thread, run as _run_lanes
 from .planner import _grid_offset
-from .seeding import _check_root_seed, _set_state, derive_rng
+from .seeding import _check_seed, _set_state, derive_rng
 from .txchain import IQTrace, _finite, synthesize_multitone, upconvert_ssb
 
 # synthesize_multitone and upconvert_ssb are not called in this module.
@@ -131,7 +132,7 @@ def _check_noise(noise_std: float, seed: int) -> None:
     whether or not they draw noise, so that what they record names a run
     that could have been made."""
     _check_non_negative(noise_std=noise_std)
-    _check_root_seed(seed)
+    _check_seed(seed)
 
 
 def _quadratures(samples: np.ndarray) -> np.ndarray:
@@ -223,12 +224,12 @@ def _quantize(quad: np.ndarray, adc: AdcSpec) -> np.ndarray:
     return n_clipped
 
 
-def _band_cut(n: int, sample_rate: float, adc: AdcSpec | None) -> np.ndarray | None:
-    """Mask of the n FFT bins at sample_rate that lie beyond the ADC's
-    analog band; None without an ADC, a band limit, or one below Nyquist."""
+def _band_limit(sample_rate: float, adc: AdcSpec | None) -> float | None:
+    """The ADC's analog band when it cuts below Nyquist at sample_rate;
+    None without an ADC, a band limit, or one below Nyquist."""
     if adc is None or adc.analog_bandwidth is None or adc.analog_bandwidth >= sample_rate / 2:
         return None
-    return np.abs(np.fft.fftfreq(n, d=1.0 / sample_rate)) > adc.analog_bandwidth
+    return adc.analog_bandwidth
 
 
 def _warn_clipped(n_clipped: int, size: int) -> None:
@@ -252,11 +253,11 @@ def adc_quantize(trace: IQTrace, adc: AdcSpec, noise_std: float = 0.0, seed: int
     _check_adc_rate(trace.sample_rate, adc)
     _check_non_negative(noise_std=noise_std)
     samples = _finite(trace.samples, "adc_quantize").copy()
-    cut = _band_cut(samples.size, trace.sample_rate, adc)
-    if cut is not None:
+    limit = _band_limit(trace.sample_rate, adc)
+    if limit is not None:
         with np.errstate(over="ignore", invalid="ignore"):
             spectrum = np.fft.fft(samples)
-            spectrum[cut] = 0.0
+            spectrum[np.abs(np.fft.fftfreq(samples.size, d=1.0 / trace.sample_rate)) > limit] = 0.0
             samples = _finite(np.fft.ifft(spectrum), "adc_quantize's analog band limit")
     if noise_std > 0:
         _add_noise(_quadratures(samples), noise_std, seed)
@@ -507,11 +508,37 @@ def _default_lo(frequencies, grid: float) -> float:
 
 def _beyond_band(setup: ReadoutSetup, adc: AdcSpec | None) -> np.ndarray:
     """Mask of the setup's channels whose DFT bin lies beyond the ADC's
-    analog band (none without an ADC or an analog band below Nyquist)."""
-    cut = _band_cut(setup.n_samples, float(setup.sample_rate), adc)
-    if cut is None:
-        return np.zeros(len(setup.baseband_frequencies), dtype=bool)
-    return cut[[k % setup.n_samples for k in setup._bins]]
+    analog band (none without an ADC or an analog band below Nyquist).
+    Bin k's frequency is k * (1.0 / (n * (1.0 / fs))), as np.fft.fftfreq
+    computes it, so the mask is adc_quantize's band limit at the channels' bins."""
+    fs = float(setup.sample_rate)
+    limit = _band_limit(fs, adc)
+    step = 1.0 / (setup.n_samples * (1.0 / fs))
+    return np.array([limit is not None and abs(k * step) > limit for k in setup._bins])
+
+
+def _acquire(chip: Chip, setup: ReadoutSetup, states, fluxes, *, adc: AdcSpec | None,
+             noise_std: float, streams: Sequence[tuple[int, int]] | None,
+             estimate_noise: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """The acquisition core: one multiplexed shot per point.
+
+    states[i] holds every chip device's sigma_z at point i (chip order)
+    and fluxes[i] is a scalar or one flux per device.  A setup id that
+    is not on the chip raises UnknownDeviceError.  One s21_feedline
+    call gives every point's channel amplitudes, c = setup.amplitude *
+    S21(channel frequencies), and _receive turns them into measured
+    ones, with shot i's noise from streams[i], and returns what it
+    returns.  s21_feedline is looked up in the device module at call
+    time, so that a wrapper put on it (perfbench/tracer.py) sees the
+    call.
+    """
+    for dev_id in setup.device_ids:
+        chip._index(dev_id)
+    with np.errstate(over="ignore"):  # s21_feedline refuses an infinite probe
+        omega = 2 * np.pi * np.array(setup.channel_frequencies)
+    c = setup.amplitude * device.s21_feedline(chip, omega, states, fluxes)
+    return _receive(setup, c, adc=adc, noise_std=noise_std, streams=streams,
+                    estimate_noise=estimate_noise)
 
 
 def _receive(
@@ -644,14 +671,12 @@ def apply_feedline(rf: IQTrace, chip: Chip, states: Sequence[float], fluxes) -> 
     s21_feedline refuses an infinite probe frequency, and a NaN or inf
     in the result (from the trace or an overflow) raises ConfigError.
     """
-    from .device import s21_feedline
-
     if rf.carrier_frequency is None:
         raise ConfigError("apply_feedline expects an up-converted trace")
     with np.errstate(over="ignore", invalid="ignore"):
         spectrum = np.fft.fft(rf.samples)
         freqs = rf.carrier_frequency + np.fft.fftfreq(rf.n_samples, d=1.0 / rf.sample_rate)
-        s21 = s21_feedline(chip, 2 * np.pi * freqs, states, fluxes)
+        s21 = device.s21_feedline(chip, 2 * np.pi * freqs, states, fluxes)
         return replace(rf, samples=_finite(np.fft.ifft(spectrum * s21), "apply_feedline"))
 
 
@@ -682,10 +707,10 @@ def measure_crosstalk(
     every non-toggled channel, floored at CROSSTALK_FLOOR_DB when a
     change underflows (e.g. all couplings zero).
 
-    Both runs come from one batched s21_feedline call at the channel
-    frequencies and go through _receive, the receive path of acquire and
-    the sweep drivers; both draw their noise from the same stream,
-    derive_rng(seed), so noise common to the runs cancels in the change.
+    Both runs go through _acquire, the acquisition core of acquire and
+    the sweep drivers, as one batch of two points; both draw their noise
+    from the same stream, derive_rng(seed), so noise common to the runs
+    cancels in the change.
     The default LO is the channel mean snapped to the DFT grid
     (sample_rate / n_samples).
     The channels and LO must form a valid ReadoutSetup: a channel off
@@ -694,12 +719,9 @@ def measure_crosstalk(
     noise_std, with or without an ADC, a seed that is not an integer in
     [0, 2**128), with or without noise, and a channel beyond the ADC's
     analog band (the receiver never sees it, so its level would be noise
-    over noise, or the floor without noise).
+    over noise, or the floor without noise).  A plan id that is not on
+    the chip raises UnknownDeviceError.
     """
-    # Looked up at call time, as in apply_feedline, so that a wrapper put
-    # on device.s21_feedline (perfbench/tracer.py) sees the call.
-    from .device import s21_feedline
-
     _check_noise(noise_std, seed)
     channels = dict(plan.channels)
     if toggled_device not in channels:
@@ -731,13 +753,12 @@ def measure_crosstalk(
     # Row 0 has the toggled device excited, row 1 is all ground.
     states = np.full((2, len(chip.devices)), -1.0)
     states[0, toggled] = 1.0
-    omega = 2 * np.pi * np.array(setup.channel_frequencies)
-    c = amplitude * s21_feedline(chip, omega, states, [chip._axis.symmetry_flux] * 2)
     streams = None
     if noise_std > 0:  # both rows draw from the root stream
         root = derive_rng(seed).bit_generator.state["state"]
         streams = [(root["state"], root["inc"])] * 2
-    iq, _ = _receive(setup, c, adc=adc, noise_std=noise_std, streams=streams)
+    iq, _ = _acquire(chip, setup, states, [chip._axis.symmetry_flux] * 2, adc=adc,
+                     noise_std=noise_std, streams=streams)
     changes = np.abs(iq[0] - iq[1]).tolist()
     own = changes[device_ids.index(toggled_device)]
     scale = max(max(changes), amplitude)

@@ -63,26 +63,25 @@ _CROSS_MIX = [(src, dst) for src in range(_POOL_SIZE) for dst in range(_POOL_SIZ
 _STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 8)
 
 
-def _check_root_seed(root_seed: int) -> int:
-    """The root seed as an int; ConfigError unless it is an integer in
-    [0, 2**128).  A float with a fractional part is refused, not
-    truncated: 1.5 would run as seed 1."""
+def _check_seed(value, bits: int = 128, name: str = "root seed") -> int:
+    """A root seed (or, with bits=32, a path element) as an int;
+    ConfigError unless it is an integer in [0, 2**bits).  A float with a
+    fractional part is refused, not truncated: 1.5 would run as seed 1.
+    So is a bool: True would run as seed 1 and be recorded as True."""
     try:
-        value = int(root_seed)
+        number = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (TypeError, ValueError, OverflowError):
-        value = None
-    if value is None or value != root_seed or not 0 <= value < 2**128:
-        raise ConfigError(f"root seed must lie in [0, 2**128), got {root_seed!r}")
-    return value
+        number = None
+    if number is None or number != value or not 0 <= number < 2**bits:
+        raise ConfigError(f"{name} must be an integer in [0, 2**{bits}), got {value!r}")
+    return number
 
 
 def _seed_sequence(root_seed: int, path: tuple) -> np.random.SeedSequence:
     """SeedSequence(entropy=root_seed, spawn_key=path) after the range
     checks of derive_rng."""
-    root_seed = _check_root_seed(root_seed)
-    path = tuple(int(p) for p in path)
-    if not all(0 <= p < 2**32 for p in path):
-        raise ConfigError(f"seed path elements must lie in [0, 2**32), got {path}")
+    root_seed = _check_seed(root_seed)
+    path = tuple(_check_seed(p, 32, "a seed path element") for p in path)
     return np.random.SeedSequence(entropy=root_seed, spawn_key=path)
 
 
@@ -212,7 +211,7 @@ def _child_states(root_seed: int, count: int) -> list[tuple[int, int]]:
     child seed, below 2**63, is mixed as its two low words and two zero
     words.
     """
-    root_seed = _check_root_seed(root_seed)
+    root_seed = _check_seed(root_seed)
     if count > 2**32:
         raise ConfigError(f"seed path elements must lie in [0, 2**32), got {count - 1}")
     if count <= 0:

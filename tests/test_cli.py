@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import fdmsim.cli
 from fdmsim import ToneSpec, builtin_chip_path, synthesize_multitone, write_trace
 from fdmsim.cli import main
 
@@ -171,6 +172,27 @@ def test_sweep_append_same_config(tmp_path, capsys):
         if line and not line.startswith("#") and not line[0].isalpha()
     ]
     assert len(rows) == 22
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("sweep", "--append"), ("sweep", "--emit-gnuplot"),
+    ("spectroscopy", "--emit-gnuplot"), ("rabi", "--emit-gnuplot"),
+])
+def test_csv_only_flags_with_json_are_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                    command, flag):
+    # --append and --emit-gnuplot act on CSV files.  With --format json the
+    # append overwrote the file and the script was skipped, both with exit 0.
+    out = tmp_path / "j.json"
+    assert main(["sweep", "--points", "5", "--format", "json", "--out", str(out)]) == 0
+    before = out.read_bytes()
+    for name in ("run_flux_sweep", "run_spectroscopy", "run_rabi"):
+        monkeypatch.setattr(fdmsim.cli, name, lambda *a, **k: pytest.fail("work was done"))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--points", "7", "--format", "json", flag, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "need --format csv" in capsys.readouterr().err
+    assert out.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["j.json"]
 
 
 def test_sweep_append_config_mismatch_exits_2(tmp_path, capsys):

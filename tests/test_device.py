@@ -26,7 +26,7 @@ from fdmsim import (
     s21_single,
     state_dependent_shift,
 )
-from fdmsim.device import _ELIDED_BYTES, _dressed_resonances
+from fdmsim.device import _SCRATCH_BYTES, _dressed_resonances
 
 TWO_PI = 2 * math.pi
 
@@ -81,7 +81,7 @@ def make_comb(n, zero_coupling=()):
 
 def per_device_product(chip, probe_omega, states, fluxes):
     """The feedline device by device: each qubit's frequency and pull from
-    the public helpers, and s = s * s21_single(...) in chip order."""
+    the public helpers, and s *= s21_single(...) in chip order."""
     states = np.asarray(states, dtype=float)
     fluxes = np.asarray(fluxes, dtype=float)
     if fluxes.ndim == states.ndim - 1:
@@ -93,7 +93,7 @@ def per_device_product(chip, probe_omega, states, fluxes):
     for j, dev in enumerate(chip.devices):
         omega_q = TWO_PI * qubit_frequency(dev.qubit, fluxes[..., j])
         shift = state_dependent_shift(dev.resonator, omega_q, states[..., j])
-        s = s * s21_single(dev.resonator, probe, np.reshape(shift, lead))
+        s *= s21_single(dev.resonator, probe, np.reshape(shift, lead))
     return s
 
 
@@ -524,7 +524,7 @@ def channel_probe(chip, devices=None):
 
 # Each notch pass takes as many devices as keep its complex notch and
 # float detuning scratch (24 bytes per element and device) under
-# _ELIDED_BYTES, and at least one.
+# _SCRATCH_BYTES, and at least one.
 @pytest.mark.parametrize("case, passes", [
     # a crosstalk toggle: 2 x 7 elements, every device in one pass
     ("toggle", [7]),
@@ -567,7 +567,7 @@ def test_s21_feedline_block_passes_equal_the_per_device_product(chip7, monkeypat
     recorded = recorded_passes(monkeypatch)
     got = s21_feedline(chip, probe, states, fluxes)
     assert [m for m, _ in recorded] == passes
-    assert all(m == 1 or nbytes <= _ELIDED_BYTES for m, nbytes in recorded)
+    assert all(m == 1 or nbytes <= _SCRATCH_BYTES for m, nbytes in recorded)
     assert isinstance(got, complex) == (case == "scalar")
     assert_bitwise_equal(got, expected)
     if case == "scalar":

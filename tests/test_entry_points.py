@@ -10,6 +10,10 @@ whose first sample is `sample`.  The readout setups read devices 1-3 of
 chip7 from an LO at 9.45 GHz, 100 samples at 1 GS/s (a 10 MHz grid);
 the drivers draw noise, so that noise_std and the setup amplitude reach
 the shot loop.
+
+Every name in fdmsim.__all__ has a row in CALLS (a key names one or
+more entry points, split at "/") or an entry in EXEMPT, which says why
+it has none.
 """
 
 import dataclasses
@@ -21,19 +25,24 @@ import re
 import numpy as np
 import pytest
 
+import fdmsim
 from fdmsim import (
     GROUND,
     AdcSpec,
     BlochState,
     CapacityQuery,
+    ConfigError,
     DriveSpec,
     FdmSimError,
+    FrequencyPlan,
     IQTrace,
     QubitParams,
     ReadoutSetup,
     ResonatorParams,
     SpacingRule,
+    SweepResult,
     ToneSpec,
+    UnknownDeviceError,
     acquire,
     adc_quantize,
     add_awgn,
@@ -42,11 +51,15 @@ from fdmsim import (
     builtin_chip_path,
     carson_bandwidth,
     channelize,
+    child_seed,
     crosstalk_limited_spacing,
+    derive_rng,
+    detect_flux_features,
     downconvert,
     dressed_resonance,
     evolve,
     evolve_for,
+    fit_damped_sinusoid,
     format_plan_report,
     generate_plan,
     load_chip,
@@ -54,6 +67,7 @@ from fdmsim import (
     max_channels,
     measure_crosstalk,
     plan_for_chip,
+    propagator,
     qubit_frequency,
     rabi_frequency,
     read_trace,
@@ -187,6 +201,20 @@ def rabi(tmp, rabi_rate_per_unit_amplitude=5e6, amplitude=1.0, detuning=1e5):
     return rabi_frequency(DriveSpec(rabi_rate_per_unit_amplitude, amplitude, detuning))
 
 
+def segment(tmp, rabi_rate_per_unit_amplitude=5e6, amplitude=1.0, detuning=1e5, gamma=6.3e5,
+            gamma_phi=1e4, duration=7e-8):
+    return propagator(DriveSpec(rabi_rate_per_unit_amplitude, amplitude, detuning), gamma,
+                      gamma_phi, duration)
+
+
+def stream(tmp, seed=3, path=1):
+    return derive_rng(seed, path).normal()
+
+
+def seed_of(tmp, seed=3, path=1):
+    return child_seed(seed, path)
+
+
 def telegraph(tmp, gamma=6.3e5, shift=1.6e7, duration=1e-6, n_trajectories=2, seed=0,
               sample_rate=64e6):
     return relaxation_telegraph_spectrum(gamma, shift, duration, n_trajectories, seed,
@@ -274,11 +302,36 @@ def rabi_readout(tmp, duration=2e-8, rabi_rate_per_unit_amplitude=5e6, amplitude
                     gamma_phi=gamma_phi, noise_std=noise_std, seed=seed)
 
 
+def features(tmp, value=0.9, prominence=0.3):
+    # one peak per column: device 1 at index 3, device 2 at index 5
+    table = np.array([[0.1, 0.2], [0.2, 0.2], [0.5, 0.1], [0.9, 0.3], [0.4, 0.2],
+                      [0.3, 0.8], [0.2, 0.4], [0.1, 0.1]])
+    table[3, 0] = value
+    result = SweepResult("flux_sweep", "flux_phi0", np.linspace(-0.02, 0.02, 8),
+                         ("dev1", "dev2"), {"amplitude": table}, (1, 2))
+    return detect_flux_features(result, prominence=prominence)
+
+
+def fit(tmp, time=1.2e-6, value=0.5):
+    times = np.linspace(0.0, 1.2e-6, 50)
+    times[-1] = time
+    values = np.cos(2 * np.pi * 5e6 * np.linspace(0.0, 1.2e-6, 50))
+    values[10] = value
+    return fit_damped_sinusoid(times, values)
+
+
 def crosstalk(tmp, lo_frequency=9.75e9, sample_rate=4e9, n_samples=4000, amplitude=1.0,
               noise_std=1e-3, seed=5):
     return measure_crosstalk(CHIP, CROSSTALK_PLAN, 2, lo_frequency=lo_frequency,
                              sample_rate=sample_rate, n_samples=n_samples, amplitude=amplitude,
                              noise_std=noise_std, seed=seed)
+
+
+def band_limited_crosstalk(tmp, n_samples=4000, bits=12, full_scale=8.0,
+                           analog_bandwidth=1.9e9):
+    adc = AdcSpec(4e9, bits, full_scale, analog_bandwidth)
+    return measure_crosstalk(CHIP, CROSSTALK_PLAN, 2, lo_frequency=9.75e9, n_samples=n_samples,
+                             adc=adc)
 
 
 CALLS = {
@@ -303,6 +356,9 @@ CALLS = {
     "evolve": step,
     "steady_state_excited": steady_state,
     "rabi_frequency": rabi,
+    "propagator": segment,
+    "derive_rng": stream,
+    "child_seed": seed_of,
     "relaxation_telegraph_spectrum": telegraph,
     "carson_bandwidth": carson,
     "adjacent_crosstalk": crosstalk_db,
@@ -319,6 +375,40 @@ CALLS = {
     "run_spectroscopy": spectroscopy,
     "run_rabi": rabi_readout,
     "measure_crosstalk": crosstalk,
+    "AdcSpec/measure_crosstalk": band_limited_crosstalk,
+    "detect_flux_features": features,
+    "fit_damped_sinusoid": fit,
+}
+
+# Public names without a row of their own, and why.
+EXEMPT = {
+    "BlochState": "its z is an argument of the evolve_for row",
+    "CapacityResult": "the result of max_channels, which has a row",
+    "Chip": "holds device records and ids, no number of its own",
+    "ConfigError": "an error type",
+    "DampedSinusoidFit": "the result of fit_damped_sinusoid, which has a row",
+    "DeviceRecord": "holds an id and the parameters of two rows, QubitParams and ResonatorParams",
+    "FdmSimError": "an error type",
+    "FrequencyPlan": "the result of generate_plan and plan_for_chip, which have rows",
+    "GROUND": "a constant BlochState",
+    "IQTrace": "accepts NaN samples on purpose; each stage refuses them in its result",
+    "InfeasiblePlanError": "an error type",
+    "Propagator": "the result of propagator, which has a row",
+    "QubitStateLabel": "an enum of the two sigma_z values",
+    "SpacingRule": "an enum",
+    "SweepResult": "a table container; the detect_flux_features row puts a value in one",
+    "TelegraphSpectrum": "the result of relaxation_telegraph_spectrum, which has a row",
+    "ToneMeasurement": "the result of channelize and acquire, which have rows",
+    "ToneSpec": "its numbers are arguments of the synthesize_multitone row",
+    "TraceFormatError": "an error type",
+    "UnknownDeviceError": "an error type",
+    "builtin_chip_path": "takes no argument",
+    "config_hash": "hashes a file's bytes",
+    "load_chip": "reads its numbers from a file, not from arguments (not covered yet)",
+    "read_sweep_csv": "reads its numbers from a file, not from arguments (not covered yet)",
+    "write_measurements_csv": "writes ToneMeasurements, whose numbers are checked on construction",
+    "write_sweep_csv": "writes a SweepResult's tables as text (not covered yet)",
+    "write_sweep_json": "writes a SweepResult's tables as text (not covered yet)",
 }
 
 ARGUMENTS = [(name, argument) for name, call in CALLS.items()
@@ -356,3 +446,28 @@ def test_a_bad_number_gives_a_finite_result_or_a_named_error(name, argument, bad
     except FdmSimError:
         return
     assert finite(result), f"{name}({argument}={bad!r}) returned {result!r}"
+
+
+def test_every_public_name_has_a_row_or_a_reason():
+    rows = {name for key in CALLS for name in key.split("/")}
+    public = set(fdmsim.__all__)
+    assert rows <= public
+    assert set(EXEMPT) <= public
+    assert not rows & set(EXEMPT)
+    assert public - rows - set(EXEMPT) == set()
+
+
+def test_crosstalk_refuses_a_plan_id_that_is_not_on_the_chip():
+    # The plan below gives device 1's channel to id 99, which chip7 does
+    # not have; the level of device 1's channel came back under 99.
+    channels = ((99, CROSSTALK_PLAN.channels[0][1]),) + CROSSTALK_PLAN.channels[1:]
+    plan = FrequencyPlan(CROSSTALK_PLAN.band_start, CROSSTALK_PLAN.band_stop, channels)
+    with pytest.raises(UnknownDeviceError, match="99"):
+        measure_crosstalk(CHIP, plan, 2)
+
+
+def test_band_limited_crosstalk_names_an_n_samples_it_cannot_allocate():
+    # The analog band check built all n_samples FFT bins, and numpy's
+    # "Maximum allowed dimension exceeded" ValueError came out bare.
+    with pytest.raises(ConfigError, match="cannot allocate n_samples = "):
+        band_limited_crosstalk(None, n_samples=1e308)

@@ -47,6 +47,7 @@ from fdmsim import (
     plan_for_chip,
     qubit_frequency,
     read_sweep_csv,
+    relaxation_telegraph_spectrum,
     run_flux_sweep,
     run_rabi,
     run_spectroscopy,
@@ -706,6 +707,22 @@ def test_noiseless_runs_reject_out_of_range_seeds(chip, seed):
             call()
 
 
+@pytest.mark.parametrize("seed", [True, False, np.True_], ids=repr)
+@pytest.mark.parametrize("call", ["noisy sweep", "noiseless sweep", "crosstalk", "telegraph"])
+def test_a_bool_is_not_a_seed(chip, call, seed):
+    # True ran as seed 1, and a sweep's CSV header then read seed=True.
+    # (derive_rng and child_seed: test_seeding.test_out_of_range_keys_are_rejected)
+    calls = {
+        "noisy sweep": lambda: run_flux_sweep(chip, [0.0, 0.01], noise_std=1e-3, seed=seed),
+        "noiseless sweep": lambda: run_flux_sweep(chip, [0.0, 0.01], seed=seed),
+        "crosstalk": lambda: measure_crosstalk(chip, plan_for_chip(chip, grid=1e6), 2,
+                                               seed=seed),
+        "telegraph": lambda: relaxation_telegraph_spectrum(6.3e5, 1.6e7, 1e-6, 2, seed=seed),
+    }
+    with pytest.raises(ConfigError, match="root seed must be an integer"):
+        calls[call]()
+
+
 @pytest.mark.parametrize("flux", [math.nan, math.inf])
 def test_flux_sweep_rejects_non_finite_flux(chip, flux):
     with pytest.raises(ConfigError, match="finite"):
@@ -998,6 +1015,34 @@ def test_fit_rejects_bad_grids():
         fit_damped_sinusoid([0, 1, 2], [0, 1, 2])
     with pytest.raises(ConfigError, match="uniform"):
         fit_damped_sinusoid([0, 1, 2, 3, 3, 5, 6, 7], y)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["1e154", "1e200", "1e308", "-1e308", "one sample"])
+def test_fit_refuses_values_whose_sums_of_squares_overflow(case):
+    # These leaked numpy overflow warnings from the mean, the squares, the
+    # rfft and the seed amplitude.
+    t = np.linspace(0.0, 1e-6, 50)
+    y = np.cos(2 * np.pi * 5e6 * t)
+    if case == "one sample":
+        y[7] = 1e308
+    else:
+        y *= float(case)
+    peak = f"{np.abs(y).max():.6g}"
+    with pytest.raises(ConfigError, match=f"values reach {re.escape(peak)} in magnitude"):
+        fit_damped_sinusoid(t, y)
+
+
+@pytest.mark.filterwarnings("error")
+def test_fit_of_a_large_but_safe_trace_scales_with_it():
+    # 1e152 over 50 samples is below the bound; the fit is that of the
+    # unit trace, scaled
+    t = np.linspace(0.0, 1e-6, 50)
+    y = np.cos(2 * np.pi * 5e6 * t)
+    small, large = fit_damped_sinusoid(t, y), fit_damped_sinusoid(t, 1e152 * y)
+    assert large.valid and small.valid
+    assert large.amplitude == pytest.approx(1e152 * small.amplitude, rel=1e-9)
+    assert large.frequency == pytest.approx(small.frequency, rel=1e-9)
 
 
 def test_fit_constant_trace_reports_zero_r_squared():

@@ -797,6 +797,31 @@ def test_crosstalk_refuses_channels_beyond_the_analog_band(chip7, noise_std, tog
         measure_crosstalk(chip, plan, toggled, adc=adc, noise_std=noise_std, seed=4)
 
 
+@pytest.mark.parametrize("n, bins", [
+    (4000, (-2000, -1000, -3, 0, 3, 1000, 1997)),
+    (4001, (-2000, -1000, 0, 1000, 1997)),
+    (12, (-6, -3, 0, 3)),
+    (13, (-6, -3, 0, 3)),
+])
+def test_beyond_band_reads_each_channel_as_the_fft_bins_do(n, bins):
+    # _beyond_band takes each channel's frequency from its bin alone; it
+    # must cut the channels that the mask of all n FFT bins cuts, with
+    # band limits at, and one ulp below, every channel's bin frequency.
+    fs = 1e9
+    grid = np.fft.fftfreq(n, d=1.0 / fs)
+    setup = ReadoutSetup(tuple(range(len(bins))), 5e9, tuple(float(k * fs / n) for k in bins),
+                         sample_rate=fs, n_samples=n)
+    assert setup._bins == bins
+    on_bins = np.abs(grid[[k % n for k in bins]])
+    limits = [b for f in on_bins if f > 0 for b in (f, np.nextafter(f, 0.0))]
+    for limit in limits + [fs / 2, fs]:
+        adc = AdcSpec(sample_rate=fs, bits=12, full_scale=1.0, analog_bandwidth=limit)
+        expected = on_bins > limit if limit < fs / 2 else np.zeros(len(bins), dtype=bool)
+        np.testing.assert_array_equal(fdmsim.rxchain._beyond_band(setup, adc), expected)
+    np.testing.assert_array_equal(fdmsim.rxchain._beyond_band(setup, None),
+                                  np.zeros(len(bins), dtype=bool))
+
+
 def counting(calls, name, fn):
     def counted(*args, **kwargs):
         calls[name] += 1

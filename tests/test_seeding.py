@@ -45,7 +45,9 @@ def test_distinct_paths_give_distinct_uncorrelated_streams(root_a, path_a, root_
     "key",
     [(-1,), (2**128,), (1, -2), (3, 2**32), (5, 0, 2**40),
      # a fractional, NaN or infinite root would run as some other seed
-     (1.5,), (math.nan,), (math.inf,), (2.5, 1)],
+     (1.5,), (math.nan,), (math.inf,), (2.5, 1),
+     # so would such a path element, or a bool in either place
+     (3, 1.5), (3, math.nan), (3, math.inf), (True,), (np.True_,), (3, True)],
 )
 def test_out_of_range_keys_are_rejected(key):
     # (3, 2**32) would read the same words as (3, 0, 1)
