@@ -585,7 +585,11 @@ def fit_damped_sinusoid(times, values) -> DampedSinusoidFit:
     bin on ties, i.e. the lowest frequency).  Requires a uniform time
     grid of at least 8 points and finite values; anything else raises
     ConfigError, as do values so large that n residuals of 8 times the
-    largest |value| would overflow the fit's sums of squares.  The fit
+    largest |value| would overflow the fit's sums of squares, and times
+    so large that the Jacobian's sums of squares would overflow for a
+    model of 8 times the largest |value| (at least 1e-12, the start
+    amplitude's floor): 2 pi max|t| 8 max|value| beyond
+    sqrt(float max / n).  The fit
     is a bounded Levenberg-Marquardt iteration with the model's analytic
     Jacobian (see _levenberg_marquardt).  Never raises on fit failure:
     falls back to the seed parameters with valid=False, so batch callers
@@ -598,9 +602,14 @@ def fit_damped_sinusoid(times, values) -> DampedSinusoidFit:
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
         raise ConfigError("times and values must be finite (no NaN or inf)")
     peak = float(np.abs(y).max())
-    if peak > math.sqrt(np.finfo(float).max / y.size) / 8:
+    limit = math.sqrt(np.finfo(float).max / y.size)
+    if peak > limit / 8:
         raise ConfigError(f"values reach {peak:.6g} in magnitude, and the fit's sums of "
                           f"squares over {y.size} samples would overflow")
+    reach = float(np.abs(t).max())
+    if 2 * math.pi * reach * 8 * max(peak, 1e-12) > limit:
+        raise ConfigError(f"times reach {reach:.6g} in magnitude, and the fit's Jacobian "
+                          f"sums of squares over {y.size} samples would overflow")
     dt = np.diff(t)
     if dt.min() <= 0 or (dt.max() - dt.min()) > 1e-6 * dt.mean():
         raise ConfigError("time grid must be uniform and increasing")

@@ -3,13 +3,16 @@
 The telegraph spectrum (dynamics) and the noisy shots of the acquisition
 core (rxchain._receive) run their work with run(job, blocks, lanes), on
 at most lane_count() lanes, in one call each, so the threads start once
-per call: a block is a few shots of the acquisition, and a whole chunk
-of the telegraph spectrum, drawn from its own stream.  Block i runs on
-lane i % lanes, and each lane has buffers and a Generator of its own.
-Lane 0 is the calling thread and the others are plain threads:
-threading is loaded with numpy, where concurrent.futures would add
-0.6 MB.  Each module binds lane_count as _lane_count and looks it up at
-call time, so one module's lane count can be set on its own.
+per call.  Block i runs on lane i % lanes.  In the telegraph spectrum a
+block is a whole chunk, drawn from its own stream, and each lane has
+buffers and a Generator of its own.  The shot loop runs each lane once
+(blocks = lanes) as a pipeline: every lane draws the noise of the shot
+it claims next into a shared ring, and only lane 0 builds, quantizes
+and projects the shots.  Lane 0 is the calling thread and the others
+are plain threads: threading is loaded with numpy, where
+concurrent.futures would add 0.6 MB.  Each module binds lane_count as
+_lane_count and looks it up at call time, so one module's lane count
+can be set on its own.
 
 Lanes whose blocks call BLAS run inside one_blas_thread: OpenBLAS starts
 threads of its own by default, and those would compete with the lanes

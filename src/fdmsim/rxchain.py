@@ -19,15 +19,16 @@ from __future__ import annotations
 import contextlib
 import logging
 import math
+import threading
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import device
 from .device import Chip
-from .errors import (ConfigError, UnknownDeviceError, _check_count, _check_finite,
+from .errors import (_BOOLS, ConfigError, UnknownDeviceError, _check_count, _check_finite,
                      _check_non_negative, _check_positive)
 from .lanes import lane_count as _lane_count, one_blas_thread as _one_blas_thread, run as _run_lanes
 from .planner import _grid_offset
@@ -44,10 +45,19 @@ logger = logging.getLogger(__name__)
 # the noise estimate (covers the hann main lobe).
 NOISE_GUARD_BINS = 3
 
-# Samples per block of noisy shots: 4 rows at the default n = 4000, 256 kB
-# per lane.  One-row blocks were 30 % slower on two lanes, 8-row blocks
-# 5 % faster for 1 MB more memory.
+# Samples per block of shots: 4 rows at the default n = 4000, 256 kB a
+# block.  The noisy shot loop holds _SHOT_RING_BLOCKS blocks and a one-row
+# trace, 576 kB.  Measured as below: one-row blocks were 70 % slower with
+# noise (two shots in flight) and 40 % slower without, 8-row blocks 4 %
+# faster with noise for 512 kB more.
 _SHOT_BLOCK_SAMPLES = 1 << 14
+
+# Blocks in the noisy shot loop's ring of drawn noise (see _receive).  On a
+# 2-vCPU x86_64 VM, one BLAS thread, 200 noisy 12-bit shots of n = 4000 on
+# chip7 devices 2, 4 and 6 (25 ms a call): a ring of 1 block was 9 ms
+# slower, as the drawing lane waited for each block to be projected; 3 or
+# 4 blocks were within 0.3 ms of 2, for 256 kB more each.
+_SHOT_RING_BLOCKS = 2
 
 # Largest offset, in bins per bin index, at which a ReadoutSetup channel
 # still counts as on the DFT grid.
@@ -60,8 +70,8 @@ class AdcSpec:
     optional analog_bandwidth (Hz, one-sided brick wall before sampling).
 
     Raises ConfigError for a field that is NaN or infinite, bits that are
-    a bool or not an integer in [1, 32], and a sample_rate, full_scale or
-    analog_bandwidth that is not > 0."""
+    a bool or numpy bool or not an integer in [1, 32], and a sample_rate,
+    full_scale or analog_bandwidth that is not > 0."""
 
     sample_rate: float
     bits: int
@@ -73,8 +83,8 @@ class AdcSpec:
         _check_finite(bits=self.bits)
         if self.analog_bandwidth is not None:
             _check_positive(analog_bandwidth=self.analog_bandwidth)
-        # bool is an int; True would build a 1-bit converter.
-        if isinstance(self.bits, bool) or self.bits != int(self.bits) \
+        # True would build a 1-bit converter.
+        if isinstance(self.bits, _BOOLS) or self.bits != int(self.bits) \
                 or not 1 <= self.bits <= 32:
             raise ConfigError(f"ADC bits must be an integer in [1, 32], got {self.bits}")
 
@@ -572,26 +582,40 @@ def _receive(
     otherwise), and the ADC's clip and rounding then work in place on
     that trace, the same private steps as add_awgn and adc_quantize, and
     the channelizer's private projector turns it into complex
-    amplitudes.  A block's traces are built by one stacked product,
-    c[i] @ tones for each of its rows (the plan keeps the tones), and
-    projected by one stacked product straight into the result; both
-    equal the per-row products bit for bit.  The tests
-    check this against the composed chain synthesize_multitone,
-    upconvert_ssb, apply_feedline, downconvert, add_awgn or
-    adc_quantize, channelize.
+    amplitudes.  Shot i's trace is c[i] @ tones (the plan keeps the
+    tones), and a block of shots is projected by one stacked product
+    straight into the result; a stacked product equals the per-row
+    products bit for bit.  The tests check this against the composed
+    chain synthesize_multitone, upconvert_ssb, apply_feedline,
+    downconvert, add_awgn or adc_quantize, channelize.
 
-    The shots run in blocks of a few rows (_SHOT_BLOCK_SAMPLES samples)
-    on up to lanes.lane_count() lanes, scheduled by lanes.run.  The
-    calling thread allocates every buffer, and each row's quadrature
-    view, before a lane starts: each lane owns one block, one draw
-    scratch and one Generator, set to a shot's state before its draw.
-    The draws, products, quantizer and projector release the GIL, so the
-    lanes overlap.  While more than one lane runs, OpenBLAS runs one
-    thread (lanes.one_blas_thread), so that its own threads do not
-    compete with the lanes for the cores.  A shot's result depends only
-    on its own row and stream, so it is the same bit for bit for every
-    lane count and BLAS thread count; the clip warnings are logged by
-    the calling thread, one per clipping shot, in shot order.
+    The shots run in blocks of a few rows (_SHOT_BLOCK_SAMPLES samples).
+    Without noise the calling thread runs the blocks alone and builds
+    each block's traces by one stacked product.  With noise the blocks
+    pass through a pipeline on up to lanes.lane_count() lanes, at most
+    one per shot, each run once by lanes.run: every lane draws noise,
+    and only the calling thread builds, quantizes and projects.
+      - A lane claims the next shot not yet drawn, under a lock, while
+        the shot's block has a free slot in a ring of _SHOT_RING_BLOCKS
+        blocks; it sets its own Generator to the shot's stream and draws
+        the shot's 2n normals into the shot's row of that slot.
+      - The calling thread, lane 0, finishes block b as soon as all its
+        rows are drawn, and claims and draws shots while they are not.
+        It scales the block by noise_std in place, adds each row's trace
+        (built in a one-row scratch), quantizes and projects the block,
+        and frees its slot.  noise_std * z + trace equals trace +
+        noise_std * z bit for bit, since IEEE addition commutes.
+    The draws release the GIL.  On a 2-vCPU VM they ran 1.96 times as
+    fast on two threads, and the vector stages 0.98-1.11 times, so those
+    stay on one thread.
+    A lane that raises, drawer or caller, ends every other lane's wait,
+    and lanes.run raises its failure once every lane has ended.  While
+    more than one lane runs, OpenBLAS runs one thread
+    (lanes.one_blas_thread), so that its own threads do not compete with
+    the lanes for the cores.  A shot's result depends only on its own
+    row and stream, so it is the same bit for bit for every lane count
+    and BLAS thread count; the clip warnings are logged by the calling
+    thread, one per clipping shot, in shot order.
 
     Shots whose noise or amplitude overflow the float range, and an
     n_samples that numpy cannot allocate, raise ConfigError.
@@ -611,44 +635,109 @@ def _receive(
         raise ValueError(f"{len(streams)} streams for {n_points} shots")
     rows = max(1, min(n_points, _SHOT_BLOCK_SAMPLES // n))
     n_blocks = -(-n_points // rows)
-    lanes = max(1, min(_lane_count(), n_blocks))
+    slots = 0 if streams is None else min(_SHOT_RING_BLOCKS, n_blocks)
     iq = np.empty_like(c)
     clipped = np.zeros(n_points, dtype=np.int64)
     try:
         plan = _channel_plan(freqs, n, fs, setup.window)
         tones = plan.tones
         c[:, _beyond_band(setup, adc)] = 0.0
-        blocks = [np.empty((rows, n), dtype=complex) for _ in range(lanes)]
-        draws = [np.empty((n, 2)) for _ in range(lanes)]
+        ring = np.empty((max(slots, 1), rows, n), dtype=complex)
+        trace = np.empty(n, dtype=complex) if streams is not None else None
     except (ValueError, MemoryError) as exc:
         raise ConfigError(f"cannot allocate n_samples = {n}: {exc}") from None
-    quads = [list(block.view(np.float64).reshape(rows, n, 2)) for block in blocks]
-    generators = [np.random.Generator(np.random.PCG64(0)) for _ in range(lanes)]
 
-    def run_block(lane: int, i: int) -> None:
-        block, draw, generator = blocks[lane], draws[lane], generators[lane]
-        start = i * rows
+    # The ring's state, guarded by turn: the next shot to claim, the rows
+    # drawn of each block, and the count of blocks the calling thread has
+    # finished, whose slots are free again (None once a lane fails, which
+    # ends every wait).
+    turn = threading.Condition()
+    claimed = 0
+    rows_drawn = [0] * n_blocks
+    released = 0
+
+    def drawn(b: int) -> bool:
+        return rows_drawn[b] == min(rows, n_points - b * rows)
+
+    def claimable() -> bool:
+        return claimed < n_points and claimed // rows < released + slots
+
+    def draw_until(lane: int, done: Callable[[], bool]) -> bool:
+        """Draw claimable shots into the ring until done() holds; False
+        once a lane has failed."""
+        nonlocal claimed
+        shot = None
+        while True:
+            with turn:
+                if shot is not None:
+                    rows_drawn[shot // rows] += 1
+                    if drawn(shot // rows):
+                        turn.notify_all()
+                turn.wait_for(lambda: released is None or done() or claimable())
+                if released is None or done():
+                    return released is not None
+                shot, claimed = claimed, claimed + 1
+            generator = generators[lane]
+            _set_state(generator, streams[shot])
+            generator.standard_normal(out=draws[shot // rows % slots][shot % rows])
+
+    def finish(b: int) -> None:
+        """Block b on the calling thread: traces, noise, ADC, projection."""
+        nonlocal released
+        start = b * rows
         k = min(rows, n_points - start)
-        # numpy's error state is per thread.  An overflow shows in the
-        # result, which the calling thread checks.
+        # An overflow shows in the result, which is checked below.
         with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(c[start:start + k, None, :], tones, out=block[:k, None, :])
-            if streams is not None:
-                for state, quad in zip(streams[start:start + k], quads[lane]):
-                    _set_state(generator, state)
-                    generator.standard_normal(out=draw)
-                    np.multiply(draw, noise_std, out=draw)
-                    np.add(quad, draw, out=quad)
+            if streams is None:
+                shots = ring[0, :k]
+                np.matmul(c[start:start + k, None, :], tones, out=shots[:, None, :])
+            else:
+                shots = ring[b % slots, :k]
+                quad = shots.view(np.float64)
+                np.multiply(quad, noise_std, out=quad)
+                for r in range(k):
+                    np.matmul(c[start + r], tones, out=trace)
+                    np.add(trace, shots[r], out=shots[r])
             if adc is not None:
-                clipped[start:start + k] = _quantize(block[:k].view(np.float64), adc)
-            _, wx = _project(plan, block[:k], iq[start:start + k])
+                clipped[start:start + k] = _quantize(shots.view(np.float64), adc)
+            _, wx = _project(plan, shots, iq[start:start + k])
             if estimate_noise:
                 for r in range(k):
                     noise[start + r] = _noise_std(plan, wx[r])
+        if streams is not None:
+            with turn:  # the slot is free for block b + slots
+                if released is not None:
+                    released = b + 1
+                turn.notify_all()
 
-    # One lane is the calling thread alone, which keeps the caller's BLAS.
-    with _one_blas_thread() if lanes > 1 else contextlib.nullcontext():
-        _run_lanes(run_block, n_blocks, lanes)
+    def run_lane(lane: int, _: int) -> None:
+        """Lane 0, the calling thread, finishes each block once its rows
+        are drawn and draws while they are not; the others only draw."""
+        nonlocal released
+        try:
+            if lane > 0:
+                draw_until(lane, lambda: claimed == n_points)
+                return
+            for b in range(n_blocks):
+                if not draw_until(0, lambda: drawn(b)):
+                    return
+                finish(b)
+        except BaseException:
+            with turn:
+                released = None
+                turn.notify_all()
+            raise
+
+    if streams is None:
+        for b in range(n_blocks):
+            finish(b)
+    else:
+        lanes = max(1, min(_lane_count(), n_points))
+        draws = [list(slot.view(np.float64).reshape(rows, n, 2)) for slot in ring]
+        generators = [np.random.Generator(np.random.PCG64(0)) for _ in range(lanes)]
+        # One lane is the calling thread alone, which keeps the caller's BLAS.
+        with _one_blas_thread() if lanes > 1 else contextlib.nullcontext():
+            _run_lanes(run_lane, lanes, lanes)
     if not np.isfinite(iq).all() or (estimate_noise and plan.noise_mask.any()
                                       and not np.isfinite(noise).all()):
         raise ConfigError(f"noise_std {noise_std:g} and amplitude {setup.amplitude:g} take "

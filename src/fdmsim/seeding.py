@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import _BOOLS, ConfigError
 
 # SeedSequence's hash constants and pool size (numpy bit_generator.pyx).
 _INIT_A = 0x43B0D7E5
@@ -69,7 +69,7 @@ def _check_seed(value, bits: int = 128, name: str = "root seed") -> int:
     fractional part is refused, not truncated: 1.5 would run as seed 1.
     So is a bool: True would run as seed 1 and be recorded as True."""
     try:
-        number = None if isinstance(value, (bool, np.bool_)) else int(value)
+        number = None if isinstance(value, _BOOLS) else int(value)
     except (TypeError, ValueError, OverflowError):
         number = None
     if number is None or number != value or not 0 <= number < 2**bits:

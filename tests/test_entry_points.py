@@ -85,7 +85,7 @@ from fdmsim import (
     write_trace,
 )
 
-BAD = (math.nan, math.inf, -math.inf, 0, -1, 1e308, True)
+BAD = (math.nan, math.inf, -math.inf, 0, -1, 1e308, True, np.True_)
 
 N = 64
 CHIP = load_chip(builtin_chip_path())
@@ -471,3 +471,19 @@ def test_band_limited_crosstalk_names_an_n_samples_it_cannot_allocate():
     # "Maximum allowed dimension exceeded" ValueError came out bare.
     with pytest.raises(ConfigError, match="cannot allocate n_samples = "):
         band_limited_crosstalk(None, n_samples=1e308)
+
+
+@pytest.mark.parametrize("bad", [True, np.True_], ids=repr)
+@pytest.mark.parametrize("call", [
+    lambda bad: make_readout_setup(CHIP, (1,), n_samples=bad),
+    lambda bad: synthesize_multitone([ToneSpec(0.0, 0.5)], bad, 1e9),
+    lambda bad: AdcSpec(1e9, bad, 1.0),
+    lambda bad: AdcSpec(1e9, 12, bad),
+    lambda bad: evolve(BlochState(0.0, 0.0, -1.0), DriveSpec(5e6, 1.0), bad, 0.0, 1e-9),
+], ids=["n_samples", "synthesis count", "bits", "full_scale", "gamma"])
+def test_a_bool_is_not_a_number(call, bad):
+    # np.True_ built a 1-sample setup and trace and a converter whose bits
+    # read True, and numpy's bool, which refuses negation, raised TypeError
+    # from evolve and from a converter's full scale.
+    with pytest.raises(ConfigError, match="got True"):
+        call(bad)

@@ -1034,6 +1034,33 @@ def test_fit_refuses_values_whose_sums_of_squares_overflow(case):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("step, peak", [(1e200, 1.0), (1e300, 1.0), (1e152, 1.0),
+                                        (1e60, 1e100), (1e170, 0.0)])
+def test_fit_refuses_times_whose_jacobian_would_overflow(step, peak):
+    # Steps of 1e200 and 1e300 leaked "invalid value encountered in
+    # multiply" from the step test, where a Jacobian column norm had
+    # overflowed to inf; so did 1e152, and 1e60 with values of 1e100.
+    t = np.arange(50) * step
+    y = peak * np.cos(0.2 * np.pi * np.arange(50))
+    reach = f"{t[-1]:.6g}"
+    with pytest.raises(ConfigError, match=f"times reach {re.escape(reach)} in magnitude"):
+        fit_damped_sinusoid(t, y)
+
+
+@pytest.mark.filterwarnings("error")
+def test_fit_on_a_long_but_safe_time_axis_scales_with_it():
+    # Steps of 1e140 s over 50 samples are below the bound; the fit is
+    # that of the unit step, its rates scaled
+    t = np.arange(50.0)
+    y = np.cos(0.2 * np.pi * t) * np.exp(-0.02 * t)
+    small, large = fit_damped_sinusoid(t, y), fit_damped_sinusoid(t * 1e140, y)
+    assert large.valid and small.valid
+    assert large.frequency == pytest.approx(small.frequency / 1e140, rel=1e-9)
+    assert large.decay_rate == pytest.approx(small.decay_rate / 1e140, rel=1e-9)
+    assert large.amplitude == pytest.approx(small.amplitude, rel=1e-9)
+
+
+@pytest.mark.filterwarnings("error")
 def test_fit_of_a_large_but_safe_trace_scales_with_it():
     # 1e152 over 50 samples is below the bound; the fit is that of the
     # unit trace, scaled

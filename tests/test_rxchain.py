@@ -946,12 +946,26 @@ def shot_table(n_points):
     return scale * np.exp(2j * np.pi * rng.uniform(size=(n_points, 3)))
 
 
+def recording(monkeypatch, name, record):
+    """Replace rxchain's name by a wrapper that calls record(*args)
+    first; returns the original."""
+    original = getattr(fdmsim.rxchain, name)
+
+    def wrapper(*args):
+        record(*args)
+        return original(*args)
+
+    monkeypatch.setattr(fdmsim.rxchain, name, wrapper)
+    return original
+
+
 @pytest.mark.parametrize("case", list(SHOT_CASES))
 @pytest.mark.parametrize(
     "n_points, rows",
     [
-        (10, 3),  # blocks of 3, 3, 3 and 1 rows: the last one partly full
-        (2, 1),  # fewer shots than 3 lanes
+        (10, 3),  # 4 blocks through a 2-block ring, the last one partly full
+        (12, 1),  # 12 one-row blocks: the ring wraps 6 times
+        (2, 1),  # fewer shots than 3 and 4 lanes
         (7, 16),  # one block
     ],
 )
@@ -971,21 +985,26 @@ def test_receive_equals_the_per_shot_loop_for_every_lane_count(case, n_points, r
     if kwargs["adc"] is not None and n_points == 10:
         assert 0 < len(expected_clips) < n_points
 
-    project = rx._project
-    threads = set()
+    guard = threading.Lock()
+    projecting, drawing, drawn = set(), set(), []
 
-    def recording_project(*args):
-        threads.add(threading.current_thread())
-        return project(*args)
+    def record_draw(generator, state):
+        with guard:
+            drawing.add(threading.current_thread())
+            drawn.append(state)
 
-    monkeypatch.setattr(rx, "_project", recording_project)
-    # Switch threads often, so that lanes sharing a buffer would show.
+    recording(monkeypatch, "_project", lambda *args: projecting.add(threading.current_thread()))
+    recording(monkeypatch, "_set_state", record_draw)
+    # Switch threads often, so that a lost update or a slot reused too
+    # early would show.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for lanes in (1, 2, 3):
+        for lanes in (1, 2, 3, 4):
             monkeypatch.setattr(rx, "_lane_count", lambda lanes=lanes: lanes)
-            threads.clear()
+            projecting.clear()
+            drawing.clear()
+            drawn.clear()
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="fdmsim.rxchain"):
                 iq, noise = rx._receive(setup, c.copy(), streams=streams, **kwargs)
@@ -993,30 +1012,85 @@ def test_receive_equals_the_per_shot_loop_for_every_lane_count(case, n_points, r
             assert np.array_equal(iq, expected)
             # one warning per clipping shot, in shot order
             assert [r.getMessage() for r in caplog.records] == expected_clips
-            # every lane runs at least one block, lane 0 on this thread
-            assert len(threads) == min(lanes, -(-n_points // rows))
-            assert threading.current_thread() in threads
+            # only the calling thread projects
+            assert projecting == {threading.current_thread()}
+            # every shot is drawn once, from its own stream, on at most
+            # one lane per shot
+            assert sorted(drawn) == sorted(streams or [])
+            assert len(drawing) <= min(lanes, n_points)
     finally:
         sys.setswitchinterval(interval)
 
 
-def test_receive_raises_a_lane_failure_after_every_lane_ends(monkeypatch):
+def test_a_noiseless_adc_run_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
     rx = fdmsim.rxchain
-    project = rx._project
-    caller = threading.current_thread()
+    monkeypatch.setattr(fdmsim.lanes.threading, "Thread", no_thread)
+    monkeypatch.setattr(rx, "_lane_count", lambda: 4)
+    monkeypatch.setattr(rx, "_SHOT_BLOCK_SAMPLES", SHOT_SETUP.n_samples)
+    kwargs = SHOT_CASES["adc"]
+    c = shot_table(9)
+    expected = receive_reference(SHOT_SETUP, c, seeds=(), **kwargs)
+    iq, _ = rx._receive(SHOT_SETUP, c.copy(), streams=None, **kwargs)
+    assert np.array_equal(iq, expected)
 
-    def failing_project(*args):
-        if threading.current_thread() is not caller:
-            raise RuntimeError("lane failed")
-        return project(*args)
 
-    monkeypatch.setattr(rx, "_project", failing_project)
+def run_bounded(call, timeout=30.0):
+    """Run call() on a daemon thread of its own, joined with a timeout;
+    returns the exception call raised, or None."""
+    failure = []
+
+    def target():
+        try:
+            call()
+        except Exception as exc:
+            failure.append(exc)
+
+    runner = threading.Thread(target=target, name="shot-loop-caller", daemon=True)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive(), "the shot loop hangs after a lane failed"
+    return (failure or [None])[0]
+
+
+@pytest.mark.parametrize("failing", ["drawing lane", "calling thread"])
+def test_receive_raises_a_lane_failure_after_every_lane_ends(failing, monkeypatch):
+    # One-row blocks through a 2-block ring, on 3 lanes: the drawing
+    # lanes fill the ring and wait on it while the caller projects.
+    rx = fdmsim.rxchain
     monkeypatch.setattr(rx, "_lane_count", lambda: 3)
     monkeypatch.setattr(rx, "_SHOT_BLOCK_SAMPLES", SHOT_SETUP.n_samples)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="lane failed"):
+    callers = []
+    a_lane_drew = threading.Event()
+
+    def fail_on_a_lane(generator, state):
+        # The caller waits here until another lane draws, which then
+        # fails, so the failure comes from a drawing lane.
+        if threading.current_thread() in callers:
+            a_lane_drew.wait(10.0)
+        else:
+            a_lane_drew.set()
+            raise RuntimeError("lane failed")
+
+    def fail_on_the_caller(*args):
+        if threading.current_thread() in callers:
+            raise RuntimeError("lane failed")
+
+    if failing == "drawing lane":
+        recording(monkeypatch, "_set_state", fail_on_a_lane)
+    else:
+        recording(monkeypatch, "_project", fail_on_the_caller)
+
+    def call():
+        callers.append(threading.current_thread())
         rx._receive(SHOT_SETUP, shot_table(9), adc=None, noise_std=0.05,
                     streams=_child_states(1, 9))
+
+    before = threading.active_count()
+    failure = run_bounded(call)
+    assert isinstance(failure, RuntimeError) and str(failure) == "lane failed"
     assert threading.active_count() == before
 
 
@@ -1024,7 +1098,7 @@ def test_receive_runs_its_lanes_on_one_blas_thread(monkeypatch):
     # Through numpy's own OpenBLAS handle: with BLAS forced to 2 threads,
     # the lanes run on one, the result is the one-thread result bit for
     # bit, and the caller's 2 threads are back after a normal return and
-    # after a lane raises.
+    # after the calling thread raises.
     rx = fdmsim.rxchain
     with fdmsim.lanes._blas_lock:
         blas = fdmsim.lanes._blas_functions()
@@ -1032,18 +1106,10 @@ def test_receive_runs_its_lanes_on_one_blas_thread(monkeypatch):
         pytest.skip("numpy's core module reaches no OpenBLAS thread count")
     get, set_count = blas
     caller_count = get()
-    project = rx._project
-    caller = threading.current_thread()
     counts = []
 
-    def recording_project(*args):
-        counts.append(get())
-        return project(*args)
-
-    def failing_project(*args):
-        if threading.current_thread() is not caller:
-            raise RuntimeError("lane failed")
-        return project(*args)
+    def fail(*args):
+        raise RuntimeError("lane failed")
 
     monkeypatch.setattr(rx, "_SHOT_BLOCK_SAMPLES", 2 * SHOT_SETUP.n_samples)
     kwargs = dict(SHOT_CASES["noise-adc"])
@@ -1056,7 +1122,7 @@ def test_receive_runs_its_lanes_on_one_blas_thread(monkeypatch):
         set_count(2)
         if get() != 2:
             pytest.skip("OpenBLAS does not take a second thread here")
-        monkeypatch.setattr(rx, "_project", recording_project)
+        project = recording(monkeypatch, "_project", lambda *args: counts.append(get()))
         for lanes in (1, 2):
             monkeypatch.setattr(rx, "_lane_count", lambda lanes=lanes: lanes)
             counts.clear()
@@ -1065,7 +1131,8 @@ def test_receive_runs_its_lanes_on_one_blas_thread(monkeypatch):
             # one lane runs on the calling thread and pins nothing
             assert set(counts) == {1 if lanes > 1 else 2}
             assert get() == 2
-        monkeypatch.setattr(rx, "_project", failing_project)
+        monkeypatch.setattr(rx, "_project", project)
+        recording(monkeypatch, "_project", fail)
         with pytest.raises(RuntimeError, match="lane failed"):
             rx._receive(SHOT_SETUP, c.copy(), streams=streams, **kwargs)
         assert get() == 2
