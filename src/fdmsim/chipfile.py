@@ -1,6 +1,7 @@
 """Chip description files.
 
-A chip file is INI-style text parsed with :mod:`configparser`:
+A chip file is INI-style UTF-8 text parsed with :mod:`configparser`,
+without interpolation (a '%' in a value is a plain character):
 
     [chip]
     name = chip7
@@ -39,6 +40,7 @@ from pathlib import Path
 
 from .device import Chip, DeviceRecord, QubitParams, ResonatorParams
 from .errors import ConfigError
+from .traceio import _read_utf8
 
 _DEVICE_KEYS = {
     "resonator_frequency_hz",
@@ -76,15 +78,16 @@ def _get_float(section: configparser.SectionProxy, key: str, context: str) -> fl
 def load_chip(path: str | Path) -> Chip:
     """Parse a chip description file into a Chip.
 
-    Raises ConfigError for missing files, malformed syntax, unknown keys,
-    missing values, or parameter values that violate device invariants.
+    Raises ConfigError for missing files, a byte that is not UTF-8,
+    malformed syntax, unknown keys, missing values, or parameter values
+    that violate device invariants.
     """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"chip file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
-        parser.read_string(path.read_text(), source=str(path))
+        parser.read_file(_read_utf8(path), source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse chip file {path}: {exc}") from exc
 
@@ -102,7 +105,7 @@ def load_chip(path: str | Path) -> Chip:
         if not m:
             raise ConfigError(f"{path}: unexpected section [{section_name}]")
         device_id = int(m.group(1))
-        merged = configparser.ConfigParser()
+        merged = configparser.ConfigParser(interpolation=None)
         merged.read_dict({section_name: {**defaults, **dict(parser[section_name])}})
         section = merged[section_name]
         for key in section:

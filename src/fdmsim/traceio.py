@@ -16,8 +16,12 @@ IQ trace layout (all little-endian):
     24      8     n_samples, uint64
     32      -     payload: n_samples pairs of float64 (I, Q), interleaved
 
-The payload is the baseband complex envelope only; carrier frequency and
-start time are not persisted.
+The payload is the baseband complex envelope only; the carrier frequency
+is not persisted.
+
+Every text file is UTF-8: the writers encode it, and the readers refuse
+a byte that is not UTF-8 with a ConfigError naming the file and the
+byte's offset (_read_utf8).
 """
 
 from __future__ import annotations
@@ -53,8 +57,8 @@ def _write_file(path: str | Path, data) -> None:
     """Write data, a str or any bytes-like object, to path, creating the
     file or rewriting it in place.
 
-    The bytes are those of open(path, "w", newline="\n") for text (in the
-    default encoding) and open(path, "wb") for bytes, but the file is not
+    The bytes are those of open(path, "w", encoding="utf-8", newline="\n")
+    for text and open(path, "wb") for bytes, but the file is not
     opened with O_TRUNC: ext4 (auto_da_alloc) flushes a file truncated to
     zero when it is closed, which costs tens of milliseconds per rewrite.
     The file is cut at the end of the new bytes instead, if it is a
@@ -62,12 +66,12 @@ def _write_file(path: str | Path, data) -> None:
     follows symlinks, honours the umask, and is not atomic: a process
     killed mid-write can leave a damaged file.
 
-    Text is encoded before the file is opened: text that the default
-    encoding cannot hold, such as a lone surrogate in a name, raises
-    ConfigError and leaves the path as it was.
+    Text is encoded before the file is opened: text that UTF-8 cannot
+    hold, such as a lone surrogate in a name, raises ConfigError and
+    leaves the path as it was.
     """
     if isinstance(data, str):
-        encoder = io.TextIOWrapper(io.BytesIO(), newline="\n")
+        encoder = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="\n")
         try:
             encoder.write(data)
             encoder.flush()
@@ -79,6 +83,19 @@ def _write_file(path: str | Path, data) -> None:
         fh.write(data)
         if stat.S_ISREG(os.fstat(fd).st_mode):
             fh.truncate()
+
+
+def _read_utf8(path: str | Path) -> io.StringIO:
+    """The text of the file at path, decoded as UTF-8, as a text stream
+    that splits lines as open(path) does.  A byte that is not UTF-8
+    raises ConfigError naming the file and the byte's offset."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: the byte 0x{data[exc.start]:02x} at offset {exc.start} "
+                          "is not UTF-8") from None
+    return io.StringIO(text, newline=None)
 
 
 def write_trace(path: str | Path, trace: IQTrace) -> None:
@@ -230,8 +247,8 @@ def write_sweep_csv(path: str | Path, result: SweepResult, append: bool = False)
     kind metadata value other than result.kind (the reader takes the
     kind from it, and "unknown" where it is missing).
     With append=True and an existing file, the new rows must come from
-    the same configuration and layout: the file must begin with the
-    format tag line, its header must pass the reader's layout check, and
+    the same configuration and layout: the file must be UTF-8 and begin
+    with the format tag line, its header must pass the reader's layout check, and
     its config_hash and kind headers and its column row must match the
     result's; any mismatch is refused before a byte is written.  Without
     append, an existing file is rewritten in place, not truncated first
@@ -255,8 +272,7 @@ def write_sweep_csv(path: str | Path, result: SweepResult, append: bool = False)
                           "from the kind metadata")
     if append and path.exists():
         where = f"refusing to append to {path}"
-        with open(path) as fh:
-            existing, column_row, _ = _read_csv_header(fh, where)
+        existing, column_row, _ = _read_csv_header(_read_utf8(path), where)
         _csv_layout(where, existing, column_row)
         checks = (
             ("config_hash", existing.get("config_hash"), result.metadata.get("config_hash")),
@@ -267,7 +283,7 @@ def write_sweep_csv(path: str | Path, result: SweepResult, append: bool = False)
             if ours is None or theirs is None or str(ours) != str(theirs):
                 raise ConfigError(f"{where}: {what} {theirs!r} does not match {ours!r}")
         body = "\n".join(_csv_data_lines(result)) + "\n"
-        with open(path, "a", newline="\n") as fh:
+        with open(path, "a", encoding="utf-8", newline="\n") as fh:
             fh.write(body)
         return
     _write_file(path, "\n".join(header + _csv_data_lines(result)) + "\n")
@@ -338,13 +354,14 @@ def _csv_layout(where, metadata: dict[str, str], column_row: str | None):
 
 def read_sweep_csv(path: str | Path) -> SweepResult:
     """Inverse of write_sweep_csv (metadata comes back as strings).  A
-    data row with the wrong cell count or a non-number, no data, or a
+    byte that is not UTF-8, a data row with the wrong cell count or a
+    non-number, no data, or a
     header that _csv_layout refuses (a column row that is not the
     layout of its tables and device ids) raises ConfigError naming the
     file (and the line or column)."""
     path = Path(path)
     rows: list[list[float]] = []
-    with open(path) as fh:
+    with _read_utf8(path) as fh:
         metadata, column_row, number = _read_csv_header(fh, path)
         n_cells = len((column_row or "").split(","))
         for number, line in enumerate(fh, number + 1):

@@ -404,8 +404,10 @@ EXEMPT = {
     "UnknownDeviceError": "an error type",
     "builtin_chip_path": "takes no argument",
     "config_hash": "hashes a file's bytes",
-    "load_chip": "reads its numbers from a file, not from arguments (not covered yet)",
-    "read_sweep_csv": "reads its numbers from a file, not from arguments (not covered yet)",
+    "load_chip": "reads its numbers from a file; test_file_readers feeds it mutated bytes "
+                 "in test_load_chip_gives_a_chip_or_a_named_error_on_mutated_bytes",
+    "read_sweep_csv": "reads its numbers from a file; test_file_readers feeds it mutated bytes in "
+                      "test_read_sweep_csv_gives_a_sweep_or_a_named_error_on_mutated_bytes",
     "write_measurements_csv": "writes ToneMeasurements, whose numbers are checked on construction",
     "write_sweep_csv": "writes a SweepResult's tables as text (not covered yet)",
     "write_sweep_json": "writes a SweepResult's tables as text (not covered yet)",

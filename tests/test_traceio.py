@@ -107,7 +107,7 @@ def test_header_without_samples_rejected(tmp_path, capsys):
     with pytest.raises(TraceFormatError, match="n_samples is 0"):
         read_trace(path)
     assert main(["channelize", "--trace", str(path), "--channels", "0"]) == 2
-    assert "n_samples is 0" in capsys.readouterr().err
+    assert f"{path}: header n_samples is 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -121,7 +121,7 @@ def test_non_finite_payload_rejected(tmp_path, value, part, capsys):
     with pytest.raises(TraceFormatError, match="non-finite"):
         read_trace(path)
     assert main(["channelize", "--trace", str(path), "--channels", "0"]) == 2
-    assert "non-finite" in capsys.readouterr().err
+    assert f"{path}: payload holds a non-finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("sample", [complex(float("nan"), 0.0), complex(0.0, float("inf")),
