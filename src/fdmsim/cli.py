@@ -30,7 +30,6 @@ from .experiments import (
 )
 from .planner import (
     CapacityQuery,
-    SpacingRule,
     format_plan_report,
     generate_plan,
     max_channels,
@@ -195,14 +194,11 @@ def _emit_outputs(args, result: SweepResult) -> None:
 
 
 def _cmd_plan(args) -> int:
-    query = CapacityQuery(
-        bandwidth=args.bandwidth,
-        kappa=TWO_PI * args.kappa_over_2pi,
-        gamma=TWO_PI * args.gamma_over_2pi,
-        dispersive_shift=TWO_PI * args.shift_over_2pi,
-        crosstalk_limit_db=args.crosstalk_limit_db,
-    )
-    capacity = max_channels(query)
+    kappa = TWO_PI * args.kappa_over_2pi
+    gamma = TWO_PI * args.gamma_over_2pi
+    shift = TWO_PI * args.shift_over_2pi
+    capacity = max_channels(CapacityQuery(args.bandwidth, kappa, gamma, shift,
+                                          args.crosstalk_limit_db))
     lines = [
         f"bandwidth {args.bandwidth:.9g} Hz, kappa/2pi {args.kappa_over_2pi:.9g} Hz, "
         f"crosstalk limit {args.crosstalk_limit_db:g} dB",
@@ -218,22 +214,13 @@ def _cmd_plan(args) -> int:
         band_stop = args.band_stop
         if band_stop is None:
             band_stop = args.band_start + args.bandwidth
-        rule = SpacingRule.KAPPA_MULTIPLE if args.spacing is None else SpacingRule.FIXED_SPACING
-        plan = generate_plan(
-            args.channels,
-            args.band_start,
-            band_stop,
-            rule,
-            spacing=args.spacing,
-            kappa=TWO_PI * args.kappa_over_2pi,
-            crosstalk_limit_db=args.crosstalk_limit_db,
-        )
-        text += "\n" + format_plan_report(
-            plan,
-            kappa=TWO_PI * args.kappa_over_2pi,
-            gamma=TWO_PI * args.gamma_over_2pi,
-            dispersive_shift=TWO_PI * args.shift_over_2pi,
-        )
+        # Without --spacing, the comb sits at the crosstalk-limited
+        # spacing, crosstalk_limited_spacing(kappa, limit) / (2 pi).
+        spacing = capacity.crosstalk_spacing if args.spacing is None else args.spacing
+        plan = generate_plan(args.channels, args.band_start, band_stop, spacing=spacing,
+                             kappa=kappa, crosstalk_limit_db=args.crosstalk_limit_db)
+        text += "\n" + format_plan_report(plan, kappa=kappa, gamma=gamma,
+                                          dispersive_shift=shift)
     _write_text(args.out, text)
     return 0
 
@@ -244,7 +231,7 @@ def _cmd_sweep(args) -> int:
     result = run_flux_sweep(
         chip,
         flux,
-        device_ids=args.devices,
+        setup=make_readout_setup(chip, args.devices),
         noise_std=args.noise_std,
         seed=args.seed,
         config_hash=chash,
@@ -288,7 +275,7 @@ def _cmd_rabi(args) -> int:
     result = run_rabi(
         chip,
         durations,
-        device_ids=args.devices,
+        setup=make_readout_setup(chip, args.devices),
         rabi_rate_per_unit_amplitude=args.rate,
         amplitude_scales=args.amplitudes,
         detuning=args.detuning,

@@ -135,30 +135,17 @@ def _axis(values, name: str) -> np.ndarray:
     return values
 
 
-def _readout_setup(chip: Chip, device_ids, setup: ReadoutSetup | None) -> ReadoutSetup:
-    """setup when one is given, else make_readout_setup(chip, device_ids).
-    ConfigError when both are given and device_ids are not setup's."""
-    if setup is None:
-        return make_readout_setup(chip, device_ids)
-    if device_ids is not None and tuple(device_ids) != setup.device_ids:
-        raise ConfigError("device_ids disagrees with the supplied setup")
-    return setup
-
-
 def _sweep_result(kind: str, chip: Chip, axis_name: str, axis_values, tables, keys: dict, *,
-                  device_ids=None, setup: ReadoutSetup | None = None,
+                  device_ids=(), setup: ReadoutSetup | None = None,
                   adc: AdcSpec | None = None, config_hash: str | None = None) -> SweepResult:
-    """A driver's SweepResult, with the metadata every driver writes: kind,
-    chip, the driver's own keys, device_ids (columns dev<id>; without ids
-    one composite feedline column) and config_hash when given.  setup is
-    given when a readout ran: its LO, rate, sample count, probe amplitude
-    and window are recorded, and the ADC's bits, full scale and analog band.
+    """A driver's SweepResult, with the metadata every driver writes: chip,
+    the driver's own keys and config_hash when given.  setup is given
+    when a readout ran: its LO, rate, sample count, probe amplitude and
+    window are recorded, and the ADC's bits, full scale and analog band.
+    The kind and the device ids (columns dev<id>; without ids one
+    composite feedline column) are the result's fields.
     """
-    metadata = {"kind": kind, "chip": chip.name, **keys}
-    columns = ("feedline",)
-    if device_ids is not None:
-        metadata["device_ids"] = " ".join(str(d) for d in device_ids)
-        columns = tuple(f"dev{d}" for d in device_ids)
+    metadata = {"chip": chip.name, **keys}
     if setup is not None:
         metadata.update(lo_frequency_hz=setup.lo_frequency, sample_rate_hz=setup.sample_rate,
                         n_samples=setup.n_samples, probe_amplitude=setup.amplitude,
@@ -169,7 +156,7 @@ def _sweep_result(kind: str, chip: Chip, axis_name: str, axis_values, tables, ke
                 metadata["adc_analog_bandwidth_hz"] = adc.analog_bandwidth
     if config_hash is not None:
         metadata["config_hash"] = config_hash
-    return SweepResult(kind, axis_name, axis_values, columns, tables, device_ids or (), metadata)
+    return SweepResult(kind, axis_name, axis_values, tables, device_ids, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +167,6 @@ def run_flux_sweep(
     chip: Chip,
     flux_values,
     *,
-    device_ids: Sequence[int] | None = None,
     setup: ReadoutSetup | None = None,
     states: Sequence[float] | None = None,
     adc: AdcSpec | None = None,
@@ -190,21 +176,23 @@ def run_flux_sweep(
 ) -> SweepResult:
     """Sweep a common applied flux and record every channel's response.
 
-    The probe comb stays fixed at the symmetry-point channels while the
-    sweep moves each qubit through its resonator crossing, where the
-    level repulsion throws the notch off the probe and the channel
-    amplitude rises toward unity.  S21 is evaluated once for the whole
-    sweep.  Without noise and ADC every point is computed in closed
-    form, amplitude * S21(channel frequency), and no seed is drawn.
-    Otherwise each point's received trace is built from that closed form
-    and draws its noise from the independent child stream
-    child_seed(seed, i).  A negative or non-finite noise_std, or a seed
-    that is not an integer in [0, 2**128), raises ConfigError, noise or
-    not; so does a device_ids that is not the given setup's.
+    setup chooses the channels (default: make_readout_setup(chip), every
+    device of the chip).  The probe comb stays fixed at the
+    symmetry-point channels while the sweep moves each qubit through its
+    resonator crossing, where the level repulsion throws the notch off
+    the probe and the channel amplitude rises toward unity.  S21 is
+    evaluated once for the whole sweep.  Without noise and ADC every
+    point is computed in closed form, amplitude * S21(channel
+    frequency), and no seed is drawn.  Otherwise each point's received
+    trace is built from that closed form and draws its noise from the
+    independent child stream child_seed(seed, i).  A negative or
+    non-finite noise_std, or a seed that is not an integer in
+    [0, 2**128), raises ConfigError, noise or not.
     """
     _check_noise(noise_std, seed)
     flux_values = _axis(flux_values, "flux_values")
-    setup = _readout_setup(chip, device_ids, setup)
+    if setup is None:
+        setup = make_readout_setup(chip)
     if states is None:
         states = [float(QubitStateLabel.GROUND)] * len(chip.devices)
     states = np.asarray(states, dtype=float)
@@ -356,7 +344,6 @@ def run_rabi(
     chip: Chip,
     durations,
     *,
-    device_ids: Sequence[int] | None = None,
     rabi_rate_per_unit_amplitude: float = 5e6,
     amplitude_scales: Sequence[float] | None = None,
     detuning: float = 0.0,
@@ -371,10 +358,12 @@ def run_rabi(
 ) -> SweepResult:
     """Drive each qubit for a grid of durations and read the result out.
 
-    Every selected device starts in the ground state and is driven
-    resonantly (or at the given detuning, Hz) with its own drive
-    amplitude amplitude_scales[j]; the Rabi rate is
-    rabi_rate_per_unit_amplitude * scale, in Hz per unit amplitude.
+    setup chooses the devices and their readout channels (default:
+    make_readout_setup(chip), every device of the chip).  Every selected
+    device starts in the ground state and is driven resonantly (or at
+    the given detuning, Hz) with its own drive amplitude
+    amplitude_scales[j]; the Rabi rate is rabi_rate_per_unit_amplitude *
+    scale, in Hz per unit amplitude.
     Populations come from the exact Bloch propagator applied
     incrementally from one duration to the next, so durations must be
     non-negative and strictly increasing.  Devices with the same drive
@@ -401,7 +390,8 @@ def run_rabi(
     durations = _axis(durations, "durations")
     if durations[0] < 0 or np.any(np.diff(durations) <= 0):
         raise ConfigError("durations must be non-negative and strictly increasing")
-    setup = _readout_setup(chip, device_ids, setup)
+    if setup is None:
+        setup = make_readout_setup(chip)
     ids = setup.device_ids
     if amplitude_scales is None:
         amplitude_scales = [1.0] * len(ids)

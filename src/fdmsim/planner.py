@@ -15,7 +15,6 @@ multipliers come out exactly.
 
 from __future__ import annotations
 
-import enum
 import math
 import sys
 from dataclasses import dataclass, field
@@ -26,11 +25,6 @@ from .errors import (ConfigError, InfeasiblePlanError, _check_count, _check_fini
                      _check_non_negative, _check_positive)
 
 
-class SpacingRule(enum.Enum):
-    FIXED_SPACING = "fixed_spacing"
-    KAPPA_MULTIPLE = "kappa_multiple"
-
-
 @dataclass(frozen=True)
 class FrequencyPlan:
     """Ordered channel map: (device_id, center frequency in Hz) pairs,
@@ -39,7 +33,6 @@ class FrequencyPlan:
     band_start: float
     band_stop: float
     channels: tuple[tuple[int, float], ...]
-    spacing_rule: SpacingRule = SpacingRule.FIXED_SPACING
     guard: float = 0.0
 
     def __post_init__(self):
@@ -233,7 +226,6 @@ def generate_plan(
     n_channels: int,
     band_start: float,
     band_stop: float,
-    rule: SpacingRule = SpacingRule.FIXED_SPACING,
     *,
     spacing: float | None = None,
     kappa: float | None = None,
@@ -243,19 +235,19 @@ def generate_plan(
 ) -> FrequencyPlan:
     """Uniformly spaced plan inside [band_start, band_stop].
 
-    FIXED_SPACING with spacing=None fills the usable band edge to edge
-    (n channels, n-1 equal gaps); with an explicit spacing the comb is
-    centered in the band.  KAPPA_MULTIPLE derives the spacing from kappa
-    and the crosstalk limit.  A single channel sits at band center.
+    With spacing=None the comb fills the usable band edge to edge (n
+    channels, n-1 equal gaps); with a spacing the comb is centered in the
+    band.  The crosstalk-limited comb is
+    spacing=crosstalk_limited_spacing(kappa, limit) / (2 pi).  A single
+    channel sits at band center.
 
     Raises InfeasiblePlanError when the comb does not fit the usable
     band (band minus guard on each edge).  When kappa is given the
     finished plan is audited against the crosstalk limit.  Raises
     ConfigError, checking the band first, for band edges or a guard that
     are not finite and in order (band_start < band_stop, guard >= 0), an
-    n_channels that is a bool or not an integral count >= 1, a spacing
-    that is not finite and > 0, and a spacing given with KAPPA_MULTIPLE,
-    which derives its own.
+    n_channels that is a bool or not an integral count >= 1, and a
+    spacing that is not finite and > 0.
     """
     _check_band(band_start, band_stop, guard)
     n_channels = _check_count("n_channels", n_channels)
@@ -264,12 +256,6 @@ def generate_plan(
     usable = band_stop - band_start - 2.0 * guard
     if usable <= 0:
         raise ConfigError("guard bands leave no usable bandwidth")
-    if rule is SpacingRule.KAPPA_MULTIPLE:
-        if kappa is None:
-            raise ConfigError("kappa_multiple rule requires kappa")
-        if spacing is not None:
-            raise ConfigError("kappa_multiple rule derives the spacing from kappa; pass no spacing")
-        spacing = crosstalk_limited_spacing(kappa, crosstalk_limit_db) / (2.0 * math.pi)
     if n_channels == 1:
         freqs = [band_start + (band_stop - band_start) / 2.0]
     elif spacing is None:
@@ -293,7 +279,6 @@ def generate_plan(
         band_start=band_start,
         band_stop=band_stop,
         channels=tuple(zip(device_ids, freqs)),
-        spacing_rule=rule,
         guard=guard,
     )
     if kappa is not None:
@@ -349,7 +334,6 @@ def plan_for_chip(
         band_start=freqs[0] - margin,
         band_stop=freqs[-1] + margin,
         channels=tuple(pairs),
-        spacing_rule=SpacingRule.FIXED_SPACING,
         guard=0.0,
     )
 
@@ -366,7 +350,7 @@ def format_plan_report(
     lines = [
         f"frequency plan: {len(plan.channels)} channels in "
         f"[{plan.band_start:.9g}, {plan.band_stop:.9g}] Hz",
-        f"  rule: {plan.spacing_rule.value}   guard: {plan.guard:.9g} Hz",
+        f"  guard: {plan.guard:.9g} Hz",
         "",
         f"  {'device':>6}  {'center_hz':>15}  {'to_next_hz':>13}  {'crosstalk_db':>12}",
     ]

@@ -462,7 +462,6 @@ class ReadoutSetup:
                 f"{len(self.device_ids)} devices"
             )
         _check_finite(lo_frequency=self.lo_frequency)
-        _check_positive(sample_rate=self.sample_rate)
         _check_non_negative(amplitude=self.amplitude)
         grid = _acquisition_grid(self.sample_rate, self.n_samples)
         # An integral float count such as 4000.0 is kept as the int it names.
@@ -506,9 +505,10 @@ class ReadoutSetup:
 
 def _acquisition_grid(sample_rate: float, n_samples: int) -> float:
     """The DFT grid sample_rate / n_samples, after errors._check_count
-    checks the count.  A bad sample_rate gives a bad grid, which
-    _grid_offset and ReadoutSetup reject."""
-    return sample_rate / _check_count("n_samples", n_samples)
+    checks the count and _check_positive the sample_rate."""
+    n_samples = _check_count("n_samples", n_samples)
+    _check_positive(sample_rate=sample_rate)
+    return sample_rate / n_samples
 
 
 def _default_lo(frequencies, grid: float) -> float:

@@ -155,12 +155,13 @@ def read_trace(path: str | Path) -> IQTrace:
 
 @dataclass
 class SweepResult:
-    """One independent axis, several named tables of shape (n_axis, n_columns)."""
+    """One independent axis, several named tables of shape (n_axis,
+    n_columns).  The columns are derived from device_ids: dev<id> for each
+    id, or the one composite column feedline when there are none."""
 
     kind: str
     axis_name: str
     axis_values: np.ndarray
-    columns: tuple[str, ...]
     tables: dict[str, np.ndarray]
     device_ids: tuple[int, ...] = ()
     metadata: dict = field(default_factory=dict)
@@ -178,6 +179,10 @@ class SweepResult:
                 )
             self.tables[name] = table
 
+    @property
+    def columns(self) -> tuple[str, ...]:
+        return _columns(self.device_ids)
+
     def column(self, table: str, label: str | int) -> np.ndarray:
         """One column as a 1-d array; an int label means a device id."""
         if isinstance(label, int):
@@ -187,6 +192,26 @@ class SweepResult:
         except ValueError:
             raise ConfigError(f"no column {label!r}; have {self.columns}") from None
         return self.tables[table][:, j]
+
+
+def _columns(device_ids) -> tuple[str, ...]:
+    """The columns of a sweep: dev<id> for each device id, else feedline."""
+    return tuple(f"dev{d}" for d in device_ids) or ("feedline",)
+
+
+def _header(result: SweepResult) -> dict:
+    """The header of a sweep file: its metadata, its kind and, when it
+    has any, its device ids, as the CSV header lines and the JSON
+    metadata block write them.  Metadata holding a kind or device_ids
+    key raises ConfigError: those facts are the result's fields."""
+    clash = sorted({"kind", "device_ids"} & {str(key) for key in result.metadata})
+    if clash:
+        raise ConfigError(f"metadata key {clash[0]!r} is a field of the sweep; "
+                          "set the field, not the metadata")
+    header = {**result.metadata, "kind": result.kind}
+    if result.device_ids:
+        header["device_ids"] = " ".join(str(d) for d in result.device_ids)
+    return header
 
 
 def _format_value(v) -> str:
@@ -219,7 +244,7 @@ def _csv_column_row(result: SweepResult) -> str:
 
 def _csv_header_lines(result: SweepResult) -> list[str]:
     lines = [f"# {CSV_FORMAT_TAG}"]
-    lines += [f"# {key}={text}" for key, text in _header_items(result.metadata)]
+    lines += [f"# {key}={text}" for key, text in _header_items(_header(result))]
     lines.append(_csv_column_row(result))
     return lines
 
@@ -236,16 +261,13 @@ def write_sweep_csv(path: str | Path, result: SweepResult, append: bool = False)
     """Write a sweep as CSV with '#' metadata header lines.
 
     Floats are serialized with repr() so re-runs are byte-identical.
-    The header must read back as written, so it is first read as
-    read_sweep_csv would read it.  A result whose axis name, device ids,
-    columns or table names would come back otherwise is refused before a
-    byte is written: a ',' or a line break in a name, several columns
-    without device ids, a column holding '_' without device ids, or
-    device ids that the device_ids metadata does not list.  So is
-    metadata that would not read back as written: a line break in a key
-    or value, an '=' in a key, or outer whitespace around either, and a
-    kind metadata value other than result.kind (the reader takes the
-    kind from it, and "unknown" where it is missing).
+    The header (see _header) must read back as written, so it is first
+    read as read_sweep_csv would read it.  A result whose axis name,
+    device ids or table names would come back otherwise is refused
+    before a byte is written: a ',' or a line break in a name, or a
+    device id that is not an integer.  So is metadata that would not
+    read back as written: a kind or device_ids key, a line break in a
+    key or value, an '=' in a key, or outer whitespace around either.
     With append=True and an existing file, the new rows must come from
     the same configuration and layout: the file must be UTF-8 and begin
     with the format tag line, its header must pass the reader's layout check, and
@@ -261,15 +283,10 @@ def write_sweep_csv(path: str | Path, result: SweepResult, append: bool = False)
     written = io.StringIO("\n".join(header), newline=None)
     metadata, column_row, _ = _read_csv_header(written, where)
     read_back = _csv_layout(where, metadata, column_row)
-    ours = (result.axis_name, tuple(result.device_ids), tuple(result.columns),
-            sorted(result.tables))
+    ours = (result.axis_name, tuple(result.device_ids), sorted(result.tables))
     if read_back != ours:
-        raise ConfigError(f"{where}: axis name, device ids, columns and tables {ours} "
+        raise ConfigError(f"{where}: axis name, device ids and tables {ours} "
                           f"would read back as {read_back}")
-    kind = metadata.get("kind", "unknown")
-    if kind != result.kind:
-        raise ConfigError(f"{where}: kind {result.kind!r} would read back as {kind!r} "
-                          "from the kind metadata")
     if append and path.exists():
         where = f"refusing to append to {path}"
         existing, column_row, _ = _read_csv_header(_read_utf8(path), where)
@@ -317,11 +334,10 @@ def _read_csv_header(fh, where) -> tuple[dict[str, str], str | None, int]:
 
 
 def _csv_layout(where, metadata: dict[str, str], column_row: str | None):
-    """The axis name, device ids, columns and sorted table names that a
-    sweep CSV's header metadata and column row describe.
+    """The axis name, device ids and sorted table names that a sweep
+    CSV's header metadata and column row describe.
 
-    The columns are dev<id> for each id of the device_ids header, or
-    else the one column that ends the first data column's name.  Each
+    The columns are those of the device_ids header (see _columns).  Each
     data column name is <table>_<column>, split at its last '_'.  The
     column row must then be the one _csv_columns lays out for these
     tables and columns.  Otherwise, and for a column row without data
@@ -335,10 +351,7 @@ def _csv_layout(where, metadata: dict[str, str], column_row: str | None):
     except ValueError:
         raise ConfigError(f"{where}: header line '# device_ids={metadata['device_ids']}' "
                           f"does not list integer device ids") from None
-    if device_ids:
-        columns = tuple(f"dev{d}" for d in device_ids)
-    else:
-        columns = (names[1].rpartition("_")[2],)
+    columns = _columns(device_ids)
     tables = sorted({name.rpartition("_")[0] for name in names[1:]})
     expected = names[:1] + [name for _, _, name in _csv_columns(tables, columns)]
     for i, (got, want) in enumerate(itertools.zip_longest(names, expected), 1):
@@ -349,13 +362,14 @@ def _csv_layout(where, metadata: dict[str, str], column_row: str | None):
                 f"over columns {list(columns)} put {'none' if want is None else repr(want)} "
                 "there"
             )
-    return names[0], device_ids, columns, tables
+    return names[0], device_ids, tables
 
 
 def read_sweep_csv(path: str | Path) -> SweepResult:
-    """Inverse of write_sweep_csv (metadata comes back as strings).  A
-    byte that is not UTF-8, a data row with the wrong cell count or a
-    non-number, no data, or a
+    """Inverse of write_sweep_csv.  The kind and device_ids headers give
+    the result's fields (kind "unknown" where it is missing), and the
+    other headers its metadata, as strings.  A byte that is not UTF-8, a
+    data row with the wrong cell count or a non-number, no data, or a
     header that _csv_layout refuses (a column row that is not the
     layout of its tables and device ids) raises ConfigError naming the
     file (and the line or column)."""
@@ -378,14 +392,14 @@ def read_sweep_csv(path: str | Path) -> SweepResult:
                 raise ConfigError(f"{path}, line {number}: {exc}") from None
     if not rows:
         raise ConfigError(f"{path} holds no sweep data")
-    axis_name, device_ids, columns, tables = _csv_layout(path, metadata, column_row)
+    axis_name, device_ids, tables = _csv_layout(path, metadata, column_row)
+    metadata.pop("device_ids", None)
     data = np.array(rows)
-    layout = list(enumerate(_csv_columns(tables, columns), 1))
+    layout = list(enumerate(_csv_columns(tables, _columns(device_ids)), 1))
     return SweepResult(
-        kind=metadata.get("kind", "unknown"),
+        kind=metadata.pop("kind", "unknown"),
         axis_name=axis_name,
         axis_values=data[:, 0],
-        columns=columns,
         tables={t: data[:, [i for i, (u, _, _) in layout if u == t]] for t in tables},
         device_ids=device_ids,
         metadata=metadata,
@@ -393,7 +407,17 @@ def read_sweep_csv(path: str | Path) -> SweepResult:
 
 
 def write_sweep_json(path: str | Path, result: SweepResult) -> None:
-    """JSON twin of the CSV writer (sorted keys, lists for arrays)."""
+    """JSON twin of the CSV writer (sorted keys, lists for arrays).  Its
+    metadata block is the CSV's header (see _header).  A NaN or infinite
+    value in the axis or a table, which JSON cannot hold, raises
+    ConfigError naming it before a byte is written."""
+    arrays = {f"axis {result.axis_name!r}": result.axis_values,
+              **{f"table {name!r}": table for name, table in result.tables.items()}}
+    for what, values in arrays.items():
+        if not np.isfinite(values).all():
+            raise ConfigError(f"refusing to write {path}: {what} holds NaN or inf, "
+                              "which JSON cannot hold")
+    header = _header(result)
     payload = {
         "format": CSV_FORMAT_TAG,
         "kind": result.kind,
@@ -405,10 +429,7 @@ def write_sweep_json(path: str | Path, result: SweepResult) -> None:
             name: [[float(v) for v in row] for row in table]
             for name, table in sorted(result.tables.items())
         },
-        "metadata": {
-            text: _format_value(result.metadata[key])
-            for text, key in _text_keys(result.metadata)
-        },
+        "metadata": {text: _format_value(header[key]) for text, key in _text_keys(header)},
     }
     _write_file(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 

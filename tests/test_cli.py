@@ -76,7 +76,7 @@ def test_plan_with_band_edges_out_of_order_names_band_stop(capsys):
 
 @pytest.mark.parametrize("spacing", ["0", "-1e6", "nan"])
 def test_plan_rejects_a_spacing_that_is_not_positive(capsys, spacing):
-    # --spacing=0 once fell through to the kappa-multiple rule and exited 0.
+    # --spacing=0 once fell through to the crosstalk-limited spacing and exited 0.
     assert main(["plan", "--channels", "3", f"--spacing={spacing}"]) == 2
     assert "spacing must be finite and > 0" in capsys.readouterr().err
 
@@ -298,6 +298,12 @@ def test_crosstalk_unknown_toggle_exits_2(capsys):
 def test_crosstalk_zero_samples_exits_2(capsys):
     assert main(["crosstalk", "--toggle", "1", "--n-samples", "0"]) == 2
     assert "n_samples >= 1" in capsys.readouterr().err
+
+
+def test_crosstalk_zero_sample_rate_names_it(capsys):
+    # The error read "grid must be finite and > 0, got 0.0".
+    assert main(["crosstalk", "--toggle", "1", "--sample-rate", "0"]) == 2
+    assert "sample_rate must be finite and > 0, got 0.0" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------

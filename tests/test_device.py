@@ -28,6 +28,8 @@ from fdmsim import (
 )
 from fdmsim.device import _SCRATCH_BYTES, _dressed_resonances
 
+from comb import make_comb
+
 TWO_PI = 2 * math.pi
 
 
@@ -59,24 +61,6 @@ def make_chip(n=2):
         for i in range(n)
     )
     return Chip(name="test", devices=devices)
-
-
-def make_comb(n, zero_coupling=()):
-    """An n-device comb: resonators every 5 MHz (5 kappa) from 6 GHz with
-    kappa/2pi = 1 MHz and kappa_ext = 0.95 kappa, g/2pi = 4 MHz, and each
-    qubit 1.2 GHz below its resonator at 480 GHz/Phi0 with
-    gamma/2pi = 10 kHz.  Devices whose index is in zero_coupling get g = 0."""
-    kappa = TWO_PI * 1e6
-    devices = []
-    for i in range(n):
-        bare = 6e9 + i * 5e6
-        devices.append(DeviceRecord(
-            device_id=i + 1,
-            qubit=make_qubit(gap=bare - 1.2e9, sens=480e9, gamma=TWO_PI * 10e3),
-            resonator=make_resonator(bare=bare, kappa=kappa, ext=0.95 * kappa,
-                                     g=0.0 if i in zero_coupling else TWO_PI * 4e6),
-        ))
-    return Chip(name=f"comb{n}", devices=tuple(devices))
 
 
 def per_device_product(chip, probe_omega, states, fluxes):

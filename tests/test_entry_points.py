@@ -39,7 +39,6 @@ from fdmsim import (
     QubitParams,
     ReadoutSetup,
     ResonatorParams,
-    SpacingRule,
     SweepResult,
     ToneSpec,
     UnknownDeviceError,
@@ -241,9 +240,8 @@ def capacity(tmp, bandwidth=1e9, kappa=6.3e7, gamma=6.3e5, dispersive_shift=3e6,
 
 def uniform_plan(tmp, n_channels=3, band_start=9e9, band_stop=10e9, spacing=2e8, kappa=6.3e7,
                  crosstalk_limit_db=-20.0, guard=1e7):
-    return generate_plan(n_channels, band_start, band_stop, SpacingRule.FIXED_SPACING,
-                         spacing=spacing, kappa=kappa, crosstalk_limit_db=crosstalk_limit_db,
-                         guard=guard)
+    return generate_plan(n_channels, band_start, band_stop, spacing=spacing, kappa=kappa,
+                         crosstalk_limit_db=crosstalk_limit_db, guard=guard)
 
 
 def chip_plan(tmp, lo_frequency=9.45e9, grid=1e7, state=-1.0, margin=5e6):
@@ -308,7 +306,7 @@ def features(tmp, value=0.9, prominence=0.3):
                       [0.3, 0.8], [0.2, 0.4], [0.1, 0.1]])
     table[3, 0] = value
     result = SweepResult("flux_sweep", "flux_phi0", np.linspace(-0.02, 0.02, 8),
-                         ("dev1", "dev2"), {"amplitude": table}, (1, 2))
+                         {"amplitude": table}, (1, 2))
     return detect_flux_features(result, prominence=prominence)
 
 
@@ -395,7 +393,6 @@ EXEMPT = {
     "InfeasiblePlanError": "an error type",
     "Propagator": "the result of propagator, which has a row",
     "QubitStateLabel": "an enum of the two sigma_z values",
-    "SpacingRule": "an enum",
     "SweepResult": "a table container; the detect_flux_features row puts a value in one",
     "TelegraphSpectrum": "the result of relaxation_telegraph_spectrum, which has a row",
     "ToneMeasurement": "the result of channelize and acquire, which have rows",
@@ -409,8 +406,12 @@ EXEMPT = {
     "read_sweep_csv": "reads its numbers from a file; test_file_readers feeds it mutated bytes in "
                       "test_read_sweep_csv_gives_a_sweep_or_a_named_error_on_mutated_bytes",
     "write_measurements_csv": "writes ToneMeasurements, whose numbers are checked on construction",
-    "write_sweep_csv": "writes a SweepResult's tables as text (not covered yet)",
-    "write_sweep_json": "writes a SweepResult's tables as text (not covered yet)",
+    "write_sweep_csv": "writes a SweepResult's tables as text; test_file_readers writes back "
+                       "every mutant that reads in "
+                       "test_read_sweep_csv_gives_a_sweep_or_a_named_error_on_mutated_bytes",
+    "write_sweep_json": "writes a SweepResult's tables as text; test_file_readers writes back "
+                        "every mutant that reads in "
+                        "test_read_sweep_csv_gives_a_sweep_or_a_named_error_on_mutated_bytes",
 }
 
 ARGUMENTS = [(name, argument) for name, call in CALLS.items()

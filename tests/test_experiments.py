@@ -59,7 +59,7 @@ from fdmsim import (
     write_sweep_json,
 )
 
-from test_device import make_comb
+from comb import make_comb
 
 TWO_PI = 2 * math.pi
 
@@ -69,16 +69,15 @@ def chip():
     return load_chip(builtin_chip_path())
 
 
-def make_result(n=5, columns=("dev1", "dev2"), **meta):
+def make_result(n=5, device_ids=(1, 2), **meta):
     axis = np.linspace(0.0, 1.0, n)
     return SweepResult(
         kind="flux_sweep",
         axis_name="flux_phi0",
         axis_values=axis,
-        columns=columns,
-        tables={"amplitude": np.zeros((n, len(columns)))},
-        device_ids=tuple(int(c[3:]) for c in columns),
-        metadata={"kind": "flux_sweep", **meta},
+        tables={"amplitude": np.zeros((n, len(device_ids)))},
+        device_ids=device_ids,
+        metadata=meta,
     )
 
 
@@ -90,14 +89,13 @@ def test_sweep_result_rejects_shape_mismatch():
     with pytest.raises(ConfigError, match="shape"):
         SweepResult(
             kind="x", axis_name="t", axis_values=np.arange(4.0),
-            columns=("a", "b"), tables={"y": np.zeros((4, 3))},
+            tables={"y": np.zeros((4, 3))}, device_ids=(1, 2),
         )
 
 
 def test_sweep_result_rejects_empty_axis():
     with pytest.raises(ConfigError):
-        SweepResult(kind="x", axis_name="t", axis_values=np.array([]),
-                    columns=(), tables={})
+        SweepResult(kind="x", axis_name="t", axis_values=np.array([]), tables={})
 
 
 def test_column_lookup_by_device_id_and_label():
@@ -256,9 +254,9 @@ def test_hand_built_setup_names_the_closest_channels(baseband, pair):
 @pytest.mark.parametrize(
     "kwargs, match",
     [
-        (dict(sample_rate=math.nan), "grid must be finite"),
-        (dict(sample_rate=math.inf), "grid must be finite"),
-        (dict(sample_rate=-1e9), "grid must be finite and > 0"),
+        (dict(sample_rate=math.nan), "sample_rate must be finite"),
+        (dict(sample_rate=math.inf), "sample_rate must be finite"),
+        (dict(sample_rate=-1e9), r"sample_rate must be finite and > 0, got -1000000000\.0"),
         (dict(sample_rate=1e-300), "grid_steps must be finite"),
         (dict(lo_frequency=math.nan), "reference must be finite"),
         (dict(lo_frequency=-math.inf), "reference must be finite"),
@@ -447,7 +445,7 @@ def test_only_acquire_pays_for_the_noise_estimate(chip, monkeypatch):
     for adc in (None, BAND_LIMITED_ADC):
         run_flux_sweep(chip, np.linspace(-0.02, 0.02, 20), setup=setup, adc=adc,
                        noise_std=2e-3, seed=5)
-    run_rabi(chip, np.linspace(5e-9, 6e-7, 20), device_ids=(2, 4, 6),
+    run_rabi(chip, np.linspace(5e-9, 6e-7, 20), setup=make_readout_setup(chip, (2, 4, 6)),
              adc=AdcSpec(sample_rate=1e9, bits=12, full_scale=1.0), noise_std=2e-3, seed=5)
     assert calls["fft"] == 0
     ground = [-1.0] * len(chip.devices)
@@ -466,7 +464,7 @@ def test_core_rejects_an_adc_at_another_rate(chip):
         run_flux_sweep(chip, np.linspace(-0.01, 0.01, 3), setup=setup, adc=adc,
                        noise_std=1e-3)
     with pytest.raises(ConfigError, match="ADC rate"):
-        run_rabi(chip, np.linspace(5e-9, 5e-8, 3), device_ids=(2,), adc=adc)
+        run_rabi(chip, np.linspace(5e-9, 5e-8, 3), setup=make_readout_setup(chip, (2,)), adc=adc)
 
 
 def clip_counts(caplog):
@@ -509,7 +507,7 @@ def test_rabi_builds_one_propagator_per_distinct_step(chip, monkeypatch):
     durations = np.linspace(5e-9, 1.2e-6, 200)
     steps = np.diff(durations, prepend=0.0)
     ids = (2, 4, 6)
-    result = run_rabi(chip, durations, device_ids=ids, readout=False)
+    result = run_rabi(chip, durations, setup=make_readout_setup(chip, ids), readout=False)
     assert calls["expm"] <= len(set(steps.tolist())) * len(ids)
     assert calls["expm"] < durations.size
     # the reused propagators give the step-by-step evolution bit for bit
@@ -537,7 +535,8 @@ def test_rabi_computes_one_trajectory_per_distinct_drive(chip, monkeypatch, scal
     ids = (2, 4, 6)
     # chip7's devices share one relaxation rate, so equal scales mean equal drives
     assert len({chip.device(d).qubit.relaxation_rate_gamma for d in ids}) == 1
-    result = run_rabi(chip, durations, device_ids=ids, amplitude_scales=scales,
+    result = run_rabi(chip, durations, setup=make_readout_setup(chip, ids),
+                      amplitude_scales=scales,
                       readout=False)
     assert calls["expm"] == len(set(steps)) * n_trajectories
     # each trajectory exponentiates all its distinct steps in one stack
@@ -564,7 +563,8 @@ def test_rabi_populations_equal_the_propagator_apply_chain(chip, gamma, gamma_ph
     durations = np.cumsum(np.tile([4e-9, 7e-9, 4e-9, 1e-8], 50))
     scales = [0.6, 1.0, 1.4]
     ids = (2, 4, 6)
-    result = run_rabi(chip, durations, device_ids=ids, amplitude_scales=scales,
+    result = run_rabi(chip, durations, setup=make_readout_setup(chip, ids),
+                      amplitude_scales=scales,
                       detuning=detuning, gamma=gamma, gamma_phi=gamma_phi, readout=False)
     for dev_id, scale in zip(ids, scales):
         drive = DriveSpec(5e6, scale, detuning)
@@ -586,7 +586,7 @@ def test_rabi_rejects_a_trajectory_that_leaves_the_bloch_ball(chip, monkeypatch)
     with pytest.raises(ConfigError, match="Bloch vector norm nan"):
         nan_propagator().apply(GROUND)
     with pytest.raises(ConfigError, match="Bloch vector norm nan"):
-        run_rabi(chip, [1e-8, 2e-8], device_ids=(2,), readout=False)
+        run_rabi(chip, [1e-8, 2e-8], setup=make_readout_setup(chip, (2,)), readout=False)
 
 
 def test_noisy_reruns_are_byte_identical(chip, tmp_path):
@@ -595,7 +595,7 @@ def test_noisy_reruns_are_byte_identical(chip, tmp_path):
     files = []
     for run in range(2):
         for adc in (None, BAND_LIMITED_ADC):
-            rabi = run_rabi(chip, durations, device_ids=(2, 4, 6), adc=adc,
+            rabi = run_rabi(chip, durations, setup=make_readout_setup(chip, (2, 4, 6)), adc=adc,
                             noise_std=2e-3, seed=17)
             sweep = run_flux_sweep(chip, fluxes, setup=noisy_setup(chip, "rectangular"),
                                    adc=adc, noise_std=2e-3, seed=17)
@@ -687,7 +687,8 @@ def test_noisy_acquire_names_an_n_samples_it_cannot_allocate(chip):
 def test_rabi_without_readout_rejects_bad_noise_std(chip, noise_std):
     # No noise is drawn, but the metadata would record the value.
     with pytest.raises(ConfigError, match="noise_std"):
-        run_rabi(chip, [0.0, 1e-8], device_ids=(2,), readout=False, noise_std=noise_std)
+        run_rabi(chip, [0.0, 1e-8], setup=make_readout_setup(chip, (2,)),
+                 readout=False, noise_std=noise_std)
 
 
 @pytest.mark.parametrize("seed", [-5, 2**128, 1.5])
@@ -735,14 +736,15 @@ def test_flux_sweep_rejects_non_finite_flux(chip, flux):
 
 def test_flux_sweep_shapes_and_metadata(chip):
     fluxes = np.linspace(-0.01, 0.01, 21)
-    result = run_flux_sweep(chip, fluxes, device_ids=(1, 2), seed=7)
+    result = run_flux_sweep(chip, fluxes, setup=make_readout_setup(chip, (1, 2)), seed=7)
     assert result.kind == "flux_sweep"
     assert result.axis_name == "flux_phi0"
     assert set(result.tables) == {"amplitude", "phase"}
     assert result.tables["amplitude"].shape == (21, 2)
+    assert result.device_ids == (1, 2)
     assert result.columns == ("dev1", "dev2")
-    assert result.metadata["device_ids"] == "1 2"
     assert result.metadata["seed"] == 7
+    assert not {"kind", "device_ids"} & set(result.metadata)
 
 
 def test_flux_sweep_rejects_empty_axis(chip):
@@ -752,19 +754,19 @@ def test_flux_sweep_rejects_empty_axis(chip):
 
 def test_flux_sweep_noise_is_seed_deterministic(chip):
     fluxes = np.linspace(-0.002, 0.002, 5)
-    a = run_flux_sweep(chip, fluxes, device_ids=(1,), noise_std=1e-3, seed=11)
-    b = run_flux_sweep(chip, fluxes, device_ids=(1,), noise_std=1e-3, seed=11)
-    c = run_flux_sweep(chip, fluxes, device_ids=(1,), noise_std=1e-3, seed=12)
+    setup = make_readout_setup(chip, (1,))
+    a = run_flux_sweep(chip, fluxes, setup=setup, noise_std=1e-3, seed=11)
+    b = run_flux_sweep(chip, fluxes, setup=setup, noise_std=1e-3, seed=11)
+    c = run_flux_sweep(chip, fluxes, setup=setup, noise_std=1e-3, seed=12)
     np.testing.assert_array_equal(a.tables["amplitude"], b.tables["amplitude"])
     assert np.any(a.tables["amplitude"] != c.tables["amplitude"])
 
 
 @pytest.mark.parametrize("run", [run_flux_sweep, run_rabi], ids=["flux_sweep", "rabi"])
-def test_drivers_refuse_device_ids_that_disagree_with_the_setup(chip, run):
-    setup = make_readout_setup(chip, (3, 4))
-    with pytest.raises(ConfigError, match="device_ids disagrees with the supplied setup"):
-        run(chip, [0.0, 1e-8], device_ids=(1, 2), setup=setup)
-    assert run(chip, [0.0, 1e-8], device_ids=(3, 4), setup=setup).device_ids == (3, 4)
+def test_drivers_take_their_devices_from_the_setup(chip, run):
+    result = run(chip, [0.0, 1e-8], setup=make_readout_setup(chip, (3, 4)))
+    assert result.device_ids == (3, 4) and result.columns == ("dev3", "dev4")
+    assert run(chip, [0.0, 1e-8]).device_ids == chip.device_ids
 
 
 READOUT_KEYS = {"lo_frequency_hz", "sample_rate_hz", "n_samples", "probe_amplitude", "window"}
@@ -810,7 +812,7 @@ def crossing_fluxes(dev):
 def test_detected_features_match_root_find(chip):
     fluxes = np.linspace(-0.025, 0.025, 161)
     step = fluxes[1] - fluxes[0]
-    result = run_flux_sweep(chip, fluxes, device_ids=(1, 4))
+    result = run_flux_sweep(chip, fluxes, setup=make_readout_setup(chip, (1, 4)))
     features = detect_flux_features(result)
     for dev_id in (1, 4):
         found = features[dev_id]
@@ -920,7 +922,7 @@ def test_spectroscopy_state_moves_the_notch(chip):
 def test_rabi_ideal_population_is_sin_squared(chip):
     durations = np.linspace(1e-8, 1e-6, 50)
     result = run_rabi(
-        chip, durations, device_ids=(2,), rabi_rate_per_unit_amplitude=5e6,
+        chip, durations, setup=make_readout_setup(chip, (2,)), rabi_rate_per_unit_amplitude=5e6,
         gamma=0.0, readout=False,
     )
     expected = np.sin(np.pi * 5e6 * durations) ** 2
@@ -933,7 +935,7 @@ def test_rabi_ideal_population_is_sin_squared(chip):
 def test_rabi_amplitude_scale_scales_frequency(chip):
     durations = np.linspace(1e-8, 4e-7, 40)
     result = run_rabi(
-        chip, durations, device_ids=(1, 2), amplitude_scales=[1.0, 2.0],
+        chip, durations, setup=make_readout_setup(chip, (1, 2)), amplitude_scales=[1.0, 2.0],
         gamma=0.0, readout=False,
     )
     f1 = fit_damped_sinusoid(durations, result.column("excited_population", 1))
@@ -943,7 +945,7 @@ def test_rabi_amplitude_scale_scales_frequency(chip):
 
 def test_rabi_readout_amplitude_swings_with_population(chip):
     durations = np.linspace(2e-8, 4e-7, 20)
-    result = run_rabi(chip, durations, device_ids=(3,), gamma=0.0)
+    result = run_rabi(chip, durations, setup=make_readout_setup(chip, (3,)), gamma=0.0)
     order = np.argsort(result.column("excited_population", 3))
     amp = result.column("iq_amplitude", 3)[order]
     pop = result.column("excited_population", 3)[order]
@@ -958,11 +960,12 @@ def test_rabi_readout_amplitude_swings_with_population(chip):
 
 def test_rabi_validates_durations_and_scales(chip):
     with pytest.raises(ConfigError, match="increasing"):
-        run_rabi(chip, [1e-7, 1e-7], device_ids=(1,))
+        run_rabi(chip, [1e-7, 1e-7], setup=make_readout_setup(chip, (1,)))
     with pytest.raises(ConfigError, match="increasing"):
-        run_rabi(chip, [-1e-7, 1e-7], device_ids=(1,))
+        run_rabi(chip, [-1e-7, 1e-7], setup=make_readout_setup(chip, (1,)))
     with pytest.raises(ConfigError, match="amplitude scales"):
-        run_rabi(chip, [0.0, 1e-7], device_ids=(1,), amplitude_scales=[1.0, 2.0])
+        run_rabi(chip, [0.0, 1e-7], setup=make_readout_setup(chip, (1,)),
+                 amplitude_scales=[1.0, 2.0])
 
 
 # --------------------------------------------------------------------------
@@ -1126,7 +1129,8 @@ def fit_traces(chip):
         (t3, synth(t3, 1.0, 0.0, 7e6, 0.0, 0.0)),
     ]
     durations = np.linspace(1e-8, 4e-7, 40)
-    pops = run_rabi(chip, durations, device_ids=(1, 2), amplitude_scales=[1.0, 2.0],
+    pops = run_rabi(chip, durations, setup=make_readout_setup(chip, (1, 2)),
+                    amplitude_scales=[1.0, 2.0],
                     gamma=0.0, readout=False)
     traces += [(durations, pops.column("excited_population", d)) for d in (1, 2)]
     return traces
@@ -1160,7 +1164,8 @@ def test_fit_failure_returns_finite_seed(monkeypatch):
 @pytest.mark.parametrize("target", ["features-table", "fit-values", "fit-times"])
 def test_non_finite_input_raises(chip, target, bad):
     if target == "features-table":
-        result = run_flux_sweep(chip, np.linspace(-0.025, 0.025, 41), device_ids=(1, 2))
+        result = run_flux_sweep(chip, np.linspace(-0.025, 0.025, 41),
+                                setup=make_readout_setup(chip, (1, 2)))
         result.tables["amplitude"][7, 1] = bad
         with pytest.raises(ConfigError, match="NaN or inf"):
             detect_flux_features(result)
@@ -1181,7 +1186,8 @@ def test_non_finite_input_raises(chip, target, bad):
 
 def test_csv_round_trip(tmp_path, chip):
     fluxes = np.linspace(-0.01, 0.01, 9)
-    result = run_flux_sweep(chip, fluxes, device_ids=(1, 2), config_hash="abc")
+    result = run_flux_sweep(chip, fluxes, setup=make_readout_setup(chip, (1, 2)),
+                            config_hash="abc")
     path = tmp_path / "sweep.csv"
     write_sweep_csv(path, result)
     back = read_sweep_csv(path)
@@ -1215,15 +1221,11 @@ def header_keeps(key, text):
 
 @st.composite
 def sweep_results(draw):
-    """SweepResults as run_flux_sweep and run_rabi build them: kind and
-    device ids ride in the metadata, columns are dev<id> or one composite
-    name."""
+    """SweepResults as the drivers build them: columns dev<id>, or the
+    one composite feedline column without device ids."""
     n_rows = draw(st.integers(1, 6))
     device_ids = tuple(draw(st.lists(st.integers(0, 999), unique=True, max_size=4)))
-    if device_ids:
-        columns = tuple(f"dev{d}" for d in device_ids)
-    else:
-        columns = (draw(st.from_regex(r"[a-z][a-z0-9]{0,8}", fullmatch=True)),)
+    columns = tuple(f"dev{d}" for d in device_ids) or ("feedline",)
     table_names = draw(st.lists(names, min_size=1, max_size=3, unique=True))
     tables = {
         name: np.array(draw(st.lists(st.lists(cells, min_size=len(columns),
@@ -1231,18 +1233,13 @@ def sweep_results(draw):
                                      min_size=n_rows, max_size=n_rows)))
         for name in table_names
     }
-    kind = draw(names)
     metadata = draw(st.dictionaries(
         meta_keys.filter(lambda k: k not in ("kind", "device_ids")), meta_values, max_size=5
     ))
-    metadata["kind"] = kind
-    if device_ids:
-        metadata["device_ids"] = " ".join(str(d) for d in device_ids)
     return SweepResult(
-        kind=kind,
+        kind=draw(names),
         axis_name=draw(names),
         axis_values=draw(st.lists(cells, min_size=n_rows, max_size=n_rows)),
-        columns=columns,
         tables=tables,
         device_ids=device_ids,
         metadata=metadata,
@@ -1288,7 +1285,7 @@ def test_csv_repeat_runs_are_byte_identical(tmp_path, chip):
     paths = []
     for name in ("a.csv", "b.csv"):
         result = run_flux_sweep(
-            chip, fluxes, device_ids=(1,), noise_std=1e-3, seed=3
+            chip, fluxes, setup=make_readout_setup(chip, (1,)), noise_std=1e-3, seed=3
         )
         p = tmp_path / name
         write_sweep_csv(p, result)
@@ -1298,33 +1295,34 @@ def test_csv_repeat_runs_are_byte_identical(tmp_path, chip):
 
 def test_csv_append_requires_matching_hash(tmp_path, chip):
     fluxes = np.linspace(-0.002, 0.002, 3)
-    first = run_flux_sweep(chip, fluxes, device_ids=(1,), config_hash="h1")
+    first = run_flux_sweep(chip, fluxes, setup=make_readout_setup(chip, (1,)), config_hash="h1")
     path = tmp_path / "sweep.csv"
     write_sweep_csv(path, first)
-    more = run_flux_sweep(chip, fluxes + 0.01, device_ids=(1,), config_hash="h1")
+    more = run_flux_sweep(chip, fluxes + 0.01, setup=make_readout_setup(chip, (1,)),
+                          config_hash="h1")
     write_sweep_csv(path, more, append=True)
     combined = read_sweep_csv(path)
     assert combined.axis_values.size == 6
 
-    other = run_flux_sweep(chip, fluxes, device_ids=(1,), config_hash="h2")
+    other = run_flux_sweep(chip, fluxes, setup=make_readout_setup(chip, (1,)), config_hash="h2")
     with pytest.raises(ConfigError, match="config_hash"):
         write_sweep_csv(path, other, append=True)
 
 
 def test_csv_append_refuses_other_kind_or_columns(tmp_path, chip):
     fluxes = np.linspace(-0.002, 0.002, 3)
-    first = run_flux_sweep(chip, fluxes, device_ids=(1,), config_hash="h1")
+    first = run_flux_sweep(chip, fluxes, setup=make_readout_setup(chip, (1,)), config_hash="h1")
     path = tmp_path / "sweep.csv"
     write_sweep_csv(path, first)
     before = path.read_bytes()
-    rabi = run_rabi(chip, np.linspace(0.0, 1e-7, 3), device_ids=(1,),
+    rabi = run_rabi(chip, np.linspace(0.0, 1e-7, 3), setup=make_readout_setup(chip, (1,)),
                     readout=False, config_hash="h1")
     with pytest.raises(ConfigError, match="kind"):
         write_sweep_csv(path, rabi, append=True)
     relabelled = dataclasses.replace(first, kind="spectroscopy")
     with pytest.raises(ConfigError, match="kind"):
         write_sweep_csv(path, relabelled, append=True)
-    wider = run_flux_sweep(chip, fluxes, device_ids=(1, 2), config_hash="h1")
+    wider = run_flux_sweep(chip, fluxes, setup=make_readout_setup(chip, (1, 2)), config_hash="h1")
     with pytest.raises(ConfigError, match="column"):
         write_sweep_csv(path, wider, append=True)
     assert path.read_bytes() == before
@@ -1332,7 +1330,7 @@ def test_csv_append_refuses_other_kind_or_columns(tmp_path, chip):
 
 def test_csv_append_without_hash_is_refused(tmp_path, chip):
     fluxes = np.linspace(-0.002, 0.002, 3)
-    result = run_flux_sweep(chip, fluxes, device_ids=(1,))
+    result = run_flux_sweep(chip, fluxes, setup=make_readout_setup(chip, (1,)))
     path = tmp_path / "sweep.csv"
     write_sweep_csv(path, result)
     with pytest.raises(ConfigError, match="config_hash"):
@@ -1352,7 +1350,7 @@ def test_csv_append_without_hash_is_refused(tmp_path, chip):
         "blank-key", "formfeed-key", "int-str-key", "float-str-key"])
 def test_csv_writers_refuse_line_breaks_in_metadata(tmp_path, chip, metadata, match):
     fluxes = np.linspace(-0.002, 0.002, 3)
-    good = run_flux_sweep(chip, fluxes, device_ids=(1,), config_hash="h1")
+    good = run_flux_sweep(chip, fluxes, setup=make_readout_setup(chip, (1,)), config_hash="h1")
     bad = dataclasses.replace(good, metadata={**good.metadata, **metadata})
     path = tmp_path / "sweep.csv"
     with pytest.raises(ConfigError, match=match):
@@ -1373,7 +1371,8 @@ def test_csv_writers_refuse_line_breaks_in_metadata(tmp_path, chip, metadata, ma
 
 
 def test_writers_sort_mixed_type_metadata_keys_by_text(tmp_path, chip):
-    result = run_flux_sweep(chip, np.linspace(-0.002, 0.002, 3), device_ids=(1,))
+    result = run_flux_sweep(chip, np.linspace(-0.002, 0.002, 3),
+                            setup=make_readout_setup(chip, (1,)))
     result.metadata.update({1: "x", 2.5: "y"})
     path = tmp_path / "sweep.csv"
     write_sweep_csv(path, result)
@@ -1381,7 +1380,7 @@ def test_writers_sort_mixed_type_metadata_keys_by_text(tmp_path, chip):
     assert back.metadata["1"] == "x" and back.metadata["2.5"] == "y"
     keys = [line[2:].partition("=")[0] for line in path.read_text().splitlines()[1:]
             if line.startswith("# ")]
-    assert keys == sorted(str(k) for k in result.metadata)
+    assert keys == sorted(str(k) for k in [*result.metadata, "kind", "device_ids"])
     write_sweep_json(tmp_path / "sweep.json", result)
     assert json.loads((tmp_path / "sweep.json").read_text())["metadata"]["1"] == "x"
     setup = make_readout_setup(chip, (1,))
@@ -1394,7 +1393,8 @@ def test_writers_format_numpy_metadata_as_python_numbers(tmp_path, chip):
     # np.float64 is a float whose numpy 2 repr is 'np.float64(0.3)'.
     numbers = {"x": np.float64(0.3), "y": np.float32(0.1), "z": np.int64(7)}
     text = {"x": "0.3", "y": "0.10000000149011612", "z": "7"}
-    result = run_flux_sweep(chip, np.linspace(-0.002, 0.002, 3), device_ids=(1,))
+    result = run_flux_sweep(chip, np.linspace(-0.002, 0.002, 3),
+                            setup=make_readout_setup(chip, (1,)))
     result.metadata.update(numbers)
     path = tmp_path / "sweep.csv"
     write_sweep_csv(path, result)
@@ -1453,27 +1453,21 @@ def composite(**changes):
     """A one-column sweep without device ids, as run_spectroscopy builds
     them, with the given fields changed."""
     fields = dict(kind="t", axis_name="probe_hz", axis_values=[1.0, 2.0],
-                  columns=("feedline",), tables={"s21": None},
-                  metadata={"kind": "t", "config_hash": "h1"})
+                  tables={"s21": None}, metadata={"config_hash": "h1"})
     fields.update(changes)
-    n_columns = len(fields["columns"])
+    n_columns = len(fields.get("device_ids", ())) or 1
     fields["tables"] = {name: np.zeros((2, n_columns)) for name in fields["tables"]}
     return SweepResult(**fields)
 
 
 # Each of these used to be written, and then read back changed or not at
-# all: a ',' or a line break splits a name, and without device ids the
-# reader takes one column, named by what follows the last '_'.
+# all: a ',' or a line break splits a name, and a device id is read back
+# as an integer.
 @pytest.mark.parametrize("result", [
     composite(axis_name="probe,hz"), composite(tables={"s21,amp": None}),
-    composite(columns=("feed,line",)), composite(axis_name="probe\nhz"),
-    composite(tables={"s21\ramp": None}), composite(columns=("feed\nline",)),
-    composite(columns=("a", "b")), composite(columns=("feed_line",)),
-    composite(columns=("dev1",), device_ids=(1,)),
-    composite(columns=("dev1", "dev2"), device_ids=(1, 2)),
-], ids=["comma-axis", "comma-table", "comma-column", "lf-axis", "cr-table", "lf-column",
-        "two-columns-no-ids", "underscore-column", "one-id-not-in-header",
-        "two-ids-not-in-header"])
+    composite(axis_name="probe\nhz"), composite(tables={"s21\ramp": None}),
+    composite(device_ids=("a",)), composite(device_ids=(1.5,)),
+], ids=["comma-axis", "comma-table", "lf-axis", "cr-table", "text-id", "float-id"])
 def test_csv_writer_refuses_a_layout_that_would_not_read_back(tmp_path, result):
     path = tmp_path / "sweep.csv"
     with pytest.raises(ConfigError, match=f"refusing to write {re.escape(str(path))}: "):
@@ -1486,23 +1480,31 @@ def test_csv_writer_refuses_a_layout_that_would_not_read_back(tmp_path, result):
     assert path.read_bytes() == before
 
 
-# The reader takes the kind from the kind metadata, "unknown" where it
-# is missing: these used to be written and read back as another kind.
-@pytest.mark.parametrize("result, read_as", [
-    (composite(kind="flux_sweep", metadata={}), "unknown"),
-    (composite(metadata={"kind": "rabi", "config_hash": "h1"}), "rabi"),
-], ids=["no-kind-metadata", "other-kind-metadata"])
-def test_csv_writer_refuses_a_kind_that_would_not_read_back(tmp_path, result, read_as):
-    path = tmp_path / "sweep.csv"
-    with pytest.raises(ConfigError, match=f"kind {result.kind!r} would read back as "
-                                          f"{read_as!r}"):
-        write_sweep_csv(path, result)
-    assert not path.exists()
-    write_sweep_csv(path, composite())
-    before = path.read_bytes()
-    with pytest.raises(ConfigError, match="refusing to write"):
-        write_sweep_csv(path, result, append=True)
-    assert path.read_bytes() == before
+# The kind and the device ids are fields; the writers put them in the
+# header, and a metadata key of either name would be a second copy.
+@pytest.mark.parametrize("metadata", [{"kind": "rabi"}, {"device_ids": "1 2"}],
+                         ids=["kind", "device_ids"])
+def test_sweep_writers_refuse_a_field_in_the_metadata(tmp_path, metadata):
+    result = composite(metadata={"config_hash": "h1", **metadata})
+    key = next(iter(metadata))
+    for write in (write_sweep_csv, write_sweep_json):
+        path = tmp_path / f"sweep.{write.__name__}"
+        with pytest.raises(ConfigError, match=f"metadata key '{key}' is a field of the sweep"):
+            write(path, result)
+        assert not path.exists()
+
+
+def test_sweep_files_write_kind_and_device_ids_from_the_fields(tmp_path):
+    result = composite(kind="rabi", device_ids=(3, 1))
+    write_sweep_csv(tmp_path / "sweep.csv", result)
+    header = (tmp_path / "sweep.csv").read_text().splitlines()[:4]
+    assert header == ["# fdmsim-sweep-v1", "# config_hash=h1", "# device_ids=3 1", "# kind=rabi"]
+    back = read_sweep_csv(tmp_path / "sweep.csv")
+    assert (back.kind, back.device_ids, back.metadata) == ("rabi", (3, 1), {"config_hash": "h1"})
+    write_sweep_json(tmp_path / "sweep.json", result)
+    payload = json.loads((tmp_path / "sweep.json").read_text())
+    assert payload["metadata"] == {"config_hash": "h1", "device_ids": "3 1", "kind": "rabi"}
+    assert payload["columns"] == ["dev3", "dev1"]
 
 
 def test_read_and_append_refuse_a_file_without_the_format_tag(tmp_path, chip):
@@ -1516,7 +1518,8 @@ def test_read_and_append_refuse_a_file_without_the_format_tag(tmp_path, chip):
     tag = r": the file does not begin with the format tag line '# fdmsim-sweep-v1'"
     with pytest.raises(ConfigError, match=re.escape(str(path)) + tag):
         read_sweep_csv(path)
-    sweep = run_flux_sweep(chip, np.linspace(-0.002, 0.002, 3), device_ids=(1, 2),
+    sweep = run_flux_sweep(chip, np.linspace(-0.002, 0.002, 3),
+                           setup=make_readout_setup(chip, (1, 2)),
                            config_hash="h1")
     with pytest.raises(ConfigError, match=f"refusing to append to {re.escape(str(path))}{tag}"):
         write_sweep_csv(path, sweep, append=True)
@@ -1531,7 +1534,7 @@ def test_read_and_append_refuse_a_file_without_the_format_tag(tmp_path, chip):
 def test_append_refuses_a_file_the_reader_refuses(tmp_path, chip):
     # The column row matches the new rows, but not the file's device_ids.
     fluxes = np.linspace(-0.002, 0.002, 3)
-    sweep = run_flux_sweep(chip, fluxes, device_ids=(1, 2), config_hash="h1")
+    sweep = run_flux_sweep(chip, fluxes, setup=make_readout_setup(chip, (1, 2)), config_hash="h1")
     path = tmp_path / "sweep.csv"
     write_sweep_csv(path, sweep)
     path.write_text(path.read_text().replace("# device_ids=1 2", "# device_ids=2 1"))
@@ -1547,14 +1550,15 @@ def test_append_refuses_a_file_the_reader_refuses(tmp_path, chip):
 def test_append_reads_the_header_as_read_sweep_csv_does(tmp_path, chip):
     # A blank line before the column row, and blank lines among the rows.
     fluxes = np.linspace(-0.002, 0.002, 3)
-    first = run_flux_sweep(chip, fluxes, device_ids=(1, 2), config_hash="h1")
+    first = run_flux_sweep(chip, fluxes, setup=make_readout_setup(chip, (1, 2)), config_hash="h1")
     path = tmp_path / "sweep.csv"
     write_sweep_csv(path, first)
     lines = path.read_text().splitlines(keepends=True)
     column = next(i for i, line in enumerate(lines) if not line.startswith("#"))
     path.write_text("".join(lines[:column] + ["\n"] + lines[column:] + ["\n"]))
     assert read_sweep_csv(path).axis_values.size == 3
-    more = run_flux_sweep(chip, fluxes + 0.01, device_ids=(1, 2), config_hash="h1")
+    more = run_flux_sweep(chip, fluxes + 0.01, setup=make_readout_setup(chip, (1, 2)),
+                          config_hash="h1")
     write_sweep_csv(path, more, append=True)
     back = read_sweep_csv(path)
     np.testing.assert_array_equal(back.axis_values, np.concatenate([fluxes, fluxes + 0.01]))
@@ -1571,7 +1575,7 @@ def test_read_rejects_empty_file(tmp_path):
 
 def test_json_writer_is_loadable(tmp_path, chip):
     fluxes = np.linspace(-0.002, 0.002, 3)
-    result = run_flux_sweep(chip, fluxes, device_ids=(1, 2))
+    result = run_flux_sweep(chip, fluxes, setup=make_readout_setup(chip, (1, 2)))
     path = tmp_path / "sweep.json"
     write_sweep_json(path, result)
     payload = json.loads(path.read_text())

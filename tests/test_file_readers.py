@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdmsim import (ConfigError, FdmSimError, builtin_chip_path, load_chip, read_sweep_csv,
-                    run_flux_sweep, write_sweep_csv)
+                    run_flux_sweep, write_sweep_csv, write_sweep_json)
 from fdmsim.cli import main
 
 CHIP = builtin_chip_path().read_bytes()
@@ -79,15 +79,15 @@ def mutant_dir(tmp_path_factory):
 
 
 def read_or_refuse(read, path, data):
-    """read(path) of a file holding data, with warnings as errors, gives a
-    result or raises an FdmSimError."""
+    """read(path) of a file holding data, with warnings as errors: the
+    result, or None when it raises an FdmSimError."""
     path.write_bytes(data)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            read(path)
+            return read(path)
         except FdmSimError:
-            pass
+            return None
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -104,8 +104,49 @@ def sweep_bytes(mutant_dir):
     return path.read_bytes()
 
 
+def write_or_refuse(write, path, result) -> bool:
+    """write(path, result) with warnings as errors: True when it wrote a
+    file, False when it raised an FdmSimError and left no file."""
+    path.unlink(missing_ok=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            write(path, result)
+        except FdmSimError:
+            assert not path.exists()
+            return False
+    assert path.is_file()
+    return True
+
+
+def assert_same_sweep(back, result):
+    assert (back.kind, back.axis_name, back.device_ids, back.metadata) == (
+        result.kind, result.axis_name, result.device_ids, result.metadata)
+    # bit for bit, NaN included, and -0.0 is not 0.0
+    assert back.axis_values.tobytes() == result.axis_values.tobytes()
+    assert back.tables.keys() == result.tables.keys()
+    for name, table in result.tables.items():
+        assert back.tables[name].tobytes() == table.tobytes(), name
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_read_sweep_csv_gives_a_sweep_or_a_named_error_on_mutated_bytes(mutant_dir, sweep_bytes,
                                                                         data):
-    read_or_refuse(read_sweep_csv, mutant_dir / "mutant.csv", data.draw(mutants(sweep_bytes)))
+    """A mutant that reads is written back by both writers, each giving a
+    file or a named error (the JSON writer refuses NaN and inf).  What the
+    reader gives the CSV writer keeps: the CSV written reads back as the
+    first read, and writing that again gives the same bytes."""
+    result = read_or_refuse(read_sweep_csv, mutant_dir / "mutant.csv",
+                            data.draw(mutants(sweep_bytes)))
+    if result is None:
+        return
+    write_or_refuse(write_sweep_json, mutant_dir / "written.json", result)
+    written = mutant_dir / "written.csv"
+    assert write_or_refuse(write_sweep_csv, written, result)
+    back = read_or_refuse(read_sweep_csv, written, written.read_bytes())
+    assert back is not None
+    assert_same_sweep(back, result)
+    again = mutant_dir / "again.csv"
+    assert write_or_refuse(write_sweep_csv, again, back)
+    assert again.read_bytes() == written.read_bytes()

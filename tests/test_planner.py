@@ -10,7 +10,6 @@ from fdmsim import (
     ConfigError,
     FrequencyPlan,
     InfeasiblePlanError,
-    SpacingRule,
     UnknownDeviceError,
     adjacent_crosstalk,
     builtin_chip_path,
@@ -25,7 +24,7 @@ from fdmsim import (
 )
 from fdmsim.planner import _grid_offset
 
-from test_device import make_comb
+from comb import make_comb
 
 TWO_PI = 2 * math.pi
 KAPPA = TWO_PI * 10e6
@@ -189,11 +188,10 @@ def test_generate_plan_infeasible_span():
         generate_plan(6, 9.5e9, 10.0e9, spacing=150e6)
 
 
-def test_generate_plan_kappa_multiple_rule():
-    plan = generate_plan(
-        5, 9.0e9, 10.0e9, SpacingRule.KAPPA_MULTIPLE, kappa=KAPPA,
-        crosstalk_limit_db=-20.0,
-    )
+def test_generate_plan_at_the_crosstalk_limited_spacing():
+    spacing = crosstalk_limited_spacing(KAPPA, -20.0) / TWO_PI
+    plan = generate_plan(5, 9.0e9, 10.0e9, spacing=spacing, kappa=KAPPA,
+                         crosstalk_limit_db=-20.0)
     np.testing.assert_allclose(plan.spacings(), [50e6] * 4, rtol=1e-12)
 
 
@@ -233,11 +231,6 @@ def test_generate_plan_refuses_a_count_that_is_not_an_integer(n_channels):
 
 def test_generate_plan_keeps_an_integral_float_count():
     assert generate_plan(3.0, 9e9, 10e9) == generate_plan(3, 9e9, 10e9)
-
-
-def test_generate_plan_refuses_a_spacing_with_the_kappa_rule():
-    with pytest.raises(ConfigError, match="pass no spacing"):
-        generate_plan(3, 9e9, 10e9, SpacingRule.KAPPA_MULTIPLE, spacing=1e6, kappa=KAPPA)
 
 
 @pytest.mark.filterwarnings("error")

@@ -26,7 +26,8 @@ HASHES = """
 import hashlib
 from math import tau
 import numpy as np
-from fdmsim import AdcSpec, builtin_chip_path, load_chip, relaxation_telegraph_spectrum, run_rabi
+from fdmsim import (AdcSpec, builtin_chip_path, load_chip, make_readout_setup,
+                    relaxation_telegraph_spectrum, run_rabi)
 
 def digest(*arrays):
     print(hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest())
@@ -43,7 +44,8 @@ for kwargs in [
 chip = load_chip(builtin_chip_path())
 adc = AdcSpec(sample_rate=1e9, bits=12, full_scale=1.0, analog_bandwidth=480e6)
 for points, noise_std in ((200, 2e-3), (203, 2e-3), (200, 0.0)):
-    r = run_rabi(chip, np.linspace(5e-9, 1.2e-6, points), device_ids=(2, 4, 6),
+    r = run_rabi(chip, np.linspace(5e-9, 1.2e-6, points),
+                 setup=make_readout_setup(chip, (2, 4, 6)),
                  rabi_rate_per_unit_amplitude=5e6, amplitude_scales=[1.0] * 3,
                  adc=adc, noise_std=noise_std, seed=0)
     digest(r.tables["iq_amplitude"], r.tables["iq_phase"])

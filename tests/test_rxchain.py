@@ -676,6 +676,15 @@ def test_measure_crosstalk_rejects_out_of_range_seeds_without_noise(seed):
         measure_crosstalk(chip, plan, plan.device_ids[0], seed=seed)
 
 
+@pytest.mark.parametrize("sample_rate", [0, -4e9, math.nan], ids=repr)
+def test_measure_crosstalk_names_a_sample_rate_that_is_not_positive(sample_rate):
+    # The default LO's grid check read "grid must be finite and > 0,
+    # got 0.0", a value never passed.
+    chip, plan = two_device_chip(50e6)
+    with pytest.raises(ConfigError, match=f"sample_rate must be finite and > 0, got {sample_rate}"):
+        measure_crosstalk(chip, plan, 1, sample_rate=sample_rate)
+
+
 def test_measure_crosstalk_deterministic_under_noise():
     chip, plan = two_device_chip(50e6)
     a = measure_crosstalk(chip, plan, 1, noise_std=1e-4, seed=9)

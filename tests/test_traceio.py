@@ -5,6 +5,7 @@ import builtins
 import dataclasses
 import io
 import json
+import math
 import os
 import struct
 import tracemalloc
@@ -22,6 +23,7 @@ from fdmsim import (
     TraceFormatError,
     builtin_chip_path,
     load_chip,
+    make_readout_setup,
     read_sweep_csv,
     read_trace,
     run_flux_sweep,
@@ -155,7 +157,8 @@ def chip():
 
 
 def sweep(chip, n, **kwargs):
-    return run_flux_sweep(chip, np.linspace(-0.002, 0.002, n), device_ids=(1, 2),
+    return run_flux_sweep(chip, np.linspace(-0.002, 0.002, n),
+                          setup=make_readout_setup(chip, (1, 2)),
                           config_hash="h1", **kwargs)
 
 
@@ -220,6 +223,36 @@ def test_json_bytes_match_a_streamed_json_dump(chip, tmp_path):
     streamed = io.StringIO()
     json.dump(json.loads(path.read_text()), streamed, indent=2, sort_keys=True)
     assert path.read_text() == streamed.getvalue() + "\n"
+
+
+def strict_json(text):
+    """json.loads refusing NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("where", ["axis", "table"])
+def test_json_writer_refuses_a_value_json_cannot_hold(chip, tmp_path, where, bad):
+    # A sweep with NaN or infinite cells was written as NaN and Infinity,
+    # which a strict JSON reader refuses.
+    good = sweep(chip, 2)
+    path = tmp_path / "sweep.json"
+    write_sweep_json(path, good)
+    assert strict_json(path.read_text())["axis_values"] == good.axis_values.tolist()
+    before = path.read_bytes()
+    if where == "axis":
+        result = dataclasses.replace(good, axis_values=[0.0, bad])
+        named = "axis 'flux_phi0'"
+    else:
+        tables = {**good.tables, "phase": good.tables["phase"].copy()}
+        tables["phase"][1, 0] = bad
+        result = dataclasses.replace(good, tables=tables)
+        named = "table 'phase'"
+    with pytest.raises(ConfigError, match=f"refusing to write .*: {named} holds NaN or inf"):
+        write_sweep_json(path, result)
+    assert path.read_bytes() == before
 
 
 def test_shorter_sweep_leaves_no_stale_rows(chip, tmp_path):
