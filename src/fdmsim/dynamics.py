@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -357,38 +356,45 @@ def _lay_out_chunk(
     all rows in order, and row r's runs are lengths[edges[r]:edges[r + 1]].
     Sample q of a row (q from 0), in a run with start s, is entry s + q
     of the two-way table concatenate((carrier, carrier[::-1])), where
-    carrier[j] is the phase factor of the walk S = j - n.  The starts lie
-    in [3 - n, 3n + 2] and the entries in [0, 4n + 2), so for n up to
-    TELEGRAPH_CHUNK_SAMPLES the starts are int32.
+    carrier[j] is the phase factor of the walk S = j - n.  Every position,
+    walk and start lies within m * n + 3n + 2 of 0, far inside int32 for
+    m * n up to TELEGRAPH_CHUNK_SAMPLES, so the layout is worked out in
+    int32, and each intermediate is let go once it is used.
     """
     flips, start = _telegraph_flips(rng, p, m, n)
+    flips, start = flips.astype(np.int32), start.astype(np.int32)
     # After the j-th flip of a row (j from 0) sigma is -start * (-1)**j;
     # for flip i of the chunk, (-1)**j = (-1)**i * (-1)**(flips in the
     # rows before).
-    counts = np.bincount(flips // n, minlength=m)
-    before = np.cumsum(counts) - counts
-    after = -np.repeat(start * (1 - 2 * (before & 1)), counts)
-    after[1::2] *= -1
+    counts = np.bincount(flips // n, minlength=m).astype(np.int32)
+    before = np.cumsum(counts, dtype=np.int32) - counts
     # Runs of constant sigma begin at each row start and each flip; a
     # row start goes before a flip on its first sample, leaving a run
     # of length 0.  Row r's runs begin at index edges[r].
-    begins = np.insert(flips, before, np.arange(m) * n)
+    edges = np.append(before, np.int32(flips.size)) + np.arange(m + 1, dtype=np.int32)
+    begins = np.insert(flips, before, np.arange(0, m * n, n, dtype=np.int32))
+    del flips
+    after = np.repeat(start * (2 * (before & 1) - 1), counts)
+    after[1::2] *= -1
     levels = np.insert(after, before, start)
-    lengths = np.diff(begins, append=m * n)
-    edges = np.append(before, flips.size) + np.arange(m + 1)
+    del after, before
+    lengths = np.diff(begins, append=np.int32(m * n))
     # Each run's start follows from the walk S over its row before the
     # run and the run's first sample b in the row.  The walk steps by
     # sigma, so sample b + t of a rising run is carrier[n + S + 1 + t],
     # entry (n + S + 1 - b) + (b + t) of the table, and of a falling run
     # carrier[n + S - 1 - t], entry (3n + 2 - S - b) + (b + t).
     steps = levels * lengths
-    starts = np.cumsum(steps) - steps
+    starts = np.cumsum(steps, dtype=np.int32)
+    starts -= steps
+    del steps
     starts -= np.repeat(starts[edges[:-1]], counts + 1)
     starts *= levels
     begins %= n
     starts -= begins
-    starts += np.where(levels > 0, n + 1, 3 * n + 2)
-    return edges, lengths, starts.astype(np.int32)
+    del begins
+    starts += np.where(levels > 0, np.int32(n + 1), np.int32(3 * n + 2))
+    return edges, lengths, starts
 
 
 def _telegraph_block(
@@ -486,9 +492,10 @@ def relaxation_telegraph_spectrum(
     buffers together hold one block whatever L is.  The power of a bin is
     |X|^2 = re^2 + im^2, with no hypot: each block squares its FFT output
     in place, read as 2n floats, and adds the rows in order to the
-    chunk's running sums of re^2 and of im^2.  Through a turnstile, in
-    chunk order, the spectrum then gains the chunk's re^2 sums and then
-    its im^2 sums, so the result is the same bit for bit for every lane
+    chunk's running sums of re^2 and of im^2.  That is the chunk's job;
+    its finish, which lanes.run runs on the same lane once chunk c - 1
+    is finished, adds to the spectrum the chunk's re^2 sums and then its
+    im^2 sums, so the result is the same bit for bit for every lane
     count.
 
     Returns the folded one-sided spectrum and the fraction of power
@@ -539,41 +546,23 @@ def relaxation_telegraph_spectrum(
     indices = [np.empty(max(rows, 2) * n, dtype=np.int64) for _ in range(lanes)]
     generators = [np.random.Generator(np.random.PCG64(0)) for _ in range(lanes)]
     psd = np.zeros(n)
-    turn = threading.Condition()
 
-    def add_chunk(lane: int, c: int) -> None:
-        nonlocal added
-        if added is None:
-            return
+    def run_chunk(lane: int, c: int) -> None:
         signal, generator = signals[lane], generators[lane]
-        sums = signal[0].view(float)
-        try:
-            _set_state(generator, states[c])
-            m = min(chunk, n_trajectories - c * chunk)
-            edges, lengths, starts = _lay_out_chunk(generator, flip_p, m, n)
-            sums[:] = 0.0
-            for b in range(0, m, rows):
-                runs = slice(edges[b], edges[min(b + rows, m)])
-                _telegraph_block(table, starts[runs], lengths[runs], ramp, signal,
-                                 indices[lane])
-            with turn:
-                turn.wait_for(lambda: added is None or added == c)
-                if added is not None:
-                    np.add(psd, sums[0::2], out=psd)
-                    np.add(psd, sums[1::2], out=psd)
-                    added += 1
-                    turn.notify_all()
-        except BaseException:
-            with turn:
-                added = None
-                turn.notify_all()
-            raise
+        _set_state(generator, states[c])
+        m = min(chunk, n_trajectories - c * chunk)
+        edges, lengths, starts = _lay_out_chunk(generator, flip_p, m, n)
+        signal[0] = 0.0
+        for b in range(0, m, rows):
+            runs = slice(edges[b], edges[min(b + rows, m)])
+            _telegraph_block(table, starts[runs], lengths[runs], ramp, signal, indices[lane])
 
-    # The turnstile: chunk c is added to psd only after chunks 0..c-1 are.
-    # A lane that fails sets added to None, which opens it, so that the
-    # call raises rather than waits, and no lane runs a further chunk.
-    added = 0
-    _run_lanes(add_chunk, chunks, lanes)
+    def add_chunk(c: int) -> None:
+        sums = signals[c % lanes][0].view(float)
+        np.add(psd, sums[0::2], out=psd)
+        np.add(psd, sums[1::2], out=psd)
+
+    _run_lanes(run_chunk, add_chunk, chunks, lanes)
     psd /= psd.sum()
 
     # Bin j lies min(j, n - j) * sample_rate / n from the carrier.  The

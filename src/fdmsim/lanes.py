@@ -1,18 +1,17 @@
 """Lanes: the threads the row-block kernels run on.
 
 The telegraph spectrum (dynamics) and the noisy shots of the acquisition
-core (rxchain._receive) run their work with run(job, blocks, lanes), on
-at most lane_count() lanes, in one call each, so the threads start once
-per call.  Block i runs on lane i % lanes.  In the telegraph spectrum a
-block is a whole chunk, drawn from its own stream, and each lane has
-buffers and a Generator of its own.  The shot loop runs each lane once
-(blocks = lanes) as a pipeline: every lane draws the noise of the shot
-it claims next into a shared ring, and only lane 0 builds, quantizes
-and projects the shots.  Lane 0 is the calling thread and the others
-are plain threads: threading is loaded with numpy, where
-concurrent.futures would add 0.6 MB.  Each module binds lane_count as
-_lane_count and looks it up at call time, so one module's lane count
-can be set on its own.
+core (rxchain._receive) run their work with run(job, finish, blocks,
+lanes), on at most lane_count() lanes, in one call each, so the threads
+start once per call.  Block i runs on lane i % lanes: job(lane, i) does
+the block's share of the work that lanes may do at once, on the lane's
+own buffers, and finish(i) then takes the part that must run in block
+order, one block at a time: the telegraph adds a chunk's power sums to
+the spectrum, the shot loop builds, quantizes and projects a block of
+drawn noise.  Lane 0 is the calling thread and the others are plain
+threads: threading is loaded with numpy, where concurrent.futures would
+add 0.6 MB.  Each module binds lane_count as _lane_count and looks it up
+at call time, so one module's lane count can be set on its own.
 
 Lanes whose blocks call BLAS run inside one_blas_thread: OpenBLAS starts
 threads of its own by default, and those would compete with the lanes
@@ -54,30 +53,50 @@ def lane_count() -> int:
     return max(1, min(cores, MAX_LANES))
 
 
-def run(job: Callable[[int, int], None], blocks: int, lanes: int) -> None:
-    """Call job(lane, i) for each block i in range(blocks), on lane i % lanes.
+def run(job: Callable[[int, int], None], finish: Callable[[int], None], blocks: int,
+        lanes: int) -> None:
+    """For each block i in range(blocks), call job(lane, i) and then
+    finish(i), both on lane i % lanes.
 
-    Starts min(lanes, blocks) - 1 threads.  A lane that raises runs no
-    further block.  Every lane is joined, then the first failure is
-    raised again."""
-    failures: list[Exception] = []
+    finish(i) waits until finish(i - 1) has returned, so the finishes
+    run one at a time, in block order, while the other lanes run their
+    jobs.  Starts min(lanes, blocks) - 1 threads, named lane-<k>.  A lane
+    that raises, in job or in finish, runs no further block and ends
+    every other lane's wait, so no finish runs after it.  Every lane is
+    joined, then the first failure is raised again."""
+    failures: list[BaseException] = []
+    # The count of blocks finished, guarded by turn; None once a lane fails.
+    turn = threading.Condition()
+    finished: int | None = 0
 
     def run_lane(lane: int) -> None:
+        nonlocal finished
         try:
             for i in range(lane, blocks, lanes):
                 job(lane, i)
-        except Exception as exc:  # raised again on the calling thread
+                with turn:
+                    turn.wait_for(lambda: finished is None or finished == i)
+                    if finished is None:
+                        return
+                finish(i)
+                with turn:
+                    if finished is None:
+                        return
+                    finished = i + 1
+                    turn.notify_all()
+        except BaseException as exc:  # raised again on the calling thread
             failures.append(exc)
+            with turn:
+                finished = None
+                turn.notify_all()
 
     others = [threading.Thread(target=run_lane, args=(lane,), name=f"lane-{lane}")
               for lane in range(1, min(lanes, blocks))]
     for thread in others:
         thread.start()
-    try:
-        run_lane(0)
-    finally:
-        for thread in others:
-            thread.join()
+    run_lane(0)
+    for thread in others:
+        thread.join()
     if failures:
         raise failures[0]
 

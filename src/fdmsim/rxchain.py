@@ -19,10 +19,9 @@ from __future__ import annotations
 import contextlib
 import logging
 import math
-import threading
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,18 +45,11 @@ logger = logging.getLogger(__name__)
 NOISE_GUARD_BINS = 3
 
 # Samples per block of shots: 4 rows at the default n = 4000, 256 kB a
-# block.  The noisy shot loop holds _SHOT_RING_BLOCKS blocks and a one-row
-# trace, 576 kB.  Measured as below: one-row blocks were 70 % slower with
-# noise (two shots in flight) and 40 % slower without, 8-row blocks 4 %
-# faster with noise for 512 kB more.
+# block.  The noisy shot loop holds one block per lane and a one-row
+# trace, 576 kB on 2 lanes.  Measured as below: one-row blocks were 70 %
+# slower with noise (two shots in flight) and 40 % slower without, 8-row
+# blocks 4 % faster with noise for 512 kB more.
 _SHOT_BLOCK_SAMPLES = 1 << 14
-
-# Blocks in the noisy shot loop's ring of drawn noise (see _receive).  On a
-# 2-vCPU x86_64 VM, one BLAS thread, 200 noisy 12-bit shots of n = 4000 on
-# chip7 devices 2, 4 and 6 (25 ms a call): a ring of 1 block was 9 ms
-# slower, as the drawing lane waited for each block to be projected; 3 or
-# 4 blocks were within 0.3 ms of 2, for 256 kB more each.
-_SHOT_RING_BLOCKS = 2
 
 # Largest offset, in bins per bin index, at which a ReadoutSetup channel
 # still counts as on the DFT grid.
@@ -589,33 +581,34 @@ def _receive(
     chain synthesize_multitone, upconvert_ssb, apply_feedline,
     downconvert, add_awgn or adc_quantize, channelize.
 
-    The shots run in blocks of a few rows (_SHOT_BLOCK_SAMPLES samples).
-    Without noise the calling thread runs the blocks alone and builds
-    each block's traces by one stacked product.  With noise the blocks
-    pass through a pipeline on up to lanes.lane_count() lanes, at most
-    one per shot, each run once by lanes.run: every lane draws noise,
-    and only the calling thread builds, quantizes and projects.
-      - A lane claims the next shot not yet drawn, under a lock, while
-        the shot's block has a free slot in a ring of _SHOT_RING_BLOCKS
-        blocks; it sets its own Generator to the shot's stream and draws
-        the shot's 2n normals into the shot's row of that slot.
-      - The calling thread, lane 0, finishes block b as soon as all its
-        rows are drawn, and claims and draws shots while they are not.
-        It scales the block by noise_std in place, adds each row's trace
-        (built in a one-row scratch), quantizes and projects the block,
-        and frees its slot.  noise_std * z + trace equals trace +
+    The shots run in blocks of a few rows (_SHOT_BLOCK_SAMPLES samples),
+    block b on lane b % L of one lanes.run call, and each lane fills a
+    block buffer of its own.  Without noise L is 1, and the calling
+    thread builds each block's traces by one stacked product, then
+    quantizes and projects them.  With noise L is lanes.lane_count(), at
+    most the block count:
+      - job(lane, b) sets the lane's own Generator to each shot's stream
+        in turn and draws the shot's 2n normals into its row of the
+        lane's buffer;
+      - finish(b), which lanes.run calls on the same lane once block
+        b - 1 is finished, scales the block by noise_std in place, adds
+        each row's trace (built in a one-row scratch), and quantizes and
+        projects the block.  noise_std * z + trace equals trace +
         noise_std * z bit for bit, since IEEE addition commutes.
-    The draws release the GIL.  On a 2-vCPU VM they ran 1.96 times as
-    fast on two threads, and the vector stages 0.98-1.11 times, so those
-    stay on one thread.
-    A lane that raises, drawer or caller, ends every other lane's wait,
-    and lanes.run raises its failure once every lane has ended.  While
-    more than one lane runs, OpenBLAS runs one thread
-    (lanes.one_blas_thread), so that its own threads do not compete with
-    the lanes for the cores.  A shot's result depends only on its own
-    row and stream, so it is the same bit for bit for every lane count
-    and BLAS thread count; the clip warnings are logged by the calling
-    thread, one per clipping shot, in shot order.
+    So the vector stages run one block at a time, in block order, on the
+    lane that drew the block, while the other lanes draw.  The draws
+    release the GIL.  On a 2-vCPU VM they ran 1.96 times as fast on two
+    threads, and the vector stages 0.98-1.11 times, so those run on one
+    lane at a time.  The buffers take 256 kB a lane at n = 4000, so
+    512 kB on 2 lanes and 1 MB on 4, and the trace 64 kB.
+    A lane that raises ends every other lane's wait, and lanes.run
+    raises its failure once every lane has ended.  While more than one
+    lane runs, OpenBLAS runs one thread (lanes.one_blas_thread), so that
+    its own threads do not compete with the lanes for the cores.  A
+    shot's result depends only on its own row and stream, so it is the
+    same bit for bit for every lane count and BLAS thread count; the
+    clip warnings are logged by the calling thread, one per clipping
+    shot, in shot order.
 
     Shots whose noise or amplitude overflow the float range, and an
     n_samples that numpy cannot allocate, raise ConfigError.
@@ -635,64 +628,44 @@ def _receive(
         raise ValueError(f"{len(streams)} streams for {n_points} shots")
     rows = max(1, min(n_points, _SHOT_BLOCK_SAMPLES // n))
     n_blocks = -(-n_points // rows)
-    slots = 0 if streams is None else min(_SHOT_RING_BLOCKS, n_blocks)
+    # One lane is the calling thread alone, which keeps the caller's BLAS.
+    lanes = 1 if streams is None else max(1, min(_lane_count(), n_blocks))
     iq = np.empty_like(c)
     clipped = np.zeros(n_points, dtype=np.int64)
     try:
         plan = _channel_plan(freqs, n, fs, setup.window)
         tones = plan.tones
         c[:, _beyond_band(setup, adc)] = 0.0
-        ring = np.empty((max(slots, 1), rows, n), dtype=complex)
+        buffers = np.empty((lanes, rows, n), dtype=complex)
         trace = np.empty(n, dtype=complex) if streams is not None else None
     except (ValueError, MemoryError) as exc:
         raise ConfigError(f"cannot allocate n_samples = {n}: {exc}") from None
+    if streams is not None:
+        draws = [list(buffer.view(np.float64).reshape(rows, n, 2)) for buffer in buffers]
+        generators = [np.random.Generator(np.random.PCG64(0)) for _ in range(lanes)]
 
-    # The ring's state, guarded by turn: the next shot to claim, the rows
-    # drawn of each block, and the count of blocks the calling thread has
-    # finished, whose slots are free again (None once a lane fails, which
-    # ends every wait).
-    turn = threading.Condition()
-    claimed = 0
-    rows_drawn = [0] * n_blocks
-    released = 0
-
-    def drawn(b: int) -> bool:
-        return rows_drawn[b] == min(rows, n_points - b * rows)
-
-    def claimable() -> bool:
-        return claimed < n_points and claimed // rows < released + slots
-
-    def draw_until(lane: int, done: Callable[[], bool]) -> bool:
-        """Draw claimable shots into the ring until done() holds; False
-        once a lane has failed."""
-        nonlocal claimed
-        shot = None
-        while True:
-            with turn:
-                if shot is not None:
-                    rows_drawn[shot // rows] += 1
-                    if drawn(shot // rows):
-                        turn.notify_all()
-                turn.wait_for(lambda: released is None or done() or claimable())
-                if released is None or done():
-                    return released is not None
-                shot, claimed = claimed, claimed + 1
-            generator = generators[lane]
-            _set_state(generator, streams[shot])
-            generator.standard_normal(out=draws[shot // rows % slots][shot % rows])
-
-    def finish(b: int) -> None:
-        """Block b on the calling thread: traces, noise, ADC, projection."""
-        nonlocal released
+    def fill(lane: int, b: int) -> None:
+        """Block b into the lane's buffer: its traces without noise, its
+        shots' noise with it."""
         start = b * rows
         k = min(rows, n_points - start)
-        # An overflow shows in the result, which is checked below.
+        if streams is None:
+            # An overflow shows in the result, which is checked below.
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.matmul(c[start:start + k, None, :], tones, out=buffers[lane, :k, None, :])
+            return
+        generator, rows_out = generators[lane], draws[lane]
+        for r in range(k):
+            _set_state(generator, streams[start + r])
+            generator.standard_normal(out=rows_out[r])
+
+    def finish(b: int) -> None:
+        """Block b, in block order: noise and traces, ADC, projection."""
+        start = b * rows
+        k = min(rows, n_points - start)
+        shots = buffers[b % lanes, :k]
         with np.errstate(over="ignore", invalid="ignore"):
-            if streams is None:
-                shots = ring[0, :k]
-                np.matmul(c[start:start + k, None, :], tones, out=shots[:, None, :])
-            else:
-                shots = ring[b % slots, :k]
+            if streams is not None:
                 quad = shots.view(np.float64)
                 np.multiply(quad, noise_std, out=quad)
                 for r in range(k):
@@ -704,40 +677,9 @@ def _receive(
             if estimate_noise:
                 for r in range(k):
                     noise[start + r] = _noise_std(plan, wx[r])
-        if streams is not None:
-            with turn:  # the slot is free for block b + slots
-                if released is not None:
-                    released = b + 1
-                turn.notify_all()
 
-    def run_lane(lane: int, _: int) -> None:
-        """Lane 0, the calling thread, finishes each block once its rows
-        are drawn and draws while they are not; the others only draw."""
-        nonlocal released
-        try:
-            if lane > 0:
-                draw_until(lane, lambda: claimed == n_points)
-                return
-            for b in range(n_blocks):
-                if not draw_until(0, lambda: drawn(b)):
-                    return
-                finish(b)
-        except BaseException:
-            with turn:
-                released = None
-                turn.notify_all()
-            raise
-
-    if streams is None:
-        for b in range(n_blocks):
-            finish(b)
-    else:
-        lanes = max(1, min(_lane_count(), n_points))
-        draws = [list(slot.view(np.float64).reshape(rows, n, 2)) for slot in ring]
-        generators = [np.random.Generator(np.random.PCG64(0)) for _ in range(lanes)]
-        # One lane is the calling thread alone, which keeps the caller's BLAS.
-        with _one_blas_thread() if lanes > 1 else contextlib.nullcontext():
-            _run_lanes(run_lane, lanes, lanes)
+    with _one_blas_thread() if lanes > 1 else contextlib.nullcontext():
+        _run_lanes(fill, finish, n_blocks, lanes)
     if not np.isfinite(iq).all() or (estimate_noise and plan.noise_mask.any()
                                       and not np.isfinite(noise).all()):
         raise ConfigError(f"noise_std {noise_std:g} and amplitude {setup.amplitude:g} take "

@@ -157,7 +157,9 @@ def read_trace(path: str | Path) -> IQTrace:
 class SweepResult:
     """One independent axis, several named tables of shape (n_axis,
     n_columns).  The columns are derived from device_ids: dev<id> for each
-    id, or the one composite column feedline when there are none."""
+    id, or the one composite column feedline when there are none.  A
+    repeated device id, whose second column no label could reach, raises
+    ConfigError."""
 
     kind: str
     axis_name: str
@@ -170,6 +172,8 @@ class SweepResult:
         self.axis_values = np.asarray(self.axis_values, dtype=float)
         if self.axis_values.ndim != 1 or self.axis_values.size == 0:
             raise ConfigError("axis_values must be a non-empty 1-d array")
+        if len(set(self.device_ids)) < len(self.device_ids):
+            raise ConfigError(f"duplicate device ids in {tuple(self.device_ids)}")
         shape = (self.axis_values.size, len(self.columns))
         for name, table in self.tables.items():
             table = np.asarray(table, dtype=float)
@@ -341,8 +345,9 @@ def _csv_layout(where, metadata: dict[str, str], column_row: str | None):
     data column name is <table>_<column>, split at its last '_'.  The
     column row must then be the one _csv_columns lays out for these
     tables and columns.  Otherwise, and for a column row without data
-    columns or a device_ids header that is not a list of integers, raises
-    ConfigError beginning with where (the file, for the reader)."""
+    columns or a device_ids header that is not a list of distinct
+    integers, raises ConfigError beginning with where (the file, for the
+    reader)."""
     names = (column_row or "").split(",")
     if len(names) < 2:
         raise ConfigError(f"{where}: column row {column_row!r} names no data column")
@@ -351,6 +356,9 @@ def _csv_layout(where, metadata: dict[str, str], column_row: str | None):
     except ValueError:
         raise ConfigError(f"{where}: header line '# device_ids={metadata['device_ids']}' "
                           f"does not list integer device ids") from None
+    if len(set(device_ids)) < len(device_ids):
+        raise ConfigError(f"{where}: header line '# device_ids={metadata['device_ids']}' "
+                          "repeats a device id")
     columns = _columns(device_ids)
     tables = sorted({name.rpartition("_")[0] for name in names[1:]})
     expected = names[:1] + [name for _, _, name in _csv_columns(tables, columns)]

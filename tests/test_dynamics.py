@@ -21,7 +21,8 @@ from fdmsim import (
     relaxation_telegraph_spectrum,
     steady_state_excited,
 )
-from fdmsim.dynamics import _lay_out_chunk, _telegraph_block, _telegraph_flips
+from fdmsim.dynamics import (TELEGRAPH_CHUNK_SAMPLES, _lay_out_chunk, _telegraph_block,
+                             _telegraph_flips)
 from fdmsim.seeding import child_seed, derive_rng
 
 TWO_PI = 2 * math.pi
@@ -562,6 +563,40 @@ def test_telegraph_layout_reads_the_running_sum(p, m, n):
     assert np.array_equal(np.where(index <= 2 * n, index, 4 * n + 1 - index), walk + n)
     if p == 0.5:
         assert np.any(lengths == 0)
+
+
+def lay_out_chunk_int64(rng, p, m, n):
+    """_lay_out_chunk's arithmetic in int64, the width its positions
+    are drawn in: the oracle of the int32 layout."""
+    flips, start = _telegraph_flips(rng, p, m, n)
+    counts = np.bincount(flips // n, minlength=m)
+    before = np.cumsum(counts) - counts
+    after = -np.repeat(start * (1 - 2 * (before & 1)), counts)
+    after[1::2] *= -1
+    begins = np.insert(flips, before, np.arange(m) * n)
+    levels = np.insert(after, before, start)
+    lengths = np.diff(begins, append=m * n)
+    edges = np.append(before, flips.size) + np.arange(m + 1)
+    steps = levels * lengths
+    starts = np.cumsum(steps) - steps
+    starts -= np.repeat(starts[edges[:-1]], counts + 1)
+    starts *= levels
+    starts -= begins % n
+    starts += np.where(levels > 0, n + 1, 3 * n + 2)
+    return edges, lengths, starts
+
+
+def test_telegraph_layout_in_int32_equals_the_int64_layout_of_a_full_chunk():
+    # The first chunk of test_lanes' MULTI_CHUNK spectrum: 48 780
+    # trajectories of 41 samples, as many as one chunk holds.
+    p, m, n = -math.expm1(-TWO_PI * 1e6 / 41e6) / 2, 48780, 41
+    assert m * n <= TELEGRAPH_CHUNK_SAMPLES < (m + 1) * n
+    layout = _lay_out_chunk(derive_rng(child_seed(3, 0)), p, m, n)
+    reference = lay_out_chunk_int64(derive_rng(child_seed(3, 0)), p, m, n)
+    assert reference[2].dtype == np.int64 and reference[1].size > 100_000
+    for got, want in zip(layout, reference):
+        assert got.dtype == np.int32
+        assert np.array_equal(got, want)
 
 
 def test_telegraph_block_power_is_the_squared_magnitude():

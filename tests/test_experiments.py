@@ -93,6 +93,13 @@ def test_sweep_result_rejects_shape_mismatch():
         )
 
 
+def test_sweep_result_rejects_repeated_device_ids():
+    # The second dev3 column could not be reached by its label.
+    with pytest.raises(ConfigError, match=r"duplicate device ids in \(3, 3\)"):
+        SweepResult(kind="x", axis_name="t", axis_values=np.arange(4.0),
+                    tables={"y": np.zeros((4, 2))}, device_ids=(3, 3))
+
+
 def test_sweep_result_rejects_empty_axis():
     with pytest.raises(ConfigError):
         SweepResult(kind="x", axis_name="t", axis_values=np.array([]), tables={})
@@ -1418,9 +1425,11 @@ COLUMN_ROW = "flux_phi0,amplitude_dev1,amplitude_dev2\n"
     (CSV_HEAD + COLUMN_ROW + "0.0,abc,2.0\n", r"line 5: could not convert string to float: 'abc'"),
     (CSV_HEAD.replace("=1 2", "=1 x") + COLUMN_ROW + "0.0,1.0,2.0\n",
      r"'# device_ids=1 x' does not list integer device ids"),
+    (CSV_HEAD.replace("=1 2", "=1 1") + "flux_phi0,amplitude_dev1,amplitude_dev1\n"
+     "0.0,0.25,0.75\n", r"'# device_ids=1 1' repeats a device id"),
     ("# fdmsim-sweep-v1\n# kind=flux_sweep\nflux_phi0\n0.0\n",
      r"column row 'flux_phi0' names no data column"),
-], ids=["short-row", "text-cell", "device-ids", "axis-only"])
+], ids=["short-row", "text-cell", "device-ids", "repeated-device-id", "axis-only"])
 def test_read_names_the_file_and_line_it_cannot_read(tmp_path, text, match):
     path = tmp_path / "bad.csv"
     path.write_text(text)

@@ -1,5 +1,5 @@
-"""The lane runner: block schedule, threads and failures, the
-telegraph turnstile's behaviour when a lane fails, and the one BLAS
+"""The lane runner: block schedule, threads, the ordered finish and
+failures, the telegraph's behaviour when a lane fails, and the one BLAS
 thread the noisy shot loop's lanes run with."""
 
 import math
@@ -18,67 +18,9 @@ from fdmsim.lanes import run
 from fdmsim.seeding import child_seed, derive_rng
 
 TWO_PI = 2 * math.pi
-
-
-def record_run(blocks, lanes):
-    """Run a job that records (lane, block, thread); returns the records."""
-    records = []
-    guard = threading.Lock()
-
-    def job(lane, i):
-        with guard:
-            records.append((lane, i, threading.current_thread()))
-
-    run(job, blocks, lanes)
-    return records
-
-
-@pytest.mark.parametrize("blocks", [1, 2, 7, 12])
-@pytest.mark.parametrize("lanes", [1, 2, 3, 4])
-def test_run_runs_block_i_on_lane_i_mod_lanes(blocks, lanes):
-    records = record_run(blocks, lanes)
-    assert sorted(i for _, i, _ in records) == list(range(blocks))
-    assert all(lane == i % lanes for lane, i, _ in records)
-    # a lane runs its blocks in turn, on one thread of its own
-    for lane in range(lanes):
-        mine = [(i, thread) for on, i, thread in records if on == lane]
-        assert [i for i, _ in mine] == list(range(lane, blocks, lanes))
-        assert len({thread for _, thread in mine}) <= 1
-    lane_threads = {lane: thread for lane, _, thread in records}
-    assert len(set(lane_threads.values())) == len(lane_threads) == min(blocks, lanes)
-    assert lane_threads[0] is threading.current_thread()
-
-
-@pytest.mark.parametrize("blocks, lanes", [(5, 1), (1, 3)])
-def test_run_starts_no_thread_for_one_lane_or_one_block(blocks, lanes, monkeypatch):
-    def no_thread(*args, **kwargs):
-        raise AssertionError("a thread was started")
-
-    monkeypatch.setattr(fdmsim.lanes.threading, "Thread", no_thread)
-    records = record_run(blocks, lanes)
-    assert [i for _, i, _ in records] == list(range(blocks))
-    assert {thread for _, _, thread in records} == {threading.current_thread()}
-
-
-@pytest.mark.parametrize("failing", [0, 1, 2])
-def test_run_raises_a_lane_failure_after_every_lane_ends(failing):
-    ran = []
-    guard = threading.Lock()
-
-    def job(lane, i):
-        if lane == failing:
-            raise RuntimeError(f"lane {lane} failed")
-        # slow enough that a lane left running at the raise would show
-        time.sleep(0.01)
-        with guard:
-            ran.append(i)
-
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match=f"lane {failing} failed"):
-        run(job, 9, 3)
-    assert threading.active_count() == before
-    # the failing lane runs no further block, the others run all of theirs
-    assert sorted(ran) == [i for i in range(9) if i % 3 != failing]
+# Bound at import, so that the watchdog still starts its thread in a test
+# that patches threading.Thread.
+WATCHDOG_THREAD = threading.Thread
 
 
 def call_under_watchdog(fn, timeout=60.0):
@@ -93,11 +35,137 @@ def call_under_watchdog(fn, timeout=60.0):
         except BaseException as exc:  # handed to the test thread
             outcome["error"] = exc
 
-    watched = threading.Thread(target=target, daemon=True)
+    watched = WATCHDOG_THREAD(target=target, daemon=True)
     watched.start()
     watched.join(timeout)
     assert not watched.is_alive(), "the call did not return: deadlock"
     return outcome.get("error")
+
+
+def record_run(blocks, lanes):
+    """Run a job and a finish that record each call as (stage, lane,
+    block, thread), in the order the calls happen: ("job", lane, i, ...)
+    for job(lane, i), and ("finish", None, i, ...) when finish(i) starts
+    and ("done", None, i, ...) when it returns.  Switches threads often,
+    and a finish sleeps, so that finishes running at once would show.
+    Returns the records and the thread that called run."""
+    records = []
+    guard = threading.Lock()
+
+    def job(lane, i):
+        with guard:
+            records.append(("job", lane, i, threading.current_thread()))
+
+    def finish(i):
+        with guard:
+            records.append(("finish", None, i, threading.current_thread()))
+        time.sleep(1e-4)
+        with guard:
+            records.append(("done", None, i, threading.current_thread()))
+
+    callers = []
+
+    def call(caller):
+        callers.append(caller)
+        run(job, finish, blocks, lanes)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert call_under_watchdog(call) is None
+    finally:
+        sys.setswitchinterval(interval)
+    return records, callers[0]
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 7, 12])
+@pytest.mark.parametrize("lanes", [1, 2, 3, 4])
+def test_run_runs_block_i_on_lane_i_mod_lanes(blocks, lanes):
+    records, caller = record_run(blocks, lanes)
+    records = [(lane, i, thread) for stage, lane, i, thread in records if stage == "job"]
+    assert sorted(i for _, i, _ in records) == list(range(blocks))
+    assert all(lane == i % lanes for lane, i, _ in records)
+    # a lane runs its blocks in turn, on one thread of its own
+    for lane in range(lanes):
+        mine = [(i, thread) for on, i, thread in records if on == lane]
+        assert [i for i, _ in mine] == list(range(lane, blocks, lanes))
+        assert len({thread for _, thread in mine}) <= 1
+    lane_threads = {lane: thread for lane, _, thread in records}
+    assert len(set(lane_threads.values())) == len(lane_threads) == min(blocks, lanes)
+    assert lane_threads[0] is caller
+    assert all(thread.name == f"lane-{lane}" for lane, thread in lane_threads.items() if lane)
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 7, 12])
+@pytest.mark.parametrize("lanes", [1, 2, 3, 4])
+def test_run_finishes_each_block_after_its_job_on_its_lane_in_block_order(blocks, lanes):
+    records, _ = record_run(blocks, lanes)
+    # the finishes run one at a time, in block order
+    finishes = [(stage, i) for stage, _, i, _ in records if stage != "job"]
+    assert finishes == [(stage, i) for i in range(blocks) for stage in ("finish", "done")]
+    for i in range(blocks):
+        (job_at, job_thread), = [(at, thread) for at, (stage, _, j, thread) in enumerate(records)
+                                 if (stage, j) == ("job", i)]
+        (finish_at, finish_thread), = [(at, thread)
+                                       for at, (stage, _, j, thread) in enumerate(records)
+                                       if (stage, j) == ("finish", i)]
+        # after the block's job, on the thread that ran it
+        assert job_at < finish_at
+        assert finish_thread is job_thread
+
+
+@pytest.mark.parametrize("blocks, lanes", [(5, 1), (1, 3)])
+def test_run_starts_no_thread_for_one_lane_or_one_block(blocks, lanes, monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(fdmsim.lanes.threading, "Thread", no_thread)
+    records, caller = record_run(blocks, lanes)
+    assert [(stage, i) for stage, _, i, _ in records] == [
+        (stage, i) for i in range(blocks) for stage in ("job", "finish", "done")]
+    assert {thread for _, _, _, thread in records} == {caller}
+
+
+@pytest.mark.parametrize("stage", ["job", "finish"])
+@pytest.mark.parametrize("failing_lane", [0, 1], ids=["caller-lane", "worker-lane"])
+def test_run_raises_a_failed_job_or_finish_and_finishes_no_block_after_it(stage,
+                                                                          failing_lane):
+    # 12 blocks on 3 lanes; the second block of the failing lane fails,
+    # while the other lanes run their jobs or wait for their finish.
+    failing = 3 + failing_lane
+    records = []
+    guard = threading.Lock()
+
+    def job(lane, i):
+        with guard:
+            records.append(("job", i, threading.current_thread()))
+        if (stage, i) == ("job", failing):
+            raise RuntimeError("job failed")
+        # slow enough that a lane left running at the raise would show
+        time.sleep(0.002)
+
+    def finish(i):
+        with guard:
+            records.append(("finish", i, threading.current_thread()))
+        if (stage, i) == ("finish", failing):
+            raise RuntimeError("finish failed")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    before = threading.active_count()
+    try:
+        error = call_under_watchdog(lambda caller: run(job, finish, 12, 3))
+    finally:
+        sys.setswitchinterval(interval)
+    assert isinstance(error, RuntimeError) and str(error) == f"{stage} failed"
+    assert threading.active_count() == before
+    finished = [i for recorded, i, _ in records if recorded == "finish"]
+    # in block order, and none after the failed block
+    assert finished == list(range(len(finished)))
+    assert max(finished, default=-1) <= failing - (stage == "job")
+    # the failing lane runs no further block
+    (failed_on,) = {thread for recorded, i, thread in records if (recorded, i) == (stage, failing)}
+    assert max(i for _, i, thread in records if thread is failed_on) == failing
 
 
 @pytest.mark.parametrize("on_caller", [False, True], ids=["worker-lane", "caller-lane"])
@@ -192,9 +260,9 @@ class ChunkProbe:
                 raise RuntimeError("block failed")
             return block(*args)
 
-        def probe_run_lanes(job, blocks, lanes):
+        def probe_run_lanes(job, finish, blocks, lanes):
             self.runs += 1
-            return run_lanes(job, blocks, lanes)
+            return run_lanes(job, finish, blocks, lanes)
 
         monkeypatch.setattr(fdmsim.dynamics, "_telegraph_flips", probe_flips)
         monkeypatch.setattr(fdmsim.dynamics, "_lay_out_chunk", probe_lay_out)
@@ -259,8 +327,8 @@ def check_failed_chunk(monkeypatch, lanes, stage, failing_chunk):
     failing_chunk raising: the call raises that error rather than hang,
     leaves no thread running, draws no chunk twice, and the failed lane
     runs no further chunk.  No chunk after the failed one can be added,
-    so another lane draws at most one more: it then waits at the
-    turnstile until the failure opens it."""
+    so another lane draws at most one more: it then waits for its
+    finish until the failure ends the wait."""
     callers = []
 
     def spectrum(caller):

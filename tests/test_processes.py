@@ -19,7 +19,7 @@ BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "G
 # 200-trajectory call 4 chunks of 50; the n = 41 call runs 4 chunks of
 # 25000 short odd-length rows; the p = 1/2 call flips about every other
 # sample.  Then rabi_noisy's readout: 200 shots of 3 channels through the
-# 12-bit ADC, drawn on every lane and projected by the calling thread; 203
+# 12-bit ADC, drawn and projected block by block on every lane; 203
 # noisy shots (a partly full last block); 200 noiseless shots (the calling
 # thread alone).  Each call prints the sha256 of its result's bytes.
 HASHES = """

@@ -972,8 +972,8 @@ def recording(monkeypatch, name, record):
 @pytest.mark.parametrize(
     "n_points, rows",
     [
-        (10, 3),  # 4 blocks through a 2-block ring, the last one partly full
-        (12, 1),  # 12 one-row blocks: the ring wraps 6 times
+        (10, 3),  # 4 blocks, the last one partly full
+        (12, 1),  # 12 one-row blocks: each lane's buffer is reused
         (2, 1),  # fewer shots than 3 and 4 lanes
         (7, 16),  # one block
     ],
@@ -995,25 +995,40 @@ def test_receive_equals_the_per_shot_loop_for_every_lane_count(case, n_points, r
         assert 0 < len(expected_clips) < n_points
 
     guard = threading.Lock()
-    projecting, drawing, drawn = set(), set(), []
+    drawing, drawn, projected = set(), [], []
+    projecting = [0, 0]  # running now, most at once
+    project = rx._project
+
+    def ordered_project(plan, samples, out):
+        # out is the block's rows of the result
+        with guard:
+            projecting[0] += 1
+            projecting[1] = max(projecting)
+            projected.append((out.ctypes.data - out.base.ctypes.data) // out.strides[0])
+        try:
+            return project(plan, samples, out)
+        finally:
+            with guard:
+                projecting[0] -= 1
 
     def record_draw(generator, state):
         with guard:
             drawing.add(threading.current_thread())
             drawn.append(state)
 
-    recording(monkeypatch, "_project", lambda *args: projecting.add(threading.current_thread()))
+    monkeypatch.setattr(rx, "_project", ordered_project)
     recording(monkeypatch, "_set_state", record_draw)
-    # Switch threads often, so that a lost update or a slot reused too
+    # Switch threads often, so that a lost update or a buffer reused too
     # early would show.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for lanes in (1, 2, 3, 4):
             monkeypatch.setattr(rx, "_lane_count", lambda lanes=lanes: lanes)
-            projecting.clear()
+            projecting[1] = 0
             drawing.clear()
             drawn.clear()
+            projected.clear()
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="fdmsim.rxchain"):
                 iq, noise = rx._receive(setup, c.copy(), streams=streams, **kwargs)
@@ -1021,8 +1036,9 @@ def test_receive_equals_the_per_shot_loop_for_every_lane_count(case, n_points, r
             assert np.array_equal(iq, expected)
             # one warning per clipping shot, in shot order
             assert [r.getMessage() for r in caplog.records] == expected_clips
-            # only the calling thread projects
-            assert projecting == {threading.current_thread()}
+            # the blocks are projected one at a time, in block order
+            assert projecting[1] == 1
+            assert projected == list(range(0, n_points, min(rows, n_points)))
             # every shot is drawn once, from its own stream, on at most
             # one lane per shot
             assert sorted(drawn) == sorted(streams or [])
@@ -1066,8 +1082,8 @@ def run_bounded(call, timeout=30.0):
 
 @pytest.mark.parametrize("failing", ["drawing lane", "calling thread"])
 def test_receive_raises_a_lane_failure_after_every_lane_ends(failing, monkeypatch):
-    # One-row blocks through a 2-block ring, on 3 lanes: the drawing
-    # lanes fill the ring and wait on it while the caller projects.
+    # One-row blocks on 3 lanes: a lane that has drawn its block waits
+    # for its turn to project while another lane projects.
     rx = fdmsim.rxchain
     monkeypatch.setattr(rx, "_lane_count", lambda: 3)
     monkeypatch.setattr(rx, "_SHOT_BLOCK_SAMPLES", SHOT_SETUP.n_samples)
