@@ -25,11 +25,9 @@ from .dynamics import (
     GROUND,
     BlochState,
     DriveSpec,
-    Propagator,
     TelegraphSpectrum,
     evolve,
     evolve_for,
-    propagator,
     rabi_frequency,
     relaxation_telegraph_spectrum,
     steady_state_excited,
@@ -79,7 +77,6 @@ from .traceio import (
     SweepResult,
     read_sweep_csv,
     read_trace,
-    write_measurements_csv,
     write_sweep_csv,
     write_sweep_json,
     write_trace,
@@ -109,7 +106,6 @@ __all__ = [
     "GROUND",
     "IQTrace",
     "InfeasiblePlanError",
-    "Propagator",
     "QubitParams",
     "QubitStateLabel",
     "ReadoutSetup",
@@ -145,7 +141,6 @@ __all__ = [
     "max_channels",
     "measure_crosstalk",
     "plan_for_chip",
-    "propagator",
     "qubit_frequency",
     "rabi_frequency",
     "read_sweep_csv",
@@ -161,7 +156,6 @@ __all__ = [
     "synthesize_multitone",
     "trace_energy",
     "upconvert_ssb",
-    "write_measurements_csv",
     "write_sweep_csv",
     "write_sweep_json",
     "write_trace",

@@ -66,7 +66,7 @@ def config_hash(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _get_float(section: configparser.SectionProxy, key: str, context: str) -> float:
+def _get_float(section: dict[str, str], key: str, context: str) -> float:
     if key not in section:
         raise ConfigError(f"{context}: missing required key {key!r}")
     try:
@@ -105,9 +105,7 @@ def load_chip(path: str | Path) -> Chip:
         if not m:
             raise ConfigError(f"{path}: unexpected section [{section_name}]")
         device_id = int(m.group(1))
-        merged = configparser.ConfigParser(interpolation=None)
-        merged.read_dict({section_name: {**defaults, **dict(parser[section_name])}})
-        section = merged[section_name]
+        section = {**defaults, **parser[section_name]}
         for key in section:
             if key not in _DEVICE_KEYS:
                 raise ConfigError(f"{path} [{section_name}]: unknown key {key!r}")

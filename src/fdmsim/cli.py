@@ -42,7 +42,6 @@ from .traceio import (
     _csv_columns,
     _write_file,
     read_trace,
-    write_measurements_csv,
     write_sweep_csv,
     write_sweep_json,
 )
@@ -149,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True, help="binary trace file")
     p.add_argument("--channels", type=_float_list, required=True, help="baseband Hz, e.g. 1e6,2e6")
     p.add_argument("--window", choices=("rectangular", "hann"), default="rectangular")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None, help="write the channels as a sweep CSV")
 
     return parser
 
@@ -325,9 +324,16 @@ def _cmd_channelize(args) -> int:
     trace = read_trace(args.trace)
     measurements = channelize_trace(trace, args.channels, window=args.window)
     if args.out is not None:
-        write_measurements_csv(
-            args.out, measurements, {"source": Path(args.trace).name, "window": args.window}
-        )
+        # One noise estimate per trace: every measurement carries it.
+        metadata = {"source": Path(args.trace).name, "window": args.window,
+                    "sample_rate_hz": trace.sample_rate, "n_samples": trace.n_samples,
+                    "noise_std_estimate": measurements[0].noise_std}
+        result = SweepResult("channelize", "channel_hz",
+                             [m.channel_frequency for m in measurements],
+                             {"amplitude": [[m.amplitude] for m in measurements],
+                              "phase": [[m.phase] for m in measurements]},
+                             metadata=metadata)
+        write_sweep_csv(args.out, result)
         print(f"{len(measurements)} channels -> {args.out}")
     else:
         for m in measurements:

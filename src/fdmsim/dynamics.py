@@ -20,12 +20,12 @@ exact solution is r(t) = exp(A t) r(0) (Torrey, Phys. Rev. 76, 1059,
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, _check_finite, _check_non_negative, _check_positive
+from .errors import (ConfigError, _check_count, _check_finite, _check_non_negative,
+                     _check_positive)
 from .lanes import MAX_LANES, lane_count as _lane_count, run as _run_lanes
 from .planner import carson_bandwidth
 from .seeding import _child_states, _set_state
@@ -141,54 +141,17 @@ def _expm(m: np.ndarray) -> np.ndarray:
     return result.reshape(m.shape)
 
 
-@dataclass(frozen=True)
-class Propagator:
-    """The exact map of one constant drive segment: matrix is exp(A *
-    duration) on (x, y, z, 1), and lossless says that A has no relaxation
-    or dephasing, so that the map is a rotation."""
-
-    matrix: np.ndarray
-    lossless: bool
-
-    def apply(self, state: BlochState) -> BlochState:
-        return BlochState(*self._step((state.x, state.y, state.z, 1.0), state.norm))
-
-    def _step(self, vector, norm: float) -> tuple[float, float, float]:
-        """(x, y, z) after the segment, from vector = (x, y, z, 1) of the
-        given norm; unchecked against the Bloch ball."""
-        x, y, z, _ = np.matmul(self.matrix, vector).tolist()
-        # The exact map is a rotation when lossless and never leaves the
-        # Bloch ball otherwise, but the squarings in _expm let the norm
-        # drift by about eps * 2**s (4e-9 after 0.1 s at 50 MHz): put it back.
-        new_norm = math.sqrt(x**2 + y**2 + z**2)
-        target = norm if self.lossless else min(new_norm, 1.0)
-        if new_norm > 0 and new_norm != target:
-            scale = target / new_norm
-            x, y, z = x * scale, y * scale, z * scale
-        return x, y, z
-
-
-def propagator(
-    drive: DriveSpec, gamma: float, gamma_phi: float, duration: float
-) -> Propagator:
-    """exp(A * duration) for the Bloch generator A of a constant drive.
-
-    gamma: energy relaxation rate (rad/s); gamma_phi: pure dephasing
-    (rad/s).  One propagator serves every segment of the same drive,
-    rates and duration.
-    """
-    return _propagators(drive, gamma, gamma_phi, [duration])[0]
-
-
 def _propagators(
     drive: DriveSpec, gamma: float, gamma_phi: float, durations: list[float]
-) -> list[Propagator]:
-    """propagator(drive, gamma, gamma_phi, d) for each d of durations, bit
-    for bit, from one _expm call over the stack of generators A * d.
+) -> np.ndarray:
+    """exp(A * d) on (x, y, z, 1) for the Bloch generator A of a constant
+    drive and each d of durations, as a read-only (k, 4, 4) stack from one
+    _expm call.
 
-    A duration so long that A * d or the squarings of _expm overflow
-    raises ConfigError there; numpy's overflow warnings on the way are
-    silenced, since that error names the cause."""
+    gamma: energy relaxation rate (rad/s); gamma_phi: pure dephasing
+    (rad/s).  A duration so long that A * d or the squarings of _expm
+    overflow raises ConfigError there; numpy's overflow warnings on the
+    way are silenced, since that error names the cause."""
     _check_non_negative(gamma=gamma, gamma_phi=gamma_phi)
     for duration in durations:
         _check_non_negative(duration=duration)
@@ -204,8 +167,24 @@ def _propagators(
     with np.errstate(over="ignore", invalid="ignore"):
         matrices = _expm(generator * np.array(durations, dtype=float)[:, None, None])
     matrices.flags.writeable = False
-    lossless = gamma == 0 and gamma_phi == 0
-    return [Propagator(matrix, lossless) for matrix in matrices]
+    return matrices
+
+
+def _step(matrix: np.ndarray, lossless: bool, vector, norm: float) -> tuple[float, float, float]:
+    """(x, y, z) after one segment of matrix, a propagator of
+    _propagators, from vector = (x, y, z, 1) of the given norm; lossless
+    says that the segment has no relaxation or dephasing, so that its map
+    is a rotation.  Unchecked against the Bloch ball."""
+    x, y, z, _ = np.matmul(matrix, vector).tolist()
+    # The exact map is a rotation when lossless and never leaves the
+    # Bloch ball otherwise, but the squarings in _expm let the norm
+    # drift by about eps * 2**s (4e-9 after 0.1 s at 50 MHz): put it back.
+    new_norm = math.sqrt(x**2 + y**2 + z**2)
+    target = norm if lossless else min(new_norm, 1.0)
+    if new_norm > 0 and new_norm != target:
+        scale = target / new_norm
+        x, y, z = x * scale, y * scale, z * scale
+    return x, y, z
 
 
 def evolve_for(
@@ -223,7 +202,9 @@ def evolve_for(
     relaxation and dephasing the result keeps the norm of the input
     state, however long the segment.
     """
-    return propagator(drive, gamma, gamma_phi, duration).apply(state)
+    matrix = _propagators(drive, gamma, gamma_phi, [duration])[0]
+    lossless = gamma == 0 and gamma_phi == 0
+    return BlochState(*_step(matrix, lossless, (state.x, state.y, state.z, 1.0), state.norm))
 
 
 def _ground_trajectory(
@@ -232,20 +213,21 @@ def _ground_trajectory(
     """Bloch z at each of the increasing times >= 0, from the ground state
     at t = 0.
 
-    Equal to chaining Propagator.apply from GROUND over the steps between
-    the times, bit for bit, but with no BlochState per step: each step
-    reads a preallocated (x, y, z, 1) vector.  One propagator is built
-    per distinct step length, all of them in one _propagators call, and
+    Equal to chaining evolve_for from GROUND over the steps between the
+    times, bit for bit, but with no BlochState per step: each step reads
+    a preallocated (x, y, z, 1) vector.  One propagator is built per
+    distinct step length, all of them in one _propagators call, and
     reused for every step of that length.
     """
     steps = [t - prev for t, prev in zip(times, [0.0, *times])]
     distinct = list(dict.fromkeys(steps))
-    props = dict(zip(distinct, _propagators(drive, gamma, gamma_phi, distinct)))
+    matrices = dict(zip(distinct, _propagators(drive, gamma, gamma_phi, distinct)))
+    lossless = gamma == 0 and gamma_phi == 0
     vector = np.array([GROUND.x, GROUND.y, GROUND.z, 1.0])
     norm = GROUND.norm
     z_at = []
     for step in steps:
-        x, y, z = props[step]._step(vector, norm)
+        x, y, z = _step(matrices[step], lossless, vector, norm)
         norm = _checked_norm(x, y, z)
         vector[0] = x
         vector[1] = y
@@ -502,17 +484,15 @@ def relaxation_telegraph_spectrum(
     outside the Carson band of full width 2*(shift + 2*gamma) centered on
     the carrier.  Non-finite rates or times, a duration or sample_rate
     <= 0, a Carson width beyond the float range, a trajectory count that
-    is not an integer >= 1 (a bool is not one) and a trajectory longer
-    than TELEGRAPH_CHUNK_SAMPLES samples raise ConfigError.
+    is not an integral count >= 1 (2.0 runs as 2; see errors._check_count)
+    or needs more than 2**32 chunks, and a trajectory longer than
+    TELEGRAPH_CHUNK_SAMPLES samples raise ConfigError.
     """
     _check_positive(gamma=gamma, duration=duration)
     _check_non_negative(shift=shift)
     if sample_rate is not None:
         _check_positive(sample_rate=sample_rate)
-    # bool is an Integral; True would run one trajectory.
-    if (isinstance(n_trajectories, bool) or not isinstance(n_trajectories, numbers.Integral)
-            or n_trajectories < 1):
-        raise ConfigError(f"n_trajectories must be an integer >= 1, got {n_trajectories!r}")
+    n_trajectories = _check_count("n_trajectories", n_trajectories)
     carson = carson_bandwidth(shift, gamma)
     half_width_hz = carson / 2.0 / (2 * math.pi)
     if sample_rate is None:

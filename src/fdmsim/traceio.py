@@ -1,10 +1,9 @@
 """Every file format of the package, and the one writer behind them.
 
-Sweep CSV and JSON (write_sweep_csv, read_sweep_csv, write_sweep_json),
-tone measurement CSV (write_measurements_csv) and binary IQ traces
-(write_trace, read_trace) are written and read here, and every file
-goes through _write_file.  The '#' header helpers are shared by both
-CSV formats, and _csv_columns is the one column layout of a sweep CSV.
+Sweep CSV and JSON (write_sweep_csv, read_sweep_csv, write_sweep_json)
+and binary IQ traces (write_trace, read_trace) are written and read
+here, and every file goes through _write_file.  _csv_columns is the one
+column layout of a sweep CSV.
 
 IQ trace layout (all little-endian):
 
@@ -35,15 +34,11 @@ import stat
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, TraceFormatError
 from .txchain import IQTrace
-
-if TYPE_CHECKING:
-    from .rxchain import ToneMeasurement
 
 MAGIC = b"FDMTRACE"
 VERSION = 1
@@ -443,28 +438,7 @@ def write_sweep_json(path: str | Path, result: SweepResult) -> None:
 
 
 # ---------------------------------------------------------------------------
-# tone measurements and the '#' header block
-
-
-def write_measurements_csv(
-    path: str | Path,
-    measurements: Sequence[ToneMeasurement],
-    metadata: dict[str, object] | None = None,
-) -> None:
-    """Write tone measurements as CSV with a '#' metadata header block.
-
-    Metadata that would not read back as written (a line break, an '='
-    in a key, outer whitespace; see _header_items) raises ConfigError
-    before anything is written.
-    """
-    lines = ["# fdmsim tone measurements v1"]
-    lines += [f"# {key}: {text}" for key, text in _header_items(metadata or {})]
-    lines.append("channel_hz,amplitude,phase_rad,noise_std")
-    for m in measurements:
-        lines.append(
-            f"{m.channel_frequency!r},{m.amplitude!r},{m.phase!r},{m.noise_std!r}"
-        )
-    _write_file(path, "\n".join(lines) + "\n")
+# the '#' header block
 
 
 def _text_keys(metadata: dict) -> list[tuple[str, object]]:
@@ -485,9 +459,9 @@ def _header_items(metadata: dict) -> list[tuple[str, str]]:
     Every pair must read back as written, so ConfigError is raised for
     two keys with the same text (see _text_keys), a line break in a key
     or value (it would split its header line and the reader would take
-    the rest for data), an '=' in a key (the sweep reader splits a header
-    line at its first '='), and leading or trailing whitespace in a key
-    or value (the readers strip it).
+    the rest for data), an '=' in a key (the reader splits a header line
+    at its first '='), and leading or trailing whitespace in a key or
+    value (the reader strips it).
     """
     items = [(text, _format_value(metadata[key])) for text, key in _text_keys(metadata)]
     for key, text in items:

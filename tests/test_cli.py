@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import fdmsim
 import fdmsim.cli
 from fdmsim import (ToneSpec, builtin_chip_path, read_sweep_csv, synthesize_multitone,
                     write_sweep_csv, write_trace)
@@ -332,6 +333,29 @@ def test_channelize_reads_trace_file(tmp_path, capsys):
     assert code == 0
     assert out_csv.exists()
     assert "amplitude" in out_csv.read_text()
+
+
+@pytest.mark.parametrize("window", ["rectangular", "hann"])
+def test_channelize_out_reads_back_as_a_sweep(tmp_path, capsys, window):
+    trace = synthesize_multitone([ToneSpec(10e6, 0.5, 0.3), ToneSpec(-35e6, 0.25)], 4000, 1e9)
+    path = tmp_path / "trace.bin"
+    write_trace(path, trace)
+    out = tmp_path / "channels.csv"
+    channels = [10e6, -35e6, 120e6]
+    assert main(["channelize", "--trace", str(path), "--channels", "10e6,-35e6,120e6",
+                 "--window", window, "--out", str(out)]) == 0
+    measurements = fdmsim.channelize(trace, channels, window=window)
+    back = read_sweep_csv(out)
+    assert (back.kind, back.axis_name, back.columns) == ("channelize", "channel_hz",
+                                                         ("feedline",))
+    assert back.axis_values.tolist() == channels
+    assert repr(back.column("amplitude", "feedline").tolist()) == repr(
+        [m.amplitude for m in measurements])
+    assert repr(back.column("phase", "feedline").tolist()) == repr(
+        [m.phase for m in measurements])
+    assert back.metadata == {"source": "trace.bin", "window": window,
+                             "sample_rate_hz": "1000000000.0", "n_samples": "4000",
+                             "noise_std_estimate": repr(measurements[0].noise_std)}
 
 
 def test_channelize_missing_trace_exits_2(tmp_path, capsys):

@@ -16,7 +16,6 @@ from fdmsim import (
     DriveSpec,
     evolve,
     evolve_for,
-    propagator,
     rabi_frequency,
     relaxation_telegraph_spectrum,
     steady_state_excited,
@@ -188,18 +187,12 @@ def test_long_nearly_lossless_segment_stays_in_the_bloch_ball(duration):
     assert state.norm <= 1.0
 
 
-def test_propagator_is_reusable_and_equals_evolve_for():
-    d = drive(7e6, 0.9, 2e6)
-    step = propagator(d, TWO_PI * 1e5, TWO_PI * 2e4, 3e-8)
-    a = b = GROUND
-    for _ in range(20):
-        a = step.apply(a)
-        b = evolve_for(b, d, TWO_PI * 1e5, TWO_PI * 2e4, 3e-8)
-        assert a == b
-    assert not step.lossless
-    assert propagator(d, 0.0, 0.0, 3e-8).lossless
+def test_propagators_are_read_only():
+    matrices = fdmsim.dynamics._propagators(drive(7e6, 0.9, 2e6), TWO_PI * 1e5, TWO_PI * 2e4,
+                                            [3e-8, 1e-7])
+    assert matrices.shape == (2, 4, 4)
     with pytest.raises(ValueError):
-        step.matrix[0, 0] = 1.0
+        matrices[0, 0, 0] = 1.0
 
 
 def expm_alone(m):
@@ -253,12 +246,12 @@ def test_stacked_expm_equals_each_matrix_alone(gamma):
     np.linspace(5e-9, 1.2e-6, 200),       # rabi_noisy's grid: 11 distinct steps
     np.geomspace(1e-10, 3e-6, 120),       # every step distinct, many squaring counts
 ])
-def test_ground_trajectory_equals_the_apply_chain(times, gamma, gamma_phi):
+def test_ground_trajectory_equals_the_evolve_for_chain(times, gamma, gamma_phi):
     d = drive(5e6, 1.2, 1e6)
     z = fdmsim.dynamics._ground_trajectory(d, gamma, gamma_phi, times.tolist())
     state, expected, prev = GROUND, [], 0.0
     for t in times.tolist():
-        state = propagator(d, gamma, gamma_phi, t - prev).apply(state)
+        state = evolve_for(state, d, gamma, gamma_phi, t - prev)
         expected.append(state.z)
         prev = t
     assert z == expected
@@ -704,6 +697,9 @@ def test_telegraph_matches_per_sample_reference(kwargs):
         dict(sample_rate=math.inf),
         dict(sample_rate=math.nan),
         dict(n_trajectories=2.5),
+        dict(n_trajectories=0),
+        # 1e308 is integral, but needs more chunks than there are seed paths
+        dict(n_trajectories=1e308),
         # n = 16 000 320 samples, beyond TELEGRAPH_CHUNK_SAMPLES
         dict(shift=TWO_PI * 1e10, duration=100e-6),
         dict(sample_rate=0.0),
@@ -719,6 +715,15 @@ def test_telegraph_rejects_bad_input(bad):
         relaxation_telegraph_spectrum(**{**kwargs, **bad})
     if set(bad) == {"sample_rate"}:
         assert "sample_rate" in str(info.value)
+
+
+def test_telegraph_runs_an_integral_float_count_as_that_many_trajectories():
+    # Like every other count (errors._check_count): 2.0 was refused.
+    kwargs = dict(gamma=TWO_PI * 0.1e6, shift=TWO_PI * 1e6, duration=20e-6, seed=1)
+    two = relaxation_telegraph_spectrum(n_trajectories=2, **kwargs)
+    spectrum = relaxation_telegraph_spectrum(n_trajectories=2.0, **kwargs)
+    assert type(spectrum.n_trajectories) is int and spectrum.n_trajectories == 2
+    assert np.array_equal(spectrum.power, two.power)
 
 
 @pytest.mark.parametrize(

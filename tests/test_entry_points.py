@@ -66,9 +66,9 @@ from fdmsim import (
     max_channels,
     measure_crosstalk,
     plan_for_chip,
-    propagator,
     qubit_frequency,
     rabi_frequency,
+    read_sweep_csv,
     read_trace,
     relaxation_telegraph_spectrum,
     run_flux_sweep,
@@ -81,6 +81,7 @@ from fdmsim import (
     synthesize_multitone,
     trace_energy,
     upconvert_ssb,
+    write_sweep_csv,
     write_trace,
 )
 
@@ -136,6 +137,19 @@ def project(tmp, frequency=10e6, sample=0.5, sample_rate=1e9):
     return channelize(trace(sample, sample_rate), [frequency, -20e6], window="hann")
 
 
+def channel_file(tmp, frequency=10e6, sample=0.5, sample_rate=1e9):
+    # the file `fdmsim channelize --out` writes: one row per channel
+    probe = trace(sample, sample_rate)
+    measurements = channelize(probe, [frequency, -20e6])
+    write_sweep_csv(tmp / "c.csv", SweepResult(
+        "channelize", "channel_hz", [m.channel_frequency for m in measurements],
+        {"amplitude": [[m.amplitude] for m in measurements],
+         "phase": [[m.phase] for m in measurements]},
+        metadata={"sample_rate_hz": probe.sample_rate,
+                  "noise_std_estimate": measurements[0].noise_std}))
+    return read_sweep_csv(tmp / "c.csv")
+
+
 def energy(tmp, sample=0.5, sample_rate=1e9):
     return trace_energy(trace(sample, sample_rate))
 
@@ -179,6 +193,10 @@ def drive(tmp, rabi_rate_per_unit_amplitude=5e6, amplitude=1.0, detuning=1e5):
     return DriveSpec(rabi_rate_per_unit_amplitude, amplitude, detuning)
 
 
+def bloch(tmp, x=0.6, y=0.0, z=-0.8):
+    return BlochState(x, y, z)
+
+
 def evolution(tmp, z=-1.0, rabi_rate_per_unit_amplitude=5e6, amplitude=1.0, detuning=1e5,
               gamma=6.3e5, gamma_phi=1e4, duration=7e-8):
     return evolve_for(BlochState(0.0, 0.0, z),
@@ -198,12 +216,6 @@ def steady_state(tmp, rabi_rate_per_unit_amplitude=5e6, amplitude=1.0, detuning=
 
 def rabi(tmp, rabi_rate_per_unit_amplitude=5e6, amplitude=1.0, detuning=1e5):
     return rabi_frequency(DriveSpec(rabi_rate_per_unit_amplitude, amplitude, detuning))
-
-
-def segment(tmp, rabi_rate_per_unit_amplitude=5e6, amplitude=1.0, detuning=1e5, gamma=6.3e5,
-            gamma_phi=1e4, duration=7e-8):
-    return propagator(DriveSpec(rabi_rate_per_unit_amplitude, amplitude, detuning), gamma,
-                      gamma_phi, duration)
 
 
 def stream(tmp, seed=3, path=1):
@@ -340,6 +352,7 @@ CALLS = {
     "add_awgn": awgn,
     "adc_quantize": quantize,
     "channelize": project,
+    "SweepResult/write_sweep_csv/read_sweep_csv": channel_file,
     "trace_energy": energy,
     "write_trace/read_trace": trace_file,
     "QubitParams": qubit,
@@ -350,11 +363,11 @@ CALLS = {
     "s21_feedline": product,
     "dressed_resonance": resonance,
     "DriveSpec": drive,
+    "BlochState": bloch,
     "evolve_for": evolution,
     "evolve": step,
     "steady_state_excited": steady_state,
     "rabi_frequency": rabi,
-    "propagator": segment,
     "derive_rng": stream,
     "child_seed": seed_of,
     "relaxation_telegraph_spectrum": telegraph,
@@ -380,7 +393,6 @@ CALLS = {
 
 # Public names without a row of their own, and why.
 EXEMPT = {
-    "BlochState": "its z is an argument of the evolve_for row",
     "CapacityResult": "the result of max_channels, which has a row",
     "Chip": "holds device records and ids, no number of its own",
     "ConfigError": "an error type",
@@ -391,9 +403,7 @@ EXEMPT = {
     "GROUND": "a constant BlochState",
     "IQTrace": "accepts NaN samples on purpose; each stage refuses them in its result",
     "InfeasiblePlanError": "an error type",
-    "Propagator": "the result of propagator, which has a row",
     "QubitStateLabel": "an enum of the two sigma_z values",
-    "SweepResult": "a table container; the detect_flux_features row puts a value in one",
     "TelegraphSpectrum": "the result of relaxation_telegraph_spectrum, which has a row",
     "ToneMeasurement": "the result of channelize and acquire, which have rows",
     "ToneSpec": "its numbers are arguments of the synthesize_multitone row",
@@ -403,12 +413,6 @@ EXEMPT = {
     "config_hash": "hashes a file's bytes",
     "load_chip": "reads its numbers from a file; test_file_readers feeds it mutated bytes "
                  "in test_load_chip_gives_a_chip_or_a_named_error_on_mutated_bytes",
-    "read_sweep_csv": "reads its numbers from a file; test_file_readers feeds it mutated bytes in "
-                      "test_read_sweep_csv_gives_a_sweep_or_a_named_error_on_mutated_bytes",
-    "write_measurements_csv": "writes ToneMeasurements, whose numbers are checked on construction",
-    "write_sweep_csv": "writes a SweepResult's tables as text; test_file_readers writes back "
-                       "every mutant that reads in "
-                       "test_read_sweep_csv_gives_a_sweep_or_a_named_error_on_mutated_bytes",
     "write_sweep_json": "writes a SweepResult's tables as text; test_file_readers writes back "
                         "every mutant that reads in "
                         "test_read_sweep_csv_gives_a_sweep_or_a_named_error_on_mutated_bytes",

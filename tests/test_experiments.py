@@ -54,7 +54,6 @@ from fdmsim import (
     s21_feedline,
     synthesize_multitone,
     upconvert_ssb,
-    write_measurements_csv,
     write_sweep_csv,
     write_sweep_json,
 )
@@ -565,7 +564,7 @@ def test_rabi_computes_one_trajectory_per_distinct_drive(chip, monkeypatch, scal
     (0.0, 0.0, 0.0),                  # lossless: the norm is kept
     (TWO_PI * 0.2e6, 1e5, 3e6),       # detuned, with dephasing
 ])
-def test_rabi_populations_equal_the_propagator_apply_chain(chip, gamma, gamma_phi, detuning):
+def test_rabi_populations_equal_the_evolve_for_chain(chip, gamma, gamma_phi, detuning):
     # uneven steps: several propagators, each reused
     durations = np.cumsum(np.tile([4e-9, 7e-9, 4e-9, 1e-8], 50))
     scales = [0.6, 1.0, 1.4]
@@ -578,20 +577,17 @@ def test_rabi_populations_equal_the_propagator_apply_chain(chip, gamma, gamma_ph
         g = chip.device(dev_id).qubit.relaxation_rate_gamma if gamma is None else gamma
         state, populations, prev = GROUND, [], 0.0
         for t in durations.tolist():
-            state = fdmsim.dynamics.propagator(drive, g, gamma_phi, t - prev).apply(state)
+            state = evolve_for(state, drive, g, gamma_phi, t - prev)
             populations.append(state.excited_population)
             prev = t
         assert np.array_equal(result.column("excited_population", dev_id), populations)
 
 
 def test_rabi_rejects_a_trajectory_that_leaves_the_bloch_ball(chip, monkeypatch):
-    def nan_propagator(*args):
-        return fdmsim.dynamics.Propagator(np.full((4, 4), np.nan), lossless=False)
-
     # the trajectory builds its propagators from one _expm stack
     monkeypatch.setattr(fdmsim.dynamics, "_expm", lambda m: np.full(m.shape, np.nan))
     with pytest.raises(ConfigError, match="Bloch vector norm nan"):
-        nan_propagator().apply(GROUND)
+        evolve_for(GROUND, DriveSpec(5e6, 1.0), 0.0, 0.0, 1e-8)
     with pytest.raises(ConfigError, match="Bloch vector norm nan"):
         run_rabi(chip, [1e-8, 2e-8], setup=make_readout_setup(chip, (2,)), readout=False)
 
@@ -803,6 +799,16 @@ def test_rabi_and_flux_sweep_record_the_same_readout_block(tmp_path, chip, adc):
         expected["adc_analog_bandwidth_hz"] = "480000000.0"
     assert blocks["sweep"] == blocks["rabi"] == expected
     assert blocks["ideal"] == {}
+
+
+def test_integral_float_bits_write_the_header_of_the_int(tmp_path, chip):
+    # AdcSpec kept 12.0, which run_rabi wrote as '# adc_bits=12.0'.
+    setup = make_readout_setup(chip, (2,))
+    for bits in (12, 12.0):
+        result = run_rabi(chip, [0.0, 1e-8], setup=setup, adc=AdcSpec(1e9, bits, 1.0))
+        write_sweep_csv(tmp_path / f"{bits!r}.csv", result)
+    assert "# adc_bits=12\n" in (tmp_path / "12.csv").read_text()
+    assert (tmp_path / "12.0.csv").read_bytes() == (tmp_path / "12.csv").read_bytes()
 
 
 def crossing_fluxes(dev):
@@ -1369,13 +1375,6 @@ def test_csv_writers_refuse_line_breaks_in_metadata(tmp_path, chip, metadata, ma
         write_sweep_csv(path, bad, append=True)
     assert path.read_bytes() == before
 
-    setup = make_readout_setup(chip, (1, 2))
-    meas = acquire(chip, setup, [-1.0] * len(chip.devices), 0.0)
-    tones = tmp_path / "tones.csv"
-    with pytest.raises(ConfigError, match=match):
-        write_measurements_csv(tones, meas, metadata)
-    assert not tones.exists()
-
 
 def test_writers_sort_mixed_type_metadata_keys_by_text(tmp_path, chip):
     result = run_flux_sweep(chip, np.linspace(-0.002, 0.002, 3),
@@ -1390,10 +1389,6 @@ def test_writers_sort_mixed_type_metadata_keys_by_text(tmp_path, chip):
     assert keys == sorted(str(k) for k in [*result.metadata, "kind", "device_ids"])
     write_sweep_json(tmp_path / "sweep.json", result)
     assert json.loads((tmp_path / "sweep.json").read_text())["metadata"]["1"] == "x"
-    setup = make_readout_setup(chip, (1,))
-    meas = acquire(chip, setup, [-1.0] * len(chip.devices), 0.0)
-    write_measurements_csv(tmp_path / "tones.csv", meas, {1: "x", "kind": "tones"})
-    assert "# 1: x" in (tmp_path / "tones.csv").read_text()
 
 
 def test_writers_format_numpy_metadata_as_python_numbers(tmp_path, chip):
@@ -1409,11 +1404,6 @@ def test_writers_format_numpy_metadata_as_python_numbers(tmp_path, chip):
     write_sweep_json(tmp_path / "sweep.json", result)
     assert {k: json.loads((tmp_path / "sweep.json").read_text())["metadata"][k]
             for k in text} == text
-    setup = make_readout_setup(chip, (1,))
-    meas = acquire(chip, setup, [-1.0] * len(chip.devices), 0.0)
-    write_measurements_csv(tmp_path / "tones.csv", meas, numbers)
-    lines = (tmp_path / "tones.csv").read_text().splitlines()
-    assert [f"# {k}: {v}" for k, v in text.items()] == lines[1:4]
 
 
 CSV_HEAD = "# fdmsim-sweep-v1\n# kind=flux_sweep\n# device_ids=1 2\n"
@@ -1517,27 +1507,21 @@ def test_sweep_files_write_kind_and_device_ids_from_the_fields(tmp_path):
 
 
 def test_read_and_append_refuse_a_file_without_the_format_tag(tmp_path, chip):
-    # A tone measurements CSV used to read back as a sweep of kind
-    # 'unknown' with one table named ''.
-    setup = make_readout_setup(chip, (1, 2))
-    path = tmp_path / "tones.csv"
-    write_measurements_csv(path, acquire(chip, setup, [-1.0] * len(chip.devices), 0.0),
-                           {"config_hash": "h1", "kind": "flux_sweep"})
+    # A file without the tag used to read back as a sweep of kind
+    # 'unknown', or whatever its '#' lines said.
+    sweep = run_flux_sweep(chip, np.linspace(-0.002, 0.002, 3),
+                           setup=make_readout_setup(chip, (1, 2)),
+                           config_hash="h1")
+    path = tmp_path / "untagged.csv"
+    write_sweep_csv(path, sweep)
+    path.write_text("\n" + path.read_text().partition("\n")[2])
     before = path.read_bytes()
     tag = r": the file does not begin with the format tag line '# fdmsim-sweep-v1'"
     with pytest.raises(ConfigError, match=re.escape(str(path)) + tag):
         read_sweep_csv(path)
-    sweep = run_flux_sweep(chip, np.linspace(-0.002, 0.002, 3),
-                           setup=make_readout_setup(chip, (1, 2)),
-                           config_hash="h1")
     with pytest.raises(ConfigError, match=f"refusing to append to {re.escape(str(path))}{tag}"):
         write_sweep_csv(path, sweep, append=True)
     assert path.read_bytes() == before
-    untagged = tmp_path / "untagged.csv"
-    write_sweep_csv(untagged, sweep)
-    untagged.write_text("\n" + untagged.read_text().partition("\n")[2])
-    with pytest.raises(ConfigError, match=tag):
-        read_sweep_csv(untagged)
 
 
 def test_append_refuses_a_file_the_reader_refuses(tmp_path, chip):

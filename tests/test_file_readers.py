@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdmsim import (ConfigError, FdmSimError, builtin_chip_path, load_chip, read_sweep_csv,
-                    run_flux_sweep, write_sweep_csv, write_sweep_json)
+from fdmsim import (ConfigError, FdmSimError, ToneSpec, builtin_chip_path, load_chip,
+                    read_sweep_csv, run_flux_sweep, synthesize_multitone, write_sweep_csv,
+                    write_sweep_json, write_trace)
 from fdmsim.cli import main
 
 CHIP = builtin_chip_path().read_bytes()
@@ -129,16 +130,23 @@ def assert_same_sweep(back, result):
         assert back.tables[name].tobytes() == table.tobytes(), name
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_read_sweep_csv_gives_a_sweep_or_a_named_error_on_mutated_bytes(mutant_dir, sweep_bytes,
-                                                                        data):
+@pytest.fixture(scope="module")
+def channelize_bytes(mutant_dir):
+    """The sweep CSV of `fdmsim channelize --out`."""
+    trace = mutant_dir / "trace.bin"
+    write_trace(trace, synthesize_multitone([ToneSpec(10e6, 0.5)], 400, 1e9))
+    path = mutant_dir / "channels.csv"
+    assert main(["channelize", "--trace", str(trace), "--channels", "10e6,-30e6",
+                 "--window", "hann", "--out", str(path)]) == 0
+    return path.read_bytes()
+
+
+def check_mutant(mutant_dir, data):
     """A mutant that reads is written back by both writers, each giving a
     file or a named error (the JSON writer refuses NaN and inf).  What the
     reader gives the CSV writer keeps: the CSV written reads back as the
     first read, and writing that again gives the same bytes."""
-    result = read_or_refuse(read_sweep_csv, mutant_dir / "mutant.csv",
-                            data.draw(mutants(sweep_bytes)))
+    result = read_or_refuse(read_sweep_csv, mutant_dir / "mutant.csv", data)
     if result is None:
         return
     write_or_refuse(write_sweep_json, mutant_dir / "written.json", result)
@@ -150,3 +158,17 @@ def test_read_sweep_csv_gives_a_sweep_or_a_named_error_on_mutated_bytes(mutant_d
     again = mutant_dir / "again.csv"
     assert write_or_refuse(write_sweep_csv, again, back)
     assert again.read_bytes() == written.read_bytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_read_sweep_csv_gives_a_sweep_or_a_named_error_on_mutated_bytes(mutant_dir, sweep_bytes,
+                                                                        data):
+    check_mutant(mutant_dir, data.draw(mutants(sweep_bytes)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_read_sweep_csv_gives_a_sweep_or_a_named_error_on_a_mutated_channelize_file(
+        mutant_dir, channelize_bytes, data):
+    check_mutant(mutant_dir, data.draw(mutants(channelize_bytes)))

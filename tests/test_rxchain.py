@@ -4,6 +4,7 @@ import logging
 import math
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -309,14 +310,16 @@ def test_adc_and_setup_reject_non_finite_fields(cls, field, bad):
 
 
 @pytest.mark.parametrize("field, bad, match", [
-    ("bits", math.nan, "bits must be finite"),
-    ("bits", math.inf, "bits must be finite"),
-    ("bits", 12.5, "bits must be an integer"),
-    ("bits", 0, "bits must be an integer in"),
+    ("bits", math.nan, "need an integral bits >= 1, got nan"),
+    ("bits", math.inf, "need an integral bits >= 1, got inf"),
+    ("bits", 12.5, "need an integral bits >= 1, got 12.5"),
+    ("bits", 0, "need an integral bits >= 1, got 0"),
     ("bits", 33, "bits must be an integer in"),
+    ("bits", 1e308, r"bits must be an integer in \[1, 32\], got 1e\+308"),
     ("analog_bandwidth", -1.0, "analog_bandwidth must be finite and > 0"),
     ("analog_bandwidth", 0.0, "analog_bandwidth must be finite and > 0"),
-    ("bits", True, "bits must be an integer in"),  # bool is an int: a 1-bit converter
+    # bool is an int: a 1-bit converter
+    ("bits", True, "need an integral bits >= 1, got True"),
 ])
 def test_adc_rejects_bad_bits_and_band(field, bad, match):
     fields = {**VALID_FIELDS[AdcSpec], field: bad}
@@ -325,7 +328,9 @@ def test_adc_rejects_bad_bits_and_band(field, bad, match):
 
 
 def test_adc_accepts_integral_float_bits():
-    assert AdcSpec(1e9, 12.0, 1.0).step == AdcSpec(1e9, 12, 1.0).step
+    adc = AdcSpec(1e9, 12.0, 1.0)
+    assert type(adc.bits) is int and adc == AdcSpec(1e9, 12, 1.0)
+    assert adc.step == AdcSpec(1e9, 12, 1.0).step
 
 
 def test_adc_analog_bandwidth_removes_fast_tone():
@@ -580,6 +585,56 @@ def test_channelize_plan_arrays_are_read_only():
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+def traced_bytes(call):
+    """(bytes still held, peak bytes) that call() allocates."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+def channel_comb(n, fs, first=-700):
+    """300 channels 5 bins apart on the grid fs / n."""
+    return tuple((first + 5 * b) * fs / n for b in range(300))
+
+
+def test_a_cold_channel_plan_holds_one_complex_temporary():
+    # At 300 channels and 8000 samples the kernel takes 38.4 MB; its
+    # phases and their exponential each took one more, a 76.9 MB peak.
+    n, fs = 8000, 1e9
+    trace = IQTrace(np.ones(n, dtype=complex), fs)
+    fdmsim.rxchain._channel_plan.cache_clear()
+    try:
+        _, peak = traced_bytes(lambda: channelize(trace, channel_comb(n, fs)))
+    finally:
+        fdmsim.rxchain._channel_plan.cache_clear()
+    assert peak <= 1.6 * 16 * 300 * n
+
+
+def test_the_channel_plan_cache_holds_at_most_two_plans():
+    # Each plan of these acquisitions holds its kernel and its tones; 16
+    # of them at 300 channels and 8000 samples would hold 1.24 GB.
+    n, fs = 2000, 1e9
+    adc = AdcSpec(fs, 12, 1.0)
+
+    def acquire_three():
+        for first in (-700, -699, -698):
+            setup = ReadoutSetup(tuple(range(300)), 5e9, channel_comb(n, fs, first),
+                                 sample_rate=fs, n_samples=n)
+            fdmsim.rxchain._receive(setup, np.full((1, 300), 1e-3 + 0j), adc=adc,
+                                    noise_std=0.0, streams=None)
+
+    fdmsim.rxchain._channel_plan.cache_clear()
+    try:
+        held, _ = traced_bytes(acquire_three)
+    finally:
+        fdmsim.rxchain._channel_plan.cache_clear()
+    plan = 2 * 16 * 300 * n
+    assert held < 2.5 * plan
 
 
 @pytest.mark.parametrize("n", [64, 1000, 4000])

@@ -18,7 +18,6 @@ import fdmsim.traceio
 from fdmsim import (
     ConfigError,
     IQTrace,
-    ToneMeasurement,
     ToneSpec,
     TraceFormatError,
     builtin_chip_path,
@@ -28,7 +27,6 @@ from fdmsim import (
     read_trace,
     run_flux_sweep,
     synthesize_multitone,
-    write_measurements_csv,
     write_sweep_csv,
     write_sweep_json,
     write_trace,
@@ -162,14 +160,21 @@ def sweep(chip, n, **kwargs):
                           config_hash="h1", **kwargs)
 
 
+def channelize_to(chip, path, n):
+    """`fdmsim channelize --out path` of n channels of a trace that it
+    first writes next to path."""
+    trace = path.parent / "in.trc"
+    write_trace(trace, IQTrace(samples=np.arange(64) * (1 + 0.5j), sample_rate=64e6))
+    main(["channelize", "--trace", str(trace), "--channels",
+          ",".join(str(1e6 * k) for k in range(1, n + 1)), "--out", str(path)])
+
+
 # Each writer of the package, as write(chip, path, n): n sets the size of
 # what it writes, so a smaller n gives a shorter file.
 WRITERS = {
     "sweep-csv": lambda chip, path, n: write_sweep_csv(path, sweep(chip, n)),
     "sweep-json": lambda chip, path, n: write_sweep_json(path, sweep(chip, n)),
-    "measurements-csv": lambda chip, path, n: write_measurements_csv(
-        path, [ToneMeasurement(1e6 * k, 0.1 * k, 0.5, 1e-3) for k in range(n)],
-        {"kind": "tones"}),
+    "cli-channelize": channelize_to,
     "trace": lambda chip, path, n: write_trace(
         path, IQTrace(samples=np.arange(n) * (1 + 0.5j), sample_rate=1e9)),
     "cli-text": lambda chip, path, n: main([
@@ -313,8 +318,6 @@ def test_refused_writes_leave_the_file_unchanged(chip, tmp_path):
     other = dataclasses.replace(good, metadata={**good.metadata, "config_hash": "h2"})
     with pytest.raises(ConfigError, match="config_hash"):
         write_sweep_csv(path, other, append=True)
-    with pytest.raises(ConfigError, match="holds '='"):
-        write_measurements_csv(path, [], {"a=b": 1})
     assert path.read_bytes() == before
 
 
@@ -330,7 +333,7 @@ def test_text_the_encoding_cannot_hold_leaves_the_path_as_it_was(chip, tmp_path,
         before = path.read_bytes()
     refused = [
         lambda: write_sweep_csv(path, dataclasses.replace(good, axis_name="flux\udc80")),
-        lambda: write_measurements_csv(path, [], {"note": "a\udc80"}),
+        lambda: write_sweep_csv(path, dataclasses.replace(good, metadata={"note": "a\udc80"})),
         lambda: fdmsim.traceio._write_file(path, "\udc80\n"),
     ]
     for write in refused:
@@ -367,6 +370,7 @@ def test_no_writer_opens_a_path_truncating(chip, tmp_path, monkeypatch, capsys):
         write(chip, path, 2)
     write_sweep_csv(tmp_path / "sweep-csv.csv.gp", sweep(chip, 2), append=True)
     written = {str(path) for path, _ in flags}
-    assert len(written) == len(WRITERS) + 1  # the gnuplot case also writes its CSV
+    # the gnuplot case also writes its CSV, the channelize case its trace
+    assert len(written) == len(WRITERS) + 2
     assert not [path for path, flag in flags if flag & os.O_TRUNC]
     assert not [(path, mode) for path, mode in modes if "w" in mode]
