@@ -581,7 +581,14 @@ def fit_damped_sinusoid(times, values) -> DampedSinusoidFit:
     amplitude's floor): 2 pi max|t| 8 max|value| beyond
     sqrt(float max / n).  The fit
     is a bounded Levenberg-Marquardt iteration with the model's analytic
-    Jacobian (see _levenberg_marquardt).  Never raises on fit failure:
+    Jacobian (see _levenberg_marquardt), run on the times less the first,
+    t - t[0], so that the envelope does not overflow or underflow far
+    from t = 0.  The fit reports its amplitude and phase referenced to
+    t = 0, as evaluate() takes them: amplitude * exp(decay_rate * t[0])
+    and phase - 2 pi frequency t[0], wrapped to (-pi, pi].  An amplitude
+    that is then beyond the float range (not finite, or below the
+    smallest normal float from a fitted amplitude above it) raises
+    ConfigError naming the first time.  Never raises on fit failure:
     falls back to the seed parameters with valid=False, so batch callers
     can fit many traces and inspect the flags afterwards.
     """
@@ -604,11 +611,13 @@ def fit_damped_sinusoid(times, values) -> DampedSinusoidFit:
     if dt.min() <= 0 or (dt.max() - dt.min()) > 1e-6 * dt.mean():
         raise ConfigError("time grid must be uniform and increasing")
     step = float(dt.mean())
-    p0 = _seed_parameters(t, y, step)
+    start = float(t[0])
+    tau = t - start
+    p0 = _seed_parameters(tau, y, step)
     lower = np.array([0.0, 0.0, 0.0, -2 * np.pi, -np.inf])
     upper = np.array([np.inf, np.inf, 0.5 / step, 2 * np.pi, np.inf])
-    popt, valid = _levenberg_marquardt(t, y, p0, lower, upper)
-    model = _sinusoid_model(t, *popt)
+    popt, valid = _levenberg_marquardt(tau, y, p0, lower, upper)
+    model = _sinusoid_model(tau, *popt)
     ss_res = float(np.sum((y - model) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     # constant traces leave ss_tot at rounding-noise level, not exactly 0
@@ -617,12 +626,22 @@ def fit_damped_sinusoid(times, values) -> DampedSinusoidFit:
         r2 = 1.0 - ss_res / ss_tot
     else:
         r2 = 1.0 if ss_res <= floor else 0.0
+    amplitude, decay_rate, frequency, phase, offset = (float(p) for p in popt)
+    # The envelope and phase at t = 0, where evaluate() references them.
+    with np.errstate(over="ignore", under="ignore"):
+        amplitude_at_zero = float(amplitude * np.exp(decay_rate * start))
+    if not math.isfinite(amplitude_at_zero) or (
+            amplitude_at_zero < np.finfo(float).tiny <= amplitude):
+        raise ConfigError(f"times start at {start:.6g}, and the fitted amplitude "
+                          f"{amplitude:.6g} with decay rate {decay_rate:.6g} is "
+                          "beyond the float range when referenced to t = 0")
+    phase = math.remainder(phase - 2 * math.pi * frequency * start, 2 * math.pi)
     return DampedSinusoidFit(
-        frequency=float(popt[2]),
-        decay_rate=float(popt[1]),
-        amplitude=float(popt[0]),
-        phase=float(popt[3]),
-        offset=float(popt[4]),
+        frequency=frequency,
+        decay_rate=decay_rate,
+        amplitude=amplitude_at_zero,
+        phase=math.pi if phase == -math.pi else phase,
+        offset=offset,
         r_squared=r2,
         valid=valid,
     )

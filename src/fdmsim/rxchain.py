@@ -45,10 +45,11 @@ logger = logging.getLogger(__name__)
 NOISE_GUARD_BINS = 3
 
 # Samples per block of shots: 4 rows at the default n = 4000, 256 kB a
-# block.  The noisy shot loop holds one block per lane and a one-row
-# trace, 576 kB on 2 lanes.  Measured as below: one-row blocks were 70 %
-# slower with noise (two shots in flight) and 40 % slower without, 8-row
-# blocks 4 % faster with noise for 512 kB more.
+# block.  The noisy shot loop holds one block per lane and one trace
+# period per row, 512 kB on 2 lanes at rabi_noisy's 10-sample period.
+# Measured with a one-row trace in place of the periods: one-row blocks
+# were 70 % slower with noise (two shots in flight) and 40 % slower
+# without, 8-row blocks 4 % faster with noise for 512 kB more.
 _SHOT_BLOCK_SAMPLES = 1 << 14
 
 # Largest offset, in bins per bin index, at which a ReadoutSetup channel
@@ -290,9 +291,37 @@ def _window(name: str, n: int) -> np.ndarray:
     return np.ones(n)
 
 
+def _grid_bin(f: float, grid: float) -> int | None:
+    """The bin k of the DFT grid that f lies on, f = k * grid within
+    GRID_TOLERANCE bins per bin index; None for a frequency off it."""
+    k = round(f / grid)
+    if abs(f / grid - k) > GRID_TOLERANCE * max(1, abs(k)):
+        return None
+    return k
+
+
+def _period(freqs: Sequence[float], n: int, sample_rate: float) -> int:
+    """Samples after which every channel tone repeats within an n-sample
+    trace: n / gcd(n, k_1, ..., k_N) for channels on bins k_j of the grid
+    sample_rate / n (10 for bins -1200, 0 and 1200 of 4000; 1 for DC
+    alone), and n when a channel is off the grid."""
+    grid = sample_rate / n
+    divisor = n
+    for f in freqs:
+        k = _grid_bin(f, grid)
+        if k is None:
+            return n
+        divisor = math.gcd(divisor, k)
+    return n // divisor
+
+
 @dataclass(frozen=True)
 class _ChannelPlan:
-    """What channelize derives from its key alone; arrays are read-only."""
+    """What channelize derives from its key alone; arrays are read-only.
+
+    The kernel holds one period of each channel's tone, the first
+    _period samples of exp(-2 pi i f t), after which every tone on the
+    grid repeats (see _project and _receive)."""
 
     window: np.ndarray
     window_sum: float
@@ -300,25 +329,32 @@ class _ChannelPlan:
     noise_mask: np.ndarray
     unit_window: bool
 
+    @property
+    def period(self) -> int:
+        return self.kernel.shape[1]
+
     @cached_property
     def tones(self) -> np.ndarray:
-        """conj(kernel): each channel's unit tone, which _receive builds
-        its shots from.  Made on first use, so a plan that only
-        channelizes does not hold it."""
+        """conj(kernel): one period of each channel's unit tone, which
+        _receive builds its shots from.  Made on first use, so a plan
+        that only channelizes does not hold it."""
         tones = self.kernel.conj()
         tones.flags.writeable = False
         return tones
 
 
 # Every perfbench workload and CLI command channelizes with one key per
-# process.  A plan holds 32 * channels * n bytes with its tones: 77 MB at
-# 300 channels and n = 8000, so the cache holds at most 154 MB.
+# process.  A plan holds 32 * channels * period bytes with its tones.  At
+# worst, when n and the channel bins share no divisor (gcd 1), the period
+# is n: 77 MB at 300 channels and n = 8000, so the cache holds at most
+# 154 MB.  Otherwise it is n / gcd: the tests' 300-device comb at 2 GS/s
+# and n = 8000 repeats every 800 samples, a 7.7 MB plan.
 @lru_cache(maxsize=2)
 def _channel_plan(
     freqs: tuple[float, ...], n: int, sample_rate: float, window: str
 ) -> _ChannelPlan:
     w = _window(window, n)
-    t_rel = np.arange(n) / sample_rate
+    t_rel = np.arange(_period(freqs, n, sample_rate)) / sample_rate
     # One complex temporary: the phases are exponentiated in place.
     kernel = -2j * np.pi * np.outer(np.array(freqs), t_rel)
     np.exp(kernel, out=kernel)
@@ -335,18 +371,33 @@ def _channel_plan(
                         noise_mask=mask, unit_window=bool(np.all(w == 1)))
 
 
+def _fold(wx: np.ndarray, period: int) -> np.ndarray:
+    """The sum of a trace's periods, sum_q wx[..., p + q * period] for
+    p < period: one product of a row of ones with the trace's float view,
+    shaped (n / period, 2 * period), per trace."""
+    folds = wx.shape[-1] // period
+    if folds == 1:
+        return wx
+    quad = np.ascontiguousarray(wx).view(np.float64)
+    quad = quad.reshape(*wx.shape[:-1], folds, 2 * period)
+    return (np.ones(folds) @ quad).view(complex)
+
+
 def _project(plan: _ChannelPlan, samples: np.ndarray,
              out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Complex channel amplitudes kernel @ (window * x) / window_sum, and
     the windowed trace.  An all-ones window's product is skipped; it
-    could change only the sign of a zero sample.
+    could change only the sign of a zero sample.  The kernel repeats
+    after plan.period samples, so the product is taken with the sum of
+    the windowed trace's periods (_fold): sum_m K[m] y[m] = sum_p K[p]
+    sum_q y[p + q P] holds for any y.
 
     samples is one trace or a 2-D block of traces, one per row; each
-    trace is taken as a column of one (stacked) product with the kernel,
-    so a block row's amplitudes equal those of that row alone bit for
-    bit.  The amplitudes are written into out when it is given."""
+    trace is folded and taken as a column of one (stacked) product with
+    the kernel, so a block row's amplitudes equal those of that row alone
+    bit for bit.  The amplitudes are written into out when it is given."""
     wx = samples if plan.unit_window else plan.window * samples
-    amplitudes = np.matmul(plan.kernel, wx[..., None],
+    amplitudes = np.matmul(plan.kernel, _fold(wx, plan.period)[..., None],
                            out=None if out is None else out[..., None])[..., 0]
     np.divide(amplitudes, plan.window_sum, out=amplitudes)
     return amplitudes, wx
@@ -473,8 +524,8 @@ class ReadoutSetup:
                     f"channel {f:+.6g} Hz from the LO is beyond Nyquist "
                     f"{nyquist:.6g} Hz; raise sample_rate or move the LO"
                 )
-            k = round(f / grid)
-            if abs(f / grid - k) > GRID_TOLERANCE * max(1, abs(k)):
+            k = _grid_bin(f, grid)
+            if k is None:
                 raise ConfigError(
                     f"channel {f:+.9g} Hz is off the {grid:.6g} Hz DFT grid"
                 )
@@ -579,33 +630,36 @@ def _receive(
     otherwise), and the ADC's clip and rounding then work in place on
     that trace, the same private steps as add_awgn and adc_quantize, and
     the channelizer's private projector turns it into complex
-    amplitudes.  Shot i's trace is c[i] @ tones (the plan keeps the
-    tones), and a block of shots is projected by one stacked product
-    straight into the result; a stacked product equals the per-row
-    products bit for bit.  The tests check this against the composed
-    chain synthesize_multitone, upconvert_ssb, apply_feedline,
-    downconvert, add_awgn or adc_quantize, channelize.
+    amplitudes.  The plan's tones hold one period of each channel (see
+    _ChannelPlan), so shot i's trace is the period c[i] @ tones repeated
+    over the n samples, and a block of shots is projected, each row's
+    periods summed first, by one stacked product straight into the
+    result; a stacked product equals the per-row products bit for bit.
+    The tests check this against the composed chain
+    synthesize_multitone, upconvert_ssb, apply_feedline, downconvert,
+    add_awgn or adc_quantize, channelize.
 
     The shots run in blocks of a few rows (_SHOT_BLOCK_SAMPLES samples),
     block b on lane b % L of one lanes.run call, and each lane fills a
     block buffer of its own.  Without noise L is 1, and the calling
-    thread builds each block's traces by one stacked product, then
-    quantizes and projects them.  With noise L is lanes.lane_count(), at
-    most the block count:
+    thread builds each block's trace periods by one stacked product,
+    repeats them over the block, then quantizes and projects it.  With
+    noise L is lanes.lane_count(), at most the block count:
       - job(lane, b) sets the lane's own Generator to each shot's stream
         in turn and draws the shot's 2n normals into its row of the
         lane's buffer;
       - finish(b), which lanes.run calls on the same lane once block
         b - 1 is finished, scales the block by noise_std in place, adds
-        each row's trace (built in a one-row scratch), and quantizes and
-        projects the block.  noise_std * z + trace equals trace +
-        noise_std * z bit for bit, since IEEE addition commutes.
+        each row's trace period to every period of the row, and
+        quantizes and projects the block.  noise_std * z + trace equals
+        trace + noise_std * z bit for bit, since IEEE addition commutes.
     So the vector stages run one block at a time, in block order, on the
     lane that drew the block, while the other lanes draw.  The draws
     release the GIL.  On a 2-vCPU VM they ran 1.96 times as fast on two
     threads, and the vector stages 0.98-1.11 times, so those run on one
     lane at a time.  The buffers take 256 kB a lane at n = 4000, so
-    512 kB on 2 lanes and 1 MB on 4, and the trace 64 kB.
+    512 kB on 2 lanes and 1 MB on 4, and the trace periods 16 bytes
+    per sample of the period and row.
     A lane that raises ends every other lane's wait, and lanes.run
     raises its failure once every lane has ended.  While more than one
     lane runs, OpenBLAS runs one thread (lanes.one_blas_thread), so that
@@ -639,15 +693,21 @@ def _receive(
     clipped = np.zeros(n_points, dtype=np.int64)
     try:
         plan = _channel_plan(freqs, n, fs, setup.window)
-        tones = plan.tones
+        tones, period = plan.tones, plan.period
         c[:, _beyond_band(setup, adc)] = 0.0
         buffers = np.empty((lanes, rows, n), dtype=complex)
-        trace = np.empty(n, dtype=complex) if streams is not None else None
+        periods = np.empty((rows, 1, period), dtype=complex)
     except (ValueError, MemoryError) as exc:
         raise ConfigError(f"cannot allocate n_samples = {n}: {exc}") from None
     if streams is not None:
         draws = [list(buffer.view(np.float64).reshape(rows, n, 2)) for buffer in buffers]
         generators = [np.random.Generator(np.random.PCG64(0)) for _ in range(lanes)]
+
+    def trace_periods(start: int, k: int) -> np.ndarray:
+        """One period of the traces of shots start to start + k - 1,
+        c[i] @ tones, as (k, 1, period): it broadcasts over a block's
+        rows seen as (k, n / period, period)."""
+        return np.matmul(c[start:start + k, None, :], tones, out=periods[:k])
 
     def fill(lane: int, b: int) -> None:
         """Block b into the lane's buffer: its traces without noise, its
@@ -657,7 +717,7 @@ def _receive(
         if streams is None:
             # An overflow shows in the result, which is checked below.
             with np.errstate(over="ignore", invalid="ignore"):
-                np.matmul(c[start:start + k, None, :], tones, out=buffers[lane, :k, None, :])
+                buffers[lane, :k].reshape(k, -1, period)[...] = trace_periods(start, k)
             return
         generator, rows_out = generators[lane], draws[lane]
         for r in range(k):
@@ -673,9 +733,8 @@ def _receive(
             if streams is not None:
                 quad = shots.view(np.float64)
                 np.multiply(quad, noise_std, out=quad)
-                for r in range(k):
-                    np.matmul(c[start + r], tones, out=trace)
-                    np.add(trace, shots[r], out=shots[r])
+                periodic = shots.reshape(k, -1, period)
+                np.add(periodic, trace_periods(start, k), out=periodic)
             if adc is not None:
                 clipped[start:start + k] = _quantize(shots.view(np.float64), adc)
             _, wx = _project(plan, shots, iq[start:start + k])

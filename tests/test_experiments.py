@@ -1088,6 +1088,35 @@ def test_fit_of_a_large_but_safe_trace_scales_with_it():
     assert large.frequency == pytest.approx(small.frequency, rel=1e-9)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("start", [-1e5, 1e8])
+def test_fit_far_from_t0_raises_when_the_amplitude_at_t0_leaves_the_float_range(start):
+    # The fit runs from the first time; referenced back to t = 0 this
+    # envelope's amplitude is exp(0.05 * start), which underflows at -1e5
+    # and overflows at 1e8.  These leaked an overflow warning from exp (at
+    # -1e5) and returned valid=True with r_squared=0.0 (at 1e8).
+    k = np.arange(50.0)
+    y = np.cos(0.2 * np.pi * k) * np.exp(-0.05 * k)
+    with pytest.raises(ConfigError, match=re.escape(f"times start at {start:.6g},")):
+        fit_damped_sinusoid(start + k, y)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("start", [1000.0, -300.0, 5e-9])
+def test_fit_on_a_shifted_time_axis_reports_the_envelope_at_t0(start):
+    k = np.arange(50.0)
+    y = np.cos(0.2 * np.pi * k) * np.exp(-0.05 * k)
+    base, shifted = fit_damped_sinusoid(k, y), fit_damped_sinusoid(start + k, y)
+    assert base.valid and shifted.valid and shifted.r_squared > 1 - 1e-12
+    assert base.frequency == pytest.approx(0.1, rel=1e-9)
+    assert base.decay_rate == pytest.approx(0.05, rel=1e-9)
+    assert shifted.frequency == pytest.approx(base.frequency, rel=1e-9)
+    assert shifted.decay_rate == pytest.approx(base.decay_rate, rel=1e-9)
+    assert shifted.amplitude == pytest.approx(math.exp(0.05 * start), rel=1e-6)
+    assert -math.pi < shifted.phase <= math.pi
+    np.testing.assert_allclose(shifted.evaluate(start + k), y, atol=1e-9)
+
+
 def test_fit_constant_trace_reports_zero_r_squared():
     t = np.linspace(0.0, 1e-6, 50)
     fit = fit_damped_sinusoid(t, np.full(50, 0.3))

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fdmsim.device
@@ -42,7 +42,7 @@ from fdmsim import (
     synthesize_multitone,
     upconvert_ssb,
 )
-from fdmsim.rxchain import CROSSTALK_FLOOR_DB, NOISE_GUARD_BINS, ReadoutSetup
+from fdmsim.rxchain import CROSSTALK_FLOOR_DB, NOISE_GUARD_BINS, WINDOWS, ReadoutSetup
 from fdmsim.seeding import _child_states, child_seed, derive_rng
 
 TWO_PI = 2 * math.pi
@@ -538,20 +538,29 @@ def test_channelize_names_non_finite_and_overflowing_samples(samples, reason, wi
         channelize(trace, [0.0], window=window)
 
 
-def reference_projection(trace, freqs, window):
-    """Channel projections built from scratch on every call, no plan cache."""
-    n = trace.n_samples
+def reference_projection(trace, freqs, window, folded=True):
+    """Channel projections built from scratch on every call, no plan
+    cache.  folded: the kernel over one period P = n / gcd(n, bins) and
+    the windowed trace summed over its n / P periods first, by a product
+    with a row of ones, as the plan does it; else the full-length
+    product exp(-2 pi i f t) @ (w x)."""
+    n, fs = trace.n_samples, trace.sample_rate
     if window == "hann":
         w = 0.5 * (1 - np.cos(2 * np.pi * np.arange(n) / n))
     else:
         w = np.ones(n)
-    t_rel = np.arange(n) / trace.sample_rate
+    wx = w * trace.samples
+    period = n // math.gcd(n, *(round(f * n / fs) for f in freqs)) if folded else n
+    if period < n:
+        wx = (np.ones(n // period) @ wx.view(np.float64).reshape(-1, 2 * period)).view(complex)
+    t_rel = np.arange(period) / fs
     kernel = np.exp(-2j * np.pi * np.outer(np.asarray(freqs, dtype=float), t_rel))
-    return kernel @ (w * trace.samples) / w.sum()
+    return kernel @ wx / w.sum()
 
 
 def test_channelize_is_bit_identical_across_alternating_plans():
     rng = np.random.default_rng(4)
+    # The last key's bins 8, 30 and -160 of 4000 repeat every 2000 samples.
     keys = [
         ([2e6, 7.5e6, -40e6], 2000, "rectangular"),
         ([2e6, 7.5e6, -40e6], 2000, "hann"),
@@ -575,6 +584,9 @@ def test_channelize_is_bit_identical_across_alternating_plans():
                 ref = reference_projection(traces[n], freqs, window)
                 np.testing.assert_array_equal(got[:, 0], np.abs(ref))
                 np.testing.assert_array_equal(got[:, 1], np.angle(ref))
+                full = reference_projection(traces[n], freqs, window, folded=False)
+                amplitudes = got[:, 0] * np.exp(1j * got[:, 1])
+                assert np.all(np.abs(amplitudes - full) <= 1e-13 * np.abs(full))
 
 
 def test_channelize_plan_arrays_are_read_only():
@@ -602,27 +614,37 @@ def channel_comb(n, fs, first=-700):
     return tuple((first + 5 * b) * fs / n for b in range(300))
 
 
-def test_a_cold_channel_plan_holds_one_complex_temporary():
-    # At 300 channels and 8000 samples the kernel takes 38.4 MB; its
-    # phases and their exponential each took one more, a 76.9 MB peak.
+@pytest.mark.parametrize("first, period", [(-699, 8000), (-700, 1600)],
+                         ids=["gcd-1", "gcd-5"])
+def test_a_cold_channel_plan_holds_one_complex_temporary(first, period):
+    # At 300 channels and 8000 samples the kernel takes 38.4 MB when the
+    # bins share no divisor with n; its phases and their exponential each
+    # took one more, a 76.9 MB peak.  Bins 5 apart from -700 repeat every
+    # 1600 samples, and the plan holds one period.
     n, fs = 8000, 1e9
     trace = IQTrace(np.ones(n, dtype=complex), fs)
+    freqs = channel_comb(n, fs, first)
     fdmsim.rxchain._channel_plan.cache_clear()
     try:
-        _, peak = traced_bytes(lambda: channelize(trace, channel_comb(n, fs)))
+        _, peak = traced_bytes(lambda: channelize(trace, freqs))
+        assert fdmsim.rxchain._channel_plan(freqs, n, fs, "rectangular").period == period
     finally:
         fdmsim.rxchain._channel_plan.cache_clear()
-    assert peak <= 1.6 * 16 * 300 * n
+    assert peak <= 1.6 * 16 * 300 * period
 
 
-def test_the_channel_plan_cache_holds_at_most_two_plans():
-    # Each plan of these acquisitions holds its kernel and its tones; 16
-    # of them at 300 channels and 8000 samples would hold 1.24 GB.
+@pytest.mark.parametrize("firsts, period", [((-700, -699, -698), 2000),
+                                            ((-700, -695, -690), 400)],
+                         ids=["gcd-1", "gcd-5"])
+def test_the_channel_plan_cache_holds_at_most_two_plans(firsts, period):
+    # Each plan of these acquisitions holds its kernel and its tones, one
+    # period of each channel; 16 of them at 300 channels and 8000 samples
+    # would hold 1.24 GB when the bins share no divisor with n.
     n, fs = 2000, 1e9
     adc = AdcSpec(fs, 12, 1.0)
 
     def acquire_three():
-        for first in (-700, -699, -698):
+        for first in firsts:
             setup = ReadoutSetup(tuple(range(300)), 5e9, channel_comb(n, fs, first),
                                  sample_rate=fs, n_samples=n)
             fdmsim.rxchain._receive(setup, np.full((1, 300), 1e-3 + 0j), adc=adc,
@@ -633,8 +655,165 @@ def test_the_channel_plan_cache_holds_at_most_two_plans():
         held, _ = traced_bytes(acquire_three)
     finally:
         fdmsim.rxchain._channel_plan.cache_clear()
-    plan = 2 * 16 * 300 * n
+    plan = 2 * 16 * 300 * period
     assert held < 2.5 * plan
+
+
+@pytest.mark.parametrize("bins, n, period", [
+    ((-1200, 0, 1200), 4000, 10),  # rabi_noisy's channels
+    ((8, 30, -160), 4000, 2000),
+    ((3, -11), 1000, 1000),
+    ((0,), 4000, 1),
+    ((-2000,), 4000, 2),  # -Nyquist
+    ((-2000, 1000), 4000, 4),
+    ((2000, 1000), 4000, 4),  # +Nyquist, which channelize accepts
+    ((-32, 7, 12), 64, 64),
+], ids=["rabi-noisy", "gcd-2", "gcd-1", "dc", "-nyquist", "-nyquist-and-quarter",
+        "+nyquist-and-quarter", "gcd-1-small"])
+def test_the_period_is_n_over_the_gcd_of_n_and_the_bins(bins, n, period):
+    fs = 1e9
+    freqs = tuple(k * fs / n for k in bins)
+    assert fdmsim.rxchain._period(freqs, n, fs) == period
+    plan = fdmsim.rxchain._channel_plan(freqs, n, fs, "hann")
+    assert plan.kernel.shape == plan.tones.shape == (len(bins), period)
+
+
+@pytest.mark.parametrize("offset, on_grid", [(0.0, True), (2e-12, True), (1e-10, False),
+                                             (0.5, False), (0.25, False)])
+def test_the_period_takes_the_grid_rule_of_readout_setup(offset, on_grid):
+    # Bin 400 is on the grid within GRID_TOLERANCE * 400 = 4e-12 bins.  A
+    # frequency that ReadoutSetup refuses as off the grid gives a period
+    # of n, and channelize projects it over the full trace.
+    n, fs = 4000, 1e9
+    freqs = (1200 * fs / n, (400 + offset) * fs / n)
+    assert fdmsim.rxchain._period(freqs, n, fs) == (10 if on_grid else n)
+    try:
+        ReadoutSetup((1, 2), 5e9, freqs, sample_rate=fs, n_samples=n)
+        accepted = True
+    except ConfigError:
+        accepted = False
+    assert accepted == on_grid
+    if not on_grid:
+        rng = np.random.default_rng(7)
+        trace = IQTrace(rng.normal(size=n) + 1j * rng.normal(size=n), fs)
+        got = np.array([(m.amplitude, m.phase) for m in channelize(trace, freqs)])
+        full = reference_projection(trace, freqs, "rectangular", folded=False)
+        np.testing.assert_array_equal(got, np.stack([np.abs(full), np.angle(full)], axis=1))
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+def test_channelize_folds_a_strided_trace(window):
+    # An IQTrace keeps a strided view as it is given; the fold sums its
+    # periods all the same.
+    rng = np.random.default_rng(9)
+    wide = rng.normal(size=8000) + 1j * rng.normal(size=8000)
+    freqs = (-1.2e8, 0.0, 1.2e8)  # bins -480, 0, 480 of 4000: 25 samples a period
+    strided = channelize(IQTrace(wide[::2], 1e9), freqs, window=window)
+    assert strided == channelize(IQTrace(wide[::2].copy(), 1e9), freqs, window=window)
+
+
+@st.composite
+def grid_channels(draw):
+    """(bins, n): 1 to 6 bins of an n-sample grid, all multiples of a step
+    that divides n, so that the period n / gcd(n, bins) is often below n,
+    and at least NOISE_GUARD_BINS apart on the circle of n bins, as
+    ReadoutSetup asks.  Bin -n/2 (-Nyquist) is drawn when step divides n/2."""
+    step = draw(st.sampled_from([1, 2, 3, 4, 5, 8, 10, 25]))
+    n = step * draw(st.integers(2, 40))
+    low, high = -((n // 2) // step), (n - n // 2 - 1) // step
+    picks = draw(st.lists(st.integers(low, high), min_size=1, max_size=6, unique=True))
+    bins = sorted(step * j for j in picks)
+    if len(bins) > 1:
+        assume(min(np.diff(bins + [bins[0] + n])) >= NOISE_GUARD_BINS)
+    return bins, n
+
+
+@settings(max_examples=80, deadline=None)
+@given(channels=grid_channels(), window=st.sampled_from(WINDOWS),
+       noise_std=st.sampled_from([0.0, 0.05]), seed=st.integers(0, 2**32 - 1))
+def test_receive_builds_and_projects_one_period_of_each_shot(channels, window, noise_std,
+                                                             seed):
+    # The shot loop builds each trace from one period of the tones and
+    # projects the sum of a trace's periods: the traces are c @ the tones
+    # over all n samples, and the amplitudes those of the full-length
+    # kernel exp(-2 pi i f t) @ (w x) / sum(w), of the traces the ADC gave.
+    rx = fdmsim.rxchain
+    bins, n = channels
+    fs = 1e9
+    freqs = tuple(k * fs / n for k in bins)
+    setup = ReadoutSetup(tuple(range(len(bins))), 5e9, freqs, sample_rate=fs, n_samples=n,
+                         window=window)
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(3, len(bins))) + 1j * rng.normal(size=(3, len(bins)))
+    adc = AdcSpec(fs, 32, 100.0)  # clips nothing
+    streams = _child_states(seed, 3) if noise_std else None
+    built, quantized = [], []
+
+    def record_trace(quad, adc):
+        built.append(quad.copy().view(complex))
+
+    def record_projection(plan, samples, out):
+        quantized.append(samples.copy())
+
+    with pytest.MonkeyPatch.context() as patch:
+        recording(patch, "_quantize", record_trace)
+        recording(patch, "_project", record_projection)
+        iq, _ = rx._receive(setup, c.copy(), adc=adc, noise_std=noise_std, streams=streams)
+    traces, quantized = np.concatenate(built), np.concatenate(quantized)
+
+    # The tones over all n samples, from one period P = n / gcd(n, bins);
+    # they are exp(2 pi i f t) to the rounding of its phase.
+    period = n // math.gcd(n, *bins)
+    t = np.arange(n) / fs
+    phase = 2 * np.pi * np.outer(freqs, t)
+    tones = np.exp(2j * np.pi * np.outer(freqs, (np.arange(n) % period) / fs))
+    assert np.all(np.abs(tones - np.exp(1j * phase)) <= 1e-15 * (1 + np.abs(phase)))
+    noise = np.zeros((3, n), dtype=complex)
+    if noise_std:
+        for i in range(3):
+            draw = derive_rng(child_seed(seed, i)).normal(0.0, noise_std, size=(n, 2))
+            noise[i] = draw.view(complex)[:, 0]
+    eps = np.finfo(float).eps
+    tolerance = 1e-15 * np.abs(c).sum(axis=1)[:, None] + 2 * eps * np.abs(traces)
+    assert np.all(np.abs(traces - noise - c @ tones) <= tolerance)
+
+    w = fdmsim.rxchain._window(window, n)
+    wx = w * quantized
+    full = wx @ np.exp(-2j * np.pi * np.outer(freqs, t)).T / w.sum()
+    scale = np.abs(wx).sum(axis=1)[:, None] / w.sum()
+    assert np.all(np.abs(iq - full) <= 1e-13 * scale)
+
+
+def test_a_300_channel_fold_is_the_same_on_one_and_two_blas_threads():
+    # Through numpy's own OpenBLAS handle, as the shot loop's thread test:
+    # the sum of a block's periods and its product with a 300-channel
+    # kernel take the same bits on 1 and 2 BLAS threads.
+    rx = fdmsim.rxchain
+    with fdmsim.lanes._blas_lock:
+        blas = fdmsim.lanes._blas_functions()
+    if not blas:
+        pytest.skip("numpy's core module reaches no OpenBLAS thread count")
+    get, set_count = blas
+    caller_count = get()
+    n, fs = 8000, 1e9
+    rng = np.random.default_rng(300)
+    block = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    rx._channel_plan.cache_clear()
+    results = []
+    try:
+        for window in WINDOWS:
+            plan = rx._channel_plan(channel_comb(n, fs), n, fs, window)
+            assert plan.period == 1600
+            for threads in (1, 2):
+                set_count(threads)
+                if get() != threads:
+                    pytest.skip("OpenBLAS does not take a second thread here")
+                iq, wx = rx._project(plan, block)
+                results.append((window, rx._fold(wx, plan.period).tobytes(), iq.tobytes()))
+    finally:
+        set_count(caller_count)
+        rx._channel_plan.cache_clear()
+    assert results[0][1:] == results[1][1:] and results[2][1:] == results[3][1:]
 
 
 @pytest.mark.parametrize("n", [64, 1000, 4000])
@@ -966,9 +1145,10 @@ def test_crosstalk_rejects_plans_it_cannot_measure_exactly(spacing, kwargs, matc
 
 def receive_reference(setup, c, *, adc, noise_std, seeds):
     """The shot loop one shot at a time, on the calling thread: a fresh
-    trace c[i] @ tones, noise from a Generator built per shot by
-    derive_rng(seeds[i]), adc_quantize without its FFT band limit (the
-    channels beyond the band are zeroed instead), then the projector."""
+    trace c[i] @ tones, one period repeated over n samples, noise from a
+    Generator built per shot by derive_rng(seeds[i]), adc_quantize
+    without its FFT band limit (the channels beyond the band are zeroed
+    instead), then the projector."""
     c = c.copy()
     rx = fdmsim.rxchain
     plan = rx._channel_plan(tuple(setup.baseband_frequencies), setup.n_samples,
@@ -977,7 +1157,7 @@ def receive_reference(setup, c, *, adc, noise_std, seeds):
     c[:, rx._beyond_band(setup, adc)] = 0.0
     iq = np.empty_like(c)
     for i in range(c.shape[0]):
-        trace = c[i] @ tones
+        trace = np.resize(c[i] @ tones, setup.n_samples)
         if noise_std > 0:
             quad = trace.view(np.float64).reshape(-1, 2)
             quad += derive_rng(seeds[i]).normal(0.0, noise_std, size=quad.shape)
@@ -1100,6 +1280,28 @@ def test_receive_equals_the_per_shot_loop_for_every_lane_count(case, n_points, r
             assert len(drawing) <= min(lanes, n_points)
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("case", list(SHOT_CASES))
+def test_receive_on_a_periodic_setup_equals_the_per_shot_loop_for_every_lane_count(
+        case, monkeypatch):
+    # SHOT_SETUP's bins -20, 3 and 15 of 64 share no divisor with 64; these
+    # repeat every 4 samples.
+    rx = fdmsim.rxchain
+    kwargs = dict(SHOT_CASES[case])
+    setup = replace(SHOT_SETUP, baseband_frequencies=(-16e6, 0.0, 16e6),
+                    window=kwargs.pop("window", "rectangular"))
+    assert rx._period(setup.baseband_frequencies, setup.n_samples, setup.sample_rate) == 4
+    monkeypatch.setattr(rx, "_SHOT_BLOCK_SAMPLES", 3 * setup.n_samples)
+    c = shot_table(10)
+    noisy = kwargs["noise_std"] > 0
+    seeds = [child_seed(11, i) for i in range(10)] if noisy else ()
+    streams = _child_states(11, 10) if noisy else None
+    expected = receive_reference(setup, c, seeds=seeds, **kwargs)
+    for lanes in (1, 2, 4):
+        monkeypatch.setattr(rx, "_lane_count", lambda lanes=lanes: lanes)
+        iq, _ = rx._receive(setup, c.copy(), streams=streams, **kwargs)
+        assert np.array_equal(iq, expected)
 
 
 def test_a_noiseless_adc_run_starts_no_thread(monkeypatch):
